@@ -71,19 +71,27 @@ SlimModel::SlimModel(const SlimOptions& opts, Rng* rng)
 }
 
 void SlimModel::PackWeights() {
+  // A skipped pack would rewrite identical bytes: packing is a pure
+  // function of the weights, and every weight write bumps the version.
+  const bool fp32_stale = packed_version_ != weights_version_;
+  const bool bf16_stale =
+      bf16_replica_ && packed16_version_ != weights_version_;
+  if (!fp32_stale && !bf16_stale) return;
   const Matrix* ws[4] = {&w1_.w, &w2_.w, &w3_.w, &w4_.w};
-  for (size_t i = 0; i < 4; ++i) pw_[i].PackFrom(*ws[i]);
-  if (bf16_replica_) {
-    for (size_t i = 0; i < 4; ++i) pw16_[i].PackFrom(*ws[i]);
+  if (fp32_stale) {
+    for (size_t i = 0; i < 4; ++i) pw_[i].PackFrom(*ws[i]);
+    packed_version_ = weights_version_;
   }
+  if (bf16_stale) {
+    for (size_t i = 0; i < 4; ++i) pw16_[i].PackFrom(*ws[i]);
+    packed16_version_ = weights_version_;
+  }
+  ++pack_count_;
 }
 
 void SlimModel::SetReplicaPrecisionBf16(bool bf16) {
   bf16_replica_ = bf16;
-  if (bf16) {
-    const Matrix* ws[4] = {&w1_.w, &w2_.w, &w3_.w, &w4_.w};
-    for (size_t i = 0; i < 4; ++i) pw16_[i].PackFrom(*ws[i]);
-  }
+  PackWeights();
 }
 
 size_t SlimModel::PackedWeightBytes() const {
@@ -112,6 +120,9 @@ void SlimModel::Serialize(ByteWriter* w) const {
 }
 
 bool SlimModel::Deserialize(ByteReader* r) {
+  // Stamped up front: even a stream rejected halfway has overwritten
+  // weights, and the packs must never outlive them.
+  ++weights_version_;
   adam_t_ = static_cast<size_t>(r->U64());
   train_calls_ = r->U64();
   Param* ps[kNumParams] = {&w1_, &b1_, &w2_, &b2_, &w3_, &b3_, &w4_, &b4_};
@@ -468,8 +479,10 @@ double SlimModel::TrainStep(const SlimBatchInput& input,
   AdamStep(&b3_);
   AdamStep(&w4_);
   AdamStep(&b4_);
-  // Re-pack the read-path operands from the stepped weights (grow-only, so
-  // allocation-free after the first step at a given shape).
+  // The step wrote new weights: stamp a new version and re-pack the
+  // read-path operands from them (grow-only, so allocation-free after the
+  // first step at a given shape).
+  ++weights_version_;
   PackWeights();
   return loss / static_cast<double>(b);
 }

@@ -124,16 +124,27 @@ class SlimModel {
   /// weights (default, the determinism reference: bit-identical to the
   /// unpacked kernels per backend) and the bf16 packed replica
   /// (half the weight-streaming bytes, fp32 accumulation,
-  /// tolerance-equivalent). Enabling packs the bf16 operands immediately;
+  /// tolerance-equivalent). Enabling brings the bf16 packs current
+  /// through PackWeights (a no-op when they already match the weights);
   /// training and Forward() always run fp32 either way.
   void SetReplicaPrecisionBf16(bool bf16);
   bool replica_precision_bf16() const { return bf16_replica_; }
 
-  /// Re-packs the read-path GEMM operands from the current weights
-  /// (pack-once / reuse-many). Runs automatically after construction,
-  /// every TrainStep, and a successful Deserialize; the serve layer also
-  /// calls it at snapshot publish so a replica's first read never packs.
+  /// Brings the read-path GEMM operands up to the current weights
+  /// (pack-once / reuse-many). Packs follow the weights version: every
+  /// weight mutation (construction, TrainStep's Adam step, Deserialize)
+  /// stamps a new version, and this rebuilds the fp32 packs — plus the
+  /// bf16 packs while the bf16 replica is on — only when their packed
+  /// version differs from it. Otherwise it returns at once, so callers
+  /// that only need the packs current (the serve publish path) may call
+  /// it freely. Runs automatically after construction, every TrainStep,
+  /// a successful Deserialize, and a switch to bf16.
   void PackWeights();
+
+  /// Number of PackWeights calls that rebuilt at least one pack set
+  /// (construction's included): the cost counter the version check
+  /// exists to keep down.
+  uint64_t pack_count() const { return pack_count_; }
 
   /// Resident bytes of the packed weight operands the const read path
   /// streams: the bf16 packs when the replica is bf16 (exactly half the
@@ -209,12 +220,17 @@ class SlimModel {
 
   Param w1_, b1_, w2_, b2_, w3_, b3_, w4_, b4_;
 
-  // Read-path GEMM operands (tensor/packed.h), repacked by PackWeights on
-  // every weight mutation so the const read path never packs. The bf16
-  // packs are maintained only while bf16_replica_ is set.
+  // Read-path GEMM operands (tensor/packed.h), rebuilt by PackWeights
+  // whenever their packed version trails weights_version_, so the const
+  // read path never packs. The bf16 packs are refreshed only while
+  // bf16_replica_ is set.
   PackedMatrix pw_[4];
   PackedMatrix16 pw16_[4];
   bool bf16_replica_ = false;
+  uint64_t weights_version_ = 1;    // bumped by every weight mutation
+  uint64_t packed_version_ = 0;     // weights version pw_ was built from
+  uint64_t packed16_version_ = 0;   // weights version pw16_ was built from
+  uint64_t pack_count_ = 0;         // PackWeights calls that rebuilt
 
   // Forward scratch for the fused (non-const) paths, kept across calls
   // (grow-only). The const PredictConst path uses caller scratch instead.

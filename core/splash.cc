@@ -114,6 +114,10 @@ void SplashPredictor::PrepareForPublish() {
   if (slim_) slim_->PackWeights();
 }
 
+uint64_t SplashPredictor::weight_packs() const {
+  return slim_ ? slim_->pack_count() : 0;
+}
+
 size_t SplashPredictor::PackedWeightBytes() const {
   return slim_ ? slim_->PackedWeightBytes() : 0;
 }
@@ -360,8 +364,9 @@ Status SplashPredictor::DeserializeState(ByteReader* r) {
   }
   if (slim_) {
     slim_->SetTraining(false);
-    // Deserialize repacked fp32; re-apply the sticky precision choice so a
-    // restored bf16 replica also has its bf16 packs before first read.
+    // Deserialize repacked fp32; re-applying the sticky precision choice
+    // packs bf16 too when it is on, so a restored bf16 replica has its
+    // bf16 packs before first read.
     slim_->SetReplicaPrecisionBf16(bf16_replica_);
   }
   return Status::Ok();

@@ -115,10 +115,18 @@ class SplashPredictor : public TemporalPredictor {
   void SetReplicaPrecisionBf16(bool bf16);
   bool replica_precision_bf16() const { return bf16_replica_; }
 
-  /// Re-packs SLIM's read-path GEMM operands from the current weights.
-  /// The serving layer calls this when a snapshot is published so a read
-  /// replica's first query never packs (publish-time work, not read-time).
+  /// Guarantees SLIM's read-path GEMM operands match the current weights
+  /// once it returns, so a published replica's first query never packs.
+  /// Packs follow the weights version (SlimModel::PackWeights), so this
+  /// only verifies: it rebuilds nothing after an edge-only batch or after
+  /// a TrainStep that already packed. The serving layer calls it on every
+  /// publish and catch-up.
   void PrepareForPublish();
+
+  /// SLIM pack rebuilds since the model was built or last restored by
+  /// DeserializeState (0 before Prepare). The serving layer reports the
+  /// growth of this count as ServeCounters::weight_packs.
+  uint64_t weight_packs() const;
 
   /// Resident bytes of the packed weight operands the read path streams.
   size_t PackedWeightBytes() const;

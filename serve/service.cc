@@ -142,6 +142,8 @@ Status SplashService::Start(const Dataset& warmup, const ChronoSplit& split,
 
   Status st = PrepareReplicas(warmup, split, fit);
   if (!st.ok()) return st;
+  weight_packs_base_ =
+      replicas_[0]->weight_packs() + replicas_[1]->weight_packs();
   InitLogFromWarmup(warmup);
   wm_seq_[0] = wm_seq_[1] = 0;
   wm_time_[0] = wm_time_[1] = 0.0;
@@ -206,6 +208,8 @@ Status SplashService::RecoverOrStart(const Dataset& warmup,
     InitLogFromWarmup(warmup);
     wal_batch_index_ = 0;
   }
+  weight_packs_base_ =
+      replicas_[0]->weight_packs() + replicas_[1]->weight_packs();
   wm_seq_[0] = wm_seq_[1] = log_.size();
   wm_time_[0] = wm_time_[1] = log_.empty() ? 0.0 : log_.max_time();
   batch_bounds_.clear();
@@ -273,6 +277,7 @@ Status SplashService::RecoverOrStart(const Dataset& warmup,
   }
   recovered_seq_ = log_.size();
   recovery_replayed_.store(tail.size(), std::memory_order_relaxed);
+  SyncWeightPacks();
 
   // Checkpoint-on-recovery: makes the replayed tail durable again before
   // the rotation below truncates/GCs anything, and gives a fresh durable
@@ -428,6 +433,12 @@ void SplashService::WriteServiceCheckpoint() {
   }
 }
 
+void SplashService::SyncWeightPacks() {
+  const uint64_t total =
+      replicas_[0]->weight_packs() + replicas_[1]->weight_packs();
+  weight_packs_.store(total - weight_packs_base_, std::memory_order_relaxed);
+}
+
 void SplashService::SerializePredictorState(ByteWriter* w) const {
   replicas_[gate_.back()]->SerializeState(w);
 }
@@ -447,8 +458,9 @@ void SplashService::ApplyBatchTo(SplashPredictor* rep, size_t edge_begin,
   // Publish-time packing invariant: by the time this replica is pinned by
   // a reader its packed GEMM operands (fp32 and, when enabled, bf16) are
   // current — a snapshot's first query never packs (PredictBatchConst
-  // cannot pack by construction; this keeps the invariant explicit even
-  // for weight mutations outside TrainStep).
+  // cannot pack by construction). Packs follow the weights version, so
+  // this only verifies: TrainStep already packed a training batch, and an
+  // edge-only batch changed no weight.
   rep->PrepareForPublish();
 }
 
@@ -479,6 +491,7 @@ void SplashService::ApplyLoop() {
     // Barrier: the previous catch-up retired, so the back replica is
     // current and catchup_train_ / log_ are exclusively ours again.
     pipe_.Wait();
+    SyncWeightPacks();
 
     // Quiesced point: both replicas identical at watermark log_.size().
     if (durable_ && opts_.checkpoint_interval_batches > 0 &&
@@ -558,6 +571,7 @@ void SplashService::ApplyLoop() {
     }
   }
   pipe_.Wait();  // no ingest outlives the service
+  SyncWeightPacks();
   if (durable_) {
     if (opts_.checkpoint_on_stop && batches_since_checkpoint_ > 0) {
       WriteServiceCheckpoint();
@@ -623,6 +637,7 @@ ServeCounters SplashService::Counters() const {
   c.train_dropped = train_dropped_.load(std::memory_order_relaxed);
   c.batches_applied = batches_applied_.load(std::memory_order_relaxed);
   c.train_steps = train_steps_.load(std::memory_order_relaxed);
+  c.weight_packs = weight_packs_.load(std::memory_order_relaxed);
   c.queries = queries_.load(std::memory_order_relaxed);
   c.unseen_node_queries =
       unseen_node_queries_.load(std::memory_order_relaxed);

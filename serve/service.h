@@ -273,6 +273,10 @@ class SplashService final : public QueryBackend {
   void WriteServiceCheckpoint();
   void NoteWalError();
   void MirrorWalFsyncs();
+  /// Republishes weight_packs_ from both replicas' pack counts. Quiesced
+  /// points only (no apply or catch-up in flight), so the replica
+  /// counters are read without a lock.
+  void SyncWeightPacks();
 
   SplashOptions model_opts_;
   SplashServiceOptions opts_;
@@ -312,6 +316,8 @@ class SplashService final : public QueryBackend {
   std::atomic<uint64_t> batches_applied_{0}, train_steps_{0};
   std::atomic<uint64_t> queries_{0}, unseen_node_queries_{0};
   std::atomic<uint64_t> novel_ingest_nodes_{0}, time_regressions_{0};
+  std::atomic<uint64_t> weight_packs_{0};
+  uint64_t weight_packs_base_ = 0;  // replica pack count once serving began
 
   // Endpoint histograms. Ingest-enqueue latency is striped by producer
   // thread (hash of thread id) so concurrent producers do not serialize

@@ -16,6 +16,7 @@ void ServeCounters::MergeFrom(const ServeCounters& other) {
   train_dropped += other.train_dropped;
   batches_applied += other.batches_applied;
   train_steps += other.train_steps;
+  weight_packs += other.weight_packs;
   queries += other.queries;
   unseen_node_queries += other.unseen_node_queries;
   coalesced_groups += other.coalesced_groups;

@@ -14,9 +14,10 @@
 //               contiguous — the GEMM inner loop advances B by exactly one
 //               cache line per reduction step, no row-pitch strides
 //
-// Pack-once / reuse-many: the SLIM weight matrices pack at construction,
-// checkpoint-load, and after each Adam step (core/slim.cc); the serve read
-// replica packs at snapshot publish, so the const query path never packs.
+// Pack-once / reuse-many: the SLIM weight matrices pack once per weights
+// version — at construction, checkpoint-load, and after each Adam step
+// (core/slim.cc). Snapshot publish only verifies the packs are current, so
+// the const query path never packs and an unchanged replica never repacks.
 //
 // Per-element FMA order is untouched by packing: every packed kernel
 // accumulates one output element over ascending reduction index exactly

@@ -12,6 +12,9 @@
 //      end-to-end SLIM read path holds AUC parity on a drifting synthetic
 //      task with |dAUC| <= 1e-3.
 //   4. The bf16 replica halves resident weight-operand bytes, exactly.
+//   5. Packs follow the weights version: after every weight or precision
+//      mutation the read path sees current packs, and a publish-time
+//      PackWeights on unchanged weights rebuilds nothing.
 
 #include "tensor/packed.h"
 
@@ -19,8 +22,11 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <string>
 #include <vector>
 
+#include "core/serialize.h"
 #include "core/slim.h"
 #include "eval/metrics.h"
 #include "tensor/matrix.h"
@@ -297,6 +303,14 @@ std::vector<double> AnomalyScores(const Matrix& out) {
   return scores;
 }
 
+void ExpectBitEqual(const Matrix& want, const Matrix& got,
+                    const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(want.data()[i], got.data()[i]) << what << " flat " << i;
+  }
+}
+
 TEST(PackedGemmTest, SlimPredictPackedBitEqualsUnpackedPerBackend) {
   SlimOptions opts;
   opts.feature_dim = 24;
@@ -305,6 +319,18 @@ TEST(PackedGemmTest, SlimPredictPackedBitEqualsUnpackedPerBackend) {
   opts.dropout = 0.0f;
   Rng data_rng(71);
   const SlimBatchInput input = MakeBatch(64, 5, 24, 1.0, &data_rng);
+  const SlimBatchInput train = MakeBatch(64, 5, 24, 1.0, &data_rng);
+  const std::vector<int> labels = MakeLabels(train);
+
+  // A different model's learned state, as a checkpoint stream.
+  ByteWriter other_bytes;
+  {
+    Rng other_rng(99);
+    SlimModel other(opts, &other_rng);
+    other.SetTraining(true);
+    other.TrainStep(train, labels);
+    other.Serialize(&other_bytes);
+  }
 
   std::vector<const char*> backends = {"scalar"};
   if (HaveAvx2()) backends.push_back("avx2");
@@ -314,18 +340,72 @@ TEST(PackedGemmTest, SlimPredictPackedBitEqualsUnpackedPerBackend) {
     Rng rng(42);
     SlimModel model(opts, &rng);
     SlimForwardScratch scratch;
+    // Leave bf16 packs of the construction weights behind, so a missed
+    // bf16 refresh below reads stale numbers rather than empty packs.
+    model.SetReplicaPrecisionBf16(true);
+    model.SetReplicaPrecisionBf16(false);
 
-    SetGemmPackForTesting(false);
-    const Matrix unpacked = model.PredictConst(input, &scratch);
-    SetGemmPackForTesting(true);
-    const Matrix packed = model.PredictConst(input, &scratch);
-    ASSERT_EQ(unpacked.size(), packed.size());
-    for (size_t i = 0; i < unpacked.size(); ++i) {
-      ASSERT_EQ(unpacked.data()[i], packed.data()[i])
-          << name << " flat " << i;
+    // Weight and precision mutations, applied in sequence. After each the
+    // packs must be current: the fp32 const read bit-equals the unpacked
+    // path, and a bf16 read bit-equals a model packed afresh from the
+    // same weights. `rebuilds` is the pack-rebuild count the mutation
+    // may cost — packs follow the weights, nothing else.
+    struct Stage {
+      const char* what;
+      uint64_t rebuilds;
+      std::function<void()> mutate;
+    };
+    const Stage stages[] = {
+        {"construction", 0, [] {}},
+        {"TrainStep", 1,
+         [&] {
+           model.SetTraining(true);
+           model.TrainStep(train, labels);
+           model.SetTraining(false);
+         }},
+        {"Deserialize(other model)", 1,
+         [&] {
+           ByteReader r(other_bytes.buffer());
+           EXPECT_TRUE(model.Deserialize(&r));
+         }},
+        {"bf16 on->off->on", 1,
+         [&] {
+           model.SetReplicaPrecisionBf16(true);
+           model.SetReplicaPrecisionBf16(false);
+           model.SetReplicaPrecisionBf16(true);
+         }},
+    };
+    for (const Stage& stage : stages) {
+      const std::string what = std::string(name) + " after " + stage.what;
+      const uint64_t before = model.pack_count();
+      stage.mutate();
+      EXPECT_EQ(model.pack_count() - before, stage.rebuilds) << what;
+
+      if (model.replica_precision_bf16()) {
+        ByteWriter state;
+        model.Serialize(&state);
+        Rng fresh_rng(1);
+        SlimModel fresh(opts, &fresh_rng);
+        ByteReader r(state.buffer());
+        ASSERT_TRUE(fresh.Deserialize(&r)) << what;
+        fresh.SetReplicaPrecisionBf16(true);
+        SlimForwardScratch fresh_scratch;
+        ExpectBitEqual(fresh.PredictConst(input, &fresh_scratch),
+                       model.PredictConst(input, &scratch), what + " bf16");
+        model.SetReplicaPrecisionBf16(false);
+      }
+
+      // What PrepareForPublish runs: a version check on unchanged weights.
+      const uint64_t packs = model.pack_count();
+      model.PackWeights();
+      EXPECT_EQ(model.pack_count(), packs) << what;
+
+      SetGemmPackForTesting(false);
+      const Matrix unpacked = model.PredictConst(input, &scratch);
+      SetGemmPackForTesting(true);
+      ExpectBitEqual(unpacked, model.PredictConst(input, &scratch), what);
     }
   }
-  SetGemmPackForTesting(true);
   ASSERT_TRUE(SetKernelBackendForTesting("auto"));
 }
 

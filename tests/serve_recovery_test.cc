@@ -253,6 +253,20 @@ void RecoverAndVerify(const std::string& data_dir, const SplashOptions& model,
   }
   EXPECT_FALSE(svc.degraded());
 
+  // Replay rebuilds packs only where the weights changed: one TrainStep
+  // pack per replica for each replayed training batch, none for the
+  // edge-only ones. The replayed tail is the suffix of the history.
+  {
+    const ServeCounters c = svc.Stats().counters;
+    ASSERT_LE(c.recovery_replayed_batches, history.size());
+    uint64_t train_batches = 0;
+    for (size_t i = history.size() - c.recovery_replayed_batches;
+         i < history.size(); ++i) {
+      train_batches += history[i].train.empty() ? 0 : 1;
+    }
+    EXPECT_EQ(c.weight_packs, 2 * train_batches);
+  }
+
   // The recovered ingest log is the reference log, edge for edge.
   const EdgeStream& log = svc.ingest_log();
   ASSERT_EQ(log.size(), ref_log.size());
@@ -332,6 +346,34 @@ TEST_F(ServeRecoveryTest, RecoveryWithNoMidStreamCheckpointReplaysWholeWal) {
   // The only checkpoint is the one recovery wrote at startup (seq 0);
   // every streamed batch lives exclusively in the WAL tail.
   RecoverAndVerify(dir.path(), model, 200u);
+}
+
+TEST_F(ServeRecoveryTest, EdgeOnlyWalReplayRebuildsNoPacks) {
+  TempDir dir;
+  const SplashOptions model = RecoveryModelOptions();
+  const Dataset ds = MakeWarmup();
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
+  const std::vector<TemporalEdge> live = LiveEdges(ds, split);
+  ASSERT_GT(live.size(), 100u);
+
+  SplashServiceOptions opts = DurableOptions(dir.path());
+  opts.checkpoint_interval_batches = 0;  // every batch stays in the WAL
+  opts.checkpoint_on_stop = false;
+  {
+    SplashService svc(model, opts);
+    TrainerOptions fit = SmallFit();
+    ASSERT_TRUE(svc.RecoverOrStart(ds, split, &fit).ok());
+    for (size_t i = 0; i < 100; ++i) svc.IngestEdge(live[i]);  // no labels
+    svc.Stop();
+  }
+  SplashService svc(model, opts);
+  TrainerOptions fit = SmallFit();
+  ASSERT_TRUE(svc.RecoverOrStart(ds, split, &fit).ok());
+  const ServeCounters c = svc.Stats().counters;
+  EXPECT_EQ(c.recovered_seq, 100u);
+  EXPECT_GT(c.recovery_replayed_batches, 0u);
+  EXPECT_EQ(c.weight_packs, 0u) << "edge-only WAL replay repacked weights";
+  svc.Stop();
 }
 
 TEST_F(ServeRecoveryTest, ContinueAfterRecoveryStaysBitExact) {

@@ -234,6 +234,49 @@ TEST_F(ServeServiceTest, TrainingFeedbackReplaysBitIdenticalViaApplyLog) {
   ExpectBitEqual(want, resp.scores, "train-feedback snapshot vs replay");
 }
 
+TEST_F(ServeServiceTest, WeightPacksFollowWeightsNotPublishes) {
+  // Packs are rebuilt when the weights change, not at every publish: an
+  // edge-only micro-batch publishes and catches up without one rebuild,
+  // and a training batch costs exactly the TrainStep pack on each replica.
+  const Dataset ds = MakeWarmup();
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
+  const std::vector<TemporalEdge> live = LiveEdges(ds, split);
+  ASSERT_GT(live.size(), 8u);
+
+  SplashServiceOptions sopts;
+  sopts.microbatch_max_delay_s = 0.0;
+  sopts.train_on_ingest_labels = true;
+  SplashService service(SmallModelOptions(), sopts);
+  TrainerOptions fit = SmallFit();
+  ASSERT_TRUE(service.Start(ds, split, &fit).ok());
+  EXPECT_EQ(service.Stats().counters.weight_packs, 0u)
+      << "Prepare/Fit packs must not count as serving packs";
+
+  // N edge-only micro-batches (one edge each, flushed apart).
+  constexpr size_t kEdgeBatches = 6;
+  for (size_t i = 0; i < kEdgeBatches; ++i) {
+    ASSERT_TRUE(service.IngestEdge(live[i]));
+    service.Flush();
+  }
+  ServeCounters c = service.Stats().counters;
+  EXPECT_EQ(c.batches_applied, kEdgeBatches);
+  EXPECT_EQ(c.weight_packs, 0u);
+
+  // One micro-batch holding a single train row.
+  PropertyQuery q;
+  q.node = live[kEdgeBatches - 1].dst;
+  q.time = live[kEdgeBatches - 1].time;
+  q.class_label = 1;
+  ASSERT_TRUE(service.SubmitTrain(q));
+  service.Flush();
+  service.Stop();  // retires the last catch-up: a quiesced read
+  c = service.Stats().counters;
+  EXPECT_EQ(c.batches_applied, kEdgeBatches + 1);
+  EXPECT_EQ(c.train_steps, 1u);
+  EXPECT_EQ(c.weight_packs, 2u)
+      << "one TrainStep pack per replica, no publish re-pack";
+}
+
 TEST_F(ServeServiceTest, DropNewestBackpressureCountsAndStaysConsistent) {
   const Dataset ds = MakeWarmup(1200);
   const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
