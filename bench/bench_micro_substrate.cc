@@ -170,26 +170,6 @@ BENCHMARK(BM_MatMulPacked)
     ->Args({1, 1024, 64})
     ->Args({32, 2048, 1024});
 
-// bf16 packed sibling of the B>L2 row: half the panel bytes streamed
-// (widening loads, fp32 accumulation) — the read-replica storage variant.
-void BM_MatMulPacked16(benchmark::State& state) {
-  const size_t m = static_cast<size_t>(state.range(0));
-  const size_t k = static_cast<size_t>(state.range(1));
-  const size_t n = static_cast<size_t>(state.range(2));
-  Rng rng(26);
-  const Matrix a = Matrix::Gaussian(m, k, &rng);
-  const Matrix b = Matrix::Gaussian(k, n, &rng);
-  PackedMatrix16 pb;
-  pb.PackFrom(b);
-  Matrix c(m, n);
-  for (auto _ : state) {
-    MatMulPacked16BiasActRange(a, pb, &c, 0, m, nullptr, false);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
-}
-BENCHMARK(BM_MatMulPacked16)->Args({32, 2048, 1024});
-
 void BM_MatMulTransA(benchmark::State& state) {
   const size_t r = static_cast<size_t>(state.range(0));
   const size_t m = static_cast<size_t>(state.range(1));

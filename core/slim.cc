@@ -73,33 +73,11 @@ SlimModel::SlimModel(const SlimOptions& opts, Rng* rng)
 void SlimModel::PackWeights() {
   // A skipped pack would rewrite identical bytes: packing is a pure
   // function of the weights, and every weight write bumps the version.
-  const bool fp32_stale = packed_version_ != weights_version_;
-  const bool bf16_stale =
-      bf16_replica_ && packed16_version_ != weights_version_;
-  if (!fp32_stale && !bf16_stale) return;
+  if (packed_version_ == weights_version_) return;
   const Matrix* ws[4] = {&w1_.w, &w2_.w, &w3_.w, &w4_.w};
-  if (fp32_stale) {
-    for (size_t i = 0; i < 4; ++i) pw_[i].PackFrom(*ws[i]);
-    packed_version_ = weights_version_;
-  }
-  if (bf16_stale) {
-    for (size_t i = 0; i < 4; ++i) pw16_[i].PackFrom(*ws[i]);
-    packed16_version_ = weights_version_;
-  }
+  for (size_t i = 0; i < 4; ++i) pw_[i].PackFrom(*ws[i]);
+  packed_version_ = weights_version_;
   ++pack_count_;
-}
-
-void SlimModel::SetReplicaPrecisionBf16(bool bf16) {
-  bf16_replica_ = bf16;
-  PackWeights();
-}
-
-size_t SlimModel::PackedWeightBytes() const {
-  size_t total = 0;
-  for (size_t i = 0; i < 4; ++i) {
-    total += bf16_replica_ ? pw16_[i].bytes() : pw_[i].bytes();
-  }
-  return total;
 }
 
 size_t SlimModel::ParamCount() const {
@@ -186,18 +164,11 @@ void SlimModel::ResizeScratch(size_t b, bool for_training) {
 
 void SlimModel::DenseLayer(const Matrix& in, const Matrix& w,
                            const float* bias, size_t pi, Matrix* out,
-                           size_t r0, size_t r1, bool relu,
-                           bool const_read) const {
+                           size_t r0, size_t r1, bool relu) const {
   // Packed and unpacked fused kernels are bit-identical per backend, so
   // the pack knob never changes results — only which B layout streams.
-  // The bf16 operand is reserved for the const read path: training and
-  // Forward() always see full-precision weights.
   if (GemmPackEnabled()) {
-    if (const_read && bf16_replica_) {
-      MatMulPacked16BiasActRange(in, pw16_[pi], out, r0, r1, bias, relu);
-    } else {
-      MatMulPackedBiasActRange(in, pw_[pi], out, r0, r1, bias, relu);
-    }
+    MatMulPackedBiasActRange(in, pw_[pi], out, r0, r1, bias, relu);
     return;
   }
   MatMulBiasActRange(in, w, out, r0, r1, bias, relu);
@@ -205,7 +176,7 @@ void SlimModel::DenseLayer(const Matrix& in, const Matrix& w,
 
 void SlimModel::ForwardRange(const SlimBatchInput& input, size_t r0,
                              size_t r1, Rng* drop_rng,
-                             SlimForwardScratch* s, bool const_read) const {
+                             SlimForwardScratch* s) const {
   const size_t k = opts_.k_recent, dv = opts_.feature_dim,
                h = opts_.hidden_dim;
   const size_t n0 = r0 * k, n1 = r1 * k;  // neighbor-row range
@@ -221,7 +192,7 @@ void SlimModel::ForwardRange(const SlimBatchInput& input, size_t r0,
   // over each activation matrix instead of three. The scalar backend
   // computes the identical arithmetic to the historical separate passes.
   DenseLayer(s->cat1, w1_.w, b1_.w.data(), 0, &s->msg_pre, n0, n1,
-             /*relu=*/true, const_read);
+             /*relu=*/true);
 
   for (size_t bi = r0; bi < r1; ++bi) {
     float wsum = 0.0f;
@@ -241,7 +212,7 @@ void SlimModel::ForwardRange(const SlimBatchInput& input, size_t r0,
 
   // --- self branch ---------------------------------------------------------
   DenseLayer(input.node_feats, w2_.w, b2_.w.data(), 1, &s->self_pre, r0, r1,
-             /*relu=*/true, const_read);
+             /*relu=*/true);
 
   // --- head ----------------------------------------------------------------
   for (size_t bi = r0; bi < r1; ++bi) {
@@ -249,7 +220,7 @@ void SlimModel::ForwardRange(const SlimBatchInput& input, size_t r0,
     std::memcpy(s->cat2.Row(bi) + h, s->self_pre.Row(bi), h * sizeof(float));
   }
   DenseLayer(s->cat2, w3_.w, b3_.w.data(), 2, &s->h_pre, r0, r1,
-             /*relu=*/true, const_read);
+             /*relu=*/true);
 
   if (drop_rng != nullptr && training_ && opts_.dropout > 0.0f) {
     const float keep = 1.0f - opts_.dropout;
@@ -266,7 +237,7 @@ void SlimModel::ForwardRange(const SlimBatchInput& input, size_t r0,
   }
 
   DenseLayer(s->h_pre, w4_.w, b4_.w.data(), 3, &s->out, r0, r1,
-             /*relu=*/false, const_read);
+             /*relu=*/false);
 }
 
 void SlimModel::ForwardAll(const SlimBatchInput& input, bool for_training) {
@@ -308,9 +279,8 @@ const Matrix& SlimModel::PredictConst(const SlimBatchInput& input,
                   opts_.hidden_dim, opts_.out_dim, /*dropout=*/false);
   // Serial, dropout-free: identical arithmetic to the eval-mode ForwardAll
   // (the parallel path computes the same per-row values), so snapshot
-  // reads are bit-identical to fused Forward on the same state — unless
-  // the bf16 replica is on, which is tolerance-equivalent by design.
-  ForwardRange(input, 0, b, nullptr, scratch, /*const_read=*/true);
+  // reads are bit-identical to fused Forward on the same state.
+  ForwardRange(input, 0, b, nullptr, scratch);
   return scratch->out;
 }
 

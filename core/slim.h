@@ -120,36 +120,19 @@ class SlimModel {
   size_t ParamCount() const;
   const SlimOptions& options() const { return opts_; }
 
-  /// Switches the const read path (PredictConst) between fp32 packed
-  /// weights (default, the determinism reference: bit-identical to the
-  /// unpacked kernels per backend) and the bf16 packed replica
-  /// (half the weight-streaming bytes, fp32 accumulation,
-  /// tolerance-equivalent). Enabling brings the bf16 packs current
-  /// through PackWeights (a no-op when they already match the weights);
-  /// training and Forward() always run fp32 either way.
-  void SetReplicaPrecisionBf16(bool bf16);
-  bool replica_precision_bf16() const { return bf16_replica_; }
-
   /// Brings the read-path GEMM operands up to the current weights
   /// (pack-once / reuse-many). Packs follow the weights version: every
   /// weight mutation (construction, TrainStep's Adam step, Deserialize)
-  /// stamps a new version, and this rebuilds the fp32 packs — plus the
-  /// bf16 packs while the bf16 replica is on — only when their packed
-  /// version differs from it. Otherwise it returns at once, so callers
-  /// that only need the packs current (the serve publish path) may call
-  /// it freely. Runs automatically after construction, every TrainStep,
-  /// a successful Deserialize, and a switch to bf16.
+  /// stamps a new version, and this rebuilds the packs only when their
+  /// packed version differs from it. Otherwise it returns at once, so
+  /// callers that only need the packs current (the serve publish path) may
+  /// call it freely. Runs automatically after construction, every
+  /// TrainStep, and a successful Deserialize.
   void PackWeights();
 
-  /// Number of PackWeights calls that rebuilt at least one pack set
-  /// (construction's included): the cost counter the version check
-  /// exists to keep down.
+  /// Number of PackWeights calls that rebuilt the packs (construction's
+  /// included): the cost counter the version check exists to keep down.
   uint64_t pack_count() const { return pack_count_; }
-
-  /// Resident bytes of the packed weight operands the const read path
-  /// streams: the bf16 packs when the replica is bf16 (exactly half the
-  /// fp32 figure — same geometry, half the element width), else fp32.
-  size_t PackedWeightBytes() const;
 
   /// Checkpoint hooks: the learned state — every parameter matrix plus its
   /// Adam moments, the Adam step counter, and the train-call counter that
@@ -185,18 +168,15 @@ class SlimModel {
   /// Forward for batch rows [r0, r1) into `s` (disjoint rows per chunk).
   /// `drop_rng` non-null applies training dropout. Const: every mutated
   /// activation lives in the scratch, so readers with private scratch can
-  /// run this concurrently against frozen weights. `const_read` marks the
-  /// PredictConst path — the only one eligible for the bf16 replica.
+  /// run this concurrently against frozen weights.
   void ForwardRange(const SlimBatchInput& input, size_t r0, size_t r1,
-                    Rng* drop_rng, SlimForwardScratch* s,
-                    bool const_read = false) const;
+                    Rng* drop_rng, SlimForwardScratch* s) const;
   /// One fused dense layer (GEMM + bias + optional ReLU): the packed
-  /// kernels when the pack tier is on (bf16 operand iff const_read and the
-  /// replica is bf16), the unpacked fused kernel otherwise. `pi` indexes
-  /// the pack slot of `w` (w1..w4 -> 0..3).
+  /// kernel when the pack tier is on, the unpacked fused kernel otherwise.
+  /// `pi` indexes the pack slot of `w` (w1..w4 -> 0..3).
   void DenseLayer(const Matrix& in, const Matrix& w, const float* bias,
-                  size_t pi, Matrix* out, size_t r0, size_t r1, bool relu,
-                  bool const_read) const;
+                  size_t pi, Matrix* out, size_t r0, size_t r1,
+                  bool relu) const;
   /// Runs ResizeScratch + ForwardRange serial or chunk-parallel.
   void ForwardAll(const SlimBatchInput& input, bool for_training);
   /// Softmax/CE + backprop for batch rows [r0, r1): gradient contributions
@@ -222,15 +202,11 @@ class SlimModel {
 
   // Read-path GEMM operands (tensor/packed.h), rebuilt by PackWeights
   // whenever their packed version trails weights_version_, so the const
-  // read path never packs. The bf16 packs are refreshed only while
-  // bf16_replica_ is set.
+  // read path never packs.
   PackedMatrix pw_[4];
-  PackedMatrix16 pw16_[4];
-  bool bf16_replica_ = false;
-  uint64_t weights_version_ = 1;    // bumped by every weight mutation
-  uint64_t packed_version_ = 0;     // weights version pw_ was built from
-  uint64_t packed16_version_ = 0;   // weights version pw16_ was built from
-  uint64_t pack_count_ = 0;         // PackWeights calls that rebuilt
+  uint64_t weights_version_ = 1;  // bumped by every weight mutation
+  uint64_t packed_version_ = 0;   // weights version pw_ was built from
+  uint64_t pack_count_ = 0;       // PackWeights calls that rebuilt
 
   // Forward scratch for the fused (non-const) paths, kept across calls
   // (grow-only). The const PredictConst path uses caller scratch instead.

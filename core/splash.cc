@@ -78,7 +78,6 @@ Status SplashPredictor::Prepare(const Dataset& ds, const ChronoSplit& split) {
   // predictor seed so identically-seeded runs stay reproducible.
   slim_opts.dropout_seed = SplitMix64(opts_.seed ^ 0xd50bd50bULL);
   slim_ = std::make_unique<SlimModel>(slim_opts, &rng_);
-  slim_->SetReplicaPrecisionBf16(bf16_replica_);
 
   memory_.EnsureNodeCapacity(ds.stream.num_nodes());
   ResetState();
@@ -105,21 +104,12 @@ void SplashPredictor::SetTraining(bool training) {
   if (slim_) slim_->SetTraining(training);
 }
 
-void SplashPredictor::SetReplicaPrecisionBf16(bool bf16) {
-  bf16_replica_ = bf16;
-  if (slim_) slim_->SetReplicaPrecisionBf16(bf16);
-}
-
 void SplashPredictor::PrepareForPublish() {
   if (slim_) slim_->PackWeights();
 }
 
 uint64_t SplashPredictor::weight_packs() const {
   return slim_ ? slim_->pack_count() : 0;
-}
-
-size_t SplashPredictor::PackedWeightBytes() const {
-  return slim_ ? slim_->PackedWeightBytes() : 0;
 }
 
 size_t SplashPredictor::ParamCount() const {
@@ -362,13 +352,7 @@ Status SplashPredictor::DeserializeState(ByteReader* r) {
   if (!r->ok()) {
     return Status::Error("SplashPredictor: truncated state stream");
   }
-  if (slim_) {
-    slim_->SetTraining(false);
-    // Deserialize repacked fp32; re-applying the sticky precision choice
-    // packs bf16 too when it is on, so a restored bf16 replica has its
-    // bf16 packs before first read.
-    slim_->SetReplicaPrecisionBf16(bf16_replica_);
-  }
+  if (slim_) slim_->SetTraining(false);
   return Status::Ok();
 }
 

@@ -107,14 +107,6 @@ class SplashPredictor : public TemporalPredictor {
   const NeighborMemory& memory() const { return memory_; }
   size_t input_dim() const { return input_dim_; }
 
-  /// Read-replica precision (core/slim.h): bf16 halves the packed weight
-  /// bytes the const query path streams; fp32 (default) stays the
-  /// determinism reference. Sticky — applied to the SLIM model now (if it
-  /// exists) and re-applied whenever Prepare()/DeserializeState rebuilds
-  /// it.
-  void SetReplicaPrecisionBf16(bool bf16);
-  bool replica_precision_bf16() const { return bf16_replica_; }
-
   /// Guarantees SLIM's read-path GEMM operands match the current weights
   /// once it returns, so a published replica's first query never packs.
   /// Packs follow the weights version (SlimModel::PackWeights), so this
@@ -127,9 +119,6 @@ class SplashPredictor : public TemporalPredictor {
   /// DeserializeState (0 before Prepare). The serving layer reports the
   /// growth of this count as ServeCounters::weight_packs.
   uint64_t weight_packs() const;
-
-  /// Resident bytes of the packed weight operands the read path streams.
-  size_t PackedWeightBytes() const;
 
   /// Checkpoint hooks (serve/checkpoint): the complete post-Prepare state —
   /// RNG stream, selected process, augmenter (fitted + dynamic), neighbor
@@ -162,7 +151,6 @@ class SplashPredictor : public TemporalPredictor {
   std::unique_ptr<SlimModel> slim_;
   AugmentationProcess selected_ = AugmentationProcess::kStructural;
   size_t input_dim_ = 0;
-  bool bf16_replica_ = false;  // sticky read-replica precision choice
 
   // Assembly scratch (grow-only, reused across batches). Queries are
   // assembled in parallel on the runtime/ ThreadPool — feature writes and

@@ -9,7 +9,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 
@@ -31,13 +30,6 @@ CoalesceOptions MakeCoalesceOptions(const SplashServiceOptions& o) {
 bool FiniteNonNegative(double v) { return std::isfinite(v) && v >= 0.0; }
 
 }  // namespace
-
-std::string SplashServiceOptions::ResolvedReplicaPrecision() const {
-  if (!replica_precision.empty()) return replica_precision;
-  const char* env = std::getenv("SPLASH_REPLICA_PRECISION");
-  return (env == nullptr || *env == '\0') ? std::string("fp32")
-                                          : std::string(env);
-}
 
 Status SplashServiceOptions::Validate() const {
   if (microbatch_max_items < 1) {
@@ -62,12 +54,6 @@ Status SplashServiceOptions::Validate() const {
         "SplashServiceOptions.coalesce_ring_slots: must be >= "
         "coalesce_max_batch (a ring smaller than one group can never fill "
         "a group)");
-  }
-  const std::string prec = ResolvedReplicaPrecision();
-  if (prec != "fp32" && prec != "bf16") {
-    return Status::Error(
-        "SplashServiceOptions.replica_precision: must be \"fp32\" or "
-        "\"bf16\" (got \"" + prec + "\")");
   }
   if (!data_dir.empty() && wal_fsync == WalFsyncPolicy::kBatch &&
       wal_group_records < 1) {
@@ -94,10 +80,8 @@ Status SplashService::PrepareReplicas(const Dataset& warmup,
   // Both replicas run the identical deterministic pipeline (same options,
   // same seed, same thread count), so they end bit-identical — the
   // invariant the whole snapshot scheme rests on.
-  const bool bf16 = opts_.ResolvedReplicaPrecision() == "bf16";
   for (int r = 0; r < 2; ++r) {
     replicas_[r] = std::make_unique<SplashPredictor>(model_opts_);
-    replicas_[r]->SetReplicaPrecisionBf16(bf16);
     Status st = replicas_[r]->Prepare(warmup, split);
     if (!st.ok()) return st;
     if (fit != nullptr) {
@@ -188,12 +172,8 @@ Status SplashService::RecoverOrStart(const Dataset& warmup,
   Status st = LoadLatestCheckpoint(opts_.data_dir, &ckpt, &have_ckpt);
   if (!st.ok()) return st;
   if (have_ckpt) {
-    const bool bf16 = opts_.ResolvedReplicaPrecision() == "bf16";
     for (int r = 0; r < 2; ++r) {
       replicas_[r] = std::make_unique<SplashPredictor>(model_opts_);
-      // Sticky: DeserializeState re-applies the precision to the restored
-      // SLIM model, so a bf16 service recovers as a bf16 service.
-      replicas_[r]->SetReplicaPrecisionBf16(bf16);
       ByteReader rd(ckpt.predictor_state);
       st = replicas_[r]->DeserializeState(&rd);
       if (!st.ok()) return st;
@@ -456,11 +436,11 @@ void SplashService::ApplyBatchTo(SplashPredictor* rep, size_t edge_begin,
     rep->SetTraining(false);
   }
   // Publish-time packing invariant: by the time this replica is pinned by
-  // a reader its packed GEMM operands (fp32 and, when enabled, bf16) are
-  // current — a snapshot's first query never packs (PredictBatchConst
-  // cannot pack by construction). Packs follow the weights version, so
-  // this only verifies: TrainStep already packed a training batch, and an
-  // edge-only batch changed no weight.
+  // a reader its packed GEMM operands are current — a snapshot's first
+  // query never packs (PredictBatchConst cannot pack by construction).
+  // Packs follow the weights version, so this only verifies: TrainStep
+  // already packed a training batch, and an edge-only batch changed no
+  // weight.
   rep->PrepareForPublish();
 }
 

@@ -120,18 +120,6 @@ struct SplashServiceOptions {
   /// available for the bit-exact recovery oracle.
   bool gc_wal_on_checkpoint = true;
 
-  // ---- Read-replica precision (DESIGN.md §6). The const query path
-  // streams SLIM's packed weight operands; bf16 halves their resident
-  // bytes at a bounded score perturbation, fp32 stays the determinism
-  // reference (and the default).
-  /// "fp32", "bf16", or "" = resolve from the SPLASH_REPLICA_PRECISION
-  /// environment variable (unset/empty env = fp32). Applied to both
-  /// replicas at Start/RecoverOrStart, including the checkpoint-restore
-  /// path.
-  std::string replica_precision;
-  /// The effective precision string after env resolution.
-  std::string ResolvedReplicaPrecision() const;
-
   /// Field-named sanity check, run by Start/RecoverOrStart before any
   /// thread or file is touched: a misconfigured service refuses to start
   /// with an error naming the offending field instead of deadlocking or

@@ -153,62 +153,6 @@ void ScalarMatMulPackedBiasActRange(const Matrix& a, const PackedMatrix& b,
   }
 }
 
-void ScalarMatMulPacked16BiasActRange(const Matrix& a,
-                                      const PackedMatrix16& b, Matrix* c,
-                                      size_t row_begin, size_t row_end,
-                                      const float* bias, bool relu) {
-  const size_t k = a.cols(), n = b.n();
-  assert(b.k() == k);
-  assert(c->rows() == a.rows() && c->cols() == n);
-  assert(row_begin <= row_end && row_end <= a.rows());
-  (void)k;
-  for (size_t i = row_begin; i < row_end; ++i) {
-    std::memset(c->Row(i), 0, n * sizeof(float));
-  }
-  // Same loop structure as the fp32 packed kernel; each bf16 lane widens
-  // exactly (bits << 16) and all accumulation stays fp32.
-  const size_t panels = b.panels();
-  const size_t nb = b.num_blocks();
-  for (size_t pb = 0; pb < nb; ++pb) {
-    const size_t k0 = b.BlockBegin(pb);
-    const size_t rows = b.BlockRows(pb);
-    for (size_t jp = 0; jp < panels; ++jp) {
-      const uint16_t* panel = b.Panel(pb, jp);
-      const size_t j0 = jp * PackedMatrix16::kPanelCols;
-      const size_t w = n - j0 < PackedMatrix16::kPanelCols
-                           ? n - j0
-                           : PackedMatrix16::kPanelCols;
-      for (size_t i = row_begin; i < row_end; ++i) {
-        const float* arow = a.Row(i) + k0;
-        float* crow = c->Row(i) + j0;
-        for (size_t kk = 0; kk < rows; ++kk) {
-          const float av = arow[kk];
-          if (av == 0.0f) continue;
-          const uint16_t* brow = panel + kk * PackedMatrix16::kPanelCols;
-          for (size_t j = 0; j < w; ++j) {
-            crow[j] += av * Bf16ToFloat(brow[j]);
-          }
-        }
-      }
-    }
-  }
-  for (size_t i = row_begin; i < row_end; ++i) {
-    float* row = c->Row(i);
-    if (bias != nullptr) {
-      if (relu) {
-        for (size_t j = 0; j < n; ++j) {
-          const float v = row[j] + bias[j];
-          row[j] = v > 0.0f ? v : 0.0f;
-        }
-      } else {
-        for (size_t j = 0; j < n; ++j) row[j] += bias[j];
-      }
-    } else if (relu) {
-      for (size_t j = 0; j < n; ++j) row[j] = row[j] > 0.0f ? row[j] : 0.0f;
-    }
-  }
-}
-
 void ScalarMatMulTransBRange(const Matrix& a, const Matrix& b, Matrix* c,
                              size_t row_begin, size_t row_end,
                              bool accumulate) {
@@ -358,7 +302,6 @@ const KernelTable kScalarTable = {
     ScalarSincosEncode,
     ScalarMatMulPackedRange,
     ScalarMatMulPackedBiasActRange,
-    ScalarMatMulPacked16BiasActRange,
 };
 
 }  // namespace

@@ -1,0 +1,585 @@
+// Copyright 2026 The SPLASH Reproduction Authors.
+//
+// The width-generic SIMD kernel body (DESIGN.md §6). Exactly two
+// translation units include this header — tensor/kernels_avx2.cc and
+// tensor/kernels_avx512.cc — each compiled with its own ISA flags and each
+// supplying a vector-traits struct T:
+//
+//   Vec, Mask                 the float vector and its tail-mask type
+//   kWidth, kTileRows         lanes per vector; GEMM register-tile rows
+//   Zero Set1 Load Store      unaligned full-vector access
+//   TailMask MaskLoad         predicated access to the first `rem` lanes
+//     MaskStore               (masked-off loads read zero, stores skip)
+//   Add Sub Mul Div Max       lane-wise arithmetic; Fma(a, b, c) = a*b + c,
+//     Sqrt Fma Fnma Abs         Fnma(a, b, c) = c - a*b
+//     RoundNearest
+//   ReduceAdd ReduceAdd4      horizontal sums of one / four vectors
+//   SincosQuadrant            sincos quadrant select/negate (below)
+//   Interleave                (s, c) lane interleave into pairs
+//
+// Every GEMM output element is one ascending-k FMA chain in one lane on
+// either backend. The backends' bits part only where a dot product is
+// split into W-lane partials (MatMulTransB) and folded by the horizontal
+// sums, which keep each backend's own summation order.
+//
+// Register tiling:
+//   - MatMul / fused epilogue, unpacked and packed B: kTileRows x 2W
+//     output tiles (6x16 on avx2, 8x32 on avx512), then one W-wide
+//     vector, then a masked tail; the row remainder runs as ONE
+//     multi-row pass.
+//   - MatMulTransB: four W-lane dot accumulators per step, folded by
+//     ReduceAdd4.
+//   - MatMulTransA: broadcast-FMA rank-1 updates over the output row,
+//     ascending reduction rows, so serial and output-partitioned calls
+//     stay bit-identical.
+//
+// Tail policy: every ragged edge is a masked vector, never a scalar loop,
+// so no kernel reads or writes past a row's [0, cols) payload — bias
+// vectors and unpadded operands are safe, and ASan stays quiet.
+//
+// Linkage: everything here sits in an anonymous namespace. Each including
+// TU therefore gets private copies compiled for its own ISA; an external
+// inline function would instead be a weak symbol the linker could resolve
+// to the avx512 copy from code running on an avx2-only host. Keep it that
+// way: no external-linkage helpers and no std:: function templates here.
+
+#ifndef SPLASH_TENSOR_KERNELS_SIMD_BODY_H_
+#define SPLASH_TENSOR_KERNELS_SIMD_BODY_H_
+
+#include <cassert>
+#include <cstring>
+
+#include "tensor/matrix.h"
+#include "tensor/packed.h"
+#include "tensor/simd.h"
+
+namespace splash {
+namespace {
+
+// ---------------------------------------------------------------------------
+// Full-vector steps with one masked tail.
+// ---------------------------------------------------------------------------
+
+template <class T>
+struct FullLanes {
+  typename T::Vec Load(const float* p) const { return T::Load(p); }
+  void Store(float* p, typename T::Vec v) const { T::Store(p, v); }
+};
+
+template <class T>
+struct TailLanes {
+  typename T::Mask mask;
+  typename T::Vec Load(const float* p) const { return T::MaskLoad(p, mask); }
+  void Store(float* p, typename T::Vec v) const {
+    T::MaskStore(p, mask, v);
+  }
+};
+
+/// The lane accessor of a full vector, or of a masked tail vector.
+template <class T, bool kTail>
+inline auto LanesFor(typename T::Mask mask) {
+  if constexpr (kTail) {
+    return TailLanes<T>{mask};
+  } else {
+    (void)mask;
+    return FullLanes<T>{};
+  }
+}
+
+/// Visits [0, n) one vector at a time: f(j, lanes) for every full vector,
+/// then once for the ragged tail, where `lanes` loads and stores only the
+/// live lanes [j, n).
+template <class T, class F>
+inline void ForEachVector(size_t n, F&& f) {
+  size_t j = 0;
+  for (; j + T::kWidth <= n; j += T::kWidth) f(j, FullLanes<T>{});
+  if (j < n) f(j, TailLanes<T>{T::TailMask(n - j)});
+}
+
+// ---------------------------------------------------------------------------
+// GEMM (c = a * b) with optional accumulate / fused bias+ReLU epilogue, over
+// row-major or packed B. Both views expose B as k-blocks of rows with a
+// fixed row pitch `ld`: row-major B is one block of all k rows at its
+// stride; packed B (tensor/packed.h) is L2-sized blocks of 16-column
+// panels, pitch 16, so the inner loop advances B one cache line per
+// reduction step. VecStep is the distance from one W-lane vector of a
+// 2-vector tile to the next: adjacent in a row-major row or in a 16-lane
+// panel (avx2), the next panel over for 16-lane vectors (avx512).
+//
+// Each output element is one ascending-k FMA chain in one lane, then the
+// epilogue, whichever view feeds it — so packed results are bit-identical
+// to unpacked ones. Multi-k-block runs park the fp32 partials in C between
+// blocks (an exact store/reload). That is only legal when C is
+// overwritten; accumulate=true keeps the whole chain in registers, since
+// the epilogue adds the original C last.
+// ---------------------------------------------------------------------------
+
+struct RowMajorB {
+  static constexpr bool kPadded = false;
+  const float* data;
+  size_t ld;
+  size_t k;
+  size_t num_blocks() const { return k > 0 ? 1 : 0; }
+  size_t BlockBegin(size_t) const { return 0; }
+  size_t BlockRows(size_t) const { return k; }
+  const float* At(size_t, size_t col) const { return data + col; }
+  size_t VecStep(size_t, size_t w) const { return w; }
+};
+
+struct PanelB {
+  // Zero-padded panels: a tail vector may load B full-width, since the
+  // dead lanes contribute fma(a, 0, acc) == acc and are never stored.
+  static constexpr bool kPadded = true;
+  static constexpr size_t ld = PackedMatrix::kPanelCols;
+  const PackedMatrix& p;
+  size_t num_blocks() const { return p.num_blocks(); }
+  size_t BlockBegin(size_t pb) const { return p.BlockBegin(pb); }
+  size_t BlockRows(size_t pb) const { return p.BlockRows(pb); }
+  const float* At(size_t pb, size_t col) const {
+    return p.Panel(pb, col / ld) + col % ld;
+  }
+  size_t VecStep(size_t pb, size_t w) const {
+    return w < ld ? w : p.BlockRows(pb) * ld;
+  }
+};
+
+struct Epilogue {
+  const float* bias;  // nullable
+  bool accumulate;
+  bool relu;
+};
+
+/// R rows x NV full vectors of output at column j (kTail: one masked
+/// vector), accumulated over k-blocks [pb0, pb1) of B. Row r of A starts at
+/// a + r * lda, row r of C at c + r * ldc. `resume` starts the chains from
+/// the partials parked in C instead of zero; `finish` applies the
+/// epilogue, otherwise the raw partials are stored back. Always inlined:
+/// as a call, the per-tile overhead costs ~10% on short reductions.
+template <class T, int R, int NV, bool kTail, class B>
+__attribute__((always_inline)) inline void GemmTile(
+    const float* a, size_t lda, const B& b, size_t pb0, size_t pb1, float* c,
+    size_t ldc, size_t j, typename T::Mask mask, bool resume, bool finish,
+    Epilogue e) {
+  using V = typename T::Vec;
+  constexpr size_t W = T::kWidth;
+  const auto lanes = LanesFor<T, kTail>(mask);
+  V acc[R][NV];
+  for (int r = 0; r < R; ++r) {
+    for (int v = 0; v < NV; ++v) {
+      acc[r][v] = resume ? lanes.Load(c + r * ldc + j + v * W) : T::Zero();
+    }
+  }
+  for (size_t pb = pb0; pb < pb1; ++pb) {
+    const float* ak = a + b.BlockBegin(pb);
+    const float* bk = b.At(pb, j);
+    const size_t step = b.VecStep(pb, W);
+    const size_t kb = b.BlockRows(pb);
+    // Unrolled so the per-step pointer bumps amortize over more FMAs.
+#pragma GCC unroll 2
+    for (size_t kk = 0; kk < kb; ++kk, ++ak, bk += b.ld) {
+      V bv[NV];
+      for (int v = 0; v < NV; ++v) {
+        bv[v] = B::kPadded ? T::Load(bk + v * step)
+                           : lanes.Load(bk + v * step);
+      }
+      for (int r = 0; r < R; ++r) {
+        const V av = T::Set1(ak[r * lda]);
+        for (int v = 0; v < NV; ++v) acc[r][v] = T::Fma(av, bv[v], acc[r][v]);
+      }
+    }
+  }
+  // The masked tail adds its (maybe-zero) bias vector unconditionally;
+  // full vectors add bias only when present.
+  const V bias_tail = kTail && finish && e.bias != nullptr
+                         ? lanes.Load(e.bias + j)
+                         : T::Zero();
+  // Fully unrolled, so the accumulators stay in registers.
+#pragma GCC unroll 16
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) {
+      float* cp = c + r * ldc + j + v * W;
+      V x = acc[r][v];
+      if (finish) {
+        if (e.accumulate) x = T::Add(x, lanes.Load(cp));
+        if (kTail) {
+          x = T::Add(x, bias_tail);
+        } else if (e.bias != nullptr) {
+          x = T::Add(x, T::Load(e.bias + j + v * W));
+        }
+        if (e.relu) x = T::Max(x, T::Zero());
+      }
+      lanes.Store(cp, x);
+    }
+  }
+}
+
+/// One R-row block (output rows [i, i + R)) across all n output columns:
+/// 2-vector tiles, then one vector, then the masked tail.
+template <class T, int R, class B>
+inline void GemmRows(const Matrix& a, const B& b, Matrix* c, size_t i,
+                     size_t pb0, size_t pb1, bool resume, bool finish,
+                     Epilogue e) {
+  constexpr size_t W = T::kWidth;
+  const float* ai = a.data() + i * a.stride();
+  float* ci = c->data() + i * c->stride();
+  const size_t lda = a.stride(), ldc = c->stride(), n = c->cols();
+  const typename T::Mask none{};
+  size_t j = 0;
+  for (; j + 2 * W <= n; j += 2 * W) {
+    GemmTile<T, R, 2, false>(ai, lda, b, pb0, pb1, ci, ldc, j, none, resume,
+                             finish, e);
+  }
+  if (j + W <= n) {
+    GemmTile<T, R, 1, false>(ai, lda, b, pb0, pb1, ci, ldc, j, none, resume,
+                             finish, e);
+    j += W;
+  }
+  if (j < n) {
+    GemmTile<T, R, 1, true>(ai, lda, b, pb0, pb1, ci, ldc, j,
+                            T::TailMask(n - j), resume, finish, e);
+  }
+}
+
+/// The row remainder (1 .. kTileRows-1 rows) as ONE multi-row pass: each
+/// pass re-streams all of B, so a per-row tail would cost ~rem full B
+/// streams once B outgrows cache. Per-row FMA order matches the full
+/// block, so results are identical either way.
+template <class T, int R, class B>
+inline void GemmRowTail(size_t rem, const Matrix& a, const B& b, Matrix* c,
+                        size_t i, size_t pb0, size_t pb1, bool resume,
+                        bool finish, Epilogue e) {
+  if constexpr (R > 1) {
+    if (rem < R) {
+      GemmRowTail<T, R - 1>(rem, a, b, c, i, pb0, pb1, resume, finish, e);
+      return;
+    }
+  }
+  GemmRows<T, R>(a, b, c, i, pb0, pb1, resume, finish, e);
+}
+
+template <class T, class B>
+void GemmRange(const Matrix& a, const B& b, Matrix* c, size_t r0, size_t r1,
+               Epilogue e) {
+  constexpr int R = T::kTileRows;
+  const size_t nb = b.num_blocks();
+  // One pass with the block loop inside each tile (register-resident
+  // chains) unless B spans several k-blocks and C may hold partials; then
+  // k-blocks go outermost, so one L2-sized block of B stays resident while
+  // every row block of A streams against it.
+  const bool blocked = !e.accumulate && nb > 1;
+  const size_t passes = blocked ? nb : 1;
+  for (size_t pass = 0; pass < passes; ++pass) {
+    const size_t pb0 = blocked ? pass : 0;
+    const size_t pb1 = blocked ? pass + 1 : nb;
+    const bool resume = pb0 > 0, finish = pb1 == nb;
+    size_t i = r0;
+    for (; i + R <= r1; i += R) {
+      GemmRows<T, R>(a, b, c, i, pb0, pb1, resume, finish, e);
+    }
+    if (i < r1) {
+      GemmRowTail<T, R - 1>(r1 - i, a, b, c, i, pb0, pb1, resume, finish, e);
+    }
+  }
+}
+
+template <class T>
+void MatMulRange(const Matrix& a, const Matrix& b, Matrix* c, size_t r0,
+                 size_t r1, bool accumulate) {
+  assert(b.rows() == a.cols());
+  assert(c->rows() == a.rows() && c->cols() == b.cols());
+  assert(r0 <= r1 && r1 <= a.rows());
+  GemmRange<T>(a, RowMajorB{b.data(), b.stride(), b.rows()}, c, r0, r1,
+               Epilogue{nullptr, accumulate, false});
+}
+
+template <class T>
+void MatMulBiasActRange(const Matrix& a, const Matrix& b, Matrix* c,
+                        size_t r0, size_t r1, const float* bias, bool relu) {
+  assert(b.rows() == a.cols());
+  assert(c->rows() == a.rows() && c->cols() == b.cols());
+  assert(r0 <= r1 && r1 <= a.rows());
+  GemmRange<T>(a, RowMajorB{b.data(), b.stride(), b.rows()}, c, r0, r1,
+               Epilogue{bias, false, relu});
+}
+
+template <class T>
+void MatMulPackedRange(const Matrix& a, const PackedMatrix& b, Matrix* c,
+                       size_t r0, size_t r1, bool accumulate) {
+  assert(b.k() == a.cols());
+  assert(c->rows() == a.rows() && c->cols() == b.n());
+  assert(r0 <= r1 && r1 <= a.rows());
+  GemmRange<T>(a, PanelB{b}, c, r0, r1, Epilogue{nullptr, accumulate, false});
+}
+
+template <class T>
+void MatMulPackedBiasActRange(const Matrix& a, const PackedMatrix& b,
+                              Matrix* c, size_t r0, size_t r1,
+                              const float* bias, bool relu) {
+  assert(b.k() == a.cols());
+  assert(c->rows() == a.rows() && c->cols() == b.n());
+  assert(r0 <= r1 && r1 <= a.rows());
+  GemmRange<T>(a, PanelB{b}, c, r0, r1, Epilogue{bias, false, relu});
+}
+
+// ---------------------------------------------------------------------------
+// MatMulTransB (c = a * b^T): W-lane dot accumulators, four outputs per
+// horizontal fold.
+// ---------------------------------------------------------------------------
+
+/// Lane partials of dot(x, y) over k: one FMA accumulator, masked tail.
+template <class T>
+inline typename T::Vec DotAccum(const float* x, const float* y, size_t k) {
+  typename T::Vec acc = T::Zero();
+  ForEachVector<T>(k, [&](size_t kk, auto lanes) {
+    acc = T::Fma(lanes.Load(x + kk), lanes.Load(y + kk), acc);
+  });
+  return acc;
+}
+
+template <class T>
+void MatMulTransBRange(const Matrix& a, const Matrix& b, Matrix* c,
+                       size_t r0, size_t r1, bool accumulate) {
+  const size_t k = a.cols(), n = b.rows();
+  assert(b.cols() == k);
+  assert(c->rows() == a.rows() && c->cols() == n);
+  assert(r0 <= r1 && r1 <= a.rows());
+  for (size_t i = r0; i < r1; ++i) {
+    const float* arow = a.Row(i);
+    float* crow = c->Row(i);
+    size_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+      float dot[4];
+      T::ReduceAdd4(DotAccum<T>(arow, b.Row(j), k),
+                    DotAccum<T>(arow, b.Row(j + 1), k),
+                    DotAccum<T>(arow, b.Row(j + 2), k),
+                    DotAccum<T>(arow, b.Row(j + 3), k), dot);
+      for (size_t q = 0; q < 4; ++q) {
+        crow[j + q] = accumulate ? crow[j + q] + dot[q] : dot[q];
+      }
+    }
+    for (; j < n; ++j) {
+      const float dot = T::ReduceAdd(DotAccum<T>(arow, b.Row(j), k));
+      crow[j] = accumulate ? crow[j] + dot : dot;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// MatMulTransA (c = a^T * b): broadcast-FMA rank-1 updates.
+// ---------------------------------------------------------------------------
+
+/// crow[0, n) += av * brow[0, n).
+template <class T>
+inline void RankOneUpdate(float av, const float* brow, float* crow,
+                          size_t n) {
+  const typename T::Vec a = T::Set1(av);
+  ForEachVector<T>(n, [&](size_t j, auto lanes) {
+    lanes.Store(crow + j,
+                T::Fma(a, lanes.Load(brow + j), lanes.Load(crow + j)));
+  });
+}
+
+template <class T>
+void MatMulTransARange(const Matrix& a, const Matrix& b, Matrix* c,
+                       size_t r_begin, size_t r_end) {
+  const size_t m = a.cols(), n = b.cols();
+  assert(b.rows() == a.rows());
+  assert(c->rows() == m && c->cols() == n);
+  assert(r_begin <= r_end && r_end <= a.rows());
+  for (size_t rr = r_begin; rr < r_end; ++rr) {
+    const float* arow = a.Row(rr);
+    const float* brow = b.Row(rr);
+    for (size_t i = 0; i < m; ++i) {
+      const float av = arow[i];
+      if (av == 0.0f) continue;  // masked neighbor gradients are common
+      RankOneUpdate<T>(av, brow, c->Row(i), n);
+    }
+  }
+}
+
+template <class T>
+void MatMulTransAOutputRange(const Matrix& a, const Matrix& b, Matrix* c,
+                             size_t i_begin, size_t i_end, bool accumulate) {
+  const size_t r = a.rows(), n = b.cols();
+  if (!accumulate) {
+    for (size_t i = i_begin; i < i_end; ++i) {
+      std::memset(c->Row(i), 0, n * sizeof(float));
+    }
+  }
+  // rr stays the outer ascending loop so per-element accumulation order
+  // matches MatMulTransARange exactly (bit-identical parallel runs).
+  for (size_t rr = 0; rr < r; ++rr) {
+    const float* arow = a.Row(rr);
+    const float* brow = b.Row(rr);
+    for (size_t i = i_begin; i < i_end; ++i) {
+      const float av = arow[i];
+      if (av == 0.0f) continue;
+      RankOneUpdate<T>(av, brow, c->Row(i), n);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Row/vector kernels.
+// ---------------------------------------------------------------------------
+
+template <class T>
+void AddRowVector(Matrix* m, const float* bias) {
+  for (size_t i = 0; i < m->rows(); ++i) {
+    float* row = m->Row(i);
+    ForEachVector<T>(m->cols(), [&](size_t j, auto lanes) {
+      lanes.Store(row + j, T::Add(lanes.Load(row + j), lanes.Load(bias + j)));
+    });
+  }
+}
+
+template <class T>
+void ReluInPlace(Matrix* m) {
+  for (size_t i = 0; i < m->rows(); ++i) {
+    float* row = m->Row(i);
+    ForEachVector<T>(m->cols(), [&](size_t j, auto lanes) {
+      lanes.Store(row + j, T::Max(lanes.Load(row + j), T::Zero()));
+    });
+  }
+}
+
+template <class T>
+void Axpy(float alpha, const float* x, float* y, size_t n) {
+  const typename T::Vec a = T::Set1(alpha);
+  ForEachVector<T>(n, [&](size_t i, auto lanes) {
+    lanes.Store(y + i, T::Fma(a, lanes.Load(x + i), lanes.Load(y + i)));
+  });
+}
+
+template <class T>
+void ColumnSumsRange(const Matrix& m, float* out, size_t row_begin,
+                     size_t row_end, bool accumulate) {
+  const size_t cols = m.cols();
+  if (!accumulate) std::memset(out, 0, cols * sizeof(float));
+  for (size_t i = row_begin; i < row_end; ++i) {
+    const float* row = m.Row(i);
+    ForEachVector<T>(cols, [&](size_t j, auto lanes) {
+      lanes.Store(out + j, T::Add(lanes.Load(out + j), lanes.Load(row + j)));
+    });
+  }
+}
+
+template <class T>
+void AdamUpdate(float* w, const float* g, float* m, float* v, size_t n,
+                float step, float beta1, float beta2, float eps) {
+  using V = typename T::Vec;
+  const V b1 = T::Set1(beta1), omb1 = T::Set1(1.0f - beta1);
+  const V b2 = T::Set1(beta2), omb2 = T::Set1(1.0f - beta2);
+  const V step_v = T::Set1(step), eps_v = T::Set1(eps);
+  // Masked-off tail lanes compute 0 / (sqrt(0) + eps) = 0 — no traps — and
+  // their stores never land.
+  ForEachVector<T>(n, [&](size_t i, auto lanes) {
+    const V gv = lanes.Load(g + i);
+    const V mv = T::Fma(b1, lanes.Load(m + i), T::Mul(omb1, gv));
+    const V vv =
+        T::Fma(b2, lanes.Load(v + i), T::Mul(omb2, T::Mul(gv, gv)));
+    lanes.Store(m + i, mv);
+    lanes.Store(v + i, vv);
+    const V denom = T::Add(T::Sqrt(vv), eps_v);
+    const V upd = T::Div(T::Mul(step_v, mv), denom);
+    lanes.Store(w + i, T::Sub(lanes.Load(w + i), upd));
+  });
+}
+
+// ---------------------------------------------------------------------------
+// W-lane sincos: round-to-nearest quadrant reduction (two-term Cody-Waite,
+// exact to float rounding for the |x| <~ 100 range the log-compressed
+// degree/time encoders produce) + the cephes minimax polynomials on
+// [-pi/4, pi/4] (~1e-7 absolute error). T::SincosQuadrant applies the
+// quadrant fix-up:
+//   n = round(|x| * 2/pi) mod 4;  r = |x| - n * pi/2
+//   n=0: (sin r,  cos r)   n=1: (cos r, -sin r)
+//   n=2: (-sin r, -cos r)  n=3: (-cos r,  sin r)
+// i.e. swap when n is odd, negate sin when n in {2,3}, negate cos when
+// n in {1,2}; then sin takes the sign of x (cos is even).
+// ---------------------------------------------------------------------------
+
+template <class T>
+inline void Sincos(typename T::Vec x, typename T::Vec* s_out,
+                   typename T::Vec* c_out) {
+  using V = typename T::Vec;
+  const V ax = T::Abs(x);
+  const V q = T::RoundNearest(T::Mul(ax, T::Set1(0.63661977236758134f)));
+  V r = T::Fnma(q, T::Set1(1.57079601287841796875f), ax);
+  r = T::Fnma(q, T::Set1(3.1391647326017846e-7f), r);
+
+  const V z = T::Mul(r, r);
+  // sin(r) = r + r*z*((S0*z + S1)*z + S2)
+  V sp = T::Set1(-1.9515295891e-4f);
+  sp = T::Fma(sp, z, T::Set1(8.3321608736e-3f));
+  sp = T::Fma(sp, z, T::Set1(-1.6666654611e-1f));
+  sp = T::Fma(T::Mul(sp, z), r, r);
+  // cos(r) = 1 - z/2 + z*z*((C0*z + C1)*z + C2)
+  V cp = T::Set1(2.443315711809948e-5f);
+  cp = T::Fma(cp, z, T::Set1(-1.388731625493765e-3f));
+  cp = T::Fma(cp, z, T::Set1(4.166664568298827e-2f));
+  cp = T::Mul(cp, T::Mul(z, z));
+  cp = T::Fnma(z, T::Set1(0.5f), T::Add(cp, T::Set1(1.0f)));
+
+  T::SincosQuadrant(sp, cp, q, x, s_out, c_out);
+}
+
+template <class T>
+void SincosEncode(float x, float freq_decay, float* out, size_t dim) {
+  using V = typename T::Vec;
+  constexpr size_t W = T::kWidth;
+  const size_t pairs = dim / 2;
+  // The frequency ladder replicates the scalar chained multiply exactly
+  // (same float rounding per rung); only sin/cos themselves differ, by the
+  // polynomial's ~1e-7.
+  alignas(64) float angles[W];
+  float freq = 1.0f;
+  size_t p = 0;
+  while (p < pairs) {
+    const size_t chunk = pairs - p < W ? pairs - p : W;
+    for (size_t lane = 0; lane < chunk; ++lane) {
+      angles[lane] = x * freq;
+      freq *= freq_decay;
+    }
+    for (size_t lane = chunk; lane < W; ++lane) angles[lane] = 0.0f;
+    V s, c, lo, hi;
+    Sincos<T>(T::Load(angles), &s, &c);
+    T::Interleave(s, c, &lo, &hi);
+    const size_t n_out = 2 * chunk;
+    if (n_out >= W) {
+      T::Store(out + 2 * p, lo);
+      if (n_out > W) T::MaskStore(out + 2 * p + W, T::TailMask(n_out - W), hi);
+    } else {
+      T::MaskStore(out + 2 * p, T::TailMask(n_out), lo);
+    }
+    p += chunk;
+  }
+  if (dim % 2 == 1) out[dim - 1] = x * 0.1f;
+}
+
+/// The backend's kernel table over traits T.
+template <class T>
+constexpr KernelTable MakeKernelTable(const char* name) {
+  return KernelTable{
+      name,
+      MatMulRange<T>,
+      MatMulBiasActRange<T>,
+      MatMulTransBRange<T>,
+      MatMulTransARange<T>,
+      MatMulTransAOutputRange<T>,
+      AddRowVector<T>,
+      ReluInPlace<T>,
+      Axpy<T>,
+      ColumnSumsRange<T>,
+      AdamUpdate<T>,
+      SincosEncode<T>,
+      MatMulPackedRange<T>,
+      MatMulPackedBiasActRange<T>,
+  };
+}
+
+}  // namespace
+}  // namespace splash
+
+#endif  // SPLASH_TENSOR_KERNELS_SIMD_BODY_H_

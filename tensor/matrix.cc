@@ -3,7 +3,7 @@
 // Parallel entry points for the dense kernels: partition output rows on
 // the global ThreadPool when the flop count clears the gate, then hand
 // each range to the runtime-selected backend (tensor/simd.h). The serial
-// kernel bodies themselves live in tensor/kernels_{scalar,avx2}.cc;
+// kernel bodies themselves live in tensor/kernels_*.cc;
 // per-element accumulation order never depends on the partition, so for a
 // fixed backend parallel results are bit-identical to serial ones.
 
@@ -91,13 +91,6 @@ void MatMulPackedBiasActRange(const Matrix& a, const PackedMatrix& b,
                               const float* bias, bool relu) {
   Kernels().matmul_packed_bias_act_range(a, b, c, row_begin, row_end, bias,
                                          relu);
-}
-
-void MatMulPacked16BiasActRange(const Matrix& a, const PackedMatrix16& b,
-                                Matrix* c, size_t row_begin, size_t row_end,
-                                const float* bias, bool relu) {
-  Kernels().matmul_packed16_bias_act_range(a, b, c, row_begin, row_end, bias,
-                                           relu);
 }
 
 void MatMulTransBRange(const Matrix& a, const Matrix& b, Matrix* c,

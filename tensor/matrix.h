@@ -28,23 +28,20 @@
 
 namespace splash {
 
-/// Grow-only trivially-copyable element buffer whose payload is 64-byte
-/// aligned. Allocation goes through plain ::operator new[] (over-allocated,
-/// pointer aligned by hand) so the counting-allocator gate in
-/// allocation_steady_state_test still sees every allocation —
-/// std::aligned_alloc or aligned operator new would bypass the shims the
-/// gate overrides. T is float for matrices and uint16_t for the bf16
-/// read-replica storage (tensor/packed.h).
-template <typename T>
-class AlignedBufferT {
+/// Grow-only float buffer whose payload is 64-byte aligned. Allocation goes
+/// through plain ::operator new[] (over-allocated, pointer aligned by hand)
+/// so the counting-allocator gate in allocation_steady_state_test still
+/// sees every allocation — std::aligned_alloc or aligned operator new would
+/// bypass the shims the gate overrides.
+class AlignedBuffer {
  public:
   static constexpr size_t kAlignment = 64;
 
-  AlignedBufferT() = default;
-  ~AlignedBufferT() { delete[] raw_; }
+  AlignedBuffer() = default;
+  ~AlignedBuffer() { delete[] raw_; }
 
-  AlignedBufferT(const AlignedBufferT& other) { CopyFrom(other); }
-  AlignedBufferT& operator=(const AlignedBufferT& other) {
+  AlignedBuffer(const AlignedBuffer& other) { CopyFrom(other); }
+  AlignedBuffer& operator=(const AlignedBuffer& other) {
     if (this != &other) {
       if (cap_ < other.size_) {
         delete[] raw_;
@@ -55,12 +52,12 @@ class AlignedBufferT {
         CopyFrom(other);
       } else {
         size_ = other.size_;
-        if (size_ > 0) std::memcpy(data_, other.data_, size_ * sizeof(T));
+        if (size_ > 0) std::memcpy(data_, other.data_, size_ * sizeof(float));
       }
     }
     return *this;
   }
-  AlignedBufferT(AlignedBufferT&& other) noexcept
+  AlignedBuffer(AlignedBuffer&& other) noexcept
       : raw_(other.raw_), data_(other.data_), size_(other.size_),
         cap_(other.cap_) {
     other.raw_ = nullptr;
@@ -68,7 +65,7 @@ class AlignedBufferT {
     other.size_ = 0;
     other.cap_ = 0;
   }
-  AlignedBufferT& operator=(AlignedBufferT&& other) noexcept {
+  AlignedBuffer& operator=(AlignedBuffer&& other) noexcept {
     if (this != &other) {
       delete[] raw_;
       raw_ = other.raw_;
@@ -90,39 +87,37 @@ class AlignedBufferT {
     if (n > cap_) {
       size_t new_cap = cap_ < 16 ? 16 : cap_;
       while (new_cap < n) new_cap *= 2;
-      char* raw = new char[new_cap * sizeof(T) + kAlignment];
+      char* raw = new char[new_cap * sizeof(float) + kAlignment];
       const uintptr_t base = reinterpret_cast<uintptr_t>(raw);
-      T* aligned = reinterpret_cast<T*>(
+      float* aligned = reinterpret_cast<float*>(
           (base + kAlignment - 1) / kAlignment * kAlignment);
-      if (size_ > 0) std::memcpy(aligned, data_, size_ * sizeof(T));
+      if (size_ > 0) std::memcpy(aligned, data_, size_ * sizeof(float));
       delete[] raw_;
       raw_ = raw;
       data_ = aligned;
       cap_ = new_cap;
     }
     if (n > size_) {
-      std::memset(data_ + size_, 0, (n - size_) * sizeof(T));
+      std::memset(data_ + size_, 0, (n - size_) * sizeof(float));
     }
     size_ = n;
   }
 
-  T* data() { return data_; }
-  const T* data() const { return data_; }
+  float* data() { return data_; }
+  const float* data() const { return data_; }
   size_t size() const { return size_; }
 
  private:
-  void CopyFrom(const AlignedBufferT& other) {
+  void CopyFrom(const AlignedBuffer& other) {
     Resize(other.size_);
-    if (size_ > 0) std::memcpy(data_, other.data_, size_ * sizeof(T));
+    if (size_ > 0) std::memcpy(data_, other.data_, size_ * sizeof(float));
   }
 
   char* raw_ = nullptr;  // owning over-allocated block
-  T* data_ = nullptr;    // 64B-aligned payload inside raw_
+  float* data_ = nullptr;  // 64B-aligned payload inside raw_
   size_t size_ = 0;
   size_t cap_ = 0;
 };
-
-using AlignedBuffer = AlignedBufferT<float>;
 
 class Matrix {
  public:

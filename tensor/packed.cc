@@ -3,7 +3,7 @@
 // Backend-independent pack routines for the cache-aware GEMM tier
 // (tensor/packed.h): plain sequential-write re-tiling, no intrinsics —
 // only the GEMM kernels themselves are backend code. Packing cost is
-// O(k * n) copies, paid once per publish/Adam-step against many reuses.
+// O(k * n) copies, paid once per weights version against many reuses.
 
 #include "tensor/packed.h"
 
@@ -29,37 +29,6 @@ size_t PackedKBlockRows(size_t k, size_t n) {
   return kb;
 }
 
-namespace {
-
-/// Shared re-tiling loop: Dst is float (identity) or uint16_t (bf16
-/// conversion via `convert`).
-template <typename Dst, typename Convert>
-void PackPanels(const Matrix& b, size_t kb, Dst* out, Convert convert) {
-  const size_t k = b.rows(), n = b.cols();
-  const size_t panels = (n + PackedMatrix::kPanelCols - 1) /
-                        PackedMatrix::kPanelCols;
-  Dst* dst = out;
-  for (size_t k0 = 0; k0 < k; k0 += kb) {
-    const size_t rows = k - k0 < kb ? k - k0 : kb;
-    for (size_t jp = 0; jp < panels; ++jp) {
-      const size_t j0 = jp * PackedMatrix::kPanelCols;
-      const size_t w = n - j0 < PackedMatrix::kPanelCols
-                           ? n - j0
-                           : PackedMatrix::kPanelCols;
-      for (size_t kk = 0; kk < rows; ++kk) {
-        const float* src = b.Row(k0 + kk) + j0;
-        for (size_t j = 0; j < w; ++j) dst[j] = convert(src[j]);
-        for (size_t j = w; j < PackedMatrix::kPanelCols; ++j) {
-          dst[j] = Dst(0);
-        }
-        dst += PackedMatrix::kPanelCols;
-      }
-    }
-  }
-}
-
-}  // namespace
-
 void PackedMatrix::PackFrom(const Matrix& b) {
   k_ = b.rows();
   n_ = b.cols();
@@ -67,18 +36,19 @@ void PackedMatrix::PackFrom(const Matrix& b) {
   kb_ = PackedKBlockRows(k_, n_);
   const size_t total = k_ * panels() * kPanelCols;
   if (data_.size() < total) data_.Resize(total);
-  PackPanels(b, kb_, data_.data(), [](float v) { return v; });
-}
-
-void PackedMatrix16::PackFrom(const Matrix& b) {
-  k_ = b.rows();
-  n_ = b.cols();
-  if (empty()) return;
-  kb_ = PackedKBlockRows(k_, n_);
-  const size_t total = k_ * panels() * kPanelCols;
-  if (data_.size() < total) data_.Resize(total);
-  PackPanels(b, kb_, data_.data(),
-             [](float v) { return Bf16FromFloat(v); });
+  float* dst = data_.data();
+  for (size_t k0 = 0; k0 < k_; k0 += kb_) {
+    const size_t rows = BlockRows(k0 / kb_);
+    for (size_t jp = 0; jp < panels(); ++jp) {
+      const size_t j0 = jp * kPanelCols;
+      const size_t w = n_ - j0 < kPanelCols ? n_ - j0 : kPanelCols;
+      for (size_t kk = 0; kk < rows; ++kk) {
+        std::memcpy(dst, b.Row(k0 + kk) + j0, w * sizeof(float));
+        for (size_t j = w; j < kPanelCols; ++j) dst[j] = 0.0f;
+        dst += kPanelCols;
+      }
+    }
+  }
 }
 
 }  // namespace splash

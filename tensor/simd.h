@@ -8,16 +8,21 @@
 //   1. SPLASH_KERNEL=scalar  -> the scalar reference backend (the former
 //                               tensor/matrix.cc loops, verbatim): the
 //                               bit-exact determinism anchor.
-//   2. SPLASH_KERNEL=avx2    -> AVX2/FMA micro-kernels (register-tiled
-//                               GEMMs, masked tails); falls back with a
-//                               stderr warning if cpuid says no.
-//   3. SPLASH_KERNEL=avx512  -> AVX-512 micro-kernels (8x32 GEMM tiles,
+//   2. SPLASH_KERNEL=avx2    -> AVX2/FMA kernels (6x16 GEMM tiles, masked
+//                               tails); falls back with a stderr warning
+//                               if cpuid says no.
+//   3. SPLASH_KERNEL=avx512  -> AVX-512 kernels (8x32 GEMM tiles,
 //                               __mmask16 predicated tails); falls back to
 //                               the best remaining backend with a stderr
 //                               warning if cpuid says no.
 //   4. SPLASH_KERNEL=auto    -> (default) the widest backend the CPU
 //                               supports and the build compiled in:
 //                               avx512 > avx2 > scalar.
+//
+// The two SIMD backends share one width-generic kernel body
+// (tensor/kernels_simd_body.h) instantiated on a small vector-traits
+// struct; kernels_avx2.cc and kernels_avx512.cc hold only their traits and
+// are the only TUs compiled with ISA flags.
 //
 // Backends are tolerance-equivalent, not bit-equal: SIMD kernels reorder
 // the per-element accumulation (8- or 16-lane partial sums), so each SIMD
@@ -41,10 +46,11 @@ namespace splash {
 
 class Matrix;
 class PackedMatrix;
-class PackedMatrix16;
 
 /// The per-backend serial kernel set. The parallel entry points in
-/// tensor/matrix.h partition work and call these on row ranges.
+/// tensor/matrix.h partition work and call these on row ranges. Scalar
+/// fills it by hand (tensor/kernels_scalar.cc); each SIMD backend fills it
+/// with MakeKernelTable<Traits> from the shared body.
 struct KernelTable {
   const char* name;  // "scalar" | "avx2" | "avx512"
 
@@ -103,14 +109,6 @@ struct KernelTable {
                                        const PackedMatrix& b, Matrix* c,
                                        size_t r0, size_t r1,
                                        const float* bias, bool relu);
-  /// Fused epilogue against bf16 packed B: widening loads, fp32
-  /// accumulation. Tolerance-equivalent to the fp32 kernels (half the
-  /// stored mantissa), never bit-equal — fp32 stays the determinism
-  /// reference (SPLASH_REPLICA_PRECISION default).
-  void (*matmul_packed16_bias_act_range)(const Matrix& a,
-                                         const PackedMatrix16& b, Matrix* c,
-                                         size_t r0, size_t r1,
-                                         const float* bias, bool relu);
 };
 
 /// The active kernel table, resolved once (env knob + cpuid) on first use.

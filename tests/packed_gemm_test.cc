@@ -7,20 +7,14 @@
 //   2. Packed kernels are BIT-identical to the unpacked kernels on the
 //      same backend (scalar, avx2, avx512), including multi-k-block
 //      shapes, accumulate, and the fused bias/ReLU epilogue.
-//   3. The bf16 packed kernels are tolerance-equivalent to fp32 (storage
-//      error <= half an 8-bit-mantissa ulp per element of B), and the
-//      end-to-end SLIM read path holds AUC parity on a drifting synthetic
-//      task with |dAUC| <= 1e-3.
-//   4. The bf16 replica halves resident weight-operand bytes, exactly.
-//   5. Packs follow the weights version: after every weight or precision
-//      mutation the read path sees current packs, and a publish-time
-//      PackWeights on unchanged weights rebuilds nothing.
+//   3. Packs follow the weights version: after every weight mutation the
+//      read path sees current packs, and a publish-time PackWeights on
+//      unchanged weights rebuilds nothing.
 
 #include "tensor/packed.h"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -28,7 +22,6 @@
 
 #include "core/serialize.h"
 #include "core/slim.h"
-#include "eval/metrics.h"
 #include "tensor/matrix.h"
 #include "tensor/rng.h"
 #include "tensor/simd.h"
@@ -67,12 +60,11 @@ TEST(PackedGemmTest, KBlockRowsProperties) {
 }
 
 /// Recovers element (kk, j) of the original B from the packed layout.
-template <typename Packed>
-auto PackedAt(const Packed& p, size_t kk, size_t j) {
+float PackedAt(const PackedMatrix& p, size_t kk, size_t j) {
   const size_t pb = kk / p.block_rows();
-  const size_t jp = j / Packed::kPanelCols;
-  return p.Panel(pb, jp)[(kk - p.BlockBegin(pb)) * Packed::kPanelCols +
-                         j % Packed::kPanelCols];
+  const size_t jp = j / PackedMatrix::kPanelCols;
+  return p.Panel(pb, jp)[(kk - p.BlockBegin(pb)) * PackedMatrix::kPanelCols +
+                         j % PackedMatrix::kPanelCols];
 }
 
 TEST(PackedGemmTest, PackRoundTripRaggedShapes) {
@@ -90,8 +82,8 @@ TEST(PackedGemmTest, PackRoundTripRaggedShapes) {
           ASSERT_EQ(PackedAt(p, kk, j), b(kk, j))
               << "k=" << k << " n=" << n << " at (" << kk << "," << j << ")";
         }
-        // Dead lanes of the last panel are zero (full-width kernel loads
-        // rely on fma(a, 0, acc) == acc).
+        // Dead lanes of the last panel are zero (full-width tail loads in
+        // the SIMD kernels rely on fma(a, 0, acc) == acc).
         const size_t last = p.panels() - 1;
         const size_t pb = kk / p.block_rows();
         const float* row = p.Panel(pb, last) +
@@ -101,42 +93,7 @@ TEST(PackedGemmTest, PackRoundTripRaggedShapes) {
           ASSERT_EQ(row[j], 0.0f) << "pad lane k=" << k << " n=" << n;
         }
       }
-
-      PackedMatrix16 p16;
-      p16.PackFrom(b);
-      for (size_t kk = 0; kk < k; ++kk) {
-        for (size_t j = 0; j < n; ++j) {
-          ASSERT_EQ(PackedAt(p16, kk, j), Bf16FromFloat(b(kk, j)))
-              << "bf16 k=" << k << " n=" << n;
-        }
-      }
     }
-  }
-}
-
-TEST(PackedGemmTest, Bf16ConversionProperties) {
-  // Exactly representable values round-trip bit-exactly.
-  for (float v : {0.0f, 1.0f, -2.5f, 0.15625f, -1024.0f}) {
-    EXPECT_EQ(Bf16ToFloat(Bf16FromFloat(v)), v);
-  }
-  // Round-to-nearest-even stays within half a bf16 ulp. The stored
-  // mantissa has 7 bits, so an ulp at |v| in [2^e, 2^(e+1)) is 2^(e-7)
-  // and the half-ulp bound relative to |v| >= 2^e is 2^-8 = 1/256.
-  Rng rng(302);
-  for (int i = 0; i < 1000; ++i) {
-    const float v = static_cast<float>((rng.Uniform() - 0.5) * 200.0);
-    const float w = Bf16ToFloat(Bf16FromFloat(v));
-    EXPECT_NEAR(w, v, std::fabs(v) * (1.0f / 256.0f) + 1e-38f) << v;
-  }
-  // NaN survives conversion (quiet bit forced, no exponent overflow).
-  const float nan = std::nanf("");
-  EXPECT_TRUE(std::isnan(Bf16ToFloat(Bf16FromFloat(nan))));
-  // bf16 -> fp32 -> bf16 is the identity (widening is exact).
-  for (uint32_t h = 0; h < 0x10000u; h += 257) {
-    const uint16_t b = static_cast<uint16_t>(h);
-    const float f = Bf16ToFloat(b);
-    if (std::isnan(f)) continue;  // NaN payloads re-quiet, values differ
-    EXPECT_EQ(Bf16FromFloat(f), b);
   }
 }
 
@@ -222,40 +179,6 @@ TEST(PackedGemmTest, PackedRangeSubsetMatchesFullRows) {
   }
 }
 
-TEST(PackedGemmTest, Bf16KernelWithinToleranceOfFp32PerBackend) {
-  for (const KernelTable* t : AllBackends()) {
-    Rng rng(305);
-    for (const Shape& sh : kGemmShapes) {
-      const Matrix a = Matrix::Gaussian(sh.m, sh.k, &rng);
-      const Matrix b = Matrix::Gaussian(sh.k, sh.n, &rng);
-      PackedMatrix16 p16;
-      p16.PackFrom(b);
-      std::vector<float> bias(sh.n);
-      for (size_t j = 0; j < sh.n; ++j) {
-        bias[j] = 0.25f * static_cast<float>(rng.Uniform() - 0.5);
-      }
-      Matrix c32(sh.m, sh.n), c16(sh.m, sh.n);
-      t->matmul_bias_act_range(a, b, &c32, 0, sh.m, bias.data(), true);
-      t->matmul_packed16_bias_act_range(a, p16, &c16, 0, sh.m, bias.data(),
-                                        true);
-      for (size_t i = 0; i < sh.m; ++i) {
-        double mass = 0.0;
-        for (size_t kk = 0; kk < sh.k; ++kk) {
-          mass += std::fabs(static_cast<double>(a(i, kk)));
-        }
-        for (size_t j = 0; j < sh.n; ++j) {
-          // Each stored B element errs by <= 2^-9 relative; the dot error
-          // is bounded by the |a|-mass times the largest |b| error.
-          const double tol = mass * (3.0 / 512.0) + 1e-6;
-          ASSERT_NEAR(c32(i, j), c16(i, j), tol)
-              << t->name << " " << sh.m << "x" << sh.k << "x" << sh.n
-              << " at (" << i << "," << j << ")";
-        }
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // End-to-end SLIM read-path contracts.
 // ---------------------------------------------------------------------------
@@ -281,8 +204,7 @@ SlimBatchInput MakeBatch(size_t b, size_t k, size_t dv, double drift,
   return input;
 }
 
-/// Labels correlated with the feature mean, so the trained model's scores
-/// carry real AUC signal for the parity check.
+/// Labels correlated with the feature mean.
 std::vector<int> MakeLabels(const SlimBatchInput& input) {
   std::vector<int> labels(input.node_feats.rows());
   for (size_t i = 0; i < labels.size(); ++i) {
@@ -293,14 +215,6 @@ std::vector<int> MakeLabels(const SlimBatchInput& input) {
     labels[i] = s > 0.0f ? 1 : 0;
   }
   return labels;
-}
-
-std::vector<double> AnomalyScores(const Matrix& out) {
-  std::vector<double> scores(out.rows());
-  for (size_t i = 0; i < out.rows(); ++i) {
-    scores[i] = static_cast<double>(out(i, 1)) - out(i, 0);
-  }
-  return scores;
 }
 
 void ExpectBitEqual(const Matrix& want, const Matrix& got,
@@ -340,16 +254,11 @@ TEST(PackedGemmTest, SlimPredictPackedBitEqualsUnpackedPerBackend) {
     Rng rng(42);
     SlimModel model(opts, &rng);
     SlimForwardScratch scratch;
-    // Leave bf16 packs of the construction weights behind, so a missed
-    // bf16 refresh below reads stale numbers rather than empty packs.
-    model.SetReplicaPrecisionBf16(true);
-    model.SetReplicaPrecisionBf16(false);
 
-    // Weight and precision mutations, applied in sequence. After each the
-    // packs must be current: the fp32 const read bit-equals the unpacked
-    // path, and a bf16 read bit-equals a model packed afresh from the
-    // same weights. `rebuilds` is the pack-rebuild count the mutation
-    // may cost — packs follow the weights, nothing else.
+    // Weight mutations, applied in sequence. After each the packs must be
+    // current: the const read bit-equals the unpacked path. `rebuilds` is
+    // the pack-rebuild count the mutation may cost — packs follow the
+    // weights, nothing else.
     struct Stage {
       const char* what;
       uint64_t rebuilds;
@@ -368,32 +277,12 @@ TEST(PackedGemmTest, SlimPredictPackedBitEqualsUnpackedPerBackend) {
            ByteReader r(other_bytes.buffer());
            EXPECT_TRUE(model.Deserialize(&r));
          }},
-        {"bf16 on->off->on", 1,
-         [&] {
-           model.SetReplicaPrecisionBf16(true);
-           model.SetReplicaPrecisionBf16(false);
-           model.SetReplicaPrecisionBf16(true);
-         }},
     };
     for (const Stage& stage : stages) {
       const std::string what = std::string(name) + " after " + stage.what;
       const uint64_t before = model.pack_count();
       stage.mutate();
       EXPECT_EQ(model.pack_count() - before, stage.rebuilds) << what;
-
-      if (model.replica_precision_bf16()) {
-        ByteWriter state;
-        model.Serialize(&state);
-        Rng fresh_rng(1);
-        SlimModel fresh(opts, &fresh_rng);
-        ByteReader r(state.buffer());
-        ASSERT_TRUE(fresh.Deserialize(&r)) << what;
-        fresh.SetReplicaPrecisionBf16(true);
-        SlimForwardScratch fresh_scratch;
-        ExpectBitEqual(fresh.PredictConst(input, &fresh_scratch),
-                       model.PredictConst(input, &scratch), what + " bf16");
-        model.SetReplicaPrecisionBf16(false);
-      }
 
       // What PrepareForPublish runs: a version check on unchanged weights.
       const uint64_t packs = model.pack_count();
@@ -407,56 +296,6 @@ TEST(PackedGemmTest, SlimPredictPackedBitEqualsUnpackedPerBackend) {
     }
   }
   ASSERT_TRUE(SetKernelBackendForTesting("auto"));
-}
-
-TEST(PackedGemmTest, Bf16ReplicaAucParityOnSyntheticDrift) {
-  SlimOptions opts;
-  opts.feature_dim = 24;
-  opts.hidden_dim = 48;
-  opts.k_recent = 5;
-  opts.dropout = 0.0f;
-  Rng rng(43), data_rng(72);
-  SlimModel model(opts, &rng);
-  model.SetTraining(true);
-
-  // Train on the drifting synthetic task until the scores are informative.
-  for (int step = 0; step < 30; ++step) {
-    const SlimBatchInput batch = MakeBatch(96, 5, 24, 1.5, &data_rng);
-    model.TrainStep(batch, MakeLabels(batch));
-  }
-  model.SetTraining(false);
-
-  const SlimBatchInput eval = MakeBatch(256, 5, 24, 1.5, &data_rng);
-  const std::vector<int> labels = MakeLabels(eval);
-  SlimForwardScratch scratch;
-
-  const std::vector<double> s32 =
-      AnomalyScores(model.PredictConst(eval, &scratch));
-  model.SetReplicaPrecisionBf16(true);
-  const std::vector<double> s16 =
-      AnomalyScores(model.PredictConst(eval, &scratch));
-  model.SetReplicaPrecisionBf16(false);
-
-  const double auc32 = AucScore(s32, labels);
-  const double auc16 = AucScore(s16, labels);
-  // The trained model must actually separate the classes, or parity is
-  // vacuous.
-  ASSERT_GT(auc32, 0.8) << "synthetic task not learned; test is vacuous";
-  EXPECT_NEAR(auc32, auc16, 1e-3);
-}
-
-TEST(PackedGemmTest, Bf16ReplicaHalvesResidentWeightBytes) {
-  SlimOptions opts;
-  opts.feature_dim = 32;
-  opts.hidden_dim = 64;
-  Rng rng(44);
-  SlimModel model(opts, &rng);
-  const size_t fp32_bytes = model.PackedWeightBytes();
-  ASSERT_GT(fp32_bytes, 0u);
-  model.SetReplicaPrecisionBf16(true);
-  const size_t bf16_bytes = model.PackedWeightBytes();
-  // Identical pack geometry at half the element width: exactly half.
-  EXPECT_EQ(bf16_bytes * 2, fp32_bytes);
 }
 
 }  // namespace

@@ -134,14 +134,9 @@ void ExpectBitEqual(const Matrix& a, const Matrix& b, const char* what) {
 }
 
 /// Reads the reference through the shards' own read path: the const
-/// forward at the replica precision the service resolves from the
-/// environment (SPLASH_REPLICA_PRECISION), so the per-shard bit-identity
-/// oracle holds under the CI precision matrix exactly as at fp32.
-Matrix ReferenceScores(SplashPredictor* ref,
+/// forward.
+Matrix ReferenceScores(const SplashPredictor* ref,
                        const std::vector<PropertyQuery>& probe) {
-  const char* prec = std::getenv("SPLASH_REPLICA_PRECISION");
-  ref->SetReplicaPrecisionBf16(prec != nullptr &&
-                               std::string(prec) == "bf16");
   SplashQueryScratch scratch;
   return ref->PredictBatchConst(probe, &scratch);
 }

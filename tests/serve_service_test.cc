@@ -14,9 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "core/splash.h"
@@ -100,15 +98,10 @@ std::unique_ptr<SplashPredictor> MakeReference(const Dataset& ds,
 }
 
 /// Reads the reference through the same path the service's query tier
-/// uses: the const forward at the replica precision the service resolves
-/// from the environment (SPLASH_REPLICA_PRECISION). The oracle contract
-/// is "service read == reference read through the same path", so it must
-/// hold bit-for-bit under the CI precision matrix exactly as at fp32.
-Matrix ReferenceScores(SplashPredictor* ref,
+/// uses: the const forward. The oracle contract is "service read ==
+/// reference read through the same path", bit for bit.
+Matrix ReferenceScores(const SplashPredictor* ref,
                        const std::vector<PropertyQuery>& probe) {
-  const char* prec = std::getenv("SPLASH_REPLICA_PRECISION");
-  ref->SetReplicaPrecisionBf16(prec != nullptr &&
-                               std::string(prec) == "bf16");
   SplashQueryScratch scratch;
   return ref->PredictBatchConst(probe, &scratch);
 }

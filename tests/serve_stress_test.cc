@@ -15,8 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -184,12 +182,7 @@ TEST_F(ServeStressTest, ConcurrentIngestAndQueriesNeverObserveTornState) {
   ASSERT_EQ(cursor, log.size());
 
   std::vector<PropertyQuery> probe(ds.queries.end() - 32, ds.queries.end());
-  // Read the reference through the service's own path: the const forward
-  // at the env-resolved replica precision (SPLASH_REPLICA_PRECISION), so
-  // the oracle holds under the CI precision matrix exactly as at fp32.
-  const char* prec = std::getenv("SPLASH_REPLICA_PRECISION");
-  ref->SetReplicaPrecisionBf16(prec != nullptr &&
-                               std::string(prec) == "bf16");
+  // Read the reference through the service's own path: the const forward.
   SplashQueryScratch ref_scratch;
   const Matrix want = ref->PredictBatchConst(probe, &ref_scratch);
   ServeClient client(&service);

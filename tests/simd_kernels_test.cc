@@ -6,9 +6,9 @@
 // scalar reference within a 4-ulp relative tolerance (relative to the
 // element's absolute dot mass, so cancellation does not inflate the bound
 // into meaningless territory). Also pins the dispatch-resolution logic, the
-// padded-layout bit-equality (padding must never change arithmetic), and
-// the scalar-backend bit-equality of the fused epilogue vs the three-pass
-// sequence it replaced.
+// padded-layout and tail-lane bit-equality (padding and masked tails must
+// never change arithmetic), and the scalar-backend bit-equality of the
+// fused epilogue vs the three-pass sequence it replaced.
 
 #include "tensor/simd.h"
 
@@ -17,9 +17,11 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "tensor/matrix.h"
+#include "tensor/packed.h"
 #include "tensor/rng.h"
 
 namespace splash {
@@ -436,9 +438,104 @@ TEST(SimdKernelsTest, SincosEncodeScalarVsSimd) {
   }
 }
 
+/// Asserts lanes [0, n) of `short_out` bit-equal the same lanes of
+/// `long_out`, row by row (`rows` rows at the given strides).
+void ExpectLanesBitEqual(const float* short_out, size_t short_stride,
+                         const float* long_out, size_t long_stride,
+                         size_t rows, size_t n, const std::string& what) {
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      ASSERT_EQ(short_out[i * short_stride + j], long_out[i * long_stride + j])
+          << what << " n=" << n << " at (" << i << "," << j << ")";
+    }
+  }
+}
+
+/// A rows x cols matrix whose first `n` columns of every row are `m`'s.
+Matrix WidenedCopy(const Matrix& m, size_t cols, Rng* rng) {
+  Matrix out = Matrix::Gaussian(m.rows(), cols, rng);
+  for (size_t i = 0; i < m.rows(); ++i) {
+    std::memcpy(out.Row(i), m.Row(i), m.cols() * sizeof(float));
+  }
+  return out;
+}
+
+/// The masked-tail policy: for every n in 1..2W+1, lanes [0, n) of a
+/// length-n call must be bit-equal to the same lanes of a length-(n + W)
+/// call on the same data, so a lane computes the same bits whether it
+/// lands in a masked tail or in a full vector.
+void CheckTailLanes(const KernelTable* t, size_t w) {
+  Rng rng(108);
+  const std::string name = t->name;
+  for (size_t n = 1; n <= 2 * w + 1; ++n) {
+    const size_t wide = n + w, rows = 5, k = 7;
+    const Matrix m = Matrix::Gaussian(rows, n, &rng);
+    const Matrix mw = WidenedCopy(m, wide, &rng);
+    std::vector<float> bias(wide);
+    for (float& x : bias) x = static_cast<float>(rng.Uniform() - 0.5);
+
+    Matrix a = m, aw = mw;
+    t->add_row_vector(&a, bias.data());
+    t->add_row_vector(&aw, bias.data());
+    ExpectLanesBitEqual(a.data(), n, aw.data(), wide, rows, n,
+                        name + " add_row_vector");
+    t->relu_inplace(&a);
+    t->relu_inplace(&aw);
+    ExpectLanesBitEqual(a.data(), n, aw.data(), wide, rows, n,
+                        name + " relu_inplace");
+
+    std::vector<float> y(bias), yw(bias);
+    t->axpy(0.7f, m.data(), y.data(), n);
+    t->axpy(0.7f, mw.data(), yw.data(), wide);
+    ExpectLanesBitEqual(y.data(), 0, yw.data(), 0, 1, n, name + " axpy");
+
+    std::vector<float> cs(wide, 0.5f), csw(wide, 0.5f);
+    t->column_sums_range(m, cs.data(), 1, rows, /*accumulate=*/true);
+    t->column_sums_range(mw, csw.data(), 1, rows, /*accumulate=*/true);
+    ExpectLanesBitEqual(cs.data(), 0, csw.data(), 0, 1, n,
+                        name + " column_sums_range");
+
+    // Adam over [w | g | m | v] = the four rows of `mw` (v made >= 0).
+    std::vector<float> st[4], stw[4];
+    for (size_t r = 0; r < 4; ++r) {
+      stw[r].assign(mw.Row(r), mw.Row(r) + wide);
+      if (r == 3) {
+        for (float& x : stw[r]) x = std::fabs(x);
+      }
+      st[r].assign(stw[r].begin(), stw[r].begin() + n);
+    }
+    t->adam_update(st[0].data(), st[1].data(), st[2].data(), st[3].data(), n,
+                   1e-3f, 0.9f, 0.999f, 1e-8f);
+    t->adam_update(stw[0].data(), stw[1].data(), stw[2].data(),
+                   stw[3].data(), wide, 1e-3f, 0.9f, 0.999f, 1e-8f);
+    for (size_t r = 0; r < 4; ++r) {
+      ExpectLanesBitEqual(st[r].data(), 0, stw[r].data(), 0, 1, n,
+                          name + " adam_update");
+    }
+
+    // GEMM output columns: B (k x n) is the leading columns of B (k x wide).
+    const Matrix in = Matrix::Gaussian(rows, k, &rng);
+    const Matrix b = Matrix::Gaussian(k, n, &rng);
+    const Matrix bw = WidenedCopy(b, wide, &rng);
+    Matrix c(rows, n), cw(rows, wide);
+    t->matmul_range(in, b, &c, 0, rows, false);
+    t->matmul_range(in, bw, &cw, 0, rows, false);
+    ExpectLanesBitEqual(c.data(), n, cw.data(), wide, rows, n,
+                        name + " matmul_range");
+    PackedMatrix p, pw;
+    p.PackFrom(b);
+    pw.PackFrom(bw);
+    t->matmul_packed_bias_act_range(in, p, &c, 0, rows, bias.data(), true);
+    t->matmul_packed_bias_act_range(in, pw, &cw, 0, rows, bias.data(), true);
+    ExpectLanesBitEqual(c.data(), n, cw.data(), wide, rows, n,
+                        name + " matmul_packed_bias_act_range");
+  }
+}
+
 TEST(SimdKernelsTest, PaddedOperandsBitEqualContiguousWithinBackend) {
-  // Padding changes layout, never arithmetic: each backend must produce
-  // bit-identical results for padded and contiguous operands.
+  // Padding and masked tails change layout, never arithmetic: each backend
+  // must produce bit-identical results for padded and contiguous operands,
+  // and for a lane in a masked tail and in a full vector.
   Rng rng(107);
   std::vector<const KernelTable*> tables = {GetScalarKernels()};
   for (const KernelTable* t : SimdBackends()) tables.push_back(t);
@@ -469,6 +566,8 @@ TEST(SimdKernelsTest, PaddedOperandsBitEqualContiguousWithinBackend) {
         }
       }
     }
+    // W = the backend's vector width (scalar has none; 8 is arbitrary).
+    CheckTailLanes(t, std::strcmp(t->name, "avx512") == 0 ? 16 : 8);
   }
 }
 
