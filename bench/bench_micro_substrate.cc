@@ -134,7 +134,8 @@ void BM_MatMul(benchmark::State& state) {
 // The neighbor-message GEMM (B*K x Dv+Dt @ W1) and the head GEMM shapes,
 // plus a B-exceeds-L2 shape (2048x1024 fp32 B = 8 MB) where the unpacked
 // row-major B walk thrashes: the packed sibling row below must beat this
-// one by >= 1.5x (check_bench_regression.py gates the pair).
+// one by >= 1.5x (check_bench_regression.py's micro preset floors the
+// avx512 side-run's packed_speedup stamp for the pair).
 BENCHMARK(BM_MatMul)
     ->Args({256, 48, 64})
     ->Args({2560, 48, 64})
@@ -242,7 +243,7 @@ BENCHMARK(BM_SlimForwardFused)->Arg(256);
 // far below its large-batch speedup here (below scalar on native
 // builds). With packed dispatch (default) this row is gated at >= 1.0x
 // the scalar backend via the avx512_speedup side-run stamp
-// (check_bench_regression.py --context-speedup).
+// (check_bench_regression.py's micro preset context floors).
 void BM_SlimForwardFusedWideB1(benchmark::State& state) {
   SlimOptions opts;
   opts.feature_dim = 64;

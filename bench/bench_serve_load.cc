@@ -93,7 +93,7 @@ struct RowResult {
   std::string shards = "direct";  // "direct" = bare service, else "<S>"
   /// Stamped only on the routed gate row: the median of the per-pair
   /// routed/direct cpu ratios (each pair ran back-to-back), which is what
-  /// check_bench_regression.py's --overhead-row gate reads. 0 = absent.
+  /// check_bench_regression.py's serve overhead gate reads. 0 = absent.
   double overhead_vs_direct = 0.0;
   ServeStats stats;
   bool has_stats = false;
@@ -465,9 +465,9 @@ int Main(int argc, char** argv) {
     // Routed gate row config: the identical pinned workload through a
     // 1-shard ShardedSplashService. Gated two ways: against its own
     // baseline like BM_ServeSmokeMixed, and within-run against the direct
-    // row (the --max-overhead check in check_bench_regression.py) — the
-    // router's single-owner fast path must stay within a few percent of
-    // direct.
+    // row (the serve preset's overhead gate in check_bench_regression.py)
+    // — the router's single-owner fast path must stay within a few percent
+    // of direct.
     LoadConfig cr = c;
     cr.name = "BM_ServeSmokeMixedRouted/1";
     cr.routed = true;

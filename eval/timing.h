@@ -46,33 +46,6 @@ struct LatencySummary {
   double p999_ns = 0.0;
   uint64_t min_ns = 0;
   uint64_t max_ns = 0;
-
-  /// Folds `other` into this digest. count/mean/min/max merge exactly
-  /// (count-weighted mean); each quantile takes the max of the two parts,
-  /// which upper-bounds the true union quantile — for any q, at least a
-  /// fraction q of the combined samples lie at or below the larger part's
-  /// q-quantile. Exact union quantiles need the histograms: the serving
-  /// layer merges LatencyHistogram buckets and summarizes once
-  /// (ShardedSplashService::Stats), using this only where histograms are
-  /// gone (already-summarized stats).
-  void MergeFrom(const LatencySummary& other) {
-    if (other.count == 0) return;
-    if (count == 0) {
-      *this = other;
-      return;
-    }
-    const double total =
-        static_cast<double>(count) + static_cast<double>(other.count);
-    mean_ns = (mean_ns * static_cast<double>(count) +
-               other.mean_ns * static_cast<double>(other.count)) /
-              total;
-    p50_ns = p50_ns > other.p50_ns ? p50_ns : other.p50_ns;
-    p99_ns = p99_ns > other.p99_ns ? p99_ns : other.p99_ns;
-    p999_ns = p999_ns > other.p999_ns ? p999_ns : other.p999_ns;
-    min_ns = min_ns < other.min_ns ? min_ns : other.min_ns;
-    max_ns = max_ns > other.max_ns ? max_ns : other.max_ns;
-    count += other.count;
-  }
 };
 
 /// Fixed-size log-linear latency histogram (HDR-style): values below 2^4 ns

@@ -107,7 +107,7 @@ for name, t in sorted(a.items()):
 # Derived packed-vs-unpacked ratio within this backend's side-run (same
 # run, same host): the B-exceeds-L2 shape is the packed tier's headline
 # win, and CI gates the committed stamp at >= 1.5x for avx512
-# (check_bench_regression.py --context-speedup).
+# (check_bench_regression.py's micro preset context floors).
 for shape in ("32/2048/1024",):
     unpacked = a.get("BM_MatMul/%s" % shape)
     packed = a.get("BM_MatMulPacked/%s" % shape)

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""CI gate: compare bench_micro_substrate cpu_time against the committed
-baseline (BENCH_micro.json) and fail on regressions beyond a threshold.
+"""CI gate: compare a fresh bench run's cpu_time against a committed
+snapshot (BENCH_micro.json or BENCH_serve.json) and fail on regressions
+beyond the snapshot's threshold.
 
 cpu_time (not real_time) is the comparison axis because the CI container is
 single-core: wall time cannot show parallel-layer regressions there, while
@@ -8,9 +9,20 @@ main-thread CPU time per op is stable and host-concurrency-independent for
 the pinned rows (DESIGN.md section 4).
 
 Usage:
-  check_bench_regression.py --baseline BENCH_micro.json --current cur.json
-      [--max-regress 0.15] [--rows ROW ...]
-  check_bench_regression.py --self-test --baseline BENCH_micro.json
+  check_bench_regression.py --preset micro|serve --baseline SNAPSHOT.json
+      --current cur.json
+  check_bench_regression.py --preset micro|serve --baseline SNAPSHOT.json
+      --self-test
+
+Each snapshot's whole gate is one entry in PRESETS below: its pinned rows,
+the ALU row that calibrates host speed, the cpu_time regression threshold,
+and the extra gates that ride along (context-stamp floors, a within-file
+overhead ratio). The command line only names the preset and the files, so
+a gate cannot drift between CI, the snapshot scripts and a local run.
+
+The first output line is the baseline's provenance (git_sha, git_dirty,
+date and age, when the snapshot records them); a snapshot recorded from a
+dirty tree says so. It is informational and changes no verdict.
 
 Rows are matched by run_name, so both raw runs and aggregates-only runs
 ("<name>_mean") resolve; when a run has aggregates, the mean is used. A
@@ -28,11 +40,10 @@ pinned row whose stamped config differs between baseline and current fails
 the gate before any cpu_time is compared — a WAL-on run must never be
 diffed against a WAL-off baseline just because the row name matches.
 
---overhead-row/--overhead-ref add a within-file ratio gate on the current
-run: the overhead row must stay within --max-overhead (default 10%) of the
-reference row. CI uses it to pin the sharded router's S=1 tax:
-BM_ServeSmokeMixedRouted/1 vs BM_ServeSmokeMixed, same run, same host —
-no calibration needed because both rows share it. When the overhead row
+The serve preset's overhead gate is a within-file ratio on the current
+run: BM_ServeSmokeMixedRouted/1 must stay within 10% of
+BM_ServeSmokeMixed (the sharded router's S=1 tax), same run, same host —
+no calibration needed because both rows share it. When the routed row
 carries an `overhead_vs_direct` stamp (bench_serve_load writes the median
 of its 7 per-pair routed/direct ratios, each pair run back-to-back), that
 is the gated ratio — paired ratios cancel within-run host drift that the
@@ -47,74 +58,81 @@ unlike cache hierarchies those rows are refused — skipped with a visible
 line rather than compared as if the hardware were the same. All other
 rows still gate normally.
 
---speedup-row/--speedup-ref add a within-file FLOOR gate on the current
-run: the ref row's cpu_time divided by the speedup row's must be at least
---min-speedup. It is meant for backend-pinned runs (a local avx512 bench
-dir, where BM_MatMulPacked/32/2048/1024 holds >= 1.5x over its unpacked
-sibling): on the scalar-pinned CI run the packed layout is a modest
-layout win, not 1.5x, so CI pins the SIMD packed wins through the
-committed side-run stamps instead (next paragraph).
+The micro preset's context floors gate scripts/bench.sh side-run stamps in
+the COMMITTED BASELINE: "avx512_speedup BM_SlimForwardFused/wide_b1" >= 1.0
+(the batch-1 wide fused forward whose pre-packing strided-B walk starved
+the avx512 backend) and "avx512_packed_speedup
+BM_MatMulPacked/32/2048/1024" >= 1.5 (packed over unpacked within the
+avx512 side-run, B larger than L2). The stamps are written when the
+snapshot is recorded, so the gate stops a regressed snapshot from being
+committed and re-verifies every committed one on every push — the CI
+runner itself needs no avx512. A baseline whose recording host could not
+run the backend never carries the key, so an absent key skips visibly
+instead of failing.
 
---context-speedup KEY[=FLOOR] (repeatable) gates a scripts/bench.sh
-side-run context stamp in the COMMITTED BASELINE — e.g.
-"avx512_speedup BM_SlimForwardFused/wide_b1=1.0" (the batch-1 wide fused
-forward whose pre-packing strided-B walk starved the avx512 backend) and
-"avx512_packed_speedup BM_MatMulPacked/32/2048/1024=1.5" (packed over
-unpacked within the avx512 side-run, B larger than L2). The stamps are
-written when the snapshot is recorded, so the gate stops a regressed
-snapshot from being committed and re-verifies every committed one on
-every push — the CI runner itself needs no avx512. FLOOR defaults to
---min-context-speedup. A baseline whose recording host could not run the
-backend never carries the key, so an absent key skips visibly instead of
-failing.
-
---self-test exercises the comparator against fabricated data derived from
-the baseline: an identical copy must pass, and a copy with one pinned row
-hand-slowed by 30% must fail (likewise a hand-lowered --context-speedup
+--self-test exercises the preset's gates against fabricated data derived
+from the baseline: an identical copy must pass, and a copy with one pinned
+row hand-slowed past the threshold must fail (likewise a flipped row
+config stamp, a hand-inflated overhead row and a hand-lowered context
 stamp). CI runs it before the real comparison so the gate can never rot
 into always-green.
 """
 
 import argparse
 import copy
+import datetime
 import json
 import sys
 
-# One row per hot-path family: the O(1)-per-edge ring write (the
-# cache-resident 1k-node arg — the larger args measure the host's DRAM
-# latency more than the code), the SLIM train step, the full chronological
-# replay, and the augmenter bulk replay. The FeatureReplayBulk row matters
+# micro (BENCH_micro.json) — one row per hot-path family: the
+# O(1)-per-edge ring write (the cache-resident 1k-node arg — the larger
+# args measure the host's DRAM latency more than the code), the SLIM train
+# step, the full chronological replay, and the augmenter bulk replay. The FeatureReplayBulk row matters
 # because with pipeline_depth >= 1 the replay bench runs ingest on the
 # PipelineThread, outside BM_ChronoReplayThreads' main-thread cpu_time —
 # the dedicated row times ObserveBulk on the measuring thread, so ingest
 # regressions cannot hide behind the pipeline. The last two rows pin the
 # kernel layer itself (DESIGN.md §6): the neighbor-message GEMM shape and
 # the fused const-forward path the serving layer reads through.
-DEFAULT_ROWS = [
-    "BM_NeighborMemoryObserve/1000",
-    "BM_SlimTrainStepThreads/1",
-    "BM_ChronoReplayThreads/1",
-    "BM_FeatureReplayBulkThreads/1",
-    "BM_MatMul/256/48/64",
-    "BM_MatMulPacked/2560/48/64",
-    "BM_SlimForwardFused/256",
-    "BM_SlimForwardFused/wide_b1",
-]
-
-# The serving-layer gate (--preset serve): BENCH_serve.json's pinned
-# closed-loop mixed-traffic smoke rows vs a fresh `bench_serve_load --smoke`
-# run, calibrated by that binary's own ALU row. cpu_time here is *process*
-# CPU per operation (ingest + query + apply thread + pool workers), so a
-# regression anywhere in the serve path shows up even on a 1-core runner.
-# The Routed/1 row drives the identical workload through a 1-shard
-# ShardedSplashService — it gates the router layer itself, and the
-# --overhead-row check additionally pins its distance from the direct row.
-SERVE_ROWS = ["BM_ServeSmokeMixed", "BM_ServeSmokeMixedRouted/1"]
-SERVE_CALIBRATE = "BM_ServeCalibrate"
-
+# Calibrated by the ALU-bound BM_DegreeEncode row; the two context floors
+# re-verify the committed avx512 side-run wins (module docstring).
+#
+# serve (BENCH_serve.json) — the pinned closed-loop mixed-traffic smoke
+# rows vs a fresh `bench_serve_load --smoke` run, calibrated by that
+# binary's own ALU row. cpu_time here is *process* CPU per operation
+# (ingest + query + apply thread + pool workers), so a regression anywhere
+# in the serve path shows up even on a 1-core runner. The Routed/1 row
+# drives the identical workload through a 1-shard ShardedSplashService —
+# it gates the router layer itself, and the overhead gate additionally
+# pins its distance from the direct row.
 PRESETS = {
-    "micro": (DEFAULT_ROWS, "BM_DegreeEncode"),
-    "serve": (SERVE_ROWS, SERVE_CALIBRATE),
+    "micro": {
+        "rows": [
+            "BM_NeighborMemoryObserve/1000",
+            "BM_SlimTrainStepThreads/1",
+            "BM_ChronoReplayThreads/1",
+            "BM_FeatureReplayBulkThreads/1",
+            "BM_MatMul/256/48/64",
+            "BM_MatMulPacked/2560/48/64",
+            "BM_SlimForwardFused/256",
+            "BM_SlimForwardFused/wide_b1",
+        ],
+        "calibrate": "BM_DegreeEncode",
+        "max_regress": 0.15,
+        "context_floors": [
+            ("avx512_speedup BM_SlimForwardFused/wide_b1", 1.0),
+            ("avx512_packed_speedup BM_MatMulPacked/32/2048/1024", 1.5),
+        ],
+        "overhead": None,
+    },
+    "serve": {
+        "rows": ["BM_ServeSmokeMixed", "BM_ServeSmokeMixedRouted/1"],
+        "calibrate": "BM_ServeCalibrate",
+        "max_regress": 0.25,
+        "context_floors": [],
+        # (row, reference row, max overhead)
+        "overhead": ("BM_ServeSmokeMixedRouted/1", "BM_ServeSmokeMixed", 0.10),
+    },
 }
 
 _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
@@ -262,38 +280,6 @@ def check_overhead(doc, row, ref, max_overhead):
     return ok, lines
 
 
-def check_speedup(doc, row, ref, min_speedup):
-    """Within-file floor gate: `ref`'s cpu_time / `row`'s cpu_time must be
-    at least min_speedup. Both rows come from the same run on the same
-    host (no calibration) — pins the packed-GEMM win over its unpacked
-    sibling on backend-pinned runs (SIMD-pinned bench dirs; the scalar CI
-    run gates the SIMD wins via --context-speedup instead)."""
-    times = load_cpu_times(doc)
-    if row not in times or ref not in times:
-        missing = row if row not in times else ref
-        return False, ["speedup gate: row %s missing: FAIL" % missing]
-    if times[row] <= 0:
-        return False, ["speedup gate: row %s has cpu_time <= 0: FAIL" % row]
-    ratio = times[ref] / times[row]
-    ok = ratio >= min_speedup
-    lines = ["speedup gate: %s over %s = %.2fx (%.1fns / %.1fns, floor "
-             "%.2fx): %s" % (row, ref, ratio, times[ref], times[row],
-                             min_speedup, "ok" if ok else "FAIL")]
-    return ok, lines
-
-
-def parse_context_speedups(specs, default_floor):
-    """Parses repeated --context-speedup values: "KEY" or "KEY=FLOOR"."""
-    gates = []
-    for spec in specs or []:
-        key, sep, floor = spec.rpartition("=")
-        if sep and key:
-            gates.append((key, float(floor)))
-        else:
-            gates.append((spec, default_floor))
-    return gates
-
-
 def check_context_speedup(doc, key, min_ratio):
     """Floor gate on a scripts/bench.sh side-run context stamp (e.g.
     "avx512_speedup BM_SlimForwardFused/wide_b1") in the committed
@@ -315,11 +301,29 @@ def check_context_speedup(doc, key, min_ratio):
     return ok, lines
 
 
-def self_test(baseline, rows, max_regress, calibrate,
-              overhead_row=None, overhead_ref=None, max_overhead=0.10,
-              speedup_row=None, speedup_ref=None, min_speedup=1.5,
-              context_speedups=None):
-    """The comparator must pass an identical copy and fail a hand-slowed one."""
+def provenance_line(path, doc):
+    """The baseline's recording provenance, as far as its context has it."""
+    ctx = doc.get("context", {})
+    parts = ["%s=%s" % (k, ctx[k]) for k in ("git_sha", "git_dirty", "date")
+             if k in ctx]
+    try:
+        recorded = datetime.datetime.fromisoformat(str(ctx["date"]))
+        now = datetime.datetime.now(recorded.tzinfo)
+        parts.append("(%d days old)" % (now - recorded).days)
+    except (KeyError, ValueError):
+        pass
+    line = "baseline %s: %s" % (path, " ".join(parts) or "no provenance")
+    if str(ctx.get("git_dirty", "")) == "1":
+        line += " — note: recorded from a dirty tree"
+    return line
+
+
+def self_test(baseline, preset):
+    """Every gate of the preset must pass the committed baseline and fail
+    its hand-broken copy."""
+    rows = preset["rows"]
+    max_regress = preset["max_regress"]
+    calibrate = preset["calibrate"]
     same = copy.deepcopy(baseline)
     ok_same, lines = compare(baseline, same, rows, max_regress, calibrate)
     if not ok_same:
@@ -366,7 +370,8 @@ def self_test(baseline, rows, max_regress, calibrate,
     # The overhead comparator must pass the recorded ratio and fail a
     # hand-inflated one (the baseline is only committed when the ratio
     # gate holds, so the recorded rows must satisfy it).
-    if overhead_row is not None and overhead_ref is not None:
+    if preset["overhead"] is not None:
+        overhead_row, overhead_ref, max_overhead = preset["overhead"]
         ok_over, lines = check_overhead(baseline, overhead_row, overhead_ref,
                                         max_overhead)
         if not ok_over:
@@ -389,34 +394,11 @@ def self_test(baseline, rows, max_regress, calibrate,
             return False
         extra += ", inflated overhead row rejected"
 
-    # The speedup comparator must pass the recorded ratio (the baseline is
-    # only committed when the packed win holds) and fail a hand-slowed
-    # packed row that erases it.
-    if speedup_row is not None and speedup_ref is not None:
-        ok_speed, lines = check_speedup(baseline, speedup_row, speedup_ref,
-                                        min_speedup)
-        if not ok_speed:
-            print("\n".join(lines), file=sys.stderr)
-            print("self-test FAILED: committed baseline violates the "
-                  "speedup gate", file=sys.stderr)
-            return False
-        slowed_packed = copy.deepcopy(baseline)
-        for row in slowed_packed.get("benchmarks", []):
-            if row.get("run_name", row.get("name", "")) == speedup_row:
-                row["cpu_time"] = row["cpu_time"] * (2.0 * min_speedup)
-        ok_slowed_packed, _ = check_speedup(slowed_packed, speedup_row,
-                                            speedup_ref, min_speedup)
-        if ok_slowed_packed:
-            print("self-test FAILED: hand-slowed speedup row passed",
-                  file=sys.stderr)
-            return False
-        extra += ", erased speedup rejected"
-
     # Every committed side-run stamp must satisfy its floor, and a
     # hand-lowered stamp must fail — so a regressed snapshot cannot be
     # committed and the stamp gate cannot rot into always-green. (Absent
     # stamps skip: the snapshot host may lack the backend.)
-    for key, floor in context_speedups or []:
+    for key, floor in preset["context_floors"]:
         ok_ctx, lines = check_context_speedup(baseline, key, floor)
         if not ok_ctx:
             print("\n".join(lines), file=sys.stderr)
@@ -460,90 +442,39 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--baseline", required=True)
     ap.add_argument("--current")
-    ap.add_argument("--max-regress", type=float, default=0.15)
-    ap.add_argument("--preset", choices=sorted(PRESETS),
-                    help="row/calibration bundle: 'micro' for "
-                         "BENCH_micro.json, 'serve' for BENCH_serve.json; "
-                         "explicit --rows/--calibrate override it")
-    ap.add_argument("--rows", nargs="+", default=None)
-    ap.add_argument("--calibrate", default=None, metavar="ROW",
-                    help="normalize both sides by this row's cpu_time to "
-                         "cancel host single-core speed (CI uses "
-                         "BM_DegreeEncode / BM_ServeCalibrate)")
-    ap.add_argument("--overhead-row", default=None, metavar="ROW",
-                    help="within-file gate: this row's cpu_time must stay "
-                         "within --max-overhead of --overhead-ref (CI pins "
-                         "BM_ServeSmokeMixedRouted/1 vs BM_ServeSmokeMixed)")
-    ap.add_argument("--overhead-ref", default=None, metavar="ROW")
-    ap.add_argument("--max-overhead", type=float, default=0.10)
-    ap.add_argument("--speedup-row", default=None, metavar="ROW",
-                    help="within-file floor gate: --speedup-ref's cpu_time "
-                         "over this row's must be >= --min-speedup (CI pins "
-                         "BM_MatMulPacked/32/2048/1024 vs "
-                         "BM_MatMul/32/2048/1024)")
-    ap.add_argument("--speedup-ref", default=None, metavar="ROW")
-    ap.add_argument("--min-speedup", type=float, default=1.5)
-    ap.add_argument("--context-speedup", action="append", default=None,
-                    metavar="KEY[=FLOOR]",
-                    help="repeatable floor gate on a bench.sh side-run "
-                         "context stamp in the BASELINE, e.g. "
-                         "'avx512_speedup BM_SlimForwardFused/wide_b1=1.0'; "
-                         "FLOOR defaults to --min-context-speedup; an "
-                         "absent key skips (snapshot host lacks the "
-                         "backend)")
-    ap.add_argument("--min-context-speedup", type=float, default=1.0)
+    ap.add_argument("--preset", required=True, choices=sorted(PRESETS),
+                    help="the snapshot's gate: 'micro' for BENCH_micro.json, "
+                         "'serve' for BENCH_serve.json")
     ap.add_argument("--self-test", action="store_true")
     args = ap.parse_args()
-    if (args.overhead_row is None) != (args.overhead_ref is None):
-        ap.error("--overhead-row and --overhead-ref go together")
-    if (args.speedup_row is None) != (args.speedup_ref is None):
-        ap.error("--speedup-row and --speedup-ref go together")
-    preset_rows, preset_cal = PRESETS[args.preset or "micro"]
-    if args.rows is None:
-        args.rows = preset_rows
-    if args.calibrate is None and args.preset is not None:
-        args.calibrate = preset_cal
-
-    context_gates = parse_context_speedups(args.context_speedup,
-                                           args.min_context_speedup)
+    preset = PRESETS[args.preset]
 
     with open(args.baseline) as f:
         baseline = json.load(f)
+    print(provenance_line(args.baseline, baseline))
 
     if args.self_test:
-        sys.exit(0 if self_test(baseline, args.rows, args.max_regress,
-                                args.calibrate, args.overhead_row,
-                                args.overhead_ref, args.max_overhead,
-                                args.speedup_row, args.speedup_ref,
-                                args.min_speedup, context_gates) else 1)
+        sys.exit(0 if self_test(baseline, preset) else 1)
 
     if not args.current:
         ap.error("--current is required unless --self-test")
     with open(args.current) as f:
         current = json.load(f)
 
-    ok, lines = compare(baseline, current, args.rows, args.max_regress,
-                        args.calibrate)
-    if args.overhead_row is not None:
-        over_ok, over_lines = check_overhead(current, args.overhead_row,
-                                             args.overhead_ref,
-                                             args.max_overhead)
+    ok, lines = compare(baseline, current, preset["rows"],
+                        preset["max_regress"], preset["calibrate"])
+    if preset["overhead"] is not None:
+        over_ok, over_lines = check_overhead(current, *preset["overhead"])
         ok = ok and over_ok
         lines.extend(over_lines)
-    if args.speedup_row is not None:
-        speed_ok, speed_lines = check_speedup(current, args.speedup_row,
-                                              args.speedup_ref,
-                                              args.min_speedup)
-        ok = ok and speed_ok
-        lines.extend(speed_lines)
-    for key, floor in context_gates:
+    for key, floor in preset["context_floors"]:
         ctx_ok, ctx_lines = check_context_speedup(baseline, key, floor)
         ok = ok and ctx_ok
         lines.extend(ctx_lines)
     print("\n".join(lines))
     if not ok:
         print("\nbench regression gate FAILED (threshold +%d%% cpu_time)" %
-              round(args.max_regress * 100), file=sys.stderr)
+              round(preset["max_regress"] * 100), file=sys.stderr)
     sys.exit(0 if ok else 1)
 
 

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <utility>
 
 #include "serve/checkpoint.h"
 #include "serve/fault_injection.h"
@@ -69,7 +70,11 @@ SplashService::SplashService(const SplashOptions& model_opts,
     : model_opts_(model_opts),
       opts_(opts),
       queue_(opts.queue_capacity, opts.backpressure),
-      coalescer_(MakeCoalesceOptions(opts), &ExecuteCoalescedGroupThunk,
+      coalescer_(MakeCoalesceOptions(opts),
+                 [](void* ctx, QuerySlot* const* slots, size_t n) {
+                   auto* self = static_cast<SplashService*>(ctx);
+                   self->ScoreSlots(slots, n, &self->gather_scratch_);
+                 },
                  this) {}
 
 SplashService::~SplashService() { Stop(); }
@@ -91,10 +96,6 @@ Status SplashService::PrepareReplicas(const Dataset& warmup,
     replicas_[r]->SetTraining(false);
     replicas_[r]->ResetState();
   }
-  return Status::Ok();
-}
-
-void SplashService::InitLogFromWarmup(const Dataset& warmup) {
   // Serving starts from an empty ingest log: watermark 0 == "weights only,
   // no streamed edge". Nodes touched by the warmup stream are "known";
   // everything else counts toward the novel-id drift signal.
@@ -107,70 +108,49 @@ void SplashService::InitLogFromWarmup(const Dataset& warmup) {
     node_seen_[wsrc[i]] = 1;
     node_seen_[wdst[i]] = 1;
   }
+  return Status::Ok();
 }
 
 Status SplashService::Start(const Dataset& warmup, const ChronoSplit& split,
                             const TrainerOptions* fit) {
-  Status vst = opts_.Validate();
-  if (!vst.ok()) return vst;
-  if (!opts_.data_dir.empty()) {
-    return Status::Error(
-        "SplashService::Start: data_dir is set — use RecoverOrStart()");
-  }
-  if (running_.load()) {
-    return Status::Error("SplashService::Start: already running");
-  }
-  if (apply_thread_.joinable()) {
-    return Status::Error("SplashService::Start: service cannot restart");
-  }
-
-  Status st = PrepareReplicas(warmup, split, fit);
-  if (!st.ok()) return st;
-  weight_packs_base_ =
-      replicas_[0]->weight_packs() + replicas_[1]->weight_packs();
-  InitLogFromWarmup(warmup);
-  wm_seq_[0] = wm_seq_[1] = 0;
-  wm_time_[0] = wm_time_[1] = 0.0;
-  batch_bounds_.clear();
-  train_log_.clear();
-
-  // Pre-grow the coalesced-group scratch so the first full-width group
-  // allocates nothing (PredictNode callers are 1 row each).
-  gather_queries_.reserve(opts_.coalesce_max_batch * 2);
-  replicas_[0]->WarmQueryScratch(opts_.coalesce_max_batch * 2,
-                                 &gather_scratch_);
-
-  started_.store(true, std::memory_order_release);
-  running_.store(true, std::memory_order_release);
-  apply_thread_ = std::thread(&SplashService::ApplyLoop, this);
-  return Status::Ok();
+  return Boot(warmup, split, fit, /*recover=*/false);
 }
 
 Status SplashService::RecoverOrStart(const Dataset& warmup,
                                      const ChronoSplit& split,
                                      const TrainerOptions* fit) {
-  if (opts_.data_dir.empty()) return Start(warmup, split, fit);
-  Status vst = opts_.Validate();
-  if (!vst.ok()) return vst;
-  if (running_.load()) {
-    return Status::Error("SplashService::RecoverOrStart: already running");
+  return Boot(warmup, split, fit, /*recover=*/true);
+}
+
+Status SplashService::Boot(const Dataset& warmup, const ChronoSplit& split,
+                           const TrainerOptions* fit, bool recover) {
+  const std::string who =
+      recover ? "SplashService::RecoverOrStart" : "SplashService::Start";
+  Status st = opts_.Validate();
+  if (!st.ok()) return st;
+  if (!recover && !opts_.data_dir.empty()) {
+    return Status::Error(who + ": data_dir is set — use RecoverOrStart()");
   }
+  if (running_.load()) return Status::Error(who + ": already running");
   if (apply_thread_.joinable()) {
-    return Status::Error("SplashService::RecoverOrStart: cannot restart");
+    return Status::Error(who + ": service cannot restart");
   }
-  if (::mkdir(opts_.data_dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    return Status::Error("SplashService::RecoverOrStart: cannot create " +
-                         opts_.data_dir + ": " + std::strerror(errno));
+  durable_ = !opts_.data_dir.empty();
+  if (durable_ && ::mkdir(opts_.data_dir.c_str(), 0755) != 0 &&
+      errno != EEXIST) {
+    return Status::Error(who + ": cannot create " + opts_.data_dir + ": " +
+                         std::strerror(errno));
   }
-  durable_ = true;
 
   // Base state: the newest valid checkpoint, else the deterministic
-  // Prepare/Fit pipeline (same as Start — recovery without a checkpoint
-  // rebuilds the fitted weights bit-identically and replays from zero).
+  // Prepare/Fit pipeline (recovery without a checkpoint rebuilds the
+  // fitted weights bit-identically and replays from zero).
   CheckpointData ckpt;
   bool have_ckpt = false;
-  Status st = LoadLatestCheckpoint(opts_.data_dir, &ckpt, &have_ckpt);
-  if (!st.ok()) return st;
+  if (durable_) {
+    st = LoadLatestCheckpoint(opts_.data_dir, &ckpt, &have_ckpt);
+    if (!st.ok()) return st;
+  }
   if (have_ckpt) {
     for (int r = 0; r < 2; ++r) {
       replicas_[r] = std::make_unique<SplashPredictor>(model_opts_);
@@ -185,45 +165,28 @@ Status SplashService::RecoverOrStart(const Dataset& warmup,
   } else {
     st = PrepareReplicas(warmup, split, fit);
     if (!st.ok()) return st;
-    InitLogFromWarmup(warmup);
-    wal_batch_index_ = 0;
   }
   weight_packs_base_ =
       replicas_[0]->weight_packs() + replicas_[1]->weight_packs();
   wm_seq_[0] = wm_seq_[1] = log_.size();
   wm_time_[0] = wm_time_[1] = log_.empty() ? 0.0 : log_.max_time();
-  batch_bounds_.clear();
-  train_log_.clear();
 
-  // Collect the applicable WAL tail: the contiguous run of records with
-  // batch_index >= the checkpoint cursor, across segments oldest-first.
-  // A torn/corrupt tail inside the LAST segment is the normal crash shape
-  // (truncate, done); a gap before records that should exist means history
-  // was lost — recovery still proceeds, but the service is degraded.
+  // The WAL tail past the checkpoint cursor. A gap before records that
+  // should exist means history was lost: recovery still proceeds, but the
+  // service is degraded.
   std::vector<WalRecord> tail;
   bool gap = false;
-  uint64_t next_batch = wal_batch_index_;
-  uint64_t next_seq = log_.size();
-  for (const WalSegmentInfo& seg : ListWalSegments(opts_.data_dir)) {
-    WalScan scan;
-    st = ScanWalFile(seg.path, &scan);
+  if (durable_) {
+    st = ReadWalHistory(opts_.data_dir, wal_batch_index_, log_.size(), &tail,
+                        &gap);
     if (!st.ok()) return st;
-    if (!scan.header_ok) continue;  // interrupted creation: no records
-    for (WalRecord& rec : scan.records) {
-      if (rec.batch_index < next_batch) continue;  // inside the checkpoint
-      if (rec.batch_index != next_batch || rec.seq_begin != next_seq) {
-        gap = true;
-        break;
-      }
-      next_seq = rec.seq_end;
-      ++next_batch;
-      tail.push_back(std::move(rec));
-    }
-    if (gap) break;
   }
-  recovery_target_seq_.store(next_seq, std::memory_order_relaxed);
+  recovery_target_seq_.store(tail.empty() ? log_.size() : tail.back().seq_end,
+                             std::memory_order_relaxed);
   if (gap) degraded_.store(true, std::memory_order_relaxed);
 
+  // Pre-grow the coalesced-group scratch so the first full-width group
+  // allocates nothing (PredictNode callers are 1 row each).
   gather_queries_.reserve(opts_.coalesce_max_batch * 2);
   replicas_[0]->WarmQueryScratch(opts_.coalesce_max_batch * 2,
                                  &gather_scratch_);
@@ -236,24 +199,12 @@ Status SplashService::RecoverOrStart(const Dataset& warmup,
   // composition feeds SLIM's update order, so re-batching would change
   // bits. Publication follows the same gate protocol as live apply.
   for (const WalRecord& rec : tail) {
-    const size_t edge_begin = log_.size();
     for (const TemporalEdge& e : rec.edges) AppendEdgeToLog(e);
-    const size_t edge_end = log_.size();
-    const uint32_t back = gate_.back();
-    ApplyBatchTo(replicas_[back].get(), edge_begin, edge_end, rec.train);
-    wm_seq_[back] = edge_end;
-    wm_time_[back] = edge_end > 0 ? log_.max_time() : 0.0;
-    gate_.Publish();
-    const uint32_t other = gate_.back();
-    gate_.WaitReadersDrained(other);
-    ApplyBatchTo(replicas_[other].get(), edge_begin, edge_end, rec.train);
-    wm_seq_[other] = edge_end;
+    const uint32_t other = ApplyAndPublish(rec);
+    CatchUp(other, rec);
+    wm_seq_[other] = wm_seq_[1 - other];
     wm_time_[other] = wm_time_[1 - other];
     ++wal_batch_index_;
-    if (opts_.record_apply_log) {
-      batch_bounds_.push_back(edge_end);
-      if (!rec.train.empty()) train_log_.emplace_back(edge_end, rec.train);
-    }
   }
   recovered_seq_ = log_.size();
   recovery_replayed_.store(tail.size(), std::memory_order_relaxed);
@@ -264,7 +215,7 @@ Status SplashService::RecoverOrStart(const Dataset& warmup,
   // start an immediate base checkpoint. Also opens the new active WAL
   // segment. On failure the service comes up degraded (serving, not
   // logging) rather than refusing to serve.
-  WriteServiceCheckpoint();
+  if (durable_) WriteServiceCheckpoint();
 
   running_.store(true, std::memory_order_release);
   apply_thread_ = std::thread(&SplashService::ApplyLoop, this);
@@ -277,6 +228,22 @@ void SplashService::RecordIngestNs(uint64_t ns) {
                    (kIngestHistStripes - 1)];
   std::lock_guard<std::mutex> lk(stripe.mu);
   stripe.hist.RecordNs(ns);
+}
+
+IngestResult SplashService::Enqueue(const IngestItem& item,
+                                    std::atomic<uint64_t>* accepted,
+                                    std::atomic<uint64_t>* dropped) {
+  WallTimer timer;
+  const bool ok = queue_.Push(item);
+  const uint64_t ns = timer.Nanos();
+  (ok ? accepted : dropped)->fetch_add(1, std::memory_order_relaxed);
+  if (ok) accepted_items_.fetch_add(1, std::memory_order_relaxed);
+  RecordIngestNs(ns);
+  if (ok) return IngestResult::kAccepted;
+  // Push fails either because Stop() raced us or the kDropNewest ring was
+  // full; only the latter is retryable.
+  return queue_.stopped() ? IngestResult::kStopped
+                          : IngestResult::kBacklogDropped;
 }
 
 IngestResult SplashService::IngestEdge(const TemporalEdge& e) {
@@ -295,21 +262,7 @@ IngestResult SplashService::IngestEdge(const TemporalEdge& e) {
   IngestItem item;
   item.kind = IngestItem::Kind::kEdge;
   item.edge = e;
-  WallTimer timer;
-  const bool ok = queue_.Push(item);
-  const uint64_t ns = timer.Nanos();
-  if (ok) {
-    ingest_accepted_.fetch_add(1, std::memory_order_relaxed);
-    accepted_items_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    ingest_dropped_.fetch_add(1, std::memory_order_relaxed);
-  }
-  RecordIngestNs(ns);
-  if (ok) return IngestResult::kAccepted;
-  // Push fails either because Stop() raced us or the kDropNewest ring was
-  // full; only the latter is retryable.
-  return queue_.stopped() ? IngestResult::kStopped
-                          : IngestResult::kBacklogDropped;
+  return Enqueue(item, &ingest_accepted_, &ingest_dropped_);
 }
 
 IngestResult SplashService::SubmitTrain(const PropertyQuery& q) {
@@ -325,19 +278,7 @@ IngestResult SplashService::SubmitTrain(const PropertyQuery& q) {
   IngestItem item;
   item.kind = IngestItem::Kind::kTrain;
   item.train = q;
-  WallTimer timer;
-  const bool ok = queue_.Push(item);
-  const uint64_t ns = timer.Nanos();
-  if (ok) {
-    train_accepted_.fetch_add(1, std::memory_order_relaxed);
-    accepted_items_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    train_dropped_.fetch_add(1, std::memory_order_relaxed);
-  }
-  RecordIngestNs(ns);
-  if (ok) return IngestResult::kAccepted;
-  return queue_.stopped() ? IngestResult::kStopped
-                          : IngestResult::kBacklogDropped;
+  return Enqueue(item, &train_accepted_, &train_dropped_);
 }
 
 TemporalEdge SplashService::AppendEdgeToLog(TemporalEdge e) {
@@ -423,15 +364,15 @@ void SplashService::SerializePredictorState(ByteWriter* w) const {
   replicas_[gate_.back()]->SerializeState(w);
 }
 
-void SplashService::ApplyBatchTo(SplashPredictor* rep, size_t edge_begin,
-                                 size_t edge_end,
-                                 const std::vector<PropertyQuery>& train) {
-  if (edge_end > edge_begin) rep->ObserveBulk(log_, edge_begin, edge_end);
-  if (!train.empty()) {
+void SplashService::ApplyBatchTo(SplashPredictor* rep, const WalRecord& rec) {
+  if (rec.seq_end > rec.seq_begin) {
+    rep->ObserveBulk(log_, rec.seq_begin, rec.seq_end);
+  }
+  if (!rec.train.empty()) {
     // The staged split-phase path (core/predictor.h): assemble from the
     // just-advanced state, then pure compute on the staged tensors.
     rep->SetTraining(true);
-    rep->StageBatch(train);
+    rep->StageBatch(rec.train);
     rep->TrainStaged();
     rep->SetTraining(false);
   }
@@ -444,23 +385,21 @@ void SplashService::ApplyBatchTo(SplashPredictor* rep, size_t edge_begin,
   rep->PrepareForPublish();
 }
 
-void SplashService::ApplyLoop() {
-  // The one in-flight catch-up job: re-applies the published batch to the
-  // old front once its readers drained. Reused across cycles — Submit only
-  // ever follows the Wait that retired the previous job.
-  struct CatchUp {
-    SplashService* svc = nullptr;
-    SplashPredictor* rep = nullptr;
-    size_t begin = 0, end = 0;
-    uint32_t idx = 0;
-    static void Invoke(void* p) {
-      auto* c = static_cast<CatchUp*>(p);
-      c->svc->gate_.WaitReadersDrained(c->idx);
-      c->svc->ApplyBatchTo(c->rep, c->begin, c->end, c->svc->catchup_train_);
-    }
-  };
-  CatchUp ctx;
+uint32_t SplashService::ApplyAndPublish(const WalRecord& rec) {
+  const uint32_t back = gate_.back();
+  ApplyBatchTo(replicas_[back].get(), rec);
+  wm_seq_[back] = rec.seq_end;
+  wm_time_[back] = rec.seq_end > 0 ? log_.max_time() : 0.0;
+  gate_.Publish();
+  return gate_.back();
+}
 
+void SplashService::CatchUp(uint32_t idx, const WalRecord& rec) {
+  gate_.WaitReadersDrained(idx);
+  ApplyBatchTo(replicas_[idx].get(), rec);
+}
+
+void SplashService::ApplyLoop() {
   for (;;) {
     const size_t n =
         queue_.PopBatch(&batch_scratch_, opts_.microbatch_max_items,
@@ -469,7 +408,7 @@ void SplashService::ApplyLoop() {
     WallTimer apply_timer;
 
     // Barrier: the previous catch-up retired, so the back replica is
-    // current and catchup_train_ / log_ are exclusively ours again.
+    // current and batch_rec_ / log_ are exclusively ours again.
     pipe_.Wait();
     SyncWeightPacks();
 
@@ -479,30 +418,27 @@ void SplashService::ApplyLoop() {
       WriteServiceCheckpoint();
     }
 
-    const size_t edge_begin = log_.size();
-    train_scratch_.clear();
-    wal_rec_.Clear();
+    // The micro-batch in its WAL form: what is logged is what is applied.
+    batch_rec_.Clear();
+    batch_rec_.seq_begin = log_.size();
     for (const IngestItem& item : batch_scratch_) {
       if (item.kind == IngestItem::Kind::kTrain) {
-        train_scratch_.push_back(item.train);
+        batch_rec_.train.push_back(item.train);
         continue;
       }
       // Endpoints/time were validated at ingest; record the post-clamp
       // edge so WAL replay reproduces the log byte-for-byte.
-      wal_rec_.edges.push_back(AppendEdgeToLog(item.edge));
+      batch_rec_.edges.push_back(AppendEdgeToLog(item.edge));
     }
-    const size_t edge_end = log_.size();
+    batch_rec_.seq_end = log_.size();
 
     // Write-ahead: the batch is durable (per the fsync policy) before any
     // replica state or watermark reflects it. An append failure flips the
     // service to degraded (serving, not logging) instead of stalling it.
     if (durable_ && wal_.is_open()) {
-      wal_rec_.batch_index = wal_batch_index_;
-      wal_rec_.seq_begin = edge_begin;
-      wal_rec_.seq_end = edge_end;
-      wal_rec_.wm_time = log_.empty() ? 0.0 : log_.max_time();
-      wal_rec_.train = train_scratch_;
-      const Status wst = wal_.Append(wal_rec_);
+      batch_rec_.batch_index = wal_batch_index_;
+      batch_rec_.wm_time = log_.empty() ? 0.0 : log_.max_time();
+      const Status wst = wal_.Append(batch_rec_);
       if (wst.ok()) {
         ++wal_batch_index_;
         wal_records_.fetch_add(1, std::memory_order_relaxed);
@@ -513,32 +449,21 @@ void SplashService::ApplyLoop() {
     }
     ++batches_since_checkpoint_;
 
-    const uint32_t back = gate_.back();
-    ApplyBatchTo(replicas_[back].get(), edge_begin, edge_end, train_scratch_);
-    wm_seq_[back] = edge_end;
-    wm_time_[back] = edge_end > 0 ? log_.max_time() : 0.0;
-    gate_.Publish();
-
+    catchup_idx_ = ApplyAndPublish(batch_rec_);
     batches_applied_.fetch_add(1, std::memory_order_relaxed);
-    if (!train_scratch_.empty()) {
+    if (!batch_rec_.train.empty()) {
       train_steps_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (opts_.record_apply_log) {
-      batch_bounds_.push_back(edge_end);
-      if (!train_scratch_.empty()) {
-        train_log_.emplace_back(edge_end, train_scratch_);
-      }
     }
 
     // Catch-up: the old front (now back) replays the identical batch on
     // the pipeline thread, overlapped with waiting for the next batch.
-    catchup_train_ = train_scratch_;
-    ctx.svc = this;
-    ctx.rep = replicas_[1 - back].get();
-    ctx.begin = edge_begin;
-    ctx.end = edge_end;
-    ctx.idx = 1 - back;
-    pipe_.Submit(&CatchUp::Invoke, &ctx);
+    // batch_rec_ stays untouched until the next cycle's pipe_.Wait().
+    pipe_.Submit(
+        [](void* p) {
+          auto* self = static_cast<SplashService*>(p);
+          self->CatchUp(self->catchup_idx_, self->batch_rec_);
+        },
+        this);
 
     {
       std::lock_guard<std::mutex> lk(flush_mu_);
@@ -664,40 +589,39 @@ ServeStats SplashService::Stats() const {
 
 // ---------------------------------------------------------------------------
 // Read path (DESIGN.md §5b). Every ServeClient::Predict* call funnels into
-// ScoreQueries: uncontended callers take the direct per-query path (pin,
-// fused forward into client scratch, copy out after unpin); contended
-// callers are combined by the QueryCoalescer into one snapshot pin + one
-// fused batch forward, led by one of them. Either way the snapshot
-// critical section holds only replica reads — the score copy-out happens
-// after Unpin, and the client's deadline/latency epilogue lives outside
-// the service entirely (serve/shard.cc).
+// ScoreQueries, and every answer comes out of ScoreSlots: an uncontended
+// caller is a group of one scored into its own client scratch; contended
+// callers are combined by the QueryCoalescer into one group led by one of
+// them. Either way the snapshot critical section holds only replica reads
+// — the score copy-out happens after Unpin, and the client's
+// deadline/latency epilogue lives outside the service (serve/shard.cc).
 // ---------------------------------------------------------------------------
 
-void SplashService::ExecuteCoalescedGroupThunk(void* ctx,
-                                               QuerySlot* const* slots,
-                                               size_t n) {
-  static_cast<SplashService*>(ctx)->ExecuteCoalescedGroup(slots, n);
-}
-
-void SplashService::ExecuteCoalescedGroup(QuerySlot* const* slots, size_t n) {
-  gather_queries_.clear();
-  size_t total = 0;
-  for (size_t i = 0; i < n; ++i) total += slots[i]->queries->size();
-  gather_queries_.reserve(total);
-  for (size_t i = 0; i < n; ++i) {
-    gather_queries_.insert(gather_queries_.end(), slots[i]->queries->begin(),
-                           slots[i]->queries->end());
+void SplashService::ScoreSlots(QuerySlot* const* slots, size_t n,
+                               SplashQueryScratch* scratch) {
+  const std::vector<PropertyQuery>* batch = slots[0]->queries;
+  if (n > 1) {
+    gather_queries_.clear();
+    for (size_t i = 0; i < n; ++i) {
+      gather_queries_.insert(gather_queries_.end(),
+                             slots[i]->queries->begin(),
+                             slots[i]->queries->end());
+    }
+    batch = &gather_queries_;
   }
   const uint32_t idx = gate_.Pin();
   const SplashPredictor* rep = replicas_[idx].get();
   const uint64_t wm_seq = wm_seq_[idx];
   const double wm_time = wm_time_[idx];
-  const Matrix& out = rep->PredictBatchConst(gather_queries_, &gather_scratch_);
+  const Matrix& out = rep->PredictBatchConst(*batch, scratch);
   uint64_t unseen = 0;
-  for (const PropertyQuery& q : gather_queries_) {
+  for (const PropertyQuery& q : *batch) {
     if (!rep->augmenter().seen(q.node)) ++unseen;
   }
   gate_.Unpin(idx);
+  // Degraded: a durability error happened, or recovery replay is still
+  // ahead of the snapshot that answered (the answer is honest about its
+  // watermark either way — this flags that a fresher state is known).
   const bool degraded =
       degraded_.load(std::memory_order_relaxed) ||
       wm_seq < recovery_target_seq_.load(std::memory_order_relaxed);
@@ -721,8 +645,7 @@ void SplashService::ExecuteCoalescedGroup(QuerySlot* const* slots, size_t n) {
     resp->degraded = degraded;
     resp->deadline_exceeded = false;  // each caller re-checks after wakeup
   }
-  // Service counters once per group, not once per caller.
-  queries_.fetch_add(total, std::memory_order_relaxed);
+  queries_.fetch_add(batch->size(), std::memory_order_relaxed);
   if (unseen > 0) {
     unseen_node_queries_.fetch_add(unseen, std::memory_order_relaxed);
   }
@@ -730,17 +653,11 @@ void SplashService::ExecuteCoalescedGroup(QuerySlot* const* slots, size_t n) {
 
 void SplashService::ScoreQueries(const std::vector<PropertyQuery>& queries,
                                  ClientScratch* scratch, ServeResponse* resp) {
-  resp->score = 0.0;
-  resp->deadline_exceeded = false;
   // Acquire on started_ is the happens-before edge to the replica
   // pointers: a call racing Start() sees false and returns empty rather
   // than reading half-prepared state.
   if (!started_.load(std::memory_order_acquire)) {
-    resp->scores.Resize(0, 0);
-    resp->watermark_seq = 0;
-    resp->watermark_time = 0.0;
-    resp->shard_watermarks.clear();
-    resp->degraded = false;
+    *resp = ServeResponse();
     return;
   }
   QuerySlot slot;
@@ -748,35 +665,8 @@ void SplashService::ScoreQueries(const std::vector<PropertyQuery>& queries,
   slot.resp = resp;
   if (!coalescer_.Submit(&slot)) {
     // Direct path (uncontended / coalescing off / ring full).
-    const uint32_t idx = gate_.Pin();
-    const SplashPredictor* rep = replicas_[idx].get();
-    resp->watermark_seq = wm_seq_[idx];
-    resp->watermark_time = wm_time_[idx];
-    const Matrix& out = rep->PredictBatchConst(queries, &scratch->predict);
-    uint64_t unseen = 0;
-    for (const PropertyQuery& q : queries) {
-      if (!rep->augmenter().seen(q.node)) ++unseen;
-    }
-    gate_.Unpin(idx);
-    // The copy-out reads client-owned scratch, so it no longer needs the
-    // pin — the snapshot critical section ends at the last replica read.
-    resp->scores.Resize(out.rows(), out.cols());
-    for (size_t i = 0; i < out.rows(); ++i) {
-      std::memcpy(resp->scores.Row(i), out.Row(i),
-                  out.cols() * sizeof(float));
-    }
-    resp->shard_watermarks.clear();  // single-service response
-    // Degraded: a durability error happened, or recovery replay is still
-    // ahead of the snapshot that answered (the answer is honest about its
-    // watermark either way — this flags that a fresher state is known).
-    resp->degraded =
-        degraded_.load(std::memory_order_relaxed) ||
-        resp->watermark_seq <
-            recovery_target_seq_.load(std::memory_order_relaxed);
-    queries_.fetch_add(queries.size(), std::memory_order_relaxed);
-    if (unseen > 0) {
-      unseen_node_queries_.fetch_add(unseen, std::memory_order_relaxed);
-    }
+    QuerySlot* const one = &slot;
+    ScoreSlots(&one, 1, &scratch->predict);
     coalescer_.EndDirect();
   }
 }

@@ -53,7 +53,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "core/serialize.h"
@@ -85,9 +84,6 @@ struct SplashServiceOptions {
   /// Apply SubmitTrain feedback as staged train steps at micro-batch
   /// boundaries (online continual learning). Off = feedback is dropped.
   bool train_on_ingest_labels = true;
-  /// Test hook: record every applied micro-batch boundary and train batch
-  /// so a test can re-apply the exact sequence (the >1-thread oracle).
-  bool record_apply_log = false;
 
   // ---- Read-path query coalescing (DESIGN.md §5b). Mirrors the ingest
   // micro-batcher: contended Predict* callers are combined into one
@@ -148,7 +144,8 @@ class SplashService final : public QueryBackend {
   /// it every weight bit is reproduced — publishes snapshots as replay
   /// advances (responses carry degraded=true until caught up), opens a
   /// fresh WAL segment at the recovered watermark, and starts the apply
-  /// thread. With an empty data_dir this is exactly Start().
+  /// thread. With an empty data_dir this is exactly Start(): both run the
+  /// one boot sequence (Boot).
   Status RecoverOrStart(const Dataset& warmup, const ChronoSplit& split,
                         const TrainerOptions* fit = nullptr);
 
@@ -214,45 +211,50 @@ class SplashService final : public QueryBackend {
   /// The published (seq, time) pair, read consistently under one pin.
   void PublishedWatermark(uint64_t* seq, double* time) const;
 
-  /// Test hooks — stable only while quiescent (after Flush() with no
-  /// concurrent producers, or after Stop()).
+  /// Test hook — stable only while quiescent (after Flush() with no
+  /// concurrent producers, or after Stop()). The applied micro-batch
+  /// sequence itself is the WAL (ReadWalHistory).
   const EdgeStream& ingest_log() const { return log_; }
-  /// Cumulative edge count at each applied micro-batch boundary
-  /// (record_apply_log only).
-  const std::vector<uint64_t>& applied_batch_bounds() const {
-    return batch_bounds_;
-  }
-  /// (edge count at application, train batch) pairs (record_apply_log
-  /// only).
-  const std::vector<std::pair<uint64_t, std::vector<PropertyQuery>>>&
-  applied_train_batches() const {
-    return train_log_;
-  }
   /// Serializes the quiescent predictor state (the back replica — after
   /// Flush with no concurrent producers, or after Stop, both replicas are
   /// bit-identical). The byte-comparison handle of the recovery oracle.
   void SerializePredictorState(ByteWriter* w) const;
 
  private:
-  /// Leader-side execution of one coalesced read group: gathers every
-  /// slot's queries into one batch, pins the snapshot ONCE, runs the fused
-  /// batch forward with leader-owned scratch, then scatters score rows and
-  /// the common watermark/degraded flag back into each slot's response.
-  /// Service counters are bumped once per group. Exactly one leader runs
-  /// at a time (QueryCoalescer guarantees it), so the gather scratch needs
-  /// no lock.
-  void ExecuteCoalescedGroup(QuerySlot* const* slots, size_t n);
-  static void ExecuteCoalescedGroupThunk(void* ctx, QuerySlot* const* slots,
-                                         size_t n);
+  /// The one read body. Scores every slot's queries under ONE snapshot
+  /// pin with one fused batch forward into `scratch`, then scatters score
+  /// rows and the common watermark/degraded flag into each slot's
+  /// response; service counters move once per call. A direct call is a
+  /// group of one (client scratch, the slot's queries read in place); a
+  /// coalesced group gathers into gather_queries_ and uses gather_scratch_
+  /// — one leader at a time (QueryCoalescer guarantees it), so no lock.
+  void ScoreSlots(QuerySlot* const* slots, size_t n,
+                  SplashQueryScratch* scratch);
 
+  /// The one boot sequence behind Start (recover=false) and
+  /// RecoverOrStart: validate, build the base state (checkpoint or
+  /// deterministic Prepare/Fit), replay the WAL tail, start the apply
+  /// thread.
+  Status Boot(const Dataset& warmup, const ChronoSplit& split,
+              const TrainerOptions* fit, bool recover);
   void ApplyLoop();
-  void ApplyBatchTo(SplashPredictor* rep, size_t edge_begin, size_t edge_end,
-                    const std::vector<PropertyQuery>& train);
-  /// Shared Start/RecoverOrStart pieces: deterministic replica prep (+fit)
-  /// and warmup-derived log/seen-set initialization.
+  /// ObserveBulk over the record's log range, then its staged train step.
+  void ApplyBatchTo(SplashPredictor* rep, const WalRecord& rec);
+  /// Applies one micro-batch (its log range [seq_begin, seq_end) and train
+  /// batch, already appended to log_) to the back replica, stamps its
+  /// watermark and publishes it — WAL replay and live apply alike. Returns
+  /// the old front, which still has to catch up on the same batch.
+  uint32_t ApplyAndPublish(const WalRecord& rec);
+  /// Re-applies `rec` to replica `idx` once its readers drained.
+  void CatchUp(uint32_t idx, const WalRecord& rec);
+  /// Admission tail shared by IngestEdge/SubmitTrain: push, time, count.
+  IngestResult Enqueue(const IngestItem& item,
+                       std::atomic<uint64_t>* accepted,
+                       std::atomic<uint64_t>* dropped);
+  /// Deterministic replica prep (+fit) and warmup-derived log/seen-set
+  /// initialization: the base state when no checkpoint exists.
   Status PrepareReplicas(const Dataset& warmup, const ChronoSplit& split,
                          const TrainerOptions* fit);
-  void InitLogFromWarmup(const Dataset& warmup);
   /// Clamp + novel-id accounting + log append for one validated edge.
   /// Returns the post-clamp edge (what the WAL records).
   TemporalEdge AppendEdgeToLog(TemporalEdge e);
@@ -324,16 +326,13 @@ class SplashService final : public QueryBackend {
 
   // Apply-thread state.
   std::vector<IngestItem> batch_scratch_;
-  std::vector<PropertyQuery> train_scratch_;   // current batch (apply side)
-  std::vector<PropertyQuery> catchup_train_;   // stable copy for the pipe job
+  WalRecord batch_rec_;                        // micro-batch being applied
+  uint32_t catchup_idx_ = 0;                   // in-flight catch-up replica
   std::vector<uint8_t> node_seen_;             // novel-id tracking
-  std::vector<uint64_t> batch_bounds_;         // record_apply_log
-  std::vector<std::pair<uint64_t, std::vector<PropertyQuery>>> train_log_;
 
   // Durability state (apply-thread-owned except the atomics).
   bool durable_ = false;
   WalWriter wal_;
-  WalRecord wal_rec_;                  // reused append scratch
   ByteWriter ckpt_state_scratch_;      // predictor blob for checkpoints
   uint64_t wal_batch_index_ = 0;       // next record's batch_index
   uint64_t wal_fsyncs_base_ = 0;       // per-segment fsync count mirrored

@@ -9,6 +9,15 @@
 
 namespace splash {
 
+namespace {
+
+/// Class-1 margin of score row `r`.
+double Margin(const Matrix& scores, size_t r) {
+  return static_cast<double>(scores(r, 1)) - scores(r, 0);
+}
+
+}  // namespace
+
 void ServeCounters::MergeFrom(const ServeCounters& other) {
   ingest_accepted += other.ingest_accepted;
   ingest_dropped += other.ingest_dropped;
@@ -66,7 +75,7 @@ LatencyHistogram QueryBackend::MergedClientHistogram() const {
 }
 
 // ---------------------------------------------------------------------------
-// ServeClient: thin wrappers over the one canonical backend call. The
+// ServeClient: every call goes through the one canonical backend call. The
 // timer/deadline/histogram epilogue lives here — outside any snapshot pin
 // and identical for every backend.
 // ---------------------------------------------------------------------------
@@ -95,29 +104,14 @@ void ServeClient::Predict(const std::vector<PropertyQuery>& queries,
   }
 }
 
-ServeResponse ServeClient::Predict(const std::vector<PropertyQuery>& queries,
-                                   double timeout_s) {
-  ServeResponse resp;
-  Predict(queries, &resp, timeout_s);
-  return resp;
-}
-
 void ServeClient::PredictNode(NodeId node, double time, ServeResponse* resp,
                               double timeout_s) {
   query_scratch_.resize(1);
   query_scratch_[0] = PropertyQuery{node, time, 0};
   Predict(query_scratch_, resp, timeout_s);
   if (resp->scores.rows() == 1 && resp->scores.cols() >= 2) {
-    resp->score =
-        static_cast<double>(resp->scores(0, 1)) - resp->scores(0, 0);
+    resp->score = Margin(resp->scores, 0);
   }
-}
-
-ServeResponse ServeClient::PredictNode(NodeId node, double time,
-                                       double timeout_s) {
-  ServeResponse resp;
-  PredictNode(node, time, &resp, timeout_s);
-  return resp;
 }
 
 void ServeClient::ScoreEdge(NodeId src, NodeId dst, double time,
@@ -127,19 +121,10 @@ void ServeClient::ScoreEdge(NodeId src, NodeId dst, double time,
   query_scratch_[1] = PropertyQuery{dst, time, 0};
   Predict(query_scratch_, resp, timeout_s);
   if (resp->scores.rows() == 2 && resp->scores.cols() >= 2) {
-    const double ms =
-        static_cast<double>(resp->scores(0, 1)) - resp->scores(0, 0);
-    const double md =
-        static_cast<double>(resp->scores(1, 1)) - resp->scores(1, 0);
+    const double ms = Margin(resp->scores, 0);
+    const double md = Margin(resp->scores, 1);
     resp->score = ms > md ? ms : md;
   }
-}
-
-ServeResponse ServeClient::ScoreEdge(NodeId src, NodeId dst, double time,
-                                     double timeout_s) {
-  ServeResponse resp;
-  ScoreEdge(src, dst, time, &resp, timeout_s);
-  return resp;
 }
 
 bool ServeClient::IngestEdgeWithRetry(const TemporalEdge& e, int max_attempts,

@@ -32,10 +32,7 @@ namespace splash {
 /// rejection (backlog under kDropNewest — the item was valid, the queue
 /// was full *now*) from permanent rejection (invalid at the boundary, or
 /// the service stopped), so retry loops and routers need not consult
-/// counters to decide. Contextually converts to bool ("accepted") for
-/// source compat with the old bool returns: `if (svc.IngestEdge(e))` and
-/// EXPECT_TRUE keep working, but the conversion is explicit so a result
-/// can never be accidentally compared against an int.
+/// counters to decide.
 class IngestResult {
  public:
   enum Code : uint8_t {
@@ -53,7 +50,6 @@ class IngestResult {
   /// True when the same call may succeed later (backlog pressure).
   constexpr bool retryable() const { return code_ == kBacklogDropped; }
 
-  constexpr explicit operator bool() const { return accepted(); }
   constexpr bool operator==(IngestResult o) const { return code_ == o.code_; }
   constexpr bool operator!=(IngestResult o) const { return code_ != o.code_; }
 
@@ -182,8 +178,7 @@ struct ClientScratch {
 
 /// The query/ingest surface both the single SplashService and the sharded
 /// router implement. ONE canonical scoring form — out-param, batch,
-/// scratch-threaded — replaces the old six Predict*/ScoreEdge overloads on
-/// the client (which are now thin wrappers over it). The contract every
+/// scratch-threaded — behind every ServeClient call. The contract every
 /// backend honors:
 ///
 ///  * ScoreQueries never blocks on ingest; responses carry the watermark
@@ -270,15 +265,10 @@ class ServeClient {
   void Predict(const std::vector<PropertyQuery>& queries, ServeResponse* resp,
                double timeout_s = 0.0);
 
-  /// By-value convenience wrapper over the canonical form.
-  ServeResponse Predict(const std::vector<PropertyQuery>& queries,
-                        double timeout_s = 0.0);
-
   /// Scores one node; `score` = class-1 margin (scores(0,1) - scores(0,0)).
   /// On a sharded backend this routes to the owning shard alone.
   void PredictNode(NodeId node, double time, ServeResponse* resp,
                    double timeout_s = 0.0);
-  ServeResponse PredictNode(NodeId node, double time, double timeout_s = 0.0);
 
   /// Scores an edge as max of its endpoints' class-1 margins (the
   /// service-level anomaly score). On a single service both endpoints
@@ -286,8 +276,6 @@ class ServeClient {
   /// its owning shard's snapshot (see the composite-watermark contract).
   void ScoreEdge(NodeId src, NodeId dst, double time, ServeResponse* resp,
                  double timeout_s = 0.0);
-  ServeResponse ScoreEdge(NodeId src, NodeId dst, double time,
-                          double timeout_s = 0.0);
 
   /// Bounded retry-with-backoff around IngestEdge for kDropNewest-mode
   /// bursts: retries a RETRYABLE rejection (IngestResult::kBacklogDropped)

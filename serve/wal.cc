@@ -288,4 +288,27 @@ std::vector<WalSegmentInfo> ListWalSegments(const std::string& dir) {
   return out;
 }
 
+Status ReadWalHistory(const std::string& dir, uint64_t from_batch,
+                      uint64_t from_seq, std::vector<WalRecord>* out,
+                      bool* gap) {
+  out->clear();
+  *gap = false;
+  for (const WalSegmentInfo& seg : ListWalSegments(dir)) {
+    WalScan scan;  // a segment with an unusable header holds no records
+    const Status st = ScanWalFile(seg.path, &scan);
+    if (!st.ok()) return st;
+    for (WalRecord& rec : scan.records) {
+      if (rec.batch_index < from_batch) continue;  // inside the checkpoint
+      if (rec.batch_index != from_batch || rec.seq_begin != from_seq) {
+        *gap = true;
+        return Status::Ok();
+      }
+      from_seq = rec.seq_end;
+      ++from_batch;
+      out->push_back(std::move(rec));
+    }
+  }
+  return Status::Ok();
+}
+
 }  // namespace splash

@@ -151,6 +151,18 @@ struct WalSegmentInfo {
 /// from the filename. Unparsable names are ignored.
 std::vector<WalSegmentInfo> ListWalSegments(const std::string& dir);
 
+/// The one walk of the WAL history: the contiguous records of `dir`'s
+/// segments, oldest first, starting at the cursor (from_batch, from_seq).
+/// Records below `from_batch` lie inside a checkpoint and are skipped; a
+/// torn or corrupt tail ends its segment (the normal crash shape). A record
+/// whose batch_index or seq_begin breaks contiguity means history was lost:
+/// the walk stops there and sets `*gap`. Recovery reads from its checkpoint
+/// cursor; the crash harness and the tests read the full history from
+/// (0, 0). Returns the error of a segment that cannot be read at all.
+Status ReadWalHistory(const std::string& dir, uint64_t from_batch,
+                      uint64_t from_seq, std::vector<WalRecord>* out,
+                      bool* gap);
+
 // Record codec, shared by writer, reader, and tests that build corrupt
 // frames by hand.
 void EncodeWalRecord(const WalRecord& rec, ByteWriter* w);

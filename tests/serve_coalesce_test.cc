@@ -9,8 +9,9 @@
 //   - ORACLE: a coalesced answer is bit-identical to the per-query path on
 //     the same snapshot, for every caller in the group, including groups
 //     mixing different batch shapes (the scatter offsets);
-//   - every response's watermark is a real published snapshot (a recorded
-//     applied-batch boundary), even under concurrent ingest;
+//   - every response's watermark is a real published snapshot (an
+//     applied-batch boundary the WAL recorded), even under concurrent
+//     ingest;
 //   - an expired deadline is answered late-but-flagged, never lost;
 //   - the single-caller bypass stays allocation-free at steady state
 //     (counting-allocator gate over the into-variant API);
@@ -36,6 +37,7 @@
 #include "runtime/thread_pool.h"
 #include "serve/coalescer.h"
 #include "serve/service.h"
+#include "tests/serve_test_util.h"
 
 namespace {
 
@@ -351,31 +353,50 @@ TEST_F(ServeCoalesceTest, CoalescedBitIdenticalToPerQueryPathMixedShapes) {
   SplashService service(SmallModelOptions(), sopts);
   TrainerOptions fit = SmallFit();
   ASSERT_TRUE(service.Start(ds, split, &fit).ok());
-  for (size_t i = 0; i < 300; ++i) ASSERT_TRUE(service.IngestEdge(live[i]));
+  for (size_t i = 0; i < 300; ++i) {
+    ASSERT_TRUE(service.IngestEdge(live[i]).accepted());
+  }
   service.Flush();
 
   // Per-thread probe slices of DIFFERENT sizes: a mixed group exercises
-  // the scatter offsets, not just same-shape fan-out.
+  // the scatter offsets, not just same-shape fan-out. Every slice also
+  // ends with the stream's last query, whose node the fit never saw, so
+  // each caller in a group carries an unseen node for the counter check.
   constexpr size_t kThreads = 6;
   std::vector<std::vector<PropertyQuery>> slices(kThreads);
   for (size_t t = 0; t < kThreads; ++t) {
     slices[t].assign(ds.queries.end() - 3 * t - (t + 1),
                      ds.queries.end() - 3 * t);
+    if (t > 0) slices[t].push_back(ds.queries.back());
   }
 
-  // Reference answers via the quiescent (bypassing) per-query path.
+  // Reference answers via the quiescent (bypassing) per-query path. The
+  // read body's counters move by exactly the rows each call scored, and
+  // the unseen nodes among them; the coalesced bursts below must count
+  // the same per pass over the slices.
   std::vector<Matrix> want(kThreads);
   uint64_t want_wm = 0;
+  uint64_t slice_rows = 0, unseen_per_pass = 0;
   {
     ServeClient ref_client(&service);
     for (size_t t = 0; t < kThreads; ++t) {
-      ServeResponse r = ref_client.Predict(slices[t]);
+      const ServeCounters pre = service.Counters();
+      ServeResponse r;
+      ref_client.Predict(slices[t], &r);
+      const ServeCounters post = service.Counters();
+      EXPECT_EQ(post.queries - pre.queries, slices[t].size());
+      const uint64_t unseen =
+          post.unseen_node_queries - pre.unseen_node_queries;
+      EXPECT_GT(unseen, 0u) << "slice " << t << " has no unseen node";
+      slice_rows += slices[t].size();
+      unseen_per_pass += unseen;
       EXPECT_FALSE(r.degraded);
       want[t] = r.scores;
       want_wm = r.watermark_seq;
     }
     EXPECT_EQ(want_wm, 300u);
   }
+  const ServeCounters direct = service.Counters();
 
   // Concurrent bursts until grouping was observed. Grouping needs one
   // caller PREEMPTED mid-query so another observes it in flight; on a
@@ -383,14 +404,17 @@ TEST_F(ServeCoalesceTest, CoalescedBitIdenticalToPerQueryPathMixedShapes) {
   // loop must outlast a scheduler quantum (~1ms) — with too few iters a
   // thread can finish its whole loop without ever being preempted and a
   // burst coalesces nothing.
-  const uint64_t base_coalesced = service.Stats().counters.coalesced_callers;
-  for (int round = 0; round < 40; ++round) {
+  constexpr uint64_t kIters = 100;
+  const uint64_t base_coalesced = direct.coalesced_callers;
+  uint64_t rounds = 0;
+  while (rounds < 40) {
+    ++rounds;
     std::vector<std::thread> threads;
     for (size_t t = 0; t < kThreads; ++t) {
       threads.emplace_back([&service, &slices, &want, t, want_wm] {
         ServeClient client(&service);
         ServeResponse resp;
-        for (int iter = 0; iter < 100; ++iter) {
+        for (uint64_t iter = 0; iter < kIters; ++iter) {
           client.Predict(slices[t], &resp);
           EXPECT_EQ(resp.watermark_seq, want_wm);
           EXPECT_FALSE(resp.degraded);
@@ -409,6 +433,9 @@ TEST_F(ServeCoalesceTest, CoalescedBitIdenticalToPerQueryPathMixedShapes) {
   EXPECT_GT(cnt.coalesced_callers, base_coalesced)
       << "no call was ever coalesced across 40 contended bursts";
   EXPECT_GT(cnt.coalesced_groups, 0u);
+  EXPECT_EQ(cnt.queries - direct.queries, rounds * kIters * slice_rows);
+  EXPECT_EQ(cnt.unseen_node_queries - direct.unseen_node_queries,
+            rounds * kIters * unseen_per_pass);
 }
 
 TEST_F(ServeCoalesceTest, WatermarksAreRealPublishedBoundariesUnderIngest) {
@@ -417,18 +444,21 @@ TEST_F(ServeCoalesceTest, WatermarksAreRealPublishedBoundariesUnderIngest) {
   const std::vector<TemporalEdge> live = LiveEdges(ds, split);
   ASSERT_GT(live.size(), 500u);
 
+  TempDir dir;
   SplashServiceOptions sopts;
   sopts.microbatch_max_items = 16;
   sopts.microbatch_max_delay_s = 0.0005;
   sopts.train_on_ingest_labels = false;
-  sopts.record_apply_log = true;
   sopts.coalesce_max_linger_s = 0.0005;
+  KeepWalHistory(dir.path(), &sopts);
   SplashService service(SmallModelOptions(), sopts);
-  ASSERT_TRUE(service.Start(ds, split, nullptr).ok());
+  ASSERT_TRUE(service.RecoverOrStart(ds, split, nullptr).ok());
 
   const size_t n = 500;
   std::thread producer([&] {
-    for (size_t i = 0; i < n; ++i) ASSERT_TRUE(service.IngestEdge(live[i]));
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(service.IngestEdge(live[i]).accepted());
+    }
   });
 
   constexpr size_t kReaders = 4;
@@ -457,9 +487,11 @@ TEST_F(ServeCoalesceTest, WatermarksAreRealPublishedBoundariesUnderIngest) {
 
   // Every watermark any reader ever observed — direct or coalesced — must
   // be a snapshot the apply thread really published: the warmup state (0)
-  // or a recorded applied-batch boundary.
+  // or an applied-batch boundary the WAL recorded.
   std::set<uint64_t> published = {0};
-  for (const uint64_t b : service.applied_batch_bounds()) published.insert(b);
+  for (const WalRecord& rec : WalHistory(dir.path())) {
+    published.insert(rec.seq_end);
+  }
   for (size_t t = 0; t < kReaders; ++t) {
     for (const uint64_t wm : seen[t]) {
       EXPECT_TRUE(published.count(wm))
@@ -482,7 +514,9 @@ TEST_F(ServeCoalesceTest, ExpiredDeadlineAnsweredLateButFlaggedNeverLost) {
   Matrix want;
   {
     ServeClient ref_client(&service);
-    want = ref_client.PredictNode(7, t_end).scores;
+    ServeResponse r;
+    ref_client.PredictNode(7, t_end, &r);
+    want = r.scores;
   }
 
   // Contended callers with an impossible deadline: a caller that lingered
@@ -512,7 +546,9 @@ TEST_F(ServeCoalesceTest, SingleCallerBypassIsAllocationFree) {
   SplashServiceOptions sopts;
   SplashService service(SmallModelOptions(), sopts);
   ASSERT_TRUE(service.Start(ds, split, nullptr).ok());
-  for (size_t i = 0; i < 100; ++i) ASSERT_TRUE(service.IngestEdge(live[i]));
+  for (size_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(service.IngestEdge(live[i]).accepted());
+  }
   service.Flush();
 
   ServeClient client(&service);
@@ -636,7 +672,9 @@ TEST_F(ServeCoalesceTest, CoalesceDisabledKeepsEveryCallDirect) {
   Matrix want;
   {
     ServeClient ref_client(&service);
-    want = ref_client.PredictNode(3, t_end).scores;
+    ServeResponse r;
+    ref_client.PredictNode(3, t_end, &r);
+    want = r.scores;
   }
   std::vector<std::thread> threads;
   for (size_t t = 0; t < 4; ++t) {

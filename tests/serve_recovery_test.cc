@@ -43,6 +43,7 @@
 #include "serve/fault_injection.h"
 #include "serve/service.h"
 #include "serve/wal.h"
+#include "tests/serve_test_util.h"
 
 namespace splash {
 namespace {
@@ -60,24 +61,6 @@ class ServeRecoveryTest : public ::testing::Test {
     DisarmAllCrashPoints();
   }
   void TearDown() override { DisarmAllCrashPoints(); }
-};
-
-class TempDir {
- public:
-  TempDir() {
-    char tmpl[] = "/tmp/splash_recovery_test_XXXXXX";
-    path_ = ::mkdtemp(tmpl);
-  }
-  ~TempDir() {
-    if (!path_.empty() && path_.rfind("/tmp/", 0) == 0) {
-      const std::string cmd = "rm -rf '" + path_ + "'";
-      [[maybe_unused]] const int rc = std::system(cmd.c_str());
-    }
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
 };
 
 Dataset MakeWarmup() {
@@ -155,29 +138,6 @@ void FeedLive(SplashService* svc, const std::vector<TemporalEdge>& edges,
   }
 }
 
-/// The contiguous, CRC-valid WAL history from batch 0 across all retained
-/// segments — the same skip/contiguity rule RecoverOrStart applies, run
-/// from the very beginning instead of from a checkpoint cursor.
-std::vector<WalRecord> CollectFullHistory(const std::string& dir) {
-  std::vector<WalRecord> out;
-  uint64_t next_batch = 0;
-  uint64_t next_seq = 0;
-  for (const WalSegmentInfo& seg : ListWalSegments(dir)) {
-    WalScan scan;
-    if (!ScanWalFile(seg.path, &scan).ok() || !scan.header_ok) continue;
-    for (WalRecord& rec : scan.records) {
-      if (rec.batch_index < next_batch) continue;
-      if (rec.batch_index != next_batch || rec.seq_begin != next_seq) {
-        return out;  // gap: stop, like recovery does
-      }
-      next_seq = rec.seq_end;
-      ++next_batch;
-      out.push_back(std::move(rec));
-    }
-  }
-  return out;
-}
-
 /// Uninterrupted-run reference: fresh predictor through the identical
 /// deterministic Prepare/Fit, then the recorded micro-batch sequence.
 std::unique_ptr<SplashPredictor> MakeReference(
@@ -238,8 +198,9 @@ void RecoverAndVerify(const std::string& data_dir, const SplashOptions& model,
   const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
 
   // Reference FIRST: RecoverOrStart writes a recovery checkpoint and
-  // rotates the WAL, so read the pre-recovery history before touching it.
-  const std::vector<WalRecord> history = CollectFullHistory(data_dir);
+  // rotates the WAL, so read the pre-recovery history before touching it —
+  // with recovery's own walk, from batch 0 instead of a checkpoint cursor.
+  const std::vector<WalRecord> history = WalHistory(data_dir);
   EdgeStream ref_log;
   auto ref = MakeReference(ds, split, model, history, &ref_log);
 
@@ -286,7 +247,8 @@ void RecoverAndVerify(const std::string& data_dir, const SplashOptions& model,
     ServeClient client(&svc);
     const std::vector<PropertyQuery> probe(ds.queries.end() - 32,
                                            ds.queries.end());
-    const ServeResponse resp = client.Predict(probe);
+    ServeResponse resp;
+    client.Predict(probe, &resp);
     EXPECT_EQ(resp.watermark_seq, svc.recovered_seq());
     EXPECT_FALSE(resp.degraded);
     SplashQueryScratch scratch;
@@ -439,7 +401,8 @@ TEST_F(ServeRecoveryTest, WalHistoryGapRecoversDegraded) {
   EXPECT_FALSE(svc.recovered_from_checkpoint());
   EXPECT_LT(svc.recovered_seq(), 250u);
   ServeClient client(&svc);
-  const ServeResponse resp = client.PredictNode(3, ds.stream.max_time());
+  ServeResponse resp;
+  client.PredictNode(3, ds.stream.max_time(), &resp);
   EXPECT_TRUE(resp.degraded);
   EXPECT_EQ(resp.watermark_seq, svc.recovered_seq());
   const ServeStats stats = svc.Stats();

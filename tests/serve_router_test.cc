@@ -25,6 +25,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/serialize.h"
@@ -34,6 +35,7 @@
 #include "runtime/thread_pool.h"
 #include "serve/router.h"
 #include "serve/service.h"
+#include "tests/serve_test_util.h"
 
 namespace splash {
 namespace {
@@ -42,24 +44,6 @@ class ServeRouterTest : public ::testing::Test {
  protected:
   void SetUp() override { ThreadPool::SetGlobalThreads(1); }
   void TearDown() override { ThreadPool::SetGlobalThreads(1); }
-};
-
-class TempDir {
- public:
-  TempDir() {
-    char tmpl[] = "/tmp/splash_router_test_XXXXXX";
-    path_ = ::mkdtemp(tmpl);
-  }
-  ~TempDir() {
-    if (!path_.empty() && path_.rfind("/tmp/", 0) == 0) {
-      const std::string cmd = "rm -rf '" + path_ + "'";
-      [[maybe_unused]] const int rc = std::system(cmd.c_str());
-    }
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
 };
 
 Dataset MakeWarmup(size_t num_edges = 3000) {
@@ -174,16 +158,18 @@ TEST_F(ServeRouterTest, RoutedSingleShardBitIdenticalToDirectService) {
 
   const size_t n = std::min<size_t>(live.size(), 500);
   for (size_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(direct.IngestEdge(live[i]));
-    ASSERT_TRUE(routed.IngestEdge(live[i]));
+    ASSERT_TRUE(direct.IngestEdge(live[i]).accepted());
+    ASSERT_TRUE(routed.IngestEdge(live[i]).accepted());
   }
   direct.Flush();
   routed.Flush();
 
   ServeClient direct_client(&direct);
   RoutedClient routed_client(&routed);
-  const ServeResponse a = direct_client.Predict(probe);
-  const ServeResponse b = routed_client.Predict(probe);
+  ServeResponse a;
+  direct_client.Predict(probe, &a);
+  ServeResponse b;
+  routed_client.Predict(probe, &b);
   ExpectBitEqual(a.scores, b.scores, "routed S=1 vs direct");
   EXPECT_EQ(a.watermark_seq, b.watermark_seq);
   EXPECT_EQ(a.watermark_time, b.watermark_time);
@@ -213,16 +199,14 @@ TEST_F(ServeRouterTest, RoutedRowsBitIdenticalToPerShardSerialReplay) {
   const std::vector<PropertyQuery> probe = ProbeQueries(ds, 40);
   TrainerOptions fit = SmallFit();
 
-  ShardedServiceOptions opts = RouterOptions(kShards);
-  opts.shard.record_apply_log = true;
-  ShardedSplashService router(SmallModelOptions(), opts);
+  ShardedSplashService router(SmallModelOptions(), RouterOptions(kShards));
   ASSERT_TRUE(router.Start(ds, split, &fit).ok());
   ASSERT_TRUE(router.running());
 
   std::vector<uint64_t> expect_per_shard(kShards, 0);
   const size_t n = std::min<size_t>(live.size(), 600);
   for (size_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(router.IngestEdge(live[i]));
+    ASSERT_TRUE(router.IngestEdge(live[i]).accepted());
     ++expect_per_shard[router.ShardOf(live[i].dst)];
   }
   router.Flush();
@@ -319,10 +303,14 @@ TEST_F(ServeRouterTest, DurableRestartRecoversEveryShardBitExact) {
     ShardedSplashService router(SmallModelOptions(), opts);
     ASSERT_TRUE(router.RecoverOrStart(ds, split, &fit).ok());
     n = std::min<size_t>(live.size(), 500);
-    for (size_t i = 0; i < n; ++i) ASSERT_TRUE(router.IngestEdge(live[i]));
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(router.IngestEdge(live[i]).accepted());
+    }
     router.Flush();
     RoutedClient client(&router);
-    want_scores = client.Predict(probe).scores;
+    ServeResponse want;
+    client.Predict(probe, &want);
+    want_scores = want.scores;
     router.Stop();  // checkpoint_on_stop: each shard persists its tail
     for (uint32_t s = 0; s < kShards; ++s) {
       want_state[s] = ShardStateBytes(router.shard(s));
@@ -345,7 +333,8 @@ TEST_F(ServeRouterTest, DurableRestartRecoversEveryShardBitExact) {
   EXPECT_EQ(restarted.published_seq(), n);
 
   RoutedClient client(&restarted);
-  const ServeResponse resp = client.Predict(probe);
+  ServeResponse resp;
+  client.Predict(probe, &resp);
   ExpectBitEqual(want_scores, resp.scores, "routed response after restart");
   restarted.Stop();
 }
@@ -372,7 +361,9 @@ TEST_F(ServeRouterTest, KillingOneShardDataDirRestartsThatShardAlone) {
     ShardedSplashService router(SmallModelOptions(), opts);
     ASSERT_TRUE(router.RecoverOrStart(ds, split, &fit).ok());
     const size_t n = std::min<size_t>(live.size(), 400);
-    for (size_t i = 0; i < n; ++i) ASSERT_TRUE(router.IngestEdge(live[i]));
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(router.IngestEdge(live[i]).accepted());
+    }
     router.Flush();
     router.Stop();
     want_state0 = ShardStateBytes(router.shard(0));
@@ -469,7 +460,9 @@ TEST_F(ServeRouterTest, CrossShardScoreEdgeMatchesEndpointMargins) {
   ShardedSplashService router(SmallModelOptions(), RouterOptions(2));
   ASSERT_TRUE(router.Start(ds, split, &fit).ok());
   const size_t n = std::min<size_t>(live.size(), 300);
-  for (size_t i = 0; i < n; ++i) ASSERT_TRUE(router.IngestEdge(live[i]));
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(router.IngestEdge(live[i]).accepted());
+  }
   router.Flush();
 
   RoutedClient client(&router);
@@ -478,11 +471,14 @@ TEST_F(ServeRouterTest, CrossShardScoreEdgeMatchesEndpointMargins) {
   const NodeId a = 4, b = 7;
   ASSERT_NE(router.ShardOf(a), router.ShardOf(b));
 
-  const ServeResponse edge = client.ScoreEdge(a, b, t);
+  ServeResponse edge;
+  client.ScoreEdge(a, b, t, &edge);
   ASSERT_EQ(edge.scores.rows(), 2u);
   ASSERT_EQ(edge.shard_watermarks.size(), 2u);
-  const ServeResponse ma = client.PredictNode(a, t);
-  const ServeResponse mb = client.PredictNode(b, t);
+  ServeResponse ma;
+  client.PredictNode(a, t, &ma);
+  ServeResponse mb;
+  client.PredictNode(b, t, &mb);
   // Quiesced, so the endpoint snapshots cannot move between calls: the
   // edge rows equal the single-node rows bit-for-bit and the edge score
   // is exactly the max of the endpoint margins.
@@ -515,7 +511,9 @@ TEST_F(ServeRouterTest, MergedStatsAreExactAggregates) {
   ShardedSplashService router(SmallModelOptions(), RouterOptions(kShards));
   ASSERT_TRUE(router.Start(ds, split, &fit).ok());
   const size_t n = std::min<size_t>(live.size(), 500);
-  for (size_t i = 0; i < n; ++i) ASSERT_TRUE(router.IngestEdge(live[i]));
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(router.IngestEdge(live[i]).accepted());
+  }
   router.Flush();
   {
     RoutedClient client(&router);
@@ -553,35 +551,6 @@ TEST_F(ServeRouterTest, MergedStatsAreExactAggregates) {
   EXPECT_EQ(merged.predict.count, 20u);
 }
 
-TEST_F(ServeRouterTest, LatencySummaryMergeFromIsCountWeighted) {
-  LatencyHistogram ha, hb;
-  for (int i = 0; i < 100; ++i) ha.RecordNs(100);
-  for (int i = 0; i < 300; ++i) hb.RecordNs(500);
-  LatencySummary a = ha.Summarize();
-  const LatencySummary b = hb.Summarize();
-  a.MergeFrom(b);
-  EXPECT_EQ(a.count, 400u);
-  EXPECT_DOUBLE_EQ(a.mean_ns, (100.0 * 100 + 300.0 * 500) / 400.0);
-  EXPECT_EQ(a.min_ns, 100u);
-  EXPECT_EQ(a.max_ns, 500u);
-  // Quantiles take the max of the parts: an upper bound on the union
-  // quantile (exact union quantiles come from histogram merges).
-  LatencyHistogram hu;
-  hu.Merge(ha);
-  hu.Merge(hb);
-  EXPECT_GE(a.p50_ns, hu.Summarize().p50_ns);
-  EXPECT_GE(a.p99_ns, hu.Summarize().p99_ns);
-  // Merging an empty summary is the identity.
-  LatencySummary empty;
-  a.MergeFrom(empty);
-  EXPECT_EQ(a.count, 400u);
-  // Merging INTO an empty summary copies.
-  LatencySummary into;
-  into.MergeFrom(b);
-  EXPECT_EQ(into.count, b.count);
-  EXPECT_EQ(into.max_ns, b.max_ns);
-}
-
 // ---------------------------------------------------------------------------
 // IngestResult classification + Validate() field naming (API redesign).
 // ---------------------------------------------------------------------------
@@ -612,7 +581,8 @@ TEST_F(ServeRouterTest, IngestResultClassifiesRejections) {
   EXPECT_EQ(bad.code(), IngestResult::kInvalid);
   EXPECT_FALSE(bad.accepted());
   EXPECT_FALSE(bad.retryable());
-  EXPECT_FALSE(static_cast<bool>(bad));
+  static_assert(!std::is_constructible<bool, IngestResult>::value,
+                "callers read .accepted(); there is no bool conversion");
 
   // Backlog pressure: a tiny kDropNewest ring under a burst classifies
   // every non-accepted push as retryable backlog — nothing else.
@@ -717,13 +687,13 @@ TEST_F(ServeRouterTest, TrainFeedbackRoutesToOwningShard) {
   size_t labels = 0;
   size_t labels_to_shard1 = 0;
   for (size_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(router.IngestEdge(live[i]));
+    ASSERT_TRUE(router.IngestEdge(live[i]).accepted());
     if (i % 5 == 4) {
       PropertyQuery q;
       q.node = live[i].dst;
       q.time = live[i].time;
       q.class_label = static_cast<int>(i % 3);
-      ASSERT_TRUE(router.SubmitTrain(q));
+      ASSERT_TRUE(router.SubmitTrain(q).accepted());
       ++labels;
       if (router.ShardOf(q.node) == 1) ++labels_to_shard1;
     }

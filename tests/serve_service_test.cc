@@ -6,7 +6,7 @@
 //     log truncated at W — the snapshot scheme loses nothing and leaks
 //     nothing (no future edge, no partial batch);
 //   - the same holds with online training feedback, replaying the
-//     recorded (edge range, train batch) apply sequence;
+//     (edge range, train batch) apply sequence the WAL recorded;
 //   - backpressure: kDropNewest rejects beyond the queue bound and the
 //     published state reflects exactly the accepted items;
 //   - watermarks are monotone, Flush publishes everything accepted, and
@@ -22,6 +22,7 @@
 #include "eval/trainer.h"
 #include "runtime/thread_pool.h"
 #include "serve/service.h"
+#include "tests/serve_test_util.h"
 
 namespace splash {
 namespace {
@@ -138,11 +139,12 @@ TEST_F(ServeServiceTest, SnapshotQueryBitIdenticalToSerialReplayTruncatedAtW) {
   size_t fed = 0;
   for (const size_t chunk : {7u, 150u, 64u, 233u}) {
     for (size_t i = 0; i < chunk && fed < live.size(); ++i, ++fed) {
-      ASSERT_TRUE(service.IngestEdge(live[fed]));
+      ASSERT_TRUE(service.IngestEdge(live[fed]).accepted());
     }
     service.Flush();
 
-    ServeResponse resp = client.Predict(probe);
+    ServeResponse resp;
+    client.Predict(probe, &resp);
     ASSERT_EQ(resp.watermark_seq, fed) << "Flush did not publish everything";
     EXPECT_EQ(resp.watermark_time, fed > 0 ? live[fed - 1].time : 0.0);
 
@@ -157,7 +159,8 @@ TEST_F(ServeServiceTest, SnapshotQueryBitIdenticalToSerialReplayTruncatedAtW) {
   service.Stop();
 
   // The snapshot survives Stop(): same watermark, same bits.
-  ServeResponse after = client.Predict(probe);
+  ServeResponse after;
+  client.Predict(probe, &after);
   EXPECT_EQ(after.watermark_seq, fed);
   const Matrix want = ReferenceScores(ref.get(), probe);
   ExpectBitEqual(want, after.scores, "post-Stop snapshot");
@@ -169,60 +172,60 @@ TEST_F(ServeServiceTest, TrainingFeedbackReplaysBitIdenticalViaApplyLog) {
   const std::vector<TemporalEdge> live = LiveEdges(ds, split);
   const std::vector<PropertyQuery> probe = ProbeQueries(ds, 30);
 
+  TempDir dir;
   SplashServiceOptions sopts;
   sopts.microbatch_max_items = 48;
   sopts.microbatch_max_delay_s = 0.0005;
   sopts.train_on_ingest_labels = true;
-  sopts.record_apply_log = true;
+  KeepWalHistory(dir.path(), &sopts);
   SplashService service(SmallModelOptions(), sopts);
   TrainerOptions fit = SmallFit();
-  ASSERT_TRUE(service.Start(ds, split, &fit).ok());
+  ASSERT_TRUE(service.RecoverOrStart(ds, split, &fit).ok());
   ServeClient client(&service);
 
   // Interleave edges with labeled feedback (every 10th edge's destination).
   const size_t n = std::min<size_t>(live.size(), 600);
   for (size_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(service.IngestEdge(live[i]));
+    ASSERT_TRUE(service.IngestEdge(live[i]).accepted());
     if (i % 10 == 9) {
       PropertyQuery q;
       q.node = live[i].dst;
       q.time = live[i].time;
       q.class_label = static_cast<int>(i / 10 % 3);
-      ASSERT_TRUE(service.SubmitTrain(q));
+      ASSERT_TRUE(service.SubmitTrain(q).accepted());
     }
   }
   service.Flush();
-  ServeResponse resp = client.Predict(probe);
+  ServeResponse resp;
+  client.Predict(probe, &resp);
   EXPECT_EQ(resp.watermark_seq, n);
   service.Stop();
   EXPECT_GT(service.Stats().counters.train_steps, 0u);
 
-  // Reference: replay the recorded apply sequence — ObserveBulk per batch
-  // boundary, staged train at the recorded positions — at the same thread
-  // count. Bit-identical because both replicas and the reference are the
-  // same deterministic state machine fed the same ops.
+  // Reference: replay the apply sequence the WAL recorded — ObserveBulk
+  // per batch boundary, staged train at the recorded positions — at the
+  // same thread count. Bit-identical because both replicas and the
+  // reference are the same deterministic state machine fed the same ops.
   auto ref = MakeReference(ds, split);
   const EdgeStream& log = service.ingest_log();
   ASSERT_EQ(log.size(), n);
-  const auto& bounds = service.applied_batch_bounds();
-  const auto& trains = service.applied_train_batches();
   size_t cursor = 0;
-  size_t train_i = 0;
-  for (const uint64_t bound : bounds) {
-    if (bound > cursor) {
-      ref->ObserveBulk(log, cursor, bound);
-      cursor = bound;
+  uint64_t train_batches = 0;
+  for (const WalRecord& rec : WalHistory(dir.path())) {
+    if (rec.seq_end > cursor) {
+      ref->ObserveBulk(log, cursor, rec.seq_end);
+      cursor = rec.seq_end;
     }
-    while (train_i < trains.size() && trains[train_i].first == bound) {
+    if (!rec.train.empty()) {
       ref->SetTraining(true);
-      ref->StageBatch(trains[train_i].second);
+      ref->StageBatch(rec.train);
       ref->TrainStaged();
       ref->SetTraining(false);
-      ++train_i;
+      ++train_batches;
     }
   }
   ASSERT_EQ(cursor, n);
-  ASSERT_EQ(train_i, trains.size());
+  ASSERT_EQ(train_batches, service.Stats().counters.train_steps);
   const Matrix want = ReferenceScores(ref.get(), probe);
   ExpectBitEqual(want, resp.scores, "train-feedback snapshot vs replay");
 }
@@ -248,7 +251,7 @@ TEST_F(ServeServiceTest, WeightPacksFollowWeightsNotPublishes) {
   // N edge-only micro-batches (one edge each, flushed apart).
   constexpr size_t kEdgeBatches = 6;
   for (size_t i = 0; i < kEdgeBatches; ++i) {
-    ASSERT_TRUE(service.IngestEdge(live[i]));
+    ASSERT_TRUE(service.IngestEdge(live[i]).accepted());
     service.Flush();
   }
   ServeCounters c = service.Stats().counters;
@@ -260,7 +263,7 @@ TEST_F(ServeServiceTest, WeightPacksFollowWeightsNotPublishes) {
   q.node = live[kEdgeBatches - 1].dst;
   q.time = live[kEdgeBatches - 1].time;
   q.class_label = 1;
-  ASSERT_TRUE(service.SubmitTrain(q));
+  ASSERT_TRUE(service.SubmitTrain(q).accepted());
   service.Flush();
   service.Stop();  // retires the last catch-up: a quiesced read
   c = service.Stats().counters;
@@ -289,7 +292,7 @@ TEST_F(ServeServiceTest, DropNewestBackpressureCountsAndStaysConsistent) {
 
   size_t accepted = 0;
   for (size_t i = 0; i < 100; ++i) {
-    if (service.IngestEdge(live[i])) ++accepted;
+    if (service.IngestEdge(live[i]).accepted()) ++accepted;
   }
   service.Flush();
   service.Stop();
@@ -317,11 +320,14 @@ TEST_F(ServeServiceTest, DeadlineFlagRetryHelperAndNonDurableDefaults) {
 
   // A zero timeout means "no deadline"; an impossible one must flag the
   // overrun while still returning the (computed) answer.
-  ServeResponse none = client.PredictNode(1, t);
+  ServeResponse none;
+  client.PredictNode(1, t, &none);
   EXPECT_FALSE(none.deadline_exceeded);
-  ServeResponse generous = client.PredictNode(1, t, /*timeout_s=*/30.0);
+  ServeResponse generous;
+  client.PredictNode(1, t, &generous, /*timeout_s=*/30.0);
   EXPECT_FALSE(generous.deadline_exceeded);
-  ServeResponse tight = client.ScoreEdge(1, 2, t, /*timeout_s=*/1e-12);
+  ServeResponse tight;
+  client.ScoreEdge(1, 2, t, &tight, /*timeout_s=*/1e-12);
   EXPECT_TRUE(tight.deadline_exceeded);
   EXPECT_EQ(tight.scores.rows(), 2u) << "late answer must still be returned";
 
@@ -363,16 +369,19 @@ TEST_F(ServeServiceTest, DriftCountersAndLatencyHistogramsMove) {
   // A node id far beyond the warmup id space: novel on ingest, unseen on
   // query — both drift counters must move.
   const NodeId novel = static_cast<NodeId>(ds.stream.num_nodes() + 500);
-  ASSERT_TRUE(service.IngestEdge(TemporalEdge(novel, live[0].src, t_end)));
-  // An out-of-order straggler: clamped, counted.
   ASSERT_TRUE(
-      service.IngestEdge(TemporalEdge(live[0].src, live[0].dst, t_end - 5.0)));
+      service.IngestEdge(TemporalEdge(novel, live[0].src, t_end)).accepted());
+  // An out-of-order straggler: clamped, counted.
+  const TemporalEdge straggler(live[0].src, live[0].dst, t_end - 5.0);
+  ASSERT_TRUE(service.IngestEdge(straggler).accepted());
   service.Flush();
 
-  ServeResponse r1 = client.PredictNode(novel, t_end + 1.0);
+  ServeResponse r1;
+  client.PredictNode(novel, t_end + 1.0, &r1);
   EXPECT_EQ(r1.watermark_seq, 2u);
   EXPECT_EQ(r1.watermark_time, t_end);  // straggler clamped to t_end
-  (void)client.ScoreEdge(live[0].src, live[0].dst, t_end + 1.0);
+  ServeResponse r2;
+  client.ScoreEdge(live[0].src, live[0].dst, t_end + 1.0, &r2);
   service.Stop();
 
   const ServeStats st = service.Stats();
@@ -397,13 +406,13 @@ TEST_F(ServeServiceTest, InvalidEdgesRejectedAtTheBoundary) {
   const double t = ds.stream.max_time();
   // Sentinel endpoint and non-finite timestamps must be rejected before
   // they can reach the log or size the node tables.
-  EXPECT_FALSE(service.IngestEdge(TemporalEdge()));
-  EXPECT_FALSE(service.IngestEdge(TemporalEdge(1, kInvalidNode, t)));
+  EXPECT_FALSE(service.IngestEdge(TemporalEdge()).accepted());
+  EXPECT_FALSE(service.IngestEdge(TemporalEdge(1, kInvalidNode, t)).accepted());
   EXPECT_FALSE(service.IngestEdge(
-      TemporalEdge(1, 2, std::numeric_limits<double>::quiet_NaN())));
+      TemporalEdge(1, 2, std::numeric_limits<double>::quiet_NaN())).accepted());
   EXPECT_FALSE(service.IngestEdge(
-      TemporalEdge(1, 2, std::numeric_limits<double>::infinity())));
-  EXPECT_TRUE(service.IngestEdge(TemporalEdge(1, 2, t)));
+      TemporalEdge(1, 2, std::numeric_limits<double>::infinity())).accepted());
+  EXPECT_TRUE(service.IngestEdge(TemporalEdge(1, 2, t)).accepted());
   service.Flush();
   service.Stop();
 
@@ -429,9 +438,10 @@ TEST_F(ServeServiceTest, WatermarkMonotonePerClientAcrossUnflushedIngest) {
   uint64_t last = 0;
   const size_t n = std::min<size_t>(live.size(), 500);
   for (size_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(service.IngestEdge(live[i]));
+    ASSERT_TRUE(service.IngestEdge(live[i]).accepted());
     if (i % 25 == 0) {
-      const ServeResponse r = client.PredictNode(live[i].src, live[i].time);
+      ServeResponse r;
+      client.PredictNode(live[i].src, live[i].time, &r);
       EXPECT_GE(r.watermark_seq, last) << "watermark went backwards";
       EXPECT_LE(r.watermark_seq, i + 1) << "watermark saw the future";
       last = r.watermark_seq;

@@ -8,8 +8,9 @@
 //     real log prefix — a reader overlapping a half-applied batch would
 //     report a seq/time pair the final log contradicts;
 //   - after Stop(), the published snapshot must be bit-identical to
-//     re-applying the recorded micro-batch sequence to a fresh replica at
-//     the same thread count — a lost or doubled batch cannot hide;
+//     re-applying the micro-batch sequence the WAL recorded to a fresh
+//     replica at the same thread count — a lost or doubled batch cannot
+//     hide;
 //   - TSan itself checks the pin/publish protocol's happens-before edges.
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include "eval/trainer.h"
 #include "runtime/thread_pool.h"
 #include "serve/service.h"
+#include "tests/serve_test_util.h"
 
 namespace splash {
 namespace {
@@ -64,13 +66,14 @@ TEST_F(ServeStressTest, ConcurrentIngestAndQueriesNeverObserveTornState) {
   }
   ASSERT_GT(live.size(), 1000u);
 
+  TempDir dir;
   SplashServiceOptions sopts;
   sopts.microbatch_max_items = 64;
   sopts.microbatch_max_delay_s = 0.0002;
   sopts.queue_capacity = 1024;
   sopts.backpressure = BackpressurePolicy::kBlock;
   sopts.train_on_ingest_labels = true;
-  sopts.record_apply_log = true;
+  KeepWalHistory(dir.path(), &sopts);
   SplashService service(StressModelOptions(), sopts);
   TrainerOptions fit;
   fit.epochs = 1;
@@ -78,7 +81,7 @@ TEST_F(ServeStressTest, ConcurrentIngestAndQueriesNeverObserveTornState) {
   fit.early_stopping = false;
   fit.num_threads = 2;
   fit.pipeline_depth = 1;
-  ASSERT_TRUE(service.Start(ds, split, &fit).ok());
+  ASSERT_TRUE(service.RecoverOrStart(ds, split, &fit).ok());
 
   std::atomic<bool> done{false};
   std::atomic<uint64_t> fed{0};
@@ -89,7 +92,7 @@ TEST_F(ServeStressTest, ConcurrentIngestAndQueriesNeverObserveTornState) {
       // the edge the instant Push returns, so the invariant readers check
       // is watermark <= edges *offered*, not edges already acknowledged.
       fed.store(i + 1, std::memory_order_release);
-      EXPECT_TRUE(service.IngestEdge(live[i]));  // kBlock: lossless
+      EXPECT_TRUE(service.IngestEdge(live[i]).accepted());  // kBlock: lossless
       if (i % 16 == 15) {
         PropertyQuery q;
         q.node = live[i].dst;
@@ -110,13 +113,16 @@ TEST_F(ServeStressTest, ConcurrentIngestAndQueriesNeverObserveTornState) {
   for (size_t r = 0; r < seen.size(); ++r) {
     readers.emplace_back([&, r] {
       ServeClient client(&service);
+      ServeResponse resp;
       uint64_t last_seq = 0;
       size_t i = 0;
       while (!done.load(std::memory_order_acquire)) {
         const TemporalEdge& e = live[(r * 97 + i * 13) % live.size()];
-        const ServeResponse resp =
-            (i % 2 == 0) ? client.PredictNode(e.src, e.time)
-                         : client.ScoreEdge(e.src, e.dst, e.time);
+        if (i % 2 == 0) {
+          client.PredictNode(e.src, e.time, &resp);
+        } else {
+          client.ScoreEdge(e.src, e.dst, e.time, &resp);
+        }
         // A snapshot can never be ahead of the producer, nor regress.
         EXPECT_LE(resp.watermark_seq, fed.load(std::memory_order_acquire));
         EXPECT_GE(resp.watermark_seq, last_seq);
@@ -153,8 +159,8 @@ TEST_F(ServeStressTest, ConcurrentIngestAndQueriesNeverObserveTornState) {
     }
   }
 
-  // Final-state oracle at the same thread count: re-apply the recorded
-  // micro-batch sequence to a fresh, identically-fitted replica.
+  // Final-state oracle at the same thread count: re-apply the micro-batch
+  // sequence the WAL recorded to a fresh, identically-fitted replica.
   auto ref = std::make_unique<SplashPredictor>(StressModelOptions());
   ASSERT_TRUE(ref->Prepare(ds, split).ok());
   {
@@ -163,20 +169,17 @@ TEST_F(ServeStressTest, ConcurrentIngestAndQueriesNeverObserveTornState) {
   }
   ref->SetTraining(false);
   ref->ResetState();
-  const auto& bounds = service.applied_batch_bounds();
-  const auto& trains = service.applied_train_batches();
-  size_t cursor = 0, train_i = 0;
-  for (const uint64_t bound : bounds) {
-    if (bound > cursor) {
-      ref->ObserveBulk(log, cursor, bound);
-      cursor = bound;
+  size_t cursor = 0;
+  for (const WalRecord& rec : WalHistory(dir.path())) {
+    if (rec.seq_end > cursor) {
+      ref->ObserveBulk(log, cursor, rec.seq_end);
+      cursor = rec.seq_end;
     }
-    while (train_i < trains.size() && trains[train_i].first == bound) {
+    if (!rec.train.empty()) {
       ref->SetTraining(true);
-      ref->StageBatch(trains[train_i].second);
+      ref->StageBatch(rec.train);
       ref->TrainStaged();
       ref->SetTraining(false);
-      ++train_i;
     }
   }
   ASSERT_EQ(cursor, log.size());
@@ -186,7 +189,8 @@ TEST_F(ServeStressTest, ConcurrentIngestAndQueriesNeverObserveTornState) {
   SplashQueryScratch ref_scratch;
   const Matrix want = ref->PredictBatchConst(probe, &ref_scratch);
   ServeClient client(&service);
-  const ServeResponse resp = client.Predict(probe);
+  ServeResponse resp;
+  client.Predict(probe, &resp);
   ASSERT_EQ(resp.watermark_seq, log.size());
   ASSERT_EQ(want.rows(), resp.scores.rows());
   for (size_t i = 0; i < want.size(); ++i) {
@@ -240,7 +244,7 @@ TEST_F(ServeStressTest, StopMidBurstDrainsAcceptedAndNeverDeadlocks) {
       // A blocked push returning false (queue stopped) ends the burst —
       // that is the expected way out once Stop() lands.
       for (size_t i = p; i < live.size(); i += 3) {
-        if (!service.IngestEdge(live[i])) return;
+        if (!service.IngestEdge(live[i]).accepted()) return;
         accepted.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -261,7 +265,8 @@ TEST_F(ServeStressTest, StopMidBurstDrainsAcceptedAndNeverDeadlocks) {
   EXPECT_LE(service.ingest_log().size(),
             accepted.load(std::memory_order_relaxed));
   ServeClient client(&service);
-  const ServeResponse resp = client.PredictNode(live[0].src, live[0].time);
+  ServeResponse resp;
+  client.PredictNode(live[0].src, live[0].time, &resp);
   EXPECT_EQ(resp.watermark_seq, st.counters.published_seq);
 
   // Double-Stop on an already-stopped service is a no-op, not a hang.
@@ -294,7 +299,7 @@ TEST_F(ServeStressTest, StopBeforeStartIsIgnoredAndStartStillWorks) {
   ASSERT_TRUE(service.Start(ds, split, nullptr).ok());
   EXPECT_TRUE(service.running());
   const double t = ds.stream.max_time();
-  EXPECT_TRUE(service.IngestEdge(TemporalEdge(1, 2, t)));
+  EXPECT_TRUE(service.IngestEdge(TemporalEdge(1, 2, t)).accepted());
   service.Flush();
   EXPECT_EQ(service.published_seq(), 1u);
   service.Stop();

@@ -8,6 +8,9 @@
 //     shape a kill -9 mid-write leaves behind;
 //   - a CRC mismatch mid-log truncates at the corruption point and
 //     reports kCorrupt (bit rot is distinguished from a torn tail);
+//   - ReadWalHistory returns the contiguous history from any cursor across
+//     segments, truncates at a torn tail, stops and reports a batch or
+//     seq gap, and returns (never skips) an unreadable segment;
 //   - checkpoint atomicity: a crash between temp-write and rename leaves
 //     the previous checkpoint loadable; a corrupt newest checkpoint falls
 //     back to its predecessor; GC keeps kCheckpointsToKeep.
@@ -27,28 +30,10 @@
 #include "core/serialize.h"
 #include "serve/checkpoint.h"
 #include "serve/wal.h"
+#include "tests/serve_test_util.h"
 
 namespace splash {
 namespace {
-
-/// RAII temp dir under /tmp; removed recursively on teardown.
-class TempDir {
- public:
-  TempDir() {
-    char tmpl[] = "/tmp/splash_wal_test_XXXXXX";
-    path_ = ::mkdtemp(tmpl);
-  }
-  ~TempDir() {
-    if (!path_.empty() && path_.rfind("/tmp/", 0) == 0) {
-      const std::string cmd = "rm -rf '" + path_ + "'";
-      [[maybe_unused]] const int rc = std::system(cmd.c_str());
-    }
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 std::vector<uint8_t> ReadFile(const std::string& path) {
   std::vector<uint8_t> buf;
@@ -294,6 +279,83 @@ TEST(ServeWalTest, ListSegmentsSortsByStartIndex) {
   EXPECT_EQ(segs[0].start_index, 0u);
   EXPECT_EQ(segs[1].start_index, 12u);
   EXPECT_EQ(segs[2].start_index, 30u);
+}
+
+// ---------------------------------------------------------------------------
+// ReadWalHistory: the one contiguous-history walk (recovery, the crash
+// harness and the oracles all read through it).
+// ---------------------------------------------------------------------------
+
+TEST(ServeWalTest, ReadWalHistoryWalksTheContiguousHistory) {
+  TempDir dir;
+  auto write_segment = [&dir](uint64_t start,
+                              const std::vector<WalRecord>& recs) {
+    WalWriter w;
+    ASSERT_TRUE(w.Open(WalSegmentPath(dir.path(), start), 0,
+                       WalFsyncPolicy::kNone, 8)
+                    .ok());
+    for (const WalRecord& rec : recs) ASSERT_TRUE(w.Append(rec).ok());
+  };
+  // Batches 0-2 (batch 2 train-only) in one segment, 3-4 in the next.
+  write_segment(0, {MakeRecord(0, 0, 3, 1), MakeRecord(1, 3, 2, 0),
+                    MakeRecord(2, 5, 0, 2)});
+  write_segment(3, {MakeRecord(3, 5, 4, 1), MakeRecord(4, 9, 1, 0)});
+
+  // Each input: the cursor to read from, and the batch indices it must
+  // return (contiguous from `first`) plus whether it reports a gap.
+  auto expect_history = [&dir](uint64_t from_batch, uint64_t from_seq,
+                               uint64_t first, size_t n, bool gap,
+                               const char* what) {
+    std::vector<WalRecord> out;
+    bool got_gap = !gap;
+    const Status st =
+        ReadWalHistory(dir.path(), from_batch, from_seq, &out, &got_gap);
+    ASSERT_TRUE(st.ok()) << what << ": " << st.message();
+    EXPECT_EQ(got_gap, gap) << what;
+    ASSERT_EQ(out.size(), n) << what;
+    for (size_t i = 0; i < n; ++i) {
+      ExpectRecordsEqual(out[i], MakeRecord(first + i, out[i].seq_begin,
+                                            out[i].edges.size(),
+                                            out[i].train.size()));
+      if (i > 0) {
+        EXPECT_EQ(out[i].seq_begin, out[i - 1].seq_end) << what;
+      }
+    }
+  };
+  expect_history(0, 0, 0, 5, false, "full history across two segments");
+  expect_history(2, 5, 2, 3, false, "from a checkpoint cursor");
+  expect_history(5, 10, 5, 0, false, "cursor past the end");
+
+  // A torn tail in the last segment truncates the history, no gap.
+  {
+    const std::string last = WalSegmentPath(dir.path(), 3);
+    WalWriter w;
+    ASSERT_TRUE(w.Open(last, 0, WalFsyncPolicy::kNone, 8).ok());
+    ASSERT_TRUE(w.Append(MakeRecord(3, 5, 4, 1)).ok());
+    ASSERT_TRUE(w.Append(MakeRecord(4, 9, 1, 0)).ok());
+    ASSERT_TRUE(w.Append(MakeRecord(5, 10, 6, 0)).ok());
+    w.Close();
+    std::vector<uint8_t> buf = ReadFile(last);
+    buf.resize(buf.size() - 5);
+    WriteFile(last, buf);
+  }
+  expect_history(0, 0, 0, 5, false, "torn tail in the last segment");
+
+  // A seq gap stops the walk at the last contiguous batch.
+  write_segment(5, {MakeRecord(5, 11, 2, 0)});
+  expect_history(0, 0, 0, 5, true, "seq gap");
+  // So does a batch-index gap (batch 5 missing, batch 6 continues seq).
+  write_segment(5, {MakeRecord(6, 10, 2, 0)});
+  expect_history(0, 0, 0, 5, true, "batch-index gap");
+  expect_history(2, 5, 2, 3, true, "gap past a checkpoint cursor");
+
+  // A segment that cannot be read at all is an error, not a skip.
+  const std::string unreadable = WalSegmentPath(dir.path(), 5);
+  ASSERT_EQ(::unlink(unreadable.c_str()), 0);
+  ASSERT_EQ(::mkdir(unreadable.c_str(), 0755), 0);
+  std::vector<WalRecord> out;
+  bool gap = false;
+  EXPECT_FALSE(ReadWalHistory(dir.path(), 0, 0, &out, &gap).ok());
 }
 
 // ---------------------------------------------------------------------------

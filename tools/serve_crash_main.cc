@@ -109,27 +109,6 @@ std::vector<TemporalEdge> LiveEdges(const Dataset& ds,
   return live;
 }
 
-/// Same contiguity rule recovery applies, run from batch 0.
-std::vector<WalRecord> CollectFullHistory(const std::string& dir) {
-  std::vector<WalRecord> out;
-  uint64_t next_batch = 0;
-  uint64_t next_seq = 0;
-  for (const WalSegmentInfo& seg : ListWalSegments(dir)) {
-    WalScan scan;
-    if (!ScanWalFile(seg.path, &scan).ok() || !scan.header_ok) continue;
-    for (WalRecord& rec : scan.records) {
-      if (rec.batch_index < next_batch) continue;
-      if (rec.batch_index != next_batch || rec.seq_begin != next_seq) {
-        return out;
-      }
-      next_seq = rec.seq_end;
-      ++next_batch;
-      out.push_back(std::move(rec));
-    }
-  }
-  return out;
-}
-
 int RunMode(const std::string& data_dir, uint64_t seed, size_t max_edges,
             int pace_us) {
   const Dataset ds = MakeCorpus(seed);
@@ -170,8 +149,15 @@ int VerifyMode(const std::string& data_dir, uint64_t seed) {
   const Dataset ds = MakeCorpus(seed);
   const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
 
-  // Reference first: RecoverOrStart checkpoints and rotates the WAL.
-  const std::vector<WalRecord> history = CollectFullHistory(data_dir);
+  // Reference first: RecoverOrStart checkpoints and rotates the WAL. The
+  // history is read with recovery's own contiguity rule, from batch 0.
+  std::vector<WalRecord> history;
+  bool gap = false;
+  const Status hst = ReadWalHistory(data_dir, 0, 0, &history, &gap);
+  if (!hst.ok()) {
+    std::fprintf(stderr, "verify: WAL history: %s\n", hst.message().c_str());
+    return 1;
+  }
   auto ref = std::make_unique<SplashPredictor>(CrashModelOptions());
   if (!ref->Prepare(ds, split).ok()) {
     std::fprintf(stderr, "verify: reference Prepare failed\n");
@@ -254,7 +240,8 @@ int VerifyMode(const std::string& data_dir, uint64_t seed) {
     ServeClient client(&svc);
     const std::vector<PropertyQuery> probe(ds.queries.end() - 32,
                                            ds.queries.end());
-    const ServeResponse resp = client.Predict(probe);
+    ServeResponse resp;
+    client.Predict(probe, &resp);
     SplashQueryScratch scratch;
     const Matrix& want = ref->PredictBatchConst(probe, &scratch);
     bool same = resp.scores.rows() == want.rows() &&
