@@ -70,6 +70,16 @@ SlimModel::SlimModel(const SlimOptions& opts, Rng* rng)
   PackWeights();
 }
 
+SlimModel::SlimModel(const SlimModel& src, Rng* rng)
+    : opts_(src.opts_), rng_(rng), training_(src.training_) {
+  const auto from = src.Params();
+  const auto to = Params();
+  for (size_t p = 0; p < kNumParams; ++p) {
+    to[p]->grad = Matrix(from[p]->w.rows(), from[p]->w.cols());
+  }
+  CopyLearnedStateFrom(src);
+}
+
 void SlimModel::PackWeights() {
   // A skipped pack would rewrite identical bytes: packing is a pure
   // function of the weights, and every weight write bumps the version.
@@ -88,9 +98,7 @@ size_t SlimModel::ParamCount() const {
 void SlimModel::Serialize(ByteWriter* w) const {
   w->U64(adam_t_);
   w->U64(train_calls_);
-  const Param* ps[kNumParams] = {&w1_, &b1_, &w2_, &b2_, &w3_, &b3_,
-                                 &w4_, &b4_};
-  for (const Param* p : ps) {
+  for (const Param* p : Params()) {
     WriteMatrix(w, p->w);
     WriteMatrix(w, p->m);
     WriteMatrix(w, p->v);
@@ -103,8 +111,7 @@ bool SlimModel::Deserialize(ByteReader* r) {
   ++weights_version_;
   adam_t_ = static_cast<size_t>(r->U64());
   train_calls_ = r->U64();
-  Param* ps[kNumParams] = {&w1_, &b1_, &w2_, &b2_, &w3_, &b3_, &w4_, &b4_};
-  for (Param* p : ps) {
+  for (Param* p : Params()) {
     const size_t rows = p->w.rows(), cols = p->w.cols();
     if (!ReadMatrixExpect(r, &p->w, rows, cols) ||
         !ReadMatrixExpect(r, &p->m, rows, cols) ||
@@ -114,6 +121,29 @@ bool SlimModel::Deserialize(ByteReader* r) {
   }
   if (!r->ok()) return false;
   PackWeights();
+  return true;
+}
+
+bool SlimModel::CopyLearnedStateFrom(const SlimModel& src) {
+  if (src.opts_.feature_dim != opts_.feature_dim ||
+      src.opts_.time_dim != opts_.time_dim ||
+      src.opts_.hidden_dim != opts_.hidden_dim ||
+      src.opts_.out_dim != opts_.out_dim ||
+      src.opts_.k_recent != opts_.k_recent) {
+    return false;
+  }
+  adam_t_ = src.adam_t_;
+  train_calls_ = src.train_calls_;
+  const auto from = src.Params();
+  const auto to = Params();
+  for (size_t p = 0; p < kNumParams; ++p) {
+    to[p]->w = from[p]->w;
+    to[p]->m = from[p]->m;
+    to[p]->v = from[p]->v;
+  }
+  for (size_t i = 0; i < 4; ++i) pw_[i] = src.pw_[i];
+  weights_version_ = src.weights_version_;
+  packed_version_ = src.packed_version_;
   return true;
 }
 

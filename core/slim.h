@@ -36,6 +36,7 @@
 #ifndef SPLASH_CORE_SLIM_H_
 #define SPLASH_CORE_SLIM_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -97,6 +98,13 @@ struct SlimForwardScratch {
 class SlimModel {
  public:
   SlimModel(const SlimOptions& opts, Rng* rng);
+  /// A copy of `src`: its learned state (CopyLearnedStateFrom) and
+  /// training flag, with serial dropout drawn from `rng`. Gradients start
+  /// zeroed and activation scratch empty.
+  SlimModel(const SlimModel& src, Rng* rng);
+  // The Rng is borrowed from the owner: a plain copy would share it.
+  SlimModel(const SlimModel&) = delete;
+  SlimModel& operator=(const SlimModel&) = delete;
 
   void SetTraining(bool training) { training_ = training; }
 
@@ -143,6 +151,18 @@ class SlimModel {
   void Serialize(ByteWriter* w) const;
   bool Deserialize(ByteReader* r);
 
+  /// Makes this model's learned state a copy of `src`'s: the same state
+  /// Serialize writes (params, Adam moments, step counters) plus the
+  /// read-path packs and their versions, so the copy is query-ready
+  /// without repacking. Gradients and activation scratch are per-step
+  /// transients and are left alone, and pack_count() keeps counting only
+  /// this model's own rebuilds. Copy-assignment at equal shape reuses the
+  /// existing buffers, so this allocates nothing. Returns false and
+  /// changes nothing when `src` has a different architecture. TrainStep
+  /// is deterministic, so copying a trained twin gives the bytes training
+  /// this model on the same batch would.
+  bool CopyLearnedStateFrom(const SlimModel& src);
+
  private:
   // Parameter order for gradient scratch/reduction: w1 b1 w2 b2 w3 b3 w4 b4.
   static constexpr size_t kNumParams = 8;
@@ -150,6 +170,14 @@ class SlimModel {
   struct Param {
     Matrix w, grad, m, v;  // value, gradient, Adam moments
   };
+
+  /// The params in gradient order.
+  std::array<Param*, kNumParams> Params() {
+    return {&w1_, &b1_, &w2_, &b2_, &w3_, &b3_, &w4_, &b4_};
+  }
+  std::array<const Param*, kNumParams> Params() const {
+    return {&w1_, &b1_, &w2_, &b2_, &w3_, &b3_, &w4_, &b4_};
+  }
 
   /// The gradient destinations of one backward pass: either the Params'
   /// own grad matrices (serial) or one worker's private scratch (parallel).

@@ -39,6 +39,16 @@ SplashPredictor::SplashPredictor(const SplashOptions& opts)
       }()),
       memory_(opts.slim.k_recent == 0 ? 1 : opts.slim.k_recent) {}
 
+SplashPredictor::SplashPredictor(const SplashPredictor& src)
+    : opts_(src.opts_),
+      rng_(src.rng_),
+      augmenter_(src.augmenter_),
+      memory_(src.memory_),
+      slim_(src.slim_ ? std::make_unique<SlimModel>(*src.slim_, &rng_)
+                      : nullptr),
+      selected_(src.selected_),
+      input_dim_(src.input_dim_) {}
+
 Status SplashPredictor::Prepare(const Dataset& ds, const ChronoSplit& split) {
   if (ds.stream.empty()) {
     return Status::Error("SplashPredictor::Prepare: empty stream");
@@ -110,6 +120,18 @@ void SplashPredictor::PrepareForPublish() {
 
 uint64_t SplashPredictor::weight_packs() const {
   return slim_ ? slim_->pack_count() : 0;
+}
+
+Status SplashPredictor::CopyModelFrom(const SplashPredictor& src) {
+  if (!slim_ || !src.slim_) {
+    return Status::Error("SplashPredictor::CopyModelFrom: not prepared");
+  }
+  if (!slim_->CopyLearnedStateFrom(*src.slim_)) {
+    return Status::Error(
+        "SplashPredictor::CopyModelFrom: SLIM architecture mismatch");
+  }
+  rng_ = src.rng_;
+  return Status::Ok();
 }
 
 size_t SplashPredictor::ParamCount() const {

@@ -58,6 +58,10 @@ struct SplashQueryScratch {
 class SplashPredictor : public TemporalPredictor {
  public:
   explicit SplashPredictor(const SplashOptions& opts);
+  /// A copy of `src`'s whole state — everything SerializeState writes —
+  /// made in memory, with empty scratch. The serving layer builds its
+  /// second replica this way instead of preparing (and fitting) twice.
+  SplashPredictor(const SplashPredictor& src);
 
   std::string name() const override { return SplashModeName(opts_.mode); }
   Status Prepare(const Dataset& ds, const ChronoSplit& split) override;
@@ -116,9 +120,20 @@ class SplashPredictor : public TemporalPredictor {
   void PrepareForPublish();
 
   /// SLIM pack rebuilds since the model was built or last restored by
-  /// DeserializeState (0 before Prepare). The serving layer reports the
-  /// growth of this count as ServeCounters::weight_packs.
+  /// DeserializeState (0 before Prepare): TrainStep and Deserialize
+  /// rebuild, CopyModelFrom copies the source's packs and rebuilds
+  /// nothing. The serving layer reports the growth of this count as
+  /// ServeCounters::weight_packs.
   uint64_t weight_packs() const;
+
+  /// Copies `src`'s learned SLIM state (SlimModel::CopyLearnedStateFrom)
+  /// and the position of the predictor RNG, which the serial dropout path
+  /// draws from. Streaming state (augmenter, neighbor rings) is untouched:
+  /// a twin that observed the same edges and then copies the model ends
+  /// byte-identical in SerializeState to a twin that also trained. Both
+  /// predictors must be prepared with the same SLIM architecture; on a
+  /// mismatch this returns an error and changes nothing. Allocation-free.
+  Status CopyModelFrom(const SplashPredictor& src);
 
   /// Checkpoint hooks (serve/checkpoint): the complete post-Prepare state —
   /// RNG stream, selected process, augmenter (fitted + dynamic), neighbor

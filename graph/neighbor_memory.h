@@ -53,9 +53,6 @@ class NeighborMemory {
     shard_shift_ = 0;
     for (size_t v = s; v > 1; v >>= 1) ++shard_shift_;
     shards_.resize(s);
-    for (Shard& sh : shards_) {
-      sh.grow_mutex = std::make_unique<std::mutex>();
-    }
     EnsureNodeCapacity(num_nodes_hint);
   }
 
@@ -190,11 +187,18 @@ class NeighborMemory {
   /// One shard: the ring slabs of every node it owns plus the lock that
   /// serializes this shard's (rare) growth against external capacity calls.
   struct Shard {
+    Shard() = default;
+    Shard(Shard&&) = default;
+    /// Copies the rings; the copy gets a lock of its own. Not safe
+    /// against a concurrent writer of `o`.
+    Shard(const Shard& o)
+        : ids(o.ids), times(o.times), heads(o.heads), counts(o.counts) {}
+
     std::vector<NodeId> ids;       // local_nodes * k slab
     std::vector<double> times;     // local_nodes * k slab
     std::vector<uint32_t> heads;   // per-node ring head (next write slot)
     std::vector<uint32_t> counts;  // per-node valid entries (<= k)
-    std::unique_ptr<std::mutex> grow_mutex;
+    std::unique_ptr<std::mutex> grow_mutex = std::make_unique<std::mutex>();
   };
 
   /// Local slots a shard needs so that global ids in [0, n) are covered.

@@ -79,23 +79,20 @@ SplashService::SplashService(const SplashOptions& model_opts,
 
 SplashService::~SplashService() { Stop(); }
 
-Status SplashService::PrepareReplicas(const Dataset& warmup,
-                                      const ChronoSplit& split,
-                                      const TrainerOptions* fit) {
-  // Both replicas run the identical deterministic pipeline (same options,
-  // same seed, same thread count), so they end bit-identical — the
-  // invariant the whole snapshot scheme rests on.
-  for (int r = 0; r < 2; ++r) {
-    replicas_[r] = std::make_unique<SplashPredictor>(model_opts_);
-    Status st = replicas_[r]->Prepare(warmup, split);
-    if (!st.ok()) return st;
-    if (fit != nullptr) {
-      StreamTrainer trainer(*fit);
-      trainer.Fit(replicas_[r].get(), warmup, split);
-    }
-    replicas_[r]->SetTraining(false);
-    replicas_[r]->ResetState();
+Status SplashService::PrepareBaseState(const Dataset& warmup,
+                                       const ChronoSplit& split,
+                                       const TrainerOptions* fit) {
+  // One deterministic Prepare (+Fit) builds replica 0; Boot copies it
+  // into replica 1.
+  replicas_[0] = std::make_unique<SplashPredictor>(model_opts_);
+  Status st = replicas_[0]->Prepare(warmup, split);
+  if (!st.ok()) return st;
+  if (fit != nullptr) {
+    StreamTrainer trainer(*fit);
+    trainer.Fit(replicas_[0].get(), warmup, split);
   }
+  replicas_[0]->SetTraining(false);
+  replicas_[0]->ResetState();
   // Serving starts from an empty ingest log: watermark 0 == "weights only,
   // no streamed edge". Nodes touched by the warmup stream are "known";
   // everything else counts toward the novel-id drift signal.
@@ -152,20 +149,22 @@ Status SplashService::Boot(const Dataset& warmup, const ChronoSplit& split,
     if (!st.ok()) return st;
   }
   if (have_ckpt) {
-    for (int r = 0; r < 2; ++r) {
-      replicas_[r] = std::make_unique<SplashPredictor>(model_opts_);
-      ByteReader rd(ckpt.predictor_state);
-      st = replicas_[r]->DeserializeState(&rd);
-      if (!st.ok()) return st;
-    }
+    replicas_[0] = std::make_unique<SplashPredictor>(model_opts_);
+    ByteReader rd(ckpt.predictor_state);
+    st = replicas_[0]->DeserializeState(&rd);
+    if (!st.ok()) return st;
     log_ = std::move(ckpt.log);
     node_seen_ = std::move(ckpt.node_seen);
     wal_batch_index_ = ckpt.batches_applied;
     recovered_from_checkpoint_ = true;
   } else {
-    st = PrepareReplicas(warmup, split, fit);
+    st = PrepareBaseState(warmup, split, fit);
     if (!st.ok()) return st;
   }
+  // Replica 1 is an in-memory copy of replica 0 — the invariant the
+  // whole snapshot scheme rests on: two identical state machines one
+  // batch apart.
+  replicas_[1] = std::make_unique<SplashPredictor>(*replicas_[0]);
   weight_packs_base_ =
       replicas_[0]->weight_packs() + replicas_[1]->weight_packs();
   wm_seq_[0] = wm_seq_[1] = log_.size();
@@ -364,7 +363,9 @@ void SplashService::SerializePredictorState(ByteWriter* w) const {
   replicas_[gate_.back()]->SerializeState(w);
 }
 
-void SplashService::ApplyBatchTo(SplashPredictor* rep, const WalRecord& rec) {
+uint32_t SplashService::ApplyAndPublish(const WalRecord& rec) {
+  const uint32_t back = gate_.back();
+  SplashPredictor* rep = replicas_[back].get();
   if (rec.seq_end > rec.seq_begin) {
     rep->ObserveBulk(log_, rec.seq_begin, rec.seq_end);
   }
@@ -383,11 +384,6 @@ void SplashService::ApplyBatchTo(SplashPredictor* rep, const WalRecord& rec) {
   // already packed a training batch, and an edge-only batch changed no
   // weight.
   rep->PrepareForPublish();
-}
-
-uint32_t SplashService::ApplyAndPublish(const WalRecord& rec) {
-  const uint32_t back = gate_.back();
-  ApplyBatchTo(replicas_[back].get(), rec);
   wm_seq_[back] = rec.seq_end;
   wm_time_[back] = rec.seq_end > 0 ? log_.max_time() : 0.0;
   gate_.Publish();
@@ -396,7 +392,21 @@ uint32_t SplashService::ApplyAndPublish(const WalRecord& rec) {
 
 void SplashService::CatchUp(uint32_t idx, const WalRecord& rec) {
   gate_.WaitReadersDrained(idx);
-  ApplyBatchTo(replicas_[idx].get(), rec);
+  SplashPredictor* rep = replicas_[idx].get();
+  if (rec.seq_end > rec.seq_begin) {
+    rep->ObserveBulk(log_, rec.seq_begin, rec.seq_end);
+  }
+  if (!rec.train.empty()) {
+    // The front trained on this batch from the state this replica now
+    // holds, and TrainStep is deterministic: copy its learned state
+    // instead of assembling and training again. The front stays
+    // read-only until the next cycle's pipe_.Wait(), and readers only
+    // read it, so the copy races nothing. Same architecture by
+    // construction, so the copy cannot fail.
+    rep->CopyModelFrom(*replicas_[1 - idx]).ok();
+  }
+  // The copy brought the front's current packs along: this only verifies.
+  rep->PrepareForPublish();
 }
 
 void SplashService::ApplyLoop() {
@@ -455,9 +465,10 @@ void SplashService::ApplyLoop() {
       train_steps_.fetch_add(1, std::memory_order_relaxed);
     }
 
-    // Catch-up: the old front (now back) replays the identical batch on
-    // the pipeline thread, overlapped with waiting for the next batch.
-    // batch_rec_ stays untouched until the next cycle's pipe_.Wait().
+    // Catch-up: the old front (now back) replays the batch's edges and
+    // copies the published model on the pipeline thread, overlapped with
+    // waiting for the next batch. batch_rec_ and the published replica
+    // stay untouched until the next cycle's pipe_.Wait().
     pipe_.Submit(
         [](void* p) {
           auto* self = static_cast<SplashService*>(p);

@@ -9,17 +9,23 @@
 //                                             ▼  watermark)
 //                                        apply thread
 //                          ObserveBulk + StageBatch/TrainStaged on the
-//                          BACK replica, then Publish() ──▶ readers
+//                          BACK replica, then Publish() ──▶ readers;
+//                          the other replica observes + copies the model
 //   readers  ──ServeClient::Predict*──▶ pinned FRONT replica
 //                                        (const snapshot, watermarked)
 //
-// Snapshot isolation. The service owns TWO identically-seeded
-// SplashPredictor replicas behind a SnapshotGate. The apply thread applies
-// each micro-batch to the back replica, publishes it (one atomic store),
-// then re-applies the same batch to the other replica on the runtime/
-// PipelineThread (overlapped with waiting for the next batch), so both
-// replicas replay the identical (ObserveBulk range, staged-train batch)
-// sequence and are bit-identical state machines one batch apart. Readers
+// Snapshot isolation. The service owns TWO SplashPredictor replicas
+// behind a SnapshotGate; at boot replica 1 is an in-memory copy of
+// replica 0. The apply thread applies each micro-batch to the back
+// replica (observe its edges, run its staged train step), publishes it
+// (one atomic store), then catches the other replica up on the runtime/
+// PipelineThread (overlapped with waiting for the next batch): it replays
+// the same edges and, after a training batch, copies the learned SLIM
+// state from the replica just published instead of training again.
+// TrainStep is deterministic, so the copy holds the bytes a second
+// training run would reach, and the front is read-only until the next
+// cycle's barrier. Both replicas are thus bit-identical state machines
+// one batch apart. Readers
 // pin the front replica and run the const query path
 // (SplashPredictor::PredictBatchConst) with per-client scratch — no lock,
 // no copy, never blocking ingest — and every response carries the
@@ -129,11 +135,11 @@ class SplashService final : public QueryBackend {
                 const SplashServiceOptions& opts);
   ~SplashService() override;
 
-  /// Prepares both replicas on `warmup` (feature fitting + selection and,
-  /// when `fit` is non-null, a full StreamTrainer::Fit — deterministic, so
-  /// the replicas end bit-identical), resets streaming state, and starts
-  /// the apply thread. The ingest log starts empty: watermark 0 means "no
-  /// edge beyond the fitted weights".
+  /// Prepares replica 0 on `warmup` (feature fitting + selection and,
+  /// when `fit` is non-null, a full StreamTrainer::Fit), resets streaming
+  /// state, copies it into replica 1, and starts the apply thread. The
+  /// ingest log starts empty: watermark 0 means "no edge beyond the fitted
+  /// weights".
   Status Start(const Dataset& warmup, const ChronoSplit& split,
                const TrainerOptions* fit = nullptr);
 
@@ -238,23 +244,26 @@ class SplashService final : public QueryBackend {
   Status Boot(const Dataset& warmup, const ChronoSplit& split,
               const TrainerOptions* fit, bool recover);
   void ApplyLoop();
-  /// ObserveBulk over the record's log range, then its staged train step.
-  void ApplyBatchTo(SplashPredictor* rep, const WalRecord& rec);
   /// Applies one micro-batch (its log range [seq_begin, seq_end) and train
-  /// batch, already appended to log_) to the back replica, stamps its
-  /// watermark and publishes it — WAL replay and live apply alike. Returns
-  /// the old front, which still has to catch up on the same batch.
+  /// batch, already appended to log_) to the back replica — ObserveBulk,
+  /// then the staged train step — stamps its watermark and publishes it:
+  /// WAL replay and live apply alike. Returns the old front, which still
+  /// has to catch up on the same batch.
   uint32_t ApplyAndPublish(const WalRecord& rec);
-  /// Re-applies `rec` to replica `idx` once its readers drained.
+  /// Brings replica `idx` level with the front once its readers drained:
+  /// replays `rec`'s edges, then, for a training batch, copies the front's
+  /// learned SLIM state (SplashPredictor::CopyModelFrom) instead of
+  /// training again.
   void CatchUp(uint32_t idx, const WalRecord& rec);
   /// Admission tail shared by IngestEdge/SubmitTrain: push, time, count.
   IngestResult Enqueue(const IngestItem& item,
                        std::atomic<uint64_t>* accepted,
                        std::atomic<uint64_t>* dropped);
-  /// Deterministic replica prep (+fit) and warmup-derived log/seen-set
-  /// initialization: the base state when no checkpoint exists.
-  Status PrepareReplicas(const Dataset& warmup, const ChronoSplit& split,
-                         const TrainerOptions* fit);
+  /// Deterministic prep (+fit) of replica 0 and warmup-derived
+  /// log/seen-set initialization: the base state when no checkpoint
+  /// exists. Boot copies replica 0 into replica 1 either way.
+  Status PrepareBaseState(const Dataset& warmup, const ChronoSplit& split,
+                          const TrainerOptions* fit);
   /// Clamp + novel-id accounting + log append for one validated edge.
   /// Returns the post-clamp edge (what the WAL records).
   TemporalEdge AppendEdgeToLog(TemporalEdge e);
@@ -285,7 +294,7 @@ class SplashService final : public QueryBackend {
   SplashQueryScratch gather_scratch_;
   EdgeStream log_;  // apply-thread-owned append; snapshot reads via bounds
   std::thread apply_thread_;
-  PipelineThread pipe_;  // runs the catch-up re-apply of the old front
+  PipelineThread pipe_;  // runs the old front's catch-up (CatchUp)
   std::atomic<bool> running_{false};
   // Set (release) once Start() finished initializing both replicas and
   // never cleared: the query path's acquire load is its happens-before

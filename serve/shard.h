@@ -114,7 +114,8 @@ struct ServeCounters {
   uint64_t train_steps = 0;
   // SLIM weight-pack rebuilds both replicas performed while serving (WAL
   // replay, apply, catch-up; not Prepare/Fit). Packs follow the weights,
-  // so an edge-only batch adds 0 and a training batch adds 2.
+  // so an edge-only batch adds 0 and a training batch adds 1: the
+  // published replica's TrainStep packs, the catch-up copies its packs.
   uint64_t weight_packs = 0;
   uint64_t queries = 0;
   uint64_t unseen_node_queries = 0;  // queried node not in the train seen set

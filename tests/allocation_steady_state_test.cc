@@ -164,9 +164,11 @@ TEST(AllocationSteadyStateTest, FeatureAugmenterObserveBulkIsAllocationFree) {
 }
 
 // The aligned/padded scratch introduced by the SIMD backends must stay
-// grow-only under each of them too: Observe, TrainStep, and the serve read
-// path (PredictBatchConst with per-client scratch) perform zero heap
-// allocations at steady state regardless of the dispatched kernel table.
+// grow-only under each of them too: Observe, TrainStep, the serve read
+// path (PredictBatchConst with per-client scratch) and the serve catch-up's
+// model copy (CopyModelFrom between two prepared predictors) perform zero
+// heap allocations at steady state regardless of the dispatched kernel
+// table.
 void RunSlimAndServeAllocationGate() {
   ThreadPool::SetGlobalThreads(4);
 
@@ -185,6 +187,8 @@ void RunSlimAndServeAllocationGate() {
   ASSERT_TRUE(model.Prepare(ds, split).ok());
   model.SetTraining(true);
   model.ObserveBulk(ds.stream, 0, ds.stream.size() / 2);
+  SplashPredictor twin(opts);
+  ASSERT_TRUE(twin.Prepare(ds, split).ok());
 
   std::vector<PropertyQuery> queries(64);
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -199,18 +203,22 @@ void RunSlimAndServeAllocationGate() {
   (void)model.PredictBatchConst(queries, &scratch);
   (void)model.PredictBatchConst(queries, &scratch);
   model.TrainBatch(queries);
+  ASSERT_TRUE(twin.CopyModelFrom(model).ok());
 
   const size_t mid = ds.stream.size() / 2;
+  bool copied = true;
   const size_t allocs = CountAllocations([&] {
     for (int rep = 0; rep < 5; ++rep) {
       model.TrainBatch(queries);
       (void)model.PredictBatchConst(queries, &scratch);
+      copied = twin.CopyModelFrom(model).ok() && copied;
     }
     for (size_t i = mid; i < ds.stream.size(); ++i) {
       model.ObserveEdge(ds.stream[i], i);
     }
   });
   EXPECT_EQ(allocs, 0u);
+  EXPECT_TRUE(copied);
   ThreadPool::SetGlobalThreads(1);
 }
 

@@ -215,8 +215,9 @@ void RecoverAndVerify(const std::string& data_dir, const SplashOptions& model,
   EXPECT_FALSE(svc.degraded());
 
   // Replay rebuilds packs only where the weights changed: one TrainStep
-  // pack per replica for each replayed training batch, none for the
-  // edge-only ones. The replayed tail is the suffix of the history.
+  // pack for each replayed training batch (the catch-up replica copies
+  // the packs), none for the edge-only ones. The replayed tail is the
+  // suffix of the history.
   {
     const ServeCounters c = svc.Stats().counters;
     ASSERT_LE(c.recovery_replayed_batches, history.size());
@@ -225,7 +226,8 @@ void RecoverAndVerify(const std::string& data_dir, const SplashOptions& model,
          i < history.size(); ++i) {
       train_batches += history[i].train.empty() ? 0 : 1;
     }
-    EXPECT_EQ(c.weight_packs, 2 * train_batches);
+    EXPECT_EQ(c.weight_packs, train_batches)
+        << "one TrainStep pack per replayed training batch";
   }
 
   // The recovered ingest log is the reference log, edge for edge.

@@ -233,7 +233,8 @@ TEST_F(ServeServiceTest, TrainingFeedbackReplaysBitIdenticalViaApplyLog) {
 TEST_F(ServeServiceTest, WeightPacksFollowWeightsNotPublishes) {
   // Packs are rebuilt when the weights change, not at every publish: an
   // edge-only micro-batch publishes and catches up without one rebuild,
-  // and a training batch costs exactly the TrainStep pack on each replica.
+  // and a training batch costs exactly one TrainStep pack: the published
+  // replica trains, the catch-up replica copies its weights and packs.
   const Dataset ds = MakeWarmup();
   const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
   const std::vector<TemporalEdge> live = LiveEdges(ds, split);
@@ -269,8 +270,9 @@ TEST_F(ServeServiceTest, WeightPacksFollowWeightsNotPublishes) {
   c = service.Stats().counters;
   EXPECT_EQ(c.batches_applied, kEdgeBatches + 1);
   EXPECT_EQ(c.train_steps, 1u);
-  EXPECT_EQ(c.weight_packs, 2u)
-      << "one TrainStep pack per replica, no publish re-pack";
+  EXPECT_EQ(c.weight_packs, 1u)
+      << "one TrainStep pack on the published replica; the catch-up "
+         "replica copies the packs, and publish never re-packs";
 }
 
 TEST_F(ServeServiceTest, DropNewestBackpressureCountsAndStaysConsistent) {

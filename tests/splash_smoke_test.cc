@@ -2,14 +2,20 @@
 //
 // End-to-end smoke: SPLASH trains on a small synthetic classification
 // stream and beats chance; determinism across identically-seeded runs; the
-// ring-buffer substrate and trainer replay hold up under a full pipeline.
+// ring-buffer substrate and trainer replay hold up under a full pipeline;
+// copying a trained model (CopyModelFrom, the copy constructor) gives the
+// bytes training would.
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "core/serialize.h"
 #include "core/splash.h"
 #include "datasets/shift_intensity.h"
 #include "datasets/synthetic.h"
 #include "eval/trainer.h"
+#include "runtime/thread_pool.h"
 
 namespace splash {
 namespace {
@@ -89,6 +95,96 @@ TEST(SplashSmokeTest, AutoModeSelectsAProcessAndRuns) {
   const FitResult fit = trainer.Fit(&model, ds, split);
   EXPECT_EQ(fit.epochs_run, 1u);
   EXPECT_GE(fit.best_val_metric, 0.0);
+}
+
+std::vector<uint8_t> StateBytes(const SplashPredictor& p) {
+  ByteWriter w;
+  p.SerializeState(&w);
+  return w.buffer();
+}
+
+// Labeled queries at the time of the last observed edge: enough rows for
+// more than one parallel train chunk.
+std::vector<PropertyQuery> TrainQueries(const Dataset& ds, size_t observed,
+                                        size_t step) {
+  std::vector<PropertyQuery> qs(80);
+  for (size_t i = 0; i < qs.size(); ++i) {
+    qs[i].node = static_cast<NodeId>((i * 7 + step) % ds.stream.num_nodes());
+    qs[i].time = ds.stream[observed - 1].time;
+    qs[i].class_label = static_cast<int>((i + step) % 3);
+  }
+  return qs;
+}
+
+// The serve catch-up's oracle: a twin that observes the same edges and
+// copies the model after each train step holds the trainer's exact state
+// bytes — weights, Adam moments, step counters and the dropout Rng — on
+// the serial (1 thread) and the chunk-parallel (4 threads) train path.
+TEST(SplashSmokeTest, CopyModelFromMatchesTrainingBytes) {
+  const Dataset ds = SmallClassification();
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.1, 0.1);
+  const size_t threads_before = ThreadPool::Global()->num_threads();
+  for (size_t threads : {1u, 4u}) {
+    ThreadPool::SetGlobalThreads(threads);
+    SplashOptions opts = SmallOptions(SplashMode::kForceStructural);
+    opts.slim.dropout = 0.2f;
+    SplashPredictor trainer(opts), twin(opts);
+    ASSERT_TRUE(trainer.Prepare(ds, split).ok());
+    ASSERT_TRUE(twin.Prepare(ds, split).ok());
+    trainer.SetTraining(true);
+
+    constexpr size_t kSteps = 6;
+    const size_t per_step = ds.stream.size() / kSteps;
+    for (size_t step = 0; step < kSteps; ++step) {
+      const size_t lo = step * per_step, hi = lo + per_step;
+      trainer.ObserveBulk(ds.stream, lo, hi);
+      twin.ObserveBulk(ds.stream, lo, hi);
+      trainer.TrainBatch(TrainQueries(ds, hi, step));
+      ASSERT_TRUE(twin.CopyModelFrom(trainer).ok());
+      ASSERT_EQ(StateBytes(twin), StateBytes(trainer))
+          << "threads " << threads << " step " << step;
+    }
+
+    // A source of another architecture is refused before any write.
+    SplashOptions wide = opts;
+    wide.slim.hidden_dim = 48;
+    SplashPredictor other(wide);
+    ASSERT_TRUE(other.Prepare(ds, split).ok());
+    const std::vector<uint8_t> before = StateBytes(twin);
+    EXPECT_FALSE(twin.CopyModelFrom(other).ok());
+    EXPECT_EQ(StateBytes(twin), before) << "threads " << threads;
+  }
+  ThreadPool::SetGlobalThreads(threads_before);
+}
+
+// The serve boot's oracle: a copy-constructed predictor holds the source's
+// state bytes and, drawing dropout from its own Rng (the serial train path
+// at 1 thread), keeps training in lockstep with it.
+TEST(SplashSmokeTest, CopyConstructedPredictorTrainsInLockstep) {
+  const size_t threads_before = ThreadPool::Global()->num_threads();
+  ThreadPool::SetGlobalThreads(1);
+  const Dataset ds = SmallClassification();
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.1, 0.1);
+  SplashOptions opts = SmallOptions(SplashMode::kForceStructural);
+  opts.slim.dropout = 0.2f;
+  SplashPredictor source(opts);
+  ASSERT_TRUE(source.Prepare(ds, split).ok());
+  const size_t half = ds.stream.size() / 2;
+  source.ObserveBulk(ds.stream, 0, half);
+  source.SetTraining(true);
+  source.TrainBatch(TrainQueries(ds, half, 0));
+
+  SplashPredictor copy(source);
+  ASSERT_EQ(StateBytes(copy), StateBytes(source));
+  for (size_t step = 1; step < 4; ++step) {
+    const size_t lo = half + (step - 1) * 100, hi = lo + 100;
+    for (SplashPredictor* p : {&source, &copy}) {
+      p->ObserveBulk(ds.stream, lo, hi);
+      p->TrainBatch(TrainQueries(ds, hi, step));
+    }
+    ASSERT_EQ(StateBytes(copy), StateBytes(source)) << "step " << step;
+  }
+  ThreadPool::SetGlobalThreads(threads_before);
 }
 
 TEST(SplashSmokeTest, ShiftIntensityStreamHasUnseenTestNodes) {
