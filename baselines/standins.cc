@@ -64,6 +64,7 @@ Status TgnnStandin::Prepare(const Dataset& ds, const ChronoSplit& split) {
   backbone.out_dim = std::max<size_t>(2, ds.num_classes);
   backbone.k_recent = memory_.k();  // same clamp as the ring buffer
   backbone_ = std::make_unique<SlimModel>(backbone, &rng_);
+  backbone_train_ = std::make_unique<SlimTrainState>(backbone);
 
   memory_.EnsureNodeCapacity(ds.stream.num_nodes());
   if (IsMemoryFamily()) {
@@ -214,7 +215,7 @@ void TgnnStandin::StageBatch(const std::vector<PropertyQuery>& queries) {
 
 double TgnnStandin::TrainStaged() {
   if (!backbone_ || staged_rows_ == 0) return 0.0;
-  return backbone_->TrainStep(batch_, labels_);
+  return backbone_->TrainStep(batch_, labels_, backbone_train_.get());
 }
 
 Matrix TgnnStandin::PredictStaged() {

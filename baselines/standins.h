@@ -86,6 +86,7 @@ class TgnnStandin : public TemporalPredictor {
   Rng rng_;
   NeighborMemory memory_;
   std::unique_ptr<SlimModel> backbone_;
+  std::unique_ptr<SlimTrainState> backbone_train_;
 
   // Memory-family state: per-node EMA embedding + seen flags.
   Matrix node_memory_;

@@ -314,6 +314,7 @@ void BM_SlimTrainStepThreads(benchmark::State& state) {
   opts.dropout = 0.1f;
   Rng rng(4);
   SlimModel slim(opts, &rng);
+  SlimTrainState train(opts);
   slim.SetTraining(true);
 
   SlimBatchInput input;
@@ -326,7 +327,7 @@ void BM_SlimTrainStepThreads(benchmark::State& state) {
   for (size_t i = 0; i < batch; ++i) labels[i] = static_cast<int>(i % 2);
 
   for (auto _ : state) {
-    benchmark::DoNotOptimize(slim.TrainStep(input, labels));
+    benchmark::DoNotOptimize(slim.TrainStep(input, labels, &train));
   }
   state.SetItemsProcessed(state.iterations() * batch);
   ThreadPool::SetGlobalThreads(1);

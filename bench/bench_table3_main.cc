@@ -1,7 +1,7 @@
 // Reproduces Table III: node property prediction performance of SPLASH vs
 // baseline TGNNs (with and without random features) across the seven dataset
 // stand-ins. Metrics: AUC (anomaly), F1-micro (classification), NDCG@10
-// (affinity), in percent. See EXPERIMENTS.md for paper-vs-measured notes.
+// (affinity), in percent.
 
 #include "bench/bench_common.h"
 

@@ -22,10 +22,17 @@ constexpr float kAdamEps = 1e-8f;
 // at 2, 4, or 64 threads.
 constexpr size_t kBatchGrain = 32;
 
-void InitParam(SlimModel* /*unused*/, Matrix* w, size_t fan_in, Rng* rng) {
-  // He init for the ReLU branches.
-  const float stddev = std::sqrt(2.0f / static_cast<float>(fan_in));
-  rng->FillGaussian(w->data(), w->size(), stddev);
+struct ParamShape {
+  size_t rows, cols;
+};
+
+/// The parameter shapes of `o`'s architecture, in parameter order.
+std::array<ParamShape, SlimTrainState::kNumParams> ParamShapes(
+    const SlimOptions& o) {
+  const size_t dv = o.feature_dim, dt = o.time_dim, h = o.hidden_dim,
+               out = o.out_dim;
+  return {{{dv + dt, h}, {1, h}, {dv, h}, {1, h}, {2 * h, h}, {1, h},
+           {h, out}, {1, out}}};
 }
 
 }  // namespace
@@ -48,35 +55,43 @@ void SlimForwardScratch::Resize(size_t b, size_t k_recent, size_t feature_dim,
   if (dropout) drop_mask.resize(b * hidden_dim);
 }
 
+SlimTrainState::SlimTrainState(const SlimOptions& opts) {
+  const auto shapes = ParamShapes(opts);
+  for (size_t p = 0; p < kNumParams; ++p) {
+    m_[p] = Matrix(shapes[p].rows, shapes[p].cols);
+    v_[p] = Matrix(shapes[p].rows, shapes[p].cols);
+  }
+}
+
+SlimTrainState::SlimTrainState(const SlimTrainState& src) { CopyFrom(src); }
+
+void SlimTrainState::CopyFrom(const SlimTrainState& src) {
+  adam_t_ = src.adam_t_;
+  train_calls_ = src.train_calls_;
+  for (size_t p = 0; p < kNumParams; ++p) {
+    m_[p] = src.m_[p];
+    v_[p] = src.v_[p];
+  }
+}
+
 SlimModel::SlimModel(const SlimOptions& opts, Rng* rng)
     : opts_(opts), rng_(rng) {
-  const size_t dv = opts_.feature_dim, dt = opts_.time_dim,
-               h = opts_.hidden_dim, o = opts_.out_dim;
-  auto setup = [&](Param* p, size_t rows, size_t cols, size_t fan_in) {
-    p->w = Matrix(rows, cols);
-    if (fan_in > 0) InitParam(this, &p->w, fan_in, rng_);
-    p->grad = Matrix(rows, cols);
-    p->m = Matrix(rows, cols);
-    p->v = Matrix(rows, cols);
-  };
-  setup(&w1_, dv + dt, h, dv + dt);
-  setup(&b1_, 1, h, 0);
-  setup(&w2_, dv, h, dv);
-  setup(&b2_, 1, h, 0);
-  setup(&w3_, 2 * h, h, 2 * h);
-  setup(&b3_, 1, h, 0);
-  setup(&w4_, h, o, h);
-  setup(&b4_, 1, o, 0);
+  const auto shapes = ParamShapes(opts_);
+  const auto params = Params();
+  for (size_t p = 0; p < kNumParams; ++p) {
+    *params[p] = Matrix(shapes[p].rows, shapes[p].cols);
+    // He init for the ReLU branches (fan-in = rows); biases start at 0.
+    if (p % 2 == 0) {
+      const float stddev =
+          std::sqrt(2.0f / static_cast<float>(shapes[p].rows));
+      rng_->FillGaussian(params[p]->data(), params[p]->size(), stddev);
+    }
+  }
   PackWeights();
 }
 
 SlimModel::SlimModel(const SlimModel& src, Rng* rng)
     : opts_(src.opts_), rng_(rng), training_(src.training_) {
-  const auto from = src.Params();
-  const auto to = Params();
-  for (size_t p = 0; p < kNumParams; ++p) {
-    to[p]->grad = Matrix(from[p]->w.rows(), from[p]->w.cols());
-  }
   CopyLearnedStateFrom(src);
 }
 
@@ -84,38 +99,53 @@ void SlimModel::PackWeights() {
   // A skipped pack would rewrite identical bytes: packing is a pure
   // function of the weights, and every weight write bumps the version.
   if (packed_version_ == weights_version_) return;
-  const Matrix* ws[4] = {&w1_.w, &w2_.w, &w3_.w, &w4_.w};
+  const Matrix* ws[4] = {&w1_, &w2_, &w3_, &w4_};
   for (size_t i = 0; i < 4; ++i) pw_[i].PackFrom(*ws[i]);
   packed_version_ = weights_version_;
   ++pack_count_;
 }
 
 size_t SlimModel::ParamCount() const {
-  return w1_.w.size() + b1_.w.size() + w2_.w.size() + b2_.w.size() +
-         w3_.w.size() + b3_.w.size() + w4_.w.size() + b4_.w.size();
+  size_t n = 0;
+  for (const Matrix* p : Params()) n += p->size();
+  return n;
 }
 
-void SlimModel::Serialize(ByteWriter* w) const {
-  w->U64(adam_t_);
-  w->U64(train_calls_);
-  for (const Param* p : Params()) {
-    WriteMatrix(w, p->w);
-    WriteMatrix(w, p->m);
-    WriteMatrix(w, p->v);
+bool SlimModel::Fits(const SlimTrainState& train) const {
+  const auto params = Params();
+  for (size_t p = 0; p < kNumParams; ++p) {
+    if (train.m_[p].rows() != params[p]->rows() ||
+        train.m_[p].cols() != params[p]->cols()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void SlimModel::Serialize(ByteWriter* w, const SlimTrainState& train) const {
+  assert(Fits(train));
+  w->U64(train.adam_t_);
+  w->U64(train.train_calls_);
+  const auto params = Params();
+  for (size_t p = 0; p < kNumParams; ++p) {
+    WriteMatrix(w, *params[p]);
+    WriteMatrix(w, train.m_[p]);
+    WriteMatrix(w, train.v_[p]);
   }
 }
 
-bool SlimModel::Deserialize(ByteReader* r) {
+bool SlimModel::Deserialize(ByteReader* r, SlimTrainState* train) {
   // Stamped up front: even a stream rejected halfway has overwritten
   // weights, and the packs must never outlive them.
   ++weights_version_;
-  adam_t_ = static_cast<size_t>(r->U64());
-  train_calls_ = r->U64();
-  for (Param* p : Params()) {
-    const size_t rows = p->w.rows(), cols = p->w.cols();
-    if (!ReadMatrixExpect(r, &p->w, rows, cols) ||
-        !ReadMatrixExpect(r, &p->m, rows, cols) ||
-        !ReadMatrixExpect(r, &p->v, rows, cols)) {
+  train->adam_t_ = static_cast<size_t>(r->U64());
+  train->train_calls_ = r->U64();
+  const auto params = Params();
+  for (size_t p = 0; p < kNumParams; ++p) {
+    const size_t rows = params[p]->rows(), cols = params[p]->cols();
+    if (!ReadMatrixExpect(r, params[p], rows, cols) ||
+        !ReadMatrixExpect(r, &train->m_[p], rows, cols) ||
+        !ReadMatrixExpect(r, &train->v_[p], rows, cols)) {
       return false;
     }
   }
@@ -132,35 +162,13 @@ bool SlimModel::CopyLearnedStateFrom(const SlimModel& src) {
       src.opts_.k_recent != opts_.k_recent) {
     return false;
   }
-  adam_t_ = src.adam_t_;
-  train_calls_ = src.train_calls_;
   const auto from = src.Params();
   const auto to = Params();
-  for (size_t p = 0; p < kNumParams; ++p) {
-    to[p]->w = from[p]->w;
-    to[p]->m = from[p]->m;
-    to[p]->v = from[p]->v;
-  }
+  for (size_t p = 0; p < kNumParams; ++p) *to[p] = *from[p];
   for (size_t i = 0; i < 4; ++i) pw_[i] = src.pw_[i];
   weights_version_ = src.weights_version_;
   packed_version_ = src.packed_version_;
   return true;
-}
-
-SlimModel::GradRefs SlimModel::MainGradRefs() {
-  return GradRefs{{&w1_.grad, &b1_.grad, &w2_.grad, &b2_.grad, &w3_.grad,
-                   &b3_.grad, &w4_.grad, &b4_.grad}};
-}
-
-void SlimModel::EnsureWorkerScratch(size_t num_workers) {
-  if (worker_grads_.size() < num_workers) worker_grads_.resize(num_workers);
-  const Matrix* shapes[kNumParams] = {&w1_.w, &b1_.w, &w2_.w, &b2_.w,
-                                      &w3_.w, &b3_.w, &w4_.w, &b4_.w};
-  for (GradScratch& ws : worker_grads_) {
-    for (size_t p = 0; p < kNumParams; ++p) {
-      ws.g[p].Resize(shapes[p]->rows(), shapes[p]->cols());
-    }
-  }
 }
 
 void SlimModel::EncodeTime(const std::vector<double>& deltas, size_t i0,
@@ -178,17 +186,21 @@ void SlimModel::EncodeTime(const std::vector<double>& deltas, size_t i0,
   }
 }
 
-void SlimModel::ResizeScratch(size_t b, bool for_training) {
+void SlimModel::ResizeScratch(size_t b, SlimTrainState* train) {
   const size_t k = opts_.k_recent, h = opts_.hidden_dim, o = opts_.out_dim;
   const size_t bk = b * k;
   fwd_.Resize(b, k, opts_.feature_dim, opts_.time_dim, h, o,
               training_ && opts_.dropout > 0.0f);
-  if (for_training) {
-    d_out_.ResizePadded(b, o);
-    d_h_.ResizePadded(b, h);
-    d_cat2_.ResizePadded(b, 2 * h);
-    d_self_.ResizePadded(b, h);
-    d_msg_.ResizePadded(bk, h);
+  if (train != nullptr) {
+    const auto params = Params();
+    for (size_t p = 0; p < kNumParams; ++p) {
+      train->grad_[p].Resize(params[p]->rows(), params[p]->cols());
+    }
+    train->d_out_.ResizePadded(b, o);
+    train->d_h_.ResizePadded(b, h);
+    train->d_cat2_.ResizePadded(b, 2 * h);
+    train->d_self_.ResizePadded(b, h);
+    train->d_msg_.ResizePadded(bk, h);
   }
 }
 
@@ -221,7 +233,7 @@ void SlimModel::ForwardRange(const SlimBatchInput& input, size_t r0,
   // Bias add + ReLU ride the GEMM tile store (fused epilogue): one pass
   // over each activation matrix instead of three. The scalar backend
   // computes the identical arithmetic to the historical separate passes.
-  DenseLayer(s->cat1, w1_.w, b1_.w.data(), 0, &s->msg_pre, n0, n1,
+  DenseLayer(s->cat1, w1_, b1_.data(), 0, &s->msg_pre, n0, n1,
              /*relu=*/true);
 
   for (size_t bi = r0; bi < r1; ++bi) {
@@ -241,7 +253,7 @@ void SlimModel::ForwardRange(const SlimBatchInput& input, size_t r0,
   }
 
   // --- self branch ---------------------------------------------------------
-  DenseLayer(input.node_feats, w2_.w, b2_.w.data(), 1, &s->self_pre, r0, r1,
+  DenseLayer(input.node_feats, w2_, b2_.data(), 1, &s->self_pre, r0, r1,
              /*relu=*/true);
 
   // --- head ----------------------------------------------------------------
@@ -249,7 +261,7 @@ void SlimModel::ForwardRange(const SlimBatchInput& input, size_t r0,
     std::memcpy(s->cat2.Row(bi), s->agg.Row(bi), h * sizeof(float));
     std::memcpy(s->cat2.Row(bi) + h, s->self_pre.Row(bi), h * sizeof(float));
   }
-  DenseLayer(s->cat2, w3_.w, b3_.w.data(), 2, &s->h_pre, r0, r1,
+  DenseLayer(s->cat2, w3_, b3_.data(), 2, &s->h_pre, r0, r1,
              /*relu=*/true);
 
   if (drop_rng != nullptr && training_ && opts_.dropout > 0.0f) {
@@ -266,11 +278,11 @@ void SlimModel::ForwardRange(const SlimBatchInput& input, size_t r0,
     }
   }
 
-  DenseLayer(s->h_pre, w4_.w, b4_.w.data(), 3, &s->out, r0, r1,
+  DenseLayer(s->h_pre, w4_, b4_.data(), 3, &s->out, r0, r1,
              /*relu=*/false);
 }
 
-void SlimModel::ForwardAll(const SlimBatchInput& input, bool for_training) {
+void SlimModel::ForwardAll(const SlimBatchInput& input) {
   const size_t b = input.node_feats.rows();
   const size_t k = opts_.k_recent, dv = opts_.feature_dim;
   assert(input.neighbor_feats.rows() == b * k);
@@ -280,7 +292,7 @@ void SlimModel::ForwardAll(const SlimBatchInput& input, bool for_training) {
   assert(input.edge_weights.size() == b * k);
   (void)k;
   (void)dv;
-  ResizeScratch(b, for_training);
+  ResizeScratch(b, nullptr);
 
   ThreadPool* pool = ThreadPool::Global();
   const bool wants_dropout = training_ && opts_.dropout > 0.0f;
@@ -298,7 +310,7 @@ void SlimModel::ForwardAll(const SlimBatchInput& input, bool for_training) {
 }
 
 Matrix SlimModel::Forward(const SlimBatchInput& input) {
-  ForwardAll(input, /*for_training=*/false);
+  ForwardAll(input);
   return fwd_.out;
 }
 
@@ -317,10 +329,16 @@ const Matrix& SlimModel::PredictConst(const SlimBatchInput& input,
 void SlimModel::BackwardRange(const SlimBatchInput& input,
                               const std::vector<int>& labels, size_t r0,
                               size_t r1, const GradRefs& grads,
-                              bool accumulate, double* loss_out) {
+                              bool accumulate, SlimTrainState* train,
+                              double* loss_out) const {
   const size_t b = input.node_feats.rows();
   const size_t k = opts_.k_recent, h = opts_.hidden_dim, o = opts_.out_dim;
   const size_t n0 = r0 * k, n1 = r1 * k;
+  Matrix& d_out = train->d_out_;
+  Matrix& d_h = train->d_h_;
+  Matrix& d_cat2 = train->d_cat2_;
+  Matrix& d_self = train->d_self_;
+  Matrix& d_msg = train->d_msg_;
 
   // Softmax cross-entropy; d_out = (softmax - onehot) / B.
   double loss = 0.0;
@@ -330,7 +348,7 @@ void SlimModel::BackwardRange(const SlimBatchInput& input,
     float mx = row[0];
     for (size_t j = 1; j < o; ++j) mx = row[j] > mx ? row[j] : mx;
     float sum = 0.0f;
-    float* drow = d_out_.Row(bi);
+    float* drow = d_out.Row(bi);
     for (size_t j = 0; j < o; ++j) {
       drow[j] = std::exp(row[j] - mx);
       sum += drow[j];
@@ -351,13 +369,13 @@ void SlimModel::BackwardRange(const SlimBatchInput& input,
   // the serial full-range path pre-zeroes the main grads here, the parallel
   // path accumulates into worker scratch TrainStep already zeroed.
   if (!accumulate) grads.g[6]->SetZero();
-  MatMulTransARange(fwd_.h_pre, d_out_, grads.g[6], r0, r1);
-  ColumnSumsRange(d_out_, grads.g[7]->data(), r0, r1, accumulate);
-  MatMulTransBRange(d_out_, w4_.w, &d_h_, r0, r1);
+  MatMulTransARange(fwd_.h_pre, d_out, grads.g[6], r0, r1);
+  ColumnSumsRange(d_out, grads.g[7]->data(), r0, r1, accumulate);
+  MatMulTransBRange(d_out, w4_, &d_h, r0, r1);
   if (training_ && opts_.dropout > 0.0f) {
     const float scale = 1.0f / (1.0f - opts_.dropout);
     for (size_t bi = r0; bi < r1; ++bi) {
-      float* p = d_h_.Row(bi);
+      float* p = d_h.Row(bi);
       const uint8_t* mask = fwd_.drop_mask.data() + bi * h;
       for (size_t j = 0; j < h; ++j) {
         p[j] = mask[j] ? p[j] * scale : 0.0f;
@@ -366,35 +384,35 @@ void SlimModel::BackwardRange(const SlimBatchInput& input,
   }
   for (size_t bi = r0; bi < r1; ++bi) {
     const float* act = fwd_.h_pre.Row(bi);
-    float* p = d_h_.Row(bi);
+    float* p = d_h.Row(bi);
     for (size_t j = 0; j < h; ++j) {
       if (act[j] <= 0.0f) p[j] = 0.0f;
     }
   }
   if (!accumulate) grads.g[4]->SetZero();
-  MatMulTransARange(fwd_.cat2, d_h_, grads.g[4], r0, r1);
-  ColumnSumsRange(d_h_, grads.g[5]->data(), r0, r1, accumulate);
-  MatMulTransBRange(d_h_, w3_.w, &d_cat2_, r0, r1);
+  MatMulTransARange(fwd_.cat2, d_h, grads.g[4], r0, r1);
+  ColumnSumsRange(d_h, grads.g[5]->data(), r0, r1, accumulate);
+  MatMulTransBRange(d_h, w3_, &d_cat2, r0, r1);
 
   // Self branch: d_self = d_cat2[:, h:] masked by ReLU.
   for (size_t bi = r0; bi < r1; ++bi) {
-    const float* src = d_cat2_.Row(bi) + h;
+    const float* src = d_cat2.Row(bi) + h;
     const float* act = fwd_.self_pre.Row(bi);
-    float* dst = d_self_.Row(bi);
+    float* dst = d_self.Row(bi);
     for (size_t j = 0; j < h; ++j) dst[j] = act[j] > 0.0f ? src[j] : 0.0f;
   }
   if (!accumulate) grads.g[2]->SetZero();
-  MatMulTransARange(input.node_feats, d_self_, grads.g[2], r0, r1);
-  ColumnSumsRange(d_self_, grads.g[3]->data(), r0, r1, accumulate);
+  MatMulTransARange(input.node_feats, d_self, grads.g[2], r0, r1);
+  ColumnSumsRange(d_self, grads.g[3]->data(), r0, r1, accumulate);
 
   // Neighbor branch: distribute d_agg over messages with their mean
   // weights, mask by ReLU.
   for (size_t bi = r0; bi < r1; ++bi) {
-    const float* dagg = d_cat2_.Row(bi);  // first h columns
+    const float* dagg = d_cat2.Row(bi);  // first h columns
     const float* mrow = input.mask.Row(bi);
     const float inv = fwd_.inv_weight[bi];
     for (size_t j = 0; j < k; ++j) {
-      float* drow = d_msg_.Row(bi * k + j);
+      float* drow = d_msg.Row(bi * k + j);
       if (mrow[j] == 0.0f || inv == 0.0f) {
         std::memset(drow, 0, h * sizeof(float));
         continue;
@@ -407,96 +425,101 @@ void SlimModel::BackwardRange(const SlimBatchInput& input,
     }
   }
   if (!accumulate) grads.g[0]->SetZero();
-  MatMulTransARange(fwd_.cat1, d_msg_, grads.g[0], n0, n1);
-  ColumnSumsRange(d_msg_, grads.g[1]->data(), n0, n1, accumulate);
+  MatMulTransARange(fwd_.cat1, d_msg, grads.g[0], n0, n1);
+  ColumnSumsRange(d_msg, grads.g[1]->data(), n0, n1, accumulate);
 }
 
 double SlimModel::TrainStep(const SlimBatchInput& input,
-                            const std::vector<int>& labels) {
+                            const std::vector<int>& labels,
+                            SlimTrainState* train) {
   const size_t b = input.node_feats.rows();
   assert(labels.size() == b);
+  assert(Fits(*train));
   if (b == 0) return 0.0;
-  ResizeScratch(b, /*for_training=*/true);
-  ++train_calls_;
+  ResizeScratch(b, train);
+  ++train->train_calls_;
 
   ThreadPool* pool = ThreadPool::Global();
   const size_t num_chunks = ThreadPool::NumChunks(0, b, kBatchGrain);
   const bool wants_dropout = training_ && opts_.dropout > 0.0f;
+  GradRefs main;
+  for (size_t p = 0; p < kNumParams; ++p) main.g[p] = &train->grad_[p];
   double loss = 0.0;
 
   if (pool->num_threads() == 1 || num_chunks < 2) {
     // Serial path: bit-identical to the pre-parallel implementation
     // (dropout drawn sequentially from the model Rng, full-range kernels).
     ForwardRange(input, 0, b, wants_dropout ? rng_ : nullptr, &fwd_);
-    BackwardRange(input, labels, 0, b, MainGradRefs(), /*accumulate=*/false,
+    BackwardRange(input, labels, 0, b, main, /*accumulate=*/false, train,
                   &loss);
   } else {
     const size_t num_workers = pool->num_threads();
-    EnsureWorkerScratch(num_workers);
-    for (GradScratch& ws : worker_grads_) {
-      for (Matrix& g : ws.g) g.SetZero();
+    std::vector<SlimTrainState::GradScratch>& worker_grads =
+        train->worker_grads_;
+    if (worker_grads.size() < num_workers) worker_grads.resize(num_workers);
+    for (SlimTrainState::GradScratch& ws : worker_grads) {
+      for (size_t p = 0; p < kNumParams; ++p) {
+        ws.g[p].Resize(main.g[p]->rows(), main.g[p]->cols());
+        ws.g[p].SetZero();
+      }
     }
-    chunk_loss_.assign(num_chunks, 0.0);
+    train->chunk_loss_.assign(num_chunks, 0.0);
 
+    const uint64_t train_calls = train->train_calls_;
     pool->ParallelFor(0, b, kBatchGrain,
                       [&](size_t r0, size_t r1, size_t worker) {
                         const size_t chunk = r0 / kBatchGrain;
                         Rng drop_rng(WorkerRngSeed(opts_.dropout_seed,
-                                                   train_calls_, chunk));
+                                                   train_calls, chunk));
                         ForwardRange(input, r0, r1,
                                      wants_dropout ? &drop_rng : nullptr,
                                      &fwd_);
-                        GradScratch& ws = worker_grads_[worker];
+                        SlimTrainState::GradScratch& ws =
+                            worker_grads[worker];
                         GradRefs refs{{&ws.g[0], &ws.g[1], &ws.g[2],
                                        &ws.g[3], &ws.g[4], &ws.g[5],
                                        &ws.g[6], &ws.g[7]}};
                         BackwardRange(input, labels, r0, r1, refs,
-                                      /*accumulate=*/true,
-                                      &chunk_loss_[chunk]);
+                                      /*accumulate=*/true, train,
+                                      &train->chunk_loss_[chunk]);
                       });
 
     // Fixed-order reductions: chunk order for the loss, worker order for
     // the gradients — deterministic for a given thread count.
-    for (size_t c = 0; c < num_chunks; ++c) loss += chunk_loss_[c];
-    GradRefs main = MainGradRefs();
+    for (size_t c = 0; c < num_chunks; ++c) loss += train->chunk_loss_[c];
     for (size_t p = 0; p < kNumParams; ++p) {
       Matrix* dst = main.g[p];
       const size_t n = dst->size();
-      std::memcpy(dst->data(), worker_grads_[0].g[p].data(),
+      std::memcpy(dst->data(), worker_grads[0].g[p].data(),
                   n * sizeof(float));
       for (size_t w = 1; w < num_workers; ++w) {
-        Axpy(1.0f, worker_grads_[w].g[p].data(), dst->data(), n);
+        Axpy(1.0f, worker_grads[w].g[p].data(), dst->data(), n);
       }
     }
   }
 
-  ++adam_t_;
-  AdamStep(&w1_);
-  AdamStep(&b1_);
-  AdamStep(&w2_);
-  AdamStep(&b2_);
-  AdamStep(&w3_);
-  AdamStep(&b3_);
-  AdamStep(&w4_);
-  AdamStep(&b4_);
+  // Adam. Params are contiguous (never padded), so the fused kernel runs
+  // over each flat block; the scalar backend is the historical loop
+  // verbatim.
+  ++train->adam_t_;
+  const float t = static_cast<float>(train->adam_t_);
+  const float bias1 = 1.0f - std::pow(kAdamBeta1, t);
+  const float bias2 = 1.0f - std::pow(kAdamBeta2, t);
+  const float step = opts_.lr * std::sqrt(bias2) / bias1;
+  const auto params = Params();
+  for (size_t p = 0; p < kNumParams; ++p) {
+    Matrix* w = params[p];
+    assert(w->IsContiguous());
+    AdamUpdate(w->data(), train->grad_[p].data(), train->m_[p].data(),
+               train->v_[p].data(), w->size(), step, kAdamBeta1, kAdamBeta2,
+               kAdamEps);
+  }
   // The step wrote new weights: stamp a new version and re-pack the
   // read-path operands from them (grow-only, so allocation-free after the
   // first step at a given shape).
   ++weights_version_;
   PackWeights();
   return loss / static_cast<double>(b);
-}
-
-void SlimModel::AdamStep(Param* p) {
-  // Params are contiguous (never padded), so the fused kernel runs over the
-  // flat block; the scalar backend is the historical loop verbatim.
-  assert(p->w.IsContiguous());
-  const float t = static_cast<float>(adam_t_);
-  const float bias1 = 1.0f - std::pow(kAdamBeta1, t);
-  const float bias2 = 1.0f - std::pow(kAdamBeta2, t);
-  const float step = opts_.lr * std::sqrt(bias2) / bias1;
-  AdamUpdate(p->w.data(), p->grad.data(), p->m.data(), p->v.data(),
-             p->w.size(), step, kAdamBeta1, kAdamBeta2, kAdamEps);
 }
 
 }  // namespace splash

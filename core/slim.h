@@ -95,12 +95,67 @@ struct SlimForwardScratch {
               size_t hidden_dim, size_t out_dim, bool dropout);
 };
 
+/// SLIM's training state, kept apart from the model so that a read-only
+/// copy (a serve replica) carries weights and packs only. Two parts:
+///   - learned: the Adam moments m/v of every parameter and the step
+///     counters (the Adam step and the train-call count that tags the
+///     per-chunk dropout streams). Checkpoints write them with the
+///     model's weights (SlimModel::Serialize).
+///   - per-step transients: the gradients, the backward scratch, the
+///     per-worker gradient partials and the per-chunk losses. They start
+///     empty and grow at the first TrainStep, then stop allocating.
+/// One train state trains one model's weights. TrainStep pairs them
+/// explicitly, so a service can keep a single train state for two
+/// alternating replicas of the same model.
+class SlimTrainState {
+ public:
+  /// Parameter order everywhere: w1 b1 w2 b2 w3 b3 w4 b4.
+  static constexpr size_t kNumParams = 8;
+
+  /// Zero moments shaped for `opts`'s architecture, step counters at 0.
+  explicit SlimTrainState(const SlimOptions& opts);
+  /// A copy of `src`'s learned part; the transients start empty.
+  SlimTrainState(const SlimTrainState& src);
+  SlimTrainState& operator=(const SlimTrainState&) = delete;
+
+  /// Makes the learned part a copy of `src`'s, which must be shaped for
+  /// the same architecture: copy-assignment at equal shape reuses the
+  /// buffers, so this allocates nothing.
+  void CopyFrom(const SlimTrainState& src);
+
+ private:
+  friend class SlimModel;
+
+  /// One worker's private gradient accumulators (grow-only).
+  struct GradScratch {
+    Matrix g[kNumParams];
+  };
+
+  // Learned.
+  Matrix m_[kNumParams], v_[kNumParams];  // Adam moments
+  size_t adam_t_ = 0;
+  uint64_t train_calls_ = 0;  // tags the per-chunk dropout streams
+
+  // Per-step transients.
+  Matrix grad_[kNumParams];
+  Matrix d_out_, d_h_, d_cat2_, d_msg_, d_self_;  // backward scratch
+  // Batch-parallel scratch: per-worker gradient partials and per-chunk
+  // loss partials, reduced in fixed order.
+  std::vector<GradScratch> worker_grads_;
+  std::vector<double> chunk_loss_;
+};
+
+/// The model: the parameter values, their read-path packs and the
+/// forward scratch. Everything a reader needs and nothing only training
+/// needs: the optimizer state lives in a SlimTrainState that TrainStep
+/// takes as an argument.
 class SlimModel {
  public:
   SlimModel(const SlimOptions& opts, Rng* rng);
-  /// A copy of `src`: its learned state (CopyLearnedStateFrom) and
-  /// training flag, with serial dropout drawn from `rng`. Gradients start
-  /// zeroed and activation scratch empty.
+  /// A read-only copy of `src`: its weights and packs
+  /// (CopyLearnedStateFrom) and training flag, with serial dropout drawn
+  /// from `rng`. It holds no optimizer state (that is a SlimTrainState)
+  /// and its activation scratch starts empty.
   SlimModel(const SlimModel& src, Rng* rng);
   // The Rng is borrowed from the owner: a plain copy would share it.
   SlimModel(const SlimModel&) = delete;
@@ -120,10 +175,12 @@ class SlimModel {
   const Matrix& PredictConst(const SlimBatchInput& input,
                              SlimForwardScratch* scratch) const;
 
-  /// Forward + cross-entropy backward + Adam update. labels[b] in
-  /// [0, out_dim). Returns the mean batch loss.
+  /// Forward + cross-entropy backward + Adam update of this model's
+  /// weights, with the moments, step counters and scratch of `train`
+  /// (shaped for this architecture). labels[b] in [0, out_dim). Returns
+  /// the mean batch loss.
   double TrainStep(const SlimBatchInput& input,
-                   const std::vector<int>& labels);
+                   const std::vector<int>& labels, SlimTrainState* train);
 
   size_t ParamCount() const;
   const SlimOptions& options() const { return opts_; }
@@ -142,57 +199,49 @@ class SlimModel {
   /// included): the cost counter the version check exists to keep down.
   uint64_t pack_count() const { return pack_count_; }
 
-  /// Checkpoint hooks: the learned state — every parameter matrix plus its
-  /// Adam moments, the Adam step counter, and the train-call counter that
-  /// tags the per-chunk dropout streams. Gradient matrices and activation
-  /// scratch are per-step transients and are not serialized. Deserialize
-  /// verifies each matrix against the architecture-derived shape, so a
-  /// stream from a differently-sized model is rejected, never reshaped.
-  void Serialize(ByteWriter* w) const;
-  bool Deserialize(ByteReader* r);
+  /// Checkpoint hooks: the learned state of this model and of `train` —
+  /// the train state's step counters, then every parameter matrix
+  /// followed by its two Adam moments. Gradients and activation scratch
+  /// are per-step transients and are not serialized. Deserialize verifies
+  /// each matrix against the architecture-derived shape, so a stream from
+  /// a differently-sized model is rejected, never reshaped.
+  void Serialize(ByteWriter* w, const SlimTrainState& train) const;
+  bool Deserialize(ByteReader* r, SlimTrainState* train);
 
-  /// Makes this model's learned state a copy of `src`'s: the same state
-  /// Serialize writes (params, Adam moments, step counters) plus the
-  /// read-path packs and their versions, so the copy is query-ready
-  /// without repacking. Gradients and activation scratch are per-step
-  /// transients and are left alone, and pack_count() keeps counting only
-  /// this model's own rebuilds. Copy-assignment at equal shape reuses the
-  /// existing buffers, so this allocates nothing. Returns false and
-  /// changes nothing when `src` has a different architecture. TrainStep
-  /// is deterministic, so copying a trained twin gives the bytes training
-  /// this model on the same batch would.
+  /// Makes this model's read state a copy of `src`'s: the parameter
+  /// values, the read-path packs and their versions, so the copy is
+  /// query-ready without repacking. Optimizer state lives in a
+  /// SlimTrainState and is not copied; activation scratch is left alone,
+  /// and pack_count() keeps counting only this model's own rebuilds.
+  /// Copy-assignment at equal shape reuses the existing buffers, so this
+  /// allocates nothing. Returns false and changes nothing when `src` has
+  /// a different architecture. TrainStep is deterministic, so copying a
+  /// trained twin gives the weights training this model on the same
+  /// batch would.
   bool CopyLearnedStateFrom(const SlimModel& src);
 
  private:
-  // Parameter order for gradient scratch/reduction: w1 b1 w2 b2 w3 b3 w4 b4.
-  static constexpr size_t kNumParams = 8;
-
-  struct Param {
-    Matrix w, grad, m, v;  // value, gradient, Adam moments
-  };
+  static constexpr size_t kNumParams = SlimTrainState::kNumParams;
 
   /// The params in gradient order.
-  std::array<Param*, kNumParams> Params() {
+  std::array<Matrix*, kNumParams> Params() {
     return {&w1_, &b1_, &w2_, &b2_, &w3_, &b3_, &w4_, &b4_};
   }
-  std::array<const Param*, kNumParams> Params() const {
+  std::array<const Matrix*, kNumParams> Params() const {
     return {&w1_, &b1_, &w2_, &b2_, &w3_, &b3_, &w4_, &b4_};
   }
 
-  /// The gradient destinations of one backward pass: either the Params'
-  /// own grad matrices (serial) or one worker's private scratch (parallel).
+  /// The gradient destinations of one backward pass: either the train
+  /// state's own grad matrices (serial) or one worker's private scratch
+  /// (parallel).
   struct GradRefs {
     Matrix* g[kNumParams];
   };
 
-  /// One worker's private gradient accumulators (grow-only).
-  struct GradScratch {
-    Matrix g[kNumParams];
-  };
-
-  /// Grows every forward/backward scratch matrix for a B-row batch. Must
-  /// run before chunks are dispatched: Resize may reallocate.
-  void ResizeScratch(size_t b, bool for_training);
+  /// Grows the forward scratch (and, for training, `train`'s gradients
+  /// and backward scratch) for a B-row batch. Must run before chunks are
+  /// dispatched: Resize may reallocate.
+  void ResizeScratch(size_t b, SlimTrainState* train);
   /// Forward for batch rows [r0, r1) into `s` (disjoint rows per chunk).
   /// `drop_rng` non-null applies training dropout. Const: every mutated
   /// activation lives in the scratch, so readers with private scratch can
@@ -206,27 +255,25 @@ class SlimModel {
                   size_t pi, Matrix* out, size_t r0, size_t r1,
                   bool relu) const;
   /// Runs ResizeScratch + ForwardRange serial or chunk-parallel.
-  void ForwardAll(const SlimBatchInput& input, bool for_training);
-  /// Softmax/CE + backprop for batch rows [r0, r1): gradient contributions
-  /// of those rows go to `grads` (added when accumulate); the rows' summed
-  /// loss is added to *loss_out.
+  void ForwardAll(const SlimBatchInput& input);
+  /// Softmax/CE + backprop for batch rows [r0, r1) from the forward
+  /// activations in fwd_: gradient contributions of those rows go to
+  /// `grads` (added when accumulate), through `train`'s backward scratch;
+  /// the rows' summed loss is added to *loss_out.
   void BackwardRange(const SlimBatchInput& input,
                      const std::vector<int>& labels, size_t r0, size_t r1,
                      const GradRefs& grads, bool accumulate,
-                     double* loss_out);
+                     SlimTrainState* train, double* loss_out) const;
   void EncodeTime(const std::vector<double>& deltas, size_t i0, size_t i1,
                   SlimForwardScratch* s) const;
-  void EnsureWorkerScratch(size_t num_workers);
-  GradRefs MainGradRefs();
-  void AdamStep(Param* p);
+  /// Whether `train`'s moments are shaped for this model's parameters.
+  bool Fits(const SlimTrainState& train) const;
 
   SlimOptions opts_;
   Rng* rng_;
   bool training_ = false;
-  size_t adam_t_ = 0;
-  uint64_t train_calls_ = 0;  // tags the per-chunk dropout streams
 
-  Param w1_, b1_, w2_, b2_, w3_, b3_, w4_, b4_;
+  Matrix w1_, b1_, w2_, b2_, w3_, b3_, w4_, b4_;
 
   // Read-path GEMM operands (tensor/packed.h), rebuilt by PackWeights
   // whenever their packed version trails weights_version_, so the const
@@ -239,14 +286,6 @@ class SlimModel {
   // Forward scratch for the fused (non-const) paths, kept across calls
   // (grow-only). The const PredictConst path uses caller scratch instead.
   SlimForwardScratch fwd_;
-
-  // Backward scratch.
-  Matrix d_out_, d_h_, d_cat2_, d_msg_, d_self_;
-
-  // Batch-parallel scratch (grow-only): per-worker gradient partials and
-  // per-chunk loss partials, reduced in fixed order.
-  std::vector<GradScratch> worker_grads_;
-  std::vector<double> chunk_loss_;
 };
 
 }  // namespace splash

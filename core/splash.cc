@@ -46,6 +46,8 @@ SplashPredictor::SplashPredictor(const SplashPredictor& src)
       memory_(src.memory_),
       slim_(src.slim_ ? std::make_unique<SlimModel>(*src.slim_, &rng_)
                       : nullptr),
+      train_(src.train_ ? std::make_unique<SlimTrainState>(*src.train_)
+                        : nullptr),
       selected_(src.selected_),
       input_dim_(src.input_dim_) {}
 
@@ -88,6 +90,7 @@ Status SplashPredictor::Prepare(const Dataset& ds, const ChronoSplit& split) {
   // predictor seed so identically-seeded runs stay reproducible.
   slim_opts.dropout_seed = SplitMix64(opts_.seed ^ 0xd50bd50bULL);
   slim_ = std::make_unique<SlimModel>(slim_opts, &rng_);
+  train_ = std::make_unique<SlimTrainState>(slim_opts);
 
   memory_.EnsureNodeCapacity(ds.stream.num_nodes());
   ResetState();
@@ -126,10 +129,17 @@ Status SplashPredictor::CopyModelFrom(const SplashPredictor& src) {
   if (!slim_ || !src.slim_) {
     return Status::Error("SplashPredictor::CopyModelFrom: not prepared");
   }
+  if (train_ && !src.train_) {
+    return Status::Error(
+        "SplashPredictor::CopyModelFrom: source holds no train state");
+  }
+  // CopyLearnedStateFrom checks the architecture before any write; equal
+  // architectures give the train states equal shapes.
   if (!slim_->CopyLearnedStateFrom(*src.slim_)) {
     return Status::Error(
         "SplashPredictor::CopyModelFrom: SLIM architecture mismatch");
   }
+  if (train_) train_->CopyFrom(*src.train_);
   rng_ = src.rng_;
   return Status::Ok();
 }
@@ -262,9 +272,11 @@ void SplashPredictor::StageBatch(const std::vector<PropertyQuery>& queries) {
   }
 }
 
-double SplashPredictor::TrainStaged() {
+double SplashPredictor::TrainStaged() { return TrainStaged(train_.get()); }
+
+double SplashPredictor::TrainStaged(SlimTrainState* train) {
   if (!slim_ || staged_rows_ == 0) return 0.0;
-  return slim_->TrainStep(batch_, labels_);
+  return slim_->TrainStep(batch_, labels_, train);
 }
 
 Matrix SplashPredictor::PredictStaged() {
@@ -292,6 +304,11 @@ constexpr uint32_t kSplashStateVersion = 1;
 }  // namespace
 
 void SplashPredictor::SerializeState(ByteWriter* w) const {
+  SerializeState(w, train_.get());
+}
+
+void SplashPredictor::SerializeState(ByteWriter* w,
+                                     const SlimTrainState* train) const {
   w->U32(kSplashStateMagic);
   w->U32(kSplashStateVersion);
   // Config fingerprint: a checkpoint only ever restores into a predictor
@@ -321,7 +338,7 @@ void SplashPredictor::SerializeState(ByteWriter* w) const {
   w->U8(rs.has_cached ? 1 : 0);
   augmenter_.Serialize(w);
   memory_.Serialize(w);
-  if (slim_) slim_->Serialize(w);
+  if (slim_) slim_->Serialize(w, *train);
 }
 
 Status SplashPredictor::DeserializeState(ByteReader* r) {
@@ -354,8 +371,10 @@ Status SplashPredictor::DeserializeState(ByteReader* r) {
     // Construction He-initializes from rng_ (consuming draws); the stream
     // position and every parameter are overwritten below.
     slim_ = std::make_unique<SlimModel>(so, &rng_);
+    train_ = std::make_unique<SlimTrainState>(so);
   } else {
     slim_.reset();
+    train_.reset();
   }
   Rng::State rs;
   for (int i = 0; i < 4; ++i) rs.s[i] = r->U64();
@@ -368,7 +387,7 @@ Status SplashPredictor::DeserializeState(ByteReader* r) {
   if (!memory_.Deserialize(r)) {
     return Status::Error("SplashPredictor: neighbor memory state mismatch");
   }
-  if (has_slim && !slim_->Deserialize(r)) {
+  if (has_slim && !slim_->Deserialize(r, train_.get())) {
     return Status::Error("SplashPredictor: SLIM state mismatch");
   }
   if (!r->ok()) {

@@ -58,9 +58,12 @@ struct SplashQueryScratch {
 class SplashPredictor : public TemporalPredictor {
  public:
   explicit SplashPredictor(const SplashOptions& opts);
-  /// A copy of `src`'s whole state — everything SerializeState writes —
-  /// made in memory, with empty scratch. The serving layer builds its
-  /// second replica this way instead of preparing (and fitting) twice.
+  /// A copy of `src`'s state made in memory, with empty scratch: the
+  /// streaming state, the RNG position, the SLIM weights and packs, and
+  /// `src`'s SLIM train state if it still owns one. The serving layer
+  /// builds its second replica this way (from a replica whose train state
+  /// it took, so the copy is read-only) instead of preparing (and
+  /// fitting) twice.
   SplashPredictor(const SplashPredictor& src);
 
   std::string name() const override { return SplashModeName(opts_.mode); }
@@ -80,7 +83,12 @@ class SplashPredictor : public TemporalPredictor {
   /// with ObserveBulk of later edges.
   bool SupportsStagedBatches() const override { return true; }
   void StageBatch(const std::vector<PropertyQuery>& queries) override;
+  /// Trains the staged batch with this predictor's own train state.
   double TrainStaged() override;
+  /// Trains the staged batch with `train`, a SLIM train state shaped for
+  /// this predictor's architecture: how the serving layer trains a
+  /// read-only replica with the one train state it owns.
+  double TrainStaged(SlimTrainState* train);
   Matrix PredictStaged() override;
   void SetTraining(bool training) override;
   size_t ParamCount() const override;
@@ -110,6 +118,17 @@ class SplashPredictor : public TemporalPredictor {
   const FeatureAugmenter& augmenter() const { return augmenter_; }
   const NeighborMemory& memory() const { return memory_; }
   size_t input_dim() const { return input_dim_; }
+  /// SLIM's class count (0 before Prepare): valid labels are [0, out_dim).
+  size_t out_dim() const { return slim_ ? slim_->options().out_dim : 0; }
+
+  /// Hands SLIM's train state (Adam moments, step counters, gradient
+  /// scratch) to the caller and leaves this predictor a read-only replica:
+  /// it answers queries, observes edges and copies models, and trains and
+  /// serializes only with a train state passed in. Null before Prepare or
+  /// once released.
+  std::unique_ptr<SlimTrainState> ReleaseTrainState() {
+    return std::move(train_);
+  }
 
   /// Guarantees SLIM's read-path GEMM operands match the current weights
   /// once it returns, so a published replica's first query never packs.
@@ -126,25 +145,34 @@ class SplashPredictor : public TemporalPredictor {
   /// ServeCounters::weight_packs.
   uint64_t weight_packs() const;
 
-  /// Copies `src`'s learned SLIM state (SlimModel::CopyLearnedStateFrom)
-  /// and the position of the predictor RNG, which the serial dropout path
-  /// draws from. Streaming state (augmenter, neighbor rings) is untouched:
-  /// a twin that observed the same edges and then copies the model ends
-  /// byte-identical in SerializeState to a twin that also trained. Both
-  /// predictors must be prepared with the same SLIM architecture; on a
-  /// mismatch this returns an error and changes nothing. Allocation-free.
+  /// Copies `src`'s SLIM weights and packs
+  /// (SlimModel::CopyLearnedStateFrom) and the position of the predictor
+  /// RNG, which the serial dropout path draws from. A read-only replica
+  /// (the serve catch-up) copies only that. A predictor that owns a train
+  /// state also copies `src`'s moments and step counters, so an offline
+  /// twin that observed the same edges and then copies the model ends
+  /// byte-identical in SerializeState to a twin that also trained.
+  /// Streaming state (augmenter, neighbor rings) is untouched. Both
+  /// predictors must be prepared with the same SLIM architecture, and
+  /// `src` must own a train state if this one does; otherwise this
+  /// returns an error and changes nothing. Allocation-free.
   Status CopyModelFrom(const SplashPredictor& src);
 
   /// Checkpoint hooks (serve/checkpoint): the complete post-Prepare state —
   /// RNG stream, selected process, augmenter (fitted + dynamic), neighbor
-  /// rings, and SLIM (params + Adam moments + step counters). A
-  /// deserialized predictor needs neither Prepare() nor a warmup dataset:
-  /// it resumes bit-identically to the serialized one. DeserializeState
-  /// validates a config fingerprint (seed / mode / feature_dim and the
-  /// serialized SLIM architecture) and fails without partial mutation
-  /// visible to queries only if the very first header check fails; callers
-  /// treat any error as "replica unusable" and abandon recovery.
+  /// rings, SLIM's params and its train state's learned part (Adam
+  /// moments + step counters). The one-argument form writes this
+  /// predictor's own train state; a read-only replica serializes together
+  /// with the train state its owner passes in (non-null once prepared),
+  /// and the bytes are the same either way. DeserializeState restores a
+  /// predictor that owns its train state again: it needs neither Prepare()
+  /// nor a warmup dataset and resumes bit-identically to the serialized
+  /// one. It validates a config fingerprint (seed / mode / feature_dim and
+  /// the serialized SLIM architecture) and fails without partial mutation
+  /// visible to queries only if the very first header check fails;
+  /// callers treat any error as "replica unusable" and abandon recovery.
   void SerializeState(ByteWriter* w) const;
+  void SerializeState(ByteWriter* w, const SlimTrainState* train) const;
   Status DeserializeState(ByteReader* r);
 
  private:
@@ -164,6 +192,9 @@ class SplashPredictor : public TemporalPredictor {
   FeatureAugmenter augmenter_;
   NeighborMemory memory_;
   std::unique_ptr<SlimModel> slim_;
+  // SLIM's optimizer state: owned from Prepare/DeserializeState until
+  // ReleaseTrainState hands it to a trainer outside (the serving layer).
+  std::unique_ptr<SlimTrainState> train_;
   AugmentationProcess selected_ = AugmentationProcess::kStructural;
   size_t input_dim_ = 0;
 

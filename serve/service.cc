@@ -161,10 +161,13 @@ Status SplashService::Boot(const Dataset& warmup, const ChronoSplit& split,
     st = PrepareBaseState(warmup, split, fit);
     if (!st.ok()) return st;
   }
-  // Replica 1 is an in-memory copy of replica 0 — the invariant the
-  // whole snapshot scheme rests on: two identical state machines one
-  // batch apart.
+  // The apply thread owns SLIM's one train state; replica 0 keeps its
+  // read state. Replica 1 is then an in-memory, read-only copy of replica
+  // 0 — the invariant the whole snapshot scheme rests on: two identical
+  // state machines one batch apart.
+  train_state_ = replicas_[0]->ReleaseTrainState();
   replicas_[1] = std::make_unique<SplashPredictor>(*replicas_[0]);
+  num_classes_ = replicas_[0]->out_dim();
   weight_packs_base_ =
       replicas_[0]->weight_packs() + replicas_[1]->weight_packs();
   wm_seq_[0] = wm_seq_[1] = log_.size();
@@ -274,6 +277,16 @@ IngestResult SplashService::SubmitTrain(const PropertyQuery& q) {
     train_dropped_.fetch_add(1, std::memory_order_relaxed);
     return IngestResult::kStopped;
   }
+  // Boundary validation, as IngestEdge does for edges: an invalid node, a
+  // non-finite time (it would turn every time delta of the row into NaN)
+  // or a label outside [0, num_classes) is rejected here and counted as a
+  // drop, instead of being trained on under a clamped label.
+  if (q.node == kInvalidNode || !std::isfinite(q.time) ||
+      q.class_label < 0 ||
+      static_cast<size_t>(q.class_label) >= num_classes_) {
+    train_dropped_.fetch_add(1, std::memory_order_relaxed);
+    return IngestResult::kInvalid;
+  }
   IngestItem item;
   item.kind = IngestItem::Kind::kTrain;
   item.train = q;
@@ -320,7 +333,8 @@ void SplashService::WriteServiceCheckpoint() {
   const uint64_t seq = log_.size();
   const double wm_time = log_.empty() ? 0.0 : log_.max_time();
   ckpt_state_scratch_.Clear();
-  replicas_[gate_.back()]->SerializeState(&ckpt_state_scratch_);
+  replicas_[gate_.back()]->SerializeState(&ckpt_state_scratch_,
+                                          train_state_.get());
   Status st = WriteCheckpoint(opts_.data_dir, seq, wal_batch_index_, wm_time,
                               log_, node_seen_, ckpt_state_scratch_.buffer());
   if (!st.ok()) {
@@ -360,7 +374,7 @@ void SplashService::SyncWeightPacks() {
 }
 
 void SplashService::SerializePredictorState(ByteWriter* w) const {
-  replicas_[gate_.back()]->SerializeState(w);
+  replicas_[gate_.back()]->SerializeState(w, train_state_.get());
 }
 
 uint32_t SplashService::ApplyAndPublish(const WalRecord& rec) {
@@ -372,9 +386,11 @@ uint32_t SplashService::ApplyAndPublish(const WalRecord& rec) {
   if (!rec.train.empty()) {
     // The staged split-phase path (core/predictor.h): assemble from the
     // just-advanced state, then pure compute on the staged tensors.
+    // The replica is read-only; the step runs with the service's train
+    // state.
     rep->SetTraining(true);
     rep->StageBatch(rec.train);
-    rep->TrainStaged();
+    rep->TrainStaged(train_state_.get());
     rep->SetTraining(false);
   }
   // Publish-time packing invariant: by the time this replica is pinned by
@@ -398,8 +414,9 @@ void SplashService::CatchUp(uint32_t idx, const WalRecord& rec) {
   }
   if (!rec.train.empty()) {
     // The front trained on this batch from the state this replica now
-    // holds, and TrainStep is deterministic: copy its learned state
-    // instead of assembling and training again. The front stays
+    // holds, and TrainStep is deterministic: copy its weights, packs and
+    // RNG position instead of assembling and training again (the
+    // optimizer state is the service's, not a replica's). The front stays
     // read-only until the next cycle's pipe_.Wait(), and readers only
     // read it, so the copy races nothing. Same architecture by
     // construction, so the copy cannot fail.

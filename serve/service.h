@@ -14,14 +14,18 @@
 //   readers  ──ServeClient::Predict*──▶ pinned FRONT replica
 //                                        (const snapshot, watermarked)
 //
-// Snapshot isolation. The service owns TWO SplashPredictor replicas
-// behind a SnapshotGate; at boot replica 1 is an in-memory copy of
-// replica 0. The apply thread applies each micro-batch to the back
-// replica (observe its edges, run its staged train step), publishes it
-// (one atomic store), then catches the other replica up on the runtime/
-// PipelineThread (overlapped with waiting for the next batch): it replays
-// the same edges and, after a training batch, copies the learned SLIM
-// state from the replica just published instead of training again.
+// Snapshot isolation. The service owns TWO read-only SplashPredictor
+// replicas behind a SnapshotGate — streaming state plus SLIM weights and
+// packs, what readers read — and ONE SLIM train state (Adam moments, step
+// counters, gradient scratch), owned by the apply thread. At boot the
+// apply thread takes the train state from replica 0 and replica 1 is an
+// in-memory copy of replica 0. The apply thread applies each micro-batch
+// to the back replica (observe its edges, run its staged train step with
+// the service's train state), publishes it (one atomic store), then
+// catches the other replica up on the runtime/ PipelineThread
+// (overlapped with waiting for the next batch): it replays the same edges
+// and, after a training batch, copies the SLIM weights, packs and RNG
+// position from the replica just published instead of training again.
 // TrainStep is deterministic, so the copy holds the bytes a second
 // training run would reach, and the front is read-only until the next
 // cycle's barrier. Both replicas are thus bit-identical state machines
@@ -137,7 +141,8 @@ class SplashService final : public QueryBackend {
 
   /// Prepares replica 0 on `warmup` (feature fitting + selection and,
   /// when `fit` is non-null, a full StreamTrainer::Fit), resets streaming
-  /// state, copies it into replica 1, and starts the apply thread. The
+  /// state, takes its SLIM train state, copies it into replica 1, and
+  /// starts the apply thread. The
   /// ingest log starts empty: watermark 0 means "no edge beyond the fitted
   /// weights".
   Status Start(const Dataset& warmup, const ChronoSplit& split,
@@ -175,7 +180,9 @@ class SplashService final : public QueryBackend {
 
   /// Enqueues one labeled training query, applied as part of a staged
   /// train step at the next micro-batch boundary (after that batch's
-  /// edges). kInvalid when train_on_ingest_labels is off.
+  /// edges). kInvalid on boundary rejection (invalid node, non-finite
+  /// time, class_label outside [0, num_classes) — counted as
+  /// train_dropped) and, uncounted, when train_on_ingest_labels is off.
   IngestResult SubmitTrain(const PropertyQuery& q) override;
 
   /// Blocks until everything accepted before the call is applied AND
@@ -223,7 +230,9 @@ class SplashService final : public QueryBackend {
   const EdgeStream& ingest_log() const { return log_; }
   /// Serializes the quiescent predictor state (the back replica — after
   /// Flush with no concurrent producers, or after Stop, both replicas are
-  /// bit-identical). The byte-comparison handle of the recovery oracle.
+  /// bit-identical — together with the service's train state: the bytes
+  /// a predictor owning both would write). The byte-comparison handle of
+  /// the recovery oracle.
   void SerializePredictorState(ByteWriter* w) const;
 
  private:
@@ -246,14 +255,15 @@ class SplashService final : public QueryBackend {
   void ApplyLoop();
   /// Applies one micro-batch (its log range [seq_begin, seq_end) and train
   /// batch, already appended to log_) to the back replica — ObserveBulk,
-  /// then the staged train step — stamps its watermark and publishes it:
+  /// then the staged train step with train_state_ — stamps its watermark
+  /// and publishes it:
   /// WAL replay and live apply alike. Returns the old front, which still
   /// has to catch up on the same batch.
   uint32_t ApplyAndPublish(const WalRecord& rec);
   /// Brings replica `idx` level with the front once its readers drained:
   /// replays `rec`'s edges, then, for a training batch, copies the front's
-  /// learned SLIM state (SplashPredictor::CopyModelFrom) instead of
-  /// training again.
+  /// SLIM weights, packs and RNG position (SplashPredictor::CopyModelFrom)
+  /// instead of training again.
   void CatchUp(uint32_t idx, const WalRecord& rec);
   /// Admission tail shared by IngestEdge/SubmitTrain: push, time, count.
   IngestResult Enqueue(const IngestItem& item,
@@ -261,7 +271,8 @@ class SplashService final : public QueryBackend {
                        std::atomic<uint64_t>* dropped);
   /// Deterministic prep (+fit) of replica 0 and warmup-derived
   /// log/seen-set initialization: the base state when no checkpoint
-  /// exists. Boot copies replica 0 into replica 1 either way.
+  /// exists. Boot takes replica 0's train state and copies replica 0
+  /// into replica 1 either way.
   Status PrepareBaseState(const Dataset& warmup, const ChronoSplit& split,
                           const TrainerOptions* fit);
   /// Clamp + novel-id accounting + log append for one validated edge.
@@ -280,7 +291,13 @@ class SplashService final : public QueryBackend {
   SplashOptions model_opts_;
   SplashServiceOptions opts_;
 
+  // Read-only replicas: weights, packs and streaming state. SLIM's one
+  // train state (Adam moments, step counters, gradient scratch) is the
+  // apply thread's: ApplyAndPublish trains the back replica with it, and
+  // checkpoints serialize a replica together with it.
   std::unique_ptr<SplashPredictor> replicas_[2];
+  std::unique_ptr<SlimTrainState> train_state_;
+  size_t num_classes_ = 0;  // SubmitTrain's label bound, set at boot
   SnapshotGate gate_;
   // Per-buffer watermark, written by the apply thread while the buffer is
   // the (exclusive) back, published to readers by gate_.Publish().

@@ -38,7 +38,8 @@ class IngestResult {
   enum Code : uint8_t {
     kAccepted = 0,        // enqueued; will be applied and published
     kInvalid = 1,         // boundary rejection (bad id / non-finite time
-                          //  / labels disabled) — retrying cannot help
+                          //  / label out of range / labels disabled) —
+                          //  retrying cannot help
     kBacklogDropped = 2,  // kDropNewest backlog drop — retryable
     kStopped = 3,         // service not running — permanent for this handle
   };

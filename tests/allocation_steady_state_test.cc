@@ -5,12 +5,15 @@
 // heap allocations at steady state — including with threads > 1, where the
 // per-worker gradient scratch and the ParallelFor dispatch must be
 // grow-only too. Global operator new/delete are replaced with counting
-// shims; a scoped flag confines the assertion to the measured region.
+// shims that also sum the requested bytes, which pins the footprint of a
+// read-only SLIM copy (DESIGN.md §5); a scoped flag confines the
+// assertion to the measured region.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -30,10 +33,12 @@ namespace {
 
 std::atomic<bool> g_counting{false};
 std::atomic<size_t> g_alloc_count{0};
+std::atomic<size_t> g_alloc_bytes{0};
 
 void* CountedAlloc(size_t size) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+    g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   }
   void* p = std::malloc(size == 0 ? 1 : size);
   if (p == nullptr) throw std::bad_alloc();
@@ -52,14 +57,25 @@ void operator delete[](void* p, size_t) noexcept { std::free(p); }
 namespace splash {
 namespace {
 
-/// Allocations observed while running `fn`.
+/// Bytes requested from operator new while running `fn`; the number of
+/// allocations goes to *count when non-null.
 template <typename Fn>
-size_t CountAllocations(const Fn& fn) {
+size_t AllocatedBytes(const Fn& fn, size_t* count = nullptr) {
   g_alloc_count.store(0, std::memory_order_relaxed);
+  g_alloc_bytes.store(0, std::memory_order_relaxed);
   g_counting.store(true, std::memory_order_seq_cst);
   fn();
   g_counting.store(false, std::memory_order_seq_cst);
-  return g_alloc_count.load(std::memory_order_relaxed);
+  if (count != nullptr) *count = g_alloc_count.load(std::memory_order_relaxed);
+  return g_alloc_bytes.load(std::memory_order_relaxed);
+}
+
+/// Allocations observed while running `fn`.
+template <typename Fn>
+size_t CountAllocations(const Fn& fn) {
+  size_t count = 0;
+  AllocatedBytes(fn, &count);
+  return count;
 }
 
 TEST(AllocationSteadyStateTest, NeighborMemoryObserveIsAllocationFree) {
@@ -96,6 +112,7 @@ TEST(AllocationSteadyStateTest, SlimTrainStepIsAllocationFreeWithThreads) {
   opts.dropout = 0.1f;
   Rng rng(4);
   SlimModel model(opts, &rng);
+  SlimTrainState train(opts);
   model.SetTraining(true);
 
   const size_t b = 192;
@@ -108,16 +125,44 @@ TEST(AllocationSteadyStateTest, SlimTrainStepIsAllocationFreeWithThreads) {
   std::vector<int> labels(b);
   for (size_t i = 0; i < b; ++i) labels[i] = static_cast<int>(i % 2);
 
-  // Warm-up: grows the activation scratch, the per-worker gradient
-  // scratch, and the chunk-loss vector to this batch size.
-  model.TrainStep(input, labels);
-  model.TrainStep(input, labels);
+  // Warm-up: grows the activation scratch, the gradients, the per-worker
+  // gradient scratch, and the chunk-loss vector to this batch size.
+  model.TrainStep(input, labels, &train);
+  model.TrainStep(input, labels, &train);
 
   const size_t allocs = CountAllocations([&] {
-    for (int step = 0; step < 10; ++step) model.TrainStep(input, labels);
+    for (int step = 0; step < 10; ++step) {
+      model.TrainStep(input, labels, &train);
+    }
   });
   EXPECT_EQ(allocs, 0u);
   ThreadPool::SetGlobalThreads(1);
+}
+
+TEST(AllocationSteadyStateTest, ReadOnlySlimCopyHoldsWeightsAndPacksOnly) {
+  // A serve replica's SLIM is a read-only copy: the weights plus their
+  // read-path packs, about twice the parameter bytes; the Adam moments
+  // and gradients live in the one SlimTrainState its service owns. The
+  // shape is the wide serving model (fd64/h1024), where panel padding of
+  // the packs is small next to the weights.
+  SlimOptions opts;
+  opts.feature_dim = 64;
+  opts.time_dim = 16;
+  opts.hidden_dim = 1024;
+  opts.k_recent = 10;
+  Rng rng(8);
+  SlimModel src(opts, &rng);
+  const double param_bytes =
+      static_cast<double>(src.ParamCount() * sizeof(float));
+
+  Rng copy_rng(9);
+  std::unique_ptr<SlimModel> copy;
+  const size_t bytes = AllocatedBytes(
+      [&] { copy = std::make_unique<SlimModel>(src, &copy_rng); });
+  ASSERT_EQ(copy->ParamCount(), src.ParamCount());
+  EXPECT_LE(static_cast<double>(bytes), 2.1 * param_bytes)
+      << "read-only copy holds " << bytes / param_bytes
+      << "x the parameter bytes";
 }
 
 TEST(AllocationSteadyStateTest, FeatureAugmenterObserveBulkIsAllocationFree) {
@@ -165,10 +210,10 @@ TEST(AllocationSteadyStateTest, FeatureAugmenterObserveBulkIsAllocationFree) {
 
 // The aligned/padded scratch introduced by the SIMD backends must stay
 // grow-only under each of them too: Observe, TrainStep, the serve read
-// path (PredictBatchConst with per-client scratch) and the serve catch-up's
-// model copy (CopyModelFrom between two prepared predictors) perform zero
-// heap allocations at steady state regardless of the dispatched kernel
-// table.
+// path (PredictBatchConst with per-client scratch), the serve catch-up's
+// model copy (CopyModelFrom into a read-only replica) and an offline
+// twin's copy (moments included) perform zero heap allocations at steady
+// state regardless of the dispatched kernel table.
 void RunSlimAndServeAllocationGate() {
   ThreadPool::SetGlobalThreads(4);
 
@@ -189,6 +234,10 @@ void RunSlimAndServeAllocationGate() {
   model.ObserveBulk(ds.stream, 0, ds.stream.size() / 2);
   SplashPredictor twin(opts);
   ASSERT_TRUE(twin.Prepare(ds, split).ok());
+  // The catch-up replica: its train state handed off, as the service does.
+  SplashPredictor replica(opts);
+  ASSERT_TRUE(replica.Prepare(ds, split).ok());
+  ASSERT_NE(replica.ReleaseTrainState(), nullptr);
 
   std::vector<PropertyQuery> queries(64);
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -204,6 +253,7 @@ void RunSlimAndServeAllocationGate() {
   (void)model.PredictBatchConst(queries, &scratch);
   model.TrainBatch(queries);
   ASSERT_TRUE(twin.CopyModelFrom(model).ok());
+  ASSERT_TRUE(replica.CopyModelFrom(model).ok());
 
   const size_t mid = ds.stream.size() / 2;
   bool copied = true;
@@ -212,6 +262,7 @@ void RunSlimAndServeAllocationGate() {
       model.TrainBatch(queries);
       (void)model.PredictBatchConst(queries, &scratch);
       copied = twin.CopyModelFrom(model).ok() && copied;
+      copied = replica.CopyModelFrom(model).ok() && copied;
     }
     for (size_t i = mid; i < ds.stream.size(); ++i) {
       model.ObserveEdge(ds.stream[i], i);

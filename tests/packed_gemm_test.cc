@@ -241,9 +241,10 @@ TEST(PackedGemmTest, SlimPredictPackedBitEqualsUnpackedPerBackend) {
   {
     Rng other_rng(99);
     SlimModel other(opts, &other_rng);
+    SlimTrainState other_train(opts);
     other.SetTraining(true);
-    other.TrainStep(train, labels);
-    other.Serialize(&other_bytes);
+    other.TrainStep(train, labels, &other_train);
+    other.Serialize(&other_bytes, other_train);
   }
 
   std::vector<const char*> backends = {"scalar"};
@@ -253,6 +254,7 @@ TEST(PackedGemmTest, SlimPredictPackedBitEqualsUnpackedPerBackend) {
     ASSERT_TRUE(SetKernelBackendForTesting(name));
     Rng rng(42);
     SlimModel model(opts, &rng);
+    SlimTrainState model_train(opts);
     SlimForwardScratch scratch;
 
     // Weight mutations, applied in sequence. After each the packs must be
@@ -269,13 +271,13 @@ TEST(PackedGemmTest, SlimPredictPackedBitEqualsUnpackedPerBackend) {
         {"TrainStep", 1,
          [&] {
            model.SetTraining(true);
-           model.TrainStep(train, labels);
+           model.TrainStep(train, labels, &model_train);
            model.SetTraining(false);
          }},
         {"Deserialize(other model)", 1,
          [&] {
            ByteReader r(other_bytes.buffer());
-           EXPECT_TRUE(model.Deserialize(&r));
+           EXPECT_TRUE(model.Deserialize(&r, &model_train));
          }},
     };
     for (const Stage& stage : stages) {

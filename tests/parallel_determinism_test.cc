@@ -115,9 +115,10 @@ TEST_F(ParallelDeterminismTest, SlimTrainStepMatchesSerialWithinTolerance) {
     ThreadPool::SetGlobalThreads(threads[run]);
     Rng rng(42);
     SlimModel model(opts, &rng);
+    SlimTrainState train(opts);
     model.SetTraining(true);
     for (int step = 0; step < 5; ++step) {
-      losses[run][step] = model.TrainStep(input, labels);
+      losses[run][step] = model.TrainStep(input, labels, &train);
     }
   }
   for (int step = 0; step < 5; ++step) {
@@ -145,9 +146,12 @@ TEST_F(ParallelDeterminismTest, SlimTrainStepSameAtTwoAndFourThreads) {
     ThreadPool::SetGlobalThreads(4);
     Rng rng(42);
     SlimModel model(opts, &rng);
+    SlimTrainState train(opts);
     model.SetTraining(true);
     double loss = 0.0;
-    for (int step = 0; step < 3; ++step) loss = model.TrainStep(input, labels);
+    for (int step = 0; step < 3; ++step) {
+      loss = model.TrainStep(input, labels, &train);
+    }
     if (repeat == 0) {
       first = loss;
     } else {
@@ -158,9 +162,12 @@ TEST_F(ParallelDeterminismTest, SlimTrainStepSameAtTwoAndFourThreads) {
   ThreadPool::SetGlobalThreads(2);
   Rng rng(42);
   SlimModel model(opts, &rng);
+  SlimTrainState train(opts);
   model.SetTraining(true);
   double loss2 = 0.0;
-  for (int step = 0; step < 3; ++step) loss2 = model.TrainStep(input, labels);
+  for (int step = 0; step < 3; ++step) {
+    loss2 = model.TrainStep(input, labels, &train);
+  }
   EXPECT_NEAR(first, loss2, 1e-6);  // same dropout masks, reduction differs
 }
 

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <vector>
 
@@ -423,6 +424,55 @@ TEST_F(ServeServiceTest, InvalidEdgesRejectedAtTheBoundary) {
   EXPECT_EQ(st.counters.ingest_accepted, 1u);
   EXPECT_EQ(service.ingest_log().size(), 1u);
   EXPECT_EQ(st.counters.published_seq, 1u);
+}
+
+TEST_F(ServeServiceTest, InvalidTrainFeedbackRejectedAtTheBoundary) {
+  const Dataset ds = MakeWarmup(1200);
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
+  SplashServiceOptions sopts;
+  sopts.train_on_ingest_labels = true;
+  SplashService service(SmallModelOptions(), sopts);
+  ASSERT_TRUE(service.Start(ds, split, nullptr).ok());
+  ByteWriter before;
+  service.SerializePredictorState(&before);
+
+  // One bad field per query on an otherwise valid one: the sentinel node,
+  // non-finite times, and labels either side of [0, num_classes).
+  const int num_classes = static_cast<int>(std::max<size_t>(2, ds.num_classes));
+  PropertyQuery good;
+  good.node = 1;
+  good.time = ds.stream.max_time();
+  good.class_label = num_classes - 1;
+  std::vector<PropertyQuery> bad(6, good);
+  bad[0].node = kInvalidNode;
+  bad[1].time = std::numeric_limits<double>::quiet_NaN();
+  bad[2].time = std::numeric_limits<double>::infinity();
+  bad[3].time = -std::numeric_limits<double>::infinity();
+  bad[4].class_label = -1;
+  bad[5].class_label = num_classes;
+  for (size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_EQ(service.SubmitTrain(bad[i]).code(), IngestResult::kInvalid)
+        << "bad query " << i;
+  }
+  service.Flush();
+  ServeCounters c = service.Stats().counters;
+  EXPECT_EQ(c.train_dropped, bad.size());
+  EXPECT_EQ(c.train_accepted, 0u);
+  EXPECT_EQ(c.batches_applied, 0u);
+  EXPECT_EQ(c.train_steps, 0u);
+  EXPECT_EQ(c.weight_packs, 0u);
+  ByteWriter after;
+  service.SerializePredictorState(&after);
+  EXPECT_EQ(after.buffer(), before.buffer()) << "a rejected row trained";
+
+  // The highest valid label is accepted and trains once.
+  EXPECT_TRUE(service.SubmitTrain(good).accepted());
+  service.Flush();
+  service.Stop();
+  c = service.Stats().counters;
+  EXPECT_EQ(c.train_dropped, bad.size());
+  EXPECT_EQ(c.train_accepted, 1u);
+  EXPECT_EQ(c.train_steps, 1u);
 }
 
 TEST_F(ServeServiceTest, WatermarkMonotonePerClientAcrossUnflushedIngest) {

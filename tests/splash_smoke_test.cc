@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "core/serialize.h"
@@ -116,10 +117,12 @@ std::vector<PropertyQuery> TrainQueries(const Dataset& ds, size_t observed,
   return qs;
 }
 
-// The serve catch-up's oracle: a twin that observes the same edges and
+// The catch-up copy's oracle: a twin that observes the same edges and
 // copies the model after each train step holds the trainer's exact state
 // bytes — weights, Adam moments, step counters and the dropout Rng — on
 // the serial (1 thread) and the chunk-parallel (4 threads) train path.
+// Both predictors own a train state here, so the copy takes the moments
+// too; the read-only replica case follows.
 TEST(SplashSmokeTest, CopyModelFromMatchesTrainingBytes) {
   const Dataset ds = SmallClassification();
   const ChronoSplit split = MakeChronoSplit(ds.stream, 0.1, 0.1);
@@ -153,6 +156,47 @@ TEST(SplashSmokeTest, CopyModelFromMatchesTrainingBytes) {
     const std::vector<uint8_t> before = StateBytes(twin);
     EXPECT_FALSE(twin.CopyModelFrom(other).ok());
     EXPECT_EQ(StateBytes(twin), before) << "threads " << threads;
+  }
+  ThreadPool::SetGlobalThreads(threads_before);
+}
+
+// The serve catch-up as the service runs it: one train state, taken from
+// the trainer, trains it; the twin is a read-only copy and takes only the
+// weights, packs and Rng position. Serialized with that one train state,
+// both replicas write the same bytes after every step.
+TEST(SplashSmokeTest, ReadOnlyReplicaCopyMatchesTrainingBytes) {
+  const Dataset ds = SmallClassification();
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.1, 0.1);
+  const size_t threads_before = ThreadPool::Global()->num_threads();
+  for (size_t threads : {1u, 4u}) {
+    ThreadPool::SetGlobalThreads(threads);
+    SplashOptions opts = SmallOptions(SplashMode::kForceStructural);
+    opts.slim.dropout = 0.2f;
+    SplashPredictor trainer(opts);
+    ASSERT_TRUE(trainer.Prepare(ds, split).ok());
+    const std::unique_ptr<SlimTrainState> train = trainer.ReleaseTrainState();
+    ASSERT_NE(train, nullptr);
+    SplashPredictor replica(trainer);
+    EXPECT_EQ(replica.ReleaseTrainState(), nullptr) << "copy is read-only";
+    trainer.SetTraining(true);
+
+    constexpr size_t kSteps = 6;
+    const size_t per_step = ds.stream.size() / kSteps;
+    for (size_t step = 0; step < kSteps; ++step) {
+      const size_t lo = step * per_step, hi = lo + per_step;
+      trainer.ObserveBulk(ds.stream, lo, hi);
+      replica.ObserveBulk(ds.stream, lo, hi);
+      const uint64_t packs = trainer.weight_packs();
+      trainer.StageBatch(TrainQueries(ds, hi, step));
+      trainer.TrainStaged(train.get());
+      ASSERT_EQ(trainer.weight_packs(), packs + 1) << "the step trained";
+      ASSERT_TRUE(replica.CopyModelFrom(trainer).ok());
+      ByteWriter want, got;
+      trainer.SerializeState(&want, train.get());
+      replica.SerializeState(&got, train.get());
+      ASSERT_EQ(got.buffer(), want.buffer())
+          << "threads " << threads << " step " << step;
+    }
   }
   ThreadPool::SetGlobalThreads(threads_before);
 }
