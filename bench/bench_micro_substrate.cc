@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include "core/feature_augmentation.h"
+#include "core/serialize.h"
 #include "core/slim.h"
 #include "core/splash.h"
 #include "datasets/scalability.h"
@@ -110,6 +111,23 @@ void BM_DegreeEncode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DegreeEncode);
+
+// The checksum every WAL frame and checkpoint pays (serve/wal,
+// serve/checkpoint): 4 KiB is a large micro-batch record, 16 MiB the scale
+// of a checkpoint payload. Bytes/s is the number to read.
+void BM_Crc32c(benchmark::State& state) {
+  std::vector<uint8_t> buf(static_cast<size_t>(state.range(0)));
+  Rng rng(3);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.UniformInt(256));
+  uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = Crc32c(buf.data(), buf.size(), crc);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(buf.size()));
+}
+BENCHMARK(BM_Crc32c)->Arg(4096)->Arg(16 << 20);
 
 // --- kernel-backend rows (Args = m, k, n) ----------------------------------
 // Pinned GEMM shapes from the SLIM hot paths, recorded per resolved kernel

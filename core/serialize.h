@@ -15,11 +15,12 @@
 //     sticky ok() flag; a truncated or hostile buffer yields zeros and
 //     ok() == false instead of out-of-bounds reads.
 //
-// Also hosts the software CRC32C (Castagnoli) used to frame WAL records
-// and checkpoint payloads. Table-driven and portable: framing integrity
-// must not depend on SSE4.2 being present, and the polynomial matches the
-// hardware instruction so a future accelerated swap-in stays
-// format-compatible.
+// Also declares the CRC32C (Castagnoli) that frames WAL records, WAL
+// segment headers and checkpoint payloads (core/serialize.cc). Crc32c runs
+// the SSE4.2 crc32 instruction, 8 bytes per step, when cpuid reports it,
+// chosen once per process; elsewhere it runs Crc32cPortable, the
+// byte-at-a-time table loop. Both compute the same polynomial, so every
+// framed byte is identical whichever body wrote or reads it.
 
 #ifndef SPLASH_CORE_SERIALIZE_H_
 #define SPLASH_CORE_SERIALIZE_H_
@@ -34,26 +35,13 @@
 namespace splash {
 
 /// CRC32C (Castagnoli, poly 0x1EDC6F41 reflected = 0x82F63B78). `seed` is
-/// the running CRC for incremental use; pass 0 to start.
-inline uint32_t Crc32c(const void* data, size_t n, uint32_t seed = 0) {
-  static const uint32_t* kTable = [] {
-    static uint32_t table[256];
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0x82f63b78u ^ (c >> 1) : c >> 1;
-      }
-      table[i] = c;
-    }
-    return table;
-  }();
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  uint32_t crc = ~seed;
-  for (size_t i = 0; i < n; ++i) {
-    crc = kTable[(crc ^ p[i]) & 0xffu] ^ (crc >> 8);
-  }
-  return ~crc;
-}
+/// the running CRC for incremental use; pass 0 to start. Hardware body when
+/// the CPU has SSE4.2, else Crc32cPortable; the values are identical.
+uint32_t Crc32c(const void* data, size_t n, uint32_t seed = 0);
+
+/// The table-driven CRC32C: the fallback body of Crc32c and the reference
+/// the tests hold it to.
+uint32_t Crc32cPortable(const void* data, size_t n, uint32_t seed = 0);
 
 /// Append-only byte sink over a caller-visible vector. Grow-only via the
 /// vector; reusable across records by clearing the buffer.

@@ -214,7 +214,15 @@ Status LoadLatestCheckpoint(const std::string& dir, CheckpointData* out,
         break;
       }
     }
-    if (!log_ok) continue;
+    // A CRC-valid file must still describe a state the service could have
+    // written: the seq is the log size, the watermark is the last edge's
+    // time, and the node count covers every endpoint. Otherwise Boot would
+    // serve a cursor that disagrees with the state it restores.
+    if (!log_ok || data.seq != n_edges ||
+        data.wm_time != data.log.max_time() ||
+        data.log.num_nodes() != num_nodes) {
+      continue;
+    }
     *out = std::move(data);
     *found = true;
     return Status::Ok();

@@ -56,7 +56,9 @@ Status WriteCheckpoint(const std::string& dir, uint64_t seq,
                        const std::vector<uint8_t>& node_seen,
                        const std::vector<uint8_t>& predictor_state);
 
-/// Loads the newest CRC-valid checkpoint. `*found` is false (with an OK
+/// Loads the newest CRC-valid, self-consistent checkpoint: seq equal to
+/// the log size, wm_time equal to the last edge's time (0 for an empty
+/// log), num_nodes above every endpoint id. `*found` is false (with an OK
 /// status) when no usable checkpoint exists — including when every
 /// candidate is torn/corrupt, which recovery treats as "start fresh and
 /// replay the WAL from zero".

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -69,10 +70,19 @@ bool DecodeWalRecord(ByteReader* r, WalRecord* rec) {
   const uint32_t n_edges = r->U32();
   if (!r->ok() || n_edges > r->remaining() / 16) return false;
   rec->edges.resize(n_edges);
+  double prev_time = -INFINITY;
   for (TemporalEdge& e : rec->edges) {
     e.src = r->U32();
     e.dst = r->U32();
     e.time = r->F64();
+    // The writer logs post-clamp edges only: valid endpoints, finite and
+    // non-decreasing times. Anything else is not a record this service
+    // wrote, CRC or not, and must not reach the ingest log.
+    if (e.src == kInvalidNode || e.dst == kInvalidNode ||
+        !std::isfinite(e.time) || e.time < prev_time) {
+      return false;
+    }
+    prev_time = e.time;
   }
   const uint32_t n_train = r->U32();
   if (!r->ok() || n_train > r->remaining() / 16) return false;
@@ -81,6 +91,7 @@ bool DecodeWalRecord(ByteReader* r, WalRecord* rec) {
     q.node = r->U32();
     q.time = r->F64();
     q.class_label = r->I32();
+    if (q.node == kInvalidNode || !std::isfinite(q.time)) return false;
   }
   // The record must describe a consistent log range.
   if (!r->ok() || rec->seq_end < rec->seq_begin ||

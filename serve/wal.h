@@ -26,9 +26,11 @@
 //
 // A reader stops cleanly at the first frame that does not fully parse: a
 // short header/payload is a torn tail (the crash interrupted a write), a
-// CRC or length-sanity failure is a corrupt tail. Either way the valid
-// prefix is the log; the tail is truncated, never applied. Segments are
-// named wal-<start_batch_index>.log; a new segment opens at every
+// CRC or length-sanity failure is a corrupt tail, and so is a CRC-valid
+// record no apply thread logs (a kInvalidNode endpoint or train node, a
+// non-finite time, edge times decreasing in the record). Either way the
+// valid prefix is the log; the tail is truncated, never applied. Segments
+// are named wal-<start_batch_index>.log; a new segment opens at every
 // checkpoint (and at recovery), so after a durable checkpoint covering B
 // batches every earlier segment only holds records < B and is
 // garbage-collectible.
@@ -164,7 +166,8 @@ Status ReadWalHistory(const std::string& dir, uint64_t from_batch,
                       bool* gap);
 
 // Record codec, shared by writer, reader, and tests that build corrupt
-// frames by hand.
+// frames by hand. Encode writes whatever it is given; Decode rejects the
+// malformed records described in the file header.
 void EncodeWalRecord(const WalRecord& rec, ByteWriter* w);
 bool DecodeWalRecord(ByteReader* r, WalRecord* rec);
 

@@ -11,9 +11,16 @@
 //   - ReadWalHistory returns the contiguous history from any cursor across
 //     segments, truncates at a torn tail, stops and reports a batch or
 //     seq gap, and returns (never skips) an unreadable segment;
+//   - a CRC-valid record that no writer could have logged (sentinel node,
+//     non-finite or decreasing time) is corrupt and truncates the scan;
 //   - checkpoint atomicity: a crash between temp-write and rename leaves
 //     the previous checkpoint loadable; a corrupt newest checkpoint falls
-//     back to its predecessor; GC keeps kCheckpointsToKeep.
+//     back to its predecessor, and so does a CRC-valid one whose seq,
+//     watermark or node count contradicts its log; GC keeps
+//     kCheckpointsToKeep;
+//   - Crc32c (hardware when the CPU has it) equals Crc32cPortable on known
+//     answers, random buffers, seeds and chains, and every CRC field of a
+//     written segment or checkpoint is the portable table's value.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +30,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -266,6 +276,54 @@ TEST(ServeWalTest, CorruptSegmentHeaderYieldsNoRecords) {
   EXPECT_EQ(scan.tail, WalTailStatus::kTorn);
 }
 
+/// A record the service never logs: it survives the CRC (WalWriter frames
+/// whatever it is given) but breaks one invariant of post-clamp batches.
+/// The scan must call it corrupt and keep only the prefix before it.
+class ServeWalBadRecordTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ServeWalBadRecordTest, CrcValidButMalformedRecordIsCorrupt) {
+  TempDir dir;
+  const std::string path = WalSegmentPath(dir.path(), 0);
+  const WalRecord r0 = MakeRecord(0, 0, 3, 1);
+  WalRecord bad = MakeRecord(1, 3, 3, 2);
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  switch (GetParam()) {
+    case 0: bad.edges[1].src = kInvalidNode; break;
+    case 1: bad.edges[2].dst = kInvalidNode; break;
+    case 2: bad.edges[0].time = kNan; break;
+    case 3: bad.edges[2].time = kInf; break;
+    case 4: bad.edges[2].time = bad.edges[1].time - 0.5; break;
+    case 5: bad.train[1].node = kInvalidNode; break;
+    case 6: bad.train[0].time = kNan; break;
+    case 7: bad.train[0].time = -kInf; break;
+  }
+  {
+    WalWriter w;
+    ASSERT_TRUE(w.Open(path, 0, WalFsyncPolicy::kNone, 8).ok());
+    ASSERT_TRUE(w.Append(r0).ok());
+    ASSERT_TRUE(w.Append(bad).ok());
+    ASSERT_TRUE(w.Append(MakeRecord(2, 6, 2, 0)).ok());
+  }
+  WalScan scan;
+  ASSERT_TRUE(ScanWalFile(path, &scan).ok());
+  EXPECT_TRUE(scan.header_ok);
+  EXPECT_EQ(scan.tail, WalTailStatus::kCorrupt);
+  ASSERT_EQ(scan.records.size(), 1u);
+  ExpectRecordsEqual(scan.records[0], r0);
+  EXPECT_EQ(scan.valid_bytes, 20 + FrameSizeOf(r0));
+
+  std::vector<WalRecord> history;
+  bool gap = true;
+  ASSERT_TRUE(ReadWalHistory(dir.path(), 0, 0, &history, &gap).ok());
+  EXPECT_FALSE(gap);
+  ASSERT_EQ(history.size(), 1u);
+  ExpectRecordsEqual(history[0], r0);
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryEdgeAndTrainInvariant, ServeWalBadRecordTest,
+                         ::testing::Range(0, 8));
+
 TEST(ServeWalTest, ListSegmentsSortsByStartIndex) {
   TempDir dir;
   for (const uint64_t idx : {30u, 0u, 12u}) {
@@ -454,8 +512,10 @@ TEST(ServeCheckpointTest, CorruptOrTornNewestFallsBackToPredecessor) {
 TEST(ServeCheckpointTest, GcKeepsNewestTwo) {
   TempDir dir;
   for (uint64_t seq = 1; seq <= 5; ++seq) {
-    ASSERT_TRUE(WriteCheckpoint(dir.path(), seq, seq, 1.0, MakeLog(seq), {1},
-                                {static_cast<uint8_t>(seq)})
+    // MakeLog(seq)'s last edge has time seq - 1: the consistent watermark.
+    ASSERT_TRUE(WriteCheckpoint(dir.path(), seq, seq,
+                                static_cast<double>(seq - 1), MakeLog(seq),
+                                {1}, {static_cast<uint8_t>(seq)})
                     .ok());
   }
   size_t kept = 0;
@@ -469,6 +529,166 @@ TEST(ServeCheckpointTest, GcKeepsNewestTwo) {
   ASSERT_TRUE(LoadLatestCheckpoint(dir.path(), &data, &found).ok());
   ASSERT_TRUE(found);
   EXPECT_EQ(data.seq, 5u);
+}
+
+/// Rewrites a checkpoint's header CRC (bytes 16-19) over its payload with
+/// the portable table, so an edited payload is CRC-valid again.
+void ResealCheckpoint(std::vector<uint8_t>* buf) {
+  const uint32_t crc = Crc32cPortable(buf->data() + 20, buf->size() - 20);
+  for (int i = 0; i < 4; ++i) {
+    (*buf)[16 + i] = static_cast<uint8_t>(crc >> (8 * i));
+  }
+}
+
+TEST(ServeCheckpointTest, SeqPastTheLogIsNotLoaded) {
+  TempDir dir;
+  // The writer stays permissive (probes write seq past the log to get
+  // distinct files); the loader refuses what Boot would misread.
+  ASSERT_TRUE(
+      WriteCheckpoint(dir.path(), 12, 4, 8.0, MakeLog(9), {1}, {1}).ok());
+  CheckpointData data;
+  bool found = true;
+  ASSERT_TRUE(LoadLatestCheckpoint(dir.path(), &data, &found).ok());
+  EXPECT_FALSE(found);
+
+  ASSERT_TRUE(
+      WriteCheckpoint(dir.path(), 5, 2, 4.0, MakeLog(5), {1}, {9}).ok());
+  ASSERT_TRUE(LoadLatestCheckpoint(dir.path(), &data, &found).ok());
+  ASSERT_TRUE(found);
+  EXPECT_EQ(data.seq, 5u);
+}
+
+TEST(ServeCheckpointTest, CrcValidInconsistentNewestFallsBackToPredecessor) {
+  TempDir dir;
+  ASSERT_TRUE(
+      WriteCheckpoint(dir.path(), 5, 2, 4.0, MakeLog(5), {1}, {9}).ok());
+  ASSERT_TRUE(
+      WriteCheckpoint(dir.path(), 9, 4, 8.0, MakeLog(9), {1}, {1}).ok());
+  const std::string newest = CheckpointPath(dir.path(), 9);
+  const std::vector<uint8_t> orig = ReadFile(newest);
+  ASSERT_GT(orig.size(), 20u + 40u);
+
+  // Payload offsets: seq 0, wm_time 16, num_nodes 32 (see WriteCheckpoint).
+  struct Edit {
+    size_t offset;
+    uint64_t value;
+    const char* what;
+  };
+  uint64_t wm_bits;
+  const double wm = 7.5;  // MakeLog(9)'s last edge is at 8.0
+  std::memcpy(&wm_bits, &wm, sizeof(wm_bits));
+  const Edit edits[] = {{0, 10, "seq != log size"},
+                        {16, wm_bits, "wm_time != last edge time"},
+                        {32, 9, "num_nodes <= largest endpoint (9)"}};
+  for (const Edit& edit : edits) {
+    std::vector<uint8_t> buf = orig;
+    for (int i = 0; i < 8; ++i) {
+      buf[20 + edit.offset + i] = static_cast<uint8_t>(edit.value >> (8 * i));
+    }
+    ResealCheckpoint(&buf);
+    WriteFile(newest, buf);
+    CheckpointData data;
+    bool found = false;
+    ASSERT_TRUE(LoadLatestCheckpoint(dir.path(), &data, &found).ok());
+    ASSERT_TRUE(found) << edit.what;
+    EXPECT_EQ(data.seq, 5u) << edit.what;
+  }
+
+  // The untouched file, resealed, still loads: only the edits reject it.
+  std::vector<uint8_t> buf = orig;
+  ResealCheckpoint(&buf);
+  WriteFile(newest, buf);
+  CheckpointData data;
+  bool found = false;
+  ASSERT_TRUE(LoadLatestCheckpoint(dir.path(), &data, &found).ok());
+  ASSERT_TRUE(found);
+  EXPECT_EQ(data.seq, 9u);
+}
+
+// ---------------------------------------------------------------------------
+// CRC32C: the dispatched body against the portable table
+// ---------------------------------------------------------------------------
+
+TEST(Crc32cTest, KnownAnswers) {
+  std::vector<uint8_t> zeros(32, 0x00);
+  std::vector<uint8_t> ones(32, 0xFF);
+  std::vector<uint8_t> up(32);
+  std::vector<uint8_t> down(32);
+  for (size_t i = 0; i < 32; ++i) {
+    up[i] = static_cast<uint8_t>(i);
+    down[i] = static_cast<uint8_t>(31 - i);
+  }
+  const struct {
+    const void* data;
+    size_t n;
+    uint32_t want;
+  } cases[] = {{"123456789", 9, 0xE3069283u},
+               {zeros.data(), 32, 0x8A9136AAu},
+               {ones.data(), 32, 0x62A8AB43u},
+               {up.data(), 32, 0x46DD794Eu},
+               {down.data(), 32, 0x113FDB5Cu}};
+  for (const auto& c : cases) {
+    EXPECT_EQ(Crc32c(c.data, c.n), c.want);
+    EXPECT_EQ(Crc32cPortable(c.data, c.n), c.want);
+  }
+  EXPECT_EQ(Crc32c(nullptr, 0), 0u);
+  EXPECT_EQ(Crc32cPortable(nullptr, 0), 0u);
+}
+
+TEST(Crc32cTest, MatchesPortableOnRandomBuffersSeedsAndChains) {
+  std::mt19937_64 rng(17);
+  std::vector<uint8_t> buf(300 + 8);
+  for (int trial = 0; trial < 4000; ++trial) {
+    for (uint8_t& b : buf) b = static_cast<uint8_t>(rng());
+    const size_t n = static_cast<size_t>(rng() % 301);
+    const size_t off = static_cast<size_t>(rng() % 8);
+    const uint8_t* p = buf.data() + off;
+    const uint32_t seed = static_cast<uint32_t>(rng());
+    ASSERT_EQ(Crc32c(p, n), Crc32cPortable(p, n)) << n << "@" << off;
+    ASSERT_EQ(Crc32c(p, n, seed), Crc32cPortable(p, n, seed))
+        << n << "@" << off;
+    // Split-and-chain: the CRC of the prefix seeds the suffix.
+    const size_t cut = static_cast<size_t>(rng() % (n + 1));
+    ASSERT_EQ(Crc32c(p + cut, n - cut, Crc32c(p, cut)), Crc32cPortable(p, n))
+        << n << "@" << off << " cut " << cut;
+  }
+
+  std::vector<uint8_t> big((1u << 20) + 5);
+  for (uint8_t& b : big) b = static_cast<uint8_t>(rng());
+  EXPECT_EQ(Crc32c(big.data() + 1, big.size() - 1),
+            Crc32cPortable(big.data() + 1, big.size() - 1));
+}
+
+TEST(Crc32cTest, WrittenFilesCarryThePortableChecksums) {
+  TempDir dir;
+  const std::string wal_path = WalSegmentPath(dir.path(), 0);
+  {
+    WalWriter w;
+    ASSERT_TRUE(w.Open(wal_path, 0, WalFsyncPolicy::kNone, 8).ok());
+    ASSERT_TRUE(w.Append(MakeRecord(0, 0, 37, 3)).ok());
+    ASSERT_TRUE(w.Append(MakeRecord(1, 37, 0, 1)).ok());
+    ASSERT_TRUE(w.Append(MakeRecord(2, 37, 250, 0)).ok());
+  }
+  const std::vector<uint8_t> wal = ReadFile(wal_path);
+  ASSERT_GT(wal.size(), 20u);
+  auto le32 = [](const uint8_t* p) { return ByteReader(p, 4).U32(); };
+  EXPECT_EQ(le32(&wal[16]), Crc32cPortable(&wal[8], 8));
+  size_t frames = 0;
+  for (size_t off = 20; off < wal.size(); ++frames) {
+    ASSERT_LE(off + 8, wal.size());
+    const uint32_t len = le32(&wal[off]);
+    ASSERT_LE(off + 8 + len, wal.size());
+    EXPECT_EQ(le32(&wal[off + 4]), Crc32cPortable(&wal[off + 8], len));
+    off += 8 + len;
+  }
+  EXPECT_EQ(frames, 3u);
+
+  ASSERT_TRUE(
+      WriteCheckpoint(dir.path(), 9, 4, 8.0, MakeLog(9), {1, 1}, {1, 2, 3})
+          .ok());
+  const std::vector<uint8_t> ckpt = ReadFile(CheckpointPath(dir.path(), 9));
+  ASSERT_GT(ckpt.size(), 20u);
+  EXPECT_EQ(le32(&ckpt[16]), Crc32cPortable(&ckpt[20], ckpt.size() - 20));
 }
 
 }  // namespace
