@@ -9,6 +9,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <limits>
+#include <vector>
+
 #include "core/feature_augmentation.h"
 #include "core/serialize.h"
 #include "core/slim.h"
@@ -317,6 +320,78 @@ void BM_SlimForward(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_SlimForward)->Arg(1)->Arg(32)->Arg(256);
+
+// One-thread SLIM train step at paper dims (fd32, td16, h64, k10), dropout
+// 0.1 and a third of the neighbor slots masked. Arg = batch rows: 25 is the
+// ingest workload's train batch, 200 the replay workload's Fit batch.
+void BM_SlimTrainStep(benchmark::State& state) {
+  ThreadPool::SetGlobalThreads(1);
+  const size_t batch = static_cast<size_t>(state.range(0));
+  SlimOptions opts;
+  opts.feature_dim = 32;
+  opts.time_dim = 16;
+  opts.hidden_dim = 64;
+  opts.out_dim = 2;
+  opts.k_recent = 10;
+  opts.dropout = 0.1f;
+  Rng rng(28);
+  SlimModel slim(opts, &rng);
+  SlimTrainState train(opts);
+  slim.SetTraining(true);
+
+  SlimBatchInput input;
+  input.node_feats = Matrix::Gaussian(batch, 32, &rng);
+  input.neighbor_feats = Matrix::Gaussian(batch * 10, 32, &rng);
+  input.time_deltas.assign(batch * 10, 1.0);
+  input.mask = Matrix::Ones(batch, 10);
+  for (size_t i = 0; i < batch; ++i) {
+    for (size_t j = 0; j < 10; ++j) {
+      if ((i + j) % 3 == 0) input.mask(i, j) = 0.0f;
+    }
+  }
+  input.edge_weights.assign(batch * 10, 1.0f);
+  std::vector<int> labels(batch);
+  for (size_t i = 0; i < batch; ++i) labels[i] = static_cast<int>(i % 2);
+
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(slim.TrainStep(input, labels, &train));
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_SlimTrainStep)->Arg(25)->Arg(200);
+
+// Adam over SLIM's paper-dim parameter count with a quarter of the moments
+// on the subnormal fixed point a zero gradient decays them to (0.9 * m
+// rounds back to m at a few x 2^-149), the state a long ingest run leaves.
+void BM_AdamUpdateSubnormal(benchmark::State& state) {
+  SlimOptions opts;
+  opts.feature_dim = 32;
+  opts.time_dim = 16;
+  opts.hidden_dim = 64;
+  opts.out_dim = 2;
+  Rng rng(29);
+  const size_t n = SlimModel(opts, &rng).ParamCount();
+  std::vector<float> w(n), g(n), m(n), v(n);
+  rng.FillGaussian(w.data(), n, 0.1f);
+  rng.FillGaussian(g.data(), n, 1e-2f);
+  rng.FillGaussian(m.data(), n, 1e-3f);
+  const float sub = std::numeric_limits<float>::denorm_min() * 3.0f;
+  for (size_t i = 0; i < n; ++i) {
+    v[i] = g[i] * g[i];
+    if (i % 4 == 0) {
+      g[i] = 0.0f;
+      m[i] = sub;
+      v[i] = sub;
+    }
+  }
+  for (auto _ : state) {
+    AdamUpdate(w.data(), g.data(), m.data(), v.data(), n, 1e-3f, 0.9f,
+               0.999f, 1e-8f);
+    benchmark::DoNotOptimize(w.data());
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_AdamUpdateSubnormal)->Name("BM_AdamUpdate/subnormal");
 
 // --- runtime/ thread sweeps (Arg = thread count) ---------------------------
 

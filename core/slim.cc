@@ -22,6 +22,19 @@ constexpr float kAdamEps = 1e-8f;
 // at 2, 4, or 64 threads.
 constexpr size_t kBatchGrain = 32;
 
+/// `keep ? g : 0.0f`, bit for bit, as an AND of g's bits with a keep mask.
+/// Callers compute g unconditionally, so the backward mask loops vectorize:
+/// GCC keeps the ternary a branch when its arm can trap
+/// (-ftrapping-math), and on ReLU patterns that branch mispredicts about
+/// half the time.
+inline float KeepOrZero(bool keep, float g) {
+  uint32_t bits;
+  std::memcpy(&bits, &g, sizeof(bits));
+  bits &= 0u - static_cast<uint32_t>(keep);
+  std::memcpy(&g, &bits, sizeof(g));
+  return g;
+}
+
 struct ParamShape {
   size_t rows, cols;
 };
@@ -378,16 +391,14 @@ void SlimModel::BackwardRange(const SlimBatchInput& input,
       float* p = d_h.Row(bi);
       const uint8_t* mask = fwd_.drop_mask.data() + bi * h;
       for (size_t j = 0; j < h; ++j) {
-        p[j] = mask[j] ? p[j] * scale : 0.0f;
+        p[j] = KeepOrZero(mask[j] != 0, p[j] * scale);
       }
     }
   }
   for (size_t bi = r0; bi < r1; ++bi) {
     const float* act = fwd_.h_pre.Row(bi);
     float* p = d_h.Row(bi);
-    for (size_t j = 0; j < h; ++j) {
-      if (act[j] <= 0.0f) p[j] = 0.0f;
-    }
+    for (size_t j = 0; j < h; ++j) p[j] = KeepOrZero(!(act[j] <= 0.0f), p[j]);
   }
   if (!accumulate) grads.g[4]->SetZero();
   MatMulTransARange(fwd_.cat2, d_h, grads.g[4], r0, r1);
@@ -399,7 +410,7 @@ void SlimModel::BackwardRange(const SlimBatchInput& input,
     const float* src = d_cat2.Row(bi) + h;
     const float* act = fwd_.self_pre.Row(bi);
     float* dst = d_self.Row(bi);
-    for (size_t j = 0; j < h; ++j) dst[j] = act[j] > 0.0f ? src[j] : 0.0f;
+    for (size_t j = 0; j < h; ++j) dst[j] = KeepOrZero(act[j] > 0.0f, src[j]);
   }
   if (!accumulate) grads.g[2]->SetZero();
   MatMulTransARange(input.node_feats, d_self, grads.g[2], r0, r1);
@@ -420,7 +431,7 @@ void SlimModel::BackwardRange(const SlimBatchInput& input,
       const float w = input.edge_weights[bi * k + j] * inv;
       const float* act = fwd_.msg_pre.Row(bi * k + j);
       for (size_t jj = 0; jj < h; ++jj) {
-        drow[jj] = act[jj] > 0.0f ? w * dagg[jj] : 0.0f;
+        drow[jj] = KeepOrZero(act[jj] > 0.0f, w * dagg[jj]);
       }
     }
   }
@@ -499,8 +510,8 @@ double SlimModel::TrainStep(const SlimBatchInput& input,
   }
 
   // Adam. Params are contiguous (never padded), so the fused kernel runs
-  // over each flat block; the scalar backend is the historical loop
-  // verbatim.
+  // over each flat block; the scalar backend is the historical loop plus
+  // the subnormal-moment flush every backend shares.
   ++train->adam_t_;
   const float t = static_cast<float>(train->adam_t_);
   const float bias1 = 1.0f - std::pow(kAdamBeta1, t);

@@ -19,7 +19,12 @@
 // kernels from tensor/matrix.h — each bias+ReLU rides its GEMM's tile
 // store as a fused epilogue, and the time encoding runs on the dispatched
 // sincos kernel. TrainStep() backpropagates by hand and applies the fused
-// Adam kernel — no autograd, no graph, no allocation after warm-up.
+// Adam kernel — no autograd, no graph, no allocation after warm-up. Adam
+// stores an m or v below FLT_MIN as +0 (AdamUpdate in tensor/matrix.h):
+// a moment whose gradient stays zero decays to exactly 0 instead of
+// parking on a subnormal that costs a microcode assist every step.
+// Checkpoints keep their format; older ones' moments flush at their next
+// step.
 //
 // Both are batch-parallel on the runtime/ ThreadPool: the batch is cut
 // into fixed-size row chunks (boundaries depend on the batch size only,

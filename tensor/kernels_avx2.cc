@@ -18,6 +18,7 @@
 
 #include <immintrin.h>
 
+#include <cfloat>
 #include <cstddef>
 #include <cstdint>
 
@@ -31,6 +32,7 @@ struct Avx2 {
   using Mask = __m256i;
   static constexpr size_t kWidth = 8;
   static constexpr int kTileRows = 6;
+  static constexpr int kWideTileRows = 0;  // 4 vectors leave room for 2 rows
 
   static Vec Zero() { return _mm256_setzero_ps(); }
   static Vec Set1(float v) { return _mm256_set1_ps(v); }
@@ -64,6 +66,11 @@ struct Avx2 {
   }
   static Vec RoundNearest(Vec a) {
     return _mm256_round_ps(a, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  }
+  static Vec FlushTiny(Vec a) {
+    const __m256 tiny =
+        _mm256_cmp_ps(Abs(a), _mm256_set1_ps(FLT_MIN), _CMP_LT_OQ);
+    return _mm256_andnot_ps(tiny, a);
   }
 
   static float ReduceAdd(Vec v) {

@@ -3,11 +3,12 @@
 // The AVX-512 kernel backend (DESIGN.md §6): the vector traits for the
 // shared kernel body (tensor/kernels_simd_body.h) at 16 lanes, with 8x32
 // GEMM register tiles (16 zmm accumulators plus the two B vectors and one
-// broadcast fit comfortably in the 32 architectural registers) and
-// __mmask16-predicated tails. This translation unit is the ONLY one
-// compiled with -mavx512f -mavx512vl -mavx512dq (set per-source in
-// CMakeLists.txt); nothing here runs unless the runtime dispatcher checked
-// cpuid first, so the rest of the binary stays portable baseline codegen.
+// broadcast fit comfortably in the 32 architectural registers), 6x64
+// MatMulTransA tiles (24 + 4 + 1 zmm) and __mmask16-predicated tails.
+// This translation unit is the ONLY one compiled with -mavx512f
+// -mavx512vl -mavx512dq (set per-source in CMakeLists.txt); nothing here
+// runs unless the runtime dispatcher checked cpuid first, so the rest of
+// the binary stays portable baseline codegen.
 //
 // Accumulation within one output element is 16-lane partial sums, so this
 // backend is its own bitwise universe — tolerance-equivalent to scalar
@@ -20,6 +21,7 @@
 
 #include <immintrin.h>
 
+#include <cfloat>
 #include <cstddef>
 
 #include "tensor/kernels_simd_body.h"
@@ -32,6 +34,7 @@ struct Avx512 {
   using Mask = __mmask16;
   static constexpr size_t kWidth = 16;
   static constexpr int kTileRows = 8;
+  static constexpr int kWideTileRows = 6;  // 24 acc + 4 B + 1 broadcast
 
   static Vec Zero() { return _mm512_setzero_ps(); }
   static Vec Set1(float v) { return _mm512_set1_ps(v); }
@@ -63,6 +66,11 @@ struct Avx512 {
   static Vec RoundNearest(Vec a) {
     return _mm512_roundscale_ps(a,
                                 _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  }
+  static Vec FlushTiny(Vec a) {
+    const __mmask16 tiny =
+        _mm512_cmp_ps_mask(Abs(a), _mm512_set1_ps(FLT_MIN), _CMP_LT_OQ);
+    return _mm512_maskz_mov_ps(static_cast<__mmask16>(~tiny), a);
   }
 
   static float ReduceAdd(Vec v) { return _mm512_reduce_add_ps(v); }

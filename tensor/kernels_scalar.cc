@@ -2,6 +2,8 @@
 //
 // The scalar kernel backend: the pre-dispatch tensor/matrix.cc loops,
 // verbatim, kept as the bit-exact determinism reference (DESIGN.md §6).
+// The one exception is AdamUpdate's flush of subnormal moments to +0,
+// which every backend applies identically.
 // Blocked for locality; the inner loops are unit-stride FMAs the compiler
 // auto-vectorizes at whatever ISA the BUILD targets — which is exactly why
 // this backend's numbers depend on build flags and the explicit AVX2
@@ -14,6 +16,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cfloat>
 #include <cmath>
 #include <cstring>
 
@@ -264,12 +267,17 @@ void ScalarColumnSumsRange(const Matrix& m, float* out, size_t row_begin,
   }
 }
 
+/// x, or +0 where |x| < FLT_MIN (zero or subnormal); NaN passes through.
+float FlushTiny(float x) { return std::fabs(x) < FLT_MIN ? 0.0f : x; }
+
 void ScalarAdamUpdate(float* w, const float* g, float* m, float* v,
                       size_t n, float step, float beta1, float beta2,
                       float eps) {
+  // Moments are stored flushed (see AdamUpdate in tensor/matrix.h); normal
+  // values are the historical loop's bits.
   for (size_t i = 0; i < n; ++i) {
-    m[i] = beta1 * m[i] + (1.0f - beta1) * g[i];
-    v[i] = beta2 * v[i] + (1.0f - beta2) * g[i] * g[i];
+    m[i] = FlushTiny(beta1 * m[i] + (1.0f - beta1) * g[i]);
+    v[i] = FlushTiny(beta2 * v[i] + (1.0f - beta2) * g[i] * g[i]);
     w[i] -= step * m[i] / (std::sqrt(v[i]) + eps);
   }
 }

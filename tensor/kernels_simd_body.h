@@ -7,6 +7,7 @@
 //
 //   Vec, Mask                 the float vector and its tail-mask type
 //   kWidth, kTileRows         lanes per vector; GEMM register-tile rows
+//   kWideTileRows             rows of a 4-vector tile, 0 where none fits
 //   Zero Set1 Load Store      unaligned full-vector access
 //   TailMask MaskLoad         predicated access to the first `rem` lanes
 //     MaskStore               (masked-off loads read zero, stores skip)
@@ -14,6 +15,7 @@
 //     Sqrt Fma Fnma Abs         Fnma(a, b, c) = c - a*b
 //     RoundNearest
 //   ReduceAdd ReduceAdd4      horizontal sums of one / four vectors
+//   FlushTiny                 lanes with |x| < FLT_MIN to +0, NaN kept
 //   SincosQuadrant            sincos quadrant select/negate (below)
 //   Interleave                (s, c) lane interleave into pairs
 //
@@ -29,9 +31,13 @@
 //     multi-row pass.
 //   - MatMulTransB: four W-lane dot accumulators per step, folded by
 //     ReduceAdd4.
-//   - MatMulTransA: broadcast-FMA rank-1 updates over the output row,
-//     ascending reduction rows, so serial and output-partitioned calls
-//     stay bit-identical.
+//   - MatMulTransA: the same GEMM tile over a transposed view of A,
+//     resuming from C: 4-vector tiles of kWideTileRows rows where they
+//     fit (R x 4 accumulators + 4 B vectors + 1 broadcast <= 32 zmm, so
+//     6 rows on avx512; avx2's 16 ymm leave no room), then kTileRows x
+//     2W, one vector and a masked tail. Each element is one ascending-rr
+//     FMA chain from C's starting value, so serial and output-partitioned
+//     calls stay bit-identical.
 //
 // Tail policy: every ragged edge is a masked vector, never a scalar loop,
 // so no kernel reads or writes past a row's [0, cols) payload — bias
@@ -149,13 +155,27 @@ struct Epilogue {
   bool relu;
 };
 
+// A-side views: the offset of a(r, kk), the tile's row r at reduction step
+// kk, from the tile's first element. Row-major A is the forward GEMM's;
+// transposed A is MatMulTransA's a^T read in place, a(r, kk) = a[kk*lda + r].
+struct RowMajorA {
+  static size_t RowStep(size_t lda) { return lda; }
+  static size_t KStep(size_t) { return 1; }
+};
+
+struct TransposedA {
+  static size_t RowStep(size_t) { return 1; }
+  static size_t KStep(size_t lda) { return lda; }
+};
+
 /// R rows x NV full vectors of output at column j (kTail: one masked
-/// vector), accumulated over k-blocks [pb0, pb1) of B. Row r of A starts at
-/// a + r * lda, row r of C at c + r * ldc. `resume` starts the chains from
-/// the partials parked in C instead of zero; `finish` applies the
-/// epilogue, otherwise the raw partials are stored back. Always inlined:
-/// as a call, the per-tile overhead costs ~10% on short reductions.
-template <class T, int R, int NV, bool kTail, class B>
+/// vector), accumulated over k-blocks [pb0, pb1) of B. A's row r at
+/// reduction step kk is a[r * A::RowStep(lda) + kk * A::KStep(lda)]; row r
+/// of C starts at c + r * ldc. `resume` starts the chains from the
+/// partials parked in C instead of zero; `finish` applies the epilogue,
+/// otherwise the raw partials are stored back. Always inlined: as a call,
+/// the per-tile overhead costs ~10% on short reductions.
+template <class T, int R, int NV, bool kTail, class A = RowMajorA, class B>
 __attribute__((always_inline)) inline void GemmTile(
     const float* a, size_t lda, const B& b, size_t pb0, size_t pb1, float* c,
     size_t ldc, size_t j, typename T::Mask mask, bool resume, bool finish,
@@ -163,6 +183,7 @@ __attribute__((always_inline)) inline void GemmTile(
   using V = typename T::Vec;
   constexpr size_t W = T::kWidth;
   const auto lanes = LanesFor<T, kTail>(mask);
+  const size_t a_row = A::RowStep(lda), a_k = A::KStep(lda);
   V acc[R][NV];
   for (int r = 0; r < R; ++r) {
     for (int v = 0; v < NV; ++v) {
@@ -170,20 +191,20 @@ __attribute__((always_inline)) inline void GemmTile(
     }
   }
   for (size_t pb = pb0; pb < pb1; ++pb) {
-    const float* ak = a + b.BlockBegin(pb);
+    const float* ak = a + b.BlockBegin(pb) * a_k;
     const float* bk = b.At(pb, j);
     const size_t step = b.VecStep(pb, W);
     const size_t kb = b.BlockRows(pb);
     // Unrolled so the per-step pointer bumps amortize over more FMAs.
 #pragma GCC unroll 2
-    for (size_t kk = 0; kk < kb; ++kk, ++ak, bk += b.ld) {
+    for (size_t kk = 0; kk < kb; ++kk, ak += a_k, bk += b.ld) {
       V bv[NV];
       for (int v = 0; v < NV; ++v) {
         bv[v] = B::kPadded ? T::Load(bk + v * step)
                            : lanes.Load(bk + v * step);
       }
       for (int r = 0; r < R; ++r) {
-        const V av = T::Set1(ak[r * lda]);
+        const V av = T::Set1(ak[r * a_row]);
         for (int v = 0; v < NV; ++v) acc[r][v] = T::Fma(av, bv[v], acc[r][v]);
       }
     }
@@ -256,6 +277,37 @@ inline void GemmRowTail(size_t rem, const Matrix& a, const B& b, Matrix* c,
     }
   }
   GemmRows<T, R>(a, b, c, i, pb0, pb1, resume, finish, e);
+}
+
+/// A row count as a type, so a generic lambda can take it as a template
+/// argument: decltype(rows)::kRows.
+template <int N>
+struct RowCount {
+  static constexpr int kRows = N;
+};
+
+/// The remainder (1 .. R rows) as ONE f(i, RowCount<rem>) call.
+template <int R, class F>
+inline void RowBlockTail(size_t rem, size_t i, F& f) {
+  if constexpr (R > 1) {
+    if (rem < R) {
+      RowBlockTail<R - 1>(rem, i, f);
+      return;
+    }
+  }
+  f(i, RowCount<R>{});
+}
+
+/// Visits rows [r0, r1) as f(i, RowCount<R>{}) per R-row block, then the
+/// remainder (1 .. R-1 rows) as ONE multi-row call, for the reason
+/// GemmRowTail gives.
+template <int R, class F>
+inline void ForEachRowBlock(size_t r0, size_t r1, F&& f) {
+  size_t i = r0;
+  for (; i + R <= r1; i += R) f(i, RowCount<R>{});
+  if constexpr (R > 1) {
+    if (i < r1) RowBlockTail<R - 1>(r1 - i, i, f);
+  }
 }
 
 template <class T, class B>
@@ -366,58 +418,83 @@ void MatMulTransBRange(const Matrix& a, const Matrix& b, Matrix* c,
 }
 
 // ---------------------------------------------------------------------------
-// MatMulTransA (c = a^T * b): broadcast-FMA rank-1 updates.
+// MatMulTransA (c = a^T * b): GEMM tiles over transposed A, resuming from C.
 // ---------------------------------------------------------------------------
 
-/// crow[0, n) += av * brow[0, n).
-template <class T>
-inline void RankOneUpdate(float av, const float* brow, float* crow,
-                          size_t n) {
-  const typename T::Vec a = T::Set1(av);
-  ForEachVector<T>(n, [&](size_t j, auto lanes) {
-    lanes.Store(crow + j,
-                T::Fma(a, lanes.Load(brow + j), lanes.Load(crow + j)));
+/// Column strip [j, j + NV vectors) of c rows [i0, i1) += a^T b, R-row
+/// tiles. `a` points at a(rr0, 0) and b's view at b(rr0, 0), where rr0 is
+/// the first reduction row.
+template <class T, int R, int NV, bool kTail>
+inline void TransAStrip(const float* a, size_t lda, const RowMajorB& b,
+                        float* c, size_t ldc, size_t i0, size_t i1, size_t j,
+                        typename T::Mask mask) {
+  ForEachRowBlock<R>(i0, i1, [&](size_t i, auto rows) {
+    GemmTile<T, decltype(rows)::kRows, NV, kTail, TransposedA>(
+        a + i, lda, b, 0, b.num_blocks(), c + i * ldc, ldc, j, mask,
+        /*resume=*/true, /*finish=*/false, Epilogue{});
   });
+}
+
+/// c rows [i0, i1) += a[r0:r1)^T b[r0:r1). Each element is one
+/// ascending-rr FMA chain from C's starting value. Zero entries of A are
+/// not skipped: fma(0, b, c) == c for finite b unless c is -0, which a
+/// chain from +0 reaches only by underflow, so on finite data a skip would
+/// change no bits.
+template <class T>
+void TransAPass(const Matrix& a, const Matrix& b, Matrix* c, size_t r0,
+                size_t r1, size_t i0, size_t i1) {
+  if (r0 == r1 || i0 == i1) return;
+  constexpr size_t W = T::kWidth;
+  const float* ar = a.Row(r0);
+  float* cd = c->data();
+  const size_t lda = a.stride(), ldc = c->stride(), n = c->cols();
+  const RowMajorB bv{b.Row(r0), b.stride(), r1 - r0};
+  const typename T::Mask none{};
+  size_t j = 0;
+  if constexpr (T::kWideTileRows > 0) {
+    for (; j + 4 * W <= n; j += 4 * W) {
+      TransAStrip<T, T::kWideTileRows, 4, false>(ar, lda, bv, cd, ldc, i0, i1,
+                                                 j, none);
+    }
+  }
+  for (; j + 2 * W <= n; j += 2 * W) {
+    TransAStrip<T, T::kTileRows, 2, false>(ar, lda, bv, cd, ldc, i0, i1, j,
+                                           none);
+  }
+  if (j + W <= n) {
+    TransAStrip<T, T::kTileRows, 1, false>(ar, lda, bv, cd, ldc, i0, i1, j,
+                                           none);
+    j += W;
+  }
+  if (j < n) {
+    TransAStrip<T, T::kTileRows, 1, true>(ar, lda, bv, cd, ldc, i0, i1, j,
+                                          T::TailMask(n - j));
+  }
 }
 
 template <class T>
 void MatMulTransARange(const Matrix& a, const Matrix& b, Matrix* c,
                        size_t r_begin, size_t r_end) {
-  const size_t m = a.cols(), n = b.cols();
   assert(b.rows() == a.rows());
-  assert(c->rows() == m && c->cols() == n);
+  assert(c->rows() == a.cols() && c->cols() == b.cols());
   assert(r_begin <= r_end && r_end <= a.rows());
-  for (size_t rr = r_begin; rr < r_end; ++rr) {
-    const float* arow = a.Row(rr);
-    const float* brow = b.Row(rr);
-    for (size_t i = 0; i < m; ++i) {
-      const float av = arow[i];
-      if (av == 0.0f) continue;  // masked neighbor gradients are common
-      RankOneUpdate<T>(av, brow, c->Row(i), n);
-    }
-  }
+  TransAPass<T>(a, b, c, r_begin, r_end, 0, a.cols());
 }
 
 template <class T>
 void MatMulTransAOutputRange(const Matrix& a, const Matrix& b, Matrix* c,
                              size_t i_begin, size_t i_end, bool accumulate) {
-  const size_t r = a.rows(), n = b.cols();
+  assert(b.rows() == a.rows());
+  assert(c->rows() == a.cols() && c->cols() == b.cols());
+  assert(i_begin <= i_end && i_end <= a.cols());
   if (!accumulate) {
     for (size_t i = i_begin; i < i_end; ++i) {
-      std::memset(c->Row(i), 0, n * sizeof(float));
+      std::memset(c->Row(i), 0, b.cols() * sizeof(float));
     }
   }
-  // rr stays the outer ascending loop so per-element accumulation order
-  // matches MatMulTransARange exactly (bit-identical parallel runs).
-  for (size_t rr = 0; rr < r; ++rr) {
-    const float* arow = a.Row(rr);
-    const float* brow = b.Row(rr);
-    for (size_t i = i_begin; i < i_end; ++i) {
-      const float av = arow[i];
-      if (av == 0.0f) continue;
-      RankOneUpdate<T>(av, brow, c->Row(i), n);
-    }
-  }
+  // The full reduction in one chain per element, ascending rr: bit-identical
+  // to MatMulTransARange over [0, rows) (parallel runs rely on it).
+  TransAPass<T>(a, b, c, 0, a.rows(), i_begin, i_end);
 }
 
 // ---------------------------------------------------------------------------
@@ -473,12 +550,15 @@ void AdamUpdate(float* w, const float* g, float* m, float* v, size_t n,
   const V b2 = T::Set1(beta2), omb2 = T::Set1(1.0f - beta2);
   const V step_v = T::Set1(step), eps_v = T::Set1(eps);
   // Masked-off tail lanes compute 0 / (sqrt(0) + eps) = 0 — no traps — and
-  // their stores never land.
+  // their stores never land. Moments below FLT_MIN are stored as +0: a
+  // zero-gradient m would otherwise decay into a subnormal fixed point that
+  // costs a microcode assist on every later step.
   ForEachVector<T>(n, [&](size_t i, auto lanes) {
     const V gv = lanes.Load(g + i);
-    const V mv = T::Fma(b1, lanes.Load(m + i), T::Mul(omb1, gv));
-    const V vv =
-        T::Fma(b2, lanes.Load(v + i), T::Mul(omb2, T::Mul(gv, gv)));
+    const V mv =
+        T::FlushTiny(T::Fma(b1, lanes.Load(m + i), T::Mul(omb1, gv)));
+    const V vv = T::FlushTiny(
+        T::Fma(b2, lanes.Load(v + i), T::Mul(omb2, T::Mul(gv, gv))));
     lanes.Store(m + i, mv);
     lanes.Store(v + i, vv);
     const V denom = T::Add(T::Sqrt(vv), eps_v);

@@ -298,7 +298,11 @@ void SincosEncode(float x, float freq_decay, float* out, size_t dim);
 /// One fused Adam update over a flat parameter block:
 ///   m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g^2;
 ///   w -= step * m / (sqrt(v) + eps)
-/// `step` is the bias-corrected learning rate the caller precomputed.
+/// `step` is the bias-corrected learning rate the caller precomputed. m and
+/// v are stored as +0 where |x| < FLT_MIN (NaN passes through), and the
+/// update reads the stored values: a moment whose gradient stays zero
+/// reaches 0 instead of parking on a subnormal that every later step pays
+/// a microcode assist for. Normal values keep the formula's bits.
 void AdamUpdate(float* w, const float* g, float* m, float* v, size_t n,
                 float step, float beta1, float beta2, float eps);
 

@@ -14,7 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -274,6 +276,94 @@ TEST(SimdKernelsTest, MatMulTransAScalarVsSimdAcrossShapeSweep) {
   }
 }
 
+/// The rank-1 reference for MatMulTransA: c rows [i0, i1) +=
+/// a[r0:r1)^T b[r0:r1) as std::fma updates in ascending rr, skipping
+/// a == 0.
+void RankOneTransA(const Matrix& a, const Matrix& b, Matrix* c, size_t r0,
+                   size_t r1, size_t i0, size_t i1) {
+  for (size_t rr = r0; rr < r1; ++rr) {
+    for (size_t i = i0; i < i1; ++i) {
+      const float av = a(rr, i);
+      if (av == 0.0f) continue;
+      for (size_t j = 0; j < b.cols(); ++j) {
+        (*c)(i, j) = std::fma(av, b(rr, j), (*c)(i, j));
+      }
+    }
+  }
+}
+
+void ExpectBitEqual(const Matrix& want, const Matrix& got,
+                    const std::string& what) {
+  ASSERT_EQ(want.rows(), got.rows());
+  ASSERT_EQ(want.cols(), got.cols());
+  for (size_t i = 0; i < want.rows(); ++i) {
+    ASSERT_EQ(std::memcmp(want.Row(i), got.Row(i), want.cols() * sizeof(float)),
+              0)
+        << what << " row " << i;
+  }
+}
+
+/// One r x m x n MatMulTransA case against the rank-1 reference, bit for
+/// bit: A is ReLU'd (about half its entries exactly 0), and every form
+/// runs — the range form split at a reduction row, the output-range form
+/// split at an output row, and both accumulating into a non-zero C.
+void CheckTransABits(const KernelTable* x, size_t r, size_t m, size_t n,
+                     Rng* rng) {
+  const std::string what = std::string(x->name) + " r=" + std::to_string(r) +
+                           " m=" + std::to_string(m) +
+                           " n=" + std::to_string(n);
+  Matrix a = Matrix::Gaussian(r, m, rng);
+  for (size_t rr = 0; rr < r; ++rr) {
+    for (size_t i = 0; i < m; ++i) a(rr, i) = std::max(a(rr, i), 0.0f);
+  }
+  const Matrix b = Matrix::Gaussian(r, n, rng);
+
+  Matrix want(m, n), got(m, n);
+  RankOneTransA(a, b, &want, 0, r, 0, m);
+  x->matmul_transa_range(a, b, &got, 0, r / 2);
+  x->matmul_transa_range(a, b, &got, r / 2, r);
+  ExpectBitEqual(want, got, what + " range");
+
+  Matrix part = Matrix::Gaussian(m, n, rng);  // overwritten
+  x->matmul_transa_output_range(a, b, &part, 0, m / 2, false);
+  x->matmul_transa_output_range(a, b, &part, m / 2, m, false);
+  ExpectBitEqual(want, part, what + " output-range");
+
+  const Matrix prior = Matrix::Gaussian(m, n, rng);
+  want = prior;
+  RankOneTransA(a, b, &want, 0, r, 0, m);
+  got = prior;
+  x->matmul_transa_range(a, b, &got, 0, r);
+  ExpectBitEqual(want, got, what + " range into non-zero C");
+  part = prior;
+  x->matmul_transa_output_range(a, b, &part, 0, m / 3, true);
+  x->matmul_transa_output_range(a, b, &part, m / 3, m, true);
+  ExpectBitEqual(want, part, what + " output-range accumulate");
+}
+
+TEST(SimdKernelsTest, MatMulTransABitEqualsRankOneFmaReference) {
+  // The tiled kernels keep the rank-1 form's bits: every element is one
+  // ascending-rr FMA chain from C's start, and the dropped zero skip is
+  // exact on finite data. The shape sweep, plus every row tail of the
+  // 8-, 6- and 4-row tiles and column counts that hit the 4-, 2- and
+  // 1-vector steps and the masked tail on both widths.
+  const auto backends = SimdBackends();
+  if (backends.empty()) GTEST_SKIP() << "no SIMD backend on this host";
+  for (const KernelTable* x : backends) {
+    Rng rng(109);
+    for (size_t r : kDims) {
+      for (size_t m : kDims) {
+        for (size_t n : kDims) CheckTransABits(x, r, m, n, &rng);
+      }
+    }
+    for (size_t m = 1; m <= 17; ++m) {
+      for (size_t n : {1, 7, 16, 31, 47, 64, 85, 100}) {
+        CheckTransABits(x, 13, m, n, &rng);
+      }
+    }
+  }
+}
+
 TEST(SimdKernelsTest, FusedEpilogueMatchesThreePassScalarBitExact) {
   // The scalar fused kernel must be bit-equal to GEMM + bias + ReLU run as
   // separate passes — that is what keeps pre-fusion oracles valid.
@@ -434,6 +524,91 @@ TEST(SimdKernelsTest, SincosEncodeScalarVsSimd) {
           }
         }
       }
+    }
+  }
+}
+
+/// Bits of f, so +0 / -0 and NaN compare exactly.
+uint32_t Bits(float f) {
+  uint32_t u;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+
+/// Today's Adam formula for one lane, as backend `t` computes it: the
+/// scalar backend's historical loop, or the SIMD body's FMA sequence.
+void AdamLane(const KernelTable* t, float* w, float g, float* m, float* v,
+              float step, float beta1, float beta2, float eps) {
+  if (std::strcmp(t->name, "scalar") == 0) {
+    *m = beta1 * *m + (1.0f - beta1) * g;
+    *v = beta2 * *v + (1.0f - beta2) * g * g;
+    *w -= step * *m / (std::sqrt(*v) + eps);
+    return;
+  }
+  *m = std::fma(beta1, *m, (1.0f - beta1) * g);
+  *v = std::fma(beta2, *v, (1.0f - beta2) * (g * g));
+  *w = *w - (step * *m) / (std::sqrt(*v) + eps);
+}
+
+TEST(SimdKernelsTest, AdamStoresNoSubnormalMoments) {
+  std::vector<const KernelTable*> tables = {GetScalarKernels()};
+  for (const KernelTable* t : SimdBackends()) tables.push_back(t);
+  const float sub = std::numeric_limits<float>::denorm_min() * 5.0f;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const KernelTable* t : tables) {
+    // 37 lanes: full vectors and a masked tail on both widths. Every third
+    // lane has a subnormal m and v and a zero gradient, lane 4 a NaN m;
+    // the rest are normal.
+    const size_t n = 37;
+    Rng rng(110);
+    std::vector<float> w(n), g(n), m(n), v(n);
+    for (size_t i = 0; i < n; ++i) {
+      w[i] = static_cast<float>(rng.Uniform() - 0.5);
+      g[i] = static_cast<float>(rng.Uniform() - 0.5);
+      m[i] = static_cast<float>(rng.Uniform() - 0.5) * 1e-2f;
+      v[i] = static_cast<float>(rng.Uniform()) * 1e-4f;
+      if (i % 3 == 0) {
+        g[i] = 0.0f;
+        m[i] = (i % 2 == 0) ? sub : -sub;
+        v[i] = sub;
+      }
+    }
+    m[4] = nan;
+    std::vector<float> w0 = w, m0 = m, v0 = v;
+    t->adam_update(w.data(), g.data(), m.data(), v.data(), n, 1e-3f, 0.9f,
+                   0.999f, 1e-8f);
+    for (size_t i = 0; i < n; ++i) {
+      const std::string at = std::string(t->name) + " lane " +
+                             std::to_string(i);
+      if (i % 3 == 0) {
+        EXPECT_EQ(Bits(m[i]), 0u) << at << " m";
+        EXPECT_EQ(Bits(v[i]), 0u) << at << " v";
+        EXPECT_EQ(Bits(w[i]), Bits(w0[i])) << at << " w";
+      } else if (i == 4) {
+        EXPECT_TRUE(std::isnan(m[i])) << at;
+        EXPECT_TRUE(std::isnan(w[i])) << at;
+      } else {
+        float wr = w0[i], mr = m0[i], vr = v0[i];
+        AdamLane(t, &wr, g[i], &mr, &vr, 1e-3f, 0.9f, 0.999f, 1e-8f);
+        EXPECT_EQ(Bits(m[i]), Bits(mr)) << at << " m";
+        EXPECT_EQ(Bits(v[i]), Bits(vr)) << at << " v";
+        EXPECT_EQ(Bits(w[i]), Bits(wr)) << at << " w";
+      }
+    }
+
+    // A zero gradient decays m to exactly +0: without the flush it parks
+    // on a subnormal fixed point (0.9 * m rounds back to m) for good.
+    std::fill(w.begin(), w.end(), 0.5f);
+    std::fill(g.begin(), g.end(), 0.0f);
+    std::fill(m.begin(), m.end(), 1e-3f);
+    std::fill(v.begin(), v.end(), 1e-6f);
+    for (int step = 0; step < 2000; ++step) {
+      t->adam_update(w.data(), g.data(), m.data(), v.data(), n, 1e-3f, 0.9f,
+                     0.999f, 1e-8f);
+    }
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(Bits(m[i]), 0u) << t->name << " decayed m[" << i << "]";
+      EXPECT_TRUE(std::isnormal(v[i])) << t->name << " v[" << i << "]";
     }
   }
 }
