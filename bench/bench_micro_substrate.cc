@@ -83,8 +83,8 @@ void BM_FeaturePropagationObserve(benchmark::State& state) {
   stream.EnsureNodeCapacity(n);
   FeatureAugmenterOptions opts;
   opts.feature_dim = dv;
-  opts.enable_positional = false;
   FeatureAugmenter augmenter(opts);
+  augmenter.Retain(/*random=*/true, /*positional=*/false);
   augmenter.FitSeen(stream, t);
 
   Rng rng(3);

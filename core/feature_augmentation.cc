@@ -20,18 +20,62 @@ constexpr uint64_t kPositionalSalt = 0x504f5349ULL;  // "POSI"
 
 FeatureAugmenter::FeatureAugmenter(const FeatureAugmenterOptions& opts)
     : opts_(opts) {
-  scratch_a_.resize(opts_.feature_dim);
-  scratch_b_.resize(opts_.feature_dim);
+  Retain(true, true);
+}
+
+void FeatureAugmenter::Retain(bool random, bool positional) {
+  const uint8_t kept = static_cast<uint8_t>((random ? kKeepRandom : 0) |
+                                            (positional ? kKeepPositional : 0));
+  const uint8_t added = kept & ~kept_;
+  kept_ = kept;
+  auto size_rows = [&](Matrix* m, uint8_t bit) {
+    if (!(kept & bit)) {
+      *m = Matrix();
+    } else if (added & bit) {
+      *m = Matrix(seen_.size(), opts_.feature_dim);
+    }
+  };
+  size_rows(&random_seen_, kKeepRandom);
+  size_rows(&random_prop_, kKeepRandom);
+  size_rows(&positional_, kKeepPositional);
+  size_rows(&positional_prop_, kKeepPositional);
+  if (kept_ != 0) {
+    prop_count_.resize(seen_.size(), 0);
+    scratch_.resize(opts_.feature_dim);
+    return;
+  }
+  std::vector<uint32_t>().swap(prop_count_);
+  std::vector<float>().swap(scratch_);
+  std::vector<std::vector<float>>().swap(chunk_scratch_);
+  std::vector<std::vector<uint64_t>>().swap(chunk_deferred_);
+  std::vector<uint64_t>().swap(merged_deferred_);
+}
+
+bool FeatureAugmenter::keeps(AugmentationProcess process) const {
+  switch (process) {
+    case AugmentationProcess::kRandom: return (kept_ & kKeepRandom) != 0;
+    case AugmentationProcess::kPositional:
+      return (kept_ & kKeepPositional) != 0;
+    case AugmentationProcess::kStructural: return false;
+  }
+  return false;
+}
+
+size_t FeatureAugmenter::feature_row_bytes() const {
+  return (random_seen_.size() + random_prop_.size() + positional_.size() +
+          positional_prop_.size()) * sizeof(float) +
+         prop_count_.size() * sizeof(uint32_t);
 }
 
 void FeatureAugmenter::EnsureNodeCapacity(size_t n) {
   if (n <= seen_.size()) return;
   const size_t target = GrowCapacity(seen_.size(), n);
   seen_.resize(target, 0);
-  prop_count_.resize(target, 0);
+  if (kept_ != 0) prop_count_.resize(target, 0);
   // Matrix::Resize does not preserve contents, so grow by copy. Growth is
   // geometric; steady-state ObserveEdge never lands here.
-  auto grow = [&](Matrix* m) {
+  auto grow = [&](Matrix* m, uint8_t bit) {
+    if (!(kept_ & bit)) return;
     Matrix next(target, opts_.feature_dim);
     const size_t old_rows = m->rows();
     if (old_rows > 0) {
@@ -40,10 +84,10 @@ void FeatureAugmenter::EnsureNodeCapacity(size_t n) {
     }
     *m = std::move(next);
   };
-  grow(&positional_);
-  grow(&random_seen_);
-  grow(&random_prop_);
-  grow(&positional_prop_);
+  grow(&positional_, kKeepPositional);
+  grow(&random_seen_, kKeepRandom);
+  grow(&random_prop_, kKeepRandom);
+  grow(&positional_prop_, kKeepPositional);
   degrees_.EnsureNodeCapacity(target);
 }
 
@@ -64,7 +108,7 @@ void FeatureAugmenter::FitSeen(const EdgeStream& stream, double fit_time) {
 
   // Cache seen nodes' hash-Gaussian random features: one row fill at fit
   // time instead of feature_dim hash evaluations per read on the hot path.
-  {
+  if (kept_ & kKeepRandom) {
     const size_t dim = opts_.feature_dim;
     for (size_t v = 0; v < seen_.size(); ++v) {
       float* row = random_seen_.Row(v);
@@ -82,7 +126,7 @@ void FeatureAugmenter::FitSeen(const EdgeStream& stream, double fit_time) {
   // Positional fit: hash-Gaussian init for seen nodes, then a few rounds of
   // Laplacian smoothing along train edges. Nodes that interact often end up
   // close — a cheap stand-in for node2vec that still reveals communities.
-  if (opts_.enable_positional) {
+  if (kept_ & kKeepPositional) {
     const size_t dim = opts_.feature_dim;
     const float init_scale = 1.0f / std::sqrt(static_cast<float>(dim));
     for (size_t v = 0; v < seen_.size(); ++v) {
@@ -136,8 +180,6 @@ void FeatureAugmenter::FitSeen(const EdgeStream& stream, double fit_time) {
         for (size_t j = 0; j < dim; ++j) row[j] *= inv;
       }
     }
-  } else {
-    positional_.SetZero();
   }
 
   Reset();
@@ -150,18 +192,16 @@ void FeatureAugmenter::Reset() {
   positional_prop_.SetZero();
 }
 
-void FeatureAugmenter::WriteCurrent(const Matrix& m, uint64_t salt,
+void FeatureAugmenter::WriteCurrent(const Matrix& fitted, const Matrix& prop,
                                     NodeId node, float* out) const {
   const size_t dim = opts_.feature_dim;
   if (node < seen_.size() && seen_[node]) {
-    const Matrix& fitted =
-        salt == kPositionalSalt ? positional_ : random_seen_;
     std::memcpy(out, fitted.Row(node), dim * sizeof(float));
     return;
   }
   // Unseen: current propagated estimate (zero until first incident edge).
-  if (node < m.rows()) {
-    std::memcpy(out, m.Row(node), dim * sizeof(float));
+  if (node < prop.rows()) {
+    std::memcpy(out, prop.Row(node), dim * sizeof(float));
   } else {
     std::memset(out, 0, dim * sizeof(float));
   }
@@ -178,19 +218,24 @@ void FeatureAugmenter::PropagateInto(Matrix* m, NodeId node,
   for (size_t j = 0; j < dim; ++j) row[j] = (c * row[j] + src_feat[j]) * inv;
 }
 
-void FeatureAugmenter::FoldInto(NodeId node, NodeId source, float* sa,
-                                float* sb) {
+void FeatureAugmenter::FoldInto(NodeId node, NodeId source, float* scratch) {
   // Propagate into unseen `node` from `source`'s *current* feature (fitted
   // if seen, propagated estimate otherwise).
-  WriteCurrent(random_prop_, kRandomSalt, source, sa);
-  PropagateInto(&random_prop_, node, sa);
-  if (opts_.enable_positional) {
-    WriteCurrent(positional_prop_, kPositionalSalt, source, sb);
-    PropagateInto(&positional_prop_, node, sb);
+  if (kept_ & kKeepRandom) {
+    WriteCurrent(random_seen_, random_prop_, source, scratch);
+    PropagateInto(&random_prop_, node, scratch);
+  }
+  if (kept_ & kKeepPositional) {
+    WriteCurrent(positional_, positional_prop_, source, scratch);
+    PropagateInto(&positional_prop_, node, scratch);
   }
 }
 
 void FeatureAugmenter::ObserveEdge(const TemporalEdge& e) {
+  if (kept_ == 0) {
+    degrees_.Observe(e);
+    return;
+  }
   const size_t hi = static_cast<size_t>(e.src > e.dst ? e.src : e.dst) + 1;
   if (hi > seen_.size()) EnsureNodeCapacity(hi);
   degrees_.Observe(e);
@@ -199,8 +244,8 @@ void FeatureAugmenter::ObserveEdge(const TemporalEdge& e) {
   const bool dst_unseen = !seen_[e.dst];
   if (!src_unseen && !dst_unseen) return;  // steady state: counters only
 
-  if (src_unseen) FoldInto(e.src, e.dst, scratch_a_.data(), scratch_b_.data());
-  if (dst_unseen) FoldInto(e.dst, e.src, scratch_a_.data(), scratch_b_.data());
+  if (src_unseen) FoldInto(e.src, e.dst, scratch_.data());
+  if (dst_unseen) FoldInto(e.dst, e.src, scratch_.data());
   if (src_unseen) ++prop_count_[e.src];
   if (dst_unseen) ++prop_count_[e.dst];
 }
@@ -208,6 +253,10 @@ void FeatureAugmenter::ObserveEdge(const TemporalEdge& e) {
 void FeatureAugmenter::ObserveBulk(const EdgeStream& stream, size_t begin,
                                    size_t end) {
   if (end <= begin) return;
+  if (kept_ == 0) {
+    for (size_t i = begin; i < end; ++i) degrees_.Observe(stream[i]);
+    return;
+  }
   ThreadPool* pool = ThreadPool::Global();
   const size_t num_t = pool->num_threads();
   const size_t group = (kReplayShards + num_t - 1) / num_t;
@@ -238,7 +287,7 @@ void FeatureAugmenter::ObserveBulk(const EdgeStream& stream, size_t begin,
     chunk_deferred_.resize(num_chunks);
   }
   for (size_t c = 0; c < num_chunks; ++c) {
-    if (chunk_scratch_[c].size() < 2 * dim) chunk_scratch_[c].resize(2 * dim);
+    if (chunk_scratch_[c].size() < dim) chunk_scratch_[c].resize(dim);
     chunk_deferred_[c].clear();
   }
 
@@ -253,8 +302,7 @@ void FeatureAugmenter::ObserveBulk(const EdgeStream& stream, size_t begin,
   pool->ParallelFor(
       0, kReplayShards, group, [&](size_t s0, size_t s1, size_t) {
         const size_t chunk = s0 / group;
-        float* sa = chunk_scratch_[chunk].data();
-        float* sb = sa + dim;
+        float* scratch = chunk_scratch_[chunk].data();
         std::vector<uint64_t>& deferred = chunk_deferred_[chunk];
         for (size_t i = begin; i < end; ++i) {
           const NodeId u = src[i];
@@ -268,7 +316,7 @@ void FeatureAugmenter::ObserveBulk(const EdgeStream& stream, size_t begin,
               if (v_unseen) {
                 deferred.push_back(static_cast<uint64_t>(i - begin) * 2);
               } else {
-                FoldInto(u, v, sa, sb);
+                FoldInto(u, v, scratch);
                 ++prop_count_[u];
               }
             }
@@ -280,7 +328,7 @@ void FeatureAugmenter::ObserveBulk(const EdgeStream& stream, size_t begin,
               if (u_unseen) {
                 deferred.push_back(static_cast<uint64_t>(i - begin) * 2 + 1);
               } else {
-                FoldInto(v, u, sa, sb);
+                FoldInto(v, u, scratch);
                 ++prop_count_[v];
               }
             }
@@ -304,7 +352,7 @@ void FeatureAugmenter::ObserveBulk(const EdgeStream& stream, size_t begin,
     const size_t i = begin + static_cast<size_t>(key >> 1);
     const NodeId node = (key & 1) ? dst[i] : src[i];
     const NodeId other = (key & 1) ? src[i] : dst[i];
-    FoldInto(node, other, scratch_a_.data(), scratch_b_.data());
+    FoldInto(node, other, scratch_.data());
     ++prop_count_[node];
   }
 }
@@ -313,15 +361,18 @@ void FeatureAugmenter::WriteFeature(AugmentationProcess process, NodeId node,
                                     float* out) const {
   switch (process) {
     case AugmentationProcess::kRandom:
-      WriteCurrent(random_prop_, kRandomSalt, node, out);
+      if (!(kept_ & kKeepRandom)) break;
+      WriteCurrent(random_seen_, random_prop_, node, out);
       return;
     case AugmentationProcess::kPositional:
-      WriteCurrent(positional_prop_, kPositionalSalt, node, out);
+      if (!(kept_ & kKeepPositional)) break;
+      WriteCurrent(positional_, positional_prop_, node, out);
       return;
     case AugmentationProcess::kStructural:
       EncodeDegree(degrees_.Degree(node), out);
       return;
   }
+  std::memset(out, 0, opts_.feature_dim * sizeof(float));
 }
 
 void FeatureAugmenter::WritePlainRandom(NodeId node, float* out) const {
@@ -344,27 +395,44 @@ void FeatureAugmenter::EncodeDegree(size_t degree, float* out) const {
 void FeatureAugmenter::Serialize(ByteWriter* w) const {
   w->U64(opts_.feature_dim);
   w->U64(opts_.seed);
-  w->U8(opts_.enable_positional ? 1 : 0);
+  w->U8(kept_);
   w->U8Vec(seen_);
   w->U32Vec(prop_count_);
   degrees_.Serialize(w);
-  WriteMatrix(w, positional_);
-  WriteMatrix(w, random_seen_);
-  WriteMatrix(w, random_prop_);
-  WriteMatrix(w, positional_prop_);
+  if (kept_ & kKeepRandom) {
+    WriteMatrix(w, random_seen_);
+    WriteMatrix(w, random_prop_);
+  }
+  if (kept_ & kKeepPositional) {
+    WriteMatrix(w, positional_);
+    WriteMatrix(w, positional_prop_);
+  }
 }
 
 bool FeatureAugmenter::Deserialize(ByteReader* r) {
   if (r->U64() != opts_.feature_dim || r->U64() != opts_.seed ||
-      (r->U8() != 0) != opts_.enable_positional) {
+      r->U8() != kept_) {
     return false;
   }
   if (!r->U8Vec(&seen_) || !r->U32Vec(&prop_count_) ||
       !degrees_.Deserialize(r)) {
     return false;
   }
-  if (!ReadMatrix(r, &positional_) || !ReadMatrix(r, &random_seen_) ||
-      !ReadMatrix(r, &random_prop_) || !ReadMatrix(r, &positional_prop_)) {
+  // Every row table must cover the seen set: reads and the bulk fan-out
+  // index them by node id without a bounds check.
+  const size_t rows = kept_ != 0 ? seen_.size() : 0;
+  const size_t dim = opts_.feature_dim;
+  if (prop_count_.size() != rows || degrees_.capacity() < seen_.size()) {
+    return false;
+  }
+  if ((kept_ & kKeepRandom) &&
+      (!ReadMatrixExpect(r, &random_seen_, rows, dim) ||
+       !ReadMatrixExpect(r, &random_prop_, rows, dim))) {
+    return false;
+  }
+  if ((kept_ & kKeepPositional) &&
+      (!ReadMatrixExpect(r, &positional_, rows, dim) ||
+       !ReadMatrixExpect(r, &positional_prop_, rows, dim))) {
     return false;
   }
   return r->ok();

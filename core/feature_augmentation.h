@@ -21,6 +21,12 @@
 //   ObserveEdge(e)      — per-edge dynamic update: degree counts + Eq.
 //                         (4)-(5) propagation. Touches only the two
 //                         incident rows; O(feature_dim), allocation-free.
+//   Retain(r, p)        — the kept set: the propagated processes whose
+//                         per-node rows are held. SPLASH reads one process,
+//                         so its predictor keeps only that one (nothing
+//                         for S, which reads only the degree counter); a
+//                         dropped process is never grown, fitted, folded
+//                         or serialized, and reads as zeros.
 
 #ifndef SPLASH_CORE_FEATURE_AUGMENTATION_H_
 #define SPLASH_CORE_FEATURE_AUGMENTATION_H_
@@ -39,9 +45,6 @@ namespace splash {
 
 struct FeatureAugmenterOptions {
   size_t feature_dim = 32;
-  /// Disable to skip the positional fit (it is the only superlinear part of
-  /// FitSeen); WriteFeature(kPositional) then yields zeros for all nodes.
-  bool enable_positional = true;
   /// Laplacian smoothing passes for the positional fit.
   size_t positional_rounds = 3;
   float positional_step = 0.35f;
@@ -50,12 +53,27 @@ struct FeatureAugmenterOptions {
 
 class FeatureAugmenter {
  public:
+  /// Keeps R and P: feature selection (SelectFeatureProcess) reads all
+  /// three processes.
   explicit FeatureAugmenter(const FeatureAugmenterOptions& opts);
+
+  /// Sets the kept set. A dropped process's rows are freed at once. A
+  /// process added back gets zero rows sized to the node tables, and holds
+  /// real features only after the next FitSeen, so widen before FitSeen
+  /// (or before Deserialize). With nothing kept, ObserveEdge and
+  /// ObserveBulk only count degrees.
+  void Retain(bool random, bool positional);
+  /// True if `process`'s rows are kept (never for kStructural, which has
+  /// none).
+  bool keeps(AugmentationProcess process) const;
+  /// Bytes held in the kept processes' fitted and propagated rows and
+  /// the Eq. (5) denominators; 0 when nothing is kept.
+  size_t feature_row_bytes() const;
 
   /// Fits static state on the train period (time <= fit_time) and resets
   /// dynamic state. Nodes touched by a train-period edge form the "seen"
   /// set; everything else is unseen and relies on propagation / structural
-  /// encoding at replay time.
+  /// encoding at replay time. Only kept processes are fitted.
   void FitSeen(const EdgeStream& stream, double fit_time);
 
   /// Clears dynamic state (degree counts, propagated unseen-node rows) while
@@ -78,10 +96,13 @@ class FeatureAugmenter {
   /// batch-end source values, which is the one (thread-count-invariant)
   /// deviation from serial replay. With one thread, a small range, or one
   /// shard group this falls back to the serial loop — bit-identical to
-  /// per-edge ObserveEdge.
+  /// per-edge ObserveEdge. With nothing kept it is a plain degree-count
+  /// loop: counts do not depend on order, so it equals serial replay at
+  /// any thread count.
   void ObserveBulk(const EdgeStream& stream, size_t begin, size_t end);
 
-  /// Writes the current `process` feature of `node` into out[0..dim).
+  /// Writes the current `process` feature of `node` into out[0..dim);
+  /// zeros if `process` is not kept.
   void WriteFeature(AugmentationProcess process, NodeId node,
                     float* out) const;
 
@@ -101,32 +122,41 @@ class FeatureAugmenter {
   }
   const DegreeTracker& degrees() const { return degrees_; }
 
-  /// Checkpoint hooks: BOTH the fitted state (seen set, positional
-  /// embedding, cached random rows) and the dynamic state (degree counts,
+  /// Checkpoint hooks: BOTH the fitted state (seen set, and for each kept
+  /// process its fitted rows) and the dynamic state (degree counts, kept
   /// propagated rows, Eq. (5) denominators) — restore needs no FitSeen and
-  /// no replay. Deserialize validates the options fingerprint (dim / seed /
-  /// positional flag) so a checkpoint can never be applied to a
-  /// differently-configured augmenter.
+  /// no replay. Deserialize validates the options fingerprint (dim / seed)
+  /// and requires the blob's kept set to equal this augmenter's (apply
+  /// Retain first) and every row table to match the seen-set size, so a
+  /// checkpoint can never be applied to a differently-configured augmenter
+  /// nor leave a row shorter than a read.
   void Serialize(ByteWriter* w) const;
   bool Deserialize(ByteReader* r);
 
  private:
+  // Kept-set bits; the mask is also the serialized form.
+  static constexpr uint8_t kKeepRandom = 1;
+  static constexpr uint8_t kKeepPositional = 2;
+
   void EnsureNodeCapacity(size_t n);
-  /// Writes the *current* propagated feature of `node` for matrix `m`
-  /// (random or positional) into out.
-  void WriteCurrent(const Matrix& m, uint64_t salt, NodeId node,
+  /// Writes `node`'s current feature of one kept process into out: its
+  /// `fitted` row if seen, else its `prop` (propagated) row.
+  void WriteCurrent(const Matrix& fitted, const Matrix& prop, NodeId node,
                     float* out) const;
   /// Eq. (4)-(5): fold `src_feat` into unseen `node`'s running-mean row of
   /// matrix `m`.
   void PropagateInto(Matrix* m, NodeId node, const float* src_feat);
-  /// Folds `source`'s current random (and positional) feature into unseen
-  /// `node` via PropagateInto; `sa` / `sb` are feature_dim scratch rows.
-  /// Does NOT bump prop_count_ — callers pair it with the increment.
-  void FoldInto(NodeId node, NodeId source, float* sa, float* sb);
+  /// Folds `source`'s current feature of every kept process into unseen
+  /// `node` via PropagateInto; `scratch` is a feature_dim row. Does NOT
+  /// bump prop_count_ — callers pair it with the increment.
+  void FoldInto(NodeId node, NodeId source, float* scratch);
 
   FeatureAugmenterOptions opts_;
   DegreeTracker degrees_;
+  uint8_t kept_ = 0;  // kKeep* bits
 
+  // Row tables of the kept processes have seen_.size() rows; a dropped
+  // process's are empty, and so is prop_count_ when nothing is kept.
   std::vector<uint8_t> seen_;       // fitted: 1 if node has a train edge
   Matrix positional_;               // fitted rows for seen nodes
   Matrix random_seen_;              // fitted: cached hash rows, seen nodes
@@ -134,10 +164,9 @@ class FeatureAugmenter {
   Matrix positional_prop_;          // dynamic: propagated rows, unseen nodes
   std::vector<uint32_t> prop_count_;  // dynamic: Eq. (5) denominators
 
-  // Preallocated per-edge scratch (feature_dim each); ObserveEdge must not
-  // allocate.
-  std::vector<float> scratch_a_;
-  std::vector<float> scratch_b_;
+  // Preallocated per-edge scratch (feature_dim, empty when nothing is
+  // kept); ObserveEdge must not allocate.
+  std::vector<float> scratch_;
 
   // Bulk-replay scratch (grow-only; ObserveBulk is allocation-free at
   // steady state). Shard count for the `v & (S-1)` partition; 16 keeps the
@@ -145,7 +174,7 @@ class FeatureAugmenter {
   // one pass.
   static constexpr size_t kReplayShards = 16;
   static constexpr size_t kBulkReplayMinEdges = 512;
-  std::vector<std::vector<float>> chunk_scratch_;   // 2 * feature_dim each
+  std::vector<std::vector<float>> chunk_scratch_;   // feature_dim each
   std::vector<std::vector<uint64_t>> chunk_deferred_;  // per-chunk fold keys
   std::vector<uint64_t> merged_deferred_;
 };

@@ -233,7 +233,10 @@ inline bool ReadMatrixExpect(ByteReader* r, Matrix* m, size_t rows,
                              size_t cols) {
   const uint64_t got_rows = r->U64();
   const uint64_t got_cols = r->U64();
-  if (!r->ok() || got_rows != rows || got_cols != cols) return false;
+  if (!r->ok() || got_rows != rows || got_cols != cols ||
+      (cols != 0 && rows > r->remaining() / (cols * sizeof(float)))) {
+    return false;
+  }
   m->Resize(rows, cols);
   for (size_t i = 0; i < rows; ++i) {
     if (!r->Bytes(m->Row(i), cols * sizeof(float))) return false;

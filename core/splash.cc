@@ -28,16 +28,11 @@ SplashPredictor::SplashPredictor(const SplashOptions& opts)
       augmenter_([&] {
         FeatureAugmenterOptions a = opts.augment;
         a.seed = opts.seed;
-        // Skip the positional fit when no mode can ever read it.
-        if (opts.mode == SplashMode::kZeroFeatures ||
-            opts.mode == SplashMode::kPlainRandom ||
-            opts.mode == SplashMode::kForceRandom ||
-            opts.mode == SplashMode::kForceStructural) {
-          a.enable_positional = false;
-        }
         return a;
       }()),
-      memory_(opts.slim.k_recent == 0 ? 1 : opts.slim.k_recent) {}
+      memory_(opts.slim.k_recent == 0 ? 1 : opts.slim.k_recent) {
+  RetainReadableProcesses(/*selecting=*/true);
+}
 
 SplashPredictor::SplashPredictor(const SplashPredictor& src)
     : opts_(src.opts_),
@@ -55,6 +50,9 @@ Status SplashPredictor::Prepare(const Dataset& ds, const ChronoSplit& split) {
   if (ds.stream.empty()) {
     return Status::Error("SplashPredictor::Prepare: empty stream");
   }
+  // A repeated kAuto Prepare widens the kept set back to R and P before
+  // the fit: selection reads all three processes.
+  RetainReadableProcesses(/*selecting=*/true);
   augmenter_.FitSeen(ds.stream, split.train_end_time);
 
   switch (opts_.mode) {
@@ -63,6 +61,7 @@ Status SplashPredictor::Prepare(const Dataset& ds, const ChronoSplit& split) {
       sel.k_recent = opts_.slim.k_recent;
       selected_ = SelectFeatureProcess(ds, split, &augmenter_, sel).selected;
       augmenter_.Reset();
+      RetainReadableProcesses(/*selecting=*/false);
       break;
     }
     case SplashMode::kForceRandom:
@@ -95,6 +94,30 @@ Status SplashPredictor::Prepare(const Dataset& ds, const ChronoSplit& split) {
   memory_.EnsureNodeCapacity(ds.stream.num_nodes());
   ResetState();
   return Status::Ok();
+}
+
+void SplashPredictor::RetainReadableProcesses(bool selecting) {
+  bool random = false, positional = false;
+  switch (opts_.mode) {
+    case SplashMode::kAuto:
+      random = selecting || selected_ == AugmentationProcess::kRandom;
+      positional = selecting || selected_ == AugmentationProcess::kPositional;
+      break;
+    case SplashMode::kForceRandom:
+      random = true;
+      break;
+    case SplashMode::kForcePositional:
+      positional = true;
+      break;
+    case SplashMode::kJoint:
+      random = positional = true;
+      break;
+    case SplashMode::kForceStructural:
+    case SplashMode::kZeroFeatures:
+    case SplashMode::kPlainRandom:
+      break;
+  }
+  augmenter_.Retain(random, positional);
 }
 
 void SplashPredictor::ResetState() {
@@ -300,7 +323,9 @@ double SplashPredictor::TrainBatch(
 
 namespace {
 constexpr uint32_t kSplashStateMagic = 0x53504c53u;  // "SPLS"
-constexpr uint32_t kSplashStateVersion = 1;
+// Version 2: the augmenter writes its kept-set mask and only the kept
+// processes' rows (version 1 wrote all four row tables).
+constexpr uint32_t kSplashStateVersion = 2;
 }  // namespace
 
 void SplashPredictor::SerializeState(ByteWriter* w) const {
@@ -342,8 +367,14 @@ void SplashPredictor::SerializeState(ByteWriter* w,
 }
 
 Status SplashPredictor::DeserializeState(ByteReader* r) {
-  if (r->U32() != kSplashStateMagic || r->U32() != kSplashStateVersion) {
-    return Status::Error("SplashPredictor: bad state magic/version");
+  if (r->U32() != kSplashStateMagic) {
+    return Status::Error("SplashPredictor: bad state magic");
+  }
+  const uint32_t version = r->U32();
+  if (version != kSplashStateVersion) {
+    return Status::Error("SplashPredictor: unsupported state version " +
+                         std::to_string(version) + " (expected " +
+                         std::to_string(kSplashStateVersion) + ")");
   }
   if (r->U64() != opts_.seed ||
       r->U32() != static_cast<uint32_t>(opts_.mode) ||
@@ -351,7 +382,11 @@ Status SplashPredictor::DeserializeState(ByteReader* r) {
     return Status::Error(
         "SplashPredictor: checkpoint config fingerprint mismatch");
   }
-  selected_ = static_cast<AugmentationProcess>(r->U32());
+  const uint32_t selected = r->U32();
+  if (selected > static_cast<uint32_t>(AugmentationProcess::kStructural)) {
+    return Status::Error("SplashPredictor: bad selected process");
+  }
+  selected_ = static_cast<AugmentationProcess>(selected);
   input_dim_ = static_cast<size_t>(r->U64());
   const bool has_slim = r->U8() != 0;
   if (has_slim) {
@@ -381,6 +416,9 @@ Status SplashPredictor::DeserializeState(ByteReader* r) {
   rs.cached = r->F32();
   rs.has_cached = r->U8() != 0;
   rng_.LoadState(rs);
+  // The blob's kept set follows from its selected process; the augmenter
+  // requires its own to match.
+  RetainReadableProcesses(/*selecting=*/false);
   if (!augmenter_.Deserialize(r)) {
     return Status::Error("SplashPredictor: augmenter state mismatch");
   }

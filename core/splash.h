@@ -167,15 +167,25 @@ class SplashPredictor : public TemporalPredictor {
   /// and the bytes are the same either way. DeserializeState restores a
   /// predictor that owns its train state again: it needs neither Prepare()
   /// nor a warmup dataset and resumes bit-identically to the serialized
-  /// one. It validates a config fingerprint (seed / mode / feature_dim and
-  /// the serialized SLIM architecture) and fails without partial mutation
-  /// visible to queries only if the very first header check fails;
-  /// callers treat any error as "replica unusable" and abandon recovery.
+  /// one. The augmenter part holds rows only for the processes the mode
+  /// reads (RetainReadableProcesses), so DeserializeState applies the
+  /// blob's kept set before reading it. It refuses any state version but
+  /// the current one (version 1 predates the kept set) with an error that
+  /// names the version, validates a config fingerprint (seed / mode /
+  /// feature_dim and the serialized SLIM architecture) and fails without
+  /// partial mutation visible to queries only if the very first header
+  /// check fails; callers treat any error as "replica unusable" and
+  /// abandon recovery.
   void SerializeState(ByteWriter* w) const;
   void SerializeState(ByteWriter* w, const SlimTrainState* train) const;
   Status DeserializeState(ByteReader* r);
 
  private:
+  /// Keeps the augmenter's rows for the processes this mode can read: R
+  /// for kForceRandom, P for kForcePositional, both for kJoint, nothing
+  /// for S and the ablations. kAuto keeps both while `selecting`, then
+  /// only selected_.
+  void RetainReadableProcesses(bool selecting);
   /// Writes the mode's SLIM input feature of `node` (input_dim_ floats).
   void WriteNodeFeature(NodeId node, float* out) const;
   /// Assembles query rows [r0, r1) into `out` (pre-sized). `nbr_ids` /

@@ -51,6 +51,8 @@ class DegreeTracker {
   }
 
   size_t num_edges() const { return num_edges_; }
+  /// Nodes with a counter slot (IncrementDegree's valid range).
+  size_t capacity() const { return degree_.size(); }
 
   void Clear() {
     std::fill(degree_.begin(), degree_.end(), 0u);

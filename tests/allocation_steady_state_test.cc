@@ -6,8 +6,8 @@
 // per-worker gradient scratch and the ParallelFor dispatch must be
 // grow-only too. Global operator new/delete are replaced with counting
 // shims that also sum the requested bytes, which pins the footprint of a
-// read-only SLIM copy (DESIGN.md §5); a scoped flag confines the
-// assertion to the measured region.
+// read-only SLIM copy and of S-mode streaming state (DESIGN.md §5); a
+// scoped flag confines the assertion to the measured region.
 
 #include <gtest/gtest.h>
 
@@ -163,6 +163,49 @@ TEST(AllocationSteadyStateTest, ReadOnlySlimCopyHoldsWeightsAndPacksOnly) {
   EXPECT_LE(static_cast<double>(bytes), 2.1 * param_bytes)
       << "read-only copy holds " << bytes / param_bytes
       << "x the parameter bytes";
+}
+
+TEST(AllocationSteadyStateTest, StructuralStreamingStateIgnoresFeatureDim) {
+  // An S-mode replica reads only degree counters and neighbor rings, so
+  // its streaming state holds no feature_dim-wide rows: copies of the same
+  // predictor at fd32 and fd64 over the same stream differ only by SLIM's
+  // weights and packs. SLIM's share is measured as a read-only copy of a
+  // standalone model of the same architecture.
+  ScalabilityOptions sopts;
+  sopts.num_edges = 4000;
+  sopts.num_nodes = 512;
+  const Dataset ds = GenerateScalabilityStream(sopts);
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.1, 0.1);
+  size_t streaming_bytes[2] = {0, 0};
+  const size_t dims[2] = {32, 64};
+  for (size_t i = 0; i < 2; ++i) {
+    SplashOptions opts;
+    opts.mode = SplashMode::kForceStructural;
+    opts.augment.feature_dim = dims[i];
+    opts.slim.hidden_dim = 32;
+    opts.slim.time_dim = 8;
+    SplashPredictor model(opts);
+    ASSERT_TRUE(model.Prepare(ds, split).ok());
+    ASSERT_NE(model.ReleaseTrainState(), nullptr);
+    model.ObserveBulk(ds.stream, 0, ds.stream.size());
+    std::unique_ptr<SplashPredictor> copy;
+    const size_t copy_bytes = AllocatedBytes(
+        [&] { copy = std::make_unique<SplashPredictor>(model); });
+
+    SlimOptions so = opts.slim;
+    so.feature_dim = model.input_dim();
+    so.k_recent = model.memory().k();
+    so.out_dim = model.out_dim();
+    Rng rng(8), copy_rng(9);
+    SlimModel slim(so, &rng);
+    std::unique_ptr<SlimModel> slim_copy;
+    const size_t slim_bytes = AllocatedBytes(
+        [&] { slim_copy = std::make_unique<SlimModel>(slim, &copy_rng); });
+    ASSERT_GT(copy_bytes, slim_bytes);
+    streaming_bytes[i] = copy_bytes - slim_bytes;
+  }
+  EXPECT_EQ(streaming_bytes[0], streaming_bytes[1])
+      << "S-mode streaming state grew with feature_dim";
 }
 
 TEST(AllocationSteadyStateTest, FeatureAugmenterObserveBulkIsAllocationFree) {

@@ -1,14 +1,20 @@
 // Copyright 2026 The SPLASH Reproduction Authors.
 //
-// FeatureAugmenter: degree encoding, seen/unseen bookkeeping, and the
-// Eq. (4)-(5) unseen-node propagation semantics.
+// FeatureAugmenter: degree encoding, seen/unseen bookkeeping, the
+// Eq. (4)-(5) unseen-node propagation semantics, the kept set, and the
+// shape checks of checkpoint restore.
 
 #include "core/feature_augmentation.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
+
+#include "core/serialize.h"
+#include "runtime/thread_pool.h"
+#include "tensor/rng.h"
 
 namespace splash {
 namespace {
@@ -152,6 +158,182 @@ TEST(FeatureAugmenterTest, PositionalPullsInteractingNodesTogether) {
     inter += (f0[j] - f3[j]) * (f0[j] - f3[j]);
   }
   EXPECT_LT(intra, inter);  // same-community nodes are closer
+}
+
+// A small seen core, then a long tail where each endpoint is unseen with
+// probability 1/2: seen-seen, seen-unseen and unseen-unseen edges, the
+// last being the bulk replay's deferred folds.
+EdgeStream MixedStream(double* fit_time) {
+  const size_t n_seen = 48, n_unseen = 400;
+  EdgeStream s;
+  double t = 0.0;
+  for (size_t i = 0; i < 96; ++i) {
+    s.Append(TemporalEdge(static_cast<NodeId>(i % n_seen),
+                          static_cast<NodeId>((i * 5 + 1) % n_seen), t += 1.0))
+        .ok();
+  }
+  *fit_time = t;
+  Rng rng(5);
+  auto endpoint = [&] {
+    return static_cast<NodeId>(rng.Uniform() < 0.5
+                                   ? n_seen + rng.UniformInt(n_unseen)
+                                   : rng.UniformInt(n_seen));
+  };
+  for (size_t i = 0; i < 3000; ++i) {
+    const NodeId u = endpoint();
+    const NodeId v = endpoint();
+    s.Append(TemporalEdge(u, v, t += 1.0)).ok();
+  }
+  return s;
+}
+
+// Keeping only process X gives X's features bit-for-bit as keeping
+// everything does, and the same degrees; keeping nothing (S) holds no rows.
+void ExpectKeptProcessMatchesFullAugmenter(bool bulk) {
+  double fit_time = 0.0;
+  const EdgeStream s = MixedStream(&fit_time);
+  constexpr size_t kDim = 16;
+  struct Case {
+    AugmentationProcess process;
+    bool random, positional;
+  };
+  for (const Case& c : {Case{AugmentationProcess::kRandom, true, false},
+                        Case{AugmentationProcess::kPositional, false, true},
+                        Case{AugmentationProcess::kStructural, false, false}}) {
+    SCOPED_TRACE(ProcessName(c.process));
+    FeatureAugmenterOptions opts;
+    opts.feature_dim = kDim;
+    FeatureAugmenter full(opts), only(opts);
+    only.Retain(c.random, c.positional);
+    full.FitSeen(s, fit_time);
+    only.FitSeen(s, fit_time);
+    if (bulk) {
+      full.ObserveBulk(s, 0, s.size());
+      only.ObserveBulk(s, 0, s.size());
+    } else {
+      for (size_t i = 0; i < s.size(); ++i) {
+        full.ObserveEdge(s[i]);
+        only.ObserveEdge(s[i]);
+      }
+    }
+    std::vector<float> want(kDim), got(kDim);
+    size_t nonzero = 0;
+    for (NodeId v = 0; v < s.num_nodes() + 4; ++v) {
+      full.WriteFeature(c.process, v, want.data());
+      only.WriteFeature(c.process, v, got.data());
+      ASSERT_EQ(std::memcmp(want.data(), got.data(), kDim * sizeof(float)), 0)
+          << "node " << v;
+      ASSERT_EQ(full.degrees().Degree(v), only.degrees().Degree(v))
+          << "node " << v;
+      nonzero += want[0] != 0.0f;
+    }
+    EXPECT_GT(nonzero, s.num_nodes() / 2);
+    EXPECT_EQ(full.degrees().num_edges(), only.degrees().num_edges());
+    EXPECT_EQ(only.keeps(AugmentationProcess::kRandom), c.random);
+    EXPECT_EQ(only.keeps(AugmentationProcess::kPositional), c.positional);
+    if (c.process == AugmentationProcess::kStructural) {
+      EXPECT_EQ(only.feature_row_bytes(), 0u);
+      // A dropped process reads as zeros.
+      only.WriteFeature(AugmentationProcess::kRandom, 1, got.data());
+      for (float x : got) EXPECT_EQ(x, 0.0f);
+    } else {
+      EXPECT_GT(only.feature_row_bytes(), 0u);
+      EXPECT_LT(only.feature_row_bytes(), full.feature_row_bytes());
+    }
+  }
+}
+
+TEST(FeatureAugmenterTest, KeptProcessMatchesFullAugmenterSerial) {
+  ExpectKeptProcessMatchesFullAugmenter(/*bulk=*/false);
+}
+
+TEST(FeatureAugmenterTest, KeptProcessMatchesFullAugmenterInBulkOnFourThreads) {
+  const size_t threads_before = ThreadPool::Global()->num_threads();
+  ThreadPool::SetGlobalThreads(4);
+  ExpectKeptProcessMatchesFullAugmenter(/*bulk=*/true);
+  ThreadPool::SetGlobalThreads(threads_before);
+}
+
+// An augmenter blob in Serialize's layout for an R-only augmenter (two
+// row tables), with every shape chosen by the caller.
+struct BlobShape {
+  uint8_t mask = 1;
+  size_t seen = 10;
+  size_t counts = 10;
+  size_t rows = 10;
+  size_t cols = 8;
+  bool truncate = false;
+};
+
+std::vector<uint8_t> CraftedBlob(const FeatureAugmenterOptions& opts,
+                                 const BlobShape& shape) {
+  ByteWriter w;
+  w.U64(opts.feature_dim);
+  w.U64(opts.seed);
+  w.U8(shape.mask);
+  w.U8Vec(std::vector<uint8_t>(shape.seen, 1));
+  w.U32Vec(std::vector<uint32_t>(shape.counts, 0));
+  DegreeTracker(shape.seen).Serialize(&w);
+  WriteMatrix(&w, Matrix(shape.seen, opts.feature_dim));
+  WriteMatrix(&w, Matrix(shape.rows, shape.cols));
+  std::vector<uint8_t> blob = w.buffer();
+  if (shape.truncate) blob.resize(blob.size() - sizeof(float));
+  return blob;
+}
+
+bool Restores(const BlobShape& shape) {
+  FeatureAugmenterOptions opts;
+  opts.feature_dim = 8;
+  FeatureAugmenter augmenter(opts);
+  augmenter.Retain(/*random=*/true, /*positional=*/false);
+  const std::vector<uint8_t> blob = CraftedBlob(opts, shape);
+  ByteReader r(blob);
+  return augmenter.Deserialize(&r);
+}
+
+TEST(FeatureAugmenterTest, DeserializeRejectsMisshapenRowTables) {
+  ASSERT_TRUE(Restores(BlobShape{}));  // the well-formed control
+  BlobShape narrow;
+  narrow.cols = 4;
+  EXPECT_FALSE(Restores(narrow));
+  BlobShape short_rows;
+  short_rows.rows = 9;
+  EXPECT_FALSE(Restores(short_rows));
+  BlobShape other_mask;
+  other_mask.mask = 3;
+  EXPECT_FALSE(Restores(other_mask));
+  BlobShape truncated;
+  truncated.truncate = true;
+  EXPECT_FALSE(Restores(truncated));
+  BlobShape short_counts;
+  short_counts.counts = 9;
+  EXPECT_FALSE(Restores(short_counts));
+}
+
+TEST(FeatureAugmenterTest, SerializeRoundTripsTheKeptSet) {
+  double fit_time = 0.0;
+  const EdgeStream s = MixedStream(&fit_time);
+  FeatureAugmenterOptions opts;
+  opts.feature_dim = 8;
+  FeatureAugmenter src(opts);
+  src.Retain(/*random=*/false, /*positional=*/true);
+  src.FitSeen(s, fit_time);
+  for (size_t i = 0; i < s.size(); ++i) src.ObserveEdge(s[i]);
+  ByteWriter w;
+  src.Serialize(&w);
+
+  FeatureAugmenter everything(opts);  // keeps R and P: refused
+  ByteReader r1(w.buffer());
+  EXPECT_FALSE(everything.Deserialize(&r1));
+
+  FeatureAugmenter dst(opts);
+  dst.Retain(/*random=*/false, /*positional=*/true);
+  ByteReader r2(w.buffer());
+  ASSERT_TRUE(dst.Deserialize(&r2));
+  ByteWriter again;
+  dst.Serialize(&again);
+  EXPECT_EQ(again.buffer(), w.buffer());
+  EXPECT_EQ(dst.feature_row_bytes(), src.feature_row_bytes());
 }
 
 }  // namespace

@@ -4,11 +4,13 @@
 // stream and beats chance; determinism across identically-seeded runs; the
 // ring-buffer substrate and trainer replay hold up under a full pipeline;
 // copying a trained model (CopyModelFrom, the copy constructor) gives the
-// bytes training would.
+// bytes training would; every mode's checkpoint restores bit-exactly.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/serialize.h"
@@ -229,6 +231,98 @@ TEST(SplashSmokeTest, CopyConstructedPredictorTrainsInLockstep) {
     ASSERT_EQ(StateBytes(copy), StateBytes(source)) << "step " << step;
   }
   ThreadPool::SetGlobalThreads(threads_before);
+}
+
+// Each mode keeps only the augmenter rows it reads, and its checkpoint
+// restores into a fresh predictor with the same bytes and the same scores.
+TEST(SplashSmokeTest, CheckpointRoundTripsInEveryMode) {
+  const Dataset ds = SmallClassification();
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.1, 0.1);
+  for (SplashMode mode :
+       {SplashMode::kAuto, SplashMode::kForceRandom,
+        SplashMode::kForcePositional, SplashMode::kForceStructural,
+        SplashMode::kJoint}) {
+    SCOPED_TRACE(SplashModeName(mode));
+    SplashPredictor model(SmallOptions(mode));
+    ASSERT_TRUE(model.Prepare(ds, split).ok());
+    const AugmentationProcess sel = model.selected_process();
+    const bool reads_r =
+        mode == SplashMode::kJoint || sel == AugmentationProcess::kRandom;
+    const bool reads_p =
+        mode == SplashMode::kJoint || sel == AugmentationProcess::kPositional;
+    const FeatureAugmenter& aug = model.augmenter();
+    EXPECT_EQ(aug.keeps(AugmentationProcess::kRandom), reads_r);
+    EXPECT_EQ(aug.keeps(AugmentationProcess::kPositional), reads_p);
+    EXPECT_EQ(aug.feature_row_bytes() == 0, !reads_r && !reads_p);
+
+    model.ObserveBulk(ds.stream, 0, ds.stream.size());
+    const std::vector<uint8_t> bytes = StateBytes(model);
+    SplashPredictor restored(SmallOptions(mode));
+    ByteReader r(bytes);
+    ASSERT_TRUE(restored.DeserializeState(&r).ok());
+    EXPECT_EQ(restored.selected_process(), sel);
+    EXPECT_EQ(StateBytes(restored), bytes);
+
+    const std::vector<PropertyQuery> qs =
+        TrainQueries(ds, ds.stream.size(), 0);
+    SplashQueryScratch want_scratch, got_scratch;
+    const Matrix& want = model.PredictBatchConst(qs, &want_scratch);
+    const Matrix& got = restored.PredictBatchConst(qs, &got_scratch);
+    ASSERT_EQ(got.rows(), want.rows());
+    ASSERT_EQ(got.cols(), want.cols());
+    for (size_t i = 0; i < want.rows(); ++i) {
+      ASSERT_EQ(std::memcmp(got.Row(i), want.Row(i),
+                            want.cols() * sizeof(float)),
+                0)
+          << "row " << i;
+    }
+  }
+}
+
+// kAuto narrows the kept set to its pick after selection; preparing again
+// widens it back for selection and regrows the rows it dropped.
+TEST(SplashSmokeTest, AutoModeRepreparesFromANarrowedKeptSet) {
+  const Dataset ds = SmallClassification();
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.1, 0.1);
+  SplashPredictor once(SmallOptions(SplashMode::kAuto));
+  SplashPredictor twice(SmallOptions(SplashMode::kAuto));
+  ASSERT_TRUE(once.Prepare(ds, split).ok());
+  ASSERT_TRUE(twice.Prepare(ds, split).ok());
+  twice.ObserveBulk(ds.stream, 0, ds.stream.size() / 2);
+  ASSERT_TRUE(twice.Prepare(ds, split).ok());
+  EXPECT_EQ(twice.selected_process(), once.selected_process());
+  ByteWriter want, got;
+  once.augmenter().Serialize(&want);
+  twice.augmenter().Serialize(&got);
+  EXPECT_EQ(got.buffer(), want.buffer());
+}
+
+// State version 2 changed the augmenter's part; a version-1 blob is
+// refused by name, not misread. The selected process, from which the
+// kept set follows, must name a process.
+TEST(SplashSmokeTest, RefusesVersionOneStateAndUnknownProcess) {
+  const Dataset ds = SmallClassification();
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.1, 0.1);
+  SplashPredictor model(SmallOptions(SplashMode::kForceStructural));
+  ASSERT_TRUE(model.Prepare(ds, split).ok());
+  const std::vector<uint8_t> bytes = StateBytes(model);
+  // Header: magic, version (u32 each), seed (u64), mode (u32),
+  // feature_dim (u64), selected process (u32).
+  constexpr size_t kVersionAt = 4, kSelectedAt = 28;
+  auto refusal = [&](size_t offset, uint32_t value) {
+    std::vector<uint8_t> blob = bytes;
+    ByteWriter field;
+    field.U32(value);
+    std::memcpy(blob.data() + offset, field.buffer().data(), 4);
+    SplashPredictor fresh(SmallOptions(SplashMode::kForceStructural));
+    ByteReader r(blob);
+    const Status st = fresh.DeserializeState(&r);
+    return st.ok() ? std::string() : st.message();
+  };
+  ASSERT_EQ(refusal(kSelectedAt, 2), "");  // kStructural: the control
+  EXPECT_NE(refusal(kVersionAt, 1).find("version 1"), std::string::npos)
+      << refusal(kVersionAt, 1);
+  EXPECT_NE(refusal(kSelectedAt, 3), "");
 }
 
 TEST(SplashSmokeTest, ShiftIntensityStreamHasUnseenTestNodes) {
