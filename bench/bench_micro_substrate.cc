@@ -293,6 +293,61 @@ void BM_SlimForwardFusedWideB1(benchmark::State& state) {
 }
 BENCHMARK(BM_SlimForwardFusedWideB1)->Name("BM_SlimForwardFused/wide_b1");
 
+// One-row PredictBatchConst on the wide serving model (fd64/h1024/k10):
+// a node with no neighbor history (its neighbor branch is skipped and the
+// head layer reads only the weight rows of nonzero self inputs) and one
+// with all k slots valid.
+void BM_PredictB1Wide(benchmark::State& state, bool full_history) {
+  ScalabilityOptions sopts;
+  sopts.num_edges = 20000;
+  sopts.num_nodes = 2000;
+  const Dataset ds = GenerateScalabilityStream(sopts);
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.1, 0.1);
+  SplashOptions opts;
+  opts.mode = SplashMode::kForceStructural;
+  opts.augment.feature_dim = 64;
+  opts.slim.hidden_dim = 1024;
+  opts.slim.time_dim = 16;
+  opts.slim.k_recent = 10;
+  SplashPredictor model(opts);
+  if (!model.Prepare(ds, split).ok()) {
+    state.SkipWithError("Prepare failed");
+    return;
+  }
+  // Half the stream observed: early nodes have full rings, late-arriving
+  // ones none.
+  const size_t half = ds.stream.size() / 2;
+  model.ObserveBulk(ds.stream, 0, half);
+  const double now = ds.stream.time_data()[half - 1] + 1.0;
+
+  SplashQueryScratch scratch;
+  std::vector<PropertyQuery> query(1, PropertyQuery{0, now, 0});
+  const size_t want = full_history ? opts.slim.k_recent : 0;
+  bool found = false;
+  for (NodeId v = 0; v < sopts.num_nodes && !found; ++v) {
+    query[0].node = v;
+    (void)model.PredictBatchConst(query, &scratch);
+    size_t valid = 0;
+    for (size_t j = 0; j < opts.slim.k_recent; ++j) {
+      valid += scratch.batch.mask(0, j) != 0.0f;
+    }
+    found = valid == want;
+  }
+  if (!found) {
+    state.SkipWithError("no node with the wanted history");
+    return;
+  }
+  for (auto _ : state) {
+    const Matrix& out = model.PredictBatchConst(query, &scratch);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_PredictB1Wide, no_history, false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_PredictB1Wide, full_history, true)
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_SlimForward(benchmark::State& state) {
   const size_t batch = state.range(0);
   SlimOptions opts;

@@ -2,6 +2,7 @@
 
 #include "core/slim.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -66,6 +67,11 @@ void SlimForwardScratch::Resize(size_t b, size_t k_recent, size_t feature_dim,
   out.Resize(b, out_dim);
   inv_weight.resize(b);
   if (dropout) drop_mask.resize(b * hidden_dim);
+  // For the widest layer input (w1's or w3's), so one-row reads never
+  // grow it.
+  const size_t scratch = RowIndexScratchSize(
+      std::max(feature_dim + time_dim, 2 * hidden_dim));
+  if (nz_index.size() < scratch) nz_index.resize(scratch);
 }
 
 SlimTrainState::SlimTrainState(const SlimOptions& opts) {
@@ -219,9 +225,17 @@ void SlimModel::ResizeScratch(size_t b, SlimTrainState* train) {
 
 void SlimModel::DenseLayer(const Matrix& in, const Matrix& w,
                            const float* bias, size_t pi, Matrix* out,
-                           size_t r0, size_t r1, bool relu) const {
+                           size_t r0, size_t r1, bool relu,
+                           std::vector<uint32_t>* nz) const {
   // Packed and unpacked fused kernels are bit-identical per backend, so
   // the pack knob never changes results — only which B layout streams.
+  // So is the one-row kernel, which reads only the weight rows the row's
+  // nonzero inputs reach, from row-major w at either pack setting: a row
+  // is contiguous there and split across every panel of the pack.
+  if (nz != nullptr && r1 - r0 == 1) {
+    MatMulRowBiasAct(in, r0, w, out, bias, relu, nz);
+    return;
+  }
   if (GemmPackEnabled()) {
     MatMulPackedBiasActRange(in, pw_[pi], out, r0, r1, bias, relu);
     return;
@@ -230,11 +244,27 @@ void SlimModel::DenseLayer(const Matrix& in, const Matrix& w,
 }
 
 void SlimModel::ForwardRange(const SlimBatchInput& input, size_t r0,
-                             size_t r1, Rng* drop_rng,
+                             size_t r1, Rng* drop_rng, bool for_backward,
                              SlimForwardScratch* s) const {
   const size_t k = opts_.k_recent, dv = opts_.feature_dim,
                h = opts_.hidden_dim;
-  const size_t n0 = r0 * k, n1 = r1 * k;  // neighbor-row range
+  const size_t n0 = r0 * k;
+  size_t n1 = r1 * k;  // neighbor-row range
+  // A batch of one row runs serially (one chunk), so its layers may share
+  // the scratch's index buffer and take the one-row kernel.
+  const bool one_row = input.node_feats.rows() == 1;
+  std::vector<uint32_t>* nz = one_row ? &s->nz_index : nullptr;
+  if (one_row && !for_backward) {
+    // The aggregation reads no masked message, so a read stops the
+    // neighbor rows after the last valid slot (AssembleRows fills valid
+    // slots as a prefix): a node with no history skips the neighbor
+    // GEMM. The backward pass reads every slot's row, so training keeps
+    // them all.
+    const float* mrow = input.mask.Row(r0);
+    size_t slots = k;
+    while (slots > 0 && mrow[slots - 1] == 0.0f) --slots;
+    n1 = n0 + slots;
+  }
 
   // --- neighbor branch -----------------------------------------------------
   for (size_t i = n0; i < n1; ++i) {
@@ -247,7 +277,7 @@ void SlimModel::ForwardRange(const SlimBatchInput& input, size_t r0,
   // over each activation matrix instead of three. The scalar backend
   // computes the identical arithmetic to the historical separate passes.
   DenseLayer(s->cat1, w1_, b1_.data(), 0, &s->msg_pre, n0, n1,
-             /*relu=*/true);
+             /*relu=*/true, nz);
 
   for (size_t bi = r0; bi < r1; ++bi) {
     float wsum = 0.0f;
@@ -267,7 +297,7 @@ void SlimModel::ForwardRange(const SlimBatchInput& input, size_t r0,
 
   // --- self branch ---------------------------------------------------------
   DenseLayer(input.node_feats, w2_, b2_.data(), 1, &s->self_pre, r0, r1,
-             /*relu=*/true);
+             /*relu=*/true, nz);
 
   // --- head ----------------------------------------------------------------
   for (size_t bi = r0; bi < r1; ++bi) {
@@ -275,7 +305,7 @@ void SlimModel::ForwardRange(const SlimBatchInput& input, size_t r0,
     std::memcpy(s->cat2.Row(bi) + h, s->self_pre.Row(bi), h * sizeof(float));
   }
   DenseLayer(s->cat2, w3_, b3_.data(), 2, &s->h_pre, r0, r1,
-             /*relu=*/true);
+             /*relu=*/true, nz);
 
   if (drop_rng != nullptr && training_ && opts_.dropout > 0.0f) {
     const float keep = 1.0f - opts_.dropout;
@@ -292,7 +322,7 @@ void SlimModel::ForwardRange(const SlimBatchInput& input, size_t r0,
   }
 
   DenseLayer(s->h_pre, w4_, b4_.data(), 3, &s->out, r0, r1,
-             /*relu=*/false);
+             /*relu=*/false, nz);
 }
 
 void SlimModel::ForwardAll(const SlimBatchInput& input) {
@@ -313,12 +343,14 @@ void SlimModel::ForwardAll(const SlimBatchInput& input) {
   // parallelizes forward+backward per chunk itself) keep the serial
   // model-Rng dropout path for reproducibility.
   if (pool->num_threads() == 1 || b < 2 * kBatchGrain || wants_dropout) {
-    ForwardRange(input, 0, b, wants_dropout ? rng_ : nullptr, &fwd_);
+    ForwardRange(input, 0, b, wants_dropout ? rng_ : nullptr,
+                 /*for_backward=*/false, &fwd_);
     return;
   }
   pool->ParallelFor(0, b, kBatchGrain,
                     [&](size_t r0, size_t r1, size_t) {
-                      ForwardRange(input, r0, r1, nullptr, &fwd_);
+                      ForwardRange(input, r0, r1, nullptr,
+                                   /*for_backward=*/false, &fwd_);
                     });
 }
 
@@ -335,7 +367,7 @@ const Matrix& SlimModel::PredictConst(const SlimBatchInput& input,
   // Serial, dropout-free: identical arithmetic to the eval-mode ForwardAll
   // (the parallel path computes the same per-row values), so snapshot
   // reads are bit-identical to fused Forward on the same state.
-  ForwardRange(input, 0, b, nullptr, scratch);
+  ForwardRange(input, 0, b, nullptr, /*for_backward=*/false, scratch);
   return scratch->out;
 }
 
@@ -460,7 +492,8 @@ double SlimModel::TrainStep(const SlimBatchInput& input,
   if (pool->num_threads() == 1 || num_chunks < 2) {
     // Serial path: bit-identical to the pre-parallel implementation
     // (dropout drawn sequentially from the model Rng, full-range kernels).
-    ForwardRange(input, 0, b, wants_dropout ? rng_ : nullptr, &fwd_);
+    ForwardRange(input, 0, b, wants_dropout ? rng_ : nullptr,
+                 /*for_backward=*/true, &fwd_);
     BackwardRange(input, labels, 0, b, main, /*accumulate=*/false, train,
                   &loss);
   } else {
@@ -484,7 +517,7 @@ double SlimModel::TrainStep(const SlimBatchInput& input,
                                                    train_calls, chunk));
                         ForwardRange(input, r0, r1,
                                      wants_dropout ? &drop_rng : nullptr,
-                                     &fwd_);
+                                     /*for_backward=*/true, &fwd_);
                         SlimTrainState::GradScratch& ws =
                             worker_grads[worker];
                         GradRefs refs{{&ws.g[0], &ws.g[1], &ws.g[2],

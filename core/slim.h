@@ -18,13 +18,18 @@
 // the padded 64B-aligned layout) and runs on the runtime-dispatched
 // kernels from tensor/matrix.h — each bias+ReLU rides its GEMM's tile
 // store as a fused epilogue, and the time encoding runs on the dispatched
-// sincos kernel. TrainStep() backpropagates by hand and applies the fused
-// Adam kernel — no autograd, no graph, no allocation after warm-up. Adam
-// stores an m or v below FLT_MIN as +0 (AdamUpdate in tensor/matrix.h):
-// a moment whose gradient stays zero decays to exactly 0 instead of
-// parking on a subnormal that costs a microcode assist every step.
-// Checkpoints keep their format; older ones' moments flush at their next
-// step.
+// sincos kernel. A batch of one row reads less: each layer takes the
+// one-row kernel (MatMulRowBiasAct), which reads only the weight rows its
+// nonzero inputs reach, and a read that no backward pass follows stops the
+// neighbor rows after the last valid slot, so a node with no history
+// skips the neighbor branch's GEMM. For finite weights both are
+// bit-identical to the batched row. TrainStep() backpropagates by hand
+// and applies the fused Adam kernel — no autograd, no graph, no
+// allocation after warm-up. Adam stores an m or v below FLT_MIN as +0
+// (AdamUpdate in tensor/matrix.h): a moment whose gradient stays zero
+// decays to exactly 0 instead of parking on a subnormal that costs a
+// microcode assist every step. Checkpoints keep their format; older ones'
+// moments flush at their next step.
 //
 // Both are batch-parallel on the runtime/ ThreadPool: the batch is cut
 // into fixed-size row chunks (boundaries depend on the batch size only,
@@ -94,6 +99,7 @@ struct SlimForwardScratch {
   Matrix out;       // B x O
   std::vector<float> inv_weight;   // B: 1 / sum of valid edge weights
   std::vector<uint8_t> drop_mask;  // B*H during training
+  std::vector<uint32_t> nz_index;  // one-row layers' nonzero input indices
 
   /// Grows every matrix for a B-row batch of `opts`-shaped inputs.
   void Resize(size_t b, size_t k_recent, size_t feature_dim, size_t time_dim,
@@ -248,17 +254,23 @@ class SlimModel {
   /// dispatched: Resize may reallocate.
   void ResizeScratch(size_t b, SlimTrainState* train);
   /// Forward for batch rows [r0, r1) into `s` (disjoint rows per chunk).
-  /// `drop_rng` non-null applies training dropout. Const: every mutated
-  /// activation lives in the scratch, so readers with private scratch can
-  /// run this concurrently against frozen weights.
+  /// `drop_rng` non-null applies training dropout. `for_backward` keeps
+  /// every neighbor slot's activations for BackwardRange; a read of a
+  /// one-row batch computes only the slots up to the last valid one.
+  /// Const: every mutated activation lives in the scratch, so readers
+  /// with private scratch can run this concurrently against frozen
+  /// weights.
   void ForwardRange(const SlimBatchInput& input, size_t r0, size_t r1,
-                    Rng* drop_rng, SlimForwardScratch* s) const;
+                    Rng* drop_rng, bool for_backward,
+                    SlimForwardScratch* s) const;
   /// One fused dense layer (GEMM + bias + optional ReLU): the packed
   /// kernel when the pack tier is on, the unpacked fused kernel otherwise.
-  /// `pi` indexes the pack slot of `w` (w1..w4 -> 0..3).
+  /// With index scratch `nz`, a one-row call takes the one-row kernel,
+  /// which skips the weight rows of zero inputs (MatMulRowBiasAct). `pi`
+  /// indexes the pack slot of `w` (w1..w4 -> 0..3).
   void DenseLayer(const Matrix& in, const Matrix& w, const float* bias,
-                  size_t pi, Matrix* out, size_t r0, size_t r1,
-                  bool relu) const;
+                  size_t pi, Matrix* out, size_t r0, size_t r1, bool relu,
+                  std::vector<uint32_t>* nz) const;
   /// Runs ResizeScratch + ForwardRange serial or chunk-parallel.
   void ForwardAll(const SlimBatchInput& input);
   /// Softmax/CE + backprop for batch rows [r0, r1) from the forward

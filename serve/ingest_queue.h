@@ -11,6 +11,12 @@
 // (lossy, bounded producer latency; the service counts drops). The ring
 // buffer is sized once at construction — steady-state Push/PopBatch do not
 // allocate.
+//
+// Wakeups go only to a waiter that can proceed. The parked consumer
+// records the depth it waits for (1 while the queue is empty, `max_items`
+// while a batch fills) and only the push that reaches it notifies, so
+// filling a batch does not wake the apply thread once per item. A pop
+// notifies producers only when some are parked on a full ring.
 
 #ifndef SPLASH_SERVE_INGEST_QUEUE_H_
 #define SPLASH_SERVE_INGEST_QUEUE_H_
@@ -18,6 +24,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <limits>
 #include <mutex>
 #include <vector>
 
@@ -52,14 +59,17 @@ class IngestQueue {
     std::unique_lock<std::mutex> lk(mu_);
     if (policy_ == BackpressurePolicy::kBlock && size_ == ring_.size() &&
         !stopped_) {
+      ++parked_producers_;
       not_full_.wait(lk, [&] { return size_ < ring_.size() || stopped_; });
+      --parked_producers_;
     }
     if (stopped_ || size_ == ring_.size()) return false;
     ring_[(head_ + size_) % ring_.size()] = item;
     ++size_;
     if (size_ > high_watermark_) high_watermark_ = size_;
+    const bool wake = size_ == consumer_wake_at_;
     lk.unlock();
-    not_empty_.notify_one();
+    if (wake) not_empty_.notify_one();
     return true;
   }
 
@@ -73,20 +83,24 @@ class IngestQueue {
     out->clear();
     if (max_items == 0) max_items = 1;
     std::unique_lock<std::mutex> lk(mu_);
+    consumer_wake_at_ = 1;
     not_empty_.wait(lk, [&] { return size_ > 0 || stopped_; });
     if (size_ < max_items && !stopped_ && max_wait_s > 0.0) {
+      consumer_wake_at_ = max_items;
       not_empty_.wait_for(
           lk, std::chrono::duration<double>(max_wait_s),
           [&] { return size_ >= max_items || stopped_; });
     }
+    consumer_wake_at_ = kNotWaiting;
     const size_t n = size_ < max_items ? size_ : max_items;
     for (size_t i = 0; i < n; ++i) {
       out->push_back(ring_[head_]);
       head_ = (head_ + 1) % ring_.size();
     }
     size_ -= n;
+    const bool wake = n > 0 && parked_producers_ > 0;
     lk.unlock();
-    if (n > 0) not_full_.notify_all();
+    if (wake) not_full_.notify_all();
     return n;
   }
 
@@ -120,6 +134,8 @@ class IngestQueue {
   }
 
  private:
+  static constexpr size_t kNotWaiting = std::numeric_limits<size_t>::max();
+
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
@@ -127,6 +143,10 @@ class IngestQueue {
   size_t head_ = 0;
   size_t size_ = 0;
   size_t high_watermark_ = 0;
+  // The depth whose push wakes the parked consumer (kNotWaiting while it
+  // runs), and the producers parked on a full ring.
+  size_t consumer_wake_at_ = kNotWaiting;
+  size_t parked_producers_ = 0;
   bool stopped_ = false;
   BackpressurePolicy policy_;
 };

@@ -27,6 +27,25 @@
 namespace splash {
 namespace {
 
+/// For each 8-bit lane mask, the positions of its set bits in ascending
+/// order, one per byte from the low byte (the compress AVX2 lacks).
+struct CompressTable {
+  uint64_t positions[256];
+};
+
+constexpr CompressTable MakeCompressTable() {
+  CompressTable t{};
+  for (unsigned m = 0; m < 256; ++m) {
+    unsigned n = 0;
+    for (unsigned lane = 0; lane < 8; ++lane) {
+      if ((m >> lane) & 1u) t.positions[m] |= uint64_t{lane} << (8 * n++);
+    }
+  }
+  return t;
+}
+
+constexpr CompressTable kCompressTable = MakeCompressTable();
+
 struct Avx2 {
   using Vec = __m256;
   using Mask = __m256i;
@@ -71,6 +90,20 @@ struct Avx2 {
     const __m256 tiny =
         _mm256_cmp_ps(Abs(a), _mm256_set1_ps(FLT_MIN), _CMP_LT_OQ);
     return _mm256_andnot_ps(tiny, a);
+  }
+
+  /// Stores base + lane for each lane of x that is not ±0 (NaN counts) to
+  /// out[0, count), ascending, and returns count; out[count, 8) get
+  /// garbage.
+  static size_t CompressNonzero(Vec x, uint32_t base, uint32_t* out) {
+    const unsigned m = static_cast<unsigned>(_mm256_movemask_ps(
+        _mm256_cmp_ps(x, _mm256_setzero_ps(), _CMP_NEQ_UQ)));
+    const __m256i lanes = _mm256_cvtepu8_epi32(
+        _mm_cvtsi64_si128(static_cast<long long>(kCompressTable.positions[m])));
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(out),
+        _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(base)), lanes));
+    return static_cast<size_t>(__builtin_popcount(m));
   }
 
   static float ReduceAdd(Vec v) {

@@ -23,6 +23,7 @@
 
 #include <cfloat>
 #include <cstddef>
+#include <cstdint>
 
 #include "tensor/kernels_simd_body.h"
 
@@ -71,6 +72,20 @@ struct Avx512 {
     const __mmask16 tiny =
         _mm512_cmp_ps_mask(Abs(a), _mm512_set1_ps(FLT_MIN), _CMP_LT_OQ);
     return _mm512_maskz_mov_ps(static_cast<__mmask16>(~tiny), a);
+  }
+
+  /// Stores base + lane for each lane of x that is not ±0 (NaN counts) to
+  /// out[0, count), ascending, and returns count; out[count, 16) get
+  /// garbage.
+  static size_t CompressNonzero(Vec x, uint32_t base, uint32_t* out) {
+    const __mmask16 m =
+        _mm512_cmp_ps_mask(x, _mm512_setzero_ps(), _CMP_NEQ_UQ);
+    const __m512i lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
+                                            10, 11, 12, 13, 14, 15);
+    _mm512_storeu_si512(
+        out, _mm512_maskz_compress_epi32(
+                 m, _mm512_add_epi32(_mm512_set1_epi32(base), lanes)));
+    return static_cast<size_t>(__builtin_popcount(m));
   }
 
   static float ReduceAdd(Vec v) { return _mm512_reduce_add_ps(v); }

@@ -33,6 +33,23 @@ namespace {
 constexpr size_t kBlockK = 128;
 constexpr size_t kBlockJ = 128;
 
+/// The fused layers' epilogue on one output row: + bias, then ReLU — the
+/// arithmetic of the historical AddRowVector and ReluInPlace passes.
+void ScalarEpilogue(float* row, size_t n, const float* bias, bool relu) {
+  if (bias != nullptr) {
+    if (relu) {
+      for (size_t j = 0; j < n; ++j) {
+        const float v = row[j] + bias[j];
+        row[j] = v > 0.0f ? v : 0.0f;
+      }
+    } else {
+      for (size_t j = 0; j < n; ++j) row[j] += bias[j];
+    }
+  } else if (relu) {
+    for (size_t j = 0; j < n; ++j) row[j] = row[j] > 0.0f ? row[j] : 0.0f;
+  }
+}
+
 void ScalarMatMulRange(const Matrix& a, const Matrix& b, Matrix* c,
                        size_t row_begin, size_t row_end, bool accumulate) {
   const size_t k = a.cols(), n = b.cols();
@@ -71,21 +88,8 @@ void ScalarMatMulBiasActRange(const Matrix& a, const Matrix& b, Matrix* c,
   // results are bit-equal to the historical three-pass sequence. Only the
   // SIMD backends fuse the epilogue into the tile store.
   ScalarMatMulRange(a, b, c, row_begin, row_end, /*accumulate=*/false);
-  const size_t n = b.cols();
   for (size_t i = row_begin; i < row_end; ++i) {
-    float* row = c->Row(i);
-    if (bias != nullptr) {
-      if (relu) {
-        for (size_t j = 0; j < n; ++j) {
-          const float v = row[j] + bias[j];
-          row[j] = v > 0.0f ? v : 0.0f;
-        }
-      } else {
-        for (size_t j = 0; j < n; ++j) row[j] += bias[j];
-      }
-    } else if (relu) {
-      for (size_t j = 0; j < n; ++j) row[j] = row[j] > 0.0f ? row[j] : 0.0f;
-    }
+    ScalarEpilogue(c->Row(i), b.cols(), bias, relu);
   }
 }
 
@@ -138,22 +142,32 @@ void ScalarMatMulPackedBiasActRange(const Matrix& a, const PackedMatrix& b,
   // GEMM then a separate epilogue pass, mirroring ScalarMatMulBiasActRange
   // so packed scalar results stay bit-equal to unpacked scalar ones.
   ScalarMatMulPackedRange(a, b, c, row_begin, row_end, /*accumulate=*/false);
-  const size_t n = b.n();
   for (size_t i = row_begin; i < row_end; ++i) {
-    float* row = c->Row(i);
-    if (bias != nullptr) {
-      if (relu) {
-        for (size_t j = 0; j < n; ++j) {
-          const float v = row[j] + bias[j];
-          row[j] = v > 0.0f ? v : 0.0f;
-        }
-      } else {
-        for (size_t j = 0; j < n; ++j) row[j] += bias[j];
-      }
-    } else if (relu) {
-      for (size_t j = 0; j < n; ++j) row[j] = row[j] > 0.0f ? row[j] : 0.0f;
-    }
+    ScalarEpilogue(c->Row(i), b.n(), bias, relu);
   }
+}
+
+// The one-row kernel skips zero inputs exactly as the dense loops above do
+// (`av == 0` continues), so each output sees the same ascending-k sequence
+// of `+= av * b` updates from 0: bit-identical to the dense row.
+
+void ScalarMatMulRowBiasAct(const float* a, uint32_t* nz, const Matrix& b,
+                            float* c, const float* bias, bool relu) {
+  // Branch-free compress: every position is stored, and the count moves
+  // past it only for a nonzero entry.
+  size_t nnz = 0;
+  for (size_t i = 0; i < b.rows(); ++i) {
+    nz[nnz] = static_cast<uint32_t>(i);
+    nnz += a[i] != 0.0f;
+  }
+  const size_t n = b.cols();
+  std::memset(c, 0, n * sizeof(float));
+  for (size_t t = 0; t < nnz; ++t) {
+    const float av = a[nz[t]];
+    const float* brow = b.Row(nz[t]);
+    for (size_t j = 0; j < n; ++j) c[j] += av * brow[j];
+  }
+  ScalarEpilogue(c, n, bias, relu);
 }
 
 void ScalarMatMulTransBRange(const Matrix& a, const Matrix& b, Matrix* c,
@@ -310,6 +324,7 @@ const KernelTable kScalarTable = {
     ScalarSincosEncode,
     ScalarMatMulPackedRange,
     ScalarMatMulPackedBiasActRange,
+    ScalarMatMulRowBiasAct,
 };
 
 }  // namespace

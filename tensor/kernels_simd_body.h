@@ -16,6 +16,9 @@
 //     RoundNearest
 //   ReduceAdd ReduceAdd4      horizontal sums of one / four vectors
 //   FlushTiny                 lanes with |x| < FLT_MIN to +0, NaN kept
+//   CompressNonzero           stores base + lane of the lanes that are not
+//                             ±0, ascending, as one whole vector of
+//                             indices; returns their count
 //   SincosQuadrant            sincos quadrant select/negate (below)
 //   Interleave                (s, c) lane interleave into pairs
 //
@@ -68,12 +71,14 @@ namespace {
 
 template <class T>
 struct FullLanes {
+  static constexpr bool kTail = false;
   typename T::Vec Load(const float* p) const { return T::Load(p); }
   void Store(float* p, typename T::Vec v) const { T::Store(p, v); }
 };
 
 template <class T>
 struct TailLanes {
+  static constexpr bool kTail = true;
   typename T::Mask mask;
   typename T::Vec Load(const float* p) const { return T::MaskLoad(p, mask); }
   void Store(float* p, typename T::Vec v) const {
@@ -375,6 +380,99 @@ void MatMulPackedBiasActRange(const Matrix& a, const PackedMatrix& b,
 }
 
 // ---------------------------------------------------------------------------
+// One-row GEMM over the row's nonzero inputs (MatMulRowBiasAct in
+// tensor/matrix.h): c[0, n) = act(sum over t of a[nz[t]] * b(nz[t], :) +
+// bias). Each output element is the dense chain above with its zero terms
+// left out: ascending k, FMA from +0, then the same epilogue, so for
+// finite B the row is bit-identical to the dense kernel's.
+//
+// The nonzero rows go in groups of kSparseGroup. A group sweeps the whole
+// output row one vector at a time: one load of C (the chains the previous
+// group parked there, or +0 for the first), one FMA per B row, one store
+// (the epilogue after the last group). Every B row a group reads streams
+// front to back, and C round trips through L1 once per group instead of
+// once per row. Parking a partial in C is an exact store and reload.
+// Row-major B, not the packed panels: a packed row is split into n/16
+// lines a panel apart, where the row-major row is one contiguous run.
+// ---------------------------------------------------------------------------
+
+constexpr int kSparseGroup = 8;
+
+/// Writes the positions of a[0, k)'s entries that are not ±0 to nz in
+/// ascending order and returns their count. Each step stores a whole
+/// vector of indices, so nz needs RowIndexScratchSize(k) entries.
+template <class T>
+size_t CompressNonzero(const float* a, size_t k, uint32_t* nz) {
+  size_t nnz = 0;
+  // Masked-off tail lanes load as +0 and are never kept.
+  ForEachVector<T>(k, [&](size_t j, auto lanes) {
+    nnz += T::CompressNonzero(lanes.Load(a + j), static_cast<uint32_t>(j),
+                              nz + nnz);
+  });
+  return nnz;
+}
+
+/// c[0, n) over the G B rows of the nonzero inputs nz[0, G). `resume`
+/// continues the chains parked in C instead of starting at +0; `finish`
+/// stores the epilogue instead of the raw partials.
+template <class T, int G>
+inline void SparseRowPass(const float* a, const uint32_t* nz, const Matrix& b,
+                          float* c, bool resume, bool finish, Epilogue e) {
+  using V = typename T::Vec;
+  V av[G > 0 ? G : 1];
+  const float* brow[G > 0 ? G : 1];
+  for (int g = 0; g < G; ++g) {
+    av[g] = T::Set1(a[nz[g]]);
+    brow[g] = b.Row(nz[g]);
+  }
+  // The epilogue mirrors GemmTile's, the masked tail's bias-or-zero add
+  // included.
+  ForEachVector<T>(b.cols(), [&](size_t j, auto lanes) {
+    V x = resume ? lanes.Load(c + j) : T::Zero();
+    for (int g = 0; g < G; ++g) x = T::Fma(av[g], lanes.Load(brow[g] + j), x);
+    if (finish) {
+      if constexpr (decltype(lanes)::kTail) {
+        x = T::Add(x, e.bias != nullptr ? lanes.Load(e.bias + j) : T::Zero());
+      } else if (e.bias != nullptr) {
+        x = T::Add(x, T::Load(e.bias + j));
+      }
+      if (e.relu) x = T::Max(x, T::Zero());
+    }
+    lanes.Store(c + j, x);
+  });
+}
+
+/// SparseRowPass for a group of `g` (1 .. G) rows.
+template <class T, int G>
+inline void SparseRowGroup(size_t g, const float* a, const uint32_t* nz,
+                           const Matrix& b, float* c, bool resume,
+                           bool finish, Epilogue e) {
+  if constexpr (G > 1) {
+    if (g < G) {
+      SparseRowGroup<T, G - 1>(g, a, nz, b, c, resume, finish, e);
+      return;
+    }
+  }
+  SparseRowPass<T, G>(a, nz, b, c, resume, finish, e);
+}
+
+template <class T>
+void MatMulRowBiasAct(const float* a, uint32_t* nz, const Matrix& b,
+                      float* c, const float* bias, bool relu) {
+  const Epilogue e{bias, false, relu};
+  const size_t nnz = CompressNonzero<T>(a, b.rows(), nz);
+  if (nnz == 0) {  // every chain stays +0: the epilogue alone
+    SparseRowPass<T, 0>(a, nz, b, c, false, true, e);
+    return;
+  }
+  for (size_t t = 0; t < nnz; t += kSparseGroup) {
+    const size_t g = nnz - t < kSparseGroup ? nnz - t : kSparseGroup;
+    SparseRowGroup<T, kSparseGroup>(g, a, nz + t, b, c, t > 0,
+                                    t + g == nnz, e);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // MatMulTransB (c = a * b^T): W-lane dot accumulators, four outputs per
 // horizontal fold.
 // ---------------------------------------------------------------------------
@@ -656,6 +754,7 @@ constexpr KernelTable MakeKernelTable(const char* name) {
       SincosEncode<T>,
       MatMulPackedRange<T>,
       MatMulPackedBiasActRange<T>,
+      MatMulRowBiasAct<T>,
   };
 }
 

@@ -93,6 +93,17 @@ void MatMulPackedBiasActRange(const Matrix& a, const PackedMatrix& b,
                                          relu);
 }
 
+void MatMulRowBiasAct(const Matrix& a, size_t row, const Matrix& b,
+                      Matrix* c, const float* bias, bool relu,
+                      std::vector<uint32_t>* nz) {
+  assert(b.rows() == a.cols());
+  assert(c->rows() == a.rows() && c->cols() == b.cols());
+  const size_t scratch = RowIndexScratchSize(a.cols());
+  if (nz->size() < scratch) nz->resize(scratch);
+  Kernels().matmul_row_bias_act(a.Row(row), nz->data(), b, c->Row(row), bias,
+                                relu);
+}
+
 void MatMulTransBRange(const Matrix& a, const Matrix& b, Matrix* c,
                        size_t row_begin, size_t row_end, bool accumulate) {
   Kernels().matmul_transb_range(a, b, c, row_begin, row_end, accumulate);

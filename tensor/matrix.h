@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "tensor/rng.h"
 
@@ -249,6 +250,28 @@ void MatMulRange(const Matrix& a, const Matrix& b, Matrix* c,
 void MatMulBiasActRange(const Matrix& a, const Matrix& b, Matrix* c,
                         size_t row_begin, size_t row_end, const float* bias,
                         bool relu);
+
+/// Index scratch MatMulRowBiasAct needs for a k-wide input row: the SIMD
+/// backends store whole vectors of indices, up to 16 past the last kept.
+constexpr size_t RowIndexScratchSize(size_t k) { return k + 16; }
+
+/// One-row fused layer: c row `row` = act(a row `row` * b + bias), reduced
+/// over only the row's nonzero inputs. The row's nonzero positions are
+/// compressed into `nz` (caller-owned scratch, grown to
+/// RowIndexScratchSize(a.cols()) entries and never shrunk, so a warmed
+/// caller allocates nothing), then the backend's column tiles run over
+/// those k alone. Bit contract: every
+/// output is the dense fused kernel's chain (ascending k, FMA from +0, then
+/// + bias, then max(x, 0)) minus its zero terms. A zero input adds an exact
+/// ±0 to a finite product, which changes no partial sum except -0 (a chain
+/// from +0 reaches -0 only by underflow), so for finite b the row is
+/// bit-identical to MatMulBiasActRange's on the same backend. Infinite or
+/// NaN weights break that: 0 * inf is NaN in the dense chain and skipped
+/// here. Reads only the rows of b a nonzero input reaches, which is the
+/// point: a ReLU or masked input row leaves most of a wide layer unread.
+void MatMulRowBiasAct(const Matrix& a, size_t row, const Matrix& b,
+                      Matrix* c, const float* bias, bool relu,
+                      std::vector<uint32_t>* nz);
 
 /// c = a * b^T (+ c if accumulate). a: MxK, b: NxK, c: MxN.
 void MatMulTransB(const Matrix& a, const Matrix& b, Matrix* c,

@@ -40,6 +40,7 @@
 #define SPLASH_TENSOR_SIMD_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 namespace splash {
@@ -109,6 +110,15 @@ struct KernelTable {
                                        const PackedMatrix& b, Matrix* c,
                                        size_t r0, size_t r1,
                                        const float* bias, bool relu);
+  /// One-row fused layer over the row's nonzero inputs only: writes the
+  /// positions of a[0, b.rows())'s nonzero entries to `nz` (scratch of
+  /// RowIndexScratchSize(b.rows()) entries), then c[0, n) = act(sum over
+  /// them of a[k] * b(k, :) + bias). Each output is the dense fused
+  /// kernel's ascending-k chain with its zero terms left out, so for
+  /// finite B it is bit-identical to that kernel's row on the same
+  /// backend (MatMulRowBiasAct in tensor/matrix.h).
+  void (*matmul_row_bias_act)(const float* a, uint32_t* nz, const Matrix& b,
+                              float* c, const float* bias, bool relu);
 };
 
 /// The active kernel table, resolved once (env knob + cpuid) on first use.

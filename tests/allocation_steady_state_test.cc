@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -298,12 +299,31 @@ void RunSlimAndServeAllocationGate() {
   ASSERT_TRUE(twin.CopyModelFrom(model).ok());
   ASSERT_TRUE(replica.CopyModelFrom(model).ok());
 
+  // One-row reads take the one-row kernels and their index scratch, which
+  // the batched warm-up above must already have grown: one query for a
+  // node no observed edge touches (no neighbor rows at all) and one for a
+  // node with history.
   const size_t mid = ds.stream.size() / 2;
+  std::vector<bool> seen(sopts.num_nodes, false);
+  for (size_t i = 0; i < mid; ++i) {
+    seen[ds.stream[i].src] = true;
+    seen[ds.stream[i].dst] = true;
+  }
+  std::vector<PropertyQuery> no_history(1, queries[0]);
+  std::vector<PropertyQuery> with_history(1, queries[0]);
+  const auto unseen = std::find(seen.begin(), seen.end(), false);
+  ASSERT_NE(unseen, seen.end()) << "every node has history";
+  no_history[0].node = static_cast<NodeId>(unseen - seen.begin());
+  with_history[0].node = static_cast<NodeId>(
+      std::find(seen.begin(), seen.end(), true) - seen.begin());
+
   bool copied = true;
   const size_t allocs = CountAllocations([&] {
     for (int rep = 0; rep < 5; ++rep) {
       model.TrainBatch(queries);
       (void)model.PredictBatchConst(queries, &scratch);
+      (void)model.PredictBatchConst(no_history, &scratch);
+      (void)model.PredictBatchConst(with_history, &scratch);
       copied = twin.CopyModelFrom(model).ok() && copied;
       copied = replica.CopyModelFrom(model).ok() && copied;
     }

@@ -7,7 +7,9 @@
 //   2. Packed kernels are BIT-identical to the unpacked kernels on the
 //      same backend (scalar, avx2, avx512), including multi-k-block
 //      shapes, accumulate, and the fused bias/ReLU epilogue.
-//   3. Packs follow the weights version: after every weight mutation the
+//   3. The one-row kernel, which skips zero inputs, is bit-identical to
+//      the dense kernels' rows, packed or row-major B, on every backend.
+//   4. Packs follow the weights version: after every weight mutation the
 //      read path sees current packs, and a publish-time PackWeights on
 //      unchanged weights rebuilds nothing.
 
@@ -177,6 +179,74 @@ TEST(PackedGemmTest, PackedRangeSubsetMatchesFullRows) {
       ASSERT_EQ(full.data()[i], part.data()[i]) << t->name << " flat " << i;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The one-row kernel (MatMulRowBiasAct) reduces over a row's nonzero
+// inputs only; each output row must equal the dense multi-row kernels'
+// row, packed and row-major B, bit for bit.
+// ---------------------------------------------------------------------------
+
+/// One row per input density: all +0, 2%, 50% (the zeros alternate +0 and
+/// -0), all -0, and 100% nonzero.
+Matrix SparseRows(size_t k, Rng* rng) {
+  const double density[] = {0.0, 0.02, 0.5, 0.0, 1.0};
+  Matrix a(5, k);
+  for (size_t r = 0; r < 5; ++r) {
+    for (size_t kk = 0; kk < k; ++kk) {
+      const bool nonzero = rng->Uniform() < density[r];
+      const float x = static_cast<float>(rng->Gaussian());
+      a(r, kk) = nonzero ? x : (r == 3 || (r == 2 && kk % 2 == 1) ? -0.0f
+                                                                  : 0.0f);
+    }
+  }
+  return a;
+}
+
+TEST(PackedGemmTest, OneRowKernelBitEqualsDenseRowPerBackend) {
+  const size_t kNs[] = {2, 7, 16, 31, 33, 64, 1024};
+  std::vector<uint32_t> nz;  // shared grow-only scratch, as callers hold it
+  for (const KernelTable* t : AllBackends()) {
+    ASSERT_TRUE(SetKernelBackendForTesting(t->name));
+    Rng rng(305);
+    for (size_t n : kNs) {
+      // Up to three k-blocks of the packed operand.
+      const size_t kb = PackedKBlockRows(size_t{1} << 20, n);
+      for (size_t k : {size_t{1}, size_t{2}, size_t{5}, size_t{16},
+                       size_t{33}, size_t{100}, kb + 3, 2 * kb + 17}) {
+        const Matrix a = SparseRows(k, &rng);
+        const Matrix b = Matrix::Gaussian(k, n, &rng);
+        PackedMatrix p;
+        p.PackFrom(b);
+        std::vector<float> bias(n);
+        for (float& x : bias) x = 0.5f * static_cast<float>(rng.Gaussian());
+        for (const float* bp : {static_cast<const float*>(nullptr),
+                                static_cast<const float*>(bias.data())}) {
+          for (bool relu : {false, true}) {
+            Matrix dense(a.rows(), n);
+            MatMulBiasActRange(a, b, &dense, 0, a.rows(), bp, relu);
+            Matrix dense_packed(a.rows(), n);
+            MatMulPackedBiasActRange(a, p, &dense_packed, 0, a.rows(), bp,
+                                     relu);
+            ASSERT_EQ(std::memcmp(dense.data(), dense_packed.data(),
+                                  dense.size() * sizeof(float)),
+                      0)
+                << t->name << " n=" << n << " k=" << k;
+            Matrix row(a.rows(), n);
+            for (size_t r = 0; r < a.rows(); ++r) {
+              MatMulRowBiasAct(a, r, b, &row, bp, relu, &nz);
+              ASSERT_EQ(std::memcmp(dense.Row(r), row.Row(r),
+                                    n * sizeof(float)),
+                        0)
+                  << t->name << " n=" << n << " k=" << k << " row=" << r
+                  << " bias=" << (bp != nullptr) << " relu=" << relu;
+            }
+          }
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(SetKernelBackendForTesting("auto"));
 }
 
 // ---------------------------------------------------------------------------

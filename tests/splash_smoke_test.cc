@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -19,6 +20,7 @@
 #include "datasets/synthetic.h"
 #include "eval/trainer.h"
 #include "runtime/thread_pool.h"
+#include "tensor/simd.h"
 
 namespace splash {
 namespace {
@@ -160,6 +162,74 @@ TEST(SplashSmokeTest, CopyModelFromMatchesTrainingBytes) {
     EXPECT_EQ(StateBytes(twin), before) << "threads " << threads;
   }
   ThreadPool::SetGlobalThreads(threads_before);
+}
+
+// A one-row read (PredictBatchConst of a single query) takes the one-row
+// kernels, which skip zero inputs, and stops the neighbor rows after the
+// last valid slot. Its scores must still be that query's row of one
+// batched call, bit for bit, for a node with no history and nodes with
+// 1, k/2 and k valid slots, on every kernel backend.
+void CheckOneRowReadsMatchBatchedRows(size_t feature_dim, size_t hidden_dim) {
+  const Dataset ds = SmallClassification();
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.1, 0.1);
+  SplashOptions opts = SmallOptions(SplashMode::kForceStructural);
+  opts.augment.feature_dim = feature_dim;
+  opts.slim.hidden_dim = hidden_dim;
+  opts.slim.time_dim = 16;
+  opts.slim.k_recent = 10;
+  SplashPredictor model(opts);
+  ASSERT_TRUE(model.Prepare(ds, split).ok());
+  // One train step, so the biases are no longer zero.
+  const size_t half = ds.stream.size() / 2;
+  model.ObserveBulk(ds.stream, 0, half);
+  model.SetTraining(true);
+  model.TrainBatch(TrainQueries(ds, half, 0));
+  model.SetTraining(false);
+
+  // Fresh streaming state, then one edge per history slot.
+  model.ResetState();
+  const size_t k = opts.slim.k_recent;
+  const NodeId nodes[] = {40, 10, 20, 30};
+  const size_t history[] = {0, 1, k / 2, k + 2};  // the last ring overflows
+  NodeId peer = 100;
+  double t = 1.0;
+  size_t edge_index = 0;
+  for (size_t q = 0; q < 4; ++q) {
+    for (size_t e = 0; e < history[q]; ++e) {
+      model.ObserveEdge(TemporalEdge(nodes[q], peer++, t), edge_index++);
+      t += 1.0;
+    }
+  }
+  std::vector<PropertyQuery> batch;
+  for (NodeId node : nodes) batch.push_back(PropertyQuery{node, t, 0});
+
+  std::vector<const char*> backends = {"scalar", "avx2", "avx512"};
+  for (const char* backend : backends) {
+    if (!SetKernelBackendForTesting(backend)) continue;  // not on this CPU
+    SplashQueryScratch batched, single;
+    const Matrix& all = model.PredictBatchConst(batch, &batched);
+    for (size_t q = 0; q < batch.size(); ++q) {
+      size_t valid = 0;
+      for (size_t j = 0; j < k; ++j) valid += batched.batch.mask(q, j) != 0;
+      ASSERT_EQ(valid, std::min(history[q], k)) << "query " << q;
+      const Matrix& one = model.PredictBatchConst({batch[q]}, &single);
+      ASSERT_EQ(one.rows(), 1u);
+      EXPECT_EQ(std::memcmp(one.Row(0), all.Row(q),
+                            all.cols() * sizeof(float)),
+                0)
+          << backend << " fd" << feature_dim << "/h" << hidden_dim
+          << ": node with " << valid << " valid slots";
+    }
+  }
+  ASSERT_TRUE(SetKernelBackendForTesting("auto"));
+}
+
+TEST(SplashSmokeTest, OneRowReadsMatchBatchedRowsAtPaperDims) {
+  CheckOneRowReadsMatchBatchedRows(32, 64);
+}
+
+TEST(SplashSmokeTest, OneRowReadsMatchBatchedRowsWide) {
+  CheckOneRowReadsMatchBatchedRows(64, 1024);
 }
 
 // The serve catch-up as the service runs it: one train state, taken from
