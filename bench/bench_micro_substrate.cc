@@ -296,8 +296,12 @@ BENCHMARK(BM_SlimForwardFusedWideB1)->Name("BM_SlimForwardFused/wide_b1");
 // One-row PredictBatchConst on the wide serving model (fd64/h1024/k10):
 // a node with no neighbor history (its neighbor branch is skipped and the
 // head layer reads only the weight rows of nonzero self inputs) and one
-// with all k slots valid.
-void BM_PredictB1Wide(benchmark::State& state, bool full_history) {
+// with all k slots valid, both computed (no publish, so no cold-read
+// memo); and `cold`, the no-history node after PrepareForPublish, which
+// the memo answers.
+enum class B1Read { kNoHistory, kFullHistory, kCold };
+
+void BM_PredictB1Wide(benchmark::State& state, B1Read kind) {
   ScalabilityOptions sopts;
   sopts.num_edges = 20000;
   sopts.num_nodes = 2000;
@@ -322,7 +326,7 @@ void BM_PredictB1Wide(benchmark::State& state, bool full_history) {
 
   SplashQueryScratch scratch;
   std::vector<PropertyQuery> query(1, PropertyQuery{0, now, 0});
-  const size_t want = full_history ? opts.slim.k_recent : 0;
+  const size_t want = kind == B1Read::kFullHistory ? opts.slim.k_recent : 0;
   bool found = false;
   for (NodeId v = 0; v < sopts.num_nodes && !found; ++v) {
     query[0].node = v;
@@ -337,15 +341,25 @@ void BM_PredictB1Wide(benchmark::State& state, bool full_history) {
     state.SkipWithError("no node with the wanted history");
     return;
   }
+  if (kind == B1Read::kCold) {
+    model.PrepareForPublish();
+    (void)model.PredictBatchConst(query, &scratch);
+    if (!scratch.cold_read) {
+      state.SkipWithError("the memo did not answer the no-history node");
+      return;
+    }
+  }
   for (auto _ : state) {
     const Matrix& out = model.PredictBatchConst(query, &scratch);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_CAPTURE(BM_PredictB1Wide, no_history, false)
+BENCHMARK_CAPTURE(BM_PredictB1Wide, no_history, B1Read::kNoHistory)
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_PredictB1Wide, full_history, true)
+BENCHMARK_CAPTURE(BM_PredictB1Wide, full_history, B1Read::kFullHistory)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_PredictB1Wide, cold, B1Read::kCold)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_SlimForward(benchmark::State& state) {

@@ -210,6 +210,21 @@ class SlimModel {
   /// included): the cost counter the version check exists to keep down.
   uint64_t pack_count() const { return pack_count_; }
 
+  /// The stamp of the current weights: every weight mutation moves it and
+  /// CopyLearnedStateFrom copies it with the weights. Read state derived
+  /// from the weights (the packs, SplashPredictor's cold-read memo) is
+  /// current while it carries this model's stamp. Stamps restart with
+  /// each constructed model, so they compare only within one model.
+  uint64_t weights_version() const { return weights_version_; }
+
+  /// PredictConst into this model's own grow-only forward scratch, the
+  /// one Forward and TrainStep overwrite: an occasional read by the owner
+  /// (SplashPredictor's cold-read memo) without scratch of its own. The
+  /// result is valid until the next Forward, TrainStep or ReadOwnScratch.
+  const Matrix& ReadOwnScratch(const SlimBatchInput& input) {
+    return PredictConst(input, &fwd_);
+  }
+
   /// Checkpoint hooks: the learned state of this model and of `train` —
   /// the train state's step counters, then every parameter matrix
   /// followed by its two Adam moments. Gradients and activation scratch

@@ -44,7 +44,8 @@ SplashPredictor::SplashPredictor(const SplashPredictor& src)
       train_(src.train_ ? std::make_unique<SlimTrainState>(*src.train_)
                         : nullptr),
       selected_(src.selected_),
-      input_dim_(src.input_dim_) {}
+      input_dim_(src.input_dim_),
+      cold_(src.cold_) {}
 
 Status SplashPredictor::Prepare(const Dataset& ds, const ChronoSplit& split) {
   if (ds.stream.empty()) {
@@ -90,6 +91,7 @@ Status SplashPredictor::Prepare(const Dataset& ds, const ChronoSplit& split) {
   slim_opts.dropout_seed = SplitMix64(opts_.seed ^ 0xd50bd50bULL);
   slim_ = std::make_unique<SlimModel>(slim_opts, &rng_);
   train_ = std::make_unique<SlimTrainState>(slim_opts);
+  cold_.version = 0;
 
   memory_.EnsureNodeCapacity(ds.stream.num_nodes());
   ResetState();
@@ -141,7 +143,16 @@ void SplashPredictor::SetTraining(bool training) {
 }
 
 void SplashPredictor::PrepareForPublish() {
-  if (slim_) slim_->PackWeights();
+  if (!slim_) return;
+  slim_->PackWeights();
+  if (cold_.version == slim_->weights_version()) return;
+  // The cold row is assembled exactly as a query for an untouched node
+  // is; kInvalidNode has no ring, so the gather writes nothing.
+  const PropertyQuery cold{kInvalidNode, 0.0, 0};
+  ResizeBatch(1, &cold_.input);
+  AssembleRows(&cold, 0, 1, &cold_.input, nullptr, nullptr);
+  cold_.out = slim_->ReadOwnScratch(cold_.input);
+  cold_.version = slim_->weights_version();
 }
 
 uint64_t SplashPredictor::weight_packs() const {
@@ -163,6 +174,7 @@ Status SplashPredictor::CopyModelFrom(const SplashPredictor& src) {
         "SplashPredictor::CopyModelFrom: SLIM architecture mismatch");
   }
   if (train_) train_->CopyFrom(*src.train_);
+  cold_ = src.cold_;
   rng_ = src.rng_;
   return Status::Ok();
 }
@@ -193,15 +205,20 @@ void SplashPredictor::WriteNodeFeature(NodeId node, float* out) const {
   }
 }
 
+void SplashPredictor::ResizeBatch(size_t b, SlimBatchInput* out) const {
+  const size_t k = memory_.k();
+  out->node_feats.Resize(b, input_dim_);
+  out->neighbor_feats.Resize(b * k, input_dim_);
+  out->time_deltas.resize(b * k);
+  out->mask.Resize(b, k);
+  out->edge_weights.resize(b * k);
+}
+
 void SplashPredictor::AssembleBatch(
     const std::vector<PropertyQuery>& queries) {
   const size_t b = queries.size();
   const size_t k = memory_.k();
-  batch_.node_feats.Resize(b, input_dim_);
-  batch_.neighbor_feats.Resize(b * k, input_dim_);
-  batch_.time_deltas.resize(b * k);
-  batch_.mask.Resize(b, k);
-  batch_.edge_weights.resize(b * k);
+  ResizeBatch(b, &batch_);
 
   ThreadPool* pool = ThreadPool::Global();
   const size_t num_workers = pool->num_threads();
@@ -218,14 +235,14 @@ void SplashPredictor::AssembleBatch(
 
   pool->ParallelFor(0, b, kBatchAssembleGrain,
                     [&](size_t r0, size_t r1, size_t worker) {
-                      AssembleRows(queries, r0, r1, &batch_,
+                      AssembleRows(queries.data(), r0, r1, &batch_,
                                    worker_nbr_ids_[worker].data(),
                                    worker_nbr_times_[worker].data());
                     });
 }
 
-void SplashPredictor::AssembleRows(const std::vector<PropertyQuery>& queries,
-                                   size_t r0, size_t r1, SlimBatchInput* out,
+void SplashPredictor::AssembleRows(const PropertyQuery* queries, size_t r0,
+                                   size_t r1, SlimBatchInput* out,
                                    NodeId* nbr_ids,
                                    double* nbr_times) const {
   const size_t k = memory_.k();
@@ -252,10 +269,21 @@ void SplashPredictor::AssembleRows(const std::vector<PropertyQuery>& queries,
   }
 }
 
+bool SplashPredictor::IsColdRead(const SlimBatchInput& in) const {
+  if (cold_.version != slim_->weights_version()) return false;
+  const float* mask = in.mask.Row(0);
+  for (size_t j = 0; j < memory_.k(); ++j) {
+    if (mask[j] != 0.0f) return false;
+  }
+  return std::memcmp(in.node_feats.Row(0), cold_.input.node_feats.Row(0),
+                     input_dim_ * sizeof(float)) == 0;
+}
+
 const Matrix& SplashPredictor::PredictBatchConst(
     const std::vector<PropertyQuery>& queries,
     SplashQueryScratch* scratch) const {
   const size_t b = queries.size();
+  scratch->cold_read = false;
   if (!slim_ || b == 0) {
     scratch->fwd.out.Resize(b, slim_ ? slim_->options().out_dim : 2);
     scratch->fwd.out.SetZero();
@@ -263,17 +291,21 @@ const Matrix& SplashPredictor::PredictBatchConst(
   }
   const size_t k = memory_.k();
   SlimBatchInput* batch = &scratch->batch;
-  batch->node_feats.Resize(b, input_dim_);
-  batch->neighbor_feats.Resize(b * k, input_dim_);
-  batch->time_deltas.resize(b * k);
-  batch->mask.Resize(b, k);
-  batch->edge_weights.resize(b * k);
+  ResizeBatch(b, batch);
   if (scratch->nbr_ids.size() < k) {
     scratch->nbr_ids.resize(k);
     scratch->nbr_times.resize(k);
   }
-  AssembleRows(queries, 0, b, batch, scratch->nbr_ids.data(),
+  AssembleRows(queries.data(), 0, b, batch, scratch->nbr_ids.data(),
                scratch->nbr_times.data());
+  // With no valid slot a one-row read reads only its feature row
+  // (SlimModel::ForwardRange), so the memo's read of an equal row at the
+  // same weights is this read's answer.
+  if (b == 1 && IsColdRead(*batch)) {
+    scratch->cold_read = true;
+    scratch->fwd.out = cold_.out;
+    return scratch->fwd.out;
+  }
   return slim_->PredictConst(*batch, &scratch->fwd);
 }
 
@@ -282,6 +314,10 @@ void SplashPredictor::WarmQueryScratch(size_t max_batch,
   if (max_batch == 0) return;
   std::vector<PropertyQuery> dummy(max_batch, PropertyQuery{0, 0.0, 0});
   (void)PredictBatchConst(dummy, scratch);
+  // A memo answer runs no forward, so it grew no forward scratch.
+  if (scratch->cold_read) {
+    (void)slim_->PredictConst(scratch->batch, &scratch->fwd);
+  }
 }
 
 void SplashPredictor::StageBatch(const std::vector<PropertyQuery>& queries) {
@@ -389,6 +425,7 @@ Status SplashPredictor::DeserializeState(ByteReader* r) {
   selected_ = static_cast<AugmentationProcess>(selected);
   input_dim_ = static_cast<size_t>(r->U64());
   const bool has_slim = r->U8() != 0;
+  cold_.version = 0;  // the new model's versions restart
   if (has_slim) {
     SlimOptions so;
     so.feature_dim = static_cast<size_t>(r->U64());
@@ -432,6 +469,7 @@ Status SplashPredictor::DeserializeState(ByteReader* r) {
     return Status::Error("SplashPredictor: truncated state stream");
   }
   if (slim_) slim_->SetTraining(false);
+  PrepareForPublish();
   return Status::Ok();
 }
 

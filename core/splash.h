@@ -53,6 +53,8 @@ struct SplashQueryScratch {
   SlimForwardScratch fwd;
   std::vector<NodeId> nbr_ids;
   std::vector<double> nbr_times;
+  /// Whether the last PredictBatchConst answered from the cold-read memo.
+  bool cold_read = false;
 };
 
 class SplashPredictor : public TemporalPredictor {
@@ -105,6 +107,14 @@ class SplashPredictor : public TemporalPredictor {
   /// mode on the same streaming state. Returns a reference into `scratch`
   /// (valid until its next use): steady-state queries allocate nothing
   /// (allocation_steady_state_test gates this under the SIMD backend too).
+  ///
+  /// A cold read skips the forward: a batch of one row whose query has no
+  /// valid neighbor slot and whose assembled feature row is memcmp-equal
+  /// to the cold row is copied out of the cold-read memo, if the memo
+  /// carries the current SLIM weights version (PrepareForPublish). Such a
+  /// read computes from the same input through the same one-row path the
+  /// memo was computed on, so the copy is bit-identical to computing it.
+  /// Every other batch computes; `scratch->cold_read` says which happened.
   const Matrix& PredictBatchConst(const std::vector<PropertyQuery>& queries,
                                   SplashQueryScratch* scratch) const;
 
@@ -130,12 +140,17 @@ class SplashPredictor : public TemporalPredictor {
     return std::move(train_);
   }
 
-  /// Guarantees SLIM's read-path GEMM operands match the current weights
-  /// once it returns, so a published replica's first query never packs.
-  /// Packs follow the weights version (SlimModel::PackWeights), so this
-  /// only verifies: it rebuilds nothing after an edge-only batch or after
-  /// a TrainStep that already packed. The serving layer calls it on every
-  /// publish and catch-up.
+  /// Guarantees SLIM's read-path GEMM operands and the cold-read memo
+  /// match the current weights once it returns, so a published replica's
+  /// first query never packs and its cold reads skip the forward. Both
+  /// follow the weights version (SlimModel::weights_version), so this only
+  /// verifies after an edge-only batch, after a TrainStep that already
+  /// packed, and after CopyModelFrom, which copies both. When the version
+  /// moved, the memo is recomputed: one one-row read of the cold row
+  /// (the feature row of a node no edge has touched, i.e. of kInvalidNode)
+  /// with every neighbor slot masked, in SLIM's own forward scratch. The
+  /// serving layer calls this on every publish and catch-up, with the
+  /// kernel backend it serves on; the memo holds that backend's bits.
   void PrepareForPublish();
 
   /// SLIM pack rebuilds since the model was built or last restored by
@@ -146,12 +161,13 @@ class SplashPredictor : public TemporalPredictor {
   uint64_t weight_packs() const;
 
   /// Copies `src`'s SLIM weights and packs
-  /// (SlimModel::CopyLearnedStateFrom) and the position of the predictor
-  /// RNG, which the serial dropout path draws from. A read-only replica
-  /// (the serve catch-up) copies only that. A predictor that owns a train
-  /// state also copies `src`'s moments and step counters, so an offline
-  /// twin that observed the same edges and then copies the model ends
-  /// byte-identical in SerializeState to a twin that also trained.
+  /// (SlimModel::CopyLearnedStateFrom), its cold-read memo and the
+  /// position of the predictor RNG, which the serial dropout path draws
+  /// from. A read-only replica (the serve catch-up) copies only that. A
+  /// predictor that owns a train state also copies `src`'s moments and
+  /// step counters, so an offline twin that observed the same edges and
+  /// then copies the model ends byte-identical in SerializeState to a
+  /// twin that also trained.
   /// Streaming state (augmenter, neighbor rings) is untouched. Both
   /// predictors must be prepared with the same SLIM architecture, and
   /// `src` must own a train state if this one does; otherwise this
@@ -167,8 +183,10 @@ class SplashPredictor : public TemporalPredictor {
   /// and the bytes are the same either way. DeserializeState restores a
   /// predictor that owns its train state again: it needs neither Prepare()
   /// nor a warmup dataset and resumes bit-identically to the serialized
-  /// one. The augmenter part holds rows only for the processes the mode
-  /// reads (RetainReadableProcesses), so DeserializeState applies the
+  /// one. The cold-read memo is derived state: it is not written, and
+  /// DeserializeState rebuilds it (PrepareForPublish). The augmenter part
+  /// holds rows only for the processes the mode reads
+  /// (RetainReadableProcesses), so DeserializeState applies the
   /// blob's kept set before reading it. It refuses any state version but
   /// the current one (version 1 predates the kept set) with an error that
   /// names the version, validates a config fingerprint (seed / mode /
@@ -188,14 +206,19 @@ class SplashPredictor : public TemporalPredictor {
   void RetainReadableProcesses(bool selecting);
   /// Writes the mode's SLIM input feature of `node` (input_dim_ floats).
   void WriteNodeFeature(NodeId node, float* out) const;
+  /// Shapes `out` for a `b`-row batch (grow-only).
+  void ResizeBatch(size_t b, SlimBatchInput* out) const;
   /// Assembles query rows [r0, r1) into `out` (pre-sized). `nbr_ids` /
   /// `nbr_times` are k-sized gather scratch owned by the caller. Reads
-  /// streaming state only — shared by the pooled AssembleBatch chunks and
-  /// the const snapshot path.
-  void AssembleRows(const std::vector<PropertyQuery>& queries, size_t r0,
-                    size_t r1, SlimBatchInput* out, NodeId* nbr_ids,
+  /// streaming state only — shared by the pooled AssembleBatch chunks, the
+  /// const snapshot path and the cold-read memo.
+  void AssembleRows(const PropertyQuery* queries, size_t r0, size_t r1,
+                    SlimBatchInput* out, NodeId* nbr_ids,
                     double* nbr_times) const;
   void AssembleBatch(const std::vector<PropertyQuery>& queries);
+  /// Whether the one-row batch `in` is the memo's: no valid neighbor
+  /// slot, the memo's feature row, and a memo at the current weights.
+  bool IsColdRead(const SlimBatchInput& in) const;
 
   SplashOptions opts_;
   Rng rng_;
@@ -217,6 +240,18 @@ class SplashPredictor : public TemporalPredictor {
   size_t staged_rows_ = 0;  // rows of the staged batch (0 = none staged)
   std::vector<std::vector<NodeId>> worker_nbr_ids_;
   std::vector<std::vector<double>> worker_nbr_times_;
+
+  /// The cold-read memo: `out` is SLIM's one-row read of `input` (the
+  /// cold row, every neighbor slot masked) at SLIM weights version
+  /// `version`; 0 is none, and the version restarts with every new
+  /// SlimModel, so Prepare and DeserializeState reset it. Derived read
+  /// state like the packs: copied with the weights, never serialized.
+  struct ColdReadMemo {
+    SlimBatchInput input;
+    Matrix out;
+    uint64_t version = 0;
+  };
+  ColdReadMemo cold_;
 };
 
 }  // namespace splash

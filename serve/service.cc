@@ -45,6 +45,12 @@ Status SplashServiceOptions::Validate() const {
   if (queue_capacity < 1) {
     return Status::Error("SplashServiceOptions.queue_capacity: must be >= 1");
   }
+  if (microbatch_max_items > queue_capacity) {
+    return Status::Error(
+        "SplashServiceOptions.microbatch_max_items: must be <= "
+        "queue_capacity (a batch larger than the queue never fills, so "
+        "every micro-batch would wait out microbatch_max_delay_s)");
+  }
   if (!FiniteNonNegative(coalesce_max_linger_s)) {
     return Status::Error(
         "SplashServiceOptions.coalesce_max_linger_s: must be finite and "
@@ -164,8 +170,10 @@ Status SplashService::Boot(const Dataset& warmup, const ChronoSplit& split,
   // The apply thread owns SLIM's one train state; replica 0 keeps its
   // read state. Replica 1 is then an in-memory, read-only copy of replica
   // 0 — the invariant the whole snapshot scheme rests on: two identical
-  // state machines one batch apart.
+  // state machines one batch apart. The boot state is published like any
+  // other, before the copy: replica 1 copies replica 0's cold-read memo.
   train_state_ = replicas_[0]->ReleaseTrainState();
+  replicas_[0]->PrepareForPublish();
   replicas_[1] = std::make_unique<SplashPredictor>(*replicas_[0]);
   num_classes_ = replicas_[0]->out_dim();
   weight_packs_base_ =
@@ -574,6 +582,7 @@ ServeCounters SplashService::Counters() const {
   c.queries = queries_.load(std::memory_order_relaxed);
   c.unseen_node_queries =
       unseen_node_queries_.load(std::memory_order_relaxed);
+  c.cold_reads = cold_reads_.load(std::memory_order_relaxed);
   c.coalesced_groups = coalescer_.groups();
   c.coalesced_callers = coalescer_.coalesced_callers();
   c.direct_calls = coalescer_.direct_calls();
@@ -677,6 +686,7 @@ void SplashService::ScoreSlots(QuerySlot* const* slots, size_t n,
   if (unseen > 0) {
     unseen_node_queries_.fetch_add(unseen, std::memory_order_relaxed);
   }
+  if (scratch->cold_read) cold_reads_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void SplashService::ScoreQueries(const std::vector<PropertyQuery>& queries,

@@ -331,6 +331,7 @@ class SplashService final : public QueryBackend {
   std::atomic<uint64_t> train_accepted_{0}, train_dropped_{0};
   std::atomic<uint64_t> batches_applied_{0}, train_steps_{0};
   std::atomic<uint64_t> queries_{0}, unseen_node_queries_{0};
+  std::atomic<uint64_t> cold_reads_{0};
   std::atomic<uint64_t> novel_ingest_nodes_{0}, time_regressions_{0};
   std::atomic<uint64_t> weight_packs_{0};
   uint64_t weight_packs_base_ = 0;  // replica pack count once serving began

@@ -28,6 +28,7 @@ void ServeCounters::MergeFrom(const ServeCounters& other) {
   weight_packs += other.weight_packs;
   queries += other.queries;
   unseen_node_queries += other.unseen_node_queries;
+  cold_reads += other.cold_reads;
   coalesced_groups += other.coalesced_groups;
   coalesced_callers += other.coalesced_callers;
   direct_calls += other.direct_calls;

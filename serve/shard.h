@@ -120,6 +120,9 @@ struct ServeCounters {
   uint64_t weight_packs = 0;
   uint64_t queries = 0;
   uint64_t unseen_node_queries = 0;  // queried node not in the train seen set
+  // One-row reads answered from the published replica's cold-read memo
+  // (SplashPredictor::PredictBatchConst): nodes no edge has touched.
+  uint64_t cold_reads = 0;
   // Read-path coalescing (DESIGN.md §5b).
   uint64_t coalesced_groups = 0;    // leader rounds executed
   uint64_t coalesced_callers = 0;   // Predict* calls answered via a group

@@ -392,6 +392,8 @@ void MatMulPackedBiasActRange(const Matrix& a, const PackedMatrix& b,
 // (the epilogue after the last group). Every B row a group reads streams
 // front to back, and C round trips through L1 once per group instead of
 // once per row. Parking a partial in C is an exact store and reload.
+// An output row of at most one vector (w4's two classes) parks nothing:
+// its one accumulator stays in a register across every nonzero row.
 // Row-major B, not the packed panels: a packed row is split into n/16
 // lines a panel apart, where the row-major row is one contiguous run.
 // ---------------------------------------------------------------------------
@@ -412,6 +414,20 @@ size_t CompressNonzero(const float* a, size_t k, uint32_t* nz) {
   return nnz;
 }
 
+/// The epilogue of the one-row vector at column j. It mirrors GemmTile's,
+/// the masked tail's bias-or-zero add included.
+template <class T, class L>
+inline typename T::Vec SparseRowFinish(typename T::Vec x, L lanes, size_t j,
+                                       Epilogue e) {
+  if constexpr (L::kTail) {
+    x = T::Add(x, e.bias != nullptr ? lanes.Load(e.bias + j) : T::Zero());
+  } else if (e.bias != nullptr) {
+    x = T::Add(x, T::Load(e.bias + j));
+  }
+  if (e.relu) x = T::Max(x, T::Zero());
+  return x;
+}
+
 /// c[0, n) over the G B rows of the nonzero inputs nz[0, G). `resume`
 /// continues the chains parked in C instead of starting at +0; `finish`
 /// stores the epilogue instead of the raw partials.
@@ -425,19 +441,10 @@ inline void SparseRowPass(const float* a, const uint32_t* nz, const Matrix& b,
     av[g] = T::Set1(a[nz[g]]);
     brow[g] = b.Row(nz[g]);
   }
-  // The epilogue mirrors GemmTile's, the masked tail's bias-or-zero add
-  // included.
   ForEachVector<T>(b.cols(), [&](size_t j, auto lanes) {
     V x = resume ? lanes.Load(c + j) : T::Zero();
     for (int g = 0; g < G; ++g) x = T::Fma(av[g], lanes.Load(brow[g] + j), x);
-    if (finish) {
-      if constexpr (decltype(lanes)::kTail) {
-        x = T::Add(x, e.bias != nullptr ? lanes.Load(e.bias + j) : T::Zero());
-      } else if (e.bias != nullptr) {
-        x = T::Add(x, T::Load(e.bias + j));
-      }
-      if (e.relu) x = T::Max(x, T::Zero());
-    }
+    if (finish) x = SparseRowFinish<T>(x, lanes, j, e);
     lanes.Store(c + j, x);
   });
 }
@@ -461,6 +468,16 @@ void MatMulRowBiasAct(const float* a, uint32_t* nz, const Matrix& b,
                       float* c, const float* bias, bool relu) {
   const Epilogue e{bias, false, relu};
   const size_t nnz = CompressNonzero<T>(a, b.rows(), nz);
+  if (b.cols() <= T::kWidth) {  // one vector: every chain in one register
+    ForEachVector<T>(b.cols(), [&](size_t, auto lanes) {
+      typename T::Vec x = T::Zero();
+      for (size_t t = 0; t < nnz; ++t) {
+        x = T::Fma(T::Set1(a[nz[t]]), lanes.Load(b.Row(nz[t])), x);
+      }
+      lanes.Store(c, SparseRowFinish<T>(x, lanes, 0, e));
+    });
+    return;
+  }
   if (nnz == 0) {  // every chain stays +0: the epilogue alone
     SparseRowPass<T, 0>(a, nz, b, c, false, true, e);
     return;

@@ -253,11 +253,13 @@ TEST(AllocationSteadyStateTest, FeatureAugmenterObserveBulkIsAllocationFree) {
 }
 
 // The aligned/padded scratch introduced by the SIMD backends must stay
-// grow-only under each of them too: Observe, TrainStep, the serve read
-// path (PredictBatchConst with per-client scratch), the serve catch-up's
-// model copy (CopyModelFrom into a read-only replica) and an offline
-// twin's copy (moments included) perform zero heap allocations at steady
-// state regardless of the dispatched kernel table.
+// grow-only under each of them too: Observe, TrainStep, the publish that
+// recomputes the cold-read memo after it, the serve read path
+// (PredictBatchConst with per-client scratch, cold reads from the memo
+// included), the serve catch-up's model copy (CopyModelFrom into a
+// read-only replica, memo included) and an offline twin's copy (moments
+// included) perform zero heap allocations at steady state regardless of
+// the dispatched kernel table.
 void RunSlimAndServeAllocationGate() {
   ThreadPool::SetGlobalThreads(4);
 
@@ -296,6 +298,7 @@ void RunSlimAndServeAllocationGate() {
   (void)model.PredictBatchConst(queries, &scratch);
   (void)model.PredictBatchConst(queries, &scratch);
   model.TrainBatch(queries);
+  model.PrepareForPublish();
   ASSERT_TRUE(twin.CopyModelFrom(model).ok());
   ASSERT_TRUE(replica.CopyModelFrom(model).ok());
 
@@ -317,13 +320,19 @@ void RunSlimAndServeAllocationGate() {
   with_history[0].node = static_cast<NodeId>(
       std::find(seen.begin(), seen.end(), true) - seen.begin());
 
-  bool copied = true;
+  // The train step leaves the memo stale, so the no-history read computes;
+  // after the publish the same read comes from the memo.
+  bool copied = true, computed = true, cold = true;
   const size_t allocs = CountAllocations([&] {
     for (int rep = 0; rep < 5; ++rep) {
       model.TrainBatch(queries);
       (void)model.PredictBatchConst(queries, &scratch);
       (void)model.PredictBatchConst(no_history, &scratch);
+      computed = !scratch.cold_read && computed;
       (void)model.PredictBatchConst(with_history, &scratch);
+      model.PrepareForPublish();
+      (void)model.PredictBatchConst(no_history, &scratch);
+      cold = scratch.cold_read && cold;
       copied = twin.CopyModelFrom(model).ok() && copied;
       copied = replica.CopyModelFrom(model).ok() && copied;
     }
@@ -333,6 +342,8 @@ void RunSlimAndServeAllocationGate() {
   });
   EXPECT_EQ(allocs, 0u);
   EXPECT_TRUE(copied);
+  EXPECT_TRUE(computed) << "a stale memo answered";
+  EXPECT_TRUE(cold) << "the memo did not answer the untouched node";
   ThreadPool::SetGlobalThreads(1);
 }
 

@@ -113,6 +113,12 @@ SplashServiceOptions DurableOptions(const std::string& data_dir) {
   return opts;
 }
 
+/// A read of a node no edge touches, after the warmup stream.
+PropertyQuery ColdQuery(const Dataset& ds) {
+  return PropertyQuery{static_cast<NodeId>(ds.stream.num_nodes() + 50),
+                       ds.stream.max_time() + 1.0, 0};
+}
+
 std::vector<TemporalEdge> LiveEdges(const Dataset& ds,
                                     const ChronoSplit& split) {
   std::vector<TemporalEdge> live;
@@ -192,8 +198,12 @@ void ExpectBitEqual(const Matrix& a, const Matrix& b, const char* what) {
 /// history: recovered predictor state bit-equals an uninterrupted replay,
 /// the recovered ingest log matches edge for edge, and a probe query at
 /// the recovered watermark bit-equals the reference's const query path.
+/// The first query is a cold read (an untouched node, answered from the
+/// rebuilt memo), bit-equal to the reference's computed read and, given
+/// `pre_crash_cold`, to the service's last cold read before the crash.
 void RecoverAndVerify(const std::string& data_dir, const SplashOptions& model,
-                      uint64_t expect_seq) {
+                      uint64_t expect_seq,
+                      const Matrix* pre_crash_cold = nullptr) {
   const Dataset ds = MakeWarmup();
   const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
 
@@ -243,6 +253,22 @@ void RecoverAndVerify(const std::string& data_dir, const SplashOptions& model,
   // counts, RNG stream — everything SerializeState covers.
   ExpectStateBytesEqual(svc, *ref, "recovered state vs uninterrupted run");
 
+  {
+    ServeClient client(&svc);
+    const PropertyQuery cold = ColdQuery(ds);
+    ServeResponse resp;
+    client.PredictNode(cold.node, cold.time, &resp);
+    EXPECT_EQ(svc.Stats().counters.cold_reads, 1u) << "memo not rebuilt";
+    SplashQueryScratch scratch;
+    const Matrix& want = ref->PredictBatchConst({cold}, &scratch);
+    EXPECT_FALSE(scratch.cold_read);
+    ExpectBitEqual(want, resp.scores, "first cold read vs uninterrupted run");
+    if (pre_crash_cold != nullptr) {
+      ExpectBitEqual(*pre_crash_cold, resp.scores,
+                     "first cold read vs the last one before the stop");
+    }
+  }
+
   // PR-4 watermark oracle, post-recovery: a query answered at the
   // recovered watermark is bit-identical to the reference's const path.
   {
@@ -272,6 +298,7 @@ TEST_F(ServeRecoveryTest, CleanStopThenRecoverIsBitExact) {
   const std::vector<TemporalEdge> live = LiveEdges(ds, split);
   ASSERT_GT(live.size(), 300u);
 
+  ServeResponse cold;
   {
     SplashService svc(model, DurableOptions(dir.path()));
     TrainerOptions fit = SmallFit();
@@ -279,6 +306,12 @@ TEST_F(ServeRecoveryTest, CleanStopThenRecoverIsBitExact) {
     EXPECT_FALSE(svc.recovered_from_checkpoint());
     EXPECT_EQ(svc.recovered_seq(), 0u);
     FeedLive(&svc, live, 0, 300);
+    svc.Flush();
+    {
+      ServeClient client(&svc);
+      const PropertyQuery q = ColdQuery(ds);
+      client.PredictNode(q.node, q.time, &cold);
+    }
     svc.Stop();  // drains + final checkpoint
     const ServeStats stats = svc.Stats();
     EXPECT_EQ(stats.counters.ingest_accepted, 300u);
@@ -287,7 +320,7 @@ TEST_F(ServeRecoveryTest, CleanStopThenRecoverIsBitExact) {
     EXPECT_EQ(stats.counters.wal_io_errors, 0u);
     EXPECT_FALSE(stats.counters.degraded);
   }
-  RecoverAndVerify(dir.path(), model, 300u);
+  RecoverAndVerify(dir.path(), model, 300u, &cold.scores);
 }
 
 TEST_F(ServeRecoveryTest, RecoveryWithNoMidStreamCheckpointReplaysWholeWal) {

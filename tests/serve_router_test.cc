@@ -519,7 +519,12 @@ TEST_F(ServeRouterTest, MergedStatsAreExactAggregates) {
     RoutedClient client(&router);
     ServeResponse resp;
     for (int i = 0; i < 20; ++i) client.Predict(probe, &resp);
-  }  // ~ the departed client's 20 samples fold into the retired digest
+    // Three cold reads (untouched nodes) on three shards.
+    for (NodeId v = 1; v <= 3; ++v) {
+      client.PredictNode(static_cast<NodeId>(ds.stream.num_nodes()) + v,
+                         ds.stream.max_time(), &resp);
+    }
+  }  // ~ the departed client's 23 samples fold into the retired digest
   router.Stop();
 
   const ServeStats merged = router.Stats();
@@ -538,6 +543,8 @@ TEST_F(ServeRouterTest, MergedStatsAreExactAggregates) {
   EXPECT_EQ(merged.counters.ingest_dropped, sum.ingest_dropped);
   EXPECT_EQ(merged.counters.queries, sum.queries);
   EXPECT_GT(merged.counters.queries, 0u);
+  EXPECT_EQ(merged.counters.cold_reads, sum.cold_reads);
+  EXPECT_EQ(merged.counters.cold_reads, 3u);
   EXPECT_EQ(merged.counters.batches_applied, sum.batches_applied);
   EXPECT_EQ(merged.counters.published_seq, n);  // SUM over shards
   EXPECT_EQ(merged.counters.novel_ingest_nodes, sum.novel_ingest_nodes);
@@ -548,7 +555,7 @@ TEST_F(ServeRouterTest, MergedStatsAreExactAggregates) {
   // the merged digest (one sample per Predict call).
   EXPECT_EQ(merged.apply.count, apply_count);
   EXPECT_EQ(merged.ingest.count, ingest_count);
-  EXPECT_EQ(merged.predict.count, 20u);
+  EXPECT_EQ(merged.predict.count, 23u);
 }
 
 // ---------------------------------------------------------------------------
@@ -564,7 +571,7 @@ TEST_F(ServeRouterTest, IngestResultClassifiesRejections) {
   SplashServiceOptions sopts;
   sopts.queue_capacity = 4;
   sopts.backpressure = BackpressurePolicy::kDropNewest;
-  sopts.microbatch_max_items = 4096;  // apply lingers: the queue stays tiny
+  sopts.microbatch_max_items = 4;  // apply waits for a full queue
   sopts.microbatch_max_delay_s = 0.05;
   sopts.train_on_ingest_labels = false;
   SplashService service(SmallModelOptions(), sopts);

@@ -10,12 +10,16 @@
 //   - backpressure: kDropNewest rejects beyond the queue bound and the
 //     published state reflects exactly the accepted items;
 //   - watermarks are monotone, Flush publishes everything accepted, and
-//     the drift counters (unseen-node queries, novel ingest ids) move.
+//     the drift counters (unseen-node queries, novel ingest ids) move;
+//   - cold_reads counts the untouched-node reads the memo answered, and
+//     Validate refuses a micro-batch larger than the queue.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/splash.h"
@@ -285,9 +289,9 @@ TEST_F(ServeServiceTest, DropNewestBackpressureCountsAndStaysConsistent) {
   SplashServiceOptions sopts;
   sopts.queue_capacity = 2;
   sopts.backpressure = BackpressurePolicy::kDropNewest;
-  // Large coalescing window: the queue stays full while the apply thread
-  // waits for the batch to fill, forcing drops deterministically.
-  sopts.microbatch_max_items = 1024;
+  // A batch of the whole queue: the apply thread waits until the queue is
+  // full, and the burst keeps pushing while it wakes and applies.
+  sopts.microbatch_max_items = 2;
   sopts.microbatch_max_delay_s = 0.2;
   sopts.train_on_ingest_labels = false;
   SplashService service(SmallModelOptions(), sopts);
@@ -354,6 +358,73 @@ TEST_F(ServeServiceTest, DeadlineFlagRetryHelperAndNonDurableDefaults) {
                                           /*initial_backoff_s=*/1e-4));
   const ServeStats st = service.Stats();
   EXPECT_EQ(st.counters.ingest_accepted, 1u);
+}
+
+// A micro-batch larger than the ingest queue can never fill, so the
+// apply thread's fill wait would time out on every batch. Validate
+// refuses the pair and names both fields; a batch of the whole queue is
+// fine.
+TEST_F(ServeServiceTest, ValidateRejectsMicrobatchLargerThanQueue) {
+  SplashServiceOptions o;
+  o.queue_capacity = 8;
+  o.microbatch_max_items = 8;
+  EXPECT_TRUE(o.Validate().ok());
+  o.microbatch_max_items = 9;
+  const Status st = o.Validate();
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("microbatch_max_items"), std::string::npos);
+  EXPECT_NE(st.message().find("queue_capacity"), std::string::npos);
+
+  const Dataset ds = MakeWarmup(600);
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
+  SplashService service(SmallModelOptions(), o);
+  const Status start = service.Start(ds, split, nullptr);
+  EXPECT_FALSE(start.ok());
+  EXPECT_NE(start.message().find("queue_capacity"), std::string::npos);
+}
+
+// cold_reads counts the one-row reads the published replica's memo
+// answered: untouched nodes. A node with history, a batched read and, in
+// kPlainRandom (each node hashes its own feature row), every read
+// compute and are not counted. The memo's answer is the batched row.
+TEST_F(ServeServiceTest, ColdReadsCountOnlyUntouchedOneRowReads) {
+  const Dataset ds = MakeWarmup(1500);
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
+  const std::vector<TemporalEdge> live = LiveEdges(ds, split);
+  ASSERT_FALSE(live.empty());
+  const NodeId untouched = static_cast<NodeId>(ds.stream.num_nodes() + 100);
+  const double t = ds.stream.max_time() + 1.0;
+  for (SplashMode mode :
+       {SplashMode::kForceStructural, SplashMode::kPlainRandom}) {
+    SCOPED_TRACE(SplashModeName(mode));
+    SplashOptions model = SmallModelOptions();
+    model.mode = mode;
+    SplashService service(model, SplashServiceOptions());
+    ASSERT_TRUE(service.Start(ds, split, nullptr).ok());
+    ASSERT_TRUE(service.IngestEdge(live[0]).accepted());
+    service.Flush();
+    ServeClient client(&service);
+
+    ServeResponse cold;
+    for (int i = 0; i < 3; ++i) client.PredictNode(untouched, t, &cold);
+    const uint64_t after_cold = service.Counters().cold_reads;
+    ServeResponse history, batched;
+    client.PredictNode(live[0].src, t, &history);
+    const PropertyQuery q{untouched, t, 0};
+    client.Predict({q, q}, &batched);
+    const ServeCounters c = service.Counters();
+    service.Stop();
+
+    const bool memo = mode != SplashMode::kPlainRandom;
+    EXPECT_EQ(after_cold, memo ? 3u : 0u);
+    EXPECT_EQ(c.cold_reads, after_cold) << "history or batch read counted";
+    EXPECT_EQ(c.queries, 6u);
+    ASSERT_EQ(batched.scores.rows(), 2u);
+    ASSERT_EQ(cold.scores.cols(), batched.scores.cols());
+    EXPECT_EQ(std::memcmp(cold.scores.Row(0), batched.scores.Row(0),
+                          cold.scores.cols() * sizeof(float)),
+              0);
+  }
 }
 
 TEST_F(ServeServiceTest, DriftCountersAndLatencyHistogramsMove) {

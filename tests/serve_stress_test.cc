@@ -229,7 +229,7 @@ TEST_F(ServeStressTest, StopMidBurstDrainsAcceptedAndNeverDeadlocks) {
   ASSERT_GT(live.size(), 1000u);
 
   SplashServiceOptions sopts;
-  sopts.microbatch_max_items = 16;
+  sopts.microbatch_max_items = 8;  // at most the queue: a batch can fill
   sopts.microbatch_max_delay_s = 0.0002;
   sopts.queue_capacity = 8;  // small: producers block constantly
   sopts.backpressure = BackpressurePolicy::kBlock;

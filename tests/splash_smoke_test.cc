@@ -4,7 +4,8 @@
 // stream and beats chance; determinism across identically-seeded runs; the
 // ring-buffer substrate and trainer replay hold up under a full pipeline;
 // copying a trained model (CopyModelFrom, the copy constructor) gives the
-// bytes training would; every mode's checkpoint restores bit-exactly.
+// bytes training would; every mode's checkpoint restores bit-exactly; a
+// cold read served from the memo is the read computed.
 
 #include <gtest/gtest.h>
 
@@ -230,6 +231,89 @@ TEST(SplashSmokeTest, OneRowReadsMatchBatchedRowsAtPaperDims) {
 
 TEST(SplashSmokeTest, OneRowReadsMatchBatchedRowsWide) {
   CheckOneRowReadsMatchBatchedRows(64, 1024);
+}
+
+// The cold-read memo's oracle. A one-row read of a node no edge has
+// touched, answered from the memo, is memcmp-equal to the same read
+// computed — after PrepareForPublish, after a train step, in a
+// CopyModelFrom copy and after a checkpoint round trip — in every mode
+// and on every kernel backend; a memo whose weights version has moved is
+// never served. kPlainRandom hashes each node its own feature row, so an
+// untouched node's row is not the cold row and its reads compute.
+TEST(SplashSmokeTest, ColdReadsFromTheMemoMatchComputedReads) {
+  const Dataset ds = SmallClassification();
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.1, 0.1);
+  const size_t half = ds.stream.size() / 2;
+  const std::vector<PropertyQuery> read = {PropertyQuery{
+      static_cast<NodeId>(ds.stream.num_nodes() + 7),
+      ds.stream[half - 1].time, 0}};
+  for (const char* backend : {"scalar", "avx2", "avx512"}) {
+    if (!SetKernelBackendForTesting(backend)) continue;  // not on this CPU
+    for (SplashMode mode :
+         {SplashMode::kAuto, SplashMode::kForceRandom,
+          SplashMode::kForcePositional, SplashMode::kForceStructural,
+          SplashMode::kJoint, SplashMode::kZeroFeatures,
+          SplashMode::kPlainRandom}) {
+      SCOPED_TRACE(std::string(backend) + " " + SplashModeName(mode));
+      const bool memo = mode != SplashMode::kPlainRandom;
+      SplashQueryScratch scratch;
+      // The read's scores, and whether the memo answered it.
+      auto read_scores = [&](const SplashPredictor& p, bool* cold) {
+        const Matrix& out = p.PredictBatchConst(read, &scratch);
+        *cold = scratch.cold_read;
+        return std::vector<float>(out.Row(0), out.Row(0) + out.cols());
+      };
+      auto same_bits = [](const std::vector<float>& a,
+                          const std::vector<float>& b) {
+        return a.size() == b.size() &&
+               std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+      };
+      bool cold = false;
+
+      SplashPredictor model(SmallOptions(mode));
+      ASSERT_TRUE(model.Prepare(ds, split).ok());
+      model.ObserveBulk(ds.stream, 0, half);
+      const std::vector<float> computed = read_scores(model, &cold);
+      EXPECT_FALSE(cold) << "a memo before the first publish";
+      model.PrepareForPublish();
+      EXPECT_TRUE(same_bits(read_scores(model, &cold), computed))
+          << "after publish";
+      EXPECT_EQ(cold, memo);
+
+      // A train step moves the weights version: the old memo is stale.
+      model.SetTraining(true);
+      model.StageBatch(TrainQueries(ds, half, 0));
+      model.TrainStaged();
+      model.SetTraining(false);
+      const std::vector<float> trained = read_scores(model, &cold);
+      EXPECT_FALSE(cold) << "a stale memo was served";
+      EXPECT_FALSE(same_bits(trained, computed))
+          << "the step left the read unchanged";
+      model.PrepareForPublish();
+      EXPECT_TRUE(same_bits(read_scores(model, &cold), trained))
+          << "after TrainStaged";
+      EXPECT_EQ(cold, memo);
+
+      // The copy takes the memo with the weights: no publish needed.
+      SplashPredictor twin(SmallOptions(mode));
+      ASSERT_TRUE(twin.Prepare(ds, split).ok());
+      twin.PrepareForPublish();
+      ASSERT_TRUE(twin.CopyModelFrom(model).ok());
+      EXPECT_TRUE(same_bits(read_scores(twin, &cold), trained))
+          << "after CopyModelFrom";
+      EXPECT_EQ(cold, memo);
+
+      // Not serialized; rebuilt by DeserializeState.
+      SplashPredictor restored(SmallOptions(mode));
+      const std::vector<uint8_t> bytes = StateBytes(model);
+      ByteReader r(bytes);
+      ASSERT_TRUE(restored.DeserializeState(&r).ok());
+      EXPECT_TRUE(same_bits(read_scores(restored, &cold), trained))
+          << "after restore";
+      EXPECT_EQ(cold, memo);
+    }
+  }
+  ASSERT_TRUE(SetKernelBackendForTesting("auto"));
 }
 
 // The serve catch-up as the service runs it: one train state, taken from
