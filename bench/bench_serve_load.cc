@@ -45,7 +45,6 @@
 #include "eval/timing.h"
 #include "eval/trainer.h"
 #include "runtime/thread_pool.h"
-#include "serve/router.h"
 #include "serve/service.h"
 #include "tensor/rng.h"
 #include "tensor/simd.h"
@@ -90,11 +89,6 @@ struct RowResult {
   std::string kernel_backend;
   std::string wal_mode = "off";
   std::string model = "none";
-  std::string shards = "direct";  // "direct" = bare service, else "<S>"
-  /// Stamped only on the routed gate row: the median of the per-pair
-  /// routed/direct cpu ratios (each pair ran back-to-back), which is what
-  /// check_bench_regression.py's serve overhead gate reads. 0 = absent.
-  double overhead_vs_direct = 0.0;
   ServeStats stats;
   bool has_stats = false;
 };
@@ -119,12 +113,6 @@ struct LoadConfig {
   /// checkpoints in a throwaway dir) with that fsync policy — the
   /// durability-overhead row of BENCH_serve.json.
   std::string wal;
-  /// Drive through ShardedSplashService instead of a bare SplashService.
-  /// shards=1 measures the pure routing overhead (the gated
-  /// BM_ServeSmokeMixedRouted/1 row vs BM_ServeSmokeMixed); higher counts
-  /// are the BM_ServeShards scaling sweep.
-  bool routed = false;
-  uint32_t shards = 1;
 };
 
 /// One scenario against a fresh service. `warmup` provides the offline
@@ -156,35 +144,16 @@ RowResult RunScenario(const LoadConfig& cfg, const Dataset& warmup,
     sopts.wal_group_records = 8;
     sopts.checkpoint_interval_batches = 256;
   }
-  // Both driver shapes talk through the QueryBackend interface — the
-  // routed rows exercise the identical client/scratch/response path the
-  // direct rows do, so their delta is pure router cost.
-  std::unique_ptr<SplashService> single;
-  std::unique_ptr<ShardedSplashService> routed;
-  QueryBackend* backend = nullptr;
   TrainerOptions fit;
   fit.epochs = 1;
   fit.batch_size = 256;
   fit.early_stopping = false;
   std::fflush(stdout);
+  SplashService service(LoadModelOptions(cfg.wide_model), sopts);
   {
-    Status st;
-    if (cfg.routed) {
-      ShardedServiceOptions ropts;
-      ropts.num_shards = cfg.shards;
-      ropts.shard = sopts;  // data_dir becomes the per-shard parent
-      routed = std::make_unique<ShardedSplashService>(
-          LoadModelOptions(cfg.wide_model), ropts);
-      st = wal_dir.empty() ? routed->Start(warmup, split, &fit)
-                           : routed->RecoverOrStart(warmup, split, &fit);
-      backend = routed.get();
-    } else {
-      single = std::make_unique<SplashService>(
-          LoadModelOptions(cfg.wide_model), sopts);
-      st = wal_dir.empty() ? single->Start(warmup, split, &fit)
-                           : single->RecoverOrStart(warmup, split, &fit);
-      backend = single.get();
-    }
+    const Status st = wal_dir.empty()
+                          ? service.Start(warmup, split, &fit)
+                          : service.RecoverOrStart(warmup, split, &fit);
     if (!st.ok()) {
       std::fprintf(stderr, "Start failed: %s\n", st.message().c_str());
       std::exit(1);
@@ -201,7 +170,7 @@ RowResult RunScenario(const LoadConfig& cfg, const Dataset& warmup,
   // reader row measures the steady concurrent regime instead of ending
   // with one straggler thread serially draining its private quota.
   auto driver = [&](size_t tid) {
-    ServeClient client(backend);
+    ServeClient client(&service);
     ServeResponse resp;  // reused: the into-API keeps steady state alloc-free
     Rng rng(cfg.seed * 0x9e3779b97f4a7c15ULL + tid);
     const auto start = std::chrono::steady_clock::now();
@@ -222,7 +191,7 @@ RowResult RunScenario(const LoadConfig& cfg, const Dataset& warmup,
       if (do_ingest) {
         const size_t idx = edge_cursor.fetch_add(1);
         if (idx < live.size()) {
-          backend->IngestEdge(live[idx]);
+          service.IngestEdge(live[idx]);
           continue;
         }
         // Pool exhausted: fall through to a query so the op count holds.
@@ -240,10 +209,10 @@ RowResult RunScenario(const LoadConfig& cfg, const Dataset& warmup,
   }
   driver(0);
   for (std::thread& t : threads) t.join();
-  backend->Flush();
+  service.Flush();
   const double wall_s = wall.Seconds();
   const uint64_t cpu_ns = ProcessCpuNs() - cpu0;
-  backend->Stop();
+  service.Stop();
   if (!wal_dir.empty() && wal_dir.rfind("/tmp/", 0) == 0) {
     const std::string cmd = "rm -rf '" + wal_dir + "'";
     [[maybe_unused]] const int rc = std::system(cmd.c_str());
@@ -254,13 +223,12 @@ RowResult RunScenario(const LoadConfig& cfg, const Dataset& warmup,
   row.kernel_backend = KernelBackendName();
   row.wal_mode = cfg.wal.empty() ? "off" : cfg.wal;
   row.model = cfg.wide_model ? "fd64h1024t16k10" : "fd16h32t8k5";
-  row.shards = cfg.routed ? std::to_string(cfg.shards) : "direct";
   row.iterations = cfg.ops;
   row.real_ns_per_op = wall_s * 1e9 / static_cast<double>(row.iterations);
   row.cpu_ns_per_op =
       static_cast<double>(cpu_ns) / static_cast<double>(row.iterations);
   row.ops_per_sec = static_cast<double>(row.iterations) / wall_s;
-  row.stats = backend->Stats();
+  row.stats = service.Stats();
   row.has_stats = true;
   std::printf(
       "%-28s %9" PRIu64 " ops  %8.0f ops/s  cpu %7.0f ns/op  "
@@ -323,16 +291,11 @@ void WriteJson(const std::string& path,
                  "      \"ops_per_sec\": %.2f,\n"
                  "      \"kernel_backend\": \"%s\",\n"
                  "      \"wal_mode\": \"%s\",\n"
-                 "      \"model\": \"%s\",\n"
-                 "      \"shards\": \"%s\"",
+                 "      \"model\": \"%s\"",
                  r.name.c_str(), r.name.c_str(), r.iterations,
                  r.real_ns_per_op, r.cpu_ns_per_op, r.ops_per_sec,
                  r.kernel_backend.c_str(), r.wal_mode.c_str(),
-                 r.model.c_str(), r.shards.c_str());
-    if (r.overhead_vs_direct > 0.0) {
-      std::fprintf(f, ",\n      \"overhead_vs_direct\": %.4f",
-                   r.overhead_vs_direct);
-    }
+                 r.model.c_str());
     if (r.has_stats) {
       std::fprintf(
           f,
@@ -462,74 +425,17 @@ int Main(int argc, char** argv) {
     c.ops = kSmokeOps;
     c.seed = 77;
 
-    // Routed gate row config: the identical pinned workload through a
-    // 1-shard ShardedSplashService. Gated two ways: against its own
-    // baseline like BM_ServeSmokeMixed, and within-run against the direct
-    // row (the serve preset's overhead gate in check_bench_regression.py)
-    // — the router's single-owner fast path must stay within a few percent
-    // of direct.
-    LoadConfig cr = c;
-    cr.name = "BM_ServeSmokeMixedRouted/1";
-    cr.routed = true;
-    cr.shards = 1;
-
     // Median of 7 repetitions (fresh service each): single mixed-traffic
     // runs swing ~±20% cpu/op from scheduler noise on shared runners,
-    // which would drown the regression gate's threshold. The direct and
-    // routed reps are INTERLEAVED pairwise, alternating order within each
-    // pair: the two rows feed a within-file ratio gate, and running one
-    // block after the other lets monotone host drift (turbo decay, a
-    // busier co-tenant) land entirely on whichever row ran second —
-    // observed swinging the routed/direct ratio 0.92..1.23 across
-    // otherwise-identical runs. The gated ratio is therefore NOT the
-    // ratio of the two independently-sorted medians (which still mixes
-    // reps from different noise regimes); it is the median of the seven
-    // per-pair ratios, stamped on the routed row as overhead_vs_direct —
-    // each ratio compares two runs that executed back-to-back, so a
-    // transient slowdown inflates numerator and denominator together and
-    // cancels.
+    // which would drown the regression gate's threshold.
     constexpr int kGateReps = 7;
     RowResult reps[kGateReps];
-    RowResult rreps[kGateReps];
-    double pair_ratio[kGateReps];
-    for (int i = 0; i < kGateReps; ++i) {
-      if (i % 2 == 0) {
-        reps[i] = RunScenario(c, ds, split, live);
-        rreps[i] = RunScenario(cr, ds, split, live);
-      } else {
-        rreps[i] = RunScenario(cr, ds, split, live);
-        reps[i] = RunScenario(c, ds, split, live);
-      }
-      pair_ratio[i] = reps[i].cpu_ns_per_op > 0.0
-                          ? rreps[i].cpu_ns_per_op / reps[i].cpu_ns_per_op
-                          : 0.0;
-    }
+    for (RowResult& r : reps) r = RunScenario(c, ds, split, live);
     const auto by_cpu = [](const RowResult& a, const RowResult& b) {
       return a.cpu_ns_per_op < b.cpu_ns_per_op;
     };
     std::sort(std::begin(reps), std::end(reps), by_cpu);
     rows.push_back(reps[kGateReps / 2]);
-    std::sort(std::begin(pair_ratio), std::end(pair_ratio));
-    std::sort(std::begin(rreps), std::end(rreps), by_cpu);
-    rreps[kGateReps / 2].overhead_vs_direct = pair_ratio[kGateReps / 2];
-    rows.push_back(rreps[kGateReps / 2]);
-    std::printf("routed/direct paired-median overhead: %.3f "
-                "(pair range %.3f..%.3f)\n",
-                pair_ratio[kGateReps / 2], pair_ratio[0],
-                pair_ratio[kGateReps - 1]);
-
-    // Shard-count scaling sweep (not gated): the pinned mixed workload
-    // across S ∈ {1, 2, 4} shards. On a single-core host this documents
-    // the partitioning overhead (S apply threads time-slicing one core);
-    // on multi-core hosts it shows ingest scaling across shards.
-    for (const uint32_t s : {1u, 2u, 4u}) {
-      LoadConfig cs = c;
-      cs.name = "BM_ServeShards/" + std::to_string(s);
-      cs.routed = true;
-      cs.shards = s;
-      cs.seed = 77 + 1000 * s;
-      rows.push_back(RunScenario(cs, ds, split, live));
-    }
 
     // Durability-overhead row: the identical pinned workload with the WAL +
     // checkpoint layer on (--wal picks the fsync policy; default batch).
@@ -540,10 +446,7 @@ int Main(int argc, char** argv) {
     cw.wal = wal_mode;
     RowResult wreps[3];
     for (RowResult& r : wreps) r = RunScenario(cw, ds, split, live);
-    std::sort(std::begin(wreps), std::end(wreps),
-              [](const RowResult& a, const RowResult& b) {
-                return a.cpu_ns_per_op < b.cpu_ns_per_op;
-              });
+    std::sort(std::begin(wreps), std::end(wreps), by_cpu);
     rows.push_back(wreps[1]);
 
     // Read-path coalescing sweeps (DESIGN.md §5b). Not gated rows — they

@@ -16,9 +16,9 @@ Usage:
 
 Each snapshot's whole gate is one entry in PRESETS below: its pinned rows,
 the ALU row that calibrates host speed, the cpu_time regression threshold,
-and the extra gates that ride along (context-stamp floors, a within-file
-overhead ratio). The command line only names the preset and the files, so
-a gate cannot drift between CI, the snapshot scripts and a local run.
+and the context-stamp floors that ride along. The command line only names
+the preset and the files, so a gate cannot drift between CI, the snapshot
+scripts and a local run.
 
 The first output line is the baseline's provenance (git_sha, git_dirty,
 date and age, when the snapshot records them); a snapshot recorded from a
@@ -35,21 +35,10 @@ mismatch fails immediately — scalar baselines must never be diffed against
 avx2 runs or vice versa (CI pins SPLASH_KERNEL=scalar for the gate; the
 avx2/avx512 trajectories live in the baseline's avx2_*/avx512_* context
 keys instead). The same refusal applies per row: bench_serve_load stamps
-`kernel_backend`, `wal_mode`, `model`, and `shards` on every row, and a
-pinned row whose stamped config differs between baseline and current fails
-the gate before any cpu_time is compared — a WAL-on run must never be
-diffed against a WAL-off baseline just because the row name matches.
-
-The serve preset's overhead gate is a within-file ratio on the current
-run: BM_ServeSmokeMixedRouted/1 must stay within 10% of
-BM_ServeSmokeMixed (the sharded router's S=1 tax), same run, same host —
-no calibration needed because both rows share it. When the routed row
-carries an `overhead_vs_direct` stamp (bench_serve_load writes the median
-of its 7 per-pair routed/direct ratios, each pair run back-to-back), that
-is the gated ratio — paired ratios cancel within-run host drift that the
-ratio of two independently-sorted medians would absorb into one side.
-Without the stamp (older snapshots) the gate falls back to the plain
-cpu_time ratio of the two rows.
+`kernel_backend`, `wal_mode` and `model` on every row, and a pinned row
+whose stamped config differs between baseline and current fails the gate
+before any cpu_time is compared — a WAL-on run must never be diffed
+against a WAL-off baseline just because the row name matches.
 
 `cache_topology` (stamped by bench_micro_substrate since the packed-GEMM
 layer landed) is a context config key: the BM_MatMulPacked* rows size
@@ -73,8 +62,7 @@ instead of failing.
 --self-test exercises the preset's gates against fabricated data derived
 from the baseline: an identical copy must pass, and a copy with one pinned
 row hand-slowed past the threshold must fail (likewise a flipped row
-config stamp, a hand-inflated overhead row and a hand-lowered context
-stamp). CI runs it before the real comparison so the gate can never rot
+config stamp and a hand-lowered context stamp). CI runs it before the real comparison so the gate can never rot
 into always-green.
 """
 
@@ -98,13 +86,10 @@ import sys
 # re-verify the committed avx512 side-run wins (module docstring).
 #
 # serve (BENCH_serve.json) — the pinned closed-loop mixed-traffic smoke
-# rows vs a fresh `bench_serve_load --smoke` run, calibrated by that
+# row vs a fresh `bench_serve_load --smoke` run, calibrated by that
 # binary's own ALU row. cpu_time here is *process* CPU per operation
 # (ingest + query + apply thread + pool workers), so a regression anywhere
-# in the serve path shows up even on a 1-core runner. The Routed/1 row
-# drives the identical workload through a 1-shard ShardedSplashService —
-# it gates the router layer itself, and the overhead gate additionally
-# pins its distance from the direct row.
+# in the serve path shows up even on a 1-core runner.
 PRESETS = {
     "micro": {
         "rows": [
@@ -123,24 +108,21 @@ PRESETS = {
             ("avx512_speedup BM_SlimForwardFused/wide_b1", 1.0),
             ("avx512_packed_speedup BM_MatMulPacked/32/2048/1024", 1.5),
         ],
-        "overhead": None,
     },
     "serve": {
-        "rows": ["BM_ServeSmokeMixed", "BM_ServeSmokeMixedRouted/1"],
+        "rows": ["BM_ServeSmokeMixed"],
         "calibrate": "BM_ServeCalibrate",
         "max_regress": 0.25,
         "context_floors": [],
-        # (row, reference row, max overhead)
-        "overhead": ("BM_ServeSmokeMixedRouted/1", "BM_ServeSmokeMixed", 0.10),
     },
 }
 
 _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
-# Per-row configuration stamps (bench_serve_load writes all four on every
+# Per-row configuration stamps (bench_serve_load writes all three on every
 # row). A pinned row is only comparable when every stamp both sides carry
 # agrees; a missing stamp (older baselines, other binaries) is not checked.
-_ROW_CONFIG_KEYS = ("kernel_backend", "wal_mode", "model", "shards")
+_ROW_CONFIG_KEYS = ("kernel_backend", "wal_mode", "model")
 
 
 def load_row_configs(doc):
@@ -246,40 +228,6 @@ def compare(baseline, current, rows, max_regress, calibrate=None):
     return ok, lines
 
 
-def load_paired_ratio(doc, row):
-    """The bench-stamped paired-median overhead ratio, or None."""
-    for r in doc.get("benchmarks", []):
-        if r.get("run_name", r.get("name", "")) == row:
-            ratio = r.get("overhead_vs_direct")
-            if isinstance(ratio, (int, float)) and ratio > 0:
-                return float(ratio)
-    return None
-
-
-def check_overhead(doc, row, ref, max_overhead):
-    """Within-file ratio gate: row must stay within (1 + max_overhead) of
-    ref. Prefers the row's stamped `overhead_vs_direct` (median of per-pair
-    back-to-back ratios — drift-immune); falls back to the plain cpu_time
-    ratio for snapshots that predate the stamp. Both rows come from the
-    same run on the same host, so no calibration is involved."""
-    times = load_cpu_times(doc)
-    if row not in times or ref not in times:
-        missing = row if row not in times else ref
-        return False, ["overhead gate: row %s missing: FAIL" % missing]
-    if times[ref] <= 0:
-        return False, ["overhead gate: reference row %s has cpu_time <= 0: "
-                       "FAIL" % ref]
-    paired = load_paired_ratio(doc, row)
-    ratio = paired if paired is not None else times[row] / times[ref]
-    how = ("paired-median stamp" if paired is not None
-           else "%.1fns / %.1fns" % (times[row], times[ref]))
-    ok = ratio <= 1.0 + max_overhead
-    lines = ["overhead gate: %s vs %s = %.3f (%s, limit %.3f): %s" %
-             (row, ref, ratio, how, 1.0 + max_overhead,
-              "ok" if ok else "FAIL")]
-    return ok, lines
-
-
 def check_context_speedup(doc, key, min_ratio):
     """Floor gate on a scripts/bench.sh side-run context stamp (e.g.
     "avx512_speedup BM_SlimForwardFused/wide_b1") in the committed
@@ -367,33 +315,6 @@ def self_test(baseline, preset):
     else:
         extra = ""
 
-    # The overhead comparator must pass the recorded ratio and fail a
-    # hand-inflated one (the baseline is only committed when the ratio
-    # gate holds, so the recorded rows must satisfy it).
-    if preset["overhead"] is not None:
-        overhead_row, overhead_ref, max_overhead = preset["overhead"]
-        ok_over, lines = check_overhead(baseline, overhead_row, overhead_ref,
-                                        max_overhead)
-        if not ok_over:
-            print("\n".join(lines), file=sys.stderr)
-            print("self-test FAILED: committed baseline violates the "
-                  "overhead gate", file=sys.stderr)
-            return False
-        inflated = copy.deepcopy(baseline)
-        for row in inflated.get("benchmarks", []):
-            if row.get("run_name", row.get("name", "")) == overhead_row:
-                row["cpu_time"] = row["cpu_time"] * (1.0 + 3 * max_overhead)
-                if "overhead_vs_direct" in row:
-                    row["overhead_vs_direct"] = (
-                        row["overhead_vs_direct"] * (1.0 + 3 * max_overhead))
-        ok_inflated, _ = check_overhead(inflated, overhead_row, overhead_ref,
-                                        max_overhead)
-        if ok_inflated:
-            print("self-test FAILED: hand-inflated overhead row passed",
-                  file=sys.stderr)
-            return False
-        extra += ", inflated overhead row rejected"
-
     # Every committed side-run stamp must satisfy its floor, and a
     # hand-lowered stamp must fail — so a regressed snapshot cannot be
     # committed and the stamp gate cannot rot into always-green. (Absent
@@ -463,10 +384,6 @@ def main():
 
     ok, lines = compare(baseline, current, preset["rows"],
                         preset["max_regress"], preset["calibrate"])
-    if preset["overhead"] is not None:
-        over_ok, over_lines = check_overhead(current, *preset["overhead"])
-        ok = ok and over_ok
-        lines.extend(over_lines)
     for key, floor in preset["context_floors"]:
         ctx_ok, ctx_lines = check_context_speedup(baseline, key, floor)
         ok = ok and ctx_ok

@@ -1,11 +1,9 @@
 #!/usr/bin/env bash
 # Builds Release and snapshots the serving-layer load sweep to
 # BENCH_serve.json at the repo root: closed-loop ingest:query mixes
-# (90/50/10), an open-loop paced-latency row, the sharded-router rows
-# (BM_ServeSmokeMixedRouted/1 gate + BM_ServeShards/{1,2,4} sweep), and the
-# pinned CI smoke row (BM_ServeSmokeMixed) plus the ALU calibration row
-# (BM_ServeCalibrate) that scripts/check_bench_regression.py uses to
-# cancel host speed.
+# (90/50/10), an open-loop paced-latency row, and the pinned CI smoke row
+# (BM_ServeSmokeMixed) plus the ALU calibration row (BM_ServeCalibrate)
+# that scripts/check_bench_regression.py uses to cancel host speed.
 #
 # CI re-runs only the smoke row (bench_serve_load --smoke) on every push
 # and diffs its cpu_time against this snapshot (see DESIGN.md §5).
@@ -99,16 +97,15 @@ done
 
 # Sanity: the gate rows must be present, or the serve regression gate has
 # silently vanished from the snapshot.
-for row in "BM_ServeSmokeMixed" "BM_ServeSmokeMixedRouted/1" \
-           "BM_ServeCalibrate"; do
+for row in "BM_ServeSmokeMixed" "BM_ServeCalibrate"; do
   if ! grep -q "\"${row}\"" "${repo_root}/BENCH_serve.json"; then
     echo "ERROR: ${row} missing from BENCH_serve.json" >&2
     exit 1
   fi
 done
 
-# The routed S=1 row must sit within the router-overhead bound the CI gate
-# enforces, or the snapshot would be born failing its own gate.
+# The snapshot must pass its own gate's self-test, or CI would be born
+# failing it.
 python3 "${repo_root}/scripts/check_bench_regression.py" --preset serve \
   --baseline "${repo_root}/BENCH_serve.json" --self-test
 

@@ -30,6 +30,11 @@ CoalesceOptions MakeCoalesceOptions(const SplashServiceOptions& o) {
 
 bool FiniteNonNegative(double v) { return std::isfinite(v) && v >= 0.0; }
 
+/// Class-1 margin of score row `r`.
+double Margin(const Matrix& scores, size_t r) {
+  return static_cast<double>(scores(r, 1)) - scores(r, 0);
+}
+
 }  // namespace
 
 Status SplashServiceOptions::Validate() const {
@@ -560,16 +565,6 @@ void SplashService::PublishedWatermark(uint64_t* seq, double* time) const {
   gate_.Unpin(idx);
 }
 
-CompositeWatermark SplashService::Watermark() const {
-  CompositeWatermark w;
-  ShardWatermark s;
-  PublishedWatermark(&s.seq, &s.time);
-  w.shards.push_back(s);
-  w.min_seq = w.total_seq = s.seq;
-  w.max_time = s.time;
-  return w;
-}
-
 ServeCounters SplashService::Counters() const {
   ServeCounters c;
   c.ingest_accepted = ingest_accepted_.load(std::memory_order_relaxed);
@@ -620,8 +615,31 @@ ServeStats SplashService::Stats() const {
   MergeEndpointHistograms(&ingest_merged, &apply_merged);
   st.ingest = ingest_merged.Summarize();
   st.apply = apply_merged.Summarize();
-  st.predict = MergedClientHistogram().Summarize();
+  LatencyHistogram predict_merged;
+  {
+    std::lock_guard<std::mutex> lk(clients_mu_);
+    predict_merged.Merge(retired_predict_hist_);
+    for (ClientHistogram* c : clients_) {
+      std::lock_guard<std::mutex> ck(c->mu);
+      predict_merged.Merge(c->hist);
+    }
+  }
+  st.predict = predict_merged.Summarize();
   return st;
+}
+
+void SplashService::RegisterClient(ClientHistogram* client) {
+  std::lock_guard<std::mutex> lk(clients_mu_);
+  clients_.push_back(client);
+}
+
+void SplashService::UnregisterClient(ClientHistogram* client) {
+  std::lock_guard<std::mutex> lk(clients_mu_);
+  clients_.erase(std::remove(clients_.begin(), clients_.end(), client),
+                 clients_.end());
+  // A departed client's samples stay in the service-level digest.
+  std::lock_guard<std::mutex> ck(client->mu);
+  retired_predict_hist_.Merge(client->hist);
 }
 
 // ---------------------------------------------------------------------------
@@ -631,7 +649,7 @@ ServeStats SplashService::Stats() const {
 // callers are combined by the QueryCoalescer into one group led by one of
 // them. Either way the snapshot critical section holds only replica reads
 // — the score copy-out happens after Unpin, and the client's
-// deadline/latency epilogue lives outside the service (serve/shard.cc).
+// deadline/latency epilogue runs after ScoreQueries returns.
 // ---------------------------------------------------------------------------
 
 void SplashService::ScoreSlots(QuerySlot* const* slots, size_t n,
@@ -678,7 +696,6 @@ void SplashService::ScoreSlots(QuerySlot* const* slots, size_t n,
     resp->score = 0.0;
     resp->watermark_seq = wm_seq;
     resp->watermark_time = wm_time;
-    resp->shard_watermarks.clear();  // single-service response
     resp->degraded = degraded;
     resp->deadline_exceeded = false;  // each caller re-checks after wakeup
   }
@@ -690,7 +707,8 @@ void SplashService::ScoreSlots(QuerySlot* const* slots, size_t n,
 }
 
 void SplashService::ScoreQueries(const std::vector<PropertyQuery>& queries,
-                                 ClientScratch* scratch, ServeResponse* resp) {
+                                 SplashQueryScratch* scratch,
+                                 ServeResponse* resp) {
   // Acquire on started_ is the happens-before edge to the replica
   // pointers: a call racing Start() sees false and returns empty rather
   // than reading half-prepared state.
@@ -704,9 +722,76 @@ void SplashService::ScoreQueries(const std::vector<PropertyQuery>& queries,
   if (!coalescer_.Submit(&slot)) {
     // Direct path (uncontended / coalescing off / ring full).
     QuerySlot* const one = &slot;
-    ScoreSlots(&one, 1, &scratch->predict);
+    ScoreSlots(&one, 1, scratch);
     coalescer_.EndDirect();
   }
+}
+
+// ---------------------------------------------------------------------------
+// ServeClient: every call goes through ScoreQueries. The timer/deadline/
+// histogram epilogue lives here, outside any snapshot pin.
+// ---------------------------------------------------------------------------
+
+ServeClient::ServeClient(SplashService* service) : service_(service) {
+  service_->RegisterClient(&hist_);
+}
+
+ServeClient::~ServeClient() { service_->UnregisterClient(&hist_); }
+
+void ServeClient::Predict(const std::vector<PropertyQuery>& queries,
+                          ServeResponse* resp, double timeout_s) {
+  WallTimer timer;
+  service_->ScoreQueries(queries, &scratch_, resp);
+  // Per-caller epilogue, outside any pin: the deadline is re-checked
+  // against this caller's own wall clock (a coalesced caller that lingered
+  // past its deadline is answered late-but-flagged, never dropped), and
+  // the latency sample includes the full wait.
+  const uint64_t ns = timer.Nanos();
+  if (timeout_s > 0.0 && static_cast<double>(ns) > timeout_s * 1e9) {
+    resp->deadline_exceeded = true;
+  }
+  {
+    std::lock_guard<std::mutex> lk(hist_.mu);
+    hist_.hist.RecordNs(ns);
+  }
+}
+
+void ServeClient::PredictNode(NodeId node, double time, ServeResponse* resp,
+                              double timeout_s) {
+  query_scratch_.resize(1);
+  query_scratch_[0] = PropertyQuery{node, time, 0};
+  Predict(query_scratch_, resp, timeout_s);
+  if (resp->scores.rows() == 1 && resp->scores.cols() >= 2) {
+    resp->score = Margin(resp->scores, 0);
+  }
+}
+
+void ServeClient::ScoreEdge(NodeId src, NodeId dst, double time,
+                            ServeResponse* resp, double timeout_s) {
+  query_scratch_.resize(2);
+  query_scratch_[0] = PropertyQuery{src, time, 0};
+  query_scratch_[1] = PropertyQuery{dst, time, 0};
+  Predict(query_scratch_, resp, timeout_s);
+  if (resp->scores.rows() == 2 && resp->scores.cols() >= 2) {
+    const double ms = Margin(resp->scores, 0);
+    const double md = Margin(resp->scores, 1);
+    resp->score = ms > md ? ms : md;
+  }
+}
+
+bool ServeClient::IngestEdgeWithRetry(const TemporalEdge& e, int max_attempts,
+                                      double initial_backoff_s) {
+  double backoff = initial_backoff_s > 0.0 ? initial_backoff_s : 0.0005;
+  for (int attempt = 0; attempt < max_attempts; ++attempt) {
+    const IngestResult r = service_->IngestEdge(e);
+    if (r.accepted()) return true;
+    if (!r.retryable()) return false;  // kInvalid / kStopped cannot succeed
+    if (attempt + 1 == max_attempts) break;
+    std::this_thread::sleep_for(
+        std::chrono::duration<double>(std::min(backoff, 0.1)));
+    backoff *= 2.0;
+  }
+  return false;
 }
 
 }  // namespace splash

@@ -50,15 +50,17 @@
 // robustness-under-shift literature tracks, surfaced where an operator
 // would watch them.
 //
-// The service is one QueryBackend (serve/shard.h); N of them compose into
-// a node-partitioned ShardedSplashService (serve/router.h) behind the same
-// interface.
+// One service is the whole serving tier: one model fed by one edge
+// stream, as the paper runs it. This header also holds its boundary
+// types — admission results, responses, counters — and ServeClient, the
+// per-reader handle every query goes through.
 
 #ifndef SPLASH_SERVE_SERVICE_H_
 #define SPLASH_SERVE_SERVICE_H_
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -75,11 +77,111 @@
 #include "runtime/pipeline.h"
 #include "serve/coalescer.h"
 #include "serve/ingest_queue.h"
-#include "serve/shard.h"
 #include "serve/snapshot.h"
 #include "serve/wal.h"
 
 namespace splash {
+
+/// Admission result of IngestEdge/SubmitTrain. Distinguishes retryable
+/// rejection (backlog under kDropNewest — the item was valid, the queue
+/// was full *now*) from permanent rejection (invalid at the boundary, or
+/// the service stopped), so retry loops need not consult counters to
+/// decide.
+class IngestResult {
+ public:
+  enum Code : uint8_t {
+    kAccepted = 0,        // enqueued; will be applied and published
+    kInvalid = 1,         // boundary rejection (bad id / non-finite time
+                          //  / label out of range / labels disabled) —
+                          //  retrying cannot help
+    kBacklogDropped = 2,  // kDropNewest backlog drop — retryable
+    kStopped = 3,         // service not running — permanent for this handle
+  };
+
+  constexpr IngestResult(Code code) : code_(code) {}  // NOLINT(runtime/explicit)
+
+  constexpr Code code() const { return code_; }
+  constexpr bool accepted() const { return code_ == kAccepted; }
+  /// True when the same call may succeed later (backlog pressure).
+  constexpr bool retryable() const { return code_ == kBacklogDropped; }
+
+  constexpr bool operator==(IngestResult o) const { return code_ == o.code_; }
+  constexpr bool operator!=(IngestResult o) const { return code_ != o.code_; }
+
+ private:
+  Code code_;
+};
+
+/// One answered query batch. `watermark_seq` edges (and every train batch
+/// at or before that boundary) are reflected in `scores`; `watermark_time`
+/// is the timestamp of the last reflected edge (0 when none).
+struct ServeResponse {
+  Matrix scores;               // B x out_dim class scores
+  double score = 0.0;          // convenience margin (see PredictNode/ScoreEdge)
+  uint64_t watermark_seq = 0;
+  double watermark_time = 0.0;
+  /// True while the snapshot trails what recovery knows is durable (WAL
+  /// replay still catching up) or after a durability I/O error put the
+  /// service into degraded (serving-but-not-logging) mode.
+  bool degraded = false;
+  /// Set when the caller passed a deadline to PredictNode/ScoreEdge/Predict
+  /// and the call overran it (the answer is still returned — the flag lets
+  /// the caller decide whether a late answer is a useful answer).
+  bool deadline_exceeded = false;
+};
+
+/// Monotone counters of the service boundary (drift/quality signals).
+struct ServeCounters {
+  uint64_t ingest_accepted = 0;
+  uint64_t ingest_dropped = 0;
+  uint64_t train_accepted = 0;
+  uint64_t train_dropped = 0;
+  uint64_t batches_applied = 0;
+  uint64_t train_steps = 0;
+  // SLIM weight-pack rebuilds both replicas performed while serving (WAL
+  // replay, apply, catch-up; not Prepare/Fit). Packs follow the weights,
+  // so an edge-only batch adds 0 and a training batch adds 1: the
+  // published replica's TrainStep packs, the catch-up copies its packs.
+  uint64_t weight_packs = 0;
+  uint64_t queries = 0;
+  uint64_t unseen_node_queries = 0;  // queried node not in the train seen set
+  // One-row reads answered from the published replica's cold-read memo
+  // (SplashPredictor::PredictBatchConst): nodes no edge has touched.
+  uint64_t cold_reads = 0;
+  // Read-path coalescing (DESIGN.md §5b).
+  uint64_t coalesced_groups = 0;    // leader rounds executed
+  uint64_t coalesced_callers = 0;   // Predict* calls answered via a group
+  uint64_t direct_calls = 0;        // bypass / fallback per-query calls
+  uint64_t novel_ingest_nodes = 0;   // ids first observed by the service
+  uint64_t time_regressions = 0;     // out-of-order timestamps clamped
+  uint64_t published_seq = 0;        // edges in the published snapshot
+  double published_time = 0.0;       // its last edge's timestamp
+  size_t queue_depth = 0;
+  size_t queue_high_watermark = 0;
+  // Durability counters (all zero when data_dir is unset).
+  uint64_t wal_records = 0;
+  uint64_t wal_fsyncs = 0;
+  uint64_t wal_io_errors = 0;
+  uint64_t checkpoints_written = 0;
+  uint64_t recovered_seq = 0;             // watermark recovery restored to
+  uint64_t recovery_replayed_batches = 0; // WAL records replayed at recovery
+  bool degraded = false;
+};
+
+struct ServeStats {
+  ServeCounters counters;
+  LatencySummary predict;  // per-query latency, merged over clients
+  LatencySummary ingest;   // producer enqueue latency (incl. block time)
+  LatencySummary apply;    // per-micro-batch apply latency
+};
+
+/// One client's predict-latency histogram, registered with the service so
+/// Stats() can merge it. The mutex serializes the client's RecordNs
+/// against the service's Stats() walk.
+struct ClientHistogram {
+  std::mutex mu;
+  LatencyHistogram hist;
+};
 
 struct SplashServiceOptions {
   /// Micro-batch size watermark: the apply thread coalesces up to this
@@ -133,11 +235,14 @@ struct SplashServiceOptions {
   Status Validate() const;
 };
 
-class SplashService final : public QueryBackend {
+class SplashService {
  public:
   SplashService(const SplashOptions& model_opts,
                 const SplashServiceOptions& opts);
-  ~SplashService() override;
+  ~SplashService();
+
+  SplashService(const SplashService&) = delete;
+  SplashService& operator=(const SplashService&) = delete;
 
   /// Prepares replica 0 on `warmup` (feature fitting + selection and,
   /// when `fit` is non-null, a full StreamTrainer::Fit), resets streaming
@@ -160,49 +265,38 @@ class SplashService final : public QueryBackend {
   Status RecoverOrStart(const Dataset& warmup, const ChronoSplit& split,
                         const TrainerOptions* fit = nullptr);
 
-  // ---- QueryBackend (serve/shard.h) ----
-
-  /// The canonical read path: scores `queries` against the pinned front
-  /// replica into `resp` (uncontended callers take the direct per-query
-  /// path; contended callers may be combined by the QueryCoalescer — same
-  /// scores bit-for-bit). Wait-free with respect to ingest. A call racing
-  /// Start() returns an empty response rather than reading half-prepared
-  /// state.
-  void ScoreQueries(const std::vector<PropertyQuery>& queries,
-                    ClientScratch* scratch, ServeResponse* resp) override;
-
   /// Enqueues one edge. kInvalid on boundary rejection (invalid endpoint /
   /// non-finite timestamp — counted as ingest_dropped), kBacklogDropped on
   /// a kDropNewest backlog drop, kStopped when not running. Out-of-order
   /// timestamps are clamped to the log's max at apply time (counted as
   /// time_regressions).
-  IngestResult IngestEdge(const TemporalEdge& e) override;
+  IngestResult IngestEdge(const TemporalEdge& e);
 
   /// Enqueues one labeled training query, applied as part of a staged
   /// train step at the next micro-batch boundary (after that batch's
   /// edges). kInvalid on boundary rejection (invalid node, non-finite
   /// time, class_label outside [0, num_classes) — counted as
   /// train_dropped) and, uncounted, when train_on_ingest_labels is off.
-  IngestResult SubmitTrain(const PropertyQuery& q) override;
+  IngestResult SubmitTrain(const PropertyQuery& q);
 
   /// Blocks until everything accepted before the call is applied AND
   /// published. No-op when not running.
-  void Flush() override;
+  void Flush();
 
   /// Drains the queue, applies the tail, stops the apply thread. Queries
   /// remain valid after Stop() (the final snapshot stays published).
   /// Idempotent and safe before Start(): a never-started service ignores
   /// the call (and its queue stays usable for a later Start).
-  void Stop() override;
+  void Stop();
 
-  bool running() const override { return running_; }
-  ServeStats Stats() const override;
-  uint64_t published_seq() const override;
-  /// One-shard composite: a single (0, seq, time) entry read consistently
-  /// under one pin.
-  CompositeWatermark Watermark() const override;
-
-  // ---- Single-service surface ----
+  bool running() const { return running_; }
+  /// Counters plus the predict/ingest/apply latency summaries, each
+  /// merged bucket-wise over its histograms and summarized once.
+  ServeStats Stats() const;
+  /// Counters only (no histogram merge).
+  ServeCounters Counters() const;
+  /// Edges reflected in the published snapshot.
+  uint64_t published_seq() const;
 
   /// Sticky degraded flag: set on durability I/O errors and on WAL replay
   /// gaps at recovery — "serving, but not everything promised durable/
@@ -213,16 +307,6 @@ class SplashService final : public QueryBackend {
   bool recovered_from_checkpoint() const {
     return recovered_from_checkpoint_;
   }
-
-  /// Counters only (no histogram merge) — the router aggregates shards
-  /// via ServeCounters::MergeFrom without summarizing twice.
-  ServeCounters Counters() const;
-  /// Folds this service's endpoint histograms into the given accumulators
-  /// (exact bucket-wise merges; Stats() and the router build on this).
-  void MergeEndpointHistograms(LatencyHistogram* ingest,
-                               LatencyHistogram* apply) const;
-  /// The published (seq, time) pair, read consistently under one pin.
-  void PublishedWatermark(uint64_t* seq, double* time) const;
 
   /// Test hook — stable only while quiescent (after Flush() with no
   /// concurrent producers, or after Stop()). The applied micro-batch
@@ -236,6 +320,33 @@ class SplashService final : public QueryBackend {
   void SerializePredictorState(ByteWriter* w) const;
 
  private:
+  // ServeClient is the one read handle: it registers its predict
+  // histogram and reads through ScoreQueries.
+  friend class ServeClient;
+
+  /// The canonical read path behind every ServeClient call: scores
+  /// `queries` against the pinned front replica into `resp` (uncontended
+  /// callers take the direct per-query path through `scratch`; contended
+  /// callers may be combined by the QueryCoalescer — same scores
+  /// bit-for-bit). Wait-free with respect to ingest. A call racing
+  /// Start() returns an empty response rather than reading half-prepared
+  /// state. `scratch` must be used by one thread at a time; it and `resp`
+  /// are grow-only across calls.
+  void ScoreQueries(const std::vector<PropertyQuery>& queries,
+                    SplashQueryScratch* scratch, ServeResponse* resp);
+
+  // Client registry: each ServeClient registers its histogram so Stats()
+  // can merge per-client predict latency; a departed client's samples
+  // are folded into the retired digest.
+  void RegisterClient(ClientHistogram* client);
+  void UnregisterClient(ClientHistogram* client);
+  /// Folds the endpoint histograms into the given accumulators (exact
+  /// bucket-wise merges).
+  void MergeEndpointHistograms(LatencyHistogram* ingest,
+                               LatencyHistogram* apply) const;
+  /// The published (seq, time) pair, read consistently under one pin.
+  void PublishedWatermark(uint64_t* seq, double* time) const;
+
   /// The one read body. Scores every slot's queries under ONE snapshot
   /// pin with one fused batch forward into `scratch`, then scatters score
   /// rows and the common watermark/degraded flag into each slot's
@@ -340,7 +451,7 @@ class SplashService final : public QueryBackend {
   // thread (hash of thread id) so concurrent producers do not serialize
   // on one mutex just to bump a bucket; the apply histogram has a single
   // writer and shares the stats lock. Per-client predict histograms live
-  // with the clients and are merged via the QueryBackend registry.
+  // with the clients and are merged via the client registry.
   static constexpr size_t kIngestHistStripes = 8;
   struct HistStripe {
     std::mutex mu;
@@ -350,6 +461,9 @@ class SplashService final : public QueryBackend {
   void RecordIngestNs(uint64_t ns);
   mutable std::mutex hist_mu_;
   LatencyHistogram apply_hist_;
+  mutable std::mutex clients_mu_;
+  std::vector<ClientHistogram*> clients_;
+  LatencyHistogram retired_predict_hist_;
 
   // Apply-thread state.
   std::vector<IngestItem> batch_scratch_;
@@ -371,6 +485,54 @@ class SplashService final : public QueryBackend {
   std::atomic<uint64_t> recovery_target_seq_{0};
   std::atomic<uint64_t> wal_records_{0}, wal_fsyncs_{0}, wal_io_errors_{0};
   std::atomic<uint64_t> checkpoints_written_{0}, recovery_replayed_{0};
+};
+
+/// A reader handle: owns the per-thread query scratch and the per-client
+/// predict latency histogram. One per reader thread; must not outlive the
+/// service. Queries are wait-free with respect to ingest.
+class ServeClient {
+ public:
+  explicit ServeClient(SplashService* service);
+  ~ServeClient();
+
+  ServeClient(const ServeClient&) = delete;
+  ServeClient& operator=(const ServeClient&) = delete;
+
+  /// The canonical call: scores a batch of property queries against the
+  /// current snapshot into a caller-owned response. `resp`'s score
+  /// matrix is grow-only, so reusing one response across calls keeps the
+  /// steady-state single-caller read path allocation-free (the
+  /// counting-allocator gate in tests/serve_coalesce_test.cc pins this).
+  /// `timeout_s` > 0 sets a per-call deadline: the answer is always
+  /// computed (queries never block on ingest, so there is nothing to
+  /// cancel), but `deadline_exceeded` is set when the call overran it.
+  /// Under concurrency the call may be answered by a coalesced group
+  /// (DESIGN.md §5b) — same scores bit-for-bit, one shared snapshot pin.
+  void Predict(const std::vector<PropertyQuery>& queries, ServeResponse* resp,
+               double timeout_s = 0.0);
+
+  /// Scores one node; `score` = class-1 margin (scores(0,1) - scores(0,0)).
+  void PredictNode(NodeId node, double time, ServeResponse* resp,
+                   double timeout_s = 0.0);
+
+  /// Scores an edge as max of its endpoints' class-1 margins (the
+  /// service-level anomaly score); both endpoints share one snapshot.
+  void ScoreEdge(NodeId src, NodeId dst, double time, ServeResponse* resp,
+                 double timeout_s = 0.0);
+
+  /// Bounded retry-with-backoff around IngestEdge for kDropNewest-mode
+  /// bursts: retries a RETRYABLE rejection (IngestResult::kBacklogDropped)
+  /// up to `max_attempts` times, sleeping `initial_backoff_s` doubled per
+  /// attempt (capped at 100ms). Permanent rejections (kInvalid, kStopped)
+  /// return false immediately — they cannot succeed.
+  bool IngestEdgeWithRetry(const TemporalEdge& e, int max_attempts = 4,
+                           double initial_backoff_s = 0.0005);
+
+ private:
+  SplashService* service_;
+  SplashQueryScratch scratch_;
+  std::vector<PropertyQuery> query_scratch_;  // for the 1-2 row endpoints
+  ClientHistogram hist_;
 };
 
 }  // namespace splash

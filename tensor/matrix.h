@@ -37,6 +37,8 @@ namespace splash {
 class AlignedBuffer {
  public:
   static constexpr size_t kAlignment = 64;
+  /// Floats per 64 B line: capacity is always a whole number of lines.
+  static constexpr size_t kLineFloats = kAlignment / sizeof(float);
 
   AlignedBuffer() = default;
   ~AlignedBuffer() { delete[] raw_; }
@@ -81,12 +83,17 @@ class AlignedBuffer {
     return *this;
   }
 
-  /// Grows to at least `n` elements (geometric, grow-only), preserving the
-  /// existing contents and zeroing the newly exposed cells — the same
-  /// contract std::vector<float>::resize gave the score accumulators.
+  /// Grows to at least `n` elements (grow-only), preserving the existing
+  /// contents and zeroing the newly exposed cells — the same contract
+  /// std::vector<float>::resize gave the score accumulators. The first
+  /// allocation is `n` rounded up to whole 64 B lines, so a tail vector
+  /// load stays in bounds; later growth doubles.
   void Resize(size_t n) {
     if (n > cap_) {
-      size_t new_cap = cap_ < 16 ? 16 : cap_;
+      size_t new_cap = cap_;
+      if (new_cap == 0) {
+        new_cap = (n + kLineFloats - 1) / kLineFloats * kLineFloats;
+      }
       while (new_cap < n) new_cap *= 2;
       char* raw = new char[new_cap * sizeof(float) + kAlignment];
       const uintptr_t base = reinterpret_cast<uintptr_t>(raw);

@@ -6,8 +6,9 @@
 // per-worker gradient scratch and the ParallelFor dispatch must be
 // grow-only too. Global operator new/delete are replaced with counting
 // shims that also sum the requested bytes, which pins the footprint of a
-// read-only SLIM copy and of S-mode streaming state (DESIGN.md §5); a
-// scoped flag confines the assertion to the measured region.
+// read-only SLIM copy, of S-mode streaming state (DESIGN.md §5) and of a
+// buffer's first allocation; a scoped flag confines the assertion to the
+// measured region.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +28,7 @@
 #include "graph/neighbor_memory.h"
 #include "runtime/pipeline.h"
 #include "runtime/thread_pool.h"
+#include "tensor/matrix.h"
 #include "tensor/rng.h"
 #include "tensor/simd.h"
 
@@ -164,6 +166,30 @@ TEST(AllocationSteadyStateTest, ReadOnlySlimCopyHoldsWeightsAndPacksOnly) {
   EXPECT_LE(static_cast<double>(bytes), 2.1 * param_bytes)
       << "read-only copy holds " << bytes / param_bytes
       << "x the parameter bytes";
+}
+
+TEST(AllocationSteadyStateTest, FirstAllocationHoldsWholeLinesNotPowersOfTwo) {
+  // A buffer's first allocation is its size rounded up to whole 64 B lines
+  // (plus one line of alignment slack), so weights, moments and one-row
+  // scratch, which never grow, hold what they use.
+  constexpr size_t kLine = AlignedBuffer::kAlignment;
+  for (const size_t n : {size_t{1}, size_t{16}, size_t{17}, size_t{1000},
+                         size_t{81920}}) {
+    AlignedBuffer buf;
+    const size_t lines = (n * sizeof(float) + kLine - 1) / kLine;
+    EXPECT_EQ(AllocatedBytes([&] { buf.Resize(n); }), (lines + 1) * kLine)
+        << n << " floats";
+  }
+  EXPECT_EQ(AllocatedBytes([] { Matrix w(80, 1024); }),
+            80 * 1024 * sizeof(float) + kLine);
+
+  // Growth past the first allocation still doubles, so grow-only scratch
+  // reallocates O(log n) times.
+  AlignedBuffer grown;
+  grown.Resize(1000);
+  EXPECT_EQ(AllocatedBytes([&] { grown.Resize(1009); }),
+            2 * 1008 * sizeof(float) + kLine);
+  EXPECT_EQ(CountAllocations([&] { grown.Resize(2016); }), 0u);
 }
 
 TEST(AllocationSteadyStateTest, StructuralStreamingStateIgnoresFeatureDim) {

@@ -12,7 +12,10 @@
 //   - watermarks are monotone, Flush publishes everything accepted, and
 //     the drift counters (unseen-node queries, novel ingest ids) move;
 //   - cold_reads counts the untouched-node reads the memo answered, and
-//     Validate refuses a micro-batch larger than the queue.
+//     Validate refuses a micro-batch larger than the queue;
+//   - IngestResult classifies every rejection, Validate names the
+//     offending field, ScoreEdge scores the larger endpoint margin, and a
+//     departed client's latency samples stay in Stats().
 
 #include <gtest/gtest.h>
 
@@ -20,6 +23,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/splash.h"
@@ -468,6 +472,53 @@ TEST_F(ServeServiceTest, DriftCountersAndLatencyHistogramsMove) {
   EXPECT_GE(st.ingest.count, 2u);
   EXPECT_GT(st.apply.count, 0u);
   EXPECT_GT(st.counters.batches_applied, 0u);
+
+  // A departed client's samples stay in the service's predict digest.
+  {
+    ServeClient departed(&service);
+    departed.PredictNode(novel, t_end + 1.0, &r1);
+  }
+  EXPECT_EQ(service.Stats().predict.count, 3u);
+}
+
+// ScoreEdge answers both endpoints from one snapshot: its rows are the
+// endpoints' PredictNode rows bit for bit, and its score is the larger of
+// their class-1 margins.
+TEST_F(ServeServiceTest, ScoreEdgeIsTheMaxOfItsEndpointMargins) {
+  const Dataset ds = MakeWarmup();
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
+  const std::vector<TemporalEdge> live = LiveEdges(ds, split);
+  SplashServiceOptions sopts;
+  sopts.train_on_ingest_labels = false;
+  SplashService service(SmallModelOptions(), sopts);
+  TrainerOptions fit = SmallFit();
+  ASSERT_TRUE(service.Start(ds, split, &fit).ok());
+  const size_t n = std::min<size_t>(live.size(), 300);
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(service.IngestEdge(live[i]).accepted());
+  }
+  service.Flush();
+
+  ServeClient client(&service);
+  const double t = live[n - 1].time;
+  const NodeId a = live[n - 1].src, b = live[n - 1].dst;
+  ASSERT_NE(a, b);
+  ServeResponse edge, ma, mb;
+  client.ScoreEdge(a, b, t, &edge);
+  client.PredictNode(a, t, &ma);
+  client.PredictNode(b, t, &mb);
+  service.Stop();
+
+  // Quiesced, so the snapshot cannot move between the calls.
+  ASSERT_EQ(edge.scores.rows(), 2u);
+  ASSERT_EQ(ma.scores.cols(), edge.scores.cols());
+  for (size_t c = 0; c < edge.scores.cols(); ++c) {
+    EXPECT_EQ(edge.scores(0, c), ma.scores(0, c)) << "src row col " << c;
+    EXPECT_EQ(edge.scores(1, c), mb.scores(0, c)) << "dst row col " << c;
+  }
+  EXPECT_NE(ma.score, mb.score) << "equal margins cannot tell max from min";
+  EXPECT_EQ(edge.score, std::max(ma.score, mb.score));
+  EXPECT_EQ(edge.watermark_seq, n);
 }
 
 TEST_F(ServeServiceTest, InvalidEdgesRejectedAtTheBoundary) {
@@ -572,6 +623,100 @@ TEST_F(ServeServiceTest, WatermarkMonotonePerClientAcrossUnflushedIngest) {
   }
   service.Stop();
   EXPECT_EQ(service.published_seq(), n);
+}
+
+// IngestResult classifies every admission outcome, so a retry loop can
+// tell retryable backlog from permanent rejection without counters.
+TEST_F(ServeServiceTest, IngestResultClassifiesRejections) {
+  const Dataset ds = MakeWarmup(800);
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
+  const std::vector<TemporalEdge> live = LiveEdges(ds, split);
+  ASSERT_FALSE(live.empty());
+
+  SplashServiceOptions sopts;
+  sopts.queue_capacity = 4;
+  sopts.backpressure = BackpressurePolicy::kDropNewest;
+  sopts.microbatch_max_items = 4;  // apply waits for a full queue
+  sopts.microbatch_max_delay_s = 0.05;
+  sopts.train_on_ingest_labels = false;
+  SplashService service(SmallModelOptions(), sopts);
+
+  // Before Start: permanently rejected, not retryable.
+  EXPECT_EQ(service.IngestEdge(live[0]).code(), IngestResult::kStopped);
+  EXPECT_FALSE(service.IngestEdge(live[0]).retryable());
+
+  ASSERT_TRUE(service.Start(ds, split, nullptr).ok());
+
+  // Boundary rejection: kInvalid, never retryable, counted as a drop.
+  const IngestResult bad =
+      service.IngestEdge(TemporalEdge{kInvalidNode, 3, 1.0});
+  EXPECT_EQ(bad.code(), IngestResult::kInvalid);
+  EXPECT_FALSE(bad.accepted());
+  EXPECT_FALSE(bad.retryable());
+  static_assert(!std::is_constructible<bool, IngestResult>::value,
+                "callers read .accepted(); there is no bool conversion");
+
+  // Backlog pressure: a tiny kDropNewest ring under a burst classifies
+  // every non-accepted push as retryable backlog — nothing else.
+  size_t accepted = 0, backlog = 0;
+  for (size_t i = 0; i < 2000; ++i) {
+    const IngestResult r = service.IngestEdge(live[i % live.size()]);
+    if (r.accepted()) {
+      ++accepted;
+    } else {
+      ASSERT_EQ(r.code(), IngestResult::kBacklogDropped);
+      ASSERT_TRUE(r.retryable());
+      ++backlog;
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(backlog, 0u);
+  const ServeCounters c = service.Counters();
+  EXPECT_EQ(c.ingest_accepted, accepted);
+  EXPECT_EQ(c.ingest_dropped, backlog + 1);  // + the kInvalid probe
+
+  // SubmitTrain with feedback disabled: administrative rejection, not a
+  // counted drop, never retryable.
+  PropertyQuery q;
+  q.node = live[0].dst;
+  q.time = live[0].time;
+  q.class_label = 1;
+  const IngestResult off = service.SubmitTrain(q);
+  EXPECT_EQ(off.code(), IngestResult::kInvalid);
+  EXPECT_EQ(service.Counters().train_dropped, 0u);
+
+  service.Stop();
+  EXPECT_EQ(service.IngestEdge(live[0]).code(), IngestResult::kStopped);
+}
+
+TEST_F(ServeServiceTest, ValidateNamesTheOffendingField) {
+  const Dataset ds = MakeWarmup(800);
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
+
+  {
+    SplashServiceOptions o;
+    o.coalesce_max_batch = 64;
+    o.coalesce_ring_slots = 8;
+    const Status st = o.Validate();
+    ASSERT_FALSE(st.ok());
+    EXPECT_NE(st.message().find("coalesce_ring_slots"), std::string::npos);
+    // A misconfigured service refuses to start with the same error.
+    SplashService svc(SmallModelOptions(), o);
+    EXPECT_FALSE(svc.Start(ds, split, nullptr).ok());
+    EXPECT_FALSE(svc.running());
+  }
+  {
+    SplashServiceOptions o;
+    o.microbatch_max_items = 0;
+    EXPECT_NE(o.Validate().message().find("microbatch_max_items"),
+              std::string::npos);
+  }
+  {
+    SplashServiceOptions o;
+    o.queue_capacity = 0;
+    EXPECT_NE(o.Validate().message().find("queue_capacity"),
+              std::string::npos);
+  }
 }
 
 }  // namespace
