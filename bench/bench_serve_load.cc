@@ -59,12 +59,9 @@ uint64_t ProcessCpuNs() {
          static_cast<uint64_t>(ts.tv_nsec);
 }
 
-/// `wide` picks the serving-realistic model for the coalescing sweeps: the
-/// hidden-layer GEMM dominates per-query cost, and its row count is the
-/// batch size — a lone query pays the full 8-row register-tile cost of the
-/// SIMD micro-kernels, so coalesced batches are where the wide backends
-/// reach their GEMM-shaped sweet spot (DESIGN.md §5b). The tiny default
-/// stays pinned for the CI gate row.
+/// `wide` picks the serving-realistic model for the concurrent-reader row:
+/// the hidden-layer GEMM dominates per-query cost. The tiny default stays
+/// pinned for the CI gate row.
 SplashOptions LoadModelOptions(bool wide) {
   SplashOptions opts;
   opts.mode = SplashMode::kForceStructural;  // no selection pass
@@ -100,15 +97,8 @@ struct LoadConfig {
   size_t ops = 20000;
   double open_loop_rate = 0.0;  // > 0: paced arrivals per second
   uint64_t seed = 1234;
-  /// Read-path query coalescing (DESIGN.md §5b). Off pins the per-query
-  /// path — the BM_PredictPerQuery baseline of the coalescing speedup.
-  bool coalesce = true;
   /// Serving-realistic model dims (see LoadModelOptions).
   bool wide_model = false;
-  /// Gather-window override; < 0 keeps the service default. The
-  /// inflight-aware early break makes a generous window safe: it is only
-  /// ever spent while in-flight callers are still en route to the ring.
-  double linger_s = -1.0;
   /// "" = no durability; "none"/"batch"/"always" = durable service (WAL +
   /// checkpoints in a throwaway dir) with that fsync policy — the
   /// durability-overhead row of BENCH_serve.json.
@@ -127,8 +117,6 @@ RowResult RunScenario(const LoadConfig& cfg, const Dataset& warmup,
   sopts.queue_capacity = 8192;
   sopts.backpressure = BackpressurePolicy::kBlock;
   sopts.train_on_ingest_labels = false;
-  sopts.coalesce_max_batch = cfg.coalesce ? 32 : 1;
-  if (cfg.linger_s >= 0.0) sopts.coalesce_max_linger_s = cfg.linger_s;
   std::string wal_dir;
   if (!cfg.wal.empty()) {
     char tmpl[] = "/tmp/splash_bench_wal_XXXXXX";
@@ -312,10 +300,7 @@ void WriteJson(const std::string& path,
           "      \"batches_applied\": %" PRIu64 ",\n"
           "      \"wal_records\": %" PRIu64 ",\n"
           "      \"wal_fsyncs\": %" PRIu64 ",\n"
-          "      \"checkpoints_written\": %" PRIu64 ",\n"
-          "      \"coalesced_groups\": %" PRIu64 ",\n"
-          "      \"coalesced_callers\": %" PRIu64 ",\n"
-          "      \"direct_calls\": %" PRIu64,
+          "      \"checkpoints_written\": %" PRIu64,
           r.stats.predict.p50_ns, r.stats.predict.p99_ns,
           r.stats.predict.p999_ns, r.stats.ingest.p99_ns,
           r.stats.apply.p99_ns, r.stats.counters.queries,
@@ -323,9 +308,7 @@ void WriteJson(const std::string& path,
           r.stats.counters.published_seq,
           r.stats.counters.unseen_node_queries,
           r.stats.counters.batches_applied, r.stats.counters.wal_records,
-          r.stats.counters.wal_fsyncs, r.stats.counters.checkpoints_written,
-          r.stats.counters.coalesced_groups, r.stats.counters.coalesced_callers,
-          r.stats.counters.direct_calls);
+          r.stats.counters.wal_fsyncs, r.stats.counters.checkpoints_written);
     }
     std::fprintf(f, "\n    }%s\n", i + 1 < rows.size() ? "," : "");
   }
@@ -449,54 +432,18 @@ int Main(int argc, char** argv) {
     std::sort(std::begin(wreps), std::end(wreps), by_cpu);
     rows.push_back(wreps[1]);
 
-    // Read-path coalescing sweeps (DESIGN.md §5b). Not gated rows — they
-    // document what the coalescer buys on this host: the same pinned 50:50
-    // mix at rising driver counts, then a pure-query reader sweep whose
-    // 16-reader point is compared against the per-query (coalescing off)
-    // baseline below.
-    for (const size_t t : {1, 8, 32}) {
-      LoadConfig cc = c;
-      cc.name = "BM_ServeSmokeMixed/coalesce:" + std::to_string(t);
-      cc.driver_threads = t;
-      cc.seed = 77 + t;
-      rows.push_back(RunScenario(cc, ds, split, live));
-    }
-    // Pure-query reader sweeps on the serving-realistic wide model, where
-    // per-query compute is deep enough for batch-GEMM amortization to beat
-    // the wake-up tax. The 16-reader point pairs with the per-query
-    // (coalescing off) baseline below: that ratio is the coalescing
-    // speedup this host delivers. Fewer ops than the gate row: each wide
-    // query costs ~100x a tiny one, and these rows are speedup probes,
-    // not the regression gate.
-    constexpr size_t kWideOps = 6000;
-    double coalesced16_cpu = 0.0;
-    for (const size_t t : {1, 4, 16, 64}) {
-      LoadConfig cq;
-      cq.name = "BM_PredictCoalesced/" + std::to_string(t);
-      cq.ingest_frac = 0.0;
-      cq.driver_threads = t;
-      cq.ops = kWideOps;
-      cq.seed = 900 + t;
-      cq.wide_model = true;
-      cq.linger_s = 200e-6;  // covers the post-group wake/resubmit phase
-      rows.push_back(RunScenario(cq, ds, split, live));
-      if (t == 16) coalesced16_cpu = rows.back().cpu_ns_per_op;
-    }
-    {
-      LoadConfig cq;
-      cq.name = "BM_PredictPerQuery/16";
-      cq.ingest_frac = 0.0;
-      cq.driver_threads = 16;
-      cq.ops = kWideOps;
-      cq.seed = 916;
-      cq.coalesce = false;
-      cq.wide_model = true;
-      rows.push_back(RunScenario(cq, ds, split, live));
-      if (coalesced16_cpu > 0.0) {
-        std::printf("\ncoalesce speedup @16 readers (cpu/op): %.2fx\n",
-                    rows.back().cpu_ns_per_op / coalesced16_cpu);
-      }
-    }
+    // Sixteen concurrent pure-query readers on the serving-realistic wide
+    // model. Not a gated row: it records what concurrent wide reads cost
+    // on this host. Fewer ops than the gate row: each wide query costs
+    // ~100x a tiny one.
+    LoadConfig cq;
+    cq.name = "BM_PredictPerQuery/16";
+    cq.ingest_frac = 0.0;
+    cq.driver_threads = 16;
+    cq.ops = 6000;
+    cq.seed = 916;
+    cq.wide_model = true;
+    rows.push_back(RunScenario(cq, ds, split, live));
   }
   if (!smoke) {
     Dataset ds;

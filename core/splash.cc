@@ -309,17 +309,6 @@ const Matrix& SplashPredictor::PredictBatchConst(
   return slim_->PredictConst(*batch, &scratch->fwd);
 }
 
-void SplashPredictor::WarmQueryScratch(size_t max_batch,
-                                       SplashQueryScratch* scratch) const {
-  if (max_batch == 0) return;
-  std::vector<PropertyQuery> dummy(max_batch, PropertyQuery{0, 0.0, 0});
-  (void)PredictBatchConst(dummy, scratch);
-  // A memo answer runs no forward, so it grew no forward scratch.
-  if (scratch->cold_read) {
-    (void)slim_->PredictConst(scratch->batch, &scratch->fwd);
-  }
-}
-
 void SplashPredictor::StageBatch(const std::vector<PropertyQuery>& queries) {
   staged_rows_ = queries.size();
   if (!slim_ || queries.empty()) return;

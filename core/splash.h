@@ -118,12 +118,6 @@ class SplashPredictor : public TemporalPredictor {
   const Matrix& PredictBatchConst(const std::vector<PropertyQuery>& queries,
                                   SplashQueryScratch* scratch) const;
 
-  /// Pre-grows `scratch` (batch tensors + SLIM forward scratch) for query
-  /// batches up to `max_batch` rows by running one throwaway const forward,
-  /// so the first real batch at that width allocates nothing. The serving
-  /// layer warms its coalesced-group scratch with this at Start().
-  void WarmQueryScratch(size_t max_batch, SplashQueryScratch* scratch) const;
-
   // Const views for the serving layer's drift/quality counters.
   const FeatureAugmenter& augmenter() const { return augmenter_; }
   const NeighborMemory& memory() const { return memory_; }

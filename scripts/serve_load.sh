@@ -82,12 +82,6 @@ ctx = base.setdefault("context", {})
 ctx["%s_cpu_ns BM_ServeSmokeMixed" % kernel] = "%.1f" % t
 if b > 0:
     ctx["%s_speedup BM_ServeSmokeMixed" % kernel] = "%.2f" % (b / t)
-# Read-path coalescing speedup on this backend: the wide-model 16-reader
-# coalesced row vs its per-query twin (DESIGN.md §5b).
-per = row(side, "BM_PredictPerQuery/16").get("cpu_time", 0.0)
-coal = row(side, "BM_PredictCoalesced/16").get("cpu_time", 0.0)
-if per > 0 and coal > 0:
-    ctx["%s_coalesce_speedup16" % kernel] = "%.2f" % (per / coal)
 with open(base_path, "w") as f:
     json.dump(base, f, indent=1)
     f.write("\n")

@@ -20,14 +20,6 @@ namespace splash {
 
 namespace {
 
-CoalesceOptions MakeCoalesceOptions(const SplashServiceOptions& o) {
-  CoalesceOptions c;
-  c.max_batch = o.coalesce_max_batch;
-  c.max_linger_s = o.coalesce_max_linger_s;
-  c.ring_slots = o.coalesce_ring_slots;
-  return c;
-}
-
 bool FiniteNonNegative(double v) { return std::isfinite(v) && v >= 0.0; }
 
 /// Class-1 margin of score row `r`.
@@ -56,17 +48,6 @@ Status SplashServiceOptions::Validate() const {
         "queue_capacity (a batch larger than the queue never fills, so "
         "every micro-batch would wait out microbatch_max_delay_s)");
   }
-  if (!FiniteNonNegative(coalesce_max_linger_s)) {
-    return Status::Error(
-        "SplashServiceOptions.coalesce_max_linger_s: must be finite and "
-        ">= 0");
-  }
-  if (coalesce_max_batch > 1 && coalesce_ring_slots < coalesce_max_batch) {
-    return Status::Error(
-        "SplashServiceOptions.coalesce_ring_slots: must be >= "
-        "coalesce_max_batch (a ring smaller than one group can never fill "
-        "a group)");
-  }
   if (!data_dir.empty() && wal_fsync == WalFsyncPolicy::kBatch &&
       wal_group_records < 1) {
     return Status::Error(
@@ -80,13 +61,7 @@ SplashService::SplashService(const SplashOptions& model_opts,
                              const SplashServiceOptions& opts)
     : model_opts_(model_opts),
       opts_(opts),
-      queue_(opts.queue_capacity, opts.backpressure),
-      coalescer_(MakeCoalesceOptions(opts),
-                 [](void* ctx, QuerySlot* const* slots, size_t n) {
-                   auto* self = static_cast<SplashService*>(ctx);
-                   self->ScoreSlots(slots, n, &self->gather_scratch_);
-                 },
-                 this) {}
+      queue_(opts.queue_capacity, opts.backpressure) {}
 
 SplashService::~SplashService() { Stop(); }
 
@@ -199,12 +174,6 @@ Status SplashService::Boot(const Dataset& warmup, const ChronoSplit& split,
   recovery_target_seq_.store(tail.empty() ? log_.size() : tail.back().seq_end,
                              std::memory_order_relaxed);
   if (gap) degraded_.store(true, std::memory_order_relaxed);
-
-  // Pre-grow the coalesced-group scratch so the first full-width group
-  // allocates nothing (PredictNode callers are 1 row each).
-  gather_queries_.reserve(opts_.coalesce_max_batch * 2);
-  replicas_[0]->WarmQueryScratch(opts_.coalesce_max_batch * 2,
-                                 &gather_scratch_);
 
   // Queries may run during replay; they see the advancing snapshots and
   // answer degraded=true until the watermark reaches the replay target.
@@ -578,9 +547,6 @@ ServeCounters SplashService::Counters() const {
   c.unseen_node_queries =
       unseen_node_queries_.load(std::memory_order_relaxed);
   c.cold_reads = cold_reads_.load(std::memory_order_relaxed);
-  c.coalesced_groups = coalescer_.groups();
-  c.coalesced_callers = coalescer_.coalesced_callers();
-  c.direct_calls = coalescer_.direct_calls();
   c.novel_ingest_nodes = novel_ingest_nodes_.load(std::memory_order_relaxed);
   c.time_regressions = time_regressions_.load(std::memory_order_relaxed);
   c.queue_depth = queue_.size();
@@ -643,68 +609,11 @@ void SplashService::UnregisterClient(ClientHistogram* client) {
 }
 
 // ---------------------------------------------------------------------------
-// Read path (DESIGN.md §5b). Every ServeClient::Predict* call funnels into
-// ScoreQueries, and every answer comes out of ScoreSlots: an uncontended
-// caller is a group of one scored into its own client scratch; contended
-// callers are combined by the QueryCoalescer into one group led by one of
-// them. Either way the snapshot critical section holds only replica reads
-// — the score copy-out happens after Unpin, and the client's
-// deadline/latency epilogue runs after ScoreQueries returns.
+// Read path (DESIGN.md §5). Every ServeClient::Predict* call funnels into
+// ScoreQueries. The snapshot critical section holds only replica reads —
+// the score copy-out happens after Unpin, and the client's deadline/
+// latency epilogue runs after ScoreQueries returns.
 // ---------------------------------------------------------------------------
-
-void SplashService::ScoreSlots(QuerySlot* const* slots, size_t n,
-                               SplashQueryScratch* scratch) {
-  const std::vector<PropertyQuery>* batch = slots[0]->queries;
-  if (n > 1) {
-    gather_queries_.clear();
-    for (size_t i = 0; i < n; ++i) {
-      gather_queries_.insert(gather_queries_.end(),
-                             slots[i]->queries->begin(),
-                             slots[i]->queries->end());
-    }
-    batch = &gather_queries_;
-  }
-  const uint32_t idx = gate_.Pin();
-  const SplashPredictor* rep = replicas_[idx].get();
-  const uint64_t wm_seq = wm_seq_[idx];
-  const double wm_time = wm_time_[idx];
-  const Matrix& out = rep->PredictBatchConst(*batch, scratch);
-  uint64_t unseen = 0;
-  for (const PropertyQuery& q : *batch) {
-    if (!rep->augmenter().seen(q.node)) ++unseen;
-  }
-  gate_.Unpin(idx);
-  // Degraded: a durability error happened, or recovery replay is still
-  // ahead of the snapshot that answered (the answer is honest about its
-  // watermark either way — this flags that a fresher state is known).
-  const bool degraded =
-      degraded_.load(std::memory_order_relaxed) ||
-      wm_seq < recovery_target_seq_.load(std::memory_order_relaxed);
-  // Scatter: rows are assembled and scored strictly per-row, so each
-  // caller's slice is bit-identical to what its own per-query call would
-  // have produced against this snapshot (serve_coalesce_test pins this).
-  size_t row = 0;
-  for (size_t i = 0; i < n; ++i) {
-    ServeResponse* resp = slots[i]->resp;
-    const size_t b = slots[i]->queries->size();
-    resp->scores.Resize(b, out.cols());
-    for (size_t bi = 0; bi < b; ++bi) {
-      std::memcpy(resp->scores.Row(bi), out.Row(row + bi),
-                  out.cols() * sizeof(float));
-    }
-    row += b;
-    resp->score = 0.0;
-    resp->watermark_seq = wm_seq;
-    resp->watermark_time = wm_time;
-    resp->degraded = degraded;
-    resp->deadline_exceeded = false;  // each caller re-checks after wakeup
-  }
-  queries_.fetch_add(batch->size(), std::memory_order_relaxed);
-  if (unseen > 0) {
-    unseen_node_queries_.fetch_add(unseen, std::memory_order_relaxed);
-  }
-  if (scratch->cold_read) cold_reads_.fetch_add(1, std::memory_order_relaxed);
-}
 
 void SplashService::ScoreQueries(const std::vector<PropertyQuery>& queries,
                                  SplashQueryScratch* scratch,
@@ -716,15 +625,36 @@ void SplashService::ScoreQueries(const std::vector<PropertyQuery>& queries,
     *resp = ServeResponse();
     return;
   }
-  QuerySlot slot;
-  slot.queries = &queries;
-  slot.resp = resp;
-  if (!coalescer_.Submit(&slot)) {
-    // Direct path (uncontended / coalescing off / ring full).
-    QuerySlot* const one = &slot;
-    ScoreSlots(&one, 1, scratch);
-    coalescer_.EndDirect();
+  const uint32_t idx = gate_.Pin();
+  const SplashPredictor* rep = replicas_[idx].get();
+  const uint64_t wm_seq = wm_seq_[idx];
+  const double wm_time = wm_time_[idx];
+  const Matrix& out = rep->PredictBatchConst(queries, scratch);
+  uint64_t unseen = 0;
+  for (const PropertyQuery& q : queries) {
+    if (!rep->augmenter().seen(q.node)) ++unseen;
   }
+  gate_.Unpin(idx);
+  queries_.fetch_add(queries.size(), std::memory_order_relaxed);
+  if (unseen > 0) {
+    unseen_node_queries_.fetch_add(unseen, std::memory_order_relaxed);
+  }
+  if (scratch->cold_read) cold_reads_.fetch_add(1, std::memory_order_relaxed);
+  // `out` lives in the client's scratch, so it outlives the pin.
+  resp->scores.Resize(queries.size(), out.cols());
+  for (size_t r = 0; r < queries.size(); ++r) {
+    std::memcpy(resp->scores.Row(r), out.Row(r), out.cols() * sizeof(float));
+  }
+  resp->score = 0.0;
+  resp->watermark_seq = wm_seq;
+  resp->watermark_time = wm_time;
+  // Degraded: a durability error happened, or recovery replay is still
+  // ahead of the snapshot that answered (the answer is honest about its
+  // watermark either way — this flags that a fresher state is known).
+  resp->degraded =
+      degraded_.load(std::memory_order_relaxed) ||
+      wm_seq < recovery_target_seq_.load(std::memory_order_relaxed);
+  resp->deadline_exceeded = false;
 }
 
 // ---------------------------------------------------------------------------
@@ -742,10 +672,9 @@ void ServeClient::Predict(const std::vector<PropertyQuery>& queries,
                           ServeResponse* resp, double timeout_s) {
   WallTimer timer;
   service_->ScoreQueries(queries, &scratch_, resp);
-  // Per-caller epilogue, outside any pin: the deadline is re-checked
-  // against this caller's own wall clock (a coalesced caller that lingered
-  // past its deadline is answered late-but-flagged, never dropped), and
-  // the latency sample includes the full wait.
+  // Per-caller epilogue, outside any pin: a call that overran its
+  // deadline is answered late-but-flagged, never dropped, and the latency
+  // sample covers the whole call.
   const uint64_t ns = timer.Nanos();
   if (timeout_s > 0.0 && static_cast<double>(ns) > timeout_s * 1e9) {
     resp->deadline_exceeded = true;

@@ -75,7 +75,6 @@
 #include "eval/trainer.h"
 #include "graph/edge_stream.h"
 #include "runtime/pipeline.h"
-#include "serve/coalescer.h"
 #include "serve/ingest_queue.h"
 #include "serve/snapshot.h"
 #include "serve/wal.h"
@@ -148,10 +147,11 @@ struct ServeCounters {
   // One-row reads answered from the published replica's cold-read memo
   // (SplashPredictor::PredictBatchConst): nodes no edge has touched.
   uint64_t cold_reads = 0;
-  // Read-path coalescing (DESIGN.md §5b).
-  uint64_t coalesced_groups = 0;    // leader rounds executed
-  uint64_t coalesced_callers = 0;   // Predict* calls answered via a group
-  uint64_t direct_calls = 0;        // bypass / fallback per-query calls
+  // Always 0: every read is direct. Kept only because the system
+  // benchmark's serve workload still reads them (its coalesced_frac and
+  // group_size); the change that re-points that benchmark deletes them.
+  uint64_t coalesced_groups = 0;
+  uint64_t coalesced_callers = 0;
   uint64_t novel_ingest_nodes = 0;   // ids first observed by the service
   uint64_t time_regressions = 0;     // out-of-order timestamps clamped
   uint64_t published_seq = 0;        // edges in the published snapshot
@@ -196,17 +196,6 @@ struct SplashServiceOptions {
   /// Apply SubmitTrain feedback as staged train steps at micro-batch
   /// boundaries (online continual learning). Off = feedback is dropped.
   bool train_on_ingest_labels = true;
-
-  // ---- Read-path query coalescing (DESIGN.md §5b). Mirrors the ingest
-  // micro-batcher: contended Predict* callers are combined into one
-  // snapshot pin + fused batch forward. A lone caller always bypasses
-  // (uncontended p50 is untouched and stays allocation-free).
-  /// Max callers combined per leader round; <= 1 disables coalescing.
-  size_t coalesce_max_batch = 32;
-  /// Leader gather window once contention is detected (a few µs).
-  double coalesce_max_linger_s = 2e-6;
-  /// Waiter-slot ring capacity; a full ring falls back to the direct path.
-  size_t coalesce_ring_slots = 256;
 
   // ---- Durability (DESIGN.md §7). Empty data_dir = no durability: the
   // service behaves exactly as before this layer existed.
@@ -324,14 +313,13 @@ class SplashService {
   // histogram and reads through ScoreQueries.
   friend class ServeClient;
 
-  /// The canonical read path behind every ServeClient call: scores
-  /// `queries` against the pinned front replica into `resp` (uncontended
-  /// callers take the direct per-query path through `scratch`; contended
-  /// callers may be combined by the QueryCoalescer — same scores
-  /// bit-for-bit). Wait-free with respect to ingest. A call racing
-  /// Start() returns an empty response rather than reading half-prepared
-  /// state. `scratch` must be used by one thread at a time; it and `resp`
-  /// are grow-only across calls.
+  /// The one read body behind every ServeClient call: pins the front
+  /// replica once, scores `queries` with PredictBatchConst into
+  /// `scratch`, counts, unpins, then copies the score rows, the watermark
+  /// and the degraded flag into `resp`. Wait-free with respect to ingest.
+  /// A call racing Start() returns an empty response rather than reading
+  /// half-prepared state. `scratch` must be used by one thread at a time;
+  /// it and `resp` are grow-only across calls.
   void ScoreQueries(const std::vector<PropertyQuery>& queries,
                     SplashQueryScratch* scratch, ServeResponse* resp);
 
@@ -346,16 +334,6 @@ class SplashService {
                                LatencyHistogram* apply) const;
   /// The published (seq, time) pair, read consistently under one pin.
   void PublishedWatermark(uint64_t* seq, double* time) const;
-
-  /// The one read body. Scores every slot's queries under ONE snapshot
-  /// pin with one fused batch forward into `scratch`, then scatters score
-  /// rows and the common watermark/degraded flag into each slot's
-  /// response; service counters move once per call. A direct call is a
-  /// group of one (client scratch, the slot's queries read in place); a
-  /// coalesced group gathers into gather_queries_ and uses gather_scratch_
-  /// — one leader at a time (QueryCoalescer guarantees it), so no lock.
-  void ScoreSlots(QuerySlot* const* slots, size_t n,
-                  SplashQueryScratch* scratch);
 
   /// The one boot sequence behind Start (recover=false) and
   /// RecoverOrStart: validate, build the base state (checkpoint or
@@ -416,10 +394,6 @@ class SplashService {
   double wm_time_[2] = {0.0, 0.0};
 
   IngestQueue queue_;
-  QueryCoalescer coalescer_;
-  // Leader-only scratch for coalesced groups (one leader at a time).
-  std::vector<PropertyQuery> gather_queries_;
-  SplashQueryScratch gather_scratch_;
   EdgeStream log_;  // apply-thread-owned append; snapshot reads via bounds
   std::thread apply_thread_;
   PipelineThread pipe_;  // runs the old front's catch-up (CatchUp)
@@ -501,13 +475,11 @@ class ServeClient {
   /// The canonical call: scores a batch of property queries against the
   /// current snapshot into a caller-owned response. `resp`'s score
   /// matrix is grow-only, so reusing one response across calls keeps the
-  /// steady-state single-caller read path allocation-free (the
-  /// counting-allocator gate in tests/serve_coalesce_test.cc pins this).
+  /// steady-state read path allocation-free (the counting-allocator gate
+  /// in tests/allocation_steady_state_test.cc pins this).
   /// `timeout_s` > 0 sets a per-call deadline: the answer is always
   /// computed (queries never block on ingest, so there is nothing to
   /// cancel), but `deadline_exceeded` is set when the call overran it.
-  /// Under concurrency the call may be answered by a coalesced group
-  /// (DESIGN.md §5b) — same scores bit-for-bit, one shared snapshot pin.
   void Predict(const std::vector<PropertyQuery>& queries, ServeResponse* resp,
                double timeout_s = 0.0);
 

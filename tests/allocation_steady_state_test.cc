@@ -8,7 +8,8 @@
 // shims that also sum the requested bytes, which pins the footprint of a
 // read-only SLIM copy, of S-mode streaming state (DESIGN.md §5) and of a
 // buffer's first allocation; a scoped flag confines the assertion to the
-// measured region.
+// measured region. The serve read path is gated end to end too: ServeClient
+// calls on a started service allocate nothing at steady state.
 
 #include <gtest/gtest.h>
 
@@ -23,11 +24,13 @@
 #include "core/slim.h"
 #include "core/splash.h"
 #include "datasets/scalability.h"
+#include "datasets/synthetic.h"
 #include "eval/trainer.h"
 #include "graph/edge_stream.h"
 #include "graph/neighbor_memory.h"
 #include "runtime/pipeline.h"
 #include "runtime/thread_pool.h"
+#include "serve/service.h"
 #include "tensor/matrix.h"
 #include "tensor/rng.h"
 #include "tensor/simd.h"
@@ -387,6 +390,77 @@ TEST(AllocationSteadyStateTest, SlimAndServePathsAllocationFreeUnderAvx512) {
   }
   RunSlimAndServeAllocationGate();
   ASSERT_TRUE(SetKernelBackendForTesting("auto"));
+}
+
+TEST(AllocationSteadyStateTest, ServeClientReadsAreAllocationFree) {
+  // Every ServeClient endpoint on a started service, with reused
+  // responses (their score matrices are grow-only): a batched Predict, a
+  // one-row read of a node with history, a cold read the memo answers,
+  // and a two-row ScoreEdge, with and without a deadline.
+  ThreadPool::SetGlobalThreads(1);
+  SyntheticConfig cfg;
+  cfg.task = TaskType::kNodeClassification;
+  cfg.num_nodes = 150;
+  cfg.num_edges = 1500;
+  cfg.num_communities = 3;
+  cfg.query_rate = 0.25;
+  cfg.seed = 21;
+  const Dataset ds = GenerateSynthetic(cfg);
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
+  std::vector<TemporalEdge> live;
+  for (size_t i = 0; i < ds.stream.size(); ++i) {
+    if (ds.stream[i].time > split.val_end_time) live.push_back(ds.stream[i]);
+  }
+  ASSERT_GT(live.size(), 100u);
+  SplashOptions opts;
+  opts.mode = SplashMode::kForceStructural;
+  opts.augment.feature_dim = 12;
+  opts.slim.hidden_dim = 24;
+  opts.slim.time_dim = 8;
+  opts.slim.k_recent = 5;
+  opts.slim.dropout = 0.0f;
+  opts.seed = 5;
+  SplashService service(opts, SplashServiceOptions());
+  ASSERT_TRUE(service.Start(ds, split, nullptr).ok());
+  for (size_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(service.IngestEdge(live[i]).accepted());
+  }
+  service.Flush();
+
+  ServeClient client(&service);
+  const std::vector<PropertyQuery> probe(ds.queries.end() - 16,
+                                         ds.queries.end());
+  const NodeId untouched = static_cast<NodeId>(ds.stream.num_nodes() + 100);
+  const double t_end = ds.stream.max_time();
+  ServeResponse resp, node_resp, cold_resp;
+
+  // Warm-up grows the client scratch, the responses and the endpoint
+  // query scratch to their steady-state sizes.
+  client.Predict(probe, &resp);
+  client.PredictNode(live[0].src, t_end, &node_resp);
+  client.PredictNode(untouched, t_end, &cold_resp);
+  client.ScoreEdge(live[0].src, live[0].dst, t_end, &node_resp);
+  client.Predict(probe, &resp, /*timeout_s=*/30.0);
+
+  constexpr int kRounds = 200;
+  const uint64_t cold_before = service.Counters().cold_reads;
+  const size_t allocs = CountAllocations([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      client.Predict(probe, &resp);
+      client.PredictNode(live[i % 100].src, t_end, &node_resp);
+      client.PredictNode(untouched, t_end, &cold_resp, /*timeout_s=*/30.0);
+      client.ScoreEdge(live[i % 100].src, live[i % 100].dst, t_end,
+                       &node_resp, /*timeout_s=*/30.0);
+    }
+  });
+  const ServeCounters c = service.Counters();
+  service.Stop();
+  EXPECT_EQ(allocs, 0u)
+      << "the ServeClient read path must stay allocation-free at steady state";
+  EXPECT_EQ(c.cold_reads - cold_before, static_cast<uint64_t>(kRounds))
+      << "the untouched node was not answered by the cold-read memo";
+  EXPECT_EQ(resp.watermark_seq, 100u);
+  EXPECT_EQ(cold_resp.scores.rows(), 1u);
 }
 
 TEST(AllocationSteadyStateTest, PipelineThreadSubmitWaitIsAllocationFree) {

@@ -11,8 +11,9 @@
 //     published state reflects exactly the accepted items;
 //   - watermarks are monotone, Flush publishes everything accepted, and
 //     the drift counters (unseen-node queries, novel ingest ids) move;
-//   - cold_reads counts the untouched-node reads the memo answered, and
-//     Validate refuses a micro-batch larger than the queue;
+//   - cold_reads counts the untouched-node reads the memo answered, every
+//     row of a multi-row read equals that node's one-row read at the same
+//     watermark, and Validate refuses a micro-batch larger than the queue;
 //   - IngestResult classifies every rejection, Validate names the
 //     offending field, ScoreEdge scores the larger endpoint margin, and a
 //     departed client's latency samples stay in Stats().
@@ -341,6 +342,11 @@ TEST_F(ServeServiceTest, DeadlineFlagRetryHelperAndNonDurableDefaults) {
   client.ScoreEdge(1, 2, t, &tight, /*timeout_s=*/1e-12);
   EXPECT_TRUE(tight.deadline_exceeded);
   EXPECT_EQ(tight.scores.rows(), 2u) << "late answer must still be returned";
+  ServeResponse on_time;
+  client.ScoreEdge(1, 2, t, &on_time);
+  EXPECT_FALSE(on_time.deadline_exceeded);
+  ExpectBitEqual(on_time.scores, tight.scores, "late answer");
+  EXPECT_EQ(tight.score, on_time.score);
 
   // Non-durable service: the degraded flag can never be set.
   EXPECT_FALSE(service.degraded());
@@ -429,6 +435,65 @@ TEST_F(ServeServiceTest, ColdReadsCountOnlyUntouchedOneRowReads) {
                           cold.scores.cols() * sizeof(float)),
               0);
   }
+}
+
+// A multi-row read runs the batched forward and a one-row read the one-row
+// kernels (or the cold-read memo); each row of a batch, whatever its
+// shape, must carry the bits of that node's one-row read against the same
+// snapshot, and the counters move by exactly the rows scored.
+TEST_F(ServeServiceTest, MultiRowReadRowsEqualOneRowReads) {
+  const Dataset ds = MakeWarmup(2000);
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
+  const std::vector<TemporalEdge> live = LiveEdges(ds, split);
+  ASSERT_GT(live.size(), 300u);
+  SplashServiceOptions sopts;
+  sopts.train_on_ingest_labels = false;
+  SplashService service(SmallModelOptions(), sopts);
+  TrainerOptions fit = SmallFit();
+  ASSERT_TRUE(service.Start(ds, split, &fit).ok());
+  for (size_t i = 0; i < 300; ++i) {
+    ASSERT_TRUE(service.IngestEdge(live[i]).accepted());
+  }
+  service.Flush();
+  ServeClient client(&service);
+
+  // Slices of different sizes, each ending with the stream's last query
+  // (a node the fit never saw) and, past the first, an untouched node the
+  // memo answers on its own.
+  const NodeId untouched = static_cast<NodeId>(ds.stream.num_nodes() + 100);
+  for (size_t n = 1; n <= 6; ++n) {
+    SCOPED_TRACE(n);
+    std::vector<PropertyQuery> slice(ds.queries.end() - 4 * n,
+                                     ds.queries.end() - 3 * n);
+    if (n > 1) slice.push_back({untouched, slice.back().time, 0});
+    slice.push_back(ds.queries.back());
+
+    const ServeCounters pre = service.Counters();
+    ServeResponse batch;
+    client.Predict(slice, &batch);
+    const ServeCounters post = service.Counters();
+    EXPECT_EQ(post.queries - pre.queries, slice.size());
+    EXPECT_GT(post.unseen_node_queries, pre.unseen_node_queries);
+    EXPECT_EQ(batch.watermark_seq, 300u);
+    ASSERT_EQ(batch.scores.rows(), slice.size());
+
+    uint64_t unseen = 0;
+    for (size_t r = 0; r < slice.size(); ++r) {
+      const ServeCounters before = service.Counters();
+      ServeResponse one;
+      client.PredictNode(slice[r].node, slice[r].time, &one);
+      unseen += service.Counters().unseen_node_queries -
+                before.unseen_node_queries;
+      EXPECT_EQ(one.watermark_seq, batch.watermark_seq);
+      ASSERT_EQ(one.scores.cols(), batch.scores.cols());
+      EXPECT_EQ(std::memcmp(one.scores.Row(0), batch.scores.Row(r),
+                            one.scores.cols() * sizeof(float)),
+                0)
+          << "row " << r << " differs from its one-row read";
+    }
+    EXPECT_EQ(post.unseen_node_queries - pre.unseen_node_queries, unseen);
+  }
+  service.Stop();
 }
 
 TEST_F(ServeServiceTest, DriftCountersAndLatencyHistogramsMove) {
@@ -695,21 +760,16 @@ TEST_F(ServeServiceTest, ValidateNamesTheOffendingField) {
 
   {
     SplashServiceOptions o;
-    o.coalesce_max_batch = 64;
-    o.coalesce_ring_slots = 8;
+    o.microbatch_max_items = 0;
     const Status st = o.Validate();
     ASSERT_FALSE(st.ok());
-    EXPECT_NE(st.message().find("coalesce_ring_slots"), std::string::npos);
+    EXPECT_NE(st.message().find("microbatch_max_items"), std::string::npos);
     // A misconfigured service refuses to start with the same error.
     SplashService svc(SmallModelOptions(), o);
-    EXPECT_FALSE(svc.Start(ds, split, nullptr).ok());
+    const Status start = svc.Start(ds, split, nullptr);
+    EXPECT_FALSE(start.ok());
+    EXPECT_EQ(start.message(), st.message());
     EXPECT_FALSE(svc.running());
-  }
-  {
-    SplashServiceOptions o;
-    o.microbatch_max_items = 0;
-    EXPECT_NE(o.Validate().message().find("microbatch_max_items"),
-              std::string::npos);
   }
   {
     SplashServiceOptions o;

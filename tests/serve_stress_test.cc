@@ -6,7 +6,12 @@
 // polls Stats(). The assertions target torn state:
 //   - every response's (watermark_seq, watermark_time) pair must name a
 //     real log prefix — a reader overlapping a half-applied batch would
-//     report a seq/time pair the final log contradicts;
+//     report a seq/time pair the final log contradicts — and its seq must
+//     be a boundary the apply thread published (one the WAL recorded);
+//   - readers mix batched, one-row (some with an already-expired
+//     deadline) and edge reads: every call returns its rows, a one-row
+//     margin is the double difference of its scores, and `queries` counts
+//     exactly the rows issued;
 //   - after Stop(), the published snapshot must be bit-identical to
 //     re-applying the micro-batch sequence the WAL recorded to a fresh
 //     replica at the same thread count — a lost or doubled batch cannot
@@ -16,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -109,6 +115,9 @@ TEST_F(ServeStressTest, ConcurrentIngestAndQueriesNeverObserveTornState) {
     double time;
   };
   std::vector<std::vector<Seen>> seen(3);
+  std::atomic<uint64_t> rows_issued{0};
+  const std::vector<PropertyQuery> batch(ds.queries.end() - 5,
+                                         ds.queries.end());
   std::vector<std::thread> readers;
   for (size_t r = 0; r < seen.size(); ++r) {
     readers.emplace_back([&, r] {
@@ -118,11 +127,28 @@ TEST_F(ServeStressTest, ConcurrentIngestAndQueriesNeverObserveTornState) {
       size_t i = 0;
       while (!done.load(std::memory_order_acquire)) {
         const TemporalEdge& e = live[(r * 97 + i * 13) % live.size()];
-        if (i % 2 == 0) {
-          client.PredictNode(e.src, e.time, &resp);
-        } else {
-          client.ScoreEdge(e.src, e.dst, e.time, &resp);
+        switch ((i + r) % 3) {
+          case 0:
+            client.Predict(batch, &resp);
+            ASSERT_EQ(resp.scores.rows(), batch.size());
+            break;
+          case 1:
+            // Every fifth one-row read carries a deadline it cannot meet:
+            // it is answered all the same, and flagged.
+            client.PredictNode(e.src, e.time, &resp,
+                               /*timeout_s=*/i % 5 == 1 ? 1e-12 : 0.0);
+            ASSERT_EQ(resp.scores.rows(), 1u);
+            ASSERT_EQ(resp.deadline_exceeded, i % 5 == 1);
+            // The service computes the margin in double precision.
+            ASSERT_EQ(resp.score, static_cast<double>(resp.scores(0, 1)) -
+                                      resp.scores(0, 0));
+            break;
+          default:
+            client.ScoreEdge(e.src, e.dst, e.time, &resp);
+            ASSERT_EQ(resp.scores.rows(), 2u);
+            break;
         }
+        rows_issued.fetch_add(resp.scores.rows(), std::memory_order_relaxed);
         // A snapshot can never be ahead of the producer, nor regress.
         EXPECT_LE(resp.watermark_seq, fed.load(std::memory_order_acquire));
         EXPECT_GE(resp.watermark_seq, last_seq);
@@ -146,9 +172,14 @@ TEST_F(ServeStressTest, ConcurrentIngestAndQueriesNeverObserveTornState) {
   service.Stop();
 
   // Post-hoc torn-state audit: every observed (seq, time) names a real log
-  // prefix of the final ingest log.
+  // prefix of the final ingest log, at a boundary the apply thread really
+  // published: the boot state (0) or an applied batch the WAL recorded.
   const EdgeStream& log = service.ingest_log();
   ASSERT_EQ(log.size(), live.size());
+  std::set<uint64_t> published = {0};
+  for (const WalRecord& rec : WalHistory(dir.path())) {
+    published.insert(rec.seq_end);
+  }
   for (const auto& lane : seen) {
     for (const Seen& s : lane) {
       ASSERT_LE(s.seq, log.size());
@@ -156,6 +187,8 @@ TEST_F(ServeStressTest, ConcurrentIngestAndQueriesNeverObserveTornState) {
       ASSERT_EQ(s.time, want)
           << "response watermark (seq=" << s.seq
           << ") does not match the log — torn snapshot";
+      ASSERT_TRUE(published.count(s.seq))
+          << "response watermark " << s.seq << " was never published";
     }
   }
 
@@ -202,7 +235,9 @@ TEST_F(ServeStressTest, ConcurrentIngestAndQueriesNeverObserveTornState) {
   const ServeStats st = service.Stats();
   EXPECT_EQ(st.counters.ingest_dropped, 0u);  // kBlock is lossless
   EXPECT_EQ(st.counters.ingest_accepted, live.size());
-  EXPECT_GT(st.counters.queries, 0u);
+  // Every row any call scored is counted once: the readers' rows plus
+  // the final probe.
+  EXPECT_EQ(st.counters.queries, rows_issued.load() + probe.size());
   EXPECT_GT(st.predict.count, 0u);
 }
 
