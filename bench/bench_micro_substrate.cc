@@ -22,7 +22,6 @@
 #include "graph/neighbor_memory.h"
 #include "runtime/thread_pool.h"
 #include "tensor/matrix.h"
-#include "tensor/packed.h"
 #include "tensor/rng.h"
 #include "tensor/simd.h"
 
@@ -153,43 +152,14 @@ void BM_MatMul(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
 }
 // The neighbor-message GEMM (B*K x Dv+Dt @ W1) and the head GEMM shapes,
-// plus a B-exceeds-L2 shape (2048x1024 fp32 B = 8 MB) where the unpacked
-// row-major B walk thrashes: the packed sibling row below must beat this
-// one by >= 1.5x (check_bench_regression.py's micro preset floors the
-// avx512 side-run's packed_speedup stamp for the pair).
+// plus a B-exceeds-L2 shape (2048x1024 fp32 B = 8 MB): a multi-row read of
+// the wide model streams its row-major weights from memory like this. No
+// workload issues such reads (every serve read is one row, and replay and
+// ingest train at fd32/h64, where B is <= 32 KB), so the row is recorded,
+// not pinned.
 BENCHMARK(BM_MatMul)
     ->Args({256, 48, 64})
     ->Args({2560, 48, 64})
-    ->Args({32, 2048, 1024});
-
-// Packed-B / k-blocked GEMM (DESIGN.md §6): B re-tiled once into
-// (k-block x 16-col-panel) panels sized to L2, then reused every call —
-// the serve read-path shape (pack at publish, stream at query). The
-// {1, 1024, 64} row is the batch-1 wide-hidden serve case that motivated
-// packing: the unpacked kernels stride B by the row pitch, so at small
-// batch the walk is TLB/prefetch-bound (on -march=native builds it
-// measurably lost to the autovectorized scalar loop — the ROADMAP item
-// this layer closes); packed panels make every 64-byte line fully
-// consumed.
-void BM_MatMulPacked(benchmark::State& state) {
-  const size_t m = static_cast<size_t>(state.range(0));
-  const size_t k = static_cast<size_t>(state.range(1));
-  const size_t n = static_cast<size_t>(state.range(2));
-  Rng rng(25);
-  const Matrix a = Matrix::Gaussian(m, k, &rng);
-  const Matrix b = Matrix::Gaussian(k, n, &rng);
-  PackedMatrix pb;
-  pb.PackFrom(b);  // pack once, reuse many — the serving amortization
-  Matrix c(m, n);
-  for (auto _ : state) {
-    MatMulPackedRange(a, pb, &c, 0, m);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
-}
-BENCHMARK(BM_MatMulPacked)
-    ->Args({2560, 48, 64})
-    ->Args({1, 1024, 64})
     ->Args({32, 2048, 1024});
 
 void BM_MatMulTransA(benchmark::State& state) {
@@ -258,13 +228,12 @@ void BM_SlimForwardFused(benchmark::State& state) {
 }
 BENCHMARK(BM_SlimForwardFused)->Arg(256);
 
-// Batch-1, wide hidden (fd=64, h=1024): the serve-p50 shape that exposed
-// the cache-unfriendly unpacked kernel — at m=1 the strided B walk
-// touches every W row per output, and pre-packing the avx512 backend ran
-// far below its large-batch speedup here (below scalar on native
-// builds). With packed dispatch (default) this row is gated at >= 1.0x
-// the scalar backend via the avx512_speedup side-run stamp
-// (check_bench_regression.py's micro preset context floors).
+// Batch-1, wide hidden (fd=64, h=1024): the serve read shape. A one-row
+// forward takes the one-row kernel on every layer (MatMulRowBiasAct),
+// which streams each weight row of a nonzero input front to back from the
+// row-major weights. The row is gated at >= 1.0x the scalar backend via
+// the avx512_speedup side-run stamp (check_bench_regression.py's micro
+// preset context floor).
 void BM_SlimForwardFusedWideB1(benchmark::State& state) {
   SlimOptions opts;
   opts.feature_dim = 64;

@@ -8,7 +8,6 @@
 #include <cstring>
 
 #include "runtime/thread_pool.h"
-#include "tensor/simd.h"
 
 namespace splash {
 
@@ -106,22 +105,11 @@ SlimModel::SlimModel(const SlimOptions& opts, Rng* rng)
       rng_->FillGaussian(params[p]->data(), params[p]->size(), stddev);
     }
   }
-  PackWeights();
 }
 
 SlimModel::SlimModel(const SlimModel& src, Rng* rng)
     : opts_(src.opts_), rng_(rng), training_(src.training_) {
   CopyLearnedStateFrom(src);
-}
-
-void SlimModel::PackWeights() {
-  // A skipped pack would rewrite identical bytes: packing is a pure
-  // function of the weights, and every weight write bumps the version.
-  if (packed_version_ == weights_version_) return;
-  const Matrix* ws[4] = {&w1_, &w2_, &w3_, &w4_};
-  for (size_t i = 0; i < 4; ++i) pw_[i].PackFrom(*ws[i]);
-  packed_version_ = weights_version_;
-  ++pack_count_;
 }
 
 size_t SlimModel::ParamCount() const {
@@ -155,7 +143,7 @@ void SlimModel::Serialize(ByteWriter* w, const SlimTrainState& train) const {
 
 bool SlimModel::Deserialize(ByteReader* r, SlimTrainState* train) {
   // Stamped up front: even a stream rejected halfway has overwritten
-  // weights, and the packs must never outlive them.
+  // weights, and state derived from them must never outlive them.
   ++weights_version_;
   train->adam_t_ = static_cast<size_t>(r->U64());
   train->train_calls_ = r->U64();
@@ -168,9 +156,7 @@ bool SlimModel::Deserialize(ByteReader* r, SlimTrainState* train) {
       return false;
     }
   }
-  if (!r->ok()) return false;
-  PackWeights();
-  return true;
+  return r->ok();
 }
 
 bool SlimModel::CopyLearnedStateFrom(const SlimModel& src) {
@@ -184,9 +170,7 @@ bool SlimModel::CopyLearnedStateFrom(const SlimModel& src) {
   const auto from = src.Params();
   const auto to = Params();
   for (size_t p = 0; p < kNumParams; ++p) *to[p] = *from[p];
-  for (size_t i = 0; i < 4; ++i) pw_[i] = src.pw_[i];
   weights_version_ = src.weights_version_;
-  packed_version_ = src.packed_version_;
   return true;
 }
 
@@ -224,20 +208,14 @@ void SlimModel::ResizeScratch(size_t b, SlimTrainState* train) {
 }
 
 void SlimModel::DenseLayer(const Matrix& in, const Matrix& w,
-                           const float* bias, size_t pi, Matrix* out,
-                           size_t r0, size_t r1, bool relu,
+                           const float* bias, Matrix* out, size_t r0,
+                           size_t r1, bool relu,
                            std::vector<uint32_t>* nz) const {
-  // Packed and unpacked fused kernels are bit-identical per backend, so
-  // the pack knob never changes results — only which B layout streams.
-  // So is the one-row kernel, which reads only the weight rows the row's
-  // nonzero inputs reach, from row-major w at either pack setting: a row
-  // is contiguous there and split across every panel of the pack.
+  // The one-row kernel is bit-identical to the fused GEMM's row on the
+  // same backend, and reads only the weight rows the row's nonzero inputs
+  // reach.
   if (nz != nullptr && r1 - r0 == 1) {
     MatMulRowBiasAct(in, r0, w, out, bias, relu, nz);
-    return;
-  }
-  if (GemmPackEnabled()) {
-    MatMulPackedBiasActRange(in, pw_[pi], out, r0, r1, bias, relu);
     return;
   }
   MatMulBiasActRange(in, w, out, r0, r1, bias, relu);
@@ -276,8 +254,8 @@ void SlimModel::ForwardRange(const SlimBatchInput& input, size_t r0,
   // Bias add + ReLU ride the GEMM tile store (fused epilogue): one pass
   // over each activation matrix instead of three. The scalar backend
   // computes the identical arithmetic to the historical separate passes.
-  DenseLayer(s->cat1, w1_, b1_.data(), 0, &s->msg_pre, n0, n1,
-             /*relu=*/true, nz);
+  DenseLayer(s->cat1, w1_, b1_.data(), &s->msg_pre, n0, n1, /*relu=*/true,
+             nz);
 
   for (size_t bi = r0; bi < r1; ++bi) {
     float wsum = 0.0f;
@@ -296,7 +274,7 @@ void SlimModel::ForwardRange(const SlimBatchInput& input, size_t r0,
   }
 
   // --- self branch ---------------------------------------------------------
-  DenseLayer(input.node_feats, w2_, b2_.data(), 1, &s->self_pre, r0, r1,
+  DenseLayer(input.node_feats, w2_, b2_.data(), &s->self_pre, r0, r1,
              /*relu=*/true, nz);
 
   // --- head ----------------------------------------------------------------
@@ -304,8 +282,8 @@ void SlimModel::ForwardRange(const SlimBatchInput& input, size_t r0,
     std::memcpy(s->cat2.Row(bi), s->agg.Row(bi), h * sizeof(float));
     std::memcpy(s->cat2.Row(bi) + h, s->self_pre.Row(bi), h * sizeof(float));
   }
-  DenseLayer(s->cat2, w3_, b3_.data(), 2, &s->h_pre, r0, r1,
-             /*relu=*/true, nz);
+  DenseLayer(s->cat2, w3_, b3_.data(), &s->h_pre, r0, r1, /*relu=*/true,
+             nz);
 
   if (drop_rng != nullptr && training_ && opts_.dropout > 0.0f) {
     const float keep = 1.0f - opts_.dropout;
@@ -321,8 +299,8 @@ void SlimModel::ForwardRange(const SlimBatchInput& input, size_t r0,
     }
   }
 
-  DenseLayer(s->h_pre, w4_, b4_.data(), 3, &s->out, r0, r1,
-             /*relu=*/false, nz);
+  DenseLayer(s->h_pre, w4_, b4_.data(), &s->out, r0, r1, /*relu=*/false,
+             nz);
 }
 
 void SlimModel::ForwardAll(const SlimBatchInput& input) {
@@ -558,11 +536,8 @@ double SlimModel::TrainStep(const SlimBatchInput& input,
                train->v_[p].data(), w->size(), step, kAdamBeta1, kAdamBeta2,
                kAdamEps);
   }
-  // The step wrote new weights: stamp a new version and re-pack the
-  // read-path operands from them (grow-only, so allocation-free after the
-  // first step at a given shape).
+  // The step wrote new weights: stamp a new version.
   ++weights_version_;
-  PackWeights();
   return loss / static_cast<double>(b);
 }
 

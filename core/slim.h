@@ -53,7 +53,6 @@
 
 #include "core/serialize.h"
 #include "tensor/matrix.h"
-#include "tensor/packed.h"
 #include "tensor/rng.h"
 
 namespace splash {
@@ -107,7 +106,7 @@ struct SlimForwardScratch {
 };
 
 /// SLIM's training state, kept apart from the model so that a read-only
-/// copy (a serve replica) carries weights and packs only. Two parts:
+/// copy (a serve replica) carries its weights only. Two parts:
 ///   - learned: the Adam moments m/v of every parameter and the step
 ///     counters (the Adam step and the train-call count that tags the
 ///     per-chunk dropout streams). Checkpoints write them with the
@@ -156,17 +155,16 @@ class SlimTrainState {
   std::vector<double> chunk_loss_;
 };
 
-/// The model: the parameter values, their read-path packs and the
-/// forward scratch. Everything a reader needs and nothing only training
-/// needs: the optimizer state lives in a SlimTrainState that TrainStep
-/// takes as an argument.
+/// The model: the parameter values and the forward scratch. Everything a
+/// reader needs and nothing only training needs: the optimizer state
+/// lives in a SlimTrainState that TrainStep takes as an argument.
 class SlimModel {
  public:
   SlimModel(const SlimOptions& opts, Rng* rng);
-  /// A read-only copy of `src`: its weights and packs
-  /// (CopyLearnedStateFrom) and training flag, with serial dropout drawn
-  /// from `rng`. It holds no optimizer state (that is a SlimTrainState)
-  /// and its activation scratch starts empty.
+  /// A read-only copy of `src`: its weights (CopyLearnedStateFrom) and
+  /// training flag, with serial dropout drawn from `rng`. It holds no
+  /// optimizer state (that is a SlimTrainState) and its activation
+  /// scratch starts empty.
   SlimModel(const SlimModel& src, Rng* rng);
   // The Rng is borrowed from the owner: a plain copy would share it.
   SlimModel(const SlimModel&) = delete;
@@ -196,25 +194,11 @@ class SlimModel {
   size_t ParamCount() const;
   const SlimOptions& options() const { return opts_; }
 
-  /// Brings the read-path GEMM operands up to the current weights
-  /// (pack-once / reuse-many). Packs follow the weights version: every
-  /// weight mutation (construction, TrainStep's Adam step, Deserialize)
-  /// stamps a new version, and this rebuilds the packs only when their
-  /// packed version differs from it. Otherwise it returns at once, so
-  /// callers that only need the packs current (the serve publish path) may
-  /// call it freely. Runs automatically after construction, every
-  /// TrainStep, and a successful Deserialize.
-  void PackWeights();
-
-  /// Number of PackWeights calls that rebuilt the packs (construction's
-  /// included): the cost counter the version check exists to keep down.
-  uint64_t pack_count() const { return pack_count_; }
-
   /// The stamp of the current weights: every weight mutation moves it and
   /// CopyLearnedStateFrom copies it with the weights. Read state derived
-  /// from the weights (the packs, SplashPredictor's cold-read memo) is
-  /// current while it carries this model's stamp. Stamps restart with
-  /// each constructed model, so they compare only within one model.
+  /// from the weights (SplashPredictor's cold-read memo) is current while
+  /// it carries this model's stamp. Stamps restart with each constructed
+  /// model, so they compare only within one model.
   uint64_t weights_version() const { return weights_version_; }
 
   /// PredictConst into this model's own grow-only forward scratch, the
@@ -235,10 +219,8 @@ class SlimModel {
   bool Deserialize(ByteReader* r, SlimTrainState* train);
 
   /// Makes this model's read state a copy of `src`'s: the parameter
-  /// values, the read-path packs and their versions, so the copy is
-  /// query-ready without repacking. Optimizer state lives in a
-  /// SlimTrainState and is not copied; activation scratch is left alone,
-  /// and pack_count() keeps counting only this model's own rebuilds.
+  /// values and their weights version. Optimizer state lives in a
+  /// SlimTrainState and is not copied; activation scratch is left alone.
   /// Copy-assignment at equal shape reuses the existing buffers, so this
   /// allocates nothing. Returns false and changes nothing when `src` has
   /// a different architecture. TrainStep is deterministic, so copying a
@@ -278,13 +260,12 @@ class SlimModel {
   void ForwardRange(const SlimBatchInput& input, size_t r0, size_t r1,
                     Rng* drop_rng, bool for_backward,
                     SlimForwardScratch* s) const;
-  /// One fused dense layer (GEMM + bias + optional ReLU): the packed
-  /// kernel when the pack tier is on, the unpacked fused kernel otherwise.
-  /// With index scratch `nz`, a one-row call takes the one-row kernel,
-  /// which skips the weight rows of zero inputs (MatMulRowBiasAct). `pi`
-  /// indexes the pack slot of `w` (w1..w4 -> 0..3).
+  /// One fused dense layer (GEMM + bias + optional ReLU) on rows
+  /// [r0, r1). With index scratch `nz`, a one-row call takes the one-row
+  /// kernel, which skips the weight rows of zero inputs
+  /// (MatMulRowBiasAct); every other call the fused GEMM.
   void DenseLayer(const Matrix& in, const Matrix& w, const float* bias,
-                  size_t pi, Matrix* out, size_t r0, size_t r1, bool relu,
+                  Matrix* out, size_t r0, size_t r1, bool relu,
                   std::vector<uint32_t>* nz) const;
   /// Runs ResizeScratch + ForwardRange serial or chunk-parallel.
   void ForwardAll(const SlimBatchInput& input);
@@ -306,14 +287,7 @@ class SlimModel {
   bool training_ = false;
 
   Matrix w1_, b1_, w2_, b2_, w3_, b3_, w4_, b4_;
-
-  // Read-path GEMM operands (tensor/packed.h), rebuilt by PackWeights
-  // whenever their packed version trails weights_version_, so the const
-  // read path never packs.
-  PackedMatrix pw_[4];
   uint64_t weights_version_ = 1;  // bumped by every weight mutation
-  uint64_t packed_version_ = 0;   // weights version pw_ was built from
-  uint64_t pack_count_ = 0;       // PackWeights calls that rebuilt
 
   // Forward scratch for the fused (non-const) paths, kept across calls
   // (grow-only). The const PredictConst path uses caller scratch instead.

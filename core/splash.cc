@@ -144,7 +144,6 @@ void SplashPredictor::SetTraining(bool training) {
 
 void SplashPredictor::PrepareForPublish() {
   if (!slim_) return;
-  slim_->PackWeights();
   if (cold_.version == slim_->weights_version()) return;
   // The cold row is assembled exactly as a query for an untouched node
   // is; kInvalidNode has no ring, so the gather writes nothing.
@@ -153,10 +152,6 @@ void SplashPredictor::PrepareForPublish() {
   AssembleRows(&cold, 0, 1, &cold_.input, nullptr, nullptr);
   cold_.out = slim_->ReadOwnScratch(cold_.input);
   cold_.version = slim_->weights_version();
-}
-
-uint64_t SplashPredictor::weight_packs() const {
-  return slim_ ? slim_->pack_count() : 0;
 }
 
 Status SplashPredictor::CopyModelFrom(const SplashPredictor& src) {

@@ -61,7 +61,7 @@ class SplashPredictor : public TemporalPredictor {
  public:
   explicit SplashPredictor(const SplashOptions& opts);
   /// A copy of `src`'s state made in memory, with empty scratch: the
-  /// streaming state, the RNG position, the SLIM weights and packs, and
+  /// streaming state, the RNG position, the SLIM weights, and
   /// `src`'s SLIM train state if it still owns one. The serving layer
   /// builds its second replica this way (from a replica whose train state
   /// it took, so the copy is read-only) instead of preparing (and
@@ -134,34 +134,26 @@ class SplashPredictor : public TemporalPredictor {
     return std::move(train_);
   }
 
-  /// Guarantees SLIM's read-path GEMM operands and the cold-read memo
-  /// match the current weights once it returns, so a published replica's
-  /// first query never packs and its cold reads skip the forward. Both
-  /// follow the weights version (SlimModel::weights_version), so this only
-  /// verifies after an edge-only batch, after a TrainStep that already
-  /// packed, and after CopyModelFrom, which copies both. When the version
-  /// moved, the memo is recomputed: one one-row read of the cold row
-  /// (the feature row of a node no edge has touched, i.e. of kInvalidNode)
-  /// with every neighbor slot masked, in SLIM's own forward scratch. The
-  /// serving layer calls this on every publish and catch-up, with the
-  /// kernel backend it serves on; the memo holds that backend's bits.
+  /// Guarantees the cold-read memo matches the current weights once it
+  /// returns, so a published replica's cold reads skip the forward. The
+  /// memo follows the weights version (SlimModel::weights_version), so
+  /// this only verifies after an edge-only batch and after CopyModelFrom,
+  /// which copies the memo with the weights. When the version moved (a
+  /// TrainStep, a restore), the memo is recomputed: one one-row read of
+  /// the cold row (the feature row of a node no edge has touched, i.e. of
+  /// kInvalidNode) with every neighbor slot masked, in SLIM's own forward
+  /// scratch. The serving layer calls this on every publish and catch-up,
+  /// with the kernel backend it serves on; the memo holds that backend's
+  /// bits.
   void PrepareForPublish();
 
-  /// SLIM pack rebuilds since the model was built or last restored by
-  /// DeserializeState (0 before Prepare): TrainStep and Deserialize
-  /// rebuild, CopyModelFrom copies the source's packs and rebuilds
-  /// nothing. The serving layer reports the growth of this count as
-  /// ServeCounters::weight_packs.
-  uint64_t weight_packs() const;
-
-  /// Copies `src`'s SLIM weights and packs
-  /// (SlimModel::CopyLearnedStateFrom), its cold-read memo and the
-  /// position of the predictor RNG, which the serial dropout path draws
-  /// from. A read-only replica (the serve catch-up) copies only that. A
-  /// predictor that owns a train state also copies `src`'s moments and
-  /// step counters, so an offline twin that observed the same edges and
-  /// then copies the model ends byte-identical in SerializeState to a
-  /// twin that also trained.
+  /// Copies `src`'s SLIM weights (SlimModel::CopyLearnedStateFrom), its
+  /// cold-read memo and the position of the predictor RNG, which the
+  /// serial dropout path draws from. A read-only replica (the serve
+  /// catch-up) copies only that. A predictor that owns a train state also
+  /// copies `src`'s moments and step counters, so an offline twin that
+  /// observed the same edges and then copies the model ends
+  /// byte-identical in SerializeState to a twin that also trained.
   /// Streaming state (augmenter, neighbor rings) is untouched. Both
   /// predictors must be prepared with the same SLIM architecture, and
   /// `src` must own a train state if this one does; otherwise this
@@ -239,7 +231,7 @@ class SplashPredictor : public TemporalPredictor {
   /// cold row, every neighbor slot masked) at SLIM weights version
   /// `version`; 0 is none, and the version restarts with every new
   /// SlimModel, so Prepare and DeserializeState reset it. Derived read
-  /// state like the packs: copied with the weights, never serialized.
+  /// state: copied with the weights, never serialized.
   struct ColdReadMemo {
     SlimBatchInput input;
     Matrix out;

@@ -18,11 +18,9 @@
 # their cpu_times for the pinned kernel rows and embed them (plus the
 # speedup ratios) side-by-side in the JSON context — the perf trajectory of
 # the SIMD layer without forking the baseline. The binary itself stamps
-# kernel_backend + cpu_features + cache_topology into the context: the
-# packed-GEMM rows (BM_MatMulPacked*) size their k-blocks from the
-# detected L2, so a snapshot is only comparable against one recorded on a
-# like cache hierarchy (check_bench_regression.py treats cache_topology as
-# a config key and refuses unlike comparisons).
+# kernel_backend + cpu_features + cache_topology into the context, so a
+# snapshot says which backend and which cache hierarchy it was recorded on
+# (check_bench_regression.py refuses a kernel_backend mismatch).
 #
 # Usage: scripts/bench.sh [build-dir]   (default: build-bench)
 
@@ -75,7 +73,7 @@ for side_kernel in avx2 avx512; do
   if [ "${splash_kernel}" = scalar ]; then
     SPLASH_THREADS="${splash_threads}" SPLASH_KERNEL="${side_kernel}" \
       "${build_dir}/bench_micro_substrate" \
-      --benchmark_filter='BM_MatMul/|BM_MatMulPacked/|BM_MatMulTransA/|BM_MatMulTransB/|BM_SlimForwardFused/|BM_SlimTrainStepThreads/1' \
+      --benchmark_filter='BM_MatMul/|BM_MatMulTransA/|BM_MatMulTransB/|BM_SlimForwardFused/|BM_SlimTrainStepThreads/1' \
       --benchmark_format=json \
       --benchmark_repetitions=3 \
       --benchmark_report_aggregates_only=true \
@@ -104,16 +102,6 @@ for name, t in sorted(a.items()):
     ctx["%s_cpu_ns %s" % (kernel, name)] = "%.1f" % t
     if name in b and t > 0:
         ctx["%s_speedup %s" % (kernel, name)] = "%.2f" % (b[name] / t)
-# Derived packed-vs-unpacked ratio within this backend's side-run (same
-# run, same host): the B-exceeds-L2 shape is the packed tier's headline
-# win, and CI gates the committed stamp at >= 1.5x for avx512
-# (check_bench_regression.py's micro preset context floors).
-for shape in ("32/2048/1024",):
-    unpacked = a.get("BM_MatMul/%s" % shape)
-    packed = a.get("BM_MatMulPacked/%s" % shape)
-    if unpacked and packed and packed > 0:
-        ctx["%s_packed_speedup BM_MatMulPacked/%s" % (kernel, shape)] = (
-            "%.2f" % (unpacked / packed))
 with open(base_path, "w") as f:
     json.dump(base, f, indent=1)
     f.write("\n")
@@ -128,8 +116,6 @@ for row in "BM_SlimTrainStepThreads/1" "BM_SlimTrainStepThreads/4" \
            "BM_FeatureReplayBulkThreads/1" "BM_FeatureReplayBulkThreads/4" \
            "BM_MatMul/256/48/64" "BM_MatMul/2560/48/64" \
            "BM_MatMul/32/2048/1024" \
-           "BM_MatMulPacked/2560/48/64" "BM_MatMulPacked/1/1024/64" \
-           "BM_MatMulPacked/32/2048/1024" \
            "BM_MatMulTransA/256/128/64" "BM_MatMulTransB/256/64/128" \
            "BM_SlimForwardFused/256" "BM_SlimForwardFused/wide_b1"; do
   if ! grep -q "\"${row}" "${repo_root}/BENCH_micro.json"; then

@@ -40,30 +40,21 @@ whose stamped config differs between baseline and current fails the gate
 before any cpu_time is compared — a WAL-on run must never be diffed
 against a WAL-off baseline just because the row name matches.
 
-`cache_topology` (stamped by bench_micro_substrate since the packed-GEMM
-layer landed) is a context config key: the BM_MatMulPacked* rows size
-their k-blocks from the detected L2, so when baseline and current report
-unlike cache hierarchies those rows are refused — skipped with a visible
-line rather than compared as if the hardware were the same. All other
-rows still gate normally.
-
-The micro preset's context floors gate scripts/bench.sh side-run stamps in
-the COMMITTED BASELINE: "avx512_speedup BM_SlimForwardFused/wide_b1" >= 1.0
-(the batch-1 wide fused forward whose pre-packing strided-B walk starved
-the avx512 backend) and "avx512_packed_speedup
-BM_MatMulPacked/32/2048/1024" >= 1.5 (packed over unpacked within the
-avx512 side-run, B larger than L2). The stamps are written when the
-snapshot is recorded, so the gate stops a regressed snapshot from being
-committed and re-verifies every committed one on every push — the CI
-runner itself needs no avx512. A baseline whose recording host could not
-run the backend never carries the key, so an absent key skips visibly
-instead of failing.
+The micro preset's context floor gates a scripts/bench.sh side-run stamp
+in the COMMITTED BASELINE: "avx512_speedup BM_SlimForwardFused/wide_b1"
+>= 1.0 (the batch-1 wide forward, one-row kernel on row-major weights,
+must not run slower on avx512 than on the scalar backend). The stamp is
+written when the snapshot is recorded, so the gate stops a regressed
+snapshot from being committed and re-verifies every committed one on every
+push — the CI runner itself needs no avx512. A baseline whose recording
+host could not run the backend never carries the key, so an absent key
+skips visibly instead of failing.
 
 --self-test exercises the preset's gates against fabricated data derived
 from the baseline: an identical copy must pass, and a copy with one pinned
 row hand-slowed past the threshold must fail (likewise a flipped row
-config stamp and a hand-lowered context stamp). CI runs it before the real comparison so the gate can never rot
-into always-green.
+config stamp and a hand-lowered context stamp). CI runs it before the
+real comparison so the gate can never rot into always-green.
 """
 
 import argparse
@@ -79,11 +70,11 @@ import sys
 # because with pipeline_depth >= 1 the replay bench runs ingest on the
 # PipelineThread, outside BM_ChronoReplayThreads' main-thread cpu_time —
 # the dedicated row times ObserveBulk on the measuring thread, so ingest
-# regressions cannot hide behind the pipeline. The last two rows pin the
+# regressions cannot hide behind the pipeline. The last three rows pin the
 # kernel layer itself (DESIGN.md §6): the neighbor-message GEMM shape and
-# the fused const-forward path the serving layer reads through.
-# Calibrated by the ALU-bound BM_DegreeEncode row; the two context floors
-# re-verify the committed avx512 side-run wins (module docstring).
+# the fused const-forward paths the serving layer reads through.
+# Calibrated by the ALU-bound BM_DegreeEncode row; the context floor
+# re-verifies the committed avx512 side-run win (module docstring).
 #
 # serve (BENCH_serve.json) — the pinned closed-loop mixed-traffic smoke
 # row vs a fresh `bench_serve_load --smoke` run, calibrated by that
@@ -98,7 +89,6 @@ PRESETS = {
             "BM_ChronoReplayThreads/1",
             "BM_FeatureReplayBulkThreads/1",
             "BM_MatMul/256/48/64",
-            "BM_MatMulPacked/2560/48/64",
             "BM_SlimForwardFused/256",
             "BM_SlimForwardFused/wide_b1",
         ],
@@ -106,7 +96,6 @@ PRESETS = {
         "max_regress": 0.15,
         "context_floors": [
             ("avx512_speedup BM_SlimForwardFused/wide_b1", 1.0),
-            ("avx512_packed_speedup BM_MatMulPacked/32/2048/1024", 1.5),
         ],
     },
     "serve": {
@@ -170,12 +159,6 @@ def compare(baseline, current, rows, max_regress, calibrate=None):
             "are like-for-like only (pin SPLASH_KERNEL): FAIL" %
             (base_backend, cur_backend)
         ]
-    # The packed-GEMM rows are k-blocked against the detected L2: unlike
-    # cache hierarchies make their times incomparable by construction, so
-    # those rows are refused (skipped, visibly) rather than diffed.
-    base_cache = str(baseline.get("context", {}).get("cache_topology", ""))
-    cur_cache = str(current.get("context", {}).get("cache_topology", ""))
-    unlike_cache = bool(base_cache and cur_cache and base_cache != cur_cache)
     base = load_cpu_times(baseline)
     cur = load_cpu_times(current)
     base_cfg = load_row_configs(baseline)
@@ -195,10 +178,6 @@ def compare(baseline, current, rows, max_regress, calibrate=None):
     lines.append("%-36s %12s %12s %8s  %s" %
                  ("row", "base cpu", "cur cpu", "ratio", "verdict"))
     for row in rows:
-        if unlike_cache and row.startswith("BM_MatMulPacked"):
-            lines.append("%-36s skipped: unlike cache topology (baseline=%s "
-                         "current=%s)" % (row, base_cache, cur_cache))
-            continue
         if row not in base or row not in cur:
             where = "baseline" if row not in base else "current run"
             lines.append("%-36s missing from %s: FAIL (the gate row "
@@ -335,24 +314,6 @@ def self_test(baseline, preset):
                       "passed" % key, file=sys.stderr)
                 return False
             extra += ", lowered '%s' stamp rejected" % key
-
-    # Unlike cache topologies must skip the packed rows instead of diffing
-    # them (and instead of failing the whole gate).
-    if str(baseline.get("context", {}).get("cache_topology", "")):
-        recached = copy.deepcopy(baseline)
-        recached["context"]["cache_topology"] = "self-test-other-cache"
-        for row in recached.get("benchmarks", []):
-            name = row.get("run_name", row.get("name", ""))
-            if name.startswith("BM_MatMulPacked") and "cpu_time" in row:
-                row["cpu_time"] = row["cpu_time"] * 100.0  # must be ignored
-        ok_recached, lines = compare(baseline, recached, rows, max_regress,
-                                     calibrate)
-        if not ok_recached:
-            print("\n".join(lines), file=sys.stderr)
-            print("self-test FAILED: unlike-cache run did not skip the "
-                  "packed rows", file=sys.stderr)
-            return False
-        extra += ", unlike-cache packed rows skipped"
 
     print("self-test passed: identical run ok, hand-slowed row rejected%s"
           % extra)

@@ -156,8 +156,6 @@ Status SplashService::Boot(const Dataset& warmup, const ChronoSplit& split,
   replicas_[0]->PrepareForPublish();
   replicas_[1] = std::make_unique<SplashPredictor>(*replicas_[0]);
   num_classes_ = replicas_[0]->out_dim();
-  weight_packs_base_ =
-      replicas_[0]->weight_packs() + replicas_[1]->weight_packs();
   wm_seq_[0] = wm_seq_[1] = log_.size();
   wm_time_[0] = wm_time_[1] = log_.empty() ? 0.0 : log_.max_time();
 
@@ -192,7 +190,6 @@ Status SplashService::Boot(const Dataset& warmup, const ChronoSplit& split,
   }
   recovered_seq_ = log_.size();
   recovery_replayed_.store(tail.size(), std::memory_order_relaxed);
-  SyncWeightPacks();
 
   // Checkpoint-on-recovery: makes the replayed tail durable again before
   // the rotation below truncates/GCs anything, and gives a fresh durable
@@ -349,12 +346,6 @@ void SplashService::WriteServiceCheckpoint() {
   }
 }
 
-void SplashService::SyncWeightPacks() {
-  const uint64_t total =
-      replicas_[0]->weight_packs() + replicas_[1]->weight_packs();
-  weight_packs_.store(total - weight_packs_base_, std::memory_order_relaxed);
-}
-
 void SplashService::SerializePredictorState(ByteWriter* w) const {
   replicas_[gate_.back()]->SerializeState(w, train_state_.get());
 }
@@ -375,12 +366,9 @@ uint32_t SplashService::ApplyAndPublish(const WalRecord& rec) {
     rep->TrainStaged(train_state_.get());
     rep->SetTraining(false);
   }
-  // Publish-time packing invariant: by the time this replica is pinned by
-  // a reader its packed GEMM operands are current — a snapshot's first
-  // query never packs (PredictBatchConst cannot pack by construction).
-  // Packs follow the weights version, so this only verifies: TrainStep
-  // already packed a training batch, and an edge-only batch changed no
-  // weight.
+  // By the time this replica is pinned by a reader its cold-read memo is
+  // current. The memo follows the weights version, so this recomputes it
+  // after a training batch and only verifies after an edge-only one.
   rep->PrepareForPublish();
   wm_seq_[back] = rec.seq_end;
   wm_time_[back] = rec.seq_end > 0 ? log_.max_time() : 0.0;
@@ -396,15 +384,15 @@ void SplashService::CatchUp(uint32_t idx, const WalRecord& rec) {
   }
   if (!rec.train.empty()) {
     // The front trained on this batch from the state this replica now
-    // holds, and TrainStep is deterministic: copy its weights, packs and
-    // RNG position instead of assembling and training again (the
+    // holds, and TrainStep is deterministic: copy its weights and RNG
+    // position instead of assembling and training again (the
     // optimizer state is the service's, not a replica's). The front stays
     // read-only until the next cycle's pipe_.Wait(), and readers only
     // read it, so the copy races nothing. Same architecture by
     // construction, so the copy cannot fail.
     rep->CopyModelFrom(*replicas_[1 - idx]).ok();
   }
-  // The copy brought the front's current packs along: this only verifies.
+  // The copy brought the front's current memo along: this only verifies.
   rep->PrepareForPublish();
 }
 
@@ -419,7 +407,6 @@ void SplashService::ApplyLoop() {
     // Barrier: the previous catch-up retired, so the back replica is
     // current and batch_rec_ / log_ are exclusively ours again.
     pipe_.Wait();
-    SyncWeightPacks();
 
     // Quiesced point: both replicas identical at watermark log_.size().
     if (durable_ && opts_.checkpoint_interval_batches > 0 &&
@@ -486,7 +473,6 @@ void SplashService::ApplyLoop() {
     }
   }
   pipe_.Wait();  // no ingest outlives the service
-  SyncWeightPacks();
   if (durable_) {
     if (opts_.checkpoint_on_stop && batches_since_checkpoint_ > 0) {
       WriteServiceCheckpoint();
@@ -542,7 +528,6 @@ ServeCounters SplashService::Counters() const {
   c.train_dropped = train_dropped_.load(std::memory_order_relaxed);
   c.batches_applied = batches_applied_.load(std::memory_order_relaxed);
   c.train_steps = train_steps_.load(std::memory_order_relaxed);
-  c.weight_packs = weight_packs_.load(std::memory_order_relaxed);
   c.queries = queries_.load(std::memory_order_relaxed);
   c.unseen_node_queries =
       unseen_node_queries_.load(std::memory_order_relaxed);

@@ -15,8 +15,8 @@
 //                                        (const snapshot, watermarked)
 //
 // Snapshot isolation. The service owns TWO read-only SplashPredictor
-// replicas behind a SnapshotGate — streaming state plus SLIM weights and
-// packs, what readers read — and ONE SLIM train state (Adam moments, step
+// replicas behind a SnapshotGate — streaming state plus SLIM weights, what
+// readers read — and ONE SLIM train state (Adam moments, step
 // counters, gradient scratch), owned by the apply thread. At boot the
 // apply thread takes the train state from replica 0 and replica 1 is an
 // in-memory copy of replica 0. The apply thread applies each micro-batch
@@ -24,8 +24,8 @@
 // the service's train state), publishes it (one atomic store), then
 // catches the other replica up on the runtime/ PipelineThread
 // (overlapped with waiting for the next batch): it replays the same edges
-// and, after a training batch, copies the SLIM weights, packs and RNG
-// position from the replica just published instead of training again.
+// and, after a training batch, copies the SLIM weights and RNG position
+// from the replica just published instead of training again.
 // TrainStep is deterministic, so the copy holds the bytes a second
 // training run would reach, and the front is read-only until the next
 // cycle's barrier. Both replicas are thus bit-identical state machines
@@ -137,11 +137,6 @@ struct ServeCounters {
   uint64_t train_dropped = 0;
   uint64_t batches_applied = 0;
   uint64_t train_steps = 0;
-  // SLIM weight-pack rebuilds both replicas performed while serving (WAL
-  // replay, apply, catch-up; not Prepare/Fit). Packs follow the weights,
-  // so an edge-only batch adds 0 and a training batch adds 1: the
-  // published replica's TrainStep packs, the catch-up copies its packs.
-  uint64_t weight_packs = 0;
   uint64_t queries = 0;
   uint64_t unseen_node_queries = 0;  // queried node not in the train seen set
   // One-row reads answered from the published replica's cold-read memo
@@ -351,8 +346,8 @@ class SplashService {
   uint32_t ApplyAndPublish(const WalRecord& rec);
   /// Brings replica `idx` level with the front once its readers drained:
   /// replays `rec`'s edges, then, for a training batch, copies the front's
-  /// SLIM weights, packs and RNG position (SplashPredictor::CopyModelFrom)
-  /// instead of training again.
+  /// SLIM weights and RNG position (SplashPredictor::CopyModelFrom) instead
+  /// of training again.
   void CatchUp(uint32_t idx, const WalRecord& rec);
   /// Admission tail shared by IngestEdge/SubmitTrain: push, time, count.
   IngestResult Enqueue(const IngestItem& item,
@@ -372,15 +367,11 @@ class SplashService {
   void WriteServiceCheckpoint();
   void NoteWalError();
   void MirrorWalFsyncs();
-  /// Republishes weight_packs_ from both replicas' pack counts. Quiesced
-  /// points only (no apply or catch-up in flight), so the replica
-  /// counters are read without a lock.
-  void SyncWeightPacks();
 
   SplashOptions model_opts_;
   SplashServiceOptions opts_;
 
-  // Read-only replicas: weights, packs and streaming state. SLIM's one
+  // Read-only replicas: weights and streaming state. SLIM's one
   // train state (Adam moments, step counters, gradient scratch) is the
   // apply thread's: ApplyAndPublish trains the back replica with it, and
   // checkpoints serialize a replica together with it.
@@ -418,8 +409,6 @@ class SplashService {
   std::atomic<uint64_t> queries_{0}, unseen_node_queries_{0};
   std::atomic<uint64_t> cold_reads_{0};
   std::atomic<uint64_t> novel_ingest_nodes_{0}, time_regressions_{0};
-  std::atomic<uint64_t> weight_packs_{0};
-  uint64_t weight_packs_base_ = 0;  // replica pack count once serving began
 
   // Endpoint histograms. Ingest-enqueue latency is striped by producer
   // thread (hash of thread id) so concurrent producers do not serialize

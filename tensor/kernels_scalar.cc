@@ -21,7 +21,6 @@
 #include <cstring>
 
 #include "tensor/matrix.h"
-#include "tensor/packed.h"
 #include "tensor/simd.h"
 
 namespace splash {
@@ -90,60 +89,6 @@ void ScalarMatMulBiasActRange(const Matrix& a, const Matrix& b, Matrix* c,
   ScalarMatMulRange(a, b, c, row_begin, row_end, /*accumulate=*/false);
   for (size_t i = row_begin; i < row_end; ++i) {
     ScalarEpilogue(c->Row(i), b.cols(), bias, relu);
-  }
-}
-
-void ScalarMatMulPackedRange(const Matrix& a, const PackedMatrix& b,
-                             Matrix* c, size_t row_begin, size_t row_end,
-                             bool accumulate) {
-  const size_t k = a.cols(), n = b.n();
-  assert(b.k() == k);
-  assert(c->rows() == a.rows() && c->cols() == n);
-  assert(row_begin <= row_end && row_end <= a.rows());
-  (void)k;
-  if (!accumulate) {
-    for (size_t i = row_begin; i < row_end; ++i) {
-      std::memset(c->Row(i), 0, n * sizeof(float));
-    }
-  }
-  // k-blocks ascend outermost and kk ascends within each block, so every
-  // output element accumulates over the reduction in the same ascending
-  // order as ScalarMatMulRange (whose j0/k0 blocking is also order-
-  // preserving per element) — bit-identical, including the av == 0 skip.
-  const size_t panels = b.panels();
-  const size_t nb = b.num_blocks();
-  for (size_t pb = 0; pb < nb; ++pb) {
-    const size_t k0 = b.BlockBegin(pb);
-    const size_t rows = b.BlockRows(pb);
-    for (size_t jp = 0; jp < panels; ++jp) {
-      const float* panel = b.Panel(pb, jp);
-      const size_t j0 = jp * PackedMatrix::kPanelCols;
-      const size_t w = n - j0 < PackedMatrix::kPanelCols
-                           ? n - j0
-                           : PackedMatrix::kPanelCols;
-      for (size_t i = row_begin; i < row_end; ++i) {
-        const float* arow = a.Row(i) + k0;
-        float* crow = c->Row(i) + j0;
-        for (size_t kk = 0; kk < rows; ++kk) {
-          const float av = arow[kk];
-          if (av == 0.0f) continue;  // masked/sparse rows are common
-          const float* brow = panel + kk * PackedMatrix::kPanelCols;
-          for (size_t j = 0; j < w; ++j) crow[j] += av * brow[j];
-        }
-      }
-    }
-  }
-}
-
-void ScalarMatMulPackedBiasActRange(const Matrix& a, const PackedMatrix& b,
-                                    Matrix* c, size_t row_begin,
-                                    size_t row_end, const float* bias,
-                                    bool relu) {
-  // GEMM then a separate epilogue pass, mirroring ScalarMatMulBiasActRange
-  // so packed scalar results stay bit-equal to unpacked scalar ones.
-  ScalarMatMulPackedRange(a, b, c, row_begin, row_end, /*accumulate=*/false);
-  for (size_t i = row_begin; i < row_end; ++i) {
-    ScalarEpilogue(c->Row(i), b.n(), bias, relu);
   }
 }
 
@@ -322,8 +267,6 @@ const KernelTable kScalarTable = {
     ScalarColumnSumsRange,
     ScalarAdamUpdate,
     ScalarSincosEncode,
-    ScalarMatMulPackedRange,
-    ScalarMatMulPackedBiasActRange,
     ScalarMatMulRowBiasAct,
 };
 

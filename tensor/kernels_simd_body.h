@@ -28,10 +28,9 @@
 // sums, which keep each backend's own summation order.
 //
 // Register tiling:
-//   - MatMul / fused epilogue, unpacked and packed B: kTileRows x 2W
-//     output tiles (6x16 on avx2, 8x32 on avx512), then one W-wide
-//     vector, then a masked tail; the row remainder runs as ONE
-//     multi-row pass.
+//   - MatMul / fused epilogue: kTileRows x 2W output tiles (6x16 on avx2,
+//     8x32 on avx512), then one W-wide vector, then a masked tail; the row
+//     remainder runs as ONE multi-row pass.
 //   - MatMulTransB: four W-lane dot accumulators per step, folded by
 //     ReduceAdd4.
 //   - MatMulTransA: the same GEMM tile over a transposed view of A,
@@ -59,7 +58,6 @@
 #include <cstring>
 
 #include "tensor/matrix.h"
-#include "tensor/packed.h"
 #include "tensor/simd.h"
 
 namespace splash {
@@ -108,50 +106,15 @@ inline void ForEachVector(size_t n, F&& f) {
 }
 
 // ---------------------------------------------------------------------------
-// GEMM (c = a * b) with optional accumulate / fused bias+ReLU epilogue, over
-// row-major or packed B. Both views expose B as k-blocks of rows with a
-// fixed row pitch `ld`: row-major B is one block of all k rows at its
-// stride; packed B (tensor/packed.h) is L2-sized blocks of 16-column
-// panels, pitch 16, so the inner loop advances B one cache line per
-// reduction step. VecStep is the distance from one W-lane vector of a
-// 2-vector tile to the next: adjacent in a row-major row or in a 16-lane
-// panel (avx2), the next panel over for 16-lane vectors (avx512).
-//
-// Each output element is one ascending-k FMA chain in one lane, then the
-// epilogue, whichever view feeds it — so packed results are bit-identical
-// to unpacked ones. Multi-k-block runs park the fp32 partials in C between
-// blocks (an exact store/reload). That is only legal when C is
-// overwritten; accumulate=true keeps the whole chain in registers, since
-// the epilogue adds the original C last.
+// GEMM (c = a * b) with optional accumulate / fused bias+ReLU epilogue over
+// row-major B, viewed as its k rows at the row pitch `ld`. Each output
+// element is one ascending-k FMA chain in one lane, then the epilogue.
 // ---------------------------------------------------------------------------
 
 struct RowMajorB {
-  static constexpr bool kPadded = false;
   const float* data;
   size_t ld;
   size_t k;
-  size_t num_blocks() const { return k > 0 ? 1 : 0; }
-  size_t BlockBegin(size_t) const { return 0; }
-  size_t BlockRows(size_t) const { return k; }
-  const float* At(size_t, size_t col) const { return data + col; }
-  size_t VecStep(size_t, size_t w) const { return w; }
-};
-
-struct PanelB {
-  // Zero-padded panels: a tail vector may load B full-width, since the
-  // dead lanes contribute fma(a, 0, acc) == acc and are never stored.
-  static constexpr bool kPadded = true;
-  static constexpr size_t ld = PackedMatrix::kPanelCols;
-  const PackedMatrix& p;
-  size_t num_blocks() const { return p.num_blocks(); }
-  size_t BlockBegin(size_t pb) const { return p.BlockBegin(pb); }
-  size_t BlockRows(size_t pb) const { return p.BlockRows(pb); }
-  const float* At(size_t pb, size_t col) const {
-    return p.Panel(pb, col / ld) + col % ld;
-  }
-  size_t VecStep(size_t pb, size_t w) const {
-    return w < ld ? w : p.BlockRows(pb) * ld;
-  }
 };
 
 struct Epilogue {
@@ -174,17 +137,16 @@ struct TransposedA {
 };
 
 /// R rows x NV full vectors of output at column j (kTail: one masked
-/// vector), accumulated over k-blocks [pb0, pb1) of B. A's row r at
-/// reduction step kk is a[r * A::RowStep(lda) + kk * A::KStep(lda)]; row r
-/// of C starts at c + r * ldc. `resume` starts the chains from the
-/// partials parked in C instead of zero; `finish` applies the epilogue,
-/// otherwise the raw partials are stored back. Always inlined: as a call,
-/// the per-tile overhead costs ~10% on short reductions.
-template <class T, int R, int NV, bool kTail, class A = RowMajorA, class B>
+/// vector), accumulated over all k rows of B. A's row r at reduction step
+/// kk is a[r * A::RowStep(lda) + kk * A::KStep(lda)]; row r of C starts at
+/// c + r * ldc. `resume` starts the chains from the partials parked in C
+/// instead of zero; `finish` applies the epilogue, otherwise the raw
+/// partials are stored back. Always inlined: as a call, the per-tile
+/// overhead costs ~10% on short reductions.
+template <class T, int R, int NV, bool kTail, class A = RowMajorA>
 __attribute__((always_inline)) inline void GemmTile(
-    const float* a, size_t lda, const B& b, size_t pb0, size_t pb1, float* c,
-    size_t ldc, size_t j, typename T::Mask mask, bool resume, bool finish,
-    Epilogue e) {
+    const float* a, size_t lda, const RowMajorB& b, float* c, size_t ldc,
+    size_t j, typename T::Mask mask, bool resume, bool finish, Epilogue e) {
   using V = typename T::Vec;
   constexpr size_t W = T::kWidth;
   const auto lanes = LanesFor<T, kTail>(mask);
@@ -195,23 +157,16 @@ __attribute__((always_inline)) inline void GemmTile(
       acc[r][v] = resume ? lanes.Load(c + r * ldc + j + v * W) : T::Zero();
     }
   }
-  for (size_t pb = pb0; pb < pb1; ++pb) {
-    const float* ak = a + b.BlockBegin(pb) * a_k;
-    const float* bk = b.At(pb, j);
-    const size_t step = b.VecStep(pb, W);
-    const size_t kb = b.BlockRows(pb);
-    // Unrolled so the per-step pointer bumps amortize over more FMAs.
+  const float* ak = a;
+  const float* bk = b.data + j;
+  // Unrolled so the per-step pointer bumps amortize over more FMAs.
 #pragma GCC unroll 2
-    for (size_t kk = 0; kk < kb; ++kk, ak += a_k, bk += b.ld) {
-      V bv[NV];
-      for (int v = 0; v < NV; ++v) {
-        bv[v] = B::kPadded ? T::Load(bk + v * step)
-                           : lanes.Load(bk + v * step);
-      }
-      for (int r = 0; r < R; ++r) {
-        const V av = T::Set1(ak[r * a_row]);
-        for (int v = 0; v < NV; ++v) acc[r][v] = T::Fma(av, bv[v], acc[r][v]);
-      }
+  for (size_t kk = 0; kk < b.k; ++kk, ak += a_k, bk += b.ld) {
+    V bv[NV];
+    for (int v = 0; v < NV; ++v) bv[v] = lanes.Load(bk + v * W);
+    for (int r = 0; r < R; ++r) {
+      const V av = T::Set1(ak[r * a_row]);
+      for (int v = 0; v < NV; ++v) acc[r][v] = T::Fma(av, bv[v], acc[r][v]);
     }
   }
   // The masked tail adds its (maybe-zero) bias vector unconditionally;
@@ -242,10 +197,9 @@ __attribute__((always_inline)) inline void GemmTile(
 
 /// One R-row block (output rows [i, i + R)) across all n output columns:
 /// 2-vector tiles, then one vector, then the masked tail.
-template <class T, int R, class B>
-inline void GemmRows(const Matrix& a, const B& b, Matrix* c, size_t i,
-                     size_t pb0, size_t pb1, bool resume, bool finish,
-                     Epilogue e) {
+template <class T, int R>
+inline void GemmRows(const Matrix& a, const RowMajorB& b, Matrix* c,
+                     size_t i, Epilogue e) {
   constexpr size_t W = T::kWidth;
   const float* ai = a.data() + i * a.stride();
   float* ci = c->data() + i * c->stride();
@@ -253,17 +207,15 @@ inline void GemmRows(const Matrix& a, const B& b, Matrix* c, size_t i,
   const typename T::Mask none{};
   size_t j = 0;
   for (; j + 2 * W <= n; j += 2 * W) {
-    GemmTile<T, R, 2, false>(ai, lda, b, pb0, pb1, ci, ldc, j, none, resume,
-                             finish, e);
+    GemmTile<T, R, 2, false>(ai, lda, b, ci, ldc, j, none, false, true, e);
   }
   if (j + W <= n) {
-    GemmTile<T, R, 1, false>(ai, lda, b, pb0, pb1, ci, ldc, j, none, resume,
-                             finish, e);
+    GemmTile<T, R, 1, false>(ai, lda, b, ci, ldc, j, none, false, true, e);
     j += W;
   }
   if (j < n) {
-    GemmTile<T, R, 1, true>(ai, lda, b, pb0, pb1, ci, ldc, j,
-                            T::TailMask(n - j), resume, finish, e);
+    GemmTile<T, R, 1, true>(ai, lda, b, ci, ldc, j, T::TailMask(n - j), false,
+                            true, e);
   }
 }
 
@@ -271,17 +223,16 @@ inline void GemmRows(const Matrix& a, const B& b, Matrix* c, size_t i,
 /// pass re-streams all of B, so a per-row tail would cost ~rem full B
 /// streams once B outgrows cache. Per-row FMA order matches the full
 /// block, so results are identical either way.
-template <class T, int R, class B>
-inline void GemmRowTail(size_t rem, const Matrix& a, const B& b, Matrix* c,
-                        size_t i, size_t pb0, size_t pb1, bool resume,
-                        bool finish, Epilogue e) {
+template <class T, int R>
+inline void GemmRowTail(size_t rem, const Matrix& a, const RowMajorB& b,
+                        Matrix* c, size_t i, Epilogue e) {
   if constexpr (R > 1) {
     if (rem < R) {
-      GemmRowTail<T, R - 1>(rem, a, b, c, i, pb0, pb1, resume, finish, e);
+      GemmRowTail<T, R - 1>(rem, a, b, c, i, e);
       return;
     }
   }
-  GemmRows<T, R>(a, b, c, i, pb0, pb1, resume, finish, e);
+  GemmRows<T, R>(a, b, c, i, e);
 }
 
 /// A row count as a type, so a generic lambda can take it as a template
@@ -315,68 +266,29 @@ inline void ForEachRowBlock(size_t r0, size_t r1, F&& f) {
   }
 }
 
-template <class T, class B>
-void GemmRange(const Matrix& a, const B& b, Matrix* c, size_t r0, size_t r1,
-               Epilogue e) {
+template <class T>
+void GemmRange(const Matrix& a, const Matrix& b, Matrix* c, size_t r0,
+               size_t r1, Epilogue e) {
+  assert(b.rows() == a.cols());
+  assert(c->rows() == a.rows() && c->cols() == b.cols());
+  assert(r0 <= r1 && r1 <= a.rows());
   constexpr int R = T::kTileRows;
-  const size_t nb = b.num_blocks();
-  // One pass with the block loop inside each tile (register-resident
-  // chains) unless B spans several k-blocks and C may hold partials; then
-  // k-blocks go outermost, so one L2-sized block of B stays resident while
-  // every row block of A streams against it.
-  const bool blocked = !e.accumulate && nb > 1;
-  const size_t passes = blocked ? nb : 1;
-  for (size_t pass = 0; pass < passes; ++pass) {
-    const size_t pb0 = blocked ? pass : 0;
-    const size_t pb1 = blocked ? pass + 1 : nb;
-    const bool resume = pb0 > 0, finish = pb1 == nb;
-    size_t i = r0;
-    for (; i + R <= r1; i += R) {
-      GemmRows<T, R>(a, b, c, i, pb0, pb1, resume, finish, e);
-    }
-    if (i < r1) {
-      GemmRowTail<T, R - 1>(r1 - i, a, b, c, i, pb0, pb1, resume, finish, e);
-    }
-  }
+  const RowMajorB bv{b.data(), b.stride(), b.rows()};
+  size_t i = r0;
+  for (; i + R <= r1; i += R) GemmRows<T, R>(a, bv, c, i, e);
+  if (i < r1) GemmRowTail<T, R - 1>(r1 - i, a, bv, c, i, e);
 }
 
 template <class T>
 void MatMulRange(const Matrix& a, const Matrix& b, Matrix* c, size_t r0,
                  size_t r1, bool accumulate) {
-  assert(b.rows() == a.cols());
-  assert(c->rows() == a.rows() && c->cols() == b.cols());
-  assert(r0 <= r1 && r1 <= a.rows());
-  GemmRange<T>(a, RowMajorB{b.data(), b.stride(), b.rows()}, c, r0, r1,
-               Epilogue{nullptr, accumulate, false});
+  GemmRange<T>(a, b, c, r0, r1, Epilogue{nullptr, accumulate, false});
 }
 
 template <class T>
 void MatMulBiasActRange(const Matrix& a, const Matrix& b, Matrix* c,
                         size_t r0, size_t r1, const float* bias, bool relu) {
-  assert(b.rows() == a.cols());
-  assert(c->rows() == a.rows() && c->cols() == b.cols());
-  assert(r0 <= r1 && r1 <= a.rows());
-  GemmRange<T>(a, RowMajorB{b.data(), b.stride(), b.rows()}, c, r0, r1,
-               Epilogue{bias, false, relu});
-}
-
-template <class T>
-void MatMulPackedRange(const Matrix& a, const PackedMatrix& b, Matrix* c,
-                       size_t r0, size_t r1, bool accumulate) {
-  assert(b.k() == a.cols());
-  assert(c->rows() == a.rows() && c->cols() == b.n());
-  assert(r0 <= r1 && r1 <= a.rows());
-  GemmRange<T>(a, PanelB{b}, c, r0, r1, Epilogue{nullptr, accumulate, false});
-}
-
-template <class T>
-void MatMulPackedBiasActRange(const Matrix& a, const PackedMatrix& b,
-                              Matrix* c, size_t r0, size_t r1,
-                              const float* bias, bool relu) {
-  assert(b.k() == a.cols());
-  assert(c->rows() == a.rows() && c->cols() == b.n());
-  assert(r0 <= r1 && r1 <= a.rows());
-  GemmRange<T>(a, PanelB{b}, c, r0, r1, Epilogue{bias, false, relu});
+  GemmRange<T>(a, b, c, r0, r1, Epilogue{bias, false, relu});
 }
 
 // ---------------------------------------------------------------------------
@@ -394,8 +306,6 @@ void MatMulPackedBiasActRange(const Matrix& a, const PackedMatrix& b,
 // once per row. Parking a partial in C is an exact store and reload.
 // An output row of at most one vector (w4's two classes) parks nothing:
 // its one accumulator stays in a register across every nonzero row.
-// Row-major B, not the packed panels: a packed row is split into n/16
-// lines a panel apart, where the row-major row is one contiguous run.
 // ---------------------------------------------------------------------------
 
 constexpr int kSparseGroup = 8;
@@ -545,8 +455,8 @@ inline void TransAStrip(const float* a, size_t lda, const RowMajorB& b,
                         typename T::Mask mask) {
   ForEachRowBlock<R>(i0, i1, [&](size_t i, auto rows) {
     GemmTile<T, decltype(rows)::kRows, NV, kTail, TransposedA>(
-        a + i, lda, b, 0, b.num_blocks(), c + i * ldc, ldc, j, mask,
-        /*resume=*/true, /*finish=*/false, Epilogue{});
+        a + i, lda, b, c + i * ldc, ldc, j, mask, /*resume=*/true,
+        /*finish=*/false, Epilogue{});
   });
 }
 
@@ -769,8 +679,6 @@ constexpr KernelTable MakeKernelTable(const char* name) {
       ColumnSumsRange<T>,
       AdamUpdate<T>,
       SincosEncode<T>,
-      MatMulPackedRange<T>,
-      MatMulPackedBiasActRange<T>,
       MatMulRowBiasAct<T>,
   };
 }

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "runtime/thread_pool.h"
-#include "tensor/packed.h"
 #include "tensor/simd.h"
 
 namespace splash {
@@ -68,29 +67,6 @@ void MatMulBiasActRange(const Matrix& a, const Matrix& b, Matrix* c,
                         size_t row_begin, size_t row_end, const float* bias,
                         bool relu) {
   Kernels().matmul_bias_act_range(a, b, c, row_begin, row_end, bias, relu);
-}
-
-void MatMulPackedRange(const Matrix& a, const PackedMatrix& b, Matrix* c,
-                       size_t row_begin, size_t row_end, bool accumulate) {
-  Kernels().matmul_packed_range(a, b, c, row_begin, row_end, accumulate);
-}
-
-void MatMulPacked(const Matrix& a, const PackedMatrix& b, Matrix* c,
-                  bool accumulate) {
-  const size_t m = a.rows(), k = a.cols(), n = b.n();
-  const KernelTable& kt = Kernels();
-  if (!ParallelRows(m, 2 * m * k * n, [&](size_t r0, size_t r1) {
-        kt.matmul_packed_range(a, b, c, r0, r1, accumulate);
-      })) {
-    kt.matmul_packed_range(a, b, c, 0, m, accumulate);
-  }
-}
-
-void MatMulPackedBiasActRange(const Matrix& a, const PackedMatrix& b,
-                              Matrix* c, size_t row_begin, size_t row_end,
-                              const float* bias, bool relu) {
-  Kernels().matmul_packed_bias_act_range(a, b, c, row_begin, row_end, bias,
-                                         relu);
 }
 
 void MatMulRowBiasAct(const Matrix& a, size_t row, const Matrix& b,

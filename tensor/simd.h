@@ -46,7 +46,6 @@
 namespace splash {
 
 class Matrix;
-class PackedMatrix;
 
 /// The per-backend serial kernel set. The parallel entry points in
 /// tensor/matrix.h partition work and call these on row ranges. Scalar
@@ -95,21 +94,6 @@ struct KernelTable {
   /// Scalar uses libm (the bit-exact reference); avx2/avx512 use an 8/16-
   /// lane Cody-Waite + minimax polynomial sincos (~1e-7 absolute error).
   void (*sincos_encode)(float x, float freq_decay, float* out, size_t dim);
-  /// Packed-B GEMM (tensor/packed.h): c rows [r0, r1) = a * B (+ c if
-  /// accumulate). Streams B one contiguous 16-float panel line per
-  /// reduction step; per-element FMA order matches matmul_range on the
-  /// same backend exactly, so packed results are bit-identical to
-  /// unpacked ones within one backend.
-  void (*matmul_packed_range)(const Matrix& a, const PackedMatrix& b,
-                              Matrix* c, size_t r0, size_t r1,
-                              bool accumulate);
-  /// Fused epilogue against packed B: c rows [r0, r1) = act(a * B + bias);
-  /// bias nullable (b.n() entries), act = ReLU when relu. Bit-identical to
-  /// matmul_bias_act_range on the same backend.
-  void (*matmul_packed_bias_act_range)(const Matrix& a,
-                                       const PackedMatrix& b, Matrix* c,
-                                       size_t r0, size_t r1,
-                                       const float* bias, bool relu);
   /// One-row fused layer over the row's nonzero inputs only: writes the
   /// positions of a[0, b.rows())'s nonzero entries to `nz` (scratch of
   /// RowIndexScratchSize(b.rows()) entries), then c[0, n) = act(sum over
@@ -161,9 +145,9 @@ const KernelTable* GetAvx512Kernels();
 /// Data-cache sizes of this host, in bytes. Read from sysfs
 /// (/sys/devices/system/cpu/cpu0/cache) on Linux; `detected` is false when
 /// that fails and the conservative fallback (32K/1M/no L3) is in effect.
-/// The packed-GEMM k-block size (tensor/packed.h) derives from l2_bytes,
-/// and scripts/bench.sh stamps the summary string into bench JSON context
-/// so snapshots from unlike cache hierarchies are never silently compared.
+/// No kernel sizes itself from it: bench JSON context stamps the summary
+/// string (and the system benchmark its l2_bytes), so timings from unlike
+/// cache hierarchies are never silently compared.
 struct CacheTopology {
   size_t l1d_bytes;
   size_t l2_bytes;
@@ -179,15 +163,11 @@ const CacheTopology& DetectCacheTopology();
 /// ",fallback" marker).
 std::string CacheTopologyString();
 
-/// Whether the packed-B GEMM tier is active. Resolved once from
-/// SPLASH_GEMM_PACK={on,off} (default on); packing still happens either
-/// way (grow-only, cheap), this knob only gates kernel selection so the
-/// CI matrix can exercise both paths on identical state.
+/// Always true. SLIM keeps one row-major weight layout; this exists only
+/// for the system benchmark's `gemm_pack` provenance stamp, which its run
+/// comparison matches across runs, and goes when that stamp does (ROADMAP
+/// item 1).
 bool GemmPackEnabled();
-
-/// Overrides the pack knob for tests/benches. Not thread-safe against
-/// concurrent kernel calls — call from test set-up only.
-void SetGemmPackForTesting(bool enabled);
 
 }  // namespace splash
 

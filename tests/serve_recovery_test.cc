@@ -224,20 +224,22 @@ void RecoverAndVerify(const std::string& data_dir, const SplashOptions& model,
   }
   EXPECT_FALSE(svc.degraded());
 
-  // Replay rebuilds packs only where the weights changed: one TrainStep
-  // pack for each replayed training batch (the catch-up replica copies
-  // the packs), none for the edge-only ones. The replayed tail is the
-  // suffix of the history.
+  // One Adam step per training batch of the whole history, the replayed
+  // tail included (the catch-up replica copies the weights and never
+  // trains), none for the edge-only ones: on top of Fit's steps, as a
+  // reference that replays no batch counts them.
   {
-    const ServeCounters c = svc.Stats().counters;
-    ASSERT_LE(c.recovery_replayed_batches, history.size());
+    EdgeStream fit_log;
+    const auto fit_only = MakeReference(ds, split, model, {}, &fit_log);
+    ByteWriter fit_bytes;
+    fit_only->SerializeState(&fit_bytes);
     uint64_t train_batches = 0;
-    for (size_t i = history.size() - c.recovery_replayed_batches;
-         i < history.size(); ++i) {
-      train_batches += history[i].train.empty() ? 0 : 1;
+    for (const WalRecord& rec : history) {
+      train_batches += rec.train.empty() ? 0 : 1;
     }
-    EXPECT_EQ(c.weight_packs, train_batches)
-        << "one TrainStep pack per replayed training batch";
+    EXPECT_EQ(ServiceAdamSteps(svc),
+              ReadSlimAdamSteps(fit_bytes.buffer()) + train_batches)
+        << "one Adam step per training batch";
   }
 
   // The recovered ingest log is the reference log, edge for edge.
@@ -345,7 +347,7 @@ TEST_F(ServeRecoveryTest, RecoveryWithNoMidStreamCheckpointReplaysWholeWal) {
   RecoverAndVerify(dir.path(), model, 200u);
 }
 
-TEST_F(ServeRecoveryTest, EdgeOnlyWalReplayRebuildsNoPacks) {
+TEST_F(ServeRecoveryTest, EdgeOnlyWalReplayTrainsNothing) {
   TempDir dir;
   const SplashOptions model = RecoveryModelOptions();
   const Dataset ds = MakeWarmup();
@@ -356,10 +358,12 @@ TEST_F(ServeRecoveryTest, EdgeOnlyWalReplayRebuildsNoPacks) {
   SplashServiceOptions opts = DurableOptions(dir.path());
   opts.checkpoint_interval_batches = 0;  // every batch stays in the WAL
   opts.checkpoint_on_stop = false;
+  uint64_t fit_steps = 0;
   {
     SplashService svc(model, opts);
     TrainerOptions fit = SmallFit();
     ASSERT_TRUE(svc.RecoverOrStart(ds, split, &fit).ok());
+    fit_steps = ServiceAdamSteps(svc);
     for (size_t i = 0; i < 100; ++i) svc.IngestEdge(live[i]);  // no labels
     svc.Stop();
   }
@@ -369,7 +373,8 @@ TEST_F(ServeRecoveryTest, EdgeOnlyWalReplayRebuildsNoPacks) {
   const ServeCounters c = svc.Stats().counters;
   EXPECT_EQ(c.recovered_seq, 100u);
   EXPECT_GT(c.recovery_replayed_batches, 0u);
-  EXPECT_EQ(c.weight_packs, 0u) << "edge-only WAL replay repacked weights";
+  EXPECT_EQ(ServiceAdamSteps(svc), fit_steps)
+      << "edge-only WAL replay stepped the optimizer";
   svc.Stop();
 }
 

@@ -240,11 +240,12 @@ TEST_F(ServeServiceTest, TrainingFeedbackReplaysBitIdenticalViaApplyLog) {
   ExpectBitEqual(want, resp.scores, "train-feedback snapshot vs replay");
 }
 
-TEST_F(ServeServiceTest, WeightPacksFollowWeightsNotPublishes) {
-  // Packs are rebuilt when the weights change, not at every publish: an
-  // edge-only micro-batch publishes and catches up without one rebuild,
-  // and a training batch costs exactly one TrainStep pack: the published
-  // replica trains, the catch-up replica copies its weights and packs.
+TEST_F(ServeServiceTest, OnlyTrainingBatchesStepTheOptimizer) {
+  // An edge-only micro-batch publishes and catches up without a train
+  // step, and a training batch costs exactly one: the published replica
+  // trains, the catch-up replica copies its weights instead of training
+  // again. The service's one train state shows it: its Adam step count,
+  // as the predictor state bytes carry it, moves once per training batch.
   const Dataset ds = MakeWarmup();
   const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
   const std::vector<TemporalEdge> live = LiveEdges(ds, split);
@@ -256,8 +257,10 @@ TEST_F(ServeServiceTest, WeightPacksFollowWeightsNotPublishes) {
   SplashService service(SmallModelOptions(), sopts);
   TrainerOptions fit = SmallFit();
   ASSERT_TRUE(service.Start(ds, split, &fit).ok());
-  EXPECT_EQ(service.Stats().counters.weight_packs, 0u)
-      << "Prepare/Fit packs must not count as serving packs";
+  EXPECT_EQ(service.Stats().counters.train_steps, 0u)
+      << "Prepare/Fit steps must not count as serving train steps";
+  const uint64_t fit_steps = ServiceAdamSteps(service);
+  EXPECT_GT(fit_steps, 0u) << "Fit trained";
 
   // N edge-only micro-batches (one edge each, flushed apart).
   constexpr size_t kEdgeBatches = 6;
@@ -267,7 +270,7 @@ TEST_F(ServeServiceTest, WeightPacksFollowWeightsNotPublishes) {
   }
   ServeCounters c = service.Stats().counters;
   EXPECT_EQ(c.batches_applied, kEdgeBatches);
-  EXPECT_EQ(c.weight_packs, 0u);
+  EXPECT_EQ(c.train_steps, 0u);
 
   // One micro-batch holding a single train row.
   PropertyQuery q;
@@ -280,9 +283,10 @@ TEST_F(ServeServiceTest, WeightPacksFollowWeightsNotPublishes) {
   c = service.Stats().counters;
   EXPECT_EQ(c.batches_applied, kEdgeBatches + 1);
   EXPECT_EQ(c.train_steps, 1u);
-  EXPECT_EQ(c.weight_packs, 1u)
-      << "one TrainStep pack on the published replica; the catch-up "
-         "replica copies the packs, and publish never re-packs";
+  EXPECT_EQ(ServiceAdamSteps(service), fit_steps + 1)
+      << "one TrainStep on the published replica, none for the edge-only "
+         "batches; the catch-up replica copies its weights and never "
+         "trains";
 }
 
 TEST_F(ServeServiceTest, DropNewestBackpressureCountsAndStaysConsistent) {
@@ -647,7 +651,6 @@ TEST_F(ServeServiceTest, InvalidTrainFeedbackRejectedAtTheBoundary) {
   EXPECT_EQ(c.train_accepted, 0u);
   EXPECT_EQ(c.batches_applied, 0u);
   EXPECT_EQ(c.train_steps, 0u);
-  EXPECT_EQ(c.weight_packs, 0u);
   ByteWriter after;
   service.SerializePredictorState(&after);
   EXPECT_EQ(after.buffer(), before.buffer()) << "a rejected row trained";

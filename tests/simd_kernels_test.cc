@@ -7,8 +7,10 @@
 // element's absolute dot mass, so cancellation does not inflate the bound
 // into meaningless territory). Also pins the dispatch-resolution logic, the
 // padded-layout and tail-lane bit-equality (padding and masked tails must
-// never change arithmetic), and the scalar-backend bit-equality of the
-// fused epilogue vs the three-pass sequence it replaced.
+// never change arithmetic), the scalar-backend bit-equality of the fused
+// epilogue vs the three-pass sequence it replaced, row-range calls vs the
+// full-range call, and the one-row kernel vs the dense rows, bit for bit on
+// every backend.
 
 #include "tensor/simd.h"
 
@@ -23,7 +25,6 @@
 #include <vector>
 
 #include "tensor/matrix.h"
-#include "tensor/packed.h"
 #include "tensor/rng.h"
 
 namespace splash {
@@ -45,6 +46,13 @@ std::vector<const KernelTable*> SimdBackends() {
   std::vector<const KernelTable*> v;
   if (HaveAvx2()) v.push_back(GetAvx2Kernels());
   if (HaveAvx512()) v.push_back(GetAvx512Kernels());
+  return v;
+}
+
+/// The scalar reference and every SIMD backend this host can run.
+std::vector<const KernelTable*> AllBackends() {
+  std::vector<const KernelTable*> v = {GetScalarKernels()};
+  for (const KernelTable* t : SimdBackends()) v.push_back(t);
   return v;
 }
 
@@ -697,13 +705,10 @@ void CheckTailLanes(const KernelTable* t, size_t w) {
     t->matmul_range(in, bw, &cw, 0, rows, false);
     ExpectLanesBitEqual(c.data(), n, cw.data(), wide, rows, n,
                         name + " matmul_range");
-    PackedMatrix p, pw;
-    p.PackFrom(b);
-    pw.PackFrom(bw);
-    t->matmul_packed_bias_act_range(in, p, &c, 0, rows, bias.data(), true);
-    t->matmul_packed_bias_act_range(in, pw, &cw, 0, rows, bias.data(), true);
+    t->matmul_bias_act_range(in, b, &c, 0, rows, bias.data(), true);
+    t->matmul_bias_act_range(in, bw, &cw, 0, rows, bias.data(), true);
     ExpectLanesBitEqual(c.data(), n, cw.data(), wide, rows, n,
-                        name + " matmul_packed_bias_act_range");
+                        name + " matmul_bias_act_range");
   }
 }
 
@@ -712,9 +717,7 @@ TEST(SimdKernelsTest, PaddedOperandsBitEqualContiguousWithinBackend) {
   // must produce bit-identical results for padded and contiguous operands,
   // and for a lane in a masked tail and in a full vector.
   Rng rng(107);
-  std::vector<const KernelTable*> tables = {GetScalarKernels()};
-  for (const KernelTable* t : SimdBackends()) tables.push_back(t);
-  for (const KernelTable* t : tables) {
+  for (const KernelTable* t : AllBackends()) {
     for (size_t n : {2, 7, 16, 33}) {
       const size_t m = 19, k = 21;
       const Matrix a = Matrix::Gaussian(m, k, &rng);
@@ -744,6 +747,88 @@ TEST(SimdKernelsTest, PaddedOperandsBitEqualContiguousWithinBackend) {
     // W = the backend's vector width (scalar has none; 8 is arbitrary).
     CheckTailLanes(t, std::strcmp(t->name, "avx512") == 0 ? 16 : 8);
   }
+}
+
+TEST(SimdKernelsTest, RowRangeCallsMatchFullRangeCall) {
+  // Row-range calls (the parallel wrapper's unit, and the chunks of the
+  // batch-parallel SLIM forward) must write exactly the requested rows,
+  // identically to the full-range call.
+  for (const KernelTable* t : AllBackends()) {
+    Rng rng(304);
+    const size_t m = 23, k = 37, n = 29;
+    const Matrix a = Matrix::Gaussian(m, k, &rng);
+    const Matrix b = Matrix::Gaussian(k, n, &rng);
+    std::vector<float> bias(n);
+    for (float& x : bias) x = 0.5f * static_cast<float>(rng.Gaussian());
+    const size_t bytes = m * n * sizeof(float);
+    Matrix full(m, n), part(m, n);
+    t->matmul_range(a, b, &full, 0, m, false);
+    t->matmul_range(a, b, &part, 0, 9, false);
+    t->matmul_range(a, b, &part, 9, m, false);
+    ASSERT_EQ(std::memcmp(full.data(), part.data(), bytes), 0)
+        << t->name << " matmul_range";
+    t->matmul_bias_act_range(a, b, &full, 0, m, bias.data(), true);
+    t->matmul_bias_act_range(a, b, &part, 0, 9, bias.data(), true);
+    t->matmul_bias_act_range(a, b, &part, 9, m, bias.data(), true);
+    ASSERT_EQ(std::memcmp(full.data(), part.data(), bytes), 0)
+        << t->name << " matmul_bias_act_range";
+  }
+}
+
+/// One row per input density: all +0, 2%, 50% (the zeros alternate +0 and
+/// -0), all -0, and 100% nonzero.
+Matrix SparseRows(size_t k, Rng* rng) {
+  const double density[] = {0.0, 0.02, 0.5, 0.0, 1.0};
+  Matrix a(5, k);
+  for (size_t r = 0; r < 5; ++r) {
+    for (size_t kk = 0; kk < k; ++kk) {
+      const bool nonzero = rng->Uniform() < density[r];
+      const float x = static_cast<float>(rng->Gaussian());
+      a(r, kk) = nonzero ? x : (r == 3 || (r == 2 && kk % 2 == 1) ? -0.0f
+                                                                  : 0.0f);
+    }
+  }
+  return a;
+}
+
+TEST(SimdKernelsTest, OneRowKernelBitEqualsDenseRowPerBackend) {
+  // The one-row kernel (MatMulRowBiasAct) reduces over a row's nonzero
+  // inputs only; each output row must equal the dense fused kernel's row
+  // bit for bit. Reductions run from one row to thousands; the longest
+  // are skipped where B would pass 4M floats.
+  const size_t kNs[] = {2, 7, 16, 31, 33, 64, 1024};
+  const size_t kKs[] = {1, 2, 5, 16, 33, 100, 259, 529, 4113, 32785};
+  std::vector<uint32_t> nz;  // shared grow-only scratch, as callers hold it
+  for (const KernelTable* t : AllBackends()) {
+    ASSERT_TRUE(SetKernelBackendForTesting(t->name));
+    Rng rng(305);
+    for (size_t n : kNs) {
+      for (size_t k : kKs) {
+        if (k * n > (size_t{1} << 22)) continue;
+        const Matrix a = SparseRows(k, &rng);
+        const Matrix b = Matrix::Gaussian(k, n, &rng);
+        std::vector<float> bias(n);
+        for (float& x : bias) x = 0.5f * static_cast<float>(rng.Gaussian());
+        for (const float* bp : {static_cast<const float*>(nullptr),
+                                static_cast<const float*>(bias.data())}) {
+          for (bool relu : {false, true}) {
+            Matrix dense(a.rows(), n);
+            MatMulBiasActRange(a, b, &dense, 0, a.rows(), bp, relu);
+            Matrix row(a.rows(), n);
+            for (size_t r = 0; r < a.rows(); ++r) {
+              MatMulRowBiasAct(a, r, b, &row, bp, relu, &nz);
+              ASSERT_EQ(std::memcmp(dense.Row(r), row.Row(r),
+                                    n * sizeof(float)),
+                        0)
+                  << t->name << " n=" << n << " k=" << k << " row=" << r
+                  << " bias=" << (bp != nullptr) << " relu=" << relu;
+            }
+          }
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(SetKernelBackendForTesting("auto"));
 }
 
 TEST(SimdKernelsTest, ResolveKernelChoiceTable) {
