@@ -435,6 +435,11 @@ int Main(int argc, char** argv) {
     c.driver_threads = 1;
     c.ops = kSmokeOps;
     c.seed = 77;
+    // Reads name endpoints of preloaded live edges, so each computes a
+    // forward over neighbor history. Random warm-up nodes are untouched
+    // after boot, and the share of them the cold-read memo answered swung
+    // with thread timing, and the gated cpu/op with it.
+    c.preload_edges = 4000;
 
     // Median of 7 repetitions (fresh service each): single mixed-traffic
     // runs swing ~±20% cpu/op from scheduler noise on shared runners,

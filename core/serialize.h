@@ -136,6 +136,19 @@ class ByteReader {
     return true;
   }
 
+  /// The next `n` bytes in place, skipped over; nullptr (and ok() false)
+  /// when fewer remain. Lets a caller decode a large array without copying
+  /// it out first.
+  const uint8_t* Span(size_t n) {
+    if (!ok_ || n > n_ - pos_) {
+      ok_ = false;
+      return nullptr;
+    }
+    const uint8_t* p = p_ + pos_;
+    pos_ += n;
+    return p;
+  }
+
   uint8_t U8() {
     uint8_t v = 0;
     Bytes(&v, 1);

@@ -5,6 +5,7 @@
 #include <dirent.h>
 #include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -21,19 +22,52 @@ namespace {
 
 constexpr char kCkptMagic[8] = {'S', 'P', 'L', 'C', 'K', 'P', '1', '\n'};
 constexpr size_t kCkptHeaderBytes = 8 + 8 + 4;
+// Payload fields ahead of the edge columns: seq, batches_applied, wm_time,
+// edge count, num_nodes.
+constexpr size_t kCkptMetaBytes = 5 * 8;
+// The file as written: header, meta, src, dst, time, then node_seen and the
+// predictor blob, each behind its u64 length.
+constexpr size_t kCkptPieces = 9;
 
-Status WriteFully(int fd, const uint8_t* p, size_t n) {
+/// Writes every byte the `n` iovecs at `iov` describe, resuming after
+/// short writes; consumes the array.
+Status WriteAll(int fd, iovec* iov, size_t n) {
   while (n > 0) {
-    const ssize_t w = ::write(fd, p, n);
+    const ssize_t w = ::writev(fd, iov, static_cast<int>(n));
     if (w < 0) {
       if (errno == EINTR) continue;
       return Status::Error(std::string("checkpoint: write failed: ") +
                            std::strerror(errno));
     }
-    p += w;
-    n -= static_cast<size_t>(w);
+    size_t done = static_cast<size_t>(w);
+    for (; n > 0 && done >= iov->iov_len; ++iov, --n) done -= iov->iov_len;
+    if (n > 0) {
+      iov->iov_base = static_cast<uint8_t*>(iov->iov_base) + done;
+      iov->iov_len -= done;
+    }
   }
   return Status::Ok();
+}
+
+/// Writes bytes [begin, end) of the file that `pieces` spell in order.
+Status WriteRange(int fd, const iovec* pieces, size_t n, size_t begin,
+                  size_t end) {
+  iovec iov[kCkptPieces];
+  size_t count = 0;
+  size_t off = 0;
+  for (size_t i = 0; i < n; off += pieces[i].iov_len, ++i) {
+    const size_t lo = std::max(begin, off);
+    const size_t hi = std::min(end, off + pieces[i].iov_len);
+    if (lo < hi) {
+      iov[count++] = {static_cast<uint8_t*>(pieces[i].iov_base) + (lo - off),
+                      hi - lo};
+    }
+  }
+  return WriteAll(fd, iov, count);
+}
+
+void StoreLE(uint8_t* p, uint64_t v, size_t bytes) {
+  for (size_t i = 0; i < bytes; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
 }
 
 Status SyncDir(const std::string& dir) {
@@ -87,22 +121,43 @@ Status WriteCheckpoint(const std::string& dir, uint64_t seq,
                        const EdgeStream& log,
                        const std::vector<uint8_t>& node_seen,
                        const std::vector<uint8_t>& predictor_state) {
-  ByteWriter payload;
-  payload.U64(seq);
-  payload.U64(batches_applied);
-  payload.F64(wm_time);
-  payload.U64(log.size());
-  payload.U64(log.num_nodes());
-  payload.Bytes(log.src_data(), log.size() * sizeof(NodeId));
-  payload.Bytes(log.dst_data(), log.size() * sizeof(NodeId));
-  payload.Bytes(log.time_data(), log.size() * sizeof(double));
-  payload.U8Vec(node_seen);
-  payload.U8Vec(predictor_state);
-
-  ByteWriter header;
-  header.Bytes(kCkptMagic, sizeof(kCkptMagic));
-  header.U64(payload.size());
-  header.U32(Crc32c(payload.buffer().data(), payload.size()));
+  // The payload is never assembled: each piece is written and checksummed
+  // straight from where it lives, so a checkpoint costs no copy of the log.
+  uint8_t header[kCkptHeaderBytes];
+  uint8_t meta[kCkptMetaBytes];
+  uint8_t seen_len[8];
+  uint8_t blob_len[8];
+  uint64_t wm_bits;
+  std::memcpy(&wm_bits, &wm_time, sizeof(wm_bits));
+  StoreLE(meta, seq, 8);
+  StoreLE(meta + 8, batches_applied, 8);
+  StoreLE(meta + 16, wm_bits, 8);
+  StoreLE(meta + 24, log.size(), 8);
+  StoreLE(meta + 32, log.num_nodes(), 8);
+  StoreLE(seen_len, node_seen.size(), 8);
+  StoreLE(blob_len, predictor_state.size(), 8);
+  const auto piece = [](const void* p, size_t n) {
+    return iovec{const_cast<void*>(p), n};
+  };
+  const iovec pieces[kCkptPieces] = {
+      piece(header, sizeof(header)),
+      piece(meta, sizeof(meta)),
+      piece(log.src_data(), log.size() * sizeof(NodeId)),
+      piece(log.dst_data(), log.size() * sizeof(NodeId)),
+      piece(log.time_data(), log.size() * sizeof(double)),
+      piece(seen_len, sizeof(seen_len)),
+      piece(node_seen.data(), node_seen.size()),
+      piece(blob_len, sizeof(blob_len)),
+      piece(predictor_state.data(), predictor_state.size())};
+  size_t payload_len = 0;
+  uint32_t crc = 0;
+  for (size_t i = 1; i < kCkptPieces; ++i) {
+    payload_len += pieces[i].iov_len;
+    crc = Crc32c(pieces[i].iov_base, pieces[i].iov_len, crc);
+  }
+  std::memcpy(header, kCkptMagic, sizeof(kCkptMagic));
+  StoreLE(header + 8, payload_len, 8);
+  StoreLE(header + 16, crc, 4);
 
   const std::string final_path = CheckpointPath(dir, seq);
   const std::string tmp_path = final_path + ".tmp";
@@ -111,18 +166,15 @@ Status WriteCheckpoint(const std::string& dir, uint64_t seq,
     return Status::Error("checkpoint: cannot create " + tmp_path + ": " +
                          std::strerror(errno));
   }
-  Status st = WriteFully(fd, header.buffer().data(), header.size());
+  // Two writes with the crash point between them, after the header and
+  // half the payload: a mid-write crash leaves a temp file whose length
+  // contradicts its header — the loader must reject it and fall back.
+  const size_t half = kCkptHeaderBytes + payload_len / 2;
+  Status st = WriteRange(fd, pieces, kCkptPieces, 0, half);
   if (st.ok()) {
-    // Two writes with the crash point between them: a mid-write crash
-    // leaves a temp file whose length contradicts its header — the loader
-    // must reject it and fall back.
-    const size_t half = payload.size() / 2;
-    st = WriteFully(fd, payload.buffer().data(), half);
     SPLASH_CRASH_POINT(CrashPoint::kCheckpointMidWrite);
-    if (st.ok()) {
-      st = WriteFully(fd, payload.buffer().data() + half,
-                      payload.size() - half);
-    }
+    st = WriteRange(fd, pieces, kCkptPieces, half,
+                    kCkptHeaderBytes + payload_len);
   }
   if (st.ok() && ::fsync(fd) != 0) {
     st = Status::Error("checkpoint: fsync failed for " + tmp_path);
@@ -194,22 +246,24 @@ Status LoadLatestCheckpoint(const std::string& dir, CheckpointData* out,
     const uint64_t n_edges = pr.U64();
     const uint64_t num_nodes = pr.U64();
     if (!pr.ok() || n_edges > pr.remaining() / 16) continue;
-    std::vector<NodeId> src(static_cast<size_t>(n_edges));
-    std::vector<NodeId> dst(static_cast<size_t>(n_edges));
-    std::vector<double> time(static_cast<size_t>(n_edges));
-    if (!pr.Bytes(src.data(), src.size() * sizeof(NodeId)) ||
-        !pr.Bytes(dst.data(), dst.size() * sizeof(NodeId)) ||
-        !pr.Bytes(time.data(), time.size() * sizeof(double)) ||
-        !pr.U8Vec(&data.node_seen) || !pr.U8Vec(&data.predictor_state) ||
+    const size_t n = static_cast<size_t>(n_edges);
+    const uint8_t* src = pr.Span(n * sizeof(NodeId));
+    const uint8_t* dst = pr.Span(n * sizeof(NodeId));
+    const uint8_t* time = pr.Span(n * sizeof(double));
+    if (!pr.U8Vec(&data.node_seen) || !pr.U8Vec(&data.predictor_state) ||
         !pr.ok()) {
       continue;
     }
     data.log.EnsureNodeCapacity(static_cast<size_t>(num_nodes));
-    data.log.Reserve(static_cast<size_t>(n_edges));
+    data.log.Reserve(n);
     bool log_ok = true;
-    for (size_t i = 0; i < src.size(); ++i) {
+    for (size_t i = 0; i < n; ++i) {
+      TemporalEdge e;
+      std::memcpy(&e.src, src + i * sizeof(NodeId), sizeof(NodeId));
+      std::memcpy(&e.dst, dst + i * sizeof(NodeId), sizeof(NodeId));
+      std::memcpy(&e.time, time + i * sizeof(double), sizeof(double));
       // The serialized log was monotone by construction; Append re-checks.
-      if (!data.log.Append(TemporalEdge(src[i], dst[i], time[i])).ok()) {
+      if (!data.log.Append(e).ok()) {
         log_ok = false;
         break;
       }

@@ -17,9 +17,19 @@
 //
 // File format: magic[8]="SPLCKP1\n"  u64 payload_len  u32 crc32c(payload)
 // payload, where payload = u64 seq, u64 batches_applied, f64 wm_time, edge
-// log (count, num_nodes, src/dst/time arrays), node_seen, predictor blob.
-// `batches_applied` is the WAL batch-index cursor the checkpoint covers:
-// recovery replays exactly the records with batch_index >= it.
+// log (count, num_nodes, src/dst/time arrays), node_seen, predictor blob
+// (each of the last two behind its u64 length). `batches_applied` is the
+// WAL batch-index cursor the checkpoint covers: recovery replays exactly
+// the records with batch_index >= it.
+//
+// The writer never assembles the payload. Its length is summed from the
+// pieces, the CRC is chained over them in file order, and two writev()
+// calls send the header and every piece straight from the caller's arrays:
+// the first ends exactly payload_len / 2 payload bytes in, where the
+// checkpoint-mid-write crash point sits. A write allocates only its paths
+// and the GC listing, whatever the log's length; it still costs O(history)
+// in write() and CRC bytes while the checkpoint carries the log. The loader
+// decodes the edge columns from its read buffer straight into the log.
 
 #ifndef SPLASH_SERVE_CHECKPOINT_H_
 #define SPLASH_SERVE_CHECKPOINT_H_

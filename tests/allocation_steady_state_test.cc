@@ -9,7 +9,8 @@
 // read-only SLIM copy, of S-mode streaming state (DESIGN.md §5) and of a
 // buffer's first allocation; a scoped flag confines the assertion to the
 // measured region. The serve read path is gated end to end too: ServeClient
-// calls on a started service allocate nothing at steady state.
+// calls on a started service allocate nothing at steady state, and a
+// checkpoint write allocates the same few bytes whatever the log's length.
 
 #include <gtest/gtest.h>
 
@@ -31,10 +32,12 @@
 #include "graph/neighbor_memory.h"
 #include "runtime/pipeline.h"
 #include "runtime/thread_pool.h"
+#include "serve/checkpoint.h"
 #include "serve/service.h"
 #include "tensor/matrix.h"
 #include "tensor/rng.h"
 #include "tensor/simd.h"
+#include "tests/serve_test_util.h"
 
 namespace {
 
@@ -472,6 +475,43 @@ TEST(AllocationSteadyStateTest, ServeClientReadsAreAllocationFree) {
       << "the untouched node was not answered by the cold-read memo";
   EXPECT_EQ(resp.watermark_seq, 100u);
   EXPECT_EQ(cold_resp.scores.rows(), 1u);
+}
+
+TEST(AllocationSteadyStateTest, CheckpointWriteAllocationsIgnoreTheLogSize) {
+  // WriteCheckpoint streams the log's columns to the file from where they
+  // live, so its heap use is the paths and the GC listing: the same few
+  // hundred bytes for a 1M-edge log as for a 1k-edge one, never a copy of
+  // the 16 B/edge log.
+  const auto make_log = [](size_t n) {
+    EdgeStream log;
+    log.Reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(log.Append(TemporalEdge(static_cast<NodeId>(i % 5000),
+                                          static_cast<NodeId>(i % 4999),
+                                          static_cast<double>(i)))
+                      .ok());
+    }
+    return log;
+  };
+  const std::vector<uint8_t> seen(5000, 1);
+  const std::vector<uint8_t> blob(4096, 7);
+  const auto checkpoint_bytes = [&](const EdgeStream& log) {
+    TempDir dir;
+    bool ok = false;
+    const size_t bytes = AllocatedBytes([&] {
+      ok = WriteCheckpoint(dir.path(), log.size(), 1, log.max_time(), log,
+                           seen, blob)
+               .ok();
+    });
+    EXPECT_TRUE(ok);
+    return bytes;
+  };
+  const size_t small = checkpoint_bytes(make_log(1000));
+  const size_t large = checkpoint_bytes(make_log(1000000));
+  constexpr size_t kBound = 64 * 1024;
+  EXPECT_LT(small, kBound);
+  EXPECT_LT(large, kBound) << "a 1M-edge checkpoint copied its payload";
+  EXPECT_EQ(large, small);
 }
 
 TEST(AllocationSteadyStateTest, PipelineThreadSubmitWaitIsAllocationFree) {

@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -487,6 +488,41 @@ class ServeCrashPointTest : public ::testing::TestWithParam<CrashCase> {
   _exit(0);  // crash point never fired
 }
 
+/// After a crash at kCheckpointMidWrite the one temp file holds the 20-byte
+/// header and exactly payload_len / 2 payload bytes. Put in place under its
+/// live name, as if the rename had happened, the loader passes over it to
+/// the previous checkpoint; it stays there for recovery to pass over too.
+void ExpectTornCheckpointPassedOver(const std::string& dir) {
+  std::vector<std::string> tmps;
+  DIR* d = ::opendir(dir.c_str());
+  ASSERT_NE(d, nullptr);
+  while (const struct dirent* ent = ::readdir(d)) {
+    const std::string name = ent->d_name;
+    if (name.size() > 9 && name.compare(name.size() - 9, 9, ".ckpt.tmp") == 0) {
+      tmps.push_back(dir + "/" + name);
+    }
+  }
+  ::closedir(d);
+  ASSERT_EQ(tmps.size(), 1u);
+  const std::string& tmp = tmps[0];
+
+  const std::vector<uint8_t> torn = ReadFile(tmp);
+  ASSERT_GE(torn.size(), 20u);
+  ASSERT_EQ(std::memcmp(torn.data(), "SPLCKP1\n", 8), 0);
+  const uint64_t payload_len = ByteReader(torn.data() + 8, 8).U64();
+  EXPECT_EQ(torn.size(), 20 + payload_len / 2);
+
+  const std::string live = tmp.substr(0, tmp.size() - 4);
+  const uint64_t torn_seq = std::strtoull(
+      live.substr(live.rfind("checkpoint-") + 11).c_str(), nullptr, 10);
+  ASSERT_EQ(::rename(tmp.c_str(), live.c_str()), 0);
+  CheckpointData data;
+  bool found = false;
+  ASSERT_TRUE(LoadLatestCheckpoint(dir, &data, &found).ok());
+  ASSERT_TRUE(found) << "no checkpoint before the torn one";
+  EXPECT_LT(data.seq, torn_seq);
+}
+
 TEST_P(ServeCrashPointTest, CrashRecoverBitExact) {
   const CrashCase c = GetParam();
   TempDir dir;
@@ -501,6 +537,9 @@ TEST_P(ServeCrashPointTest, CrashRecoverBitExact) {
   ASSERT_EQ(WEXITSTATUS(status), kCrashExitCode)
       << "crash point " << CrashPointName(c.point) << " never fired";
 
+  if (c.point == CrashPoint::kCheckpointMidWrite) {
+    ASSERT_NO_FATAL_FAILURE(ExpectTornCheckpointPassedOver(dir.path()));
+  }
   // The child died mid-write somewhere on the durability path. Recovery
   // must land on a CRC-valid prefix and match the uninterrupted run.
   RecoverAndVerify(dir.path(), RecoveryModelOptions(), kAnySeq);

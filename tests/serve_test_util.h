@@ -1,9 +1,9 @@
 // Copyright 2026 The SPLASH Reproduction Authors.
 //
-// Helpers shared by the serve test suites: a scratch data_dir, the WAL
-// read back as the service's applied micro-batch sequence — the record
-// every apply-sequence oracle replays — and SLIM's Adam step count read
-// out of predictor state bytes.
+// Helpers shared by the serve test suites: a scratch data_dir, a file read
+// whole, the WAL read back as the service's applied micro-batch sequence —
+// the record every apply-sequence oracle replays — and SLIM's Adam step
+// count read out of predictor state bytes.
 
 #ifndef SPLASH_TESTS_SERVE_TEST_UTIL_H_
 #define SPLASH_TESTS_SERVE_TEST_UTIL_H_
@@ -12,6 +12,7 @@
 #include <stdlib.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -42,6 +43,21 @@ class TempDir {
  private:
   std::string path_;
 };
+
+/// The whole file at `path`; empty when it cannot be read.
+inline std::vector<uint8_t> ReadFile(const std::string& path) {
+  std::vector<uint8_t> buf;
+  FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return buf;
+  std::fseek(f, 0, SEEK_END);
+  buf.resize(static_cast<size_t>(std::ftell(f)));
+  std::fseek(f, 0, SEEK_SET);
+  if (!buf.empty() && std::fread(buf.data(), 1, buf.size(), f) != buf.size()) {
+    buf.clear();
+  }
+  std::fclose(f);
+  return buf;
+}
 
 /// Turns `opts` durable in `dir` so the WAL keeps the whole applied
 /// micro-batch sequence: no segment is garbage-collected and nothing is

@@ -18,6 +18,10 @@
 //     back to its predecessor, and so does a CRC-valid one whose seq,
 //     watermark or node count contradicts its log; GC keeps
 //     kCheckpointsToKeep;
+//   - the checkpoint writer streams its pieces, and the file stays
+//     byte-identical to the SPLCKP1 payload assembled in one buffer, with
+//     the mid-write crash point at exactly payload_len / 2 whichever
+//     piece that byte falls in;
 //   - Crc32c (hardware when the CPU has it) equals Crc32cPortable on known
 //     answers, random buffers, seeds and chains, and every CRC field of a
 //     written segment or checkpoint is the portable table's value.
@@ -26,6 +30,7 @@
 
 #include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -39,25 +44,12 @@
 
 #include "core/serialize.h"
 #include "serve/checkpoint.h"
+#include "serve/fault_injection.h"
 #include "serve/wal.h"
 #include "tests/serve_test_util.h"
 
 namespace splash {
 namespace {
-
-std::vector<uint8_t> ReadFile(const std::string& path) {
-  std::vector<uint8_t> buf;
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return buf;
-  std::fseek(f, 0, SEEK_END);
-  buf.resize(static_cast<size_t>(std::ftell(f)));
-  std::fseek(f, 0, SEEK_SET);
-  if (!buf.empty() && std::fread(buf.data(), 1, buf.size(), f) != buf.size()) {
-    buf.clear();
-  }
-  std::fclose(f);
-  return buf;
-}
 
 void WriteFile(const std::string& path, const std::vector<uint8_t>& buf) {
   FILE* f = std::fopen(path.c_str(), "wb");
@@ -604,6 +596,146 @@ TEST(ServeCheckpointTest, CrcValidInconsistentNewestFallsBackToPredecessor) {
   ASSERT_TRUE(found);
   EXPECT_EQ(data.seq, 9u);
 }
+
+// ---------------------------------------------------------------------------
+// Checkpoint format pin: the streamed writer against the assembled payload
+// ---------------------------------------------------------------------------
+
+/// The SPLCKP1 file as the format defines it, assembled in one buffer the
+/// way the writer did before it streamed: header, then the payload.
+std::vector<uint8_t> ReferenceCheckpointFile(uint64_t seq, uint64_t batches,
+                                             double wm_time,
+                                             const EdgeStream& log,
+                                             const std::vector<uint8_t>& seen,
+                                             const std::vector<uint8_t>& blob) {
+  ByteWriter payload;
+  payload.U64(seq);
+  payload.U64(batches);
+  payload.F64(wm_time);
+  payload.U64(log.size());
+  payload.U64(log.num_nodes());
+  payload.Bytes(log.src_data(), log.size() * sizeof(NodeId));
+  payload.Bytes(log.dst_data(), log.size() * sizeof(NodeId));
+  payload.Bytes(log.time_data(), log.size() * sizeof(double));
+  payload.U8Vec(seen);
+  payload.U8Vec(blob);
+  ByteWriter file;
+  file.Bytes("SPLCKP1\n", 8);
+  file.U64(payload.size());
+  file.U32(Crc32cPortable(payload.buffer().data(), payload.size()));
+  file.Bytes(payload.buffer().data(), payload.size());
+  return file.buffer();
+}
+
+/// One file shape. `split_piece` names the payload piece holding byte
+/// payload_len / 2, where the writer's mid-write crash point sits.
+struct CheckpointShape {
+  const char* split_piece;
+  size_t n_edges;
+  size_t seen_bytes;
+  size_t blob_bytes;
+};
+
+/// The payload piece byte `off` falls in. node_seen and the blob each
+/// count with their u64 length.
+std::string PayloadPieceAt(const CheckpointShape& c, size_t off) {
+  const size_t n = c.n_edges;
+  const size_t ends[] = {40, 40 + 4 * n, 40 + 8 * n, 40 + 16 * n,
+                         48 + 16 * n + c.seen_bytes,
+                         56 + 16 * n + c.seen_bytes + c.blob_bytes};
+  const char* names[] = {"meta", "src", "dst", "time", "node_seen", "blob"};
+  for (size_t i = 0; i < 6; ++i) {
+    if (off < ends[i]) return names[i];
+  }
+  return "past the end";
+}
+
+void PrintTo(const CheckpointShape& c, std::ostream* os) {
+  *os << c.n_edges << " edges, " << c.seen_bytes << " seen bytes, "
+      << c.blob_bytes << " blob bytes";
+}
+
+std::vector<uint8_t> PatternBytes(size_t n, uint8_t salt) {
+  std::vector<uint8_t> v(n);
+  for (size_t i = 0; i < n; ++i) v[i] = static_cast<uint8_t>(i * 31 + salt);
+  return v;
+}
+
+class CheckpointFormatTest : public ::testing::TestWithParam<CheckpointShape> {
+};
+
+TEST_P(CheckpointFormatTest, StreamedFileEqualsAssembledPayload) {
+  const CheckpointShape c = GetParam();
+  const EdgeStream log = MakeLog(c.n_edges);
+  const std::vector<uint8_t> seen = PatternBytes(c.seen_bytes, 3);
+  const std::vector<uint8_t> blob = PatternBytes(c.blob_bytes, 7);
+  const uint64_t seq = c.n_edges;
+  const double wm = log.max_time();
+  const std::vector<uint8_t> want =
+      ReferenceCheckpointFile(seq, 11, wm, log, seen, blob);
+  const size_t payload_len = want.size() - 20;
+  ASSERT_EQ(PayloadPieceAt(c, payload_len / 2), c.split_piece);
+
+  TempDir dir;
+  ASSERT_TRUE(WriteCheckpoint(dir.path(), seq, 11, wm, log, seen, blob).ok());
+  const std::vector<uint8_t> got = ReadFile(CheckpointPath(dir.path(), seq));
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size()), 0);
+
+  CheckpointData data;
+  bool found = false;
+  ASSERT_TRUE(LoadLatestCheckpoint(dir.path(), &data, &found).ok());
+  ASSERT_TRUE(found);
+  EXPECT_EQ(data.seq, seq);
+  EXPECT_EQ(data.batches_applied, 11u);
+  EXPECT_EQ(data.wm_time, wm);
+  EXPECT_EQ(data.log.num_nodes(), log.num_nodes());
+  ASSERT_EQ(data.log.size(), log.size());
+  for (size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(data.log[i].src, log[i].src);
+    EXPECT_EQ(data.log[i].dst, log[i].dst);
+    EXPECT_EQ(data.log[i].time, log[i].time);
+  }
+  EXPECT_EQ(data.node_seen, seen);
+  EXPECT_EQ(data.predictor_state, blob);
+
+#if defined(SPLASH_FAULT_INJECTION)
+  // The mid-write crash point fires after the header and exactly
+  // payload_len / 2 payload bytes: the torn temp file is that prefix.
+  TempDir torn_dir;
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ArmCrashPoint(CrashPoint::kCheckpointMidWrite, 1);
+    (void)WriteCheckpoint(torn_dir.path(), seq, 11, wm, log, seen, blob);
+    _exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), kCrashExitCode);
+  const std::vector<uint8_t> torn =
+      ReadFile(CheckpointPath(torn_dir.path(), seq) + ".tmp");
+  ASSERT_EQ(torn.size(), 20 + payload_len / 2);
+  EXPECT_EQ(std::memcmp(torn.data(), want.data(), torn.size()), 0);
+#endif
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SplitInEveryPiece, CheckpointFormatTest,
+    ::testing::Values(CheckpointShape{"meta", 0, 0, 0},
+                      CheckpointShape{"meta", 1, 0, 0},
+                      CheckpointShape{"src", 1, 0, 8},  // split at src[0]
+                      CheckpointShape{"src", 1, 4, 8},
+                      CheckpointShape{"dst", 100, 3, 5},
+                      CheckpointShape{"time", 100, 500, 500},
+                      CheckpointShape{"node_seen", 10, 1000, 100},
+                      CheckpointShape{"blob", 10, 10, 1000}),
+    [](const ::testing::TestParamInfo<CheckpointShape>& info) {
+      return std::string(info.param.split_piece) + "_" +
+             std::to_string(info.param.n_edges) + "_edges_" +
+             std::to_string(info.index);
+    });
 
 // ---------------------------------------------------------------------------
 // CRC32C: the dispatched body against the portable table
