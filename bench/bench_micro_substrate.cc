@@ -114,6 +114,46 @@ void BM_DegreeEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_DegreeEncode);
 
+// Batch assembly at paper dims (fd32/h64/t16/k10) in S mode: each row is
+// the queried node's degree code plus up to k neighbors' codes, time
+// deltas and mask. Queries are the endpoints of the last observed edges,
+// so most neighbor slots are filled. Arg = batch rows.
+void BM_StageBatchStructural(benchmark::State& state) {
+  ThreadPool::SetGlobalThreads(1);
+  const size_t batch = static_cast<size_t>(state.range(0));
+  ScalabilityOptions sopts;
+  sopts.num_edges = 20000;
+  sopts.num_nodes = 2000;
+  const Dataset ds = GenerateScalabilityStream(sopts);
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.1, 0.1);
+  SplashOptions opts;
+  opts.mode = SplashMode::kForceStructural;
+  opts.augment.feature_dim = 32;
+  opts.slim.hidden_dim = 64;
+  opts.slim.time_dim = 16;
+  opts.slim.k_recent = 10;
+  SplashPredictor model(opts);
+  if (!model.Prepare(ds, split).ok()) {
+    state.SkipWithError("Prepare failed");
+    return;
+  }
+  const size_t half = ds.stream.size() / 2;
+  model.ObserveBulk(ds.stream, 0, half);
+  const double now = ds.stream.time_data()[half - 1] + 1.0;
+  std::vector<PropertyQuery> queries(batch);
+  for (size_t i = 0; i < batch; ++i) {
+    const TemporalEdge e = ds.stream[half - 1 - i / 2];
+    queries[i] = PropertyQuery{i % 2 == 0 ? e.src : e.dst, now,
+                               static_cast<int>(i % 2)};
+  }
+  for (auto _ : state) {
+    model.StageBatch(queries);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_StageBatchStructural)->Arg(24)->Arg(200);
+
 // The checksum every WAL frame and checkpoint pays (serve/wal,
 // serve/checkpoint): 4 KiB is a large micro-batch record, 16 MiB the scale
 // of a checkpoint payload. Bytes/s is the number to read.

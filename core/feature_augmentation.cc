@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <mutex>
 
 #include "runtime/thread_pool.h"
+#include "tensor/simd.h"
 
 namespace splash {
 
@@ -16,10 +18,47 @@ namespace {
 constexpr uint64_t kRandomSalt = 0x52414e44ULL;      // "RAND"
 constexpr uint64_t kPositionalSalt = 0x504f5349ULL;  // "POSI"
 
+// Frequency ratio of the degree code's sincos ladder.
+constexpr float kDegreeFreqDecay = 0.6f;
+
+using SincosFn = decltype(KernelTable::sincos_encode);
+
 }  // namespace
 
+struct FeatureAugmenter::DegreeCodes {
+  SincosFn sincos;  // the kernel that computed `rows`
+  size_t dim;
+  Matrix rows;  // kCodedDegrees x dim; row d is degree d's code
+};
+
+std::shared_ptr<const FeatureAugmenter::DegreeCodes>
+FeatureAugmenter::SharedDegreeCodes(size_t dim) {
+  // One table per (sincos kernel, feature_dim), kept for the life of the
+  // process, so an augmenter built after another of the same width
+  // allocates nothing for it.
+  struct Registry {
+    std::mutex mu;
+    std::vector<std::shared_ptr<const DegreeCodes>> tables;  // guarded by mu
+  };
+  static Registry registry;
+  const SincosFn sincos = Kernels().sincos_encode;
+  std::lock_guard<std::mutex> lock(registry.mu);
+  for (const auto& t : registry.tables) {
+    if (t->sincos == sincos && t->dim == dim) return t;
+  }
+  auto t = std::make_shared<DegreeCodes>(
+      DegreeCodes{sincos, dim, Matrix(kCodedDegrees, dim)});
+  // The same kernel on the same inputs as EncodeDegree's compute path.
+  for (size_t d = 0; d < kCodedDegrees; ++d) {
+    sincos(std::log1p(static_cast<float>(d)), kDegreeFreqDecay, t->rows.Row(d),
+           dim);
+  }
+  registry.tables.push_back(t);
+  return t;
+}
+
 FeatureAugmenter::FeatureAugmenter(const FeatureAugmenterOptions& opts)
-    : opts_(opts) {
+    : opts_(opts), codes_(SharedDegreeCodes(opts.feature_dim)) {
   Retain(true, true);
 }
 
@@ -386,9 +425,14 @@ void FeatureAugmenter::WritePlainRandom(NodeId node, float* out) const {
 void FeatureAugmenter::EncodeDegree(size_t degree, float* out) const {
   // Sinusoidal encoding of log(1 + degree) at geometrically spaced
   // frequencies — nearby degrees get nearby codes, scale-free overall.
-  // Runs on the dispatched sincos kernel (tensor/simd.h): this is the
-  // per-query/per-row hot loop of batch assembly and the serve read path.
-  SincosEncode(std::log1p(static_cast<float>(degree)), 0.6f, out,
+  // This is the per-row hot loop of batch assembly and the serve read
+  // path; nearly every degree there is a table row.
+  if (degree < kCodedDegrees && codes_->sincos == Kernels().sincos_encode) {
+    std::memcpy(out, codes_->rows.Row(degree),
+                opts_.feature_dim * sizeof(float));
+    return;
+  }
+  SincosEncode(std::log1p(static_cast<float>(degree)), kDegreeFreqDecay, out,
                opts_.feature_dim);
 }
 

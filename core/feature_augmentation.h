@@ -32,6 +32,7 @@
 #define SPLASH_CORE_FEATURE_AUGMENTATION_H_
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "core/serialize.h"
@@ -111,10 +112,17 @@ class FeatureAugmenter {
   /// process.
   void WritePlainRandom(NodeId node, float* out) const;
 
-  /// Sinusoidal encoding of a degree value into out[0..dim). Exposed for
+  /// Sinusoidal encoding of a degree value into out[0..dim):
+  /// SincosEncode(log1p(degree), 0.6, out, dim). Degrees below
+  /// kCodedDegrees are a row copy from a table computed once per process
+  /// with the same kernel on the same inputs, so the bits equal the
+  /// computed code; larger degrees, and reads after the kernel backend was
+  /// switched (SetKernelBackendForTesting), compute it. Exposed for
   /// benchmarking and tests; WriteFeature(kStructural) composes this with
-  /// the live degree counter.
+  /// the live degree counter. Never locks or allocates.
   void EncodeDegree(size_t degree, float* out) const;
+  /// Degrees [0, kCodedDegrees) read a precomputed code (DESIGN.md §2).
+  static constexpr size_t kCodedDegrees = 1024;
 
   size_t feature_dim() const { return opts_.feature_dim; }
   bool seen(NodeId node) const {
@@ -138,6 +146,13 @@ class FeatureAugmenter {
   static constexpr uint8_t kKeepRandom = 1;
   static constexpr uint8_t kKeepPositional = 2;
 
+  // The codes of degrees [0, kCodedDegrees) under one sincos kernel;
+  // immutable, shared by every augmenter of this feature_dim.
+  struct DegreeCodes;
+  /// The process's table for `dim` under the active sincos kernel, built
+  /// on first request.
+  static std::shared_ptr<const DegreeCodes> SharedDegreeCodes(size_t dim);
+
   void EnsureNodeCapacity(size_t n);
   /// Writes `node`'s current feature of one kept process into out: its
   /// `fitted` row if seen, else its `prop` (propagated) row.
@@ -154,6 +169,7 @@ class FeatureAugmenter {
   FeatureAugmenterOptions opts_;
   DegreeTracker degrees_;
   uint8_t kept_ = 0;  // kKeep* bits
+  std::shared_ptr<const DegreeCodes> codes_;  // set at construction
 
   // Row tables of the kept processes have seen_.size() rows; a dropped
   // process's are empty, and so is prop_count_ when nothing is kept.

@@ -252,6 +252,23 @@ TEST(AllocationSteadyStateTest, StructuralStreamingStateIgnoresFeatureDim) {
       << "S-mode streaming state grew with feature_dim";
 }
 
+TEST(AllocationSteadyStateTest, AugmentersOfOneWidthShareOneDegreeCodeTable) {
+  // The degree-code table is built once per process and width: the first
+  // augmenter of a width no other test here uses pays for it, a second one
+  // of the same width allocates only its own small scratch.
+  FeatureAugmenterOptions opts;
+  opts.feature_dim = 40;
+  const size_t table_bytes =
+      FeatureAugmenter::kCodedDegrees * opts.feature_dim * sizeof(float);
+  std::unique_ptr<FeatureAugmenter> first, second;
+  const size_t first_bytes = AllocatedBytes(
+      [&] { first = std::make_unique<FeatureAugmenter>(opts); });
+  const size_t second_bytes = AllocatedBytes(
+      [&] { second = std::make_unique<FeatureAugmenter>(opts); });
+  EXPECT_GE(first_bytes, table_bytes);
+  EXPECT_LT(second_bytes, table_bytes);
+}
+
 TEST(AllocationSteadyStateTest, FeatureAugmenterObserveBulkIsAllocationFree) {
   // The bulk replay fan-out (shard partition + deferred reduction) must be
   // grow-only: after a warm-up pass sized every chunk's scratch and

@@ -1,6 +1,7 @@
 // Copyright 2026 The SPLASH Reproduction Authors.
 //
-// FeatureAugmenter: degree encoding, seen/unseen bookkeeping, the
+// FeatureAugmenter: degree encoding (its table rows bit-equal to the
+// kernel on every backend), seen/unseen bookkeeping, the
 // Eq. (4)-(5) unseen-node propagation semantics, the kept set, and the
 // shape checks of checkpoint restore.
 
@@ -10,11 +11,14 @@
 
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "core/serialize.h"
 #include "runtime/thread_pool.h"
+#include "tensor/matrix.h"
 #include "tensor/rng.h"
+#include "tensor/simd.h"
 
 namespace splash {
 namespace {
@@ -47,6 +51,53 @@ TEST(FeatureAugmenterTest, EncodeDegreeIsDeterministicAndDiscriminative) {
   }
   EXPECT_FLOAT_EQ(same, 0.0f);
   EXPECT_GT(diff, 0.1f);  // different degrees get different codes
+}
+
+TEST(FeatureAugmenterTest, DegreeCodesBitEqualTheKernelOnEveryBackend) {
+  // Every table degree, the first degrees past the table and a large one:
+  // the table rows and the compute path must both be the kernel's bits.
+  std::vector<size_t> degrees;
+  for (size_t d = 0; d < FeatureAugmenter::kCodedDegrees + 3; ++d) {
+    degrees.push_back(d);
+  }
+  degrees.push_back(1000000);
+  const char* backends[] = {"scalar", "avx2", "avx512"};
+  const size_t dims[] = {1, 7, 32, 64};
+  std::vector<const char*> available;
+  std::vector<std::vector<std::unique_ptr<FeatureAugmenter>>> built;
+  for (const char* backend : backends) {
+    if (!SetKernelBackendForTesting(backend)) continue;  // not on this CPU
+    available.push_back(backend);
+    built.emplace_back();
+    for (const size_t dim : dims) {
+      FeatureAugmenterOptions opts;
+      opts.feature_dim = dim;
+      built.back().push_back(std::make_unique<FeatureAugmenter>(opts));
+    }
+  }
+  ASSERT_FALSE(available.empty());
+  // Each augmenter read under each backend, the one it was built under
+  // included: a switched backend must not serve the old backend's rows.
+  std::vector<float> got(64), want(64);
+  for (const char* reader : available) {
+    ASSERT_TRUE(SetKernelBackendForTesting(reader));
+    for (size_t b = 0; b < available.size(); ++b) {
+      for (const auto& augmenter : built[b]) {
+        const size_t dim = augmenter->feature_dim();
+        for (const size_t d : degrees) {
+          augmenter->EncodeDegree(d, got.data());
+          // EncodeDegree's expression on the active backend's kernel.
+          SincosEncode(std::log1p(static_cast<float>(d)), 0.6f, want.data(),
+                       dim);
+          ASSERT_EQ(std::memcmp(got.data(), want.data(), dim * sizeof(float)),
+                    0)
+              << "degree " << d << " dim " << dim << " built under "
+              << available[b] << ", read under " << reader;
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(SetKernelBackendForTesting("auto"));
 }
 
 TEST(FeatureAugmenterTest, FitSeenMarksTrainNodesOnly) {
