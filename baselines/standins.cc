@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "runtime/thread_pool.h"
 
 namespace splash {
 
@@ -152,50 +151,38 @@ void TgnnStandin::AssembleBatch(const std::vector<PropertyQuery>& queries) {
   batch_.mask.Resize(b, k);
   batch_.edge_weights.resize(b * k);
 
-  ThreadPool* pool = ThreadPool::Global();
-  const size_t num_workers = pool->num_threads();
-  if (worker_nbr_ids_.size() < num_workers) {
-    worker_nbr_ids_.resize(num_workers);
-    worker_nbr_times_.resize(num_workers);
+  if (nbr_ids_.size() < k) {
+    nbr_ids_.resize(k);
+    nbr_times_.resize(k);
   }
-  for (size_t w = 0; w < num_workers; ++w) {
-    if (worker_nbr_ids_[w].size() < k) {
-      worker_nbr_ids_[w].resize(k);
-      worker_nbr_times_[w].resize(k);
-    }
-  }
-
+  NodeId* nbr_ids = nbr_ids_.data();
+  double* nbr_times = nbr_times_.data();
   const bool attention = IsAttentionFamily();
-  pool->ParallelFor(0, b, kBatchAssembleGrain, [&](size_t r0, size_t r1,
-                                                   size_t worker) {
-    NodeId* nbr_ids = worker_nbr_ids_[worker].data();
-    double* nbr_times = worker_nbr_times_[worker].data();
-    for (size_t bi = r0; bi < r1; ++bi) {
-      const PropertyQuery& q = queries[bi];
-      WriteInput(q.node, batch_.node_feats.Row(bi));
-      const size_t count = memory_.GatherRecent(q.node, nbr_ids, nbr_times);
-      float* mask_row = batch_.mask.Row(bi);
-      for (size_t j = 0; j < k; ++j) {
-        const size_t idx = bi * k + j;
-        if (j < count) {
-          WriteInput(nbr_ids[j], batch_.neighbor_feats.Row(idx));
-          const double dt = q.time - nbr_times[j];
-          batch_.time_deltas[idx] = dt;
-          // Attention families favor recent partners; others average evenly.
-          batch_.edge_weights[idx] =
-              attention ? 1.0f / (1.0f + static_cast<float>(std::log1p(
-                                             dt < 0.0 ? 0.0 : dt)))
-                        : 1.0f;
-          mask_row[j] = 1.0f;
-        } else {
-          std::memset(batch_.neighbor_feats.Row(idx), 0, dv * sizeof(float));
-          batch_.time_deltas[idx] = 0.0;
-          batch_.edge_weights[idx] = 0.0f;
-          mask_row[j] = 0.0f;
-        }
+  for (size_t bi = 0; bi < b; ++bi) {
+    const PropertyQuery& q = queries[bi];
+    WriteInput(q.node, batch_.node_feats.Row(bi));
+    const size_t count = memory_.GatherRecent(q.node, nbr_ids, nbr_times);
+    float* mask_row = batch_.mask.Row(bi);
+    for (size_t j = 0; j < k; ++j) {
+      const size_t idx = bi * k + j;
+      if (j < count) {
+        WriteInput(nbr_ids[j], batch_.neighbor_feats.Row(idx));
+        const double dt = q.time - nbr_times[j];
+        batch_.time_deltas[idx] = dt;
+        // Attention families favor recent partners; others average evenly.
+        batch_.edge_weights[idx] =
+            attention ? 1.0f / (1.0f + static_cast<float>(std::log1p(
+                                           dt < 0.0 ? 0.0 : dt)))
+                      : 1.0f;
+        mask_row[j] = 1.0f;
+      } else {
+        std::memset(batch_.neighbor_feats.Row(idx), 0, dv * sizeof(float));
+        batch_.time_deltas[idx] = 0.0;
+        batch_.edge_weights[idx] = 0.0f;
+        mask_row[j] = 0.0f;
       }
     }
-  });
+  }
 }
 
 void TgnnStandin::StageBatch(const std::vector<PropertyQuery>& queries) {

@@ -95,10 +95,9 @@ class TgnnStandin : public TemporalPredictor {
   SlimBatchInput batch_;
   std::vector<int> labels_;
   size_t staged_rows_ = 0;  // rows of the staged batch (0 = none staged)
-  // Per-worker gather scratch: batches are assembled in parallel on the
-  // runtime/ ThreadPool (reads only; disjoint output rows per chunk).
-  std::vector<std::vector<NodeId>> worker_nbr_ids_;
-  std::vector<std::vector<double>> worker_nbr_times_;
+  // k-sized neighbor gather scratch (grow-only).
+  std::vector<NodeId> nbr_ids_;
+  std::vector<double> nbr_times_;
   std::vector<float> mix_scratch_;
 };
 

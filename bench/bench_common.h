@@ -8,9 +8,6 @@
 //   SPLASH_BENCH_SCALE  — multiplies dataset sizes (default 0.5; the paper's
 //                         datasets are 10-100x larger, see DESIGN.md §3).
 //   SPLASH_BENCH_EPOCHS — training epochs per model (default 8).
-//   SPLASH_THREADS      — runtime/ ThreadPool size for every parallel path
-//                         (default: hardware concurrency). 1 reproduces the
-//                         serial numbers bit-for-bit.
 
 #ifndef SPLASH_BENCH_BENCH_COMMON_H_
 #define SPLASH_BENCH_BENCH_COMMON_H_
@@ -26,13 +23,8 @@
 #include "core/splash.h"
 #include "datasets/registry.h"
 #include "eval/trainer.h"
-#include "runtime/thread_pool.h"
 
 namespace splash::bench {
-
-/// Thread count the global pool resolved from SPLASH_THREADS / the
-/// hardware (benches print it so table rows are attributable).
-inline size_t BenchThreads() { return ThreadPool::GlobalThreads(); }
 
 /// Reads a double knob from the environment.
 inline double EnvDouble(const char* name, double fallback) {

@@ -13,8 +13,8 @@ int main() {
   const size_t epochs = BenchEpochs();
   std::printf(
       "=== Fig. 10: inference-time & size vs AUC on reddit-s "
-      "(scale=%.2f, epochs=%zu, threads=%zu) ===\n\n",
-      scale, epochs, BenchThreads());
+      "(scale=%.2f, epochs=%zu) ===\n\n",
+      scale, epochs);
 
   const Dataset ds = MakeDataset("reddit-s", scale).value();
   BenchDims dims;

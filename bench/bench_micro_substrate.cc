@@ -1,11 +1,8 @@
 // Microbenchmarks (google-benchmark) for the streaming substrates: per-edge
 // costs of the neighbor memory, degree tracking, feature propagation, and a
 // SLIM forward pass — the constants behind the Fig. 11 linearity claim —
-// plus the thread sweeps gating the runtime/ layer: SLIM TrainStep, the
-// full chronological replay, and sharded bulk ingest, each recorded at
-// threads=1 vs threads=N so BENCH_micro.json carries the speedup pair
-// (see DESIGN.md §4; on a single-core container the pair documents the
-// oversubscription overhead instead of a speedup).
+// plus a SLIM train step, the full chronological replay and the bulk
+// feature replay. Everything runs on the calling thread.
 
 #include <benchmark/benchmark.h>
 
@@ -20,7 +17,6 @@
 #include "eval/trainer.h"
 #include "graph/degree_tracker.h"
 #include "graph/neighbor_memory.h"
-#include "runtime/thread_pool.h"
 #include "tensor/matrix.h"
 #include "tensor/rng.h"
 #include "tensor/simd.h"
@@ -119,7 +115,6 @@ BENCHMARK(BM_DegreeEncode);
 // deltas and mask. Queries are the endpoints of the last observed edges,
 // so most neighbor slots are filled. Arg = batch rows.
 void BM_StageBatchStructural(benchmark::State& state) {
-  ThreadPool::SetGlobalThreads(1);
   const size_t batch = static_cast<size_t>(state.range(0));
   ScalabilityOptions sopts;
   sopts.num_edges = 20000;
@@ -403,7 +398,6 @@ BENCHMARK(BM_SlimForward)->Arg(1)->Arg(32)->Arg(256);
 // 0.1 and a third of the neighbor slots masked. Arg = batch rows: 25 is the
 // ingest workload's train batch, 200 the replay workload's Fit batch.
 void BM_SlimTrainStep(benchmark::State& state) {
-  ThreadPool::SetGlobalThreads(1);
   const size_t batch = static_cast<size_t>(state.range(0));
   SlimOptions opts;
   opts.feature_dim = 32;
@@ -471,10 +465,12 @@ void BM_AdamUpdateSubnormal(benchmark::State& state) {
 }
 BENCHMARK(BM_AdamUpdateSubnormal)->Name("BM_AdamUpdate/subnormal");
 
-// --- runtime/ thread sweeps (Arg = thread count) ---------------------------
+// --- gated whole-path rows ---------------------------------------------------
+// The micro gate (scripts/check_bench_regression.py) pins these three under
+// their "/1" names, which once meant one pool thread; the Arg is now unused
+// and the names stay until BENCH_micro.json is re-recorded.
 
 void BM_SlimTrainStepThreads(benchmark::State& state) {
-  ThreadPool::SetGlobalThreads(static_cast<size_t>(state.range(0)));
   const size_t batch = 256;
   SlimOptions opts;
   opts.feature_dim = 32;
@@ -501,12 +497,10 @@ void BM_SlimTrainStepThreads(benchmark::State& state) {
     benchmark::DoNotOptimize(slim.TrainStep(input, labels, &train));
   }
   state.SetItemsProcessed(state.iterations() * batch);
-  ThreadPool::SetGlobalThreads(1);
 }
-BENCHMARK(BM_SlimTrainStepThreads)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_SlimTrainStepThreads)->Arg(1);
 
 void BM_ChronoReplayThreads(benchmark::State& state) {
-  ThreadPool::SetGlobalThreads(static_cast<size_t>(state.range(0)));
   ScalabilityOptions sopts;
   sopts.num_edges = 20000;
   sopts.num_nodes = 1000;
@@ -529,18 +523,12 @@ void BM_ChronoReplayThreads(benchmark::State& state) {
     benchmark::DoNotOptimize(trainer.Evaluate(&model, ds, split).metric);
   }
   state.SetItemsProcessed(state.iterations() * ds.stream.size());
-  ThreadPool::SetGlobalThreads(1);
 }
-BENCHMARK(BM_ChronoReplayThreads)
-    ->Arg(1)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ChronoReplayThreads)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_FeatureReplayBulkThreads(benchmark::State& state) {
-  ThreadPool::SetGlobalThreads(static_cast<size_t>(state.range(0)));
   // Propagation-heavy replay: 20% of nodes are seen, the rest arrive
-  // during the stream, so most edges trigger Eq. (4)-(5) folds — the
-  // serial fraction this fan-out removes from the edge loop.
+  // during the stream, so most edges trigger Eq. (4)-(5) folds.
   const size_t n_seen = 2000, n_unseen = 8000;
   EdgeStream stream;
   Rng rng(6);
@@ -555,9 +543,7 @@ void BM_FeatureReplayBulkThreads(benchmark::State& state) {
   const double fit_time = t;
   for (size_t i = 0; i < 100000; ++i) {
     // Mostly unseen->seen (the paper's Eq. (4)-(5) scenario: a new node
-    // joins the fitted graph, folds run inline in the fan-out) with 5%
-    // unseen->unseen pairs so the deferred fixed-order reduction is
-    // exercised without dominating the timing.
+    // joins the fitted graph) with 5% unseen->unseen pairs.
     const NodeId u = static_cast<NodeId>(
         rng.Uniform() < 0.5 ? n_seen + rng.UniformInt(n_unseen)
                             : rng.UniformInt(n_seen));
@@ -572,35 +558,12 @@ void BM_FeatureReplayBulkThreads(benchmark::State& state) {
   augmenter.FitSeen(stream, fit_time);
 
   for (auto _ : state) {
-    augmenter.Reset();  // O(nodes) memset, charged equally to every arg
+    augmenter.Reset();  // O(nodes) memset
     augmenter.ObserveBulk(stream, 0, stream.size());
   }
   state.SetItemsProcessed(state.iterations() * stream.size());
-  ThreadPool::SetGlobalThreads(1);
 }
-BENCHMARK(BM_FeatureReplayBulkThreads)->Arg(1)->Arg(4);
-
-void BM_NeighborMemoryObserveBulkThreads(benchmark::State& state) {
-  ThreadPool::SetGlobalThreads(static_cast<size_t>(state.range(0)));
-  const size_t n = 100000;
-  EdgeStream stream;
-  Rng rng(5);
-  double t = 0.0;
-  for (size_t i = 0; i < 100000; ++i) {
-    stream
-        .Append(TemporalEdge(static_cast<NodeId>(rng.UniformInt(n)),
-                             static_cast<NodeId>(rng.UniformInt(n)),
-                             t += 1.0))
-        .ok();
-  }
-  NeighborMemory memory(10, n);
-  for (auto _ : state) {
-    memory.ObserveBulk(stream, 0, stream.size());
-  }
-  state.SetItemsProcessed(state.iterations() * stream.size());
-  ThreadPool::SetGlobalThreads(1);
-}
-BENCHMARK(BM_NeighborMemoryObserveBulkThreads)->Arg(1)->Arg(4);
+BENCHMARK(BM_FeatureReplayBulkThreads)->Arg(1);
 
 }  // namespace
 }  // namespace splash

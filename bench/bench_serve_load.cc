@@ -44,7 +44,6 @@
 #include "datasets/synthetic.h"
 #include "eval/timing.h"
 #include "eval/trainer.h"
-#include "runtime/thread_pool.h"
 #include "serve/service.h"
 #include "tensor/rng.h"
 #include "tensor/simd.h"
@@ -426,9 +425,8 @@ int Main(int argc, char** argv) {
     std::vector<TemporalEdge> live;
     make_corpus(kSmokeOps, &ds, &split, &live);
     std::printf("smoke corpus: %zu warmup-period edges, %zu live edges, "
-                "%zu ops, SPLASH_THREADS=%zu\n\n",
-                ds.stream.size() - live.size(), live.size(), kSmokeOps,
-                ThreadPool::GlobalThreads());
+                "%zu ops\n\n",
+                ds.stream.size() - live.size(), live.size(), kSmokeOps);
     LoadConfig c;
     c.name = "BM_ServeSmokeMixed";
     c.ingest_frac = 0.5;

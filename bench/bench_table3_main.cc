@@ -12,9 +12,8 @@ int main() {
   const double scale = BenchScale();
   const size_t epochs = BenchEpochs();
   std::printf(
-      "=== Table III: main results (scale=%.2f, epochs=%zu, threads=%zu) "
-      "===\n",
-      scale, epochs, BenchThreads());
+      "=== Table III: main results (scale=%.2f, epochs=%zu) ===\n",
+      scale, epochs);
   std::printf("metric: AUC / F1-micro / NDCG@10 (in %%)\n\n");
 
   const std::vector<std::string> datasets = StandardDatasetNames();

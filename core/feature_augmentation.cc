@@ -7,7 +7,6 @@
 #include <cstring>
 #include <mutex>
 
-#include "runtime/thread_pool.h"
 #include "tensor/simd.h"
 
 namespace splash {
@@ -85,9 +84,6 @@ void FeatureAugmenter::Retain(bool random, bool positional) {
   }
   std::vector<uint32_t>().swap(prop_count_);
   std::vector<float>().swap(scratch_);
-  std::vector<std::vector<float>>().swap(chunk_scratch_);
-  std::vector<std::vector<uint64_t>>().swap(chunk_deferred_);
-  std::vector<uint64_t>().swap(merged_deferred_);
 }
 
 bool FeatureAugmenter::keeps(AugmentationProcess process) const {
@@ -257,16 +253,16 @@ void FeatureAugmenter::PropagateInto(Matrix* m, NodeId node,
   for (size_t j = 0; j < dim; ++j) row[j] = (c * row[j] + src_feat[j]) * inv;
 }
 
-void FeatureAugmenter::FoldInto(NodeId node, NodeId source, float* scratch) {
+void FeatureAugmenter::FoldInto(NodeId node, NodeId source) {
   // Propagate into unseen `node` from `source`'s *current* feature (fitted
   // if seen, propagated estimate otherwise).
   if (kept_ & kKeepRandom) {
-    WriteCurrent(random_seen_, random_prop_, source, scratch);
-    PropagateInto(&random_prop_, node, scratch);
+    WriteCurrent(random_seen_, random_prop_, source, scratch_.data());
+    PropagateInto(&random_prop_, node, scratch_.data());
   }
   if (kept_ & kKeepPositional) {
-    WriteCurrent(positional_, positional_prop_, source, scratch);
-    PropagateInto(&positional_prop_, node, scratch);
+    WriteCurrent(positional_, positional_prop_, source, scratch_.data());
+    PropagateInto(&positional_prop_, node, scratch_.data());
   }
 }
 
@@ -283,117 +279,15 @@ void FeatureAugmenter::ObserveEdge(const TemporalEdge& e) {
   const bool dst_unseen = !seen_[e.dst];
   if (!src_unseen && !dst_unseen) return;  // steady state: counters only
 
-  if (src_unseen) FoldInto(e.src, e.dst, scratch_.data());
-  if (dst_unseen) FoldInto(e.dst, e.src, scratch_.data());
+  if (src_unseen) FoldInto(e.src, e.dst);
+  if (dst_unseen) FoldInto(e.dst, e.src);
   if (src_unseen) ++prop_count_[e.src];
   if (dst_unseen) ++prop_count_[e.dst];
 }
 
 void FeatureAugmenter::ObserveBulk(const EdgeStream& stream, size_t begin,
                                    size_t end) {
-  if (end <= begin) return;
-  if (kept_ == 0) {
-    for (size_t i = begin; i < end; ++i) degrees_.Observe(stream[i]);
-    return;
-  }
-  ThreadPool* pool = ThreadPool::Global();
-  const size_t num_t = pool->num_threads();
-  const size_t group = (kReplayShards + num_t - 1) / num_t;
-  const size_t num_chunks = ThreadPool::NumChunks(0, kReplayShards, group);
-  // Below the threshold the per-worker range rescan outweighs the fan-out;
-  // the serial loop is also the bit-exactness reference (threads = 1).
-  if (num_t == 1 || num_chunks == 1 || end - begin < kBulkReplayMinEdges) {
-    for (size_t i = begin; i < end; ++i) ObserveEdge(stream[i]);
-    return;
-  }
-
-  const NodeId* src = stream.src_data();
-  const NodeId* dst = stream.dst_data();
-
-  // Growth must precede the fan-out: workers write counters and rows with
-  // no capacity checks.
-  NodeId max_id = 0;
-  for (size_t i = begin; i < end; ++i) {
-    if (src[i] > max_id) max_id = src[i];
-    if (dst[i] > max_id) max_id = dst[i];
-  }
-  EnsureNodeCapacity(static_cast<size_t>(max_id) + 1);
-  degrees_.AddEdges(end - begin);
-
-  const size_t dim = opts_.feature_dim;
-  if (chunk_scratch_.size() < num_chunks) {
-    chunk_scratch_.resize(num_chunks);
-    chunk_deferred_.resize(num_chunks);
-  }
-  for (size_t c = 0; c < num_chunks; ++c) {
-    if (chunk_scratch_[c].size() < dim) chunk_scratch_[c].resize(dim);
-    chunk_deferred_[c].clear();
-  }
-
-  // Phase 1 — shard fan-out. Every worker scans the whole range once and
-  // handles only the endpoints whose shard it owns, so each degree counter,
-  // prop_count slot, and propagated row has exactly one writer and its
-  // update sequence is in stream order. Folds from *seen* sources read only
-  // the immutable fitted rows and run inline; a fold whose source is also
-  // unseen (both endpoints unseen) would read a row another worker owns, so
-  // it is deferred under the key (edge offset, endpoint).
-  constexpr size_t mask = kReplayShards - 1;
-  pool->ParallelFor(
-      0, kReplayShards, group, [&](size_t s0, size_t s1, size_t) {
-        const size_t chunk = s0 / group;
-        float* scratch = chunk_scratch_[chunk].data();
-        std::vector<uint64_t>& deferred = chunk_deferred_[chunk];
-        for (size_t i = begin; i < end; ++i) {
-          const NodeId u = src[i];
-          const NodeId v = dst[i];
-          const bool u_unseen = !seen_[u];
-          const bool v_unseen = !seen_[v];
-          const size_t us = u & mask;
-          if (us >= s0 && us < s1) {
-            degrees_.IncrementDegree(u);
-            if (u_unseen) {
-              if (v_unseen) {
-                deferred.push_back(static_cast<uint64_t>(i - begin) * 2);
-              } else {
-                FoldInto(u, v, scratch);
-                ++prop_count_[u];
-              }
-            }
-          }
-          const size_t vs = v & mask;
-          if (vs >= s0 && vs < s1) {
-            degrees_.IncrementDegree(v);
-            if (v_unseen) {
-              if (u_unseen) {
-                deferred.push_back(static_cast<uint64_t>(i - begin) * 2 + 1);
-              } else {
-                FoldInto(v, u, scratch);
-                ++prop_count_[v];
-              }
-            }
-          }
-        }
-      });
-
-  // Phase 2 — fixed-order reduction of the cross-shard folds: merge every
-  // chunk's keys and replay them in (edge, src-before-dst) order, exactly
-  // the serial ordering of those folds. The running mean makes the final
-  // row order-invariant given the contribution values, so the one deviation
-  // from serial replay is that these rare unseen->unseen contributions read
-  // their source at batch-end state. Deterministic at any thread count.
-  merged_deferred_.clear();
-  for (size_t c = 0; c < num_chunks; ++c) {
-    merged_deferred_.insert(merged_deferred_.end(), chunk_deferred_[c].begin(),
-                            chunk_deferred_[c].end());
-  }
-  std::sort(merged_deferred_.begin(), merged_deferred_.end());
-  for (const uint64_t key : merged_deferred_) {
-    const size_t i = begin + static_cast<size_t>(key >> 1);
-    const NodeId node = (key & 1) ? dst[i] : src[i];
-    const NodeId other = (key & 1) ? src[i] : dst[i];
-    FoldInto(node, other, scratch_.data());
-    ++prop_count_[node];
-  }
+  for (size_t i = begin; i < end; ++i) ObserveEdge(stream[i]);
 }
 
 void FeatureAugmenter::WriteFeature(AugmentationProcess process, NodeId node,
@@ -462,8 +356,8 @@ bool FeatureAugmenter::Deserialize(ByteReader* r) {
       !degrees_.Deserialize(r)) {
     return false;
   }
-  // Every row table must cover the seen set: reads and the bulk fan-out
-  // index them by node id without a bounds check.
+  // Every row table must cover the seen set: reads and the unseen-node
+  // folds index them by node id without a bounds check.
   const size_t rows = kept_ != 0 ? seen_.size() : 0;
   const size_t dim = opts_.feature_dim;
   if (prop_count_.size() != rows || degrees_.capacity() < seen_.size()) {

@@ -85,21 +85,7 @@ class FeatureAugmenter {
   /// replay, in stream order, including train-period edges.
   void ObserveEdge(const TemporalEdge& e);
 
-  /// Bulk replay of edges [begin, end): the parallel form of calling
-  /// ObserveEdge on each edge in order. Work is partitioned by destination
-  /// shard — node v's degree counter and propagated rows are written only
-  /// by the worker owning shard `v & (kReplayShards - 1)` (the
-  /// NeighborMemory scheme) — so the per-node update sequence stays in
-  /// stream order at any thread count. Folds whose *source* is also unseen
-  /// (both endpoints unseen) are deferred to a fixed-order serial
-  /// reduction, keyed by (edge index, endpoint), because the source row is
-  /// concurrently owned by another shard; their contributions land with
-  /// batch-end source values, which is the one (thread-count-invariant)
-  /// deviation from serial replay. With one thread, a small range, or one
-  /// shard group this falls back to the serial loop — bit-identical to
-  /// per-edge ObserveEdge. With nothing kept it is a plain degree-count
-  /// loop: counts do not depend on order, so it equals serial replay at
-  /// any thread count.
+  /// Replays edges [begin, end): ObserveEdge on each edge in order.
   void ObserveBulk(const EdgeStream& stream, size_t begin, size_t end);
 
   /// Writes the current `process` feature of `node` into out[0..dim);
@@ -162,9 +148,9 @@ class FeatureAugmenter {
   /// matrix `m`.
   void PropagateInto(Matrix* m, NodeId node, const float* src_feat);
   /// Folds `source`'s current feature of every kept process into unseen
-  /// `node` via PropagateInto; `scratch` is a feature_dim row. Does NOT
-  /// bump prop_count_ — callers pair it with the increment.
-  void FoldInto(NodeId node, NodeId source, float* scratch);
+  /// `node` via PropagateInto, staging it in scratch_. Does NOT bump
+  /// prop_count_ — callers pair it with the increment.
+  void FoldInto(NodeId node, NodeId source);
 
   FeatureAugmenterOptions opts_;
   DegreeTracker degrees_;
@@ -183,16 +169,6 @@ class FeatureAugmenter {
   // Preallocated per-edge scratch (feature_dim, empty when nothing is
   // kept); ObserveEdge must not allocate.
   std::vector<float> scratch_;
-
-  // Bulk-replay scratch (grow-only; ObserveBulk is allocation-free at
-  // steady state). Shard count for the `v & (S-1)` partition; 16 keeps the
-  // fan-out useful up to 16 workers while the per-worker range scan stays
-  // one pass.
-  static constexpr size_t kReplayShards = 16;
-  static constexpr size_t kBulkReplayMinEdges = 512;
-  std::vector<std::vector<float>> chunk_scratch_;   // feature_dim each
-  std::vector<std::vector<uint64_t>> chunk_deferred_;  // per-chunk fold keys
-  std::vector<uint64_t> merged_deferred_;
 };
 
 }  // namespace splash

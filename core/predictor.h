@@ -29,13 +29,6 @@
 
 namespace splash {
 
-/// Queries per ParallelFor chunk when a predictor assembles its SLIM batch
-/// on the runtime/ ThreadPool (each row costs O((k+1) * dv) feature
-/// writes, so a few dozen rows amortize the dispatch). Shared by
-/// SplashPredictor and the baseline stand-ins so their assembly chunking
-/// never diverges.
-inline constexpr size_t kBatchAssembleGrain = 32;
-
 class TemporalPredictor {
  public:
   virtual ~TemporalPredictor() = default;
@@ -56,9 +49,9 @@ class TemporalPredictor {
   virtual void ObserveEdge(const TemporalEdge& e, size_t edge_index) = 0;
 
   /// Bulk state advance: equivalent to ObserveEdge on each edge of
-  /// [begin, end) in stream order. Predictors with shard-partitioned state
-  /// override this to fan out on the runtime/ ThreadPool; the default is
-  /// the serial loop.
+  /// [begin, end) in stream order, on the calling thread. The default is
+  /// the per-edge loop; SplashPredictor replays each of its state parts
+  /// over the whole range in turn.
   virtual void ObserveBulk(const EdgeStream& stream, size_t begin,
                            size_t end) {
     for (size_t i = begin; i < end; ++i) ObserveEdge(stream[i], i);

@@ -7,8 +7,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "runtime/thread_pool.h"
-
 namespace splash {
 
 namespace {
@@ -16,11 +14,6 @@ namespace {
 constexpr float kAdamBeta1 = 0.9f;
 constexpr float kAdamBeta2 = 0.999f;
 constexpr float kAdamEps = 1e-8f;
-
-// Batch rows per parallel chunk. Fixed (not thread-count derived) so chunk
-// boundaries — and with them the per-chunk dropout streams — are the same
-// at 2, 4, or 64 threads.
-constexpr size_t kBatchGrain = 32;
 
 /// `keep ? g : 0.0f`, bit for bit, as an AND of g's bits with a keep mask.
 /// Callers compute g unconditionally, so the backward mask loops vectorize:
@@ -174,12 +167,12 @@ bool SlimModel::CopyLearnedStateFrom(const SlimModel& src) {
   return true;
 }
 
-void SlimModel::EncodeTime(const std::vector<double>& deltas, size_t i0,
-                           size_t i1, SlimForwardScratch* s) const {
+void SlimModel::EncodeTime(const std::vector<double>& deltas, size_t n,
+                           SlimForwardScratch* s) const {
   // phi(dt)_j: sin/cos pairs of log-compressed dt at geometrically spaced
   // frequencies (fixed, not learned — same family as the degree encoding).
   const size_t dv = opts_.feature_dim, dt_dim = opts_.time_dim;
-  for (size_t i = i0; i < i1; ++i) {
+  for (size_t i = 0; i < n; ++i) {
     float* row = s->cat1.Row(i) + dv;
     const float x = std::log1p(
         static_cast<float>(deltas[i] < 0.0 ? 0.0 : deltas[i]));
@@ -221,16 +214,14 @@ void SlimModel::DenseLayer(const Matrix& in, const Matrix& w,
   MatMulBiasActRange(in, w, out, r0, r1, bias, relu);
 }
 
-void SlimModel::ForwardRange(const SlimBatchInput& input, size_t r0,
-                             size_t r1, Rng* drop_rng, bool for_backward,
-                             SlimForwardScratch* s) const {
+void SlimModel::ForwardInto(const SlimBatchInput& input, Rng* drop_rng,
+                            bool for_backward, SlimForwardScratch* s) const {
   const size_t k = opts_.k_recent, dv = opts_.feature_dim,
                h = opts_.hidden_dim;
-  const size_t n0 = r0 * k;
-  size_t n1 = r1 * k;  // neighbor-row range
-  // A batch of one row runs serially (one chunk), so its layers may share
-  // the scratch's index buffer and take the one-row kernel.
-  const bool one_row = input.node_feats.rows() == 1;
+  const size_t b = input.node_feats.rows();
+  size_t nk = b * k;  // neighbor rows computed
+  // A batch of one row takes the one-row kernel in every layer.
+  const bool one_row = b == 1;
   std::vector<uint32_t>* nz = one_row ? &s->nz_index : nullptr;
   if (one_row && !for_backward) {
     // The aggregation reads no masked message, so a read stops the
@@ -238,26 +229,26 @@ void SlimModel::ForwardRange(const SlimBatchInput& input, size_t r0,
     // slots as a prefix): a node with no history skips the neighbor
     // GEMM. The backward pass reads every slot's row, so training keeps
     // them all.
-    const float* mrow = input.mask.Row(r0);
+    const float* mrow = input.mask.Row(0);
     size_t slots = k;
     while (slots > 0 && mrow[slots - 1] == 0.0f) --slots;
-    n1 = n0 + slots;
+    nk = slots;
   }
 
   // --- neighbor branch -----------------------------------------------------
-  for (size_t i = n0; i < n1; ++i) {
+  for (size_t i = 0; i < nk; ++i) {
     std::memcpy(s->cat1.Row(i), input.neighbor_feats.Row(i),
                 dv * sizeof(float));
   }
-  EncodeTime(input.time_deltas, n0, n1, s);
+  EncodeTime(input.time_deltas, nk, s);
 
   // Bias add + ReLU ride the GEMM tile store (fused epilogue): one pass
   // over each activation matrix instead of three. The scalar backend
   // computes the identical arithmetic to the historical separate passes.
-  DenseLayer(s->cat1, w1_, b1_.data(), &s->msg_pre, n0, n1, /*relu=*/true,
+  DenseLayer(s->cat1, w1_, b1_.data(), &s->msg_pre, 0, nk, /*relu=*/true,
              nz);
 
-  for (size_t bi = r0; bi < r1; ++bi) {
+  for (size_t bi = 0; bi < b; ++bi) {
     float wsum = 0.0f;
     float* arow = s->agg.Row(bi);
     std::memset(arow, 0, h * sizeof(float));
@@ -274,21 +265,21 @@ void SlimModel::ForwardRange(const SlimBatchInput& input, size_t r0,
   }
 
   // --- self branch ---------------------------------------------------------
-  DenseLayer(input.node_feats, w2_, b2_.data(), &s->self_pre, r0, r1,
+  DenseLayer(input.node_feats, w2_, b2_.data(), &s->self_pre, 0, b,
              /*relu=*/true, nz);
 
   // --- head ----------------------------------------------------------------
-  for (size_t bi = r0; bi < r1; ++bi) {
+  for (size_t bi = 0; bi < b; ++bi) {
     std::memcpy(s->cat2.Row(bi), s->agg.Row(bi), h * sizeof(float));
     std::memcpy(s->cat2.Row(bi) + h, s->self_pre.Row(bi), h * sizeof(float));
   }
-  DenseLayer(s->cat2, w3_, b3_.data(), &s->h_pre, r0, r1, /*relu=*/true,
+  DenseLayer(s->cat2, w3_, b3_.data(), &s->h_pre, 0, b, /*relu=*/true,
              nz);
 
   if (drop_rng != nullptr && training_ && opts_.dropout > 0.0f) {
     const float keep = 1.0f - opts_.dropout;
     const float scale = 1.0f / keep;
-    for (size_t bi = r0; bi < r1; ++bi) {
+    for (size_t bi = 0; bi < b; ++bi) {
       float* row = s->h_pre.Row(bi);
       uint8_t* mask = s->drop_mask.data() + bi * h;
       for (size_t j = 0; j < h; ++j) {
@@ -299,7 +290,7 @@ void SlimModel::ForwardRange(const SlimBatchInput& input, size_t r0,
     }
   }
 
-  DenseLayer(s->h_pre, w4_, b4_.data(), &s->out, r0, r1, /*relu=*/false,
+  DenseLayer(s->h_pre, w4_, b4_.data(), &s->out, 0, b, /*relu=*/false,
              nz);
 }
 
@@ -314,22 +305,9 @@ void SlimModel::ForwardAll(const SlimBatchInput& input) {
   (void)k;
   (void)dv;
   ResizeScratch(b, nullptr);
-
-  ThreadPool* pool = ThreadPool::Global();
   const bool wants_dropout = training_ && opts_.dropout > 0.0f;
-  // Standalone training-mode forwards (not part of TrainStep, which
-  // parallelizes forward+backward per chunk itself) keep the serial
-  // model-Rng dropout path for reproducibility.
-  if (pool->num_threads() == 1 || b < 2 * kBatchGrain || wants_dropout) {
-    ForwardRange(input, 0, b, wants_dropout ? rng_ : nullptr,
-                 /*for_backward=*/false, &fwd_);
-    return;
-  }
-  pool->ParallelFor(0, b, kBatchGrain,
-                    [&](size_t r0, size_t r1, size_t) {
-                      ForwardRange(input, r0, r1, nullptr,
-                                   /*for_backward=*/false, &fwd_);
-                    });
+  ForwardInto(input, wants_dropout ? rng_ : nullptr, /*for_backward=*/false,
+              &fwd_);
 }
 
 Matrix SlimModel::Forward(const SlimBatchInput& input) {
@@ -342,21 +320,19 @@ const Matrix& SlimModel::PredictConst(const SlimBatchInput& input,
   const size_t b = input.node_feats.rows();
   scratch->Resize(b, opts_.k_recent, opts_.feature_dim, opts_.time_dim,
                   opts_.hidden_dim, opts_.out_dim, /*dropout=*/false);
-  // Serial, dropout-free: identical arithmetic to the eval-mode ForwardAll
-  // (the parallel path computes the same per-row values), so snapshot
-  // reads are bit-identical to fused Forward on the same state.
-  ForwardRange(input, 0, b, nullptr, /*for_backward=*/false, scratch);
+  // Dropout-free: identical arithmetic to the eval-mode ForwardAll, so
+  // snapshot reads are bit-identical to fused Forward on the same state.
+  ForwardInto(input, nullptr, /*for_backward=*/false, scratch);
   return scratch->out;
 }
 
-void SlimModel::BackwardRange(const SlimBatchInput& input,
-                              const std::vector<int>& labels, size_t r0,
-                              size_t r1, const GradRefs& grads,
-                              bool accumulate, SlimTrainState* train,
-                              double* loss_out) const {
+double SlimModel::Backward(const SlimBatchInput& input,
+                           const std::vector<int>& labels,
+                           SlimTrainState* train) const {
   const size_t b = input.node_feats.rows();
   const size_t k = opts_.k_recent, h = opts_.hidden_dim, o = opts_.out_dim;
-  const size_t n0 = r0 * k, n1 = r1 * k;
+  const size_t bk = b * k;
+  Matrix* const g = train->grad_;
   Matrix& d_out = train->d_out_;
   Matrix& d_h = train->d_h_;
   Matrix& d_cat2 = train->d_cat2_;
@@ -366,7 +342,7 @@ void SlimModel::BackwardRange(const SlimBatchInput& input,
   // Softmax cross-entropy; d_out = (softmax - onehot) / B.
   double loss = 0.0;
   const float inv_b = 1.0f / static_cast<float>(b);
-  for (size_t bi = r0; bi < r1; ++bi) {
+  for (size_t bi = 0; bi < b; ++bi) {
     const float* row = fwd_.out.Row(bi);
     float mx = row[0];
     for (size_t j = 1; j < o; ++j) mx = row[j] > mx ? row[j] : mx;
@@ -386,18 +362,16 @@ void SlimModel::BackwardRange(const SlimBatchInput& input,
                 inv_b;
     }
   }
-  *loss_out += loss;
 
-  // Head. MatMulTransARange never zeroes (range contract, tensor/matrix.h):
-  // the serial full-range path pre-zeroes the main grads here, the parallel
-  // path accumulates into worker scratch TrainStep already zeroed.
-  if (!accumulate) grads.g[6]->SetZero();
-  MatMulTransARange(fwd_.h_pre, d_out, grads.g[6], r0, r1);
-  ColumnSumsRange(d_out, grads.g[7]->data(), r0, r1, accumulate);
-  MatMulTransBRange(d_out, w4_, &d_h, r0, r1);
+  // Head. MatMulTransARange never zeroes (range contract, tensor/matrix.h),
+  // so each weight gradient is zeroed before its fold.
+  g[6].SetZero();
+  MatMulTransARange(fwd_.h_pre, d_out, &g[6], 0, b);
+  ColumnSumsRange(d_out, g[7].data(), 0, b, /*accumulate=*/false);
+  MatMulTransBRange(d_out, w4_, &d_h, 0, b);
   if (training_ && opts_.dropout > 0.0f) {
     const float scale = 1.0f / (1.0f - opts_.dropout);
-    for (size_t bi = r0; bi < r1; ++bi) {
+    for (size_t bi = 0; bi < b; ++bi) {
       float* p = d_h.Row(bi);
       const uint8_t* mask = fwd_.drop_mask.data() + bi * h;
       for (size_t j = 0; j < h; ++j) {
@@ -405,30 +379,30 @@ void SlimModel::BackwardRange(const SlimBatchInput& input,
       }
     }
   }
-  for (size_t bi = r0; bi < r1; ++bi) {
+  for (size_t bi = 0; bi < b; ++bi) {
     const float* act = fwd_.h_pre.Row(bi);
     float* p = d_h.Row(bi);
     for (size_t j = 0; j < h; ++j) p[j] = KeepOrZero(!(act[j] <= 0.0f), p[j]);
   }
-  if (!accumulate) grads.g[4]->SetZero();
-  MatMulTransARange(fwd_.cat2, d_h, grads.g[4], r0, r1);
-  ColumnSumsRange(d_h, grads.g[5]->data(), r0, r1, accumulate);
-  MatMulTransBRange(d_h, w3_, &d_cat2, r0, r1);
+  g[4].SetZero();
+  MatMulTransARange(fwd_.cat2, d_h, &g[4], 0, b);
+  ColumnSumsRange(d_h, g[5].data(), 0, b, /*accumulate=*/false);
+  MatMulTransBRange(d_h, w3_, &d_cat2, 0, b);
 
   // Self branch: d_self = d_cat2[:, h:] masked by ReLU.
-  for (size_t bi = r0; bi < r1; ++bi) {
+  for (size_t bi = 0; bi < b; ++bi) {
     const float* src = d_cat2.Row(bi) + h;
     const float* act = fwd_.self_pre.Row(bi);
     float* dst = d_self.Row(bi);
     for (size_t j = 0; j < h; ++j) dst[j] = KeepOrZero(act[j] > 0.0f, src[j]);
   }
-  if (!accumulate) grads.g[2]->SetZero();
-  MatMulTransARange(input.node_feats, d_self, grads.g[2], r0, r1);
-  ColumnSumsRange(d_self, grads.g[3]->data(), r0, r1, accumulate);
+  g[2].SetZero();
+  MatMulTransARange(input.node_feats, d_self, &g[2], 0, b);
+  ColumnSumsRange(d_self, g[3].data(), 0, b, /*accumulate=*/false);
 
   // Neighbor branch: distribute d_agg over messages with their mean
   // weights, mask by ReLU.
-  for (size_t bi = r0; bi < r1; ++bi) {
+  for (size_t bi = 0; bi < b; ++bi) {
     const float* dagg = d_cat2.Row(bi);  // first h columns
     const float* mrow = input.mask.Row(bi);
     const float inv = fwd_.inv_weight[bi];
@@ -445,9 +419,10 @@ void SlimModel::BackwardRange(const SlimBatchInput& input,
       }
     }
   }
-  if (!accumulate) grads.g[0]->SetZero();
-  MatMulTransARange(fwd_.cat1, d_msg, grads.g[0], n0, n1);
-  ColumnSumsRange(d_msg, grads.g[1]->data(), n0, n1, accumulate);
+  g[0].SetZero();
+  MatMulTransARange(fwd_.cat1, d_msg, &g[0], 0, bk);
+  ColumnSumsRange(d_msg, g[1].data(), 0, bk, /*accumulate=*/false);
+  return loss;
 }
 
 double SlimModel::TrainStep(const SlimBatchInput& input,
@@ -460,65 +435,10 @@ double SlimModel::TrainStep(const SlimBatchInput& input,
   ResizeScratch(b, train);
   ++train->train_calls_;
 
-  ThreadPool* pool = ThreadPool::Global();
-  const size_t num_chunks = ThreadPool::NumChunks(0, b, kBatchGrain);
   const bool wants_dropout = training_ && opts_.dropout > 0.0f;
-  GradRefs main;
-  for (size_t p = 0; p < kNumParams; ++p) main.g[p] = &train->grad_[p];
-  double loss = 0.0;
-
-  if (pool->num_threads() == 1 || num_chunks < 2) {
-    // Serial path: bit-identical to the pre-parallel implementation
-    // (dropout drawn sequentially from the model Rng, full-range kernels).
-    ForwardRange(input, 0, b, wants_dropout ? rng_ : nullptr,
-                 /*for_backward=*/true, &fwd_);
-    BackwardRange(input, labels, 0, b, main, /*accumulate=*/false, train,
-                  &loss);
-  } else {
-    const size_t num_workers = pool->num_threads();
-    std::vector<SlimTrainState::GradScratch>& worker_grads =
-        train->worker_grads_;
-    if (worker_grads.size() < num_workers) worker_grads.resize(num_workers);
-    for (SlimTrainState::GradScratch& ws : worker_grads) {
-      for (size_t p = 0; p < kNumParams; ++p) {
-        ws.g[p].Resize(main.g[p]->rows(), main.g[p]->cols());
-        ws.g[p].SetZero();
-      }
-    }
-    train->chunk_loss_.assign(num_chunks, 0.0);
-
-    const uint64_t train_calls = train->train_calls_;
-    pool->ParallelFor(0, b, kBatchGrain,
-                      [&](size_t r0, size_t r1, size_t worker) {
-                        const size_t chunk = r0 / kBatchGrain;
-                        Rng drop_rng(WorkerRngSeed(opts_.dropout_seed,
-                                                   train_calls, chunk));
-                        ForwardRange(input, r0, r1,
-                                     wants_dropout ? &drop_rng : nullptr,
-                                     /*for_backward=*/true, &fwd_);
-                        SlimTrainState::GradScratch& ws =
-                            worker_grads[worker];
-                        GradRefs refs{{&ws.g[0], &ws.g[1], &ws.g[2],
-                                       &ws.g[3], &ws.g[4], &ws.g[5],
-                                       &ws.g[6], &ws.g[7]}};
-                        BackwardRange(input, labels, r0, r1, refs,
-                                      /*accumulate=*/true, train,
-                                      &train->chunk_loss_[chunk]);
-                      });
-
-    // Fixed-order reductions: chunk order for the loss, worker order for
-    // the gradients — deterministic for a given thread count.
-    for (size_t c = 0; c < num_chunks; ++c) loss += train->chunk_loss_[c];
-    for (size_t p = 0; p < kNumParams; ++p) {
-      Matrix* dst = main.g[p];
-      const size_t n = dst->size();
-      std::memcpy(dst->data(), worker_grads[0].g[p].data(),
-                  n * sizeof(float));
-      for (size_t w = 1; w < num_workers; ++w) {
-        Axpy(1.0f, worker_grads[w].g[p].data(), dst->data(), n);
-      }
-    }
-  }
+  ForwardInto(input, wants_dropout ? rng_ : nullptr, /*for_backward=*/true,
+              &fwd_);
+  const double loss = Backward(input, labels, train);
 
   // Adam. Params are contiguous (never padded), so the fused kernel runs
   // over each flat block; the scalar backend is the historical loop plus

@@ -31,17 +31,9 @@
 // microcode assist every step. Checkpoints keep their format; older ones'
 // moments flush at their next step.
 //
-// Both are batch-parallel on the runtime/ ThreadPool: the batch is cut
-// into fixed-size row chunks (boundaries depend on the batch size only,
-// never the thread count) and every activation row is owned by exactly
-// one chunk, so forward chunks write disjoint rows of the shared scratch.
-// In TrainStep each worker backpropagates its chunks into a private
-// grow-only gradient scratch; the partials are then reduced into the Adam
-// accumulators in fixed worker order, so training is deterministic for a
-// given thread count. Dropout draws come from per-chunk Rng streams seeded
-// by (dropout_seed, step, chunk) — identical at any thread count > 1.
-// With one thread the pre-refactor serial path runs bit-for-bit (dropout
-// from the model Rng, full-range kernels).
+// Both run on the calling thread over the whole batch. Training dropout
+// draws from the model Rng in row order, so a step is a pure function of
+// the weights, the batch and the Rng state.
 
 #ifndef SPLASH_CORE_SLIM_H_
 #define SPLASH_CORE_SLIM_H_
@@ -65,9 +57,9 @@ struct SlimOptions {
   size_t k_recent = 10;     // K: neighbors per query
   float dropout = 0.1f;     // on h during training
   float lr = 5e-3f;         // Adam step size
-  /// Seed of the per-chunk dropout streams used by the batch-parallel
-  /// train path (threads > 1). The serial path draws from the model Rng
-  /// instead, preserving the pre-parallel bit-exact behavior.
+  /// Used by no computation: dropout draws from the model Rng. It stays
+  /// only because the predictor state bytes (SplashPredictor::
+  /// SerializeState) carry it; the next state-format bump drops it.
   uint64_t dropout_seed = 0xd50bd50bULL;
 };
 
@@ -108,12 +100,10 @@ struct SlimForwardScratch {
 /// SLIM's training state, kept apart from the model so that a read-only
 /// copy (a serve replica) carries its weights only. Two parts:
 ///   - learned: the Adam moments m/v of every parameter and the step
-///     counters (the Adam step and the train-call count that tags the
-///     per-chunk dropout streams). Checkpoints write them with the
-///     model's weights (SlimModel::Serialize).
-///   - per-step transients: the gradients, the backward scratch, the
-///     per-worker gradient partials and the per-chunk losses. They start
-///     empty and grow at the first TrainStep, then stop allocating.
+///     counters (the Adam step and the train-call count). Checkpoints
+///     write them with the model's weights (SlimModel::Serialize).
+///   - per-step transients: the gradients and the backward scratch. They
+///     start empty and grow at the first TrainStep, then stop allocating.
 /// One train state trains one model's weights. TrainStep pairs them
 /// explicitly, so a service can keep a single train state for two
 /// alternating replicas of the same model.
@@ -136,23 +126,14 @@ class SlimTrainState {
  private:
   friend class SlimModel;
 
-  /// One worker's private gradient accumulators (grow-only).
-  struct GradScratch {
-    Matrix g[kNumParams];
-  };
-
   // Learned.
   Matrix m_[kNumParams], v_[kNumParams];  // Adam moments
   size_t adam_t_ = 0;
-  uint64_t train_calls_ = 0;  // tags the per-chunk dropout streams
+  uint64_t train_calls_ = 0;  // TrainStep calls; checkpointed, else unread
 
   // Per-step transients.
   Matrix grad_[kNumParams];
   Matrix d_out_, d_h_, d_cat2_, d_msg_, d_self_;  // backward scratch
-  // Batch-parallel scratch: per-worker gradient partials and per-chunk
-  // loss partials, reduced in fixed order.
-  std::vector<GradScratch> worker_grads_;
-  std::vector<double> chunk_loss_;
 };
 
 /// The model: the parameter values and the forward scratch. Everything a
@@ -239,27 +220,17 @@ class SlimModel {
     return {&w1_, &b1_, &w2_, &b2_, &w3_, &b3_, &w4_, &b4_};
   }
 
-  /// The gradient destinations of one backward pass: either the train
-  /// state's own grad matrices (serial) or one worker's private scratch
-  /// (parallel).
-  struct GradRefs {
-    Matrix* g[kNumParams];
-  };
-
   /// Grows the forward scratch (and, for training, `train`'s gradients
-  /// and backward scratch) for a B-row batch. Must run before chunks are
-  /// dispatched: Resize may reallocate.
+  /// and backward scratch) for a B-row batch.
   void ResizeScratch(size_t b, SlimTrainState* train);
-  /// Forward for batch rows [r0, r1) into `s` (disjoint rows per chunk).
-  /// `drop_rng` non-null applies training dropout. `for_backward` keeps
-  /// every neighbor slot's activations for BackwardRange; a read of a
-  /// one-row batch computes only the slots up to the last valid one.
-  /// Const: every mutated activation lives in the scratch, so readers
-  /// with private scratch can run this concurrently against frozen
-  /// weights.
-  void ForwardRange(const SlimBatchInput& input, size_t r0, size_t r1,
-                    Rng* drop_rng, bool for_backward,
-                    SlimForwardScratch* s) const;
+  /// Forward for every batch row into `s`. `drop_rng` non-null applies
+  /// training dropout. `for_backward` keeps every neighbor slot's
+  /// activations for Backward; a read of a one-row batch computes only
+  /// the slots up to the last valid one. Const: every mutated activation
+  /// lives in the scratch, so readers with private scratch can run this
+  /// concurrently against frozen weights.
+  void ForwardInto(const SlimBatchInput& input, Rng* drop_rng,
+                   bool for_backward, SlimForwardScratch* s) const;
   /// One fused dense layer (GEMM + bias + optional ReLU) on rows
   /// [r0, r1). With index scratch `nz`, a one-row call takes the one-row
   /// kernel, which skips the weight rows of zero inputs
@@ -267,17 +238,15 @@ class SlimModel {
   void DenseLayer(const Matrix& in, const Matrix& w, const float* bias,
                   Matrix* out, size_t r0, size_t r1, bool relu,
                   std::vector<uint32_t>* nz) const;
-  /// Runs ResizeScratch + ForwardRange serial or chunk-parallel.
+  /// ResizeScratch + ForwardInto into fwd_.
   void ForwardAll(const SlimBatchInput& input);
-  /// Softmax/CE + backprop for batch rows [r0, r1) from the forward
-  /// activations in fwd_: gradient contributions of those rows go to
-  /// `grads` (added when accumulate), through `train`'s backward scratch;
-  /// the rows' summed loss is added to *loss_out.
-  void BackwardRange(const SlimBatchInput& input,
-                     const std::vector<int>& labels, size_t r0, size_t r1,
-                     const GradRefs& grads, bool accumulate,
-                     SlimTrainState* train, double* loss_out) const;
-  void EncodeTime(const std::vector<double>& deltas, size_t i0, size_t i1,
+  /// Softmax/CE + backprop from the forward activations in fwd_ into
+  /// `train`'s gradients, through its backward scratch. Returns the
+  /// batch's summed loss.
+  double Backward(const SlimBatchInput& input, const std::vector<int>& labels,
+                  SlimTrainState* train) const;
+  /// phi(dt) of the first `n` neighbor rows into cat1's time columns.
+  void EncodeTime(const std::vector<double>& deltas, size_t n,
                   SlimForwardScratch* s) const;
   /// Whether `train`'s moments are shaped for this model's parameters.
   bool Fits(const SlimTrainState& train) const;

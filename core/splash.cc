@@ -5,8 +5,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "runtime/thread_pool.h"
-
 namespace splash {
 
 std::string SplashModeName(SplashMode mode) {
@@ -86,8 +84,7 @@ Status SplashPredictor::Prepare(const Dataset& ds, const ChronoSplit& split) {
   slim_opts.feature_dim = input_dim_;
   slim_opts.k_recent = memory_.k();  // same clamp as the ring buffer
   slim_opts.out_dim = std::max<size_t>(2, ds.num_classes);
-  // Per-chunk dropout streams of the batch-parallel train path follow the
-  // predictor seed so identically-seeded runs stay reproducible.
+  // Carried in the state bytes only (SlimOptions::dropout_seed).
   slim_opts.dropout_seed = SplitMix64(opts_.seed ^ 0xd50bd50bULL);
   slim_ = std::make_unique<SlimModel>(slim_opts, &rng_);
   train_ = std::make_unique<SlimTrainState>(slim_opts);
@@ -149,7 +146,7 @@ void SplashPredictor::PrepareForPublish() {
   // is; kInvalidNode has no ring, so the gather writes nothing.
   const PropertyQuery cold{kInvalidNode, 0.0, 0};
   ResizeBatch(1, &cold_.input);
-  AssembleRows(&cold, 0, 1, &cold_.input, nullptr, nullptr);
+  AssembleRows(&cold, 1, &cold_.input, nullptr, nullptr);
   cold_.out = slim_->ReadOwnScratch(cold_.input);
   cold_.version = slim_->weights_version();
 }
@@ -215,33 +212,19 @@ void SplashPredictor::AssembleBatch(
   const size_t k = memory_.k();
   ResizeBatch(b, &batch_);
 
-  ThreadPool* pool = ThreadPool::Global();
-  const size_t num_workers = pool->num_threads();
-  if (worker_nbr_ids_.size() < num_workers) {
-    worker_nbr_ids_.resize(num_workers);
-    worker_nbr_times_.resize(num_workers);
+  if (nbr_ids_.size() < k) {
+    nbr_ids_.resize(k);
+    nbr_times_.resize(k);
   }
-  for (size_t w = 0; w < num_workers; ++w) {
-    if (worker_nbr_ids_[w].size() < k) {
-      worker_nbr_ids_[w].resize(k);
-      worker_nbr_times_[w].resize(k);
-    }
-  }
-
-  pool->ParallelFor(0, b, kBatchAssembleGrain,
-                    [&](size_t r0, size_t r1, size_t worker) {
-                      AssembleRows(queries.data(), r0, r1, &batch_,
-                                   worker_nbr_ids_[worker].data(),
-                                   worker_nbr_times_[worker].data());
-                    });
+  AssembleRows(queries.data(), b, &batch_, nbr_ids_.data(),
+               nbr_times_.data());
 }
 
-void SplashPredictor::AssembleRows(const PropertyQuery* queries, size_t r0,
-                                   size_t r1, SlimBatchInput* out,
-                                   NodeId* nbr_ids,
+void SplashPredictor::AssembleRows(const PropertyQuery* queries, size_t b,
+                                   SlimBatchInput* out, NodeId* nbr_ids,
                                    double* nbr_times) const {
   const size_t k = memory_.k();
-  for (size_t bi = r0; bi < r1; ++bi) {
+  for (size_t bi = 0; bi < b; ++bi) {
     const PropertyQuery& q = queries[bi];
     WriteNodeFeature(q.node, out->node_feats.Row(bi));
     const size_t count = memory_.GatherRecent(q.node, nbr_ids, nbr_times);
@@ -291,7 +274,7 @@ const Matrix& SplashPredictor::PredictBatchConst(
     scratch->nbr_ids.resize(k);
     scratch->nbr_times.resize(k);
   }
-  AssembleRows(queries.data(), 0, b, batch, scratch->nbr_ids.data(),
+  AssembleRows(queries.data(), b, batch, scratch->nbr_ids.data(),
                scratch->nbr_times.data());
   // With no valid slot a one-row read reads only its feature row
   // (SlimModel::ForwardRange), so the memo's read of an equal row at the

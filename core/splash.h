@@ -72,9 +72,8 @@ class SplashPredictor : public TemporalPredictor {
   Status Prepare(const Dataset& ds, const ChronoSplit& split) override;
   void ResetState() override;
   void ObserveEdge(const TemporalEdge& e, size_t edge_index) override;
-  /// Fans the range out over the ThreadPool: augmenter replay by
-  /// destination shard (FeatureAugmenter::ObserveBulk), then the sharded
-  /// ring ingest (NeighborMemory::ObserveBulk).
+  /// Augmenter replay (FeatureAugmenter::ObserveBulk), then the ring
+  /// ingest (NeighborMemory::ObserveBulk), each in stream order.
   void ObserveBulk(const EdgeStream& stream, size_t begin,
                    size_t end) override;
   Matrix PredictBatch(const std::vector<PropertyQuery>& queries) override;
@@ -194,11 +193,11 @@ class SplashPredictor : public TemporalPredictor {
   void WriteNodeFeature(NodeId node, float* out) const;
   /// Shapes `out` for a `b`-row batch (grow-only).
   void ResizeBatch(size_t b, SlimBatchInput* out) const;
-  /// Assembles query rows [r0, r1) into `out` (pre-sized). `nbr_ids` /
+  /// Assembles the `b` queries into `out` (pre-sized). `nbr_ids` /
   /// `nbr_times` are k-sized gather scratch owned by the caller. Reads
-  /// streaming state only — shared by the pooled AssembleBatch chunks, the
-  /// const snapshot path and the cold-read memo.
-  void AssembleRows(const PropertyQuery* queries, size_t r0, size_t r1,
+  /// streaming state only — shared by AssembleBatch, the const snapshot
+  /// path and the cold-read memo.
+  void AssembleRows(const PropertyQuery* queries, size_t b,
                     SlimBatchInput* out, NodeId* nbr_ids,
                     double* nbr_times) const;
   void AssembleBatch(const std::vector<PropertyQuery>& queries);
@@ -217,15 +216,13 @@ class SplashPredictor : public TemporalPredictor {
   AugmentationProcess selected_ = AugmentationProcess::kStructural;
   size_t input_dim_ = 0;
 
-  // Assembly scratch (grow-only, reused across batches). Queries are
-  // assembled in parallel on the runtime/ ThreadPool — feature writes and
-  // ring gathers are read-only on model state and land in disjoint batch
-  // rows — so the k-sized gather scratch is per worker.
+  // Assembly scratch (grow-only, reused across batches), with the
+  // k-sized neighbor gather arrays.
   SlimBatchInput batch_;
   std::vector<int> labels_;
   size_t staged_rows_ = 0;  // rows of the staged batch (0 = none staged)
-  std::vector<std::vector<NodeId>> worker_nbr_ids_;
-  std::vector<std::vector<double>> worker_nbr_times_;
+  std::vector<NodeId> nbr_ids_;
+  std::vector<double> nbr_times_;
 
   /// The cold-read memo: `out` is SLIM's one-row read of `input` (the
   /// cold row, every neighbor slot masked) at SLIM weights version

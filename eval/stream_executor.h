@@ -22,16 +22,15 @@
 // StageBatch reads streaming state at op j's horizon; the staged compute
 // reads only the staged tensors and the model weights (the split-phase
 // contract in core/predictor.h), so it is data-race-free against
-// ObserveBulk of op j+1 running on the pipeline thread. Both stages may
-// fan out on the global ThreadPool (external submissions serialize).
-// Run() returns only after the in-flight observe finished — the
-// epoch-boundary barrier.
+// ObserveBulk of op j+1 running on the pipeline thread. Each stage runs
+// on its one thread. Run() returns only after the in-flight observe
+// finished — the epoch-boundary barrier.
 //
 // Determinism: pipeline_depth = 0 runs per-edge ObserveEdge + fused
-// TrainBatch/PredictBatch — bit-identical to the pre-executor trainer at
-// any thread count. Depth >= 1 issues the same computation in the same
-// data-dependency order; at SPLASH_THREADS=1 every bulk path falls back to
-// the serial loops, so depth 1 is bit-identical to depth 0 there.
+// TrainBatch/PredictBatch — bit-identical to the pre-executor trainer.
+// Depth >= 1 issues the same computation in the same data-dependency
+// order, and every bulk replay is the per-edge loop, so depth 1 is
+// bit-identical to depth 0.
 
 #ifndef SPLASH_EVAL_STREAM_EXECUTOR_H_
 #define SPLASH_EVAL_STREAM_EXECUTOR_H_

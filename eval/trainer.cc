@@ -9,7 +9,6 @@
 #include "eval/metrics.h"
 #include "eval/stream_executor.h"
 #include "eval/timing.h"
-#include "runtime/thread_pool.h"
 
 namespace splash {
 
@@ -38,14 +37,6 @@ double BoundaryAtFraction(const EdgeStream& stream, double frac) {
       std::lower_bound(t, t + n, t[cut]) - t);
   if (first == 0) return stream.min_time() - 1.0;
   return t[first - 1];
-}
-
-/// Applies the trainer's thread knob: resizes the global pool only when a
-/// count was requested and differs from the ambient one.
-void ApplyThreadKnob(size_t num_threads) {
-  if (num_threads > 0 && ThreadPool::GlobalThreads() != num_threads) {
-    ThreadPool::SetGlobalThreads(num_threads);
-  }
 }
 
 /// Predict sink appending each flush's scores (grow-only Resize + copy)
@@ -78,7 +69,6 @@ ChronoSplit MakeChronoSplit(const EdgeStream& stream, double val_frac,
 
 FitResult StreamTrainer::Fit(TemporalPredictor* model, const Dataset& ds,
                              const ChronoSplit& split) {
-  ApplyThreadKnob(opts_.num_threads);
   WallTimer timer;
   FitResult result;
 
@@ -118,7 +108,6 @@ FitResult StreamTrainer::Fit(TemporalPredictor* model, const Dataset& ds,
 EvalResult StreamTrainer::Evaluate(TemporalPredictor* model,
                                    const Dataset& ds,
                                    const ChronoSplit& split) {
-  ApplyThreadKnob(opts_.num_threads);
   EvalResult result;
   model->SetTraining(false);
   model->ResetState();

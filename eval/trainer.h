@@ -33,20 +33,12 @@ struct TrainerOptions {
   size_t batch_size = 200;
   bool early_stopping = true;
   size_t patience = 3;  // epochs without val improvement before stopping
-  /// Worker threads for the runtime/ ThreadPool. 0 keeps the current
-  /// pool (SPLASH_THREADS env or hardware concurrency); any other value
-  /// resizes the process-global pool on the next Fit/Evaluate and stays
-  /// in effect afterwards (the pool is global, not per-trainer). 1
-  /// reproduces the serial numbers bit-for-bit.
-  size_t num_threads = 0;
   /// Stages in flight for the pipelined executor (eval/stream_executor.h):
   /// 0 runs the historical serial loop (per-edge ObserveEdge + fused batch
   /// calls — the determinism reference, bit-identical to the pre-executor
   /// trainer); >= 1 double-buffers, overlapping ObserveBulk of batch k+1
-  /// with the staged compute of batch k. At SPLASH_THREADS=1 depth 1 is
-  /// bit-identical to depth 0 (every bulk path degrades to the serial
-  /// loop); at higher thread counts results are deterministic per
-  /// (threads, depth) pair.
+  /// with the staged compute of batch k on one pipeline thread. Depth 1
+  /// is bit-identical to depth 0: the bulk replay is the per-edge loop.
   size_t pipeline_depth = 1;
 };
 

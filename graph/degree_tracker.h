@@ -36,22 +36,12 @@ class DegreeTracker {
     ++num_edges_;
   }
 
-  /// Single-counter bump for shard-partitioned bulk ingest: callers
-  /// guarantee capacity up front (EnsureNodeCapacity) and that every node's
-  /// counter is written by exactly one worker, then account the edge count
-  /// once with AddEdges. No growth, no edge counting here.
-  void IncrementDegree(NodeId node) { ++degree_[node]; }
-
-  /// Adds `n` edges' worth to the edge counter (the bulk-ingest companion
-  /// of IncrementDegree).
-  void AddEdges(size_t n) { num_edges_ += n; }
-
   uint32_t Degree(NodeId node) const {
     return node < degree_.size() ? degree_[node] : 0;
   }
 
   size_t num_edges() const { return num_edges_; }
-  /// Nodes with a counter slot (IncrementDegree's valid range).
+  /// Nodes with a counter slot.
   size_t capacity() const { return degree_.size(); }
 
   void Clear() {

@@ -3,38 +3,30 @@
 // Fixed-capacity k-recent neighbor memory, shard-partitioned by node id.
 // Node v lives in shard `v & (S-1)` (S a power of two) at local index
 // `v >> log2(S)`; each shard owns an independent contiguous ring slab of k
-// (neighbor id, time) slots per local node plus its own growth lock, so
+// (neighbor id, time) slots per local node, so
 //   - Observe() is still two ring writes — no pointers chased, no heap
 //     allocation on the steady-state path (the structure behind the
 //     paper's O(1)-per-edge claim, Fig. 11; bench_micro_substrate gates
 //     its flatness);
-//   - growing one shard never moves another shard's slab, and concurrent
-//     writers partitioned by shard (ObserveBulk) never touch the same
-//     cache lines;
-//   - ObserveBulk() ingests an edge range on the global ThreadPool with
-//     one worker per shard group. Every shard scans the range and keeps
-//     the endpoints it owns, so per-node ring contents are in stream
-//     order regardless of thread count — bit-identical to serial replay.
+//   - growing one shard never moves another shard's slab.
+// The shard geometry is part of the checkpoint bytes (Serialize), which is
+// why it stays although every write runs on one thread.
 //
-// Thread contract: plain Observe/GatherRecent are safe from one thread at
-// a time (the chronological replay protocol is inherently serial);
-// concurrent mutation is safe only when writers are partitioned by shard,
-// which ObserveBulk arranges. GatherRecent is safe concurrently with other
-// reads (batch assembly fans out over queries).
+// Thread contract: one writer (Observe/ObserveBulk/capacity calls) at a
+// time, and no reader concurrently with it; GatherRecent is safe from any
+// number of readers while nothing writes.
 
 #ifndef SPLASH_GRAPH_NEIGHBOR_MEMORY_H_
 #define SPLASH_GRAPH_NEIGHBOR_MEMORY_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/serialize.h"
 #include "core/types.h"
 #include "graph/edge_stream.h"
-#include "runtime/thread_pool.h"
 
 namespace splash {
 
@@ -87,33 +79,10 @@ class NeighborMemory {
     Push(e.dst, e.src, e.time);
   }
 
-  /// Ingests edges [begin, end) of `stream` on the global ThreadPool, one
-  /// worker per contiguous shard group (see file header): each worker
-  /// scans the range once and keeps the endpoints whose shard falls in
-  /// its group, so the total scan cost is one pass per worker, not per
-  /// shard. Equivalent to calling Observe on each edge in order.
+  /// Ingests edges [begin, end) of `stream` in order; equivalent to
+  /// calling Observe on each edge.
   void ObserveBulk(const EdgeStream& stream, size_t begin, size_t end) {
-    if (end <= begin) return;
-    ThreadPool* pool = ThreadPool::Global();
-    const size_t num_s = shards_.size();
-    const size_t num_t = pool->num_threads();
-    // Below ~2k edges the per-worker rescan beats its parallel payoff.
-    if (num_t == 1 || num_s == 1 || end - begin < 2048) {
-      for (size_t i = begin; i < end; ++i) Observe(stream[i], i);
-      return;
-    }
-    const NodeId* src = stream.src_data();
-    const NodeId* dst = stream.dst_data();
-    const double* time = stream.time_data();
-    const size_t group = (num_s + num_t - 1) / num_t;  // shards per chunk
-    pool->ParallelFor(0, num_s, group, [&](size_t s0, size_t s1, size_t) {
-      for (size_t i = begin; i < end; ++i) {
-        const size_t ss = src[i] & shard_mask_;
-        if (ss >= s0 && ss < s1) Push(src[i], dst[i], time[i]);
-        const size_t ds = dst[i] & shard_mask_;
-        if (ds >= s0 && ds < s1) Push(dst[i], src[i], time[i]);
-      }
-    });
+    for (size_t i = begin; i < end; ++i) Observe(stream[i], i);
   }
 
   /// Number of valid entries in `node`'s ring (<= k).
@@ -184,21 +153,12 @@ class NeighborMemory {
  private:
   static constexpr size_t kDefaultShards = 8;
 
-  /// One shard: the ring slabs of every node it owns plus the lock that
-  /// serializes this shard's (rare) growth against external capacity calls.
+  /// One shard: the ring slabs of every node it owns.
   struct Shard {
-    Shard() = default;
-    Shard(Shard&&) = default;
-    /// Copies the rings; the copy gets a lock of its own. Not safe
-    /// against a concurrent writer of `o`.
-    Shard(const Shard& o)
-        : ids(o.ids), times(o.times), heads(o.heads), counts(o.counts) {}
-
     std::vector<NodeId> ids;       // local_nodes * k slab
     std::vector<double> times;     // local_nodes * k slab
     std::vector<uint32_t> heads;   // per-node ring head (next write slot)
     std::vector<uint32_t> counts;  // per-node valid entries (<= k)
-    std::unique_ptr<std::mutex> grow_mutex = std::make_unique<std::mutex>();
   };
 
   /// Local slots a shard needs so that global ids in [0, n) are covered.
@@ -208,8 +168,6 @@ class NeighborMemory {
 
   void EnsureShardCapacity(Shard* sh, size_t local_n) {
     if (local_n <= sh->counts.size()) return;
-    std::lock_guard<std::mutex> lk(*sh->grow_mutex);
-    if (local_n <= sh->counts.size()) return;  // raced with another grower
     const size_t target = GrowCapacity(sh->counts.size(), local_n);
     sh->ids.resize(target * k_, kInvalidNode);
     sh->times.resize(target * k_, 0.0);

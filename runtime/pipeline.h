@@ -7,16 +7,15 @@
 // batch k+1; Wait() is the hand-off barrier before the caller touches the
 // streaming state again.
 //
-// Design rules (matching runtime/thread_pool.h):
+// PipelineThread is the only thread the library starts for a replay; each
+// stage (the caller's compute, this thread's ingest) runs on one thread.
+// Design rules:
 //   - Submit() takes a function pointer + context pointer, never a
 //     std::function, so the steady-state submit path performs zero heap
 //     allocations (allocation_steady_state_test gates this);
 //   - Submit() requires the slot to be idle (call Wait() first); one slot
 //     is a feature, not a limitation — depth > 1 would let ingest run past
-//     state the compute stage still reads;
-//   - a job may itself issue ThreadPool::ParallelFor: external submissions
-//     to the pool serialize on its client mutex, so the ingest stage and
-//     the compute stage can both fan out without racing the pool.
+//     state the compute stage still reads.
 
 #ifndef SPLASH_RUNTIME_PIPELINE_H_
 #define SPLASH_RUNTIME_PIPELINE_H_

@@ -1,130 +1,21 @@
 // Copyright 2026 The SPLASH Reproduction Authors.
 //
-// The parallel runtime substrate every layer above builds on: a fixed-size,
-// work-stealing-free thread pool with one blocking ParallelFor primitive.
-// Design rules (see DESIGN.md §1/§4):
-//   - chunks are assigned to workers STATICALLY (worker w runs chunks
-//     w, w+T, w+2T, ... in index order), so for a fixed thread count every
-//     reduction that folds per-worker partials in worker order is
-//     deterministic — no stealing, no completion-order dependence;
-//   - chunk boundaries depend only on (range, grain), never on the thread
-//     count, so per-chunk seeded Rng streams (WorkerRngSeed) produce the
-//     same draws at 2, 4, or 64 threads;
-//   - ParallelFor performs zero heap allocations: the body is passed as a
-//     context pointer + function pointer, and the steady-state path is a
-//     condition-variable wake of already-running workers. The counting-
-//     allocator test gates this;
-//   - a ParallelFor issued from inside a worker runs inline on that worker
-//     (no nested fan-out, no oversubscription);
-//   - num_threads == 1 short-circuits to a plain inline loop, which is how
-//     SPLASH_THREADS=1 reproduces the serial numbers bit-for-bit.
+// Stub left for the system benchmark, which stamps
+// ThreadPool::GlobalThreads() into its provenance and matches runs on it.
+// There is no thread pool: every stage runs on one thread, so the stamp
+// is always 1. Remove this header together with that stamp.
 
 #ifndef SPLASH_RUNTIME_THREAD_POOL_H_
 #define SPLASH_RUNTIME_THREAD_POOL_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <mutex>
-#include <thread>
-#include <vector>
-
-#include "tensor/rng.h"
 
 namespace splash {
 
 class ThreadPool {
  public:
-  /// `num_threads` counts the calling thread: a pool of size 4 spawns 3
-  /// helper threads and the caller works too. 0 is clamped to 1.
-  explicit ThreadPool(size_t num_threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  size_t num_threads() const { return num_threads_; }
-
-  /// Runs fn(chunk_begin, chunk_end, worker_index) over [begin, end) split
-  /// into chunks of `grain` indices (the last chunk may be short). Blocks
-  /// until every chunk finished. worker_index < num_threads() identifies
-  /// the executing worker — use it to index per-worker scratch. Safe to
-  /// call recursively (inner calls run inline on the calling worker) and
-  /// from multiple external threads: external submissions serialize on a
-  /// client mutex, so the pipelined executor's ingest thread and the main
-  /// compute thread can both fan out (their jobs time-share the pool; each
-  /// job still runs with the full deterministic chunk assignment).
-  template <typename Fn>
-  void ParallelFor(size_t begin, size_t end, size_t grain, Fn&& fn) {
-    Launch(begin, end, grain, &InvokeThunk<Fn>, &fn);
-  }
-
-  /// Chunk count ParallelFor will use for this range — what a caller sizing
-  /// per-chunk scratch (losses, seeds) needs.
-  static size_t NumChunks(size_t begin, size_t end, size_t grain) {
-    if (end <= begin) return 0;
-    const size_t g = grain == 0 ? 1 : grain;
-    return (end - begin + g - 1) / g;
-  }
-
-  /// Process-wide pool, sized by SPLASH_THREADS (default: the hardware
-  /// concurrency; 1 on failure). Created on first use.
-  static ThreadPool* Global();
-
-  /// Thread count of Global() without forcing its creation side effects
-  /// beyond creation itself.
-  static size_t GlobalThreads() { return Global()->num_threads(); }
-
-  /// Replaces the global pool (tests, thread-sweep benches, the trainer
-  /// knob). Must not be called while a ParallelFor on the old pool is in
-  /// flight. n == 0 re-reads SPLASH_THREADS / hardware_concurrency.
-  static void SetGlobalThreads(size_t n);
-
- private:
-  using Thunk = void (*)(void* ctx, size_t chunk_begin, size_t chunk_end,
-                         size_t worker_index);
-
-  template <typename Fn>
-  static void InvokeThunk(void* ctx, size_t chunk_begin, size_t chunk_end,
-                          size_t worker_index) {
-    (*static_cast<Fn*>(ctx))(chunk_begin, chunk_end, worker_index);
-  }
-
-  void Launch(size_t begin, size_t end, size_t grain, Thunk thunk, void* ctx);
-  void RunChunksAs(size_t worker_index);
-  void WorkerLoop(size_t worker_index);
-
-  const size_t num_threads_;
-  std::vector<std::thread> workers_;  // num_threads_ - 1 helpers
-
-  // Serializes whole jobs submitted by distinct external threads; nested
-  // (inline) calls never take it, so there is no self-deadlock.
-  std::mutex client_mutex_;
-
-  // Current job, published under mutex_ before waking the helpers.
-  std::mutex mutex_;
-  std::condition_variable wake_;
-  std::condition_variable done_;
-  uint64_t job_epoch_ = 0;  // bumped per ParallelFor; helpers wait on it
-  bool shutdown_ = false;
-  Thunk job_thunk_ = nullptr;
-  void* job_ctx_ = nullptr;
-  size_t job_begin_ = 0;
-  size_t job_end_ = 0;
-  size_t job_grain_ = 1;
-  size_t job_num_chunks_ = 0;
-  std::atomic<size_t> pending_workers_{0};
+  static size_t GlobalThreads() { return 1; }
 };
-
-/// Deterministic seed for the Rng stream of `chunk_index` within the
-/// logical operation `op_tag` (e.g. a train-step counter). Independent of
-/// the thread count and of which worker runs the chunk.
-inline uint64_t WorkerRngSeed(uint64_t base_seed, uint64_t op_tag,
-                              uint64_t chunk_index) {
-  return SplitMix64(base_seed ^ SplitMix64(op_tag * 0x9e3779b97f4a7c15ULL +
-                                           chunk_index));
-}
 
 }  // namespace splash
 

@@ -3,11 +3,6 @@
 # BENCH_micro.json at the repo root. Future perf PRs diff against this file
 # to prove hot-path regressions/improvements (see DESIGN.md §4).
 #
-# The *Threads benchmarks size the runtime/ pool themselves per Arg, so a
-# single run records the threads=1 vs threads=N row pairs
-# (BM_SlimTrainStepThreads/{1,2,4}, BM_ChronoReplayThreads/{1,4},
-# BM_FeatureReplayBulkThreads/{1,4},
-# BM_NeighborMemoryObserveBulkThreads/{1,4}) that gate the parallel layer.
 # CI re-runs the pinned rows on every push and diffs cpu_time against the
 # committed snapshot via scripts/check_bench_regression.py.
 #
@@ -36,28 +31,26 @@ cmake -B "${build_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Release \
   -DSPLASH_NATIVE=OFF
 cmake --build "${build_dir}" -j "$(nproc)" --target bench_micro_substrate
 
-# Non-sweep rows are pinned to one thread so the committed baseline is
-# host-concurrency-independent; the *Threads sweeps size the pool
-# themselves per Arg and ignore this. The host core count and the pinned
-# SPLASH_THREADS are recorded in the JSON context (google-benchmark's
-# num_cpus reports what the process sees, which on capped CI runners is
-# not the comparison-relevant physical count) so rows stay comparable
-# across hosts. The git SHA + dirty flag make every committed snapshot
-# traceable to the exact tree it was recorded from.
+# Every row runs on one thread. The host core count is recorded in the
+# JSON context (google-benchmark's num_cpus reports what the process sees,
+# which on capped CI runners is not the comparison-relevant physical
+# count) so rows stay comparable across hosts; splash_threads=1 stays
+# stamped because the committed baselines carry it. The git SHA + dirty
+# flag make every committed snapshot traceable to the exact tree it was
+# recorded from.
 git_sha="$(git -C "${repo_root}" rev-parse --short HEAD 2>/dev/null || echo unknown)"
 git_dirty=0
 if ! git -C "${repo_root}" diff --quiet HEAD 2>/dev/null; then
   git_dirty=1
 fi
-splash_threads="${SPLASH_THREADS:-1}"
 splash_kernel="${SPLASH_KERNEL:-scalar}"
-SPLASH_THREADS="${splash_threads}" SPLASH_KERNEL="${splash_kernel}" \
+SPLASH_KERNEL="${splash_kernel}" \
   "${build_dir}/bench_micro_substrate" \
   --benchmark_format=json \
   --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true \
   --benchmark_context=host_cores="$(nproc)" \
-  --benchmark_context=splash_threads="${splash_threads}" \
+  --benchmark_context=splash_threads=1 \
   --benchmark_context=git_sha="${git_sha}" \
   --benchmark_context=git_dirty="${git_dirty}" \
   > "${repo_root}/BENCH_micro.json"
@@ -71,7 +64,7 @@ SPLASH_THREADS="${splash_threads}" SPLASH_KERNEL="${splash_kernel}" \
 for side_kernel in avx2 avx512; do
   side_json="${build_dir}/bench_${side_kernel}_side.json"
   if [ "${splash_kernel}" = scalar ]; then
-    SPLASH_THREADS="${splash_threads}" SPLASH_KERNEL="${side_kernel}" \
+    SPLASH_KERNEL="${side_kernel}" \
       "${build_dir}/bench_micro_substrate" \
       --benchmark_filter='BM_MatMul/|BM_MatMulTransA/|BM_MatMulTransB/|BM_SlimForwardFused/|BM_SlimTrainStepThreads/1' \
       --benchmark_format=json \
@@ -109,11 +102,10 @@ EOF
   fi
 done
 
-# Sanity: the thread-sweep row pairs and the pinned kernel rows must be
+# Sanity: the gated whole-path rows and the pinned kernel rows must be
 # present, or a gate has silently vanished from the snapshot.
-for row in "BM_SlimTrainStepThreads/1" "BM_SlimTrainStepThreads/4" \
-           "BM_ChronoReplayThreads/1" "BM_ChronoReplayThreads/4" \
-           "BM_FeatureReplayBulkThreads/1" "BM_FeatureReplayBulkThreads/4" \
+for row in "BM_SlimTrainStepThreads/1" "BM_ChronoReplayThreads/1" \
+           "BM_FeatureReplayBulkThreads/1" \
            "BM_MatMul/256/48/64" "BM_MatMul/2560/48/64" \
            "BM_MatMul/32/2048/1024" \
            "BM_MatMulTransA/256/128/64" "BM_MatMulTransB/256/64/128" \
@@ -125,5 +117,4 @@ for row in "BM_SlimTrainStepThreads/1" "BM_SlimTrainStepThreads/4" \
 done
 
 echo "wrote ${repo_root}/BENCH_micro.json (kernel_backend=${splash_kernel}," \
-     "incl. threads=1 vs N pairs and the avx2/avx512 side-run context when" \
-     "available)"
+     "incl. the avx2/avx512 side-run context when available)"

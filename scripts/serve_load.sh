@@ -31,14 +31,13 @@ fi
 
 # Pinned to the scalar kernel backend for the same like-for-like reason as
 # bench.sh: CI re-runs the smoke row with SPLASH_KERNEL=scalar.
-splash_threads="${SPLASH_THREADS:-1}"
 splash_kernel="${SPLASH_KERNEL:-scalar}"
-SPLASH_THREADS="${splash_threads}" SPLASH_KERNEL="${splash_kernel}" \
+SPLASH_KERNEL="${splash_kernel}" \
   "${build_dir}/bench_serve_load" \
   --wal batch \
   --json "${repo_root}/BENCH_serve.json" \
   --context host_cores="$(nproc)" \
-  --context splash_threads="${splash_threads}" \
+  --context splash_threads=1 \
   --context kernel_backend="${splash_kernel}" \
   --context git_sha="${git_sha}" \
   --context git_dirty="${git_dirty}"
@@ -53,7 +52,7 @@ SPLASH_THREADS="${splash_threads}" SPLASH_KERNEL="${splash_kernel}" \
 for side_kernel in avx2 avx512; do
   side_json="${build_dir}/serve_${side_kernel}_side.json"
   if [ "${splash_kernel}" = scalar ]; then
-    SPLASH_THREADS="${splash_threads}" SPLASH_KERNEL="${side_kernel}" \
+    SPLASH_KERNEL="${side_kernel}" \
       "${build_dir}/bench_serve_load" --smoke \
       --json "${side_json}" \
       --context kernel_backend="${side_kernel}" 2>/dev/null || true

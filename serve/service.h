@@ -37,12 +37,12 @@
 // that answered it. The observe/predict boundary therefore stays explicit
 // end to end: a query at watermark W reflects exactly the edges [0, W).
 //
-// Consistency contract (serve_service_test pins it): at SPLASH_THREADS=1 a
-// response at watermark W is bit-identical to a serial replay of the
-// ingest log truncated at W; at any thread count it is bit-identical to
-// re-applying the recorded micro-batch sequence, and queries can never
-// observe a torn state (the gate drains readers before a buffer is
-// rewritten).
+// Consistency contract (serve_service_test pins it): a response at
+// watermark W is bit-identical to a serial replay of the ingest log
+// truncated at W and to re-applying the recorded micro-batch sequence,
+// and queries can never observe a torn state (the gate drains readers
+// before a buffer is rewritten). The service starts two threads: the
+// apply thread and the catch-up PipelineThread.
 //
 // Drift counters. The service boundary exposes live shift signals:
 // fraction of queried nodes unseen at training time, novel node ids in the

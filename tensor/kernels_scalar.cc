@@ -8,7 +8,7 @@
 // auto-vectorizes at whatever ISA the BUILD targets — which is exactly why
 // this backend's numbers depend on build flags and the explicit AVX2
 // backend exists. Do not "optimize" these loops: every determinism oracle
-// (parallel_determinism_test, serve watermark replay, depth1==depth0) is
+// (serve watermark replay, depth1==depth0, the recovery oracles) is
 // anchored to their accumulation order.
 //
 // All kernels are stride-aware via Matrix::Row(); the only flat-memory
@@ -165,31 +165,6 @@ void ScalarMatMulTransARange(const Matrix& a, const Matrix& b, Matrix* c,
   }
 }
 
-/// MatMulTransA restricted to *output* rows [i_begin, i_end) over the full
-/// reduction: the parallel-dispatch partition (disjoint writes). Each
-/// output element still accumulates over rr in ascending order, so the
-/// result is bit-identical to the serial kernel.
-void ScalarMatMulTransAOutputRange(const Matrix& a, const Matrix& b,
-                                   Matrix* c, size_t i_begin, size_t i_end,
-                                   bool accumulate) {
-  const size_t r = a.rows(), n = b.cols();
-  if (!accumulate) {
-    for (size_t i = i_begin; i < i_end; ++i) {
-      std::memset(c->Row(i), 0, n * sizeof(float));
-    }
-  }
-  for (size_t rr = 0; rr < r; ++rr) {
-    const float* arow = a.Row(rr);
-    const float* brow = b.Row(rr);
-    for (size_t i = i_begin; i < i_end; ++i) {
-      const float av = arow[i];
-      if (av == 0.0f) continue;
-      float* crow = c->Row(i);
-      for (size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
-}
-
 void ScalarAddRowVector(Matrix* m, const float* bias) {
   const size_t rows = m->rows(), cols = m->cols();
   for (size_t i = 0; i < rows; ++i) {
@@ -260,7 +235,6 @@ const KernelTable kScalarTable = {
     ScalarMatMulBiasActRange,
     ScalarMatMulTransBRange,
     ScalarMatMulTransARange,
-    ScalarMatMulTransAOutputRange,
     ScalarAddRowVector,
     ScalarReluInPlace,
     ScalarAxpy,

@@ -506,22 +506,6 @@ void MatMulTransARange(const Matrix& a, const Matrix& b, Matrix* c,
   TransAPass<T>(a, b, c, r_begin, r_end, 0, a.cols());
 }
 
-template <class T>
-void MatMulTransAOutputRange(const Matrix& a, const Matrix& b, Matrix* c,
-                             size_t i_begin, size_t i_end, bool accumulate) {
-  assert(b.rows() == a.rows());
-  assert(c->rows() == a.cols() && c->cols() == b.cols());
-  assert(i_begin <= i_end && i_end <= a.cols());
-  if (!accumulate) {
-    for (size_t i = i_begin; i < i_end; ++i) {
-      std::memset(c->Row(i), 0, b.cols() * sizeof(float));
-    }
-  }
-  // The full reduction in one chain per element, ascending rr: bit-identical
-  // to MatMulTransARange over [0, rows) (parallel runs rely on it).
-  TransAPass<T>(a, b, c, 0, a.rows(), i_begin, i_end);
-}
-
 // ---------------------------------------------------------------------------
 // Row/vector kernels.
 // ---------------------------------------------------------------------------
@@ -672,7 +656,6 @@ constexpr KernelTable MakeKernelTable(const char* name) {
       MatMulBiasActRange<T>,
       MatMulTransBRange<T>,
       MatMulTransARange<T>,
-      MatMulTransAOutputRange<T>,
       AddRowVector<T>,
       ReluInPlace<T>,
       Axpy<T>,

@@ -1,52 +1,18 @@
 // Copyright 2026 The SPLASH Reproduction Authors.
 //
-// Parallel entry points for the dense kernels: partition output rows on
-// the global ThreadPool when the flop count clears the gate, then hand
-// each range to the runtime-selected backend (tensor/simd.h). The serial
-// kernel bodies themselves live in tensor/kernels_*.cc;
-// per-element accumulation order never depends on the partition, so for a
-// fixed backend parallel results are bit-identical to serial ones.
+// Entry points for the dense kernels: each hands the whole operation to
+// the runtime-selected backend (tensor/simd.h). The kernel bodies live in
+// tensor/kernels_*.cc.
 
 #include "tensor/matrix.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
 
-#include "runtime/thread_pool.h"
 #include "tensor/simd.h"
 
 namespace splash {
-
-namespace {
-
-// Parallel dispatch gate: GEMMs below this many flops (2*m*k*n) run serial
-// — the ParallelFor wake/join costs a few microseconds, so tiny kernels
-// (bias outer products, per-query ops) must not pay it.
-constexpr size_t kParallelMinFlops = size_t{1} << 18;
-
-// Floor on rows per chunk so a chunk amortizes its dispatch.
-constexpr size_t kMinRowChunk = 8;
-
-/// Partitions `rows` across the pool when `flops` clears the gate; returns
-/// true if the parallel path ran. fn(row_begin, row_end) must write
-/// disjoint output rows.
-template <typename Fn>
-bool ParallelRows(size_t rows, size_t flops, const Fn& fn) {
-  ThreadPool* pool = ThreadPool::Global();
-  const size_t t = pool->num_threads();
-  if (t <= 1 || flops < kParallelMinFlops || rows < 2 * kMinRowChunk) {
-    return false;
-  }
-  const size_t grain =
-      std::max(kMinRowChunk, (rows + 4 * t - 1) / (4 * t));
-  pool->ParallelFor(0, rows, grain,
-                    [&fn](size_t r0, size_t r1, size_t) { fn(r0, r1); });
-  return true;
-}
-
-}  // namespace
 
 void MatMulRange(const Matrix& a, const Matrix& b, Matrix* c,
                  size_t row_begin, size_t row_end, bool accumulate) {
@@ -54,13 +20,7 @@ void MatMulRange(const Matrix& a, const Matrix& b, Matrix* c,
 }
 
 void MatMul(const Matrix& a, const Matrix& b, Matrix* c, bool accumulate) {
-  const size_t m = a.rows(), k = a.cols(), n = b.cols();
-  const KernelTable& kt = Kernels();
-  if (!ParallelRows(m, 2 * m * k * n, [&](size_t r0, size_t r1) {
-        kt.matmul_range(a, b, c, r0, r1, accumulate);
-      })) {
-    kt.matmul_range(a, b, c, 0, m, accumulate);
-  }
+  Kernels().matmul_range(a, b, c, 0, a.rows(), accumulate);
 }
 
 void MatMulBiasActRange(const Matrix& a, const Matrix& b, Matrix* c,
@@ -87,13 +47,7 @@ void MatMulTransBRange(const Matrix& a, const Matrix& b, Matrix* c,
 
 void MatMulTransB(const Matrix& a, const Matrix& b, Matrix* c,
                   bool accumulate) {
-  const size_t m = a.rows(), k = a.cols(), n = b.rows();
-  const KernelTable& kt = Kernels();
-  if (!ParallelRows(m, 2 * m * k * n, [&](size_t r0, size_t r1) {
-        kt.matmul_transb_range(a, b, c, r0, r1, accumulate);
-      })) {
-    kt.matmul_transb_range(a, b, c, 0, m, accumulate);
-  }
+  Kernels().matmul_transb_range(a, b, c, 0, a.rows(), accumulate);
 }
 
 void MatMulTransARange(const Matrix& a, const Matrix& b, Matrix* c,
@@ -106,17 +60,12 @@ void MatMulTransA(const Matrix& a, const Matrix& b, Matrix* c,
   const size_t r = a.rows(), m = a.cols(), n = b.cols();
   assert(b.rows() == r);
   assert(c->rows() == m && c->cols() == n);
-  const KernelTable& kt = Kernels();
-  if (!ParallelRows(m, 2 * r * m * n, [&](size_t i0, size_t i1) {
-        kt.matmul_transa_output_range(a, b, c, i0, i1, accumulate);
-      })) {
-    if (!accumulate) {
-      for (size_t i = 0; i < m; ++i) {
-        std::memset(c->Row(i), 0, n * sizeof(float));
-      }
+  if (!accumulate) {
+    for (size_t i = 0; i < m; ++i) {
+      std::memset(c->Row(i), 0, n * sizeof(float));
     }
-    kt.matmul_transa_range(a, b, c, 0, r);
   }
+  Kernels().matmul_transa_range(a, b, c, 0, r);
 }
 
 void AddRowVector(Matrix* m, const float* bias) {

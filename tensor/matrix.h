@@ -231,13 +231,9 @@ class Matrix {
 // be padded) and dispatches to the runtime-selected backend (tensor/simd.h;
 // SPLASH_KERNEL={scalar,avx2,auto}).
 //
-// The top-level kernels run on the global ThreadPool when the flop count
-// clears a threshold (small GEMMs stay serial) by partitioning output rows;
-// per-element accumulation order is unchanged, so parallel results are
-// bit-identical to serial ones *within a backend*. The *Range variants are
-// the serial building blocks, exposed so batch-parallel callers
-// (core/slim.cc) can drive row slices from their own chunking without
-// nested fan-out.
+// Every kernel runs on the calling thread. The *Range variants restrict a
+// kernel to a slice of rows, so a caller can run one layer over part of a
+// batch (core/slim.cc's one-row reads and neighbor-slot trim).
 // ---------------------------------------------------------------------------
 
 /// c = a * b (+ c if accumulate). a: MxK, b: KxN, c: MxN.
@@ -297,9 +293,8 @@ void MatMulTransA(const Matrix& a, const Matrix& b, Matrix* c,
 /// c += a[r_begin:r_end)^T * b[r_begin:r_end). ALWAYS accumulates and
 /// never zeroes any part of `c` — a range call that zeroed the whole
 /// output would be correct only for full-range callers, so the contract
-/// is: callers pre-zero (or reuse) `c` themselves. This is the
-/// per-batch-chunk gradient kernel: each worker folds its chunk's rows
-/// into a private pre-zeroed accumulator.
+/// is: callers pre-zero (or reuse) `c` themselves. SLIM's backward pass
+/// pre-zeroes each gradient and folds the whole batch in one call.
 void MatMulTransARange(const Matrix& a, const Matrix& b, Matrix* c,
                        size_t r_begin, size_t r_end);
 

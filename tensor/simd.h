@@ -27,10 +27,8 @@
 // Backends are tolerance-equivalent, not bit-equal: SIMD kernels reorder
 // the per-element accumulation (8- or 16-lane partial sums), so each SIMD
 // backend is its own bitwise universe and determinism tests / committed
-// oracles always pin SPLASH_KERNEL=scalar. Within ONE backend, results are
-// bit-identical across thread counts — the parallel wrappers in
-// tensor/matrix.cc partition output rows without changing any per-element
-// accumulation order.
+// oracles always pin SPLASH_KERNEL=scalar. Every kernel runs on the
+// calling thread.
 //
 // All kernels are stride-aware (operands may carry a padded leading
 // dimension, Matrix::ResizePadded) and never read or write a row outside
@@ -47,10 +45,9 @@ namespace splash {
 
 class Matrix;
 
-/// The per-backend serial kernel set. The parallel entry points in
-/// tensor/matrix.h partition work and call these on row ranges. Scalar
-/// fills it by hand (tensor/kernels_scalar.cc); each SIMD backend fills it
-/// with MakeKernelTable<Traits> from the shared body.
+/// The per-backend kernel set the entry points in tensor/matrix.h call.
+/// Scalar fills it by hand (tensor/kernels_scalar.cc); each SIMD backend
+/// fills it with MakeKernelTable<Traits> from the shared body.
 struct KernelTable {
   const char* name;  // "scalar" | "avx2" | "avx512"
 
@@ -69,13 +66,6 @@ struct KernelTable {
   /// (callers pre-zero; see MatMulTransARange in tensor/matrix.h).
   void (*matmul_transa_range)(const Matrix& a, const Matrix& b, Matrix* c,
                               size_t r0, size_t r1);
-  /// Output-row partition of a^T b over the FULL reduction: c rows
-  /// [i0, i1) (+ c if accumulate); used by the parallel wrapper so worker
-  /// writes stay disjoint. Accumulates over reduction rows in ascending
-  /// order — bit-identical to matmul_transa_range on the same backend.
-  void (*matmul_transa_output_range)(const Matrix& a, const Matrix& b,
-                                     Matrix* c, size_t i0, size_t i1,
-                                     bool accumulate);
   void (*add_row_vector)(Matrix* m, const float* bias);
   void (*relu_inplace)(Matrix* m);
   void (*axpy)(float alpha, const float* x, float* y, size_t n);

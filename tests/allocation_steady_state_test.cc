@@ -2,9 +2,8 @@
 //
 // Counting-allocator gate for the per-edge complexity contract (DESIGN.md
 // §3): NeighborMemory::Observe and SlimModel::TrainStep must perform ZERO
-// heap allocations at steady state — including with threads > 1, where the
-// per-worker gradient scratch and the ParallelFor dispatch must be
-// grow-only too. Global operator new/delete are replaced with counting
+// heap allocations at steady state. Global operator new/delete are
+// replaced with counting
 // shims that also sum the requested bytes, which pins the footprint of a
 // read-only SLIM copy, of S-mode streaming state (DESIGN.md §5) and of a
 // buffer's first allocation; a scoped flag confines the assertion to the
@@ -31,7 +30,6 @@
 #include "graph/edge_stream.h"
 #include "graph/neighbor_memory.h"
 #include "runtime/pipeline.h"
-#include "runtime/thread_pool.h"
 #include "serve/checkpoint.h"
 #include "serve/service.h"
 #include "tensor/matrix.h"
@@ -89,7 +87,6 @@ size_t CountAllocations(const Fn& fn) {
 }
 
 TEST(AllocationSteadyStateTest, NeighborMemoryObserveIsAllocationFree) {
-  ThreadPool::SetGlobalThreads(4);
   const size_t n = 4096;
   NeighborMemory memory(10, n);
   Rng rng(1);
@@ -110,11 +107,9 @@ TEST(AllocationSteadyStateTest, NeighborMemoryObserveIsAllocationFree) {
     }
   });
   EXPECT_EQ(allocs, 0u);
-  ThreadPool::SetGlobalThreads(1);
 }
 
-TEST(AllocationSteadyStateTest, SlimTrainStepIsAllocationFreeWithThreads) {
-  ThreadPool::SetGlobalThreads(4);
+TEST(AllocationSteadyStateTest, SlimTrainStepIsAllocationFree) {
   SlimOptions opts;
   opts.feature_dim = 32;
   opts.hidden_dim = 64;
@@ -135,8 +130,8 @@ TEST(AllocationSteadyStateTest, SlimTrainStepIsAllocationFreeWithThreads) {
   std::vector<int> labels(b);
   for (size_t i = 0; i < b; ++i) labels[i] = static_cast<int>(i % 2);
 
-  // Warm-up: grows the activation scratch, the gradients, the per-worker
-  // gradient scratch, and the chunk-loss vector to this batch size.
+  // Warm-up: grows the activation scratch and the gradients to this batch
+  // size.
   model.TrainStep(input, labels, &train);
   model.TrainStep(input, labels, &train);
 
@@ -146,7 +141,6 @@ TEST(AllocationSteadyStateTest, SlimTrainStepIsAllocationFreeWithThreads) {
     }
   });
   EXPECT_EQ(allocs, 0u);
-  ThreadPool::SetGlobalThreads(1);
 }
 
 TEST(AllocationSteadyStateTest, ReadOnlySlimCopyHoldsOnlyItsWeights) {
@@ -270,10 +264,8 @@ TEST(AllocationSteadyStateTest, AugmentersOfOneWidthShareOneDegreeCodeTable) {
 }
 
 TEST(AllocationSteadyStateTest, FeatureAugmenterObserveBulkIsAllocationFree) {
-  // The bulk replay fan-out (shard partition + deferred reduction) must be
-  // grow-only: after a warm-up pass sized every chunk's scratch and
-  // deferred list, repeated ObserveBulk calls allocate nothing.
-  ThreadPool::SetGlobalThreads(4);
+  // The bulk replay must be grow-only: after a warm-up pass sized the
+  // node tables, repeated ObserveBulk calls allocate nothing.
   const size_t n_seen = 64, n_unseen = 1024;
   EdgeStream stream;
   double t = 0.0;
@@ -287,7 +279,7 @@ TEST(AllocationSteadyStateTest, FeatureAugmenterObserveBulkIsAllocationFree) {
   Rng rng(11);
   for (size_t i = 0; i < 20000; ++i) {
     // Seen-seen, unseen-seen, and unseen-unseen edges: exercises the
-    // degree-only path, the inline folds, and the deferred reduction.
+    // degree-only path and both kinds of fold.
     const NodeId u = static_cast<NodeId>(
         rng.Uniform() < 0.5 ? n_seen + rng.UniformInt(n_unseen)
                             : rng.UniformInt(n_seen));
@@ -301,15 +293,13 @@ TEST(AllocationSteadyStateTest, FeatureAugmenterObserveBulkIsAllocationFree) {
   opts.feature_dim = 16;
   FeatureAugmenter augmenter(opts);
   augmenter.FitSeen(stream, fit_time);
-  // Warm-up: grows the node tables, chunk scratch, and deferred lists to
-  // this stream's high-water mark.
+  // Warm-up: grows the node tables to this stream's high-water mark.
   augmenter.ObserveBulk(stream, 0, stream.size());
   augmenter.Reset();
 
   const size_t allocs = CountAllocations(
       [&] { augmenter.ObserveBulk(stream, 0, stream.size()); });
   EXPECT_EQ(allocs, 0u);
-  ThreadPool::SetGlobalThreads(1);
 }
 
 // The aligned/padded scratch introduced by the SIMD backends must stay
@@ -321,8 +311,6 @@ TEST(AllocationSteadyStateTest, FeatureAugmenterObserveBulkIsAllocationFree) {
 // included) perform zero heap allocations at steady state regardless of
 // the dispatched kernel table.
 void RunSlimAndServeAllocationGate() {
-  ThreadPool::SetGlobalThreads(4);
-
   ScalabilityOptions sopts;
   sopts.num_edges = 4000;
   sopts.num_nodes = 512;
@@ -404,7 +392,6 @@ void RunSlimAndServeAllocationGate() {
   EXPECT_TRUE(copied);
   EXPECT_TRUE(computed) << "a stale memo answered";
   EXPECT_TRUE(cold) << "the memo did not answer the untouched node";
-  ThreadPool::SetGlobalThreads(1);
 }
 
 TEST(AllocationSteadyStateTest, SlimAndServePathsAllocationFreeUnderAvx2) {
@@ -428,7 +415,6 @@ TEST(AllocationSteadyStateTest, ServeClientReadsAreAllocationFree) {
   // responses (their score matrices are grow-only): a batched Predict, a
   // one-row read of a node with history, a cold read the memo answers,
   // and a two-row ScoreEdge, with and without a deadline.
-  ThreadPool::SetGlobalThreads(1);
   SyntheticConfig cfg;
   cfg.task = TaskType::kNodeClassification;
   cfg.num_nodes = 150;

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/serialize.h"
-#include "runtime/thread_pool.h"
 #include "tensor/matrix.h"
 #include "tensor/rng.h"
 #include "tensor/simd.h"
@@ -298,11 +297,8 @@ TEST(FeatureAugmenterTest, KeptProcessMatchesFullAugmenterSerial) {
   ExpectKeptProcessMatchesFullAugmenter(/*bulk=*/false);
 }
 
-TEST(FeatureAugmenterTest, KeptProcessMatchesFullAugmenterInBulkOnFourThreads) {
-  const size_t threads_before = ThreadPool::Global()->num_threads();
-  ThreadPool::SetGlobalThreads(4);
+TEST(FeatureAugmenterTest, KeptProcessMatchesFullAugmenterInBulk) {
   ExpectKeptProcessMatchesFullAugmenter(/*bulk=*/true);
-  ThreadPool::SetGlobalThreads(threads_before);
 }
 
 // An augmenter blob in Serialize's layout for an R-only augmenter (two

@@ -1,7 +1,7 @@
 // Copyright 2026 The SPLASH Reproduction Authors.
 //
 // NeighborMemory contract tests: k-recent semantics, eviction order,
-// capacity growth, reset behavior, and shard-parallel bulk ingest.
+// capacity growth, reset behavior, and bulk ingest.
 
 #include "graph/neighbor_memory.h"
 
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "graph/edge_stream.h"
-#include "runtime/thread_pool.h"
 #include "tensor/rng.h"
 
 namespace splash {
@@ -91,7 +90,7 @@ TEST(NeighborMemoryTest, SelfLoopRecordsBothSlots) {
   EXPECT_EQ(memory.CountOf(2), 2u);  // both endpoint pushes land on node 2
 }
 
-TEST(NeighborMemoryTest, ObserveBulkMatchesSerialObserveAtAnyThreadCount) {
+TEST(NeighborMemoryTest, ObserveBulkMatchesSerialObserve) {
   const size_t n = 500, k = 4, edges = 5000;
   EdgeStream stream;
   Rng rng(17);
@@ -107,23 +106,19 @@ TEST(NeighborMemoryTest, ObserveBulkMatchesSerialObserveAtAnyThreadCount) {
   NeighborMemory serial(k, n);
   for (size_t i = 0; i < edges; ++i) serial.Observe(stream[i], i);
 
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    ThreadPool::SetGlobalThreads(threads);
-    NeighborMemory bulk(k, n);
-    bulk.ObserveBulk(stream, 0, edges);
-    std::vector<NodeId> ids_a(k), ids_b(k);
-    std::vector<double> times_a(k), times_b(k);
-    for (NodeId v = 0; v < n; ++v) {
-      const size_t ca = serial.GatherRecent(v, ids_a.data(), times_a.data());
-      const size_t cb = bulk.GatherRecent(v, ids_b.data(), times_b.data());
-      ASSERT_EQ(ca, cb) << "node " << v << " threads " << threads;
-      for (size_t j = 0; j < ca; ++j) {
-        ASSERT_EQ(ids_a[j], ids_b[j]) << "node " << v;
-        ASSERT_DOUBLE_EQ(times_a[j], times_b[j]) << "node " << v;
-      }
+  NeighborMemory bulk(k, n);
+  bulk.ObserveBulk(stream, 0, edges);
+  std::vector<NodeId> ids_a(k), ids_b(k);
+  std::vector<double> times_a(k), times_b(k);
+  for (NodeId v = 0; v < n; ++v) {
+    const size_t ca = serial.GatherRecent(v, ids_a.data(), times_a.data());
+    const size_t cb = bulk.GatherRecent(v, ids_b.data(), times_b.data());
+    ASSERT_EQ(ca, cb) << "node " << v;
+    for (size_t j = 0; j < ca; ++j) {
+      ASSERT_EQ(ids_a[j], ids_b[j]) << "node " << v;
+      ASSERT_DOUBLE_EQ(times_a[j], times_b[j]) << "node " << v;
     }
   }
-  ThreadPool::SetGlobalThreads(1);
 }
 
 }  // namespace

@@ -39,7 +39,6 @@
 #include "core/splash.h"
 #include "datasets/synthetic.h"
 #include "eval/trainer.h"
-#include "runtime/thread_pool.h"
 #include "serve/checkpoint.h"
 #include "serve/fault_injection.h"
 #include "serve/service.h"
@@ -55,12 +54,9 @@ constexpr uint64_t kAnySeq = ~uint64_t{0};
 
 class ServeRecoveryTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    // One global thread == zero spawned workers: the process stays
-    // single-threaded between services, which makes fork() safe.
-    ThreadPool::SetGlobalThreads(1);
-    DisarmAllCrashPoints();
-  }
+  // No service outlives its test, so the process is single-threaded
+  // between services, which makes fork() safe.
+  void SetUp() override { DisarmAllCrashPoints(); }
   void TearDown() override { DisarmAllCrashPoints(); }
 };
 
@@ -94,7 +90,6 @@ TrainerOptions SmallFit() {
   fit.epochs = 2;
   fit.batch_size = 64;
   fit.early_stopping = false;
-  fit.num_threads = 1;
   fit.pipeline_depth = 0;
   return fit;
 }
@@ -463,10 +458,7 @@ struct CrashCase {
 
 class ServeCrashPointTest : public ::testing::TestWithParam<CrashCase> {
  protected:
-  void SetUp() override {
-    ThreadPool::SetGlobalThreads(1);
-    DisarmAllCrashPoints();
-  }
+  void SetUp() override { DisarmAllCrashPoints(); }
   void TearDown() override { DisarmAllCrashPoints(); }
 };
 

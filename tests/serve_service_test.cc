@@ -2,9 +2,9 @@
 //
 // Correctness contracts of the serving subsystem (ISSUE 4):
 //   - ORACLE: a query answered from a snapshot at watermark W is
-//     bit-identical to a serial (SPLASH_THREADS=1) replay of the ingest
-//     log truncated at W — the snapshot scheme loses nothing and leaks
-//     nothing (no future edge, no partial batch);
+//     bit-identical to a serial replay of the ingest log truncated at
+//     W — the snapshot scheme loses nothing and leaks nothing (no future
+//     edge, no partial batch);
 //   - the same holds with online training feedback, replaying the
 //     (edge range, train batch) apply sequence the WAL recorded;
 //   - backpressure: kDropNewest rejects beyond the queue bound and the
@@ -22,26 +22,23 @@
 
 #include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
 #include "core/splash.h"
 #include "datasets/synthetic.h"
 #include "eval/trainer.h"
-#include "runtime/thread_pool.h"
 #include "serve/service.h"
 #include "tests/serve_test_util.h"
 
 namespace splash {
 namespace {
 
-class ServeServiceTest : public ::testing::Test {
- protected:
-  void SetUp() override { ThreadPool::SetGlobalThreads(1); }
-  void TearDown() override { ThreadPool::SetGlobalThreads(1); }
-};
+class ServeServiceTest : public ::testing::Test {};
 
 Dataset MakeWarmup(size_t num_edges = 3000) {
   SyntheticConfig cfg;
@@ -73,7 +70,6 @@ TrainerOptions SmallFit() {
   fit.epochs = 2;
   fit.batch_size = 64;
   fit.early_stopping = false;
-  fit.num_threads = 1;
   fit.pipeline_depth = 0;
   return fit;
 }
@@ -123,6 +119,60 @@ void ExpectBitEqual(const Matrix& a, const Matrix& b, const char* what) {
   for (size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a.data()[i], b.data()[i]) << what << " element " << i;
   }
+}
+
+#if defined(__SANITIZE_THREAD__)
+#define SPLASH_UNDER_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define SPLASH_UNDER_TSAN 1
+#endif
+#endif
+
+/// Threads of this process, from /proc/self/task (Linux).
+size_t ProcessThreads() {
+  size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+// Registered first, so it runs before any other test of this binary has
+// started a thread. Each stage runs on one thread (DESIGN.md §1): a
+// replay adds only the executor's PipelineThread, joined when Fit
+// returns, and a started service adds exactly its apply thread, joined
+// by Stop, and its catch-up PipelineThread, joined when the service is
+// destroyed. Default options throughout, so no knob hides a helper.
+TEST(StageThreadsTest, FitAndServiceStartOnlyTheNamedStageThreads) {
+  // ThreadSanitizer starts a helper thread of its own at the first thread
+  // creation; start and join one first so the baseline includes it.
+  std::thread([] {}).join();
+  const size_t base = ProcessThreads();
+#if !defined(SPLASH_UNDER_TSAN)
+  EXPECT_EQ(base, 1u) << "a thread outlived static initialization";
+#endif
+  const Dataset ds = MakeWarmup();
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
+
+  SplashPredictor model(SmallModelOptions());
+  ASSERT_TRUE(model.Prepare(ds, split).ok());
+  const TrainerOptions defaults;
+  ASSERT_GE(defaults.pipeline_depth, 1u);  // the pipelined path runs
+  StreamTrainer trainer(defaults);
+  trainer.Fit(&model, ds, split);
+  EXPECT_EQ(ProcessThreads(), base) << "after StreamTrainer::Fit";
+
+  {
+    SplashService service(SplashOptions{}, SplashServiceOptions{});
+    ASSERT_TRUE(service.Start(ds, split).ok());
+    EXPECT_EQ(ProcessThreads(), base + 2) << "after SplashService::Start";
+    service.Stop();
+    EXPECT_EQ(ProcessThreads(), base + 1) << "after Stop (pipeline idle)";
+  }
+  EXPECT_EQ(ProcessThreads(), base) << "after the service is destroyed";
 }
 
 TEST_F(ServeServiceTest, SnapshotQueryBitIdenticalToSerialReplayTruncatedAtW) {
@@ -213,8 +263,8 @@ TEST_F(ServeServiceTest, TrainingFeedbackReplaysBitIdenticalViaApplyLog) {
   EXPECT_GT(service.Stats().counters.train_steps, 0u);
 
   // Reference: replay the apply sequence the WAL recorded — ObserveBulk
-  // per batch boundary, staged train at the recorded positions — at the
-  // same thread count. Bit-identical because both replicas and the
+  // per batch boundary, staged train at the recorded positions.
+  // Bit-identical because both replicas and the
   // reference are the same deterministic state machine fed the same ops.
   auto ref = MakeReference(ds, split);
   const EdgeStream& log = service.ingest_log();

@@ -14,8 +14,7 @@
 //     exactly the rows issued;
 //   - after Stop(), the published snapshot must be bit-identical to
 //     re-applying the micro-batch sequence the WAL recorded to a fresh
-//     replica at the same thread count — a lost or doubled batch cannot
-//     hide;
+//     replica — a lost or doubled batch cannot hide;
 //   - TSan itself checks the pin/publish protocol's happens-before edges.
 
 #include <gtest/gtest.h>
@@ -28,17 +27,13 @@
 #include "core/splash.h"
 #include "datasets/synthetic.h"
 #include "eval/trainer.h"
-#include "runtime/thread_pool.h"
 #include "serve/service.h"
 #include "tests/serve_test_util.h"
 
 namespace splash {
 namespace {
 
-class ServeStressTest : public ::testing::Test {
- protected:
-  void TearDown() override { ThreadPool::SetGlobalThreads(1); }
-};
+class ServeStressTest : public ::testing::Test {};
 
 SplashOptions StressModelOptions() {
   SplashOptions opts;
@@ -53,10 +48,6 @@ SplashOptions StressModelOptions() {
 }
 
 TEST_F(ServeStressTest, ConcurrentIngestAndQueriesNeverObserveTornState) {
-  // Multiple pool workers so ObserveBulk/StageBatch fan out while readers
-  // run — the data-race surface TSan needs to see exercised.
-  ThreadPool::SetGlobalThreads(2);
-
   SyntheticConfig cfg;
   cfg.task = TaskType::kNodeClassification;
   cfg.num_nodes = 200;
@@ -85,7 +76,6 @@ TEST_F(ServeStressTest, ConcurrentIngestAndQueriesNeverObserveTornState) {
   fit.epochs = 1;
   fit.batch_size = 128;
   fit.early_stopping = false;
-  fit.num_threads = 2;
   fit.pipeline_depth = 1;
   ASSERT_TRUE(service.RecoverOrStart(ds, split, &fit).ok());
 
@@ -192,7 +182,7 @@ TEST_F(ServeStressTest, ConcurrentIngestAndQueriesNeverObserveTornState) {
     }
   }
 
-  // Final-state oracle at the same thread count: re-apply the micro-batch
+  // Final-state oracle: re-apply the micro-batch
   // sequence the WAL recorded to a fresh, identically-fitted replica.
   auto ref = std::make_unique<SplashPredictor>(StressModelOptions());
   ASSERT_TRUE(ref->Prepare(ds, split).ok());
@@ -246,7 +236,6 @@ TEST_F(ServeStressTest, StopMidBurstDrainsAcceptedAndNeverDeadlocks) {
   // Stop() mid-burst. The lifecycle contract: Stop never deadlocks against
   // blocked producers, everything accepted before the stop is applied, and
   // the final snapshot is valid (published == log size, queryable).
-  ThreadPool::SetGlobalThreads(2);
 
   SyntheticConfig cfg;
   cfg.task = TaskType::kNodeClassification;

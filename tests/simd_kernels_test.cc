@@ -264,20 +264,6 @@ TEST(SimdKernelsTest, MatMulTransAScalarVsSimdAcrossShapeSweep) {
           s->matmul_transa_range(g.a, g.b, &g.c_scalar, 0, r);
           x->matmul_transa_range(g.a, g.b, &g.c_simd, 0, r);
           CompareOutputs(g, "MatMulTransA");
-
-          // Output-partition form must match the serial form bit-exactly
-          // within each backend (the parallel wrapper relies on it).
-          Matrix part(m, n);
-          const size_t mid = m / 2;
-          x->matmul_transa_output_range(g.a, g.b, &part, 0, mid, false);
-          x->matmul_transa_output_range(g.a, g.b, &part, mid, m, false);
-          for (size_t i = 0; i < m; ++i) {
-            for (size_t j = 0; j < n; ++j) {
-              ASSERT_EQ(part(i, j), g.c_simd(i, j))
-                  << x->name << " output-range mismatch at (" << i << ","
-                  << j << ")";
-            }
-          }
         }
       }
     }
@@ -312,9 +298,8 @@ void ExpectBitEqual(const Matrix& want, const Matrix& got,
 }
 
 /// One r x m x n MatMulTransA case against the rank-1 reference, bit for
-/// bit: A is ReLU'd (about half its entries exactly 0), and every form
-/// runs — the range form split at a reduction row, the output-range form
-/// split at an output row, and both accumulating into a non-zero C.
+/// bit: A is ReLU'd (about half its entries exactly 0), and the range
+/// form runs split at a reduction row and accumulating into a non-zero C.
 void CheckTransABits(const KernelTable* x, size_t r, size_t m, size_t n,
                      Rng* rng) {
   const std::string what = std::string(x->name) + " r=" + std::to_string(r) +
@@ -332,21 +317,12 @@ void CheckTransABits(const KernelTable* x, size_t r, size_t m, size_t n,
   x->matmul_transa_range(a, b, &got, r / 2, r);
   ExpectBitEqual(want, got, what + " range");
 
-  Matrix part = Matrix::Gaussian(m, n, rng);  // overwritten
-  x->matmul_transa_output_range(a, b, &part, 0, m / 2, false);
-  x->matmul_transa_output_range(a, b, &part, m / 2, m, false);
-  ExpectBitEqual(want, part, what + " output-range");
-
   const Matrix prior = Matrix::Gaussian(m, n, rng);
   want = prior;
   RankOneTransA(a, b, &want, 0, r, 0, m);
   got = prior;
   x->matmul_transa_range(a, b, &got, 0, r);
   ExpectBitEqual(want, got, what + " range into non-zero C");
-  part = prior;
-  x->matmul_transa_output_range(a, b, &part, 0, m / 3, true);
-  x->matmul_transa_output_range(a, b, &part, m / 3, m, true);
-  ExpectBitEqual(want, part, what + " output-range accumulate");
 }
 
 TEST(SimdKernelsTest, MatMulTransABitEqualsRankOneFmaReference) {

@@ -20,7 +20,6 @@
 #include "datasets/shift_intensity.h"
 #include "datasets/synthetic.h"
 #include "eval/trainer.h"
-#include "runtime/thread_pool.h"
 #include "tensor/simd.h"
 #include "tests/serve_test_util.h"
 
@@ -125,45 +124,38 @@ std::vector<PropertyQuery> TrainQueries(const Dataset& ds, size_t observed,
 
 // The catch-up copy's oracle: a twin that observes the same edges and
 // copies the model after each train step holds the trainer's exact state
-// bytes — weights, Adam moments, step counters and the dropout Rng — on
-// the serial (1 thread) and the chunk-parallel (4 threads) train path.
+// bytes — weights, Adam moments, step counters and the dropout Rng.
 // Both predictors own a train state here, so the copy takes the moments
 // too; the read-only replica case follows.
 TEST(SplashSmokeTest, CopyModelFromMatchesTrainingBytes) {
   const Dataset ds = SmallClassification();
   const ChronoSplit split = MakeChronoSplit(ds.stream, 0.1, 0.1);
-  const size_t threads_before = ThreadPool::Global()->num_threads();
-  for (size_t threads : {1u, 4u}) {
-    ThreadPool::SetGlobalThreads(threads);
-    SplashOptions opts = SmallOptions(SplashMode::kForceStructural);
-    opts.slim.dropout = 0.2f;
-    SplashPredictor trainer(opts), twin(opts);
-    ASSERT_TRUE(trainer.Prepare(ds, split).ok());
-    ASSERT_TRUE(twin.Prepare(ds, split).ok());
-    trainer.SetTraining(true);
+  SplashOptions opts = SmallOptions(SplashMode::kForceStructural);
+  opts.slim.dropout = 0.2f;
+  SplashPredictor trainer(opts), twin(opts);
+  ASSERT_TRUE(trainer.Prepare(ds, split).ok());
+  ASSERT_TRUE(twin.Prepare(ds, split).ok());
+  trainer.SetTraining(true);
 
-    constexpr size_t kSteps = 6;
-    const size_t per_step = ds.stream.size() / kSteps;
-    for (size_t step = 0; step < kSteps; ++step) {
-      const size_t lo = step * per_step, hi = lo + per_step;
-      trainer.ObserveBulk(ds.stream, lo, hi);
-      twin.ObserveBulk(ds.stream, lo, hi);
-      trainer.TrainBatch(TrainQueries(ds, hi, step));
-      ASSERT_TRUE(twin.CopyModelFrom(trainer).ok());
-      ASSERT_EQ(StateBytes(twin), StateBytes(trainer))
-          << "threads " << threads << " step " << step;
-    }
-
-    // A source of another architecture is refused before any write.
-    SplashOptions wide = opts;
-    wide.slim.hidden_dim = 48;
-    SplashPredictor other(wide);
-    ASSERT_TRUE(other.Prepare(ds, split).ok());
-    const std::vector<uint8_t> before = StateBytes(twin);
-    EXPECT_FALSE(twin.CopyModelFrom(other).ok());
-    EXPECT_EQ(StateBytes(twin), before) << "threads " << threads;
+  constexpr size_t kSteps = 6;
+  const size_t per_step = ds.stream.size() / kSteps;
+  for (size_t step = 0; step < kSteps; ++step) {
+    const size_t lo = step * per_step, hi = lo + per_step;
+    trainer.ObserveBulk(ds.stream, lo, hi);
+    twin.ObserveBulk(ds.stream, lo, hi);
+    trainer.TrainBatch(TrainQueries(ds, hi, step));
+    ASSERT_TRUE(twin.CopyModelFrom(trainer).ok());
+    ASSERT_EQ(StateBytes(twin), StateBytes(trainer)) << "step " << step;
   }
-  ThreadPool::SetGlobalThreads(threads_before);
+
+  // A source of another architecture is refused before any write.
+  SplashOptions wide = opts;
+  wide.slim.hidden_dim = 48;
+  SplashPredictor other(wide);
+  ASSERT_TRUE(other.Prepare(ds, split).ok());
+  const std::vector<uint8_t> before = StateBytes(twin);
+  EXPECT_FALSE(twin.CopyModelFrom(other).ok());
+  EXPECT_EQ(StateBytes(twin), before);
 }
 
 // A one-row read (PredictBatchConst of a single query) takes the one-row
@@ -324,49 +316,41 @@ TEST(SplashSmokeTest, ColdReadsFromTheMemoMatchComputedReads) {
 TEST(SplashSmokeTest, ReadOnlyReplicaCopyMatchesTrainingBytes) {
   const Dataset ds = SmallClassification();
   const ChronoSplit split = MakeChronoSplit(ds.stream, 0.1, 0.1);
-  const size_t threads_before = ThreadPool::Global()->num_threads();
-  for (size_t threads : {1u, 4u}) {
-    ThreadPool::SetGlobalThreads(threads);
-    SplashOptions opts = SmallOptions(SplashMode::kForceStructural);
-    opts.slim.dropout = 0.2f;
-    SplashPredictor trainer(opts);
-    ASSERT_TRUE(trainer.Prepare(ds, split).ok());
-    const std::unique_ptr<SlimTrainState> train = trainer.ReleaseTrainState();
-    ASSERT_NE(train, nullptr);
-    SplashPredictor replica(trainer);
-    EXPECT_EQ(replica.ReleaseTrainState(), nullptr) << "copy is read-only";
-    trainer.SetTraining(true);
+  SplashOptions opts = SmallOptions(SplashMode::kForceStructural);
+  opts.slim.dropout = 0.2f;
+  SplashPredictor trainer(opts);
+  ASSERT_TRUE(trainer.Prepare(ds, split).ok());
+  const std::unique_ptr<SlimTrainState> train = trainer.ReleaseTrainState();
+  ASSERT_NE(train, nullptr);
+  SplashPredictor replica(trainer);
+  EXPECT_EQ(replica.ReleaseTrainState(), nullptr) << "copy is read-only";
+  trainer.SetTraining(true);
 
-    constexpr size_t kSteps = 6;
-    const size_t per_step = ds.stream.size() / kSteps;
-    for (size_t step = 0; step < kSteps; ++step) {
-      const size_t lo = step * per_step, hi = lo + per_step;
-      trainer.ObserveBulk(ds.stream, lo, hi);
-      replica.ObserveBulk(ds.stream, lo, hi);
-      ByteWriter before;
-      trainer.SerializeState(&before, train.get());
-      trainer.StageBatch(TrainQueries(ds, hi, step));
-      trainer.TrainStaged(train.get());
-      ASSERT_TRUE(replica.CopyModelFrom(trainer).ok());
-      ByteWriter want, got;
-      trainer.SerializeState(&want, train.get());
-      ASSERT_EQ(ReadSlimAdamSteps(want.buffer()),
-                ReadSlimAdamSteps(before.buffer()) + 1)
-          << "the step trained";
-      replica.SerializeState(&got, train.get());
-      ASSERT_EQ(got.buffer(), want.buffer())
-          << "threads " << threads << " step " << step;
-    }
+  constexpr size_t kSteps = 6;
+  const size_t per_step = ds.stream.size() / kSteps;
+  for (size_t step = 0; step < kSteps; ++step) {
+    const size_t lo = step * per_step, hi = lo + per_step;
+    trainer.ObserveBulk(ds.stream, lo, hi);
+    replica.ObserveBulk(ds.stream, lo, hi);
+    ByteWriter before;
+    trainer.SerializeState(&before, train.get());
+    trainer.StageBatch(TrainQueries(ds, hi, step));
+    trainer.TrainStaged(train.get());
+    ASSERT_TRUE(replica.CopyModelFrom(trainer).ok());
+    ByteWriter want, got;
+    trainer.SerializeState(&want, train.get());
+    ASSERT_EQ(ReadSlimAdamSteps(want.buffer()),
+              ReadSlimAdamSteps(before.buffer()) + 1)
+        << "the step trained";
+    replica.SerializeState(&got, train.get());
+    ASSERT_EQ(got.buffer(), want.buffer()) << "step " << step;
   }
-  ThreadPool::SetGlobalThreads(threads_before);
 }
 
 // The serve boot's oracle: a copy-constructed predictor holds the source's
-// state bytes and, drawing dropout from its own Rng (the serial train path
-// at 1 thread), keeps training in lockstep with it.
+// state bytes and, drawing dropout from its own Rng, keeps training in
+// lockstep with it.
 TEST(SplashSmokeTest, CopyConstructedPredictorTrainsInLockstep) {
-  const size_t threads_before = ThreadPool::Global()->num_threads();
-  ThreadPool::SetGlobalThreads(1);
   const Dataset ds = SmallClassification();
   const ChronoSplit split = MakeChronoSplit(ds.stream, 0.1, 0.1);
   SplashOptions opts = SmallOptions(SplashMode::kForceStructural);
@@ -388,7 +372,6 @@ TEST(SplashSmokeTest, CopyConstructedPredictorTrainsInLockstep) {
     }
     ASSERT_EQ(StateBytes(copy), StateBytes(source)) << "step " << step;
   }
-  ThreadPool::SetGlobalThreads(threads_before);
 }
 
 // Each mode keeps only the augmenter rows it reads, and its checkpoint

@@ -4,12 +4,10 @@
 //   - the schedule builders partition edges and queries exactly like the
 //     historical interleaved loop (every edge observed once, every query
 //     flushed once, flush points ordered);
-//   - pipeline_depth=1 is bit-identical to depth=0 at one thread (same
-//     model weights — probed through predictions — and same metrics);
-//   - at four threads, depth 0 and 1 pick the same process and land on
-//     close metrics even when the bulk replay fan-out engages;
-//   - FeatureAugmenter::ObserveBulk is bit-identical to serial replay when
-//     propagation sources are seen, and thread-count-invariant always.
+//   - pipeline_depth=1 is bit-identical to depth=0 (same model weights —
+//     probed through predictions — and same metrics);
+//   - FeatureAugmenter::ObserveBulk is bit-identical to per-edge
+//     ObserveEdge replay, unseen->unseen folds included.
 
 #include <gtest/gtest.h>
 
@@ -21,15 +19,11 @@
 #include "datasets/synthetic.h"
 #include "eval/stream_executor.h"
 #include "eval/trainer.h"
-#include "runtime/thread_pool.h"
 
 namespace splash {
 namespace {
 
-class StreamExecutorTest : public ::testing::Test {
- protected:
-  void TearDown() override { ThreadPool::SetGlobalThreads(1); }
-};
+class StreamExecutorTest : public ::testing::Test {};
 
 Dataset MakeDataset(size_t num_edges = 4000, double query_rate = 0.3) {
   SyntheticConfig cfg;
@@ -126,8 +120,7 @@ struct RunOutcome {
 };
 
 RunOutcome RunPipeline(const Dataset& ds, const ChronoSplit& split,
-                       size_t num_threads, size_t pipeline_depth,
-                       size_t batch_size) {
+                       size_t pipeline_depth, size_t batch_size) {
   SplashOptions opts = SmallSplashOptions();
   SplashPredictor model(opts);
   EXPECT_TRUE(model.Prepare(ds, split).ok());
@@ -136,7 +129,6 @@ RunOutcome RunPipeline(const Dataset& ds, const ChronoSplit& split,
   topts.epochs = 2;
   topts.batch_size = batch_size;
   topts.early_stopping = false;
-  topts.num_threads = num_threads;
   topts.pipeline_depth = pipeline_depth;
   StreamTrainer trainer(topts);
 
@@ -155,8 +147,8 @@ TEST_F(StreamExecutorTest, Depth1BitIdenticalToDepth0AtOneThread) {
   const Dataset ds = MakeDataset();
   const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.15);
 
-  const RunOutcome serial = RunPipeline(ds, split, 1, 0, 64);
-  const RunOutcome piped = RunPipeline(ds, split, 1, 1, 64);
+  const RunOutcome serial = RunPipeline(ds, split, 0, 64);
+  const RunOutcome piped = RunPipeline(ds, split, 1, 64);
 
   EXPECT_EQ(serial.pick, piped.pick);
   EXPECT_EQ(serial.val_metric, piped.val_metric);    // bit-identical
@@ -165,29 +157,6 @@ TEST_F(StreamExecutorTest, Depth1BitIdenticalToDepth0AtOneThread) {
   for (size_t i = 0; i < serial.final_scores.size(); ++i) {
     ASSERT_EQ(serial.final_scores.data()[i], piped.final_scores.data()[i])
         << "score element " << i;
-  }
-}
-
-TEST_F(StreamExecutorTest, Depth1SameProcessAndCloseMetricsAtFourThreads) {
-  // Large batches -> segments above the bulk-replay threshold, so the
-  // augmenter fan-out and the double-buffered overlap both engage.
-  const Dataset ds = MakeDataset(/*num_edges=*/6000, /*query_rate=*/0.3);
-  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.15);
-
-  const RunOutcome serial = RunPipeline(ds, split, 4, 0, 512);
-  const RunOutcome piped = RunPipeline(ds, split, 4, 1, 512);
-  const RunOutcome piped2 = RunPipeline(ds, split, 4, 1, 512);
-
-  EXPECT_EQ(serial.pick, piped.pick);
-  // Bulk replay reorders only unseen->unseen contributions; metrics stay
-  // close to the serial reference.
-  EXPECT_NEAR(serial.val_metric, piped.val_metric, 5e-2);
-  EXPECT_NEAR(serial.test_metric, piped.test_metric, 5e-2);
-  // Deterministic per (threads, depth): an identical rerun is bit-equal.
-  EXPECT_EQ(piped.val_metric, piped2.val_metric);
-  EXPECT_EQ(piped.test_metric, piped2.test_metric);
-  for (size_t i = 0; i < piped.final_scores.size(); ++i) {
-    ASSERT_EQ(piped.final_scores.data()[i], piped2.final_scores.data()[i]);
   }
 }
 
@@ -206,7 +175,6 @@ BaselineOutcome RunBaseline(TemporalPredictor* model, const Dataset& ds,
   topts.epochs = 2;
   topts.batch_size = 64;
   topts.early_stopping = false;
-  topts.num_threads = 1;
   topts.pipeline_depth = depth;
   StreamTrainer trainer(topts);
 
@@ -219,10 +187,10 @@ BaselineOutcome RunBaseline(TemporalPredictor* model, const Dataset& ds,
 }
 
 TEST_F(StreamExecutorTest, BaselineStandinsStagedDepth1BitIdenticalToDepth0) {
-  // The stand-ins now implement the split-phase API (ISSUE 4 satellite):
-  // at one thread the pipelined path must reproduce the serial path bit
-  // for bit. TGN+RF is the hardest case (per-edge node-memory mutation in
-  // ObserveEdge); SLADE covers the training-free staging.
+  // The stand-ins implement the split-phase API: the pipelined path must
+  // reproduce the serial path bit for bit. TGN+RF is the hardest case
+  // (per-edge node-memory mutation in ObserveEdge); SLADE covers the
+  // training-free staging.
   const Dataset ds = MakeDataset();
   const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.15);
 
@@ -262,10 +230,13 @@ TEST_F(StreamExecutorTest, BaselineStandinsStagedDepth1BitIdenticalToDepth0) {
   }
 }
 
-TEST_F(StreamExecutorTest, BulkReplayBitIdenticalToSerialWithSeenSources) {
-  // Every edge joins an unseen node to a seen node (or two seen nodes), so
-  // all propagation sources are fitted rows and ObserveBulk must match the
-  // per-edge serial replay bit for bit.
+TEST_F(StreamExecutorTest, BulkReplayBitIdenticalToPerEdgeReplay) {
+  // A mix of seen-seen, seen-unseen and unseen-unseen edges: an unseen
+  // endpoint whose source is also unseen folds in that source's running
+  // estimate as of this edge, so ObserveBulk must read it in stream order
+  // to match the per-edge replay bit for bit. The range is thousands of
+  // edges, so a bulk replay that split it across workers and deferred
+  // those folds to batch end would fail here.
   const size_t n_seen = 64, n_unseen = 512;
   EdgeStream stream;
   double t = 0.0;
@@ -277,14 +248,18 @@ TEST_F(StreamExecutorTest, BulkReplayBitIdenticalToSerialWithSeenSources) {
   }
   const double fit_time = t;
   Rng rng(3);
+  size_t unseen_pairs = 0;
   for (size_t i = 0; i < 4096; ++i) {
-    const NodeId unseen =
-        static_cast<NodeId>(n_seen + rng.UniformInt(n_unseen));
-    const NodeId seen = static_cast<NodeId>(rng.UniformInt(n_seen));
-    stream.Append(i % 2 ? TemporalEdge(unseen, seen, t += 1.0)
-                        : TemporalEdge(seen, unseen, t += 1.0))
-        .ok();
+    const NodeId u = static_cast<NodeId>(
+        rng.Uniform() < 0.6 ? n_seen + rng.UniformInt(n_unseen)
+                            : rng.UniformInt(n_seen));
+    const NodeId v = static_cast<NodeId>(
+        rng.Uniform() < 0.6 ? n_seen + rng.UniformInt(n_unseen)
+                            : rng.UniformInt(n_seen));
+    unseen_pairs += u >= n_seen && v >= n_seen;
+    stream.Append(TemporalEdge(u, v, t += 1.0)).ok();
   }
+  ASSERT_GT(unseen_pairs, 1000u);
 
   FeatureAugmenterOptions opts;
   opts.feature_dim = 16;
@@ -292,9 +267,7 @@ TEST_F(StreamExecutorTest, BulkReplayBitIdenticalToSerialWithSeenSources) {
   serial.FitSeen(stream, fit_time);
   bulk.FitSeen(stream, fit_time);
 
-  ThreadPool::SetGlobalThreads(1);
   for (size_t i = 0; i < stream.size(); ++i) serial.ObserveEdge(stream[i]);
-  ThreadPool::SetGlobalThreads(4);
   bulk.ObserveBulk(stream, 0, stream.size());
 
   std::vector<float> a(16), b(16);
@@ -312,56 +285,6 @@ TEST_F(StreamExecutorTest, BulkReplayBitIdenticalToSerialWithSeenSources) {
     }
   }
   EXPECT_EQ(serial.degrees().num_edges(), bulk.degrees().num_edges());
-}
-
-TEST_F(StreamExecutorTest, BulkReplayThreadCountInvariantWithUnseenPairs) {
-  // Unseen->unseen edges defer to the fixed-order reduction, whose result
-  // must not depend on the thread count.
-  const size_t n_seen = 32, n_unseen = 256;
-  EdgeStream stream;
-  double t = 0.0;
-  for (size_t i = 0; i < 64; ++i) {
-    stream
-        .Append(TemporalEdge(static_cast<NodeId>(i % n_seen),
-                             static_cast<NodeId>((i * 3) % n_seen), t += 1.0))
-        .ok();
-  }
-  const double fit_time = t;
-  Rng rng(9);
-  for (size_t i = 0; i < 4096; ++i) {
-    // Mix: unseen-seen, seen-seen, and a healthy dose of unseen-unseen.
-    const NodeId u = static_cast<NodeId>(
-        rng.Uniform() < 0.6 ? n_seen + rng.UniformInt(n_unseen)
-                            : rng.UniformInt(n_seen));
-    const NodeId v = static_cast<NodeId>(
-        rng.Uniform() < 0.6 ? n_seen + rng.UniformInt(n_unseen)
-                            : rng.UniformInt(n_seen));
-    stream.Append(TemporalEdge(u, v, t += 1.0)).ok();
-  }
-
-  FeatureAugmenterOptions opts;
-  opts.feature_dim = 16;
-  FeatureAugmenter two(opts), four(opts);
-  two.FitSeen(stream, fit_time);
-  four.FitSeen(stream, fit_time);
-
-  ThreadPool::SetGlobalThreads(2);
-  two.ObserveBulk(stream, 0, stream.size());
-  ThreadPool::SetGlobalThreads(4);
-  four.ObserveBulk(stream, 0, stream.size());
-
-  std::vector<float> a(16), b(16);
-  for (NodeId v = 0; v < n_seen + n_unseen; ++v) {
-    ASSERT_EQ(two.degrees().Degree(v), four.degrees().Degree(v));
-    for (const AugmentationProcess p :
-         {AugmentationProcess::kRandom, AugmentationProcess::kPositional}) {
-      two.WriteFeature(p, v, a.data());
-      four.WriteFeature(p, v, b.data());
-      for (size_t j = 0; j < 16; ++j) {
-        ASSERT_EQ(a[j], b[j]) << "node " << v << " dim " << j;
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -42,7 +42,6 @@
 #include "core/splash.h"
 #include "datasets/synthetic.h"
 #include "eval/trainer.h"
-#include "runtime/thread_pool.h"
 #include "serve/fault_injection.h"
 #include "serve/service.h"
 #include "serve/wal.h"
@@ -80,7 +79,6 @@ TrainerOptions CrashFit() {
   fit.epochs = 2;
   fit.batch_size = 64;
   fit.early_stopping = false;
-  fit.num_threads = 1;
   fit.pipeline_depth = 0;
   return fit;
 }
@@ -297,7 +295,6 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "--data-dir is required\n");
     return 2;
   }
-  ThreadPool::SetGlobalThreads(1);  // deterministic regardless of host cores
   ArmCrashPointsFromEnv();
   if (mode == "run") return RunMode(data_dir, seed, max_edges, pace_us);
   if (mode == "verify") return VerifyMode(data_dir, seed);
