@@ -212,16 +212,6 @@ Matrix TgnnStandin::PredictStaged() {
   return backbone_->Forward(batch_);
 }
 
-Matrix TgnnStandin::PredictBatch(const std::vector<PropertyQuery>& queries) {
-  StageBatch(queries);
-  return PredictStaged();
-}
-
-double TgnnStandin::TrainBatch(const std::vector<PropertyQuery>& queries) {
-  StageBatch(queries);
-  return TrainStaged();
-}
-
 void TgnnStandin::SetTraining(bool training) {
   if (backbone_) backbone_->SetTraining(training);
 }
@@ -305,11 +295,6 @@ void SladeStandin::StageBatch(const std::vector<PropertyQuery>& queries) {
     staged_scores_(i, 0) = 0.0f;
     staged_scores_(i, 1) = score;  // col 1 - col 0 is the anomaly score
   }
-}
-
-Matrix SladeStandin::PredictBatch(const std::vector<PropertyQuery>& queries) {
-  StageBatch(queries);
-  return PredictStaged();
 }
 
 }  // namespace splash

@@ -53,14 +53,9 @@ class TgnnStandin : public TemporalPredictor {
   Status Prepare(const Dataset& ds, const ChronoSplit& split) override;
   void ResetState() override;
   void ObserveEdge(const TemporalEdge& e, size_t edge_index) override;
-  Matrix PredictBatch(const std::vector<PropertyQuery>& queries) override;
-  double TrainBatch(const std::vector<PropertyQuery>& queries) override;
   /// Staged batches (core/predictor.h): StageBatch reads the neighbor
   /// rings / node memory once; TrainStaged / PredictStaged touch only the
-  /// staged tensors and the backbone weights, so the pipelined executor
-  /// can overlap them with ObserveBulk of later edges instead of falling
-  /// back to the serial path.
-  bool SupportsStagedBatches() const override { return true; }
+  /// staged tensors and the backbone weights.
   void StageBatch(const std::vector<PropertyQuery>& queries) override;
   double TrainStaged() override;
   Matrix PredictStaged() override;
@@ -114,11 +109,9 @@ class SladeStandin : public TemporalPredictor {
   Status Prepare(const Dataset& ds, const ChronoSplit& split) override;
   void ResetState() override;
   void ObserveEdge(const TemporalEdge& e, size_t edge_index) override;
-  Matrix PredictBatch(const std::vector<PropertyQuery>& queries) override;
   /// Training-free staging: StageBatch materializes the scores from
   /// current novelty/surprise state; PredictStaged returns the frozen
   /// matrix, reading no streaming state afterward.
-  bool SupportsStagedBatches() const override { return true; }
   void StageBatch(const std::vector<PropertyQuery>& queries) override;
   double TrainStaged() override { return 0.0; }
   Matrix PredictStaged() override { return staged_scores_; }

@@ -2,15 +2,16 @@
 //
 // The streaming predictor interface every model in the repo implements:
 // SPLASH itself, the TGNN baseline stand-ins, and SLADE. The protocol is a
-// strict replay loop driven by eval/trainer.cc:
+// strict replay loop driven by eval/stream_executor.cc, on one thread:
 //
 //   Prepare(ds, split)            — one-time fitting on the train period
 //   for each epoch / evaluation pass:
 //     ResetState()                — clear streaming state, keep weights
 //     interleaved by time:
-//       PredictBatch / TrainBatch — answer queries with state *before* later
-//                                   edges
-//       ObserveEdge(e, i)         — advance streaming state by one edge
+//       ObserveBulk(stream, a, b) — advance streaming state by edges [a, b)
+//       StageBatch(queries)       — assemble a batch from state *before*
+//                                   later edges
+//       TrainStaged / PredictStaged — compute on the staged batch
 //
 // ObserveEdge must be O(1) amortized and allocation-free at steady state;
 // that contract is what bench_micro_substrate measures.
@@ -57,40 +58,40 @@ class TemporalPredictor {
     for (size_t i = begin; i < end; ++i) ObserveEdge(stream[i], i);
   }
 
-  // --- split-phase batch API (the pipelined executor's contract) ---------
+  // --- split-phase batch API ---------------------------------------------
   //
   // StageBatch assembles model inputs from *current* streaming state;
   // TrainStaged / PredictStaged then run pure compute on the staged buffer
-  // and the weights, reading NO streaming state — which is what lets the
-  // executor overlap them with ObserveBulk of later edges. A predictor
-  // that cannot honor that split keeps the default (unsupported) and the
-  // executor falls back to the serial fused calls.
+  // and the weights, reading no streaming state. One batch is staged at a
+  // time.
 
-  /// Whether StageBatch / TrainStaged / PredictStaged are implemented and
-  /// honor the no-streaming-state-reads contract after staging.
-  virtual bool SupportsStagedBatches() const { return false; }
+  /// Read by nothing: every predictor implements the staged calls. Left
+  /// for the system benchmark's tracer (benchmark/replay_workload.cc),
+  /// which overrides it. Remove it together with that override.
+  virtual bool SupportsStagedBatches() const { return true; }
 
   /// Assembles `queries` (features, neighbor gathers, labels) into the
-  /// predictor's staged buffer. One batch staged at a time.
-  virtual void StageBatch(const std::vector<PropertyQuery>& queries) {
-    (void)queries;
+  /// predictor's staged buffer.
+  virtual void StageBatch(const std::vector<PropertyQuery>& queries) = 0;
+
+  /// One gradient step on the staged batch; returns the batch loss.
+  /// Training-free models return 0.
+  virtual double TrainStaged() = 0;
+
+  /// Scores the staged batch. Returns a (batch x out_dim) matrix; out_dim
+  /// >= 2 with class scores per column.
+  virtual Matrix PredictStaged() = 0;
+
+  /// StageBatch(queries), then PredictStaged().
+  virtual Matrix PredictBatch(const std::vector<PropertyQuery>& queries) {
+    StageBatch(queries);
+    return PredictStaged();
   }
 
-  /// TrainBatch on the staged buffer; returns the batch loss.
-  virtual double TrainStaged() { return 0.0; }
-
-  /// PredictBatch on the staged buffer; returns the score matrix.
-  virtual Matrix PredictStaged() { return Matrix(0, 0); }
-
-  /// Scores a batch of queries against current streaming state. Returns a
-  /// (batch x out_dim) matrix; out_dim >= 2 with class scores per column.
-  virtual Matrix PredictBatch(const std::vector<PropertyQuery>& queries) = 0;
-
-  /// One gradient step on a batch of labeled queries. Returns the batch
-  /// loss. Training-free models return 0 and ignore the call.
+  /// StageBatch(queries), then TrainStaged().
   virtual double TrainBatch(const std::vector<PropertyQuery>& queries) {
-    (void)queries;
-    return 0.0;
+    StageBatch(queries);
+    return TrainStaged();
   }
 
   /// Train/eval mode toggle (dropout etc.).

@@ -312,18 +312,6 @@ Matrix SplashPredictor::PredictStaged() {
   return slim_->Forward(batch_);
 }
 
-Matrix SplashPredictor::PredictBatch(
-    const std::vector<PropertyQuery>& queries) {
-  StageBatch(queries);
-  return PredictStaged();
-}
-
-double SplashPredictor::TrainBatch(
-    const std::vector<PropertyQuery>& queries) {
-  StageBatch(queries);
-  return TrainStaged();
-}
-
 namespace {
 constexpr uint32_t kSplashStateMagic = 0x53504c53u;  // "SPLS"
 // Version 2: the augmenter writes its kept-set mask and only the kept

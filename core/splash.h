@@ -76,13 +76,9 @@ class SplashPredictor : public TemporalPredictor {
   /// ingest (NeighborMemory::ObserveBulk), each in stream order.
   void ObserveBulk(const EdgeStream& stream, size_t begin,
                    size_t end) override;
-  Matrix PredictBatch(const std::vector<PropertyQuery>& queries) override;
-  double TrainBatch(const std::vector<PropertyQuery>& queries) override;
   /// Staged batches (core/predictor.h): AssembleBatch reads streaming
   /// state once in StageBatch; TrainStaged / PredictStaged touch only the
-  /// staged tensors and SLIM weights, so the executor may overlap them
-  /// with ObserveBulk of later edges.
-  bool SupportsStagedBatches() const override { return true; }
+  /// staged tensors and SLIM weights.
   void StageBatch(const std::vector<PropertyQuery>& queries) override;
   /// Trains the staged batch with this predictor's own train state.
   double TrainStaged() override;

@@ -105,97 +105,28 @@ void BuildEvalSchedule(const Dataset& ds, const ChronoSplit& split,
   }
 }
 
-void StreamExecutor::RunSerial(TemporalPredictor* model,
-                               const EdgeStream& stream,
-                               const std::vector<PropertyQuery>& queries,
-                               const std::vector<ReplayOp>& ops,
-                               bool training,
-                               const PredictSink& on_predict) {
-  for (const ReplayOp& op : ops) {
-    for (size_t i = op.edge_begin; i < op.edge_end; ++i) {
-      model->ObserveEdge(stream[i], i);
-    }
-    if (op.flush == ReplayOp::Flush::kNone) continue;
-    batch_.assign(queries.begin() + op.query_begin,
-                  queries.begin() + op.query_end);
-    if (op.flush == ReplayOp::Flush::kTrain) {
-      model->TrainBatch(batch_);
-    } else {
-      if (training) model->SetTraining(false);
-      WallTimer timer;
-      const Matrix out = model->PredictBatch(batch_);
-      predict_seconds_ += timer.Seconds();
-      if (training) model->SetTraining(true);
-      on_predict(op, out);
-    }
-  }
-}
-
 void StreamExecutor::Run(TemporalPredictor* model, const EdgeStream& stream,
                          const std::vector<PropertyQuery>& queries,
                          const std::vector<ReplayOp>& ops, bool training,
                          const PredictSink& on_predict) {
   predict_seconds_ = 0.0;
-  if (opts_.pipeline_depth == 0 || !model->SupportsStagedBatches()) {
-    RunSerial(model, stream, queries, ops, training, on_predict);
-    return;
+  for (const ReplayOp& op : ops) {
+    model->ObserveBulk(stream, op.edge_begin, op.edge_end);
+    if (op.flush == ReplayOp::Flush::kNone) continue;
+    WallTimer timer;
+    batch_.assign(queries.begin() + op.query_begin,
+                  queries.begin() + op.query_end);
+    model->StageBatch(batch_);
+    if (op.flush == ReplayOp::Flush::kTrain) {
+      model->TrainStaged();
+      continue;
+    }
+    if (training) model->SetTraining(false);
+    const Matrix out = model->PredictStaged();
+    if (training) model->SetTraining(true);
+    predict_seconds_ += timer.Seconds();
+    on_predict(op, out);
   }
-  if (!pipe_) pipe_ = std::make_unique<PipelineThread>();
-
-  // The one in-flight ingest job; reused across ops (Submit only ever
-  // follows the Wait that retired the previous job).
-  struct ObserveJob {
-    TemporalPredictor* model;
-    const EdgeStream* stream;
-    size_t begin, end;
-    static void Invoke(void* ctx) {
-      auto* job = static_cast<ObserveJob*>(ctx);
-      job->model->ObserveBulk(*job->stream, job->begin, job->end);
-    }
-  };
-  ObserveJob job{model, &stream, 0, 0};
-
-  for (size_t j = 0; j < ops.size(); ++j) {
-    const ReplayOp& op = ops[j];
-    if (j == 0) {
-      // Prologue: nothing to overlap with yet.
-      model->ObserveBulk(stream, op.edge_begin, op.edge_end);
-    } else {
-      // Hand-off barrier: op j's edges (submitted at j-1) are now state.
-      pipe_->Wait();
-    }
-
-    const bool has_flush = op.flush != ReplayOp::Flush::kNone;
-    const bool is_predict = op.flush == ReplayOp::Flush::kPredict;
-    if (has_flush) {
-      // Stage from current state BEFORE later edges start ingesting.
-      WallTimer stage_timer;
-      batch_.assign(queries.begin() + op.query_begin,
-                    queries.begin() + op.query_end);
-      model->StageBatch(batch_);
-      if (is_predict) predict_seconds_ += stage_timer.Seconds();
-    }
-    if (j + 1 < ops.size()) {
-      job.begin = ops[j + 1].edge_begin;
-      job.end = ops[j + 1].edge_end;
-      pipe_->Submit(&ObserveJob::Invoke, &job);
-    }
-    if (has_flush) {
-      // Staged compute overlaps the ingest of op j+1.
-      if (op.flush == ReplayOp::Flush::kTrain) {
-        model->TrainStaged();
-      } else {
-        if (training) model->SetTraining(false);
-        WallTimer timer;
-        const Matrix out = model->PredictStaged();
-        predict_seconds_ += timer.Seconds();
-        if (training) model->SetTraining(true);
-        on_predict(op, out);
-      }
-    }
-  }
-  // Epoch-boundary barrier: no ingest outlives the schedule.
-  pipe_->Wait();
 }
 
 }  // namespace splash

@@ -76,7 +76,7 @@ FitResult StreamTrainer::Fit(TemporalPredictor* model, const Dataset& ds,
   // build it once, replay it every epoch.
   std::vector<ReplayOp> ops;
   BuildFitSchedule(ds, split, opts_.batch_size, &ops);
-  StreamExecutor executor({opts_.pipeline_depth});
+  StreamExecutor executor;
 
   size_t epochs_since_best = 0;
   for (size_t epoch = 0; epoch < opts_.epochs; ++epoch) {
@@ -114,7 +114,7 @@ EvalResult StreamTrainer::Evaluate(TemporalPredictor* model,
 
   std::vector<ReplayOp> ops;
   BuildEvalSchedule(ds, split, opts_.batch_size, &ops);
-  StreamExecutor executor({opts_.pipeline_depth});
+  StreamExecutor executor;
 
   Matrix scores;
   std::vector<int> labels;

@@ -33,12 +33,10 @@ struct TrainerOptions {
   size_t batch_size = 200;
   bool early_stopping = true;
   size_t patience = 3;  // epochs without val improvement before stopping
-  /// Stages in flight for the pipelined executor (eval/stream_executor.h):
-  /// 0 runs the historical serial loop (per-edge ObserveEdge + fused batch
-  /// calls — the determinism reference, bit-identical to the pre-executor
-  /// trainer); >= 1 double-buffers, overlapping ObserveBulk of batch k+1
-  /// with the staged compute of batch k on one pipeline thread. Depth 1
-  /// is bit-identical to depth 0: the bulk replay is the per-edge loop.
+  /// Read by nothing: the executor runs one loop on the caller's thread
+  /// (eval/stream_executor.h). Left for the system benchmark, which
+  /// assigns it (benchmark/replay_workload.cc). Remove it together with
+  /// that assignment.
   size_t pipeline_depth = 1;
 };
 

@@ -1,21 +1,20 @@
 // Copyright 2026 The SPLASH Reproduction Authors.
 //
-// PipelineThread: the one-slot background stage of the pipelined streaming
-// executor (eval/stream_executor.h). It owns a single persistent thread and
-// at most ONE job in flight — exactly what double-buffering needs: while
-// the caller computes on batch k, the pipeline thread ingests the edges of
-// batch k+1; Wait() is the hand-off barrier before the caller touches the
-// streaming state again.
+// PipelineThread: the one-slot background stage of the serving layer's
+// catch-up (serve/service.h). It owns a single persistent thread and at
+// most ONE job in flight: after the apply thread publishes micro-batch k,
+// the pipeline thread catches the other replica up on batch k while the
+// apply thread waits for batch k+1; Wait() is the hand-off barrier before
+// the apply thread writes that replica again.
+// Offline replay (eval/stream_executor.h) starts no thread.
 //
-// PipelineThread is the only thread the library starts for a replay; each
-// stage (the caller's compute, this thread's ingest) runs on one thread.
 // Design rules:
 //   - Submit() takes a function pointer + context pointer, never a
 //     std::function, so the steady-state submit path performs zero heap
 //     allocations (allocation_steady_state_test gates this);
 //   - Submit() requires the slot to be idle (call Wait() first); one slot
-//     is a feature, not a limitation — depth > 1 would let ingest run past
-//     state the compute stage still reads.
+//     is a feature, not a limitation: batch k+1 is applied to the replica
+//     the batch-k job writes, so it can only start after that job.
 
 #ifndef SPLASH_RUNTIME_PIPELINE_H_
 #define SPLASH_RUNTIME_PIPELINE_H_

@@ -66,13 +66,13 @@ import sys
 # micro (BENCH_micro.json) — one row per hot-path family: the
 # O(1)-per-edge ring write (the cache-resident 1k-node arg — the larger
 # args measure the host's DRAM latency more than the code), the SLIM train
-# step, the full chronological replay, and the augmenter bulk replay. The FeatureReplayBulk row matters
-# because with pipeline_depth >= 1 the replay bench runs ingest on the
-# PipelineThread, outside BM_ChronoReplayThreads' main-thread cpu_time —
-# the dedicated row times ObserveBulk on the measuring thread, so ingest
-# regressions cannot hide behind the pipeline. The last three rows pin the
-# kernel layer itself (DESIGN.md §6): the neighbor-message GEMM shape and
-# the fused const-forward paths the serving layer reads through.
+# step, the full chronological replay, and the augmenter bulk replay. The
+# replay row runs ingest, assembly, train and predict on its one thread;
+# the FeatureReplayBulk row times the augmenter's ObserveBulk alone, so an
+# ingest regression is not diluted by the replay's train and predict
+# work. The last three rows pin the kernel layer itself (DESIGN.md §6):
+# the neighbor-message GEMM shape and the fused const-forward paths the
+# serving layer reads through.
 # Calibrated by the ALU-bound BM_DegreeEncode row; the context floor
 # re-verifies the committed avx512 side-run win (module docstring).
 #

@@ -16,10 +16,9 @@
 // child, arms ONE compiled-in crash point (serve/fault_injection.h), and
 // drives ingest until the child dies with _exit(137) exactly as kill -9
 // would (no destructors, no flushes). The parent then recovers from the
-// crashed data_dir and checks the oracle. Fork safety: the global pool is
-// pinned to 1 thread (spawns no workers) and no SplashService exists in
-// the parent when it forks (PipelineThread starts a thread at service
-// construction).
+// crashed data_dir and checks the oracle. Fork safety: a Fit starts no
+// thread, and no SplashService exists in the parent when it forks
+// (PipelineThread starts a thread at service construction).
 
 #include <gtest/gtest.h>
 
@@ -90,7 +89,6 @@ TrainerOptions SmallFit() {
   fit.epochs = 2;
   fit.batch_size = 64;
   fit.early_stopping = false;
-  fit.pipeline_depth = 0;
   return fit;
 }
 

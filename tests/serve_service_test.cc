@@ -70,7 +70,6 @@ TrainerOptions SmallFit() {
   fit.epochs = 2;
   fit.batch_size = 64;
   fit.early_stopping = false;
-  fit.pipeline_depth = 0;
   return fit;
 }
 
@@ -140,12 +139,49 @@ size_t ProcessThreads() {
   return n;
 }
 
+/// Forwards every call to a SplashPredictor and samples the process's
+/// threads at each StageBatch, the point of a replay where an ingest
+/// stage running beside the compute would be alive.
+class ThreadSamplingPredictor final : public TemporalPredictor {
+ public:
+  explicit ThreadSamplingPredictor(SplashPredictor* inner) : inner_(inner) {}
+
+  std::string name() const override { return inner_->name(); }
+  Status Prepare(const Dataset& ds, const ChronoSplit& split) override {
+    return inner_->Prepare(ds, split);
+  }
+  void ResetState() override { inner_->ResetState(); }
+  void ObserveEdge(const TemporalEdge& e, size_t edge_index) override {
+    inner_->ObserveEdge(e, edge_index);
+  }
+  void ObserveBulk(const EdgeStream& stream, size_t begin,
+                   size_t end) override {
+    inner_->ObserveBulk(stream, begin, end);
+  }
+  void StageBatch(const std::vector<PropertyQuery>& queries) override {
+    ++samples;
+    max_threads = std::max(max_threads, ProcessThreads());
+    inner_->StageBatch(queries);
+  }
+  double TrainStaged() override { return inner_->TrainStaged(); }
+  Matrix PredictStaged() override { return inner_->PredictStaged(); }
+  void SetTraining(bool training) override { inner_->SetTraining(training); }
+  size_t ParamCount() const override { return inner_->ParamCount(); }
+
+  size_t samples = 0;
+  size_t max_threads = 0;
+
+ private:
+  SplashPredictor* inner_;
+};
+
 // Registered first, so it runs before any other test of this binary has
 // started a thread. Each stage runs on one thread (DESIGN.md §1): a
-// replay adds only the executor's PipelineThread, joined when Fit
-// returns, and a started service adds exactly its apply thread, joined
-// by Stop, and its catch-up PipelineThread, joined when the service is
-// destroyed. Default options throughout, so no knob hides a helper.
+// replay runs on the caller's thread and starts none, not even while it
+// stages a batch, and a started service adds exactly its apply thread,
+// joined by Stop, and its catch-up PipelineThread, joined when the
+// service is destroyed. Default options throughout, so no knob hides a
+// helper.
 TEST(StageThreadsTest, FitAndServiceStartOnlyTheNamedStageThreads) {
   // ThreadSanitizer starts a helper thread of its own at the first thread
   // creation; start and join one first so the baseline includes it.
@@ -158,11 +194,12 @@ TEST(StageThreadsTest, FitAndServiceStartOnlyTheNamedStageThreads) {
   const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
 
   SplashPredictor model(SmallModelOptions());
-  ASSERT_TRUE(model.Prepare(ds, split).ok());
-  const TrainerOptions defaults;
-  ASSERT_GE(defaults.pipeline_depth, 1u);  // the pipelined path runs
-  StreamTrainer trainer(defaults);
-  trainer.Fit(&model, ds, split);
+  ThreadSamplingPredictor sampled(&model);
+  ASSERT_TRUE(sampled.Prepare(ds, split).ok());
+  StreamTrainer trainer{TrainerOptions{}};
+  trainer.Fit(&sampled, ds, split);
+  ASSERT_GT(sampled.samples, 0u);
+  EXPECT_EQ(sampled.max_threads, base) << "inside StreamTrainer::Fit";
   EXPECT_EQ(ProcessThreads(), base) << "after StreamTrainer::Fit";
 
   {

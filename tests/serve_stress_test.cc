@@ -76,7 +76,6 @@ TEST_F(ServeStressTest, ConcurrentIngestAndQueriesNeverObserveTornState) {
   fit.epochs = 1;
   fit.batch_size = 128;
   fit.early_stopping = false;
-  fit.pipeline_depth = 1;
   ASSERT_TRUE(service.RecoverOrStart(ds, split, &fit).ok());
 
   std::atomic<bool> done{false};

@@ -1,22 +1,27 @@
 // Copyright 2026 The SPLASH Reproduction Authors.
 //
-// Contracts of the pipelined streaming executor (ISSUE 3):
+// Contracts of the streaming executor:
 //   - the schedule builders partition edges and queries exactly like the
 //     historical interleaved loop (every edge observed once, every query
 //     flushed once, flush points ordered);
-//   - pipeline_depth=1 is bit-identical to depth=0 (same model weights —
-//     probed through predictions — and same metrics);
+//   - the executor's one loop (ObserveBulk, then StageBatch and the
+//     staged call) is bit-identical to a reference loop over the same
+//     schedule with per-edge ObserveEdge and fused TrainBatch /
+//     PredictBatch (same model weights, probed through predictions, and
+//     same metrics);
 //   - FeatureAugmenter::ObserveBulk is bit-identical to per-edge
 //     ObserveEdge replay, unseen->unseen folds included.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "baselines/standins.h"
 #include "core/feature_augmentation.h"
 #include "core/splash.h"
 #include "datasets/synthetic.h"
+#include "eval/metrics.h"
 #include "eval/stream_executor.h"
 #include "eval/trainer.h"
 
@@ -112,85 +117,121 @@ TEST_F(StreamExecutorTest, EvalScheduleTilesEdgesAndFlushesTestQueriesOnce) {
   }
 }
 
+/// Fit + Evaluate outcome of one predictor. The final scores probe its
+/// learned weights: identical predictions on a fixed batch from identical
+/// streaming state imply identical weights for this input set.
 struct RunOutcome {
-  AugmentationProcess pick;
-  double val_metric;
-  double test_metric;
-  Matrix final_scores;  // PredictBatch on the test tail after Evaluate
-};
-
-RunOutcome RunPipeline(const Dataset& ds, const ChronoSplit& split,
-                       size_t pipeline_depth, size_t batch_size) {
-  SplashOptions opts = SmallSplashOptions();
-  SplashPredictor model(opts);
-  EXPECT_TRUE(model.Prepare(ds, split).ok());
-
-  TrainerOptions topts;
-  topts.epochs = 2;
-  topts.batch_size = batch_size;
-  topts.early_stopping = false;
-  topts.pipeline_depth = pipeline_depth;
-  StreamTrainer trainer(topts);
-
-  RunOutcome out;
-  out.pick = model.selected_process();
-  out.val_metric = trainer.Fit(&model, ds, split).best_val_metric;
-  out.test_metric = trainer.Evaluate(&model, ds, split).metric;
-  // Probe the learned weights: identical predictions on a fixed batch from
-  // identical streaming state imply identical weights for this input set.
-  std::vector<PropertyQuery> probe(ds.queries.end() - 50, ds.queries.end());
-  out.final_scores = model.PredictBatch(probe);
-  return out;
-}
-
-TEST_F(StreamExecutorTest, Depth1BitIdenticalToDepth0AtOneThread) {
-  const Dataset ds = MakeDataset();
-  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.15);
-
-  const RunOutcome serial = RunPipeline(ds, split, 0, 64);
-  const RunOutcome piped = RunPipeline(ds, split, 1, 64);
-
-  EXPECT_EQ(serial.pick, piped.pick);
-  EXPECT_EQ(serial.val_metric, piped.val_metric);    // bit-identical
-  EXPECT_EQ(serial.test_metric, piped.test_metric);  // bit-identical
-  ASSERT_EQ(serial.final_scores.size(), piped.final_scores.size());
-  for (size_t i = 0; i < serial.final_scores.size(); ++i) {
-    ASSERT_EQ(serial.final_scores.data()[i], piped.final_scores.data()[i])
-        << "score element " << i;
-  }
-}
-
-/// Fit + Evaluate one predictor at the given pipeline depth and probe its
-/// final weights through predictions on a fixed tail batch.
-struct BaselineOutcome {
-  double val_metric;
-  double test_metric;
+  double val_metric = 0.0;
+  double test_metric = 0.0;
   Matrix final_scores;
 };
 
-BaselineOutcome RunBaseline(TemporalPredictor* model, const Dataset& ds,
-                            const ChronoSplit& split, size_t depth) {
-  EXPECT_TRUE(model->Prepare(ds, split).ok());
+constexpr size_t kEpochs = 2;
+constexpr size_t kBatchSize = 64;
+
+Matrix ProbeScores(TemporalPredictor* model, const Dataset& ds, size_t n) {
+  const std::vector<PropertyQuery> probe(ds.queries.end() - n,
+                                         ds.queries.end());
+  return model->PredictBatch(probe);
+}
+
+/// Fit and Evaluate through StreamTrainer, i.e. the executor.
+RunOutcome RunTrainer(TemporalPredictor* model, const Dataset& ds,
+                      const ChronoSplit& split, size_t probe_rows) {
   TrainerOptions topts;
-  topts.epochs = 2;
-  topts.batch_size = 64;
+  topts.epochs = kEpochs;
+  topts.batch_size = kBatchSize;
   topts.early_stopping = false;
-  topts.pipeline_depth = depth;
   StreamTrainer trainer(topts);
 
-  BaselineOutcome out;
+  RunOutcome out;
   out.val_metric = trainer.Fit(model, ds, split).best_val_metric;
   out.test_metric = trainer.Evaluate(model, ds, split).metric;
-  std::vector<PropertyQuery> probe(ds.queries.end() - 40, ds.queries.end());
-  out.final_scores = model->PredictBatch(probe);
+  out.final_scores = ProbeScores(model, ds, probe_rows);
   return out;
 }
 
-TEST_F(StreamExecutorTest, BaselineStandinsStagedDepth1BitIdenticalToDepth0) {
-  // The stand-ins implement the split-phase API: the pipelined path must
-  // reproduce the serial path bit for bit. TGN+RF is the hardest case
-  // (per-edge node-memory mutation in ObserveEdge); SLADE covers the
-  // training-free staging.
+/// The reference loop: `ops` run with per-edge ObserveEdge and the fused
+/// TrainBatch / PredictBatch, each kPredict flush scored in eval mode.
+/// Returns the task metric over the kPredict flushes.
+double ReferenceRun(TemporalPredictor* model, const Dataset& ds,
+                    const std::vector<ReplayOp>& ops, bool training) {
+  Matrix scores;
+  std::vector<int> labels;
+  size_t rows = 0;
+  for (const ReplayOp& op : ops) {
+    for (size_t i = op.edge_begin; i < op.edge_end; ++i) {
+      model->ObserveEdge(ds.stream[i], i);
+    }
+    if (op.flush == ReplayOp::Flush::kNone) continue;
+    const std::vector<PropertyQuery> batch(
+        ds.queries.begin() + op.query_begin,
+        ds.queries.begin() + op.query_end);
+    if (op.flush == ReplayOp::Flush::kTrain) {
+      model->TrainBatch(batch);
+      continue;
+    }
+    if (training) model->SetTraining(false);
+    const Matrix out = model->PredictBatch(batch);
+    if (training) model->SetTraining(true);
+    scores.Resize(rows + out.rows(), out.cols());
+    std::memcpy(scores.Row(rows), out.data(), out.size() * sizeof(float));
+    rows += out.rows();
+    for (const PropertyQuery& q : batch) labels.push_back(q.class_label);
+  }
+  return rows > 0 ? TaskMetric(ds.task, scores, labels) : 0.0;
+}
+
+/// Fit and Evaluate as StreamTrainer does them (no early stopping), with
+/// ReferenceRun in place of the executor.
+RunOutcome RunReference(TemporalPredictor* model, const Dataset& ds,
+                        const ChronoSplit& split, size_t probe_rows) {
+  std::vector<ReplayOp> ops;
+  BuildFitSchedule(ds, split, kBatchSize, &ops);
+  RunOutcome out;
+  for (size_t epoch = 0; epoch < kEpochs; ++epoch) {
+    model->SetTraining(true);
+    model->ResetState();
+    const double val = ReferenceRun(model, ds, ops, /*training=*/true);
+    if (epoch == 0 || val > out.val_metric) out.val_metric = val;
+  }
+  model->SetTraining(false);
+  model->ResetState();
+  BuildEvalSchedule(ds, split, kBatchSize, &ops);
+  out.test_metric = ReferenceRun(model, ds, ops, /*training=*/false);
+  out.final_scores = ProbeScores(model, ds, probe_rows);
+  return out;
+}
+
+void ExpectBitIdentical(const RunOutcome& ref, const RunOutcome& run,
+                        const char* what) {
+  EXPECT_EQ(ref.val_metric, run.val_metric) << what;    // bit-identical
+  EXPECT_EQ(ref.test_metric, run.test_metric) << what;  // bit-identical
+  ASSERT_EQ(ref.final_scores.size(), run.final_scores.size()) << what;
+  for (size_t i = 0; i < ref.final_scores.size(); ++i) {
+    ASSERT_EQ(ref.final_scores.data()[i], run.final_scores.data()[i])
+        << what << " score element " << i;
+  }
+}
+
+TEST_F(StreamExecutorTest, RunBitIdenticalToPerEdgeFusedReference) {
+  const Dataset ds = MakeDataset();
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.15);
+
+  SplashPredictor ref_model(SmallSplashOptions());
+  SplashPredictor run_model(SmallSplashOptions());
+  ASSERT_TRUE(ref_model.Prepare(ds, split).ok());
+  ASSERT_TRUE(run_model.Prepare(ds, split).ok());
+  EXPECT_EQ(ref_model.selected_process(), run_model.selected_process());
+
+  const RunOutcome ref = RunReference(&ref_model, ds, split, 50);
+  const RunOutcome run = RunTrainer(&run_model, ds, split, 50);
+  ExpectBitIdentical(ref, run, "SPLASH");
+}
+
+TEST_F(StreamExecutorTest, BaselineStandinsRunBitIdenticalToReference) {
+  // TGN+RF is the hardest case (per-edge node-memory mutation in
+  // ObserveEdge); SLADE covers the training-free staging.
   const Dataset ds = MakeDataset();
   const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.15);
 
@@ -203,30 +244,20 @@ TEST_F(StreamExecutorTest, BaselineStandinsStagedDepth1BitIdenticalToDepth0) {
     bopts.time_dim = 8;
     bopts.k_recent = 5;
     bopts.seed = 77;
-    TgnnStandin serial(bopts), piped(bopts);
-    ASSERT_TRUE(serial.SupportsStagedBatches());
-    const BaselineOutcome a = RunBaseline(&serial, ds, split, 0);
-    const BaselineOutcome b = RunBaseline(&piped, ds, split, 1);
-    EXPECT_EQ(a.val_metric, b.val_metric);    // bit-identical
-    EXPECT_EQ(a.test_metric, b.test_metric);  // bit-identical
-    ASSERT_EQ(a.final_scores.size(), b.final_scores.size());
-    for (size_t i = 0; i < a.final_scores.size(); ++i) {
-      ASSERT_EQ(a.final_scores.data()[i], b.final_scores.data()[i])
-          << "TGN+RF score element " << i;
-    }
+    TgnnStandin ref_model(bopts), run_model(bopts);
+    ASSERT_TRUE(ref_model.Prepare(ds, split).ok());
+    ASSERT_TRUE(run_model.Prepare(ds, split).ok());
+    ExpectBitIdentical(RunReference(&ref_model, ds, split, 40),
+                       RunTrainer(&run_model, ds, split, 40), "TGN+RF");
   }
   {
     SladeStandinOptions bopts;
     bopts.k_recent = 5;
-    SladeStandin serial(bopts), piped(bopts);
-    ASSERT_TRUE(serial.SupportsStagedBatches());
-    const BaselineOutcome a = RunBaseline(&serial, ds, split, 0);
-    const BaselineOutcome b = RunBaseline(&piped, ds, split, 1);
-    EXPECT_EQ(a.test_metric, b.test_metric);
-    for (size_t i = 0; i < a.final_scores.size(); ++i) {
-      ASSERT_EQ(a.final_scores.data()[i], b.final_scores.data()[i])
-          << "SLADE score element " << i;
-    }
+    SladeStandin ref_model(bopts), run_model(bopts);
+    ASSERT_TRUE(ref_model.Prepare(ds, split).ok());
+    ASSERT_TRUE(run_model.Prepare(ds, split).ok());
+    ExpectBitIdentical(RunReference(&ref_model, ds, split, 40),
+                       RunTrainer(&run_model, ds, split, 40), "SLADE");
   }
 }
 

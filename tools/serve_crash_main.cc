@@ -79,7 +79,6 @@ TrainerOptions CrashFit() {
   fit.epochs = 2;
   fit.batch_size = 64;
   fit.early_stopping = false;
-  fit.pipeline_depth = 0;
   return fit;
 }
 
