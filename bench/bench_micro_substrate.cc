@@ -215,23 +215,6 @@ void BM_MatMulTransA(benchmark::State& state) {
 // The w3 gradient shape: cat2^T (256x128) x d_h (256x64).
 BENCHMARK(BM_MatMulTransA)->Args({256, 128, 64});
 
-void BM_MatMulTransB(benchmark::State& state) {
-  const size_t m = static_cast<size_t>(state.range(0));
-  const size_t k = static_cast<size_t>(state.range(1));
-  const size_t n = static_cast<size_t>(state.range(2));
-  Rng rng(23);
-  const Matrix a = Matrix::Gaussian(m, k, &rng);
-  const Matrix b = Matrix::Gaussian(n, k, &rng);
-  Matrix c(m, n);
-  for (auto _ : state) {
-    MatMulTransBRange(a, b, &c, 0, m);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
-}
-// The d_cat2 backward shape: d_h (256x64) x w3^T (128x64).
-BENCHMARK(BM_MatMulTransB)->Args({256, 64, 128});
-
 // The fused forward path the serving layer reads through: PredictConst
 // (GEMM + bias + ReLU in one tile pass) on caller scratch.
 void BM_SlimForwardFused(benchmark::State& state) {

@@ -338,6 +338,9 @@ double SlimModel::Backward(const SlimBatchInput& input,
   Matrix& d_cat2 = train->d_cat2_;
   Matrix& d_self = train->d_self_;
   Matrix& d_msg = train->d_msg_;
+  // The products with W4^T and W3^T below run on the forward GEMM tile.
+  Transpose(w4_, &train->w4t_);
+  Transpose(w3_, &train->w3t_);
 
   // Softmax cross-entropy; d_out = (softmax - onehot) / B.
   double loss = 0.0;
@@ -368,7 +371,7 @@ double SlimModel::Backward(const SlimBatchInput& input,
   g[6].SetZero();
   MatMulTransARange(fwd_.h_pre, d_out, &g[6], 0, b);
   ColumnSumsRange(d_out, g[7].data(), 0, b, /*accumulate=*/false);
-  MatMulTransBRange(d_out, w4_, &d_h, 0, b);
+  MatMulRange(d_out, train->w4t_, &d_h, 0, b);
   if (training_ && opts_.dropout > 0.0f) {
     const float scale = 1.0f / (1.0f - opts_.dropout);
     for (size_t bi = 0; bi < b; ++bi) {
@@ -387,7 +390,7 @@ double SlimModel::Backward(const SlimBatchInput& input,
   g[4].SetZero();
   MatMulTransARange(fwd_.cat2, d_h, &g[4], 0, b);
   ColumnSumsRange(d_h, g[5].data(), 0, b, /*accumulate=*/false);
-  MatMulTransBRange(d_h, w3_, &d_cat2, 0, b);
+  MatMulRange(d_h, train->w3t_, &d_cat2, 0, b);
 
   // Self branch: d_self = d_cat2[:, h:] masked by ReLU.
   for (size_t bi = 0; bi < b; ++bi) {

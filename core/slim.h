@@ -25,11 +25,15 @@
 // skips the neighbor branch's GEMM. For finite weights both are
 // bit-identical to the batched row. TrainStep() backpropagates by hand
 // and applies the fused Adam kernel — no autograd, no graph, no
-// allocation after warm-up. Adam stores an m or v below FLT_MIN as +0
-// (AdamUpdate in tensor/matrix.h): a moment whose gradient stays zero
-// decays to exactly 0 instead of parking on a subnormal that costs a
-// microcode assist every step. Checkpoints keep their format; older ones'
-// moments flush at their next step.
+// allocation after warm-up. The backward products through the head
+// (d_h = d_out W4^T, d_cat2 = d_h W3^T) are the forward GEMM tile over
+// transposed copies of W4 and W3, refreshed from the trained model at the
+// start of every backward pass; the weight gradients are MatMulTransA.
+// Adam stores an m or v below FLT_MIN as +0 (AdamUpdate in
+// tensor/matrix.h): a moment whose gradient stays zero decays to exactly 0
+// instead of parking on a subnormal that costs a microcode assist every
+// step. Checkpoints keep their format; older ones' moments flush at their
+// next step.
 //
 // Both run on the calling thread over the whole batch. Training dropout
 // draws from the model Rng in row order, so a step is a pure function of
@@ -102,8 +106,9 @@ struct SlimForwardScratch {
 ///   - learned: the Adam moments m/v of every parameter and the step
 ///     counters (the Adam step and the train-call count). Checkpoints
 ///     write them with the model's weights (SlimModel::Serialize).
-///   - per-step transients: the gradients and the backward scratch. They
-///     start empty and grow at the first TrainStep, then stop allocating.
+///   - per-step transients: the gradients, the backward scratch and the
+///     transposed head weights. They start empty and grow at the first
+///     TrainStep, then stop allocating.
 /// One train state trains one model's weights. TrainStep pairs them
 /// explicitly, so a service can keep a single train state for two
 /// alternating replicas of the same model.
@@ -134,6 +139,10 @@ class SlimTrainState {
   // Per-step transients.
   Matrix grad_[kNumParams];
   Matrix d_out_, d_h_, d_cat2_, d_msg_, d_self_;  // backward scratch
+  // W3^T and W4^T of the model being trained, rewritten by every backward
+  // pass: a copy kept across steps would go stale when this state trains
+  // two alternating replicas.
+  Matrix w3t_, w4t_;
 };
 
 /// The model: the parameter values and the forward scratch. Everything a

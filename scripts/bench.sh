@@ -66,7 +66,7 @@ for side_kernel in avx2 avx512; do
   if [ "${splash_kernel}" = scalar ]; then
     SPLASH_KERNEL="${side_kernel}" \
       "${build_dir}/bench_micro_substrate" \
-      --benchmark_filter='BM_MatMul/|BM_MatMulTransA/|BM_MatMulTransB/|BM_SlimForwardFused/|BM_SlimTrainStepThreads/1' \
+      --benchmark_filter='BM_MatMul/|BM_MatMulTransA/|BM_SlimForwardFused/|BM_SlimTrainStepThreads/1' \
       --benchmark_format=json \
       --benchmark_repetitions=3 \
       --benchmark_report_aggregates_only=true \
@@ -108,7 +108,7 @@ for row in "BM_SlimTrainStepThreads/1" "BM_ChronoReplayThreads/1" \
            "BM_FeatureReplayBulkThreads/1" \
            "BM_MatMul/256/48/64" "BM_MatMul/2560/48/64" \
            "BM_MatMul/32/2048/1024" \
-           "BM_MatMulTransA/256/128/64" "BM_MatMulTransB/256/64/128" \
+           "BM_MatMulTransA/256/128/64" \
            "BM_SlimForwardFused/256" "BM_SlimForwardFused/wide_b1"; do
   if ! grep -q "\"${row}" "${repo_root}/BENCH_micro.json"; then
     echo "ERROR: ${row} missing from BENCH_micro.json" >&2

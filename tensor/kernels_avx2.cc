@@ -8,9 +8,10 @@
 // CMakeLists.txt); nothing here runs unless the runtime dispatcher checked
 // cpuid first, so the rest of the binary stays portable baseline codegen.
 //
-// Accumulation within one output element is 8-lane partial sums, so this
-// backend is tolerance-equivalent to scalar (simd_kernels_test), never
-// bit-equal — determinism oracles pin SPLASH_KERNEL=scalar.
+// Every output element is one FMA chain in one lane and sin/cos are a
+// polynomial, so this backend is tolerance-equivalent to scalar
+// (simd_kernels_test), not bit-equal — determinism oracles pin
+// SPLASH_KERNEL=scalar.
 
 #include "tensor/simd.h"
 
@@ -104,21 +105,6 @@ struct Avx2 {
         reinterpret_cast<__m256i*>(out),
         _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(base)), lanes));
     return static_cast<size_t>(__builtin_popcount(m));
-  }
-
-  static float ReduceAdd(Vec v) {
-    __m128 s = _mm_add_ps(_mm256_castps256_ps128(v),
-                          _mm256_extractf128_ps(v, 1));
-    s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-    s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 0x1));
-    return _mm_cvtss_f32(s);
-  }
-  /// out[q] = sum of dq's lanes, via the hadd/extract transpose.
-  static void ReduceAdd4(Vec d0, Vec d1, Vec d2, Vec d3, float* out) {
-    const __m256 h = _mm256_hadd_ps(_mm256_hadd_ps(d0, d1),
-                                    _mm256_hadd_ps(d2, d3));
-    _mm_storeu_ps(out, _mm_add_ps(_mm256_castps256_ps128(h),
-                                  _mm256_extractf128_ps(h, 1)));
   }
 
   static void SincosQuadrant(Vec sp, Vec cp, Vec q, Vec x, Vec* s, Vec* c) {

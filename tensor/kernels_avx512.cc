@@ -10,10 +10,10 @@
 // runs unless the runtime dispatcher checked cpuid first, so the rest of
 // the binary stays portable baseline codegen.
 //
-// Accumulation within one output element is 16-lane partial sums, so this
-// backend is its own bitwise universe — tolerance-equivalent to scalar
-// (simd_kernels_test) and distinct from avx2's 8-lane sums. Determinism
-// oracles pin SPLASH_KERNEL=scalar.
+// Every output element is one FMA chain in one lane and sin/cos are a
+// polynomial, so this backend is tolerance-equivalent to scalar
+// (simd_kernels_test), not bit-equal — determinism oracles pin
+// SPLASH_KERNEL=scalar.
 
 #include "tensor/simd.h"
 
@@ -86,14 +86,6 @@ struct Avx512 {
         out, _mm512_maskz_compress_epi32(
                  m, _mm512_add_epi32(_mm512_set1_epi32(base), lanes)));
     return static_cast<size_t>(__builtin_popcount(m));
-  }
-
-  static float ReduceAdd(Vec v) { return _mm512_reduce_add_ps(v); }
-  static void ReduceAdd4(Vec d0, Vec d1, Vec d2, Vec d3, float* out) {
-    out[0] = _mm512_reduce_add_ps(d0);
-    out[1] = _mm512_reduce_add_ps(d1);
-    out[2] = _mm512_reduce_add_ps(d2);
-    out[3] = _mm512_reduce_add_ps(d3);
   }
 
   static void SincosQuadrant(Vec sp, Vec cp, Vec q, Vec x, Vec* s, Vec* c) {

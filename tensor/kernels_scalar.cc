@@ -1,15 +1,17 @@
 // Copyright 2026 The SPLASH Reproduction Authors.
 //
-// The scalar kernel backend: the pre-dispatch tensor/matrix.cc loops,
-// verbatim, kept as the bit-exact determinism reference (DESIGN.md §6).
-// The one exception is AdamUpdate's flush of subnormal moments to +0,
-// which every backend applies identically.
-// Blocked for locality; the inner loops are unit-stride FMAs the compiler
-// auto-vectorizes at whatever ISA the BUILD targets — which is exactly why
-// this backend's numbers depend on build flags and the explicit AVX2
-// backend exists. Do not "optimize" these loops: every determinism oracle
-// (serve watermark replay, depth1==depth0, the recovery oracles) is
-// anchored to their accumulation order.
+// The scalar kernel backend, kept as the bit-exact determinism reference
+// (DESIGN.md §6). Most loops descend from the pre-dispatch tensor/matrix.cc
+// ones; what changed since: the fused layers run the GEMM and then an
+// epilogue pass, the one-row kernel is the GEMM's row with its zero terms
+// skipped, and AdamUpdate flushes subnormal moments to +0 as every backend
+// does. Blocked for locality; the inner loops are unit-stride FMAs the
+// compiler auto-vectorizes at whatever ISA the BUILD targets — which is
+// exactly why this backend's numbers depend on build flags and the
+// explicit SIMD backends exist. Do not "optimize" these loops: the
+// determinism oracles under SPLASH_KERNEL=scalar (the executor's run vs
+// its per-edge reference, the serve watermark replay, the recovery and
+// catch-up-copy state bytes) are anchored to their accumulation order.
 //
 // All kernels are stride-aware via Matrix::Row(); the only flat-memory
 // fast paths check IsContiguous() first and fall back to per-row loops.
@@ -115,34 +117,6 @@ void ScalarMatMulRowBiasAct(const float* a, uint32_t* nz, const Matrix& b,
   ScalarEpilogue(c, n, bias, relu);
 }
 
-void ScalarMatMulTransBRange(const Matrix& a, const Matrix& b, Matrix* c,
-                             size_t row_begin, size_t row_end,
-                             bool accumulate) {
-  const size_t k = a.cols(), n = b.rows();
-  assert(b.cols() == k);
-  assert(c->rows() == a.rows() && c->cols() == n);
-  assert(row_begin <= row_end && row_end <= a.rows());
-  // Dot-product form: both operands are read with unit stride.
-  for (size_t i = row_begin; i < row_end; ++i) {
-    const float* arow = a.Row(i);
-    float* crow = c->Row(i);
-    for (size_t j = 0; j < n; ++j) {
-      const float* brow = b.Row(j);
-      float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
-      size_t kk = 0;
-      for (; kk + 4 <= k; kk += 4) {
-        acc0 += arow[kk] * brow[kk];
-        acc1 += arow[kk + 1] * brow[kk + 1];
-        acc2 += arow[kk + 2] * brow[kk + 2];
-        acc3 += arow[kk + 3] * brow[kk + 3];
-      }
-      float acc = (acc0 + acc1) + (acc2 + acc3);
-      for (; kk < k; ++kk) acc += arow[kk] * brow[kk];
-      crow[j] = accumulate ? crow[j] + acc : acc;
-    }
-  }
-}
-
 void ScalarMatMulTransARange(const Matrix& a, const Matrix& b, Matrix* c,
                              size_t r_begin, size_t r_end) {
   const size_t m = a.cols(), n = b.cols();
@@ -233,7 +207,6 @@ const KernelTable kScalarTable = {
     "scalar",
     ScalarMatMulRange,
     ScalarMatMulBiasActRange,
-    ScalarMatMulTransBRange,
     ScalarMatMulTransARange,
     ScalarAddRowVector,
     ScalarReluInPlace,

@@ -14,7 +14,6 @@
 //   Add Sub Mul Div Max       lane-wise arithmetic; Fma(a, b, c) = a*b + c,
 //     Sqrt Fma Fnma Abs         Fnma(a, b, c) = c - a*b
 //     RoundNearest
-//   ReduceAdd ReduceAdd4      horizontal sums of one / four vectors
 //   FlushTiny                 lanes with |x| < FLT_MIN to +0, NaN kept
 //   CompressNonzero           stores base + lane of the lanes that are not
 //                             ±0, ascending, as one whole vector of
@@ -23,16 +22,15 @@
 //   Interleave                (s, c) lane interleave into pairs
 //
 // Every GEMM output element is one ascending-k FMA chain in one lane on
-// either backend. The backends' bits part only where a dot product is
-// split into W-lane partials (MatMulTransB) and folded by the horizontal
-// sums, which keep each backend's own summation order.
+// either backend, and no kernel splits a reduction across lanes: there is
+// no horizontal sum. A product with a transposed operand (SLIM's backward
+// d_out * W4^T and d_h * W3^T) runs as MatMul over a transposed copy
+// (Transpose in tensor/matrix.h), on this same tile.
 //
 // Register tiling:
 //   - MatMul / fused epilogue: kTileRows x 2W output tiles (6x16 on avx2,
 //     8x32 on avx512), then one W-wide vector, then a masked tail; the row
 //     remainder runs as ONE multi-row pass.
-//   - MatMulTransB: four W-lane dot accumulators per step, folded by
-//     ReduceAdd4.
 //   - MatMulTransA: the same GEMM tile over a transposed view of A,
 //     resuming from C: 4-vector tiles of kWideTileRows rows where they
 //     fit (R x 4 accumulators + 4 B vectors + 1 broadcast <= 32 zmm, so
@@ -400,49 +398,6 @@ void MatMulRowBiasAct(const float* a, uint32_t* nz, const Matrix& b,
 }
 
 // ---------------------------------------------------------------------------
-// MatMulTransB (c = a * b^T): W-lane dot accumulators, four outputs per
-// horizontal fold.
-// ---------------------------------------------------------------------------
-
-/// Lane partials of dot(x, y) over k: one FMA accumulator, masked tail.
-template <class T>
-inline typename T::Vec DotAccum(const float* x, const float* y, size_t k) {
-  typename T::Vec acc = T::Zero();
-  ForEachVector<T>(k, [&](size_t kk, auto lanes) {
-    acc = T::Fma(lanes.Load(x + kk), lanes.Load(y + kk), acc);
-  });
-  return acc;
-}
-
-template <class T>
-void MatMulTransBRange(const Matrix& a, const Matrix& b, Matrix* c,
-                       size_t r0, size_t r1, bool accumulate) {
-  const size_t k = a.cols(), n = b.rows();
-  assert(b.cols() == k);
-  assert(c->rows() == a.rows() && c->cols() == n);
-  assert(r0 <= r1 && r1 <= a.rows());
-  for (size_t i = r0; i < r1; ++i) {
-    const float* arow = a.Row(i);
-    float* crow = c->Row(i);
-    size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      float dot[4];
-      T::ReduceAdd4(DotAccum<T>(arow, b.Row(j), k),
-                    DotAccum<T>(arow, b.Row(j + 1), k),
-                    DotAccum<T>(arow, b.Row(j + 2), k),
-                    DotAccum<T>(arow, b.Row(j + 3), k), dot);
-      for (size_t q = 0; q < 4; ++q) {
-        crow[j + q] = accumulate ? crow[j + q] + dot[q] : dot[q];
-      }
-    }
-    for (; j < n; ++j) {
-      const float dot = T::ReduceAdd(DotAccum<T>(arow, b.Row(j), k));
-      crow[j] = accumulate ? crow[j] + dot : dot;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // MatMulTransA (c = a^T * b): GEMM tiles over transposed A, resuming from C.
 // ---------------------------------------------------------------------------
 
@@ -654,7 +609,6 @@ constexpr KernelTable MakeKernelTable(const char* name) {
       name,
       MatMulRange<T>,
       MatMulBiasActRange<T>,
-      MatMulTransBRange<T>,
       MatMulTransARange<T>,
       AddRowVector<T>,
       ReluInPlace<T>,

