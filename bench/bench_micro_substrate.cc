@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -44,6 +45,36 @@ BENCHMARK(BM_NeighborMemoryObserve)
     ->Arg(10000)
     ->Arg(100000)
     ->Arg(1000000);
+
+// Ring ingest at k = 10 as the replay runs it: ObserveBulk over a skewed
+// stream on `n` nodes (half the endpoints from the first 1% of the ids,
+// the rest uniform), 4096 edges per iteration, wrapping around a 1M-edge
+// stream. Arg = node count.
+void BM_NeighborMemoryObserveBulk(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const size_t edges = size_t{1} << 20, chunk = 4096;
+  EdgeStream stream;
+  stream.Reserve(edges);
+  Rng rng(6);
+  auto endpoint = [&] {
+    const size_t span = rng.UniformInt(2) == 0 ? n / 100 + 1 : n;
+    return static_cast<NodeId>(rng.UniformInt(span));
+  };
+  double t = 0.0;
+  for (size_t i = 0; i < edges; ++i) {
+    const NodeId u = endpoint();
+    stream.Append(TemporalEdge(u, endpoint(), t += 1.0)).ok();
+  }
+  NeighborMemory memory(10, n);
+  size_t at = 0;
+  for (auto _ : state) {
+    memory.ObserveBulk(stream, at, at + chunk);
+    benchmark::ClobberMemory();
+    at = at + 2 * chunk > edges ? 0 : at + chunk;
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(chunk));
+}
+BENCHMARK(BM_NeighborMemoryObserveBulk)->Arg(100000);
 
 void BM_DegreeTrackerObserve(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -109,6 +140,32 @@ void BM_DegreeEncode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DegreeEncode);
+
+// SLIM's time encode at the replay shape (k = 10 slots per row, dt = 16):
+// log1p of every slot's time delta into scratch, then one sincos call
+// writing each row's time columns of a padded fd32 + dt16 matrix, as
+// SlimModel::EncodeTime does. Arg = batch rows.
+void BM_TimeEncode(benchmark::State& state) {
+  const size_t slots = static_cast<size_t>(state.range(0)) * 10;
+  const size_t dv = 32, dt = 16;
+  Matrix cat1;
+  cat1.ResizePadded(slots, dv + dt);
+  std::vector<double> deltas(slots);
+  Rng rng(12);
+  for (double& d : deltas) d = std::exp(20.0 * rng.Uniform());
+  std::vector<float> xs(slots);
+  for (auto _ : state) {
+    for (size_t i = 0; i < slots; ++i) {
+      xs[i] = std::log1p(static_cast<float>(deltas[i]));
+    }
+    SincosEncodeRows(xs.data(), slots, 0.5f, cat1.Row(0) + dv, cat1.stride(),
+                     dt);
+    benchmark::DoNotOptimize(cat1.Row(0));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(slots));
+}
+BENCHMARK(BM_TimeEncode)->Arg(200);
 
 // Batch assembly at paper dims (fd32/h64/t16/k10) in S mode: each row is
 // the queried node's degree code plus up to k neighbors' codes, time

@@ -20,7 +20,7 @@ constexpr uint64_t kPositionalSalt = 0x504f5349ULL;  // "POSI"
 // Frequency ratio of the degree code's sincos ladder.
 constexpr float kDegreeFreqDecay = 0.6f;
 
-using SincosFn = decltype(KernelTable::sincos_encode);
+using SincosFn = decltype(KernelTable::sincos_encode_rows);
 
 }  // namespace
 
@@ -40,18 +40,21 @@ FeatureAugmenter::SharedDegreeCodes(size_t dim) {
     std::vector<std::shared_ptr<const DegreeCodes>> tables;  // guarded by mu
   };
   static Registry registry;
-  const SincosFn sincos = Kernels().sincos_encode;
+  const SincosFn sincos = Kernels().sincos_encode_rows;
   std::lock_guard<std::mutex> lock(registry.mu);
   for (const auto& t : registry.tables) {
     if (t->sincos == sincos && t->dim == dim) return t;
   }
   auto t = std::make_shared<DegreeCodes>(
       DegreeCodes{sincos, dim, Matrix(kCodedDegrees, dim)});
-  // The same kernel on the same inputs as EncodeDegree's compute path.
+  // The same kernel on the same inputs as EncodeDegree's compute path, in
+  // one call over every row.
+  std::vector<float> xs(kCodedDegrees);
   for (size_t d = 0; d < kCodedDegrees; ++d) {
-    sincos(std::log1p(static_cast<float>(d)), kDegreeFreqDecay, t->rows.Row(d),
-           dim);
+    xs[d] = std::log1p(static_cast<float>(d));
   }
+  sincos(xs.data(), kCodedDegrees, kDegreeFreqDecay, t->rows.Row(0),
+         t->rows.stride(), dim);
   registry.tables.push_back(t);
   return t;
 }
@@ -321,13 +324,15 @@ void FeatureAugmenter::EncodeDegree(size_t degree, float* out) const {
   // frequencies — nearby degrees get nearby codes, scale-free overall.
   // This is the per-row hot loop of batch assembly and the serve read
   // path; nearly every degree there is a table row.
-  if (degree < kCodedDegrees && codes_->sincos == Kernels().sincos_encode) {
+  if (degree < kCodedDegrees &&
+      codes_->sincos == Kernels().sincos_encode_rows) {
     std::memcpy(out, codes_->rows.Row(degree),
                 opts_.feature_dim * sizeof(float));
     return;
   }
-  SincosEncode(std::log1p(static_cast<float>(degree)), kDegreeFreqDecay, out,
-               opts_.feature_dim);
+  const float x = std::log1p(static_cast<float>(degree));
+  SincosEncodeRows(&x, 1, kDegreeFreqDecay, out, opts_.feature_dim,
+                   opts_.feature_dim);
 }
 
 void FeatureAugmenter::Serialize(ByteWriter* w) const {

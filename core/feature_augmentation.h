@@ -98,8 +98,8 @@ class FeatureAugmenter {
   /// process.
   void WritePlainRandom(NodeId node, float* out) const;
 
-  /// Sinusoidal encoding of a degree value into out[0..dim):
-  /// SincosEncode(log1p(degree), 0.6, out, dim). Degrees below
+  /// Sinusoidal encoding of a degree value into out[0..dim): the one-row
+  /// SincosEncodeRows of log1p(degree) at decay 0.6. Degrees below
   /// kCodedDegrees are a row copy from a table computed once per process
   /// with the same kernel on the same inputs, so the bits equal the
   /// computed code; larger degrees, and reads after the kernel backend was

@@ -61,6 +61,15 @@ class ByteWriter {
     buf_.insert(buf_.end(), b, b + n);
   }
 
+  /// Appends `n` bytes for the caller to fill in place and returns where
+  /// they start (valid until the next write). Lets a caller encode a large
+  /// array straight into the buffer, with no per-element call.
+  uint8_t* Span(size_t n) {
+    const size_t at = buf_.size();
+    buf_.resize(at + n);
+    return buf_.data() + at;
+  }
+
   void U8(uint8_t v) { buf_.push_back(v); }
   void U32(uint32_t v) { WriteLE(v); }
   void U64(uint64_t v) { WriteLE(v); }
@@ -149,6 +158,20 @@ class ByteReader {
     return p;
   }
 
+  /// A length-prefixed array (the layout of ByteWriter's *Vec methods) in
+  /// place: its element count into *count and its bytes, skipped over;
+  /// nullptr (and ok() false) when the count overruns what remains.
+  const uint8_t* VecSpan(size_t elem_size, size_t* count) {
+    const uint64_t n = U64();
+    if (!ok_ || n > remaining() / elem_size) {
+      ok_ = false;
+      *count = 0;
+      return nullptr;
+    }
+    *count = static_cast<size_t>(n);
+    return Span(*count * elem_size);
+  }
+
   uint8_t U8() {
     uint8_t v = 0;
     Bytes(&v, 1);
@@ -196,14 +219,17 @@ class ByteReader {
 
   template <typename V>
   bool ReadVec(V* v, size_t elem_size) {
-    const uint64_t count = U64();
-    if (!ok_ || count > remaining() / elem_size) {
-      ok_ = false;
+    size_t count = 0;
+    const uint8_t* p = VecSpan(elem_size, &count);
+    if (p == nullptr) {
       v->clear();
       return false;
     }
-    v->resize(static_cast<size_t>(count));
-    return Bytes(v->data(), v->size() * elem_size);
+    v->resize(count);
+    // count == 0 skips the copy: memcpy's pointer args are declared
+    // nonnull, and an empty vector's data() may be null (UBSan).
+    if (count > 0) std::memcpy(v->data(), p, count * elem_size);
+    return true;
   }
 
   const uint8_t* p_;

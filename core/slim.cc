@@ -58,6 +58,7 @@ void SlimForwardScratch::Resize(size_t b, size_t k_recent, size_t feature_dim,
   h_pre.ResizePadded(b, hidden_dim);
   out.Resize(b, out_dim);
   inv_weight.resize(b);
+  time_x.resize(bk);
   if (dropout) drop_mask.resize(b * hidden_dim);
   // For the widest layer input (w1's or w3's), so one-row reads never
   // grow it.
@@ -171,15 +172,15 @@ void SlimModel::EncodeTime(const std::vector<double>& deltas, size_t n,
                            SlimForwardScratch* s) const {
   // phi(dt)_j: sin/cos pairs of log-compressed dt at geometrically spaced
   // frequencies (fixed, not learned — same family as the degree encoding).
-  const size_t dv = opts_.feature_dim, dt_dim = opts_.time_dim;
+  // One dispatched kernel call (tensor/simd.h) encodes every row: libm on
+  // the scalar reference backend, the polynomial sincos two rows to a
+  // vector on avx512 at dt = 16, one row per vector on avx2.
+  float* xs = s->time_x.data();
   for (size_t i = 0; i < n; ++i) {
-    float* row = s->cat1.Row(i) + dv;
-    const float x = std::log1p(
-        static_cast<float>(deltas[i] < 0.0 ? 0.0 : deltas[i]));
-    // Dispatched sincos kernel (tensor/simd.h): libm on the scalar
-    // reference backend, 8-lane polynomial sincos on avx2.
-    SincosEncode(x, 0.5f, row, dt_dim);
+    xs[i] = std::log1p(static_cast<float>(deltas[i] < 0.0 ? 0.0 : deltas[i]));
   }
+  SincosEncodeRows(xs, n, 0.5f, s->cat1.Row(0) + opts_.feature_dim,
+                   s->cat1.stride(), opts_.time_dim);
 }
 
 void SlimModel::ResizeScratch(size_t b, SlimTrainState* train) {

@@ -93,6 +93,7 @@ struct SlimForwardScratch {
   Matrix h_pre;     // B x H
   Matrix out;       // B x O
   std::vector<float> inv_weight;   // B: 1 / sum of valid edge weights
+  std::vector<float> time_x;       // B*K: log1p(dt), EncodeTime's input
   std::vector<uint8_t> drop_mask;  // B*H during training
   std::vector<uint32_t> nz_index;  // one-row layers' nonzero input indices
 

@@ -57,7 +57,8 @@ SPLASH_KERNEL="${splash_kernel}" \
 
 # Side-by-side SIMD captures: when the snapshot above is the scalar
 # baseline and the host can run a SIMD backend, rerun the pinned kernel
-# rows under it and fold their cpu_times + speedups into the context under
+# rows, BM_TimeEncode and BM_NeighborMemoryObserveBulk under it and fold
+# their cpu_times + speedups into the context under
 # avx2_*/avx512_* keys. The binary stamps the backend the dispatcher
 # actually resolved, so a host without the ISA (silent fallback) skips the
 # fold instead of poisoning the artifact.
@@ -66,7 +67,7 @@ for side_kernel in avx2 avx512; do
   if [ "${splash_kernel}" = scalar ]; then
     SPLASH_KERNEL="${side_kernel}" \
       "${build_dir}/bench_micro_substrate" \
-      --benchmark_filter='BM_MatMul/|BM_MatMulTransA/|BM_SlimForwardFused/|BM_SlimTrainStepThreads/1' \
+      --benchmark_filter='BM_MatMul/|BM_MatMulTransA/|BM_SlimForwardFused/|BM_SlimTrainStepThreads/1|BM_TimeEncode/|BM_NeighborMemoryObserveBulk/' \
       --benchmark_format=json \
       --benchmark_repetitions=3 \
       --benchmark_report_aggregates_only=true \
@@ -102,14 +103,16 @@ EOF
   fi
 done
 
-# Sanity: the gated whole-path rows and the pinned kernel rows must be
-# present, or a gate has silently vanished from the snapshot.
+# Sanity: the gated whole-path rows, the pinned kernel rows and the
+# train-step cost rows (time encode, bulk ring ingest) must be present, or
+# a gate or a side-run row has silently vanished from the snapshot.
 for row in "BM_SlimTrainStepThreads/1" "BM_ChronoReplayThreads/1" \
            "BM_FeatureReplayBulkThreads/1" \
            "BM_MatMul/256/48/64" "BM_MatMul/2560/48/64" \
            "BM_MatMul/32/2048/1024" \
            "BM_MatMulTransA/256/128/64" \
-           "BM_SlimForwardFused/256" "BM_SlimForwardFused/wide_b1"; do
+           "BM_SlimForwardFused/256" "BM_SlimForwardFused/wide_b1" \
+           "BM_TimeEncode/200" "BM_NeighborMemoryObserveBulk/100000"; do
   if ! grep -q "\"${row}" "${repo_root}/BENCH_micro.json"; then
     echo "ERROR: ${row} missing from BENCH_micro.json" >&2
     exit 1

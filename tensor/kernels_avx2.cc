@@ -129,6 +129,9 @@ struct Avx2 {
                        _mm256_and_ps(x, sign_mask));
     *c = _mm256_xor_ps(cos_r, cos_neg);
   }
+  static Vec Halves(float lo, float hi) {
+    return _mm256_insertf128_ps(_mm256_set1_ps(lo), _mm_set1_ps(hi), 1);
+  }
   /// [s0..s7] x [c0..c7] -> lo = (s0,c0 .. s3,c3), hi = (s4,c4 .. s7,c7).
   static void Interleave(Vec s, Vec c, Vec* lo, Vec* hi) {
     const __m256 a = _mm256_unpacklo_ps(s, c);

@@ -105,6 +105,9 @@ struct Avx512 {
                        _mm512_and_ps(x, sign_mask));
     *c = _mm512_mask_xor_ps(cos_r, cos_neg, cos_r, sign_mask);
   }
+  static Vec Halves(float lo, float hi) {
+    return _mm512_insertf32x8(_mm512_set1_ps(lo), _mm256_set1_ps(hi), 1);
+  }
   /// [s0..s15] x [c0..c15] -> (s,c) pairs via two-source permutes:
   /// indices 0..15 select from s, 16..31 from c.
   static void Interleave(Vec s, Vec c, Vec* lo, Vec* hi) {

@@ -190,17 +190,22 @@ void ScalarAdamUpdate(float* w, const float* g, float* m, float* v,
   }
 }
 
-void ScalarSincosEncode(float x, float freq_decay, float* out, size_t dim) {
-  // The historical degree/time encoder loop verbatim: libm sin/cos, the
-  // chained-multiply frequency ladder, and the 0.1x odd tail.
-  float freq = 1.0f;
-  for (size_t j = 0; j + 1 < dim; j += 2) {
-    const float a = x * freq;
-    out[j] = std::sin(a);
-    out[j + 1] = std::cos(a);
-    freq *= freq_decay;
+void ScalarSincosEncodeRows(const float* xs, size_t n, float freq_decay,
+                            float* out, size_t out_stride, size_t dim) {
+  // The historical degree/time encoder loop verbatim, once per row: libm
+  // sin/cos, the chained-multiply frequency ladder, and the 0.1x odd tail.
+  for (size_t r = 0; r < n; ++r) {
+    const float x = xs[r];
+    float* row = out + r * out_stride;
+    float freq = 1.0f;
+    for (size_t j = 0; j + 1 < dim; j += 2) {
+      const float a = x * freq;
+      row[j] = std::sin(a);
+      row[j + 1] = std::cos(a);
+      freq *= freq_decay;
+    }
+    if (dim % 2 == 1) row[dim - 1] = x * 0.1f;
   }
-  if (dim % 2 == 1) out[dim - 1] = x * 0.1f;
 }
 
 const KernelTable kScalarTable = {
@@ -213,7 +218,7 @@ const KernelTable kScalarTable = {
     ScalarAxpy,
     ScalarColumnSumsRange,
     ScalarAdamUpdate,
-    ScalarSincosEncode,
+    ScalarSincosEncodeRows,
     ScalarMatMulRowBiasAct,
 };
 

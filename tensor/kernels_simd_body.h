@@ -20,6 +20,7 @@
 //                             indices; returns their count
 //   SincosQuadrant            sincos quadrant select/negate (below)
 //   Interleave                (s, c) lane interleave into pairs
+//   Halves                    lo in the low W/2 lanes, hi in the high ones
 //
 // Every GEMM output element is one ascending-k FMA chain in one lane on
 // either backend, and no kernel splits a reduction across lanes: there is
@@ -569,37 +570,68 @@ inline void Sincos(typename T::Vec x, typename T::Vec* s_out,
   T::SincosQuadrant(sp, cp, q, x, s_out, c_out);
 }
 
+/// Row r of `out` (at out + r * out_stride) gets the sincos code of xs[r].
+/// The frequency ladder is the scalar chained multiply, one rung per pair,
+/// computed once per call; each lane's angle is the same product x * f_p,
+/// and sin/cos are lane-wise, so a row's bits do not depend on n or on the
+/// lanes it shares. Rows whose pairs fit half a vector (8 pairs on avx512,
+/// 4 on avx2) run two to a vector: row r in the low half, row r + 1 in the
+/// high half, and Interleave hands each row its (s, c) pairs as one half.
 template <class T>
-void SincosEncode(float x, float freq_decay, float* out, size_t dim) {
+void SincosEncodeRows(const float* xs, size_t n, float freq_decay, float* out,
+                      size_t out_stride, size_t dim) {
   using V = typename T::Vec;
   constexpr size_t W = T::kWidth;
+  constexpr size_t kHalf = W / 2;
   const size_t pairs = dim / 2;
-  // The frequency ladder replicates the scalar chained multiply exactly
-  // (same float rounding per rung); only sin/cos themselves differ, by the
-  // polynomial's ~1e-7.
-  alignas(64) float angles[W];
+  alignas(64) float ladder[W];
   float freq = 1.0f;
-  size_t p = 0;
-  while (p < pairs) {
+  for (size_t p = 0; p < pairs;) {
     const size_t chunk = pairs - p < W ? pairs - p : W;
+    // Dead lanes hold frequency 0 and are never stored.
+    const bool packed = chunk <= kHalf;
     for (size_t lane = 0; lane < chunk; ++lane) {
-      angles[lane] = x * freq;
+      ladder[lane] = freq;
       freq *= freq_decay;
     }
-    for (size_t lane = chunk; lane < W; ++lane) angles[lane] = 0.0f;
-    V s, c, lo, hi;
-    Sincos<T>(T::Load(angles), &s, &c);
-    T::Interleave(s, c, &lo, &hi);
+    for (size_t lane = chunk; lane < W; ++lane) ladder[lane] = 0.0f;
+    if (packed) std::memcpy(ladder + kHalf, ladder, kHalf * sizeof(float));
+    const V f = T::Load(ladder);
     const size_t n_out = 2 * chunk;
-    if (n_out >= W) {
-      T::Store(out + 2 * p, lo);
-      if (n_out > W) T::MaskStore(out + 2 * p + W, T::TailMask(n_out - W), hi);
+    float* col = out + 2 * p;
+    // Packed rows store one half each; a full row stores lo and the
+    // masked part of hi.
+    const typename T::Mask m = T::TailMask(packed ? n_out : n_out - W);
+    size_t r = 0;
+    V s, c, lo, hi;
+    if (packed) {
+      for (; r + 1 < n; r += 2) {
+        Sincos<T>(T::Mul(T::Halves(xs[r], xs[r + 1]), f), &s, &c);
+        T::Interleave(s, c, &lo, &hi);
+        T::MaskStore(col + r * out_stride, m, lo);
+        T::MaskStore(col + (r + 1) * out_stride, m, hi);
+      }
+      if (r < n) {
+        Sincos<T>(T::Mul(T::Set1(xs[r]), f), &s, &c);
+        T::Interleave(s, c, &lo, &hi);
+        T::MaskStore(col + r * out_stride, m, lo);
+      }
     } else {
-      T::MaskStore(out + 2 * p, T::TailMask(n_out), lo);
+      for (; r < n; ++r) {
+        float* row = col + r * out_stride;
+        Sincos<T>(T::Mul(T::Set1(xs[r]), f), &s, &c);
+        T::Interleave(s, c, &lo, &hi);
+        T::Store(row, lo);
+        T::MaskStore(row + W, m, hi);
+      }
     }
     p += chunk;
   }
-  if (dim % 2 == 1) out[dim - 1] = x * 0.1f;
+  if (dim % 2 == 1) {
+    for (size_t r = 0; r < n; ++r) {
+      out[r * out_stride + dim - 1] = xs[r] * 0.1f;
+    }
+  }
 }
 
 /// The backend's kernel table over traits T.
@@ -615,7 +647,7 @@ constexpr KernelTable MakeKernelTable(const char* name) {
       Axpy<T>,
       ColumnSumsRange<T>,
       AdamUpdate<T>,
-      SincosEncode<T>,
+      SincosEncodeRows<T>,
       MatMulRowBiasAct<T>,
   };
 }

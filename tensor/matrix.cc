@@ -90,8 +90,9 @@ void AdamUpdate(float* w, const float* g, float* m, float* v, size_t n,
   Kernels().adam_update(w, g, m, v, n, step, beta1, beta2, eps);
 }
 
-void SincosEncode(float x, float freq_decay, float* out, size_t dim) {
-  Kernels().sincos_encode(x, freq_decay, out, dim);
+void SincosEncodeRows(const float* xs, size_t n, float freq_decay, float* out,
+                      size_t out_stride, size_t dim) {
+  Kernels().sincos_encode_rows(xs, n, freq_decay, out, out_stride, dim);
 }
 
 bool SolveRidge(const Matrix& x, const Matrix& y, float lambda, Matrix* w) {

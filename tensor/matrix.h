@@ -311,10 +311,12 @@ void ColumnSums(const Matrix& m, float* out);
 void ColumnSumsRange(const Matrix& m, float* out, size_t row_begin,
                      size_t row_end, bool accumulate = false);
 
-/// Sinusoidal pair encoding of `x` at geometrically spaced frequencies
-/// (see KernelTable::sincos_encode in tensor/simd.h): the degree and
+/// Sinusoidal pair encoding of xs[0, n) at geometrically spaced
+/// frequencies into rows of `out` at pitch `out_stride` (see
+/// KernelTable::sincos_encode_rows in tensor/simd.h): the degree and
 /// time-delta feature encoders run on this.
-void SincosEncode(float x, float freq_decay, float* out, size_t dim);
+void SincosEncodeRows(const float* xs, size_t n, float freq_decay, float* out,
+                      size_t out_stride, size_t dim);
 
 /// One fused Adam update over a flat parameter block:
 ///   m = beta1*m + (1-beta1)*g;  v = beta2*v + (1-beta2)*g^2;

@@ -74,15 +74,20 @@ struct KernelTable {
   void (*adam_update)(float* w, const float* g, float* m, float* v,
                       size_t n, float step, float beta1, float beta2,
                       float eps);
-  /// Sinusoidal pair encoding of a scalar at geometrically spaced
-  /// frequencies — the degree/time feature encoders, the per-query hot
-  /// loop of the serve read path:
+  /// Sinusoidal pair encoding of n scalars at geometrically spaced
+  /// frequencies — the degree/time feature encoders (SLIM's time encode of
+  /// a whole batch, the degree-code table) — into rows of `out` at pitch
+  /// `out_stride`. For row r, x = xs[r] and o = out + r * out_stride:
   ///   f_0 = 1, f_{p+1} = f_p * freq_decay
-  ///   out[2p] = sin(x * f_p), out[2p+1] = cos(x * f_p)  for 2p+1 < dim
-  ///   out[dim-1] = 0.1 * x                              when dim is odd
-  /// Scalar uses libm (the bit-exact reference); avx2/avx512 use an 8/16-
-  /// lane Cody-Waite + minimax polynomial sincos (~1e-7 absolute error).
-  void (*sincos_encode)(float x, float freq_decay, float* out, size_t dim);
+  ///   o[2p] = sin(x * f_p), o[2p+1] = cos(x * f_p)  for 2p+1 < dim
+  ///   o[dim-1] = 0.1 * x                            when dim is odd
+  /// Only o[0, dim) is written. A row's bits do not depend on n. Scalar
+  /// uses libm (the bit-exact reference); avx2/avx512 use a Cody-Waite +
+  /// minimax polynomial sincos (~1e-7 absolute error) over one frequency
+  /// ladder per call, two rows to a vector when a row's pairs fill at most
+  /// half of one.
+  void (*sincos_encode_rows)(const float* xs, size_t n, float freq_decay,
+                             float* out, size_t out_stride, size_t dim);
   /// One-row fused layer over the row's nonzero inputs only: writes the
   /// positions of a[0, b.rows())'s nonzero entries to `nz` (scratch of
   /// RowIndexScratchSize(b.rows()) entries), then c[0, n) = act(sum over

@@ -86,8 +86,8 @@ TEST(FeatureAugmenterTest, DegreeCodesBitEqualTheKernelOnEveryBackend) {
         for (const size_t d : degrees) {
           augmenter->EncodeDegree(d, got.data());
           // EncodeDegree's expression on the active backend's kernel.
-          SincosEncode(std::log1p(static_cast<float>(d)), 0.6f, want.data(),
-                       dim);
+          const float x = std::log1p(static_cast<float>(d));
+          SincosEncodeRows(&x, 1, 0.6f, want.data(), dim, dim);
           ASSERT_EQ(std::memcmp(got.data(), want.data(), dim * sizeof(float)),
                     0)
               << "degree " << d << " dim " << dim << " built under "

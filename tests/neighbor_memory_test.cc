@@ -1,14 +1,19 @@
 // Copyright 2026 The SPLASH Reproduction Authors.
 //
 // NeighborMemory contract tests: k-recent semantics, eviction order,
-// capacity growth, reset behavior, and bulk ingest.
+// capacity growth, reset behavior, bulk ingest, checkpoint bytes equal to
+// the four-array ring layout they are defined by, and refusal of ring
+// cursors no run of pushes can reach.
 
 #include "graph/neighbor_memory.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
+#include "core/serialize.h"
 #include "graph/edge_stream.h"
 #include "tensor/rng.h"
 
@@ -119,6 +124,222 @@ TEST(NeighborMemoryTest, ObserveBulkMatchesSerialObserve) {
       ASSERT_DOUBLE_EQ(times_a[j], times_b[j]) << "node " << v;
     }
   }
+}
+
+/// The ring as four typed arrays per shard (ids, times, heads, counts):
+/// the layout that defines NeighborMemory's checkpoint bytes, kept here
+/// as the reference its Serialize must reproduce byte for byte.
+class FourArrayRing {
+ public:
+  FourArrayRing(size_t k, size_t num_nodes_hint, size_t num_shards) : k_(k) {
+    size_t s = 1;
+    while (s < num_shards) s *= 2;
+    mask_ = s - 1;
+    for (size_t v = s; v > 1; v >>= 1) ++shift_;
+    shards_.resize(s);
+    const size_t local = (num_nodes_hint + s - 1) >> shift_;
+    if (num_nodes_hint > 0) {
+      for (Shard& sh : shards_) Grow(&sh, local);
+    }
+  }
+
+  void Observe(const TemporalEdge& e) {
+    Push(e.src, e.dst, e.time);
+    Push(e.dst, e.src, e.time);
+  }
+
+  void Clear() {
+    for (Shard& sh : shards_) {
+      std::fill(sh.heads.begin(), sh.heads.end(), 0u);
+      std::fill(sh.counts.begin(), sh.counts.end(), 0u);
+    }
+  }
+
+  void Serialize(ByteWriter* w) const {
+    w->U64(k_);
+    w->U64(shards_.size());
+    for (const Shard& sh : shards_) {
+      w->U32Vec(sh.ids);
+      w->F64Vec(sh.times);
+      w->U32Vec(sh.heads);
+      w->U32Vec(sh.counts);
+    }
+  }
+
+ private:
+  struct Shard {
+    std::vector<NodeId> ids;
+    std::vector<double> times;
+    std::vector<uint32_t> heads;
+    std::vector<uint32_t> counts;
+  };
+
+  void Grow(Shard* sh, size_t local_n) {
+    if (local_n <= sh->counts.size()) return;
+    const size_t target = GrowCapacity(sh->counts.size(), local_n);
+    sh->ids.resize(target * k_, kInvalidNode);
+    sh->times.resize(target * k_, 0.0);
+    sh->heads.resize(target, 0);
+    sh->counts.resize(target, 0);
+  }
+
+  void Push(NodeId node, NodeId neighbor, double time) {
+    Shard& sh = shards_[node & mask_];
+    const size_t local = static_cast<size_t>(node) >> shift_;
+    Grow(&sh, local + 1);
+    const size_t slot = local * k_ + sh.heads[local];
+    sh.ids[slot] = neighbor;
+    sh.times[slot] = time;
+    sh.heads[local] = sh.heads[local] + 1 == k_ ? 0 : sh.heads[local] + 1;
+    if (sh.counts[local] < k_) ++sh.counts[local];
+  }
+
+  size_t k_;
+  size_t mask_ = 0;
+  size_t shift_ = 0;
+  std::vector<Shard> shards_;
+};
+
+std::vector<uint8_t> Bytes(const NeighborMemory& memory) {
+  ByteWriter w;
+  memory.Serialize(&w);
+  return w.buffer();
+}
+
+std::vector<uint8_t> Bytes(const FourArrayRing& ring) {
+  ByteWriter w;
+  ring.Serialize(&w);
+  return w.buffer();
+}
+
+/// A skewed stream over ids [0, n): half the endpoints from the first
+/// eighth of the ids, with self loops and strictly increasing times.
+EdgeStream SkewedStream(size_t edges, size_t n, uint64_t seed) {
+  EdgeStream stream;
+  Rng rng(seed);
+  double t = 0.0;
+  auto endpoint = [&] {
+    const size_t span = rng.Uniform() < 0.5 ? n / 8 + 1 : n;
+    return static_cast<NodeId>(rng.UniformInt(span));
+  };
+  for (size_t i = 0; i < edges; ++i) {
+    const NodeId u = endpoint();
+    const NodeId v = i % 17 == 0 ? u : endpoint();
+    EXPECT_TRUE(stream.Append(TemporalEdge(u, v, t += 0.25)).ok());
+  }
+  return stream;
+}
+
+TEST(NeighborMemoryTest, SerializeBytesEqualFourArrayReference) {
+  struct Shape {
+    size_t k, hint, shards;
+  };
+  for (const Shape shape : {Shape{1, 0, 1}, Shape{3, 40, 0},
+                            Shape{10, 16, 4}, Shape{4, 1000, 8}}) {
+    const size_t shards = shape.shards == 0 ? 8 : shape.shards;
+    NeighborMemory memory(shape.k, shape.hint, shape.shards);
+    FourArrayRing ring(shape.k, shape.hint, shards);
+    ASSERT_EQ(Bytes(memory), Bytes(ring)) << "fresh, k=" << shape.k;
+
+    // Growth: ids far past the hint arrive unannounced, per-edge and bulk.
+    const EdgeStream stream = SkewedStream(3000, 700, 5 + shape.k);
+    for (size_t i = 0; i < 1000; ++i) {
+      memory.Observe(stream[i], i);
+      ring.Observe(stream[i]);
+    }
+    memory.ObserveBulk(stream, 1000, 2000);
+    for (size_t i = 1000; i < 2000; ++i) ring.Observe(stream[i]);
+    ASSERT_EQ(Bytes(memory), Bytes(ring)) << "grown, k=" << shape.k;
+
+    // Clear keeps the slabs, so the later pushes land among stale slots.
+    memory.Clear();
+    ring.Clear();
+    ASSERT_EQ(Bytes(memory), Bytes(ring)) << "cleared, k=" << shape.k;
+    memory.ObserveBulk(stream, 2000, 2300);
+    for (size_t i = 2000; i < 2300; ++i) ring.Observe(stream[i]);
+    const TemporalEdge far(5000, 3, 1e9);
+    memory.Observe(far, 2300);
+    ring.Observe(far);
+    ASSERT_EQ(Bytes(memory), Bytes(ring)) << "after clear, k=" << shape.k;
+  }
+}
+
+TEST(NeighborMemoryTest, DeserializeRoundTripsRingsAndBytes) {
+  const size_t k = 5;
+  const EdgeStream stream = SkewedStream(4000, 900, 41);
+  NeighborMemory memory(k, 100);
+  memory.ObserveBulk(stream, 0, 3000);
+  const std::vector<uint8_t> bytes = Bytes(memory);
+
+  NeighborMemory restored(k);
+  ByteReader r(bytes);
+  ASSERT_TRUE(restored.Deserialize(&r));
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(Bytes(restored), bytes);
+  std::vector<NodeId> ids_a(k), ids_b(k);
+  std::vector<double> times_a(k), times_b(k);
+  for (NodeId v = 0; v < 1000; ++v) {
+    const size_t ca = memory.GatherRecent(v, ids_a.data(), times_a.data());
+    const size_t cb = restored.GatherRecent(v, ids_b.data(), times_b.data());
+    ASSERT_EQ(ca, cb) << "node " << v;
+    for (size_t j = 0; j < ca; ++j) {
+      ASSERT_EQ(ids_a[j], ids_b[j]) << "node " << v;
+      ASSERT_EQ(times_a[j], times_b[j]) << "node " << v;
+    }
+  }
+  // The restored rings keep going exactly as the original ones do.
+  memory.ObserveBulk(stream, 3000, 4000);
+  restored.ObserveBulk(stream, 3000, 4000);
+  EXPECT_EQ(Bytes(restored), Bytes(memory));
+}
+
+// A CRC-valid checkpoint can still carry ring cursors no run of pushes
+// reaches: head >= k would make the next push write past the node's ring
+// and count > k would make GatherRecent overrun the caller's k slots.
+// Deserialize refuses them and leaves the memory usable.
+TEST(NeighborMemoryTest, DeserializeRejectsUnreachableCursors) {
+  const size_t k = 4;
+  NeighborMemory memory(k, 8, /*num_shards=*/1);
+  memory.Observe(TemporalEdge(0, 1, 1.0), 0);
+  memory.Observe(TemporalEdge(0, 2, 2.0), 1);  // node 0: count 2, head 2
+  for (int i = 0; i < 6; ++i) {                // node 3: full, head 2
+    memory.Observe(TemporalEdge(3, 4, 3.0 + i), static_cast<size_t>(2 + i));
+  }
+  const std::vector<uint8_t> bytes = Bytes(memory);
+  // One shard: k, shards, then ids, times, heads, counts, each prefixed
+  // by its u64 length.
+  uint64_t slots = 0;
+  std::memcpy(&slots, bytes.data() + 16, sizeof(slots));
+  const size_t nodes = slots / k;
+  const size_t heads_at = 16 + 8 + slots * 4 + 8 + slots * 8 + 8;
+  const size_t counts_at = heads_at + nodes * 4 + 8;
+  ASSERT_EQ(counts_at + nodes * 4, bytes.size());
+
+  auto accepts = [&](size_t node, uint32_t head, uint32_t count) {
+    std::vector<uint8_t> blob = bytes;
+    std::memcpy(blob.data() + heads_at + node * 4, &head, 4);
+    std::memcpy(blob.data() + counts_at + node * 4, &count, 4);
+    NeighborMemory target(k, 0, 1);
+    ByteReader r(blob);
+    const bool ok = target.Deserialize(&r);
+    // Accepted or refused, the memory stays safe to push to and read.
+    for (NodeId v = 0; v < 6; ++v) target.Observe(TemporalEdge(v, 0, 9.0), 0);
+    std::vector<NodeId> ids(k);
+    std::vector<double> times(k);
+    for (NodeId v = 0; v < 6; ++v) {
+      EXPECT_LE(target.GatherRecent(v, ids.data(), times.data()), k);
+    }
+    return ok;
+  };
+  EXPECT_TRUE(accepts(0, 2, 2));  // the control: bytes as written
+  EXPECT_TRUE(accepts(3, 3, 4));  // a full ring may sit at any head < k
+  EXPECT_TRUE(accepts(5, 0, 0));
+  EXPECT_FALSE(accepts(3, 4, 4));  // head == k
+  EXPECT_FALSE(accepts(3, 0xffffffffu, 4));
+  EXPECT_FALSE(accepts(0, 2, 5));  // count > k
+  EXPECT_FALSE(accepts(5, 0, 0xffffffffu));
+  EXPECT_FALSE(accepts(0, 3, 2));  // a partial ring's head is its count
+  EXPECT_FALSE(accepts(5, 1, 0));
 }
 
 }  // namespace

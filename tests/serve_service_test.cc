@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <limits>
@@ -139,6 +140,21 @@ size_t ProcessThreads() {
   return n;
 }
 
+/// ProcessThreads() once it reads `want`, polled for up to 2 s: a thread
+/// that was just joined can stay listed in /proc/self/task for a moment
+/// after join returns. Returns the last count read, so a count that never
+/// settles on `want` still fails the caller's exact check.
+size_t ProcessThreadsSettledAt(size_t want) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  size_t n = ProcessThreads();
+  while (n != want && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    n = ProcessThreads();
+  }
+  return n;
+}
+
 /// Forwards every call to a SplashPredictor and samples the process's
 /// threads at each StageBatch, the point of a replay where an ingest
 /// stage running beside the compute would be alive.
@@ -186,8 +202,10 @@ TEST(StageThreadsTest, FitAndServiceStartOnlyTheNamedStageThreads) {
   // ThreadSanitizer starts a helper thread of its own at the first thread
   // creation; start and join one first so the baseline includes it.
   std::thread([] {}).join();
-  const size_t base = ProcessThreads();
-#if !defined(SPLASH_UNDER_TSAN)
+#if defined(SPLASH_UNDER_TSAN)
+  const size_t base = ProcessThreadsSettledAt(2);
+#else
+  const size_t base = ProcessThreadsSettledAt(1);
   EXPECT_EQ(base, 1u) << "a thread outlived static initialization";
 #endif
   const Dataset ds = MakeWarmup();
@@ -200,16 +218,20 @@ TEST(StageThreadsTest, FitAndServiceStartOnlyTheNamedStageThreads) {
   trainer.Fit(&sampled, ds, split);
   ASSERT_GT(sampled.samples, 0u);
   EXPECT_EQ(sampled.max_threads, base) << "inside StreamTrainer::Fit";
-  EXPECT_EQ(ProcessThreads(), base) << "after StreamTrainer::Fit";
+  EXPECT_EQ(ProcessThreadsSettledAt(base), base)
+      << "after StreamTrainer::Fit";
 
   {
     SplashService service(SplashOptions{}, SplashServiceOptions{});
     ASSERT_TRUE(service.Start(ds, split).ok());
-    EXPECT_EQ(ProcessThreads(), base + 2) << "after SplashService::Start";
+    EXPECT_EQ(ProcessThreadsSettledAt(base + 2), base + 2)
+        << "after SplashService::Start";
     service.Stop();
-    EXPECT_EQ(ProcessThreads(), base + 1) << "after Stop (pipeline idle)";
+    EXPECT_EQ(ProcessThreadsSettledAt(base + 1), base + 1)
+        << "after Stop (pipeline idle)";
   }
-  EXPECT_EQ(ProcessThreads(), base) << "after the service is destroyed";
+  EXPECT_EQ(ProcessThreadsSettledAt(base), base)
+      << "after the service is destroyed";
 }
 
 TEST_F(ServeServiceTest, SnapshotQueryBitIdenticalToSerialReplayTruncatedAtW) {

@@ -428,30 +428,73 @@ TEST(SimdKernelsTest, VectorKernelsScalarVsSimd) {
   }
 }
 
-TEST(SimdKernelsTest, SincosEncodeScalarVsSimd) {
+TEST(SimdKernelsTest, SincosEncodeRowsScalarVsSimd) {
   const auto backends = SimdBackends();
   if (backends.empty()) GTEST_SKIP() << "no SIMD backend on this host";
   const KernelTable* s = GetScalarKernels();
   // x values spanning the log-compressed delta/degree range (log1p of
-  // [0, 1e9] stays under ~21), decays from both call sites, dims covering
-  // full vectors, masked pair tails, and odd trailing lanes — including
-  // the 16-lane boundary cases of the avx512 interleave.
+  // [0, 1e9] stays under ~21), one row each of a single call; decays from
+  // both call sites, dims covering full vectors, masked pair tails, odd
+  // trailing lanes and the two-rows-per-vector dims, including the
+  // 16-lane boundary cases of the avx512 interleave.
   const float xs[] = {0.0f, 1e-4f, 0.3f, 1.0f, 3.1415926f, 7.5f, 20.7f};
+  const size_t n = sizeof(xs) / sizeof(xs[0]);
   const float decays[] = {0.5f, 0.6f, 0.9f};
   for (const KernelTable* x : backends) {
-    for (float xv : xs) {
-      for (float decay : decays) {
-        for (size_t dim : {1, 2, 7, 8, 16, 17, 31, 32, 33, 63, 64, 65}) {
-          std::vector<float> a(dim, -9.0f), b(dim, -9.0f);
-          s->sincos_encode(xv, decay, a.data(), dim);
-          x->sincos_encode(xv, decay, b.data(), dim);
+    for (float decay : decays) {
+      for (size_t dim : {1, 2, 7, 8, 16, 17, 31, 32, 33, 63, 64, 65}) {
+        const size_t stride = dim + 3;
+        std::vector<float> a(n * stride, -9.0f), b(n * stride, -9.0f);
+        s->sincos_encode_rows(xs, n, decay, a.data(), stride, dim);
+        x->sincos_encode_rows(xs, n, decay, b.data(), stride, dim);
+        for (size_t r = 0; r < n; ++r) {
           for (size_t j = 0; j < dim; ++j) {
             // |sin|,|cos| <= 1: the polynomial backends are within ~1e-7
             // absolute of libm on this range.
-            EXPECT_NEAR(a[j], b[j], 1e-6f)
-                << x->name << " x=" << xv << " decay=" << decay
+            EXPECT_NEAR(a[r * stride + j], b[r * stride + j], 1e-6f)
+                << x->name << " x=" << xs[r] << " decay=" << decay
                 << " dim=" << dim << " j=" << j;
           }
+        }
+      }
+    }
+  }
+}
+
+// A row's code must not depend on the call it is part of: on every
+// backend, n rows in one call (the SIMD backends pack two rows to a vector
+// where a row fills at most half of one) are memcmp-equal to n one-row
+// calls (one row per vector), at contiguous and padded strides, and no
+// call writes outside a row's [0, dim).
+TEST(SimdKernelsTest, SincosEncodeRowsBitEqualOneRowCalls) {
+  constexpr float kSentinel = -7.0f;
+  Rng rng(29);
+  std::vector<float> xs = {0.0f, -0.0f, 1e-38f, 1e-30f, 3e-8f, 1e-3f,
+                           0.5f, 21.0f, 90.0f, 1e4f};
+  while (xs.size() < 37) {
+    xs.push_back(static_cast<float>(25.0 * rng.Uniform()));
+  }
+  for (const KernelTable* t : AllBackends()) {
+    for (size_t dim = 1; dim <= 40; ++dim) {
+      for (const size_t stride : {dim, dim + 5, (dim + 15) / 16 * 16 + 16}) {
+        std::vector<float> one(stride, kSentinel);
+        for (size_t n = 0; n <= xs.size(); ++n) {
+          std::vector<float> rows(n * stride + 1, kSentinel);
+          t->sincos_encode_rows(xs.data(), n, 0.5f, rows.data(), stride, dim);
+          for (size_t r = 0; r < n; ++r) {
+            t->sincos_encode_rows(&xs[r], 1, 0.5f, one.data(), stride, dim);
+            ASSERT_EQ(std::memcmp(rows.data() + r * stride, one.data(),
+                                  dim * sizeof(float)),
+                      0)
+                << t->name << " dim=" << dim << " stride=" << stride
+                << " n=" << n << " row " << r << " x=" << xs[r];
+            for (size_t j = dim; j < stride; ++j) {
+              ASSERT_EQ(rows[r * stride + j], kSentinel)
+                  << t->name << " wrote padding: dim=" << dim
+                  << " stride=" << stride << " n=" << n << " row " << r;
+            }
+          }
+          ASSERT_EQ(rows[n * stride], kSentinel) << t->name << " n=" << n;
         }
       }
     }

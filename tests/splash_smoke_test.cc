@@ -466,6 +466,44 @@ TEST(SplashSmokeTest, RefusesVersionOneStateAndUnknownProcess) {
   EXPECT_NE(refusal(kSelectedAt, 3), "");
 }
 
+// A state blob whose neighbor-memory part is well formed but holds a ring
+// cursor no run of pushes reaches (head == k) is refused by name: loading
+// it would let the next push write past the node's ring.
+TEST(SplashSmokeTest, RefusesUnreachableNeighborRingCursor) {
+  const Dataset ds = SmallClassification();
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.1, 0.1);
+  SplashPredictor model(SmallOptions(SplashMode::kForceStructural));
+  ASSERT_TRUE(model.Prepare(ds, split).ok());
+  model.ObserveBulk(ds.stream, 0, ds.stream.size());
+  const std::vector<uint8_t> bytes = StateBytes(model);
+  ByteWriter memory_bytes;
+  model.memory().Serialize(&memory_bytes);
+  const std::vector<uint8_t>& mem = memory_bytes.buffer();
+  const auto at = std::search(bytes.begin(), bytes.end(), mem.begin(),
+                              mem.end());
+  ASSERT_NE(at, bytes.end());
+  // Shard 0 leads the memory's part: k, shards, then its ids, times and
+  // heads arrays, each after its u64 length.
+  uint64_t slots = 0;
+  std::memcpy(&slots, mem.data() + 16, sizeof(slots));
+  const size_t head0 = static_cast<size_t>(at - bytes.begin()) + 16 + 8 +
+                       slots * 4 + 8 + slots * 8 + 8;
+  auto load = [&](uint32_t head) {
+    std::vector<uint8_t> blob = bytes;
+    std::memcpy(blob.data() + head0, &head, sizeof(head));
+    SplashPredictor fresh(SmallOptions(SplashMode::kForceStructural));
+    ByteReader r(blob);
+    const Status st = fresh.DeserializeState(&r);
+    return st.ok() ? std::string() : st.message();
+  };
+  uint32_t head = 0;
+  std::memcpy(&head, bytes.data() + head0, sizeof(head));
+  ASSERT_EQ(load(head), "");  // the control: the bytes as written
+  const uint32_t k = static_cast<uint32_t>(model.memory().k());
+  EXPECT_NE(load(k).find("neighbor memory state mismatch"), std::string::npos)
+      << load(k);
+}
+
 TEST(SplashSmokeTest, ShiftIntensityStreamHasUnseenTestNodes) {
   const Dataset ds = GenerateShiftIntensity(90, 6000);
   const ChronoSplit split = MakeChronoSplit(ds.stream, 0.1, 0.1);
