@@ -4,8 +4,9 @@
 // the complete service state at a quiesced watermark W: the ingest log
 // prefix [0, W), the novel-id seen set, and the predictor state blob
 // (SplashPredictor::SerializeState — augmenter, rings, SLIM, RNG). The
-// apply thread takes one after the pipeline barrier, when both replicas
-// are bit-identical, by serializing the exclusively-owned back replica.
+// apply thread takes one between micro-batches, after the last catch-up,
+// when both replicas are bit-identical, by serializing the
+// exclusively-owned back replica.
 //
 // Atomicity: write checkpoint-<W>.ckpt.tmp, fsync, rename() into place,
 // fsync the directory. A crash at any point leaves either the previous

@@ -182,10 +182,7 @@ Status SplashService::Boot(const Dataset& warmup, const ChronoSplit& split,
   // bits. Publication follows the same gate protocol as live apply.
   for (const WalRecord& rec : tail) {
     for (const TemporalEdge& e : rec.edges) AppendEdgeToLog(e);
-    const uint32_t other = ApplyAndPublish(rec);
-    CatchUp(other, rec);
-    wm_seq_[other] = wm_seq_[1 - other];
-    wm_time_[other] = wm_time_[1 - other];
+    ApplyBatch(rec);
     ++wal_batch_index_;
   }
   recovered_seq_ = log_.size();
@@ -350,7 +347,7 @@ void SplashService::SerializePredictorState(ByteWriter* w) const {
   replicas_[gate_.back()]->SerializeState(w, train_state_.get());
 }
 
-uint32_t SplashService::ApplyAndPublish(const WalRecord& rec) {
+void SplashService::ApplyBatch(const WalRecord& rec) {
   const uint32_t back = gate_.back();
   SplashPredictor* rep = replicas_[back].get();
   if (rec.seq_end > rec.seq_begin) {
@@ -373,27 +370,23 @@ uint32_t SplashService::ApplyAndPublish(const WalRecord& rec) {
   wm_seq_[back] = rec.seq_end;
   wm_time_[back] = rec.seq_end > 0 ? log_.max_time() : 0.0;
   gate_.Publish();
-  return gate_.back();
-}
 
-void SplashService::CatchUp(uint32_t idx, const WalRecord& rec) {
-  gate_.WaitReadersDrained(idx);
-  SplashPredictor* rep = replicas_[idx].get();
+  // Catch-up: once its readers drained, the old front replays the same
+  // edges. After a training batch it copies the published replica's
+  // weights and RNG position instead of assembling and training again:
+  // TrainStep is deterministic, and the optimizer state is the service's,
+  // not a replica's. Readers only read the published replica, so the
+  // copy races nothing. Same architecture by construction, so the copy
+  // cannot fail. Its watermark is stamped when it is next published.
+  const uint32_t old = gate_.back();
+  gate_.WaitReadersDrained(old);
+  SplashPredictor* lag = replicas_[old].get();
   if (rec.seq_end > rec.seq_begin) {
-    rep->ObserveBulk(log_, rec.seq_begin, rec.seq_end);
+    lag->ObserveBulk(log_, rec.seq_begin, rec.seq_end);
   }
-  if (!rec.train.empty()) {
-    // The front trained on this batch from the state this replica now
-    // holds, and TrainStep is deterministic: copy its weights and RNG
-    // position instead of assembling and training again (the
-    // optimizer state is the service's, not a replica's). The front stays
-    // read-only until the next cycle's pipe_.Wait(), and readers only
-    // read it, so the copy races nothing. Same architecture by
-    // construction, so the copy cannot fail.
-    rep->CopyModelFrom(*replicas_[1 - idx]).ok();
-  }
+  if (!rec.train.empty()) lag->CopyModelFrom(*rep).ok();
   // The copy brought the front's current memo along: this only verifies.
-  rep->PrepareForPublish();
+  lag->PrepareForPublish();
 }
 
 void SplashService::ApplyLoop() {
@@ -403,10 +396,6 @@ void SplashService::ApplyLoop() {
                         opts_.microbatch_max_delay_s);
     if (n == 0) break;  // stopped and drained
     WallTimer apply_timer;
-
-    // Barrier: the previous catch-up retired, so the back replica is
-    // current and batch_rec_ / log_ are exclusively ours again.
-    pipe_.Wait();
 
     // Quiesced point: both replicas identical at watermark log_.size().
     if (durable_ && opts_.checkpoint_interval_batches > 0 &&
@@ -445,22 +434,11 @@ void SplashService::ApplyLoop() {
     }
     ++batches_since_checkpoint_;
 
-    catchup_idx_ = ApplyAndPublish(batch_rec_);
+    ApplyBatch(batch_rec_);
     batches_applied_.fetch_add(1, std::memory_order_relaxed);
     if (!batch_rec_.train.empty()) {
       train_steps_.fetch_add(1, std::memory_order_relaxed);
     }
-
-    // Catch-up: the old front (now back) replays the batch's edges and
-    // copies the published model on the pipeline thread, overlapped with
-    // waiting for the next batch. batch_rec_ and the published replica
-    // stay untouched until the next cycle's pipe_.Wait().
-    pipe_.Submit(
-        [](void* p) {
-          auto* self = static_cast<SplashService*>(p);
-          self->CatchUp(self->catchup_idx_, self->batch_rec_);
-        },
-        this);
 
     {
       std::lock_guard<std::mutex> lk(flush_mu_);
@@ -472,7 +450,6 @@ void SplashService::ApplyLoop() {
       apply_hist_.RecordNs(apply_timer.Nanos());
     }
   }
-  pipe_.Wait();  // no ingest outlives the service
   if (durable_) {
     if (opts_.checkpoint_on_stop && batches_since_checkpoint_ > 0) {
       WriteServiceCheckpoint();

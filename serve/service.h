@@ -22,14 +22,13 @@
 // in-memory copy of replica 0. The apply thread applies each micro-batch
 // to the back replica (observe its edges, run its staged train step with
 // the service's train state), publishes it (one atomic store), then
-// catches the other replica up on the runtime/ PipelineThread
-// (overlapped with waiting for the next batch): it replays the same edges
-// and, after a training batch, copies the SLIM weights and RNG position
-// from the replica just published instead of training again.
-// TrainStep is deterministic, so the copy holds the bytes a second
-// training run would reach, and the front is read-only until the next
-// cycle's barrier. Both replicas are thus bit-identical state machines
-// one batch apart. Readers
+// catches the other replica up on the same thread once its readers have
+// drained: it replays the same edges and, after a training batch, copies
+// the SLIM weights and RNG position from the replica just published
+// instead of training again. TrainStep is deterministic, so the copy
+// holds the bytes a second training run would reach, and readers only
+// read the published replica. Both replicas are thus bit-identical state
+// machines one batch apart. Readers
 // pin the front replica and run the const query path
 // (SplashPredictor::PredictBatchConst) with per-client scratch — no lock,
 // no copy, never blocking ingest — and every response carries the
@@ -41,8 +40,8 @@
 // watermark W is bit-identical to a serial replay of the ingest log
 // truncated at W and to re-applying the recorded micro-batch sequence,
 // and queries can never observe a torn state (the gate drains readers
-// before a buffer is rewritten). The service starts two threads: the
-// apply thread and the catch-up PipelineThread.
+// before a buffer is rewritten). The service starts one thread, the apply
+// thread, at Start.
 //
 // Drift counters. The service boundary exposes live shift signals:
 // fraction of queried nodes unseen at training time, novel node ids in the
@@ -74,7 +73,6 @@
 #include "eval/timing.h"
 #include "eval/trainer.h"
 #include "graph/edge_stream.h"
-#include "runtime/pipeline.h"
 #include "serve/ingest_queue.h"
 #include "serve/snapshot.h"
 #include "serve/wal.h"
@@ -167,7 +165,9 @@ struct ServeStats {
   ServeCounters counters;
   LatencySummary predict;  // per-query latency, merged over clients
   LatencySummary ingest;   // producer enqueue latency (incl. block time)
-  LatencySummary apply;    // per-micro-batch apply latency
+  LatencySummary apply;    // per-micro-batch apply latency, from the
+                           // popped batch to the caught-up replica
+                           // (checkpoint and WAL append included)
 };
 
 /// One client's predict-latency histogram, registered with the service so
@@ -263,8 +263,9 @@ class SplashService {
   /// train_dropped) and, uncounted, when train_on_ingest_labels is off.
   IngestResult SubmitTrain(const PropertyQuery& q);
 
-  /// Blocks until everything accepted before the call is applied AND
-  /// published. No-op when not running.
+  /// Blocks until everything accepted before the call is applied,
+  /// published and caught up: with no concurrent producers, both replicas
+  /// are then level. No-op when not running.
   void Flush();
 
   /// Drains the queue, applies the tail, stops the apply thread. Queries
@@ -337,18 +338,15 @@ class SplashService {
   Status Boot(const Dataset& warmup, const ChronoSplit& split,
               const TrainerOptions* fit, bool recover);
   void ApplyLoop();
-  /// Applies one micro-batch (its log range [seq_begin, seq_end) and train
-  /// batch, already appended to log_) to the back replica — ObserveBulk,
-  /// then the staged train step with train_state_ — stamps its watermark
-  /// and publishes it:
-  /// WAL replay and live apply alike. Returns the old front, which still
-  /// has to catch up on the same batch.
-  uint32_t ApplyAndPublish(const WalRecord& rec);
-  /// Brings replica `idx` level with the front once its readers drained:
-  /// replays `rec`'s edges, then, for a training batch, copies the front's
-  /// SLIM weights and RNG position (SplashPredictor::CopyModelFrom) instead
-  /// of training again.
-  void CatchUp(uint32_t idx, const WalRecord& rec);
+  /// The one apply step of WAL replay and live apply alike. Applies one
+  /// micro-batch (its log range [seq_begin, seq_end) and train batch,
+  /// already appended to log_) to the back replica — ObserveBulk, then
+  /// the staged train step with train_state_ — stamps its watermark and
+  /// publishes it. Then brings the old front level once its readers
+  /// drained: replays the same edges and, for a training batch, copies
+  /// the new front's SLIM weights and RNG position
+  /// (SplashPredictor::CopyModelFrom) instead of training again.
+  void ApplyBatch(const WalRecord& rec);
   /// Admission tail shared by IngestEdge/SubmitTrain: push, time, count.
   IngestResult Enqueue(const IngestItem& item,
                        std::atomic<uint64_t>* accepted,
@@ -373,7 +371,7 @@ class SplashService {
 
   // Read-only replicas: weights and streaming state. SLIM's one
   // train state (Adam moments, step counters, gradient scratch) is the
-  // apply thread's: ApplyAndPublish trains the back replica with it, and
+  // apply thread's: ApplyBatch trains the back replica with it, and
   // checkpoints serialize a replica together with it.
   std::unique_ptr<SplashPredictor> replicas_[2];
   std::unique_ptr<SlimTrainState> train_state_;
@@ -387,7 +385,6 @@ class SplashService {
   IngestQueue queue_;
   EdgeStream log_;  // apply-thread-owned append; snapshot reads via bounds
   std::thread apply_thread_;
-  PipelineThread pipe_;  // runs the old front's catch-up (CatchUp)
   std::atomic<bool> running_{false};
   // Set (release) once Start() finished initializing both replicas and
   // never cleared: the query path's acquire load is its happens-before
@@ -431,7 +428,6 @@ class SplashService {
   // Apply-thread state.
   std::vector<IngestItem> batch_scratch_;
   WalRecord batch_rec_;                        // micro-batch being applied
-  uint32_t catchup_idx_ = 0;                   // in-flight catch-up replica
   std::vector<uint8_t> node_seen_;             // novel-id tracking
 
   // Durability state (apply-thread-owned except the atomics).

@@ -29,7 +29,6 @@
 #include "eval/trainer.h"
 #include "graph/edge_stream.h"
 #include "graph/neighbor_memory.h"
-#include "runtime/pipeline.h"
 #include "serve/checkpoint.h"
 #include "serve/service.h"
 #include "tensor/matrix.h"
@@ -515,28 +514,6 @@ TEST(AllocationSteadyStateTest, CheckpointWriteAllocationsIgnoreTheLogSize) {
   EXPECT_LT(small, kBound);
   EXPECT_LT(large, kBound) << "a 1M-edge checkpoint copied its payload";
   EXPECT_EQ(large, small);
-}
-
-TEST(AllocationSteadyStateTest, PipelineThreadSubmitWaitIsAllocationFree) {
-  // The executor's double-buffer hand-off is a function-pointer + context
-  // slot: a thousand submit/wait cycles must not touch the heap.
-  PipelineThread pipe;
-  std::atomic<size_t> ran{0};
-  auto bump = [](void* ctx) {
-    static_cast<std::atomic<size_t>*>(ctx)->fetch_add(
-        1, std::memory_order_relaxed);
-  };
-  pipe.Submit(bump, &ran);
-  pipe.Wait();
-
-  const size_t allocs = CountAllocations([&] {
-    for (int i = 0; i < 1000; ++i) {
-      pipe.Submit(bump, &ran);
-      pipe.Wait();
-    }
-  });
-  EXPECT_EQ(allocs, 0u);
-  EXPECT_EQ(ran.load(), 1001u);
 }
 
 }  // namespace

@@ -17,8 +17,8 @@
 // drives ingest until the child dies with _exit(137) exactly as kill -9
 // would (no destructors, no flushes). The parent then recovers from the
 // crashed data_dir and checks the oracle. Fork safety: a Fit starts no
-// thread, and no SplashService exists in the parent when it forks
-// (PipelineThread starts a thread at service construction).
+// thread, and no SplashService runs in the parent when it forks (a
+// service starts its one thread, the apply thread, at Start).
 
 #include <gtest/gtest.h>
 

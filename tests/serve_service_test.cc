@@ -194,10 +194,9 @@ class ThreadSamplingPredictor final : public TemporalPredictor {
 // Registered first, so it runs before any other test of this binary has
 // started a thread. Each stage runs on one thread (DESIGN.md §1): a
 // replay runs on the caller's thread and starts none, not even while it
-// stages a batch, and a started service adds exactly its apply thread,
-// joined by Stop, and its catch-up PipelineThread, joined when the
-// service is destroyed. Default options throughout, so no knob hides a
-// helper.
+// stages a batch, and a started service adds exactly its apply thread
+// (which also runs the replica catch-up), joined by Stop. Default options
+// throughout, so no knob hides a helper.
 TEST(StageThreadsTest, FitAndServiceStartOnlyTheNamedStageThreads) {
   // ThreadSanitizer starts a helper thread of its own at the first thread
   // creation; start and join one first so the baseline includes it.
@@ -224,11 +223,11 @@ TEST(StageThreadsTest, FitAndServiceStartOnlyTheNamedStageThreads) {
   {
     SplashService service(SplashOptions{}, SplashServiceOptions{});
     ASSERT_TRUE(service.Start(ds, split).ok());
-    EXPECT_EQ(ProcessThreadsSettledAt(base + 2), base + 2)
+    EXPECT_EQ(ProcessThreadsSettledAt(base + 1), base + 1)
         << "after SplashService::Start";
     service.Stop();
-    EXPECT_EQ(ProcessThreadsSettledAt(base + 1), base + 1)
-        << "after Stop (pipeline idle)";
+    EXPECT_EQ(ProcessThreadsSettledAt(base), base)
+        << "after Stop (apply thread joined)";
   }
   EXPECT_EQ(ProcessThreadsSettledAt(base), base)
       << "after the service is destroyed";
@@ -388,7 +387,7 @@ TEST_F(ServeServiceTest, OnlyTrainingBatchesStepTheOptimizer) {
   q.class_label = 1;
   ASSERT_TRUE(service.SubmitTrain(q).accepted());
   service.Flush();
-  service.Stop();  // retires the last catch-up: a quiesced read
+  service.Stop();
   c = service.Stats().counters;
   EXPECT_EQ(c.batches_applied, kEdgeBatches + 1);
   EXPECT_EQ(c.train_steps, 1u);
@@ -396,6 +395,53 @@ TEST_F(ServeServiceTest, OnlyTrainingBatchesStepTheOptimizer) {
       << "one TrainStep on the published replica, none for the edge-only "
          "batches; the catch-up replica copies its weights and never "
          "trains";
+}
+
+TEST_F(ServeServiceTest, FlushReturnsWithBothReplicasCaughtUp) {
+  // Flush() returns only after the catch-up of the last batch, so a read
+  // of the back replica right after it, with no producer running, races
+  // nothing (CI runs this under TSan) and reads the bytes Stop() leaves.
+  const Dataset ds = MakeWarmup();
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
+  const std::vector<TemporalEdge> live = LiveEdges(ds, split);
+  constexpr size_t kEdgesPerBatch = 3;
+  constexpr size_t kTrainBatches = 4;
+  ASSERT_GE(live.size(), kEdgesPerBatch * kTrainBatches);
+
+  SplashServiceOptions sopts;
+  sopts.microbatch_max_delay_s = 0.0;
+  sopts.train_on_ingest_labels = true;
+  SplashService service(SmallModelOptions(), sopts);
+  TrainerOptions fit = SmallFit();
+  ASSERT_TRUE(service.Start(ds, split, &fit).ok());
+  const uint64_t fit_steps = ServiceAdamSteps(service);
+
+  // Each round queues edges and then one train row, so the round's last
+  // micro-batch trains and its catch-up copies the new weights.
+  for (size_t b = 0; b < kTrainBatches; ++b) {
+    const TemporalEdge* edges = &live[b * kEdgesPerBatch];
+    for (size_t i = 0; i < kEdgesPerBatch; ++i) {
+      ASSERT_TRUE(service.IngestEdge(edges[i]).accepted());
+    }
+    PropertyQuery q;
+    q.node = edges[kEdgesPerBatch - 1].dst;
+    q.time = edges[kEdgesPerBatch - 1].time;
+    q.class_label = static_cast<int>(b % 2);
+    ASSERT_TRUE(service.SubmitTrain(q).accepted());
+    service.Flush();
+  }
+  ByteWriter flushed;
+  service.SerializePredictorState(&flushed);
+  EXPECT_EQ(ReadSlimAdamSteps(flushed.buffer()), fit_steps + kTrainBatches);
+
+  service.Stop();
+  ByteWriter stopped;
+  service.SerializePredictorState(&stopped);
+  EXPECT_EQ(service.Stats().counters.train_steps, kTrainBatches);
+  EXPECT_EQ(ServiceAdamSteps(service), fit_steps + kTrainBatches);
+  EXPECT_TRUE(flushed.buffer() == stopped.buffer())
+      << "the state read right after Flush() differs from the state after "
+         "Stop(): the catch-up was still running";
 }
 
 TEST_F(ServeServiceTest, DropNewestBackpressureCountsAndStaysConsistent) {

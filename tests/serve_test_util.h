@@ -120,7 +120,8 @@ inline uint64_t ReadSlimAdamSteps(const std::vector<uint8_t>& blob) {
   return adam_steps;
 }
 
-/// The Adam step count of `svc`'s predictor state (quiesced reads only).
+/// The Adam step count of `svc`'s predictor state. Read it after Flush()
+/// with no producers running, or after Stop().
 inline uint64_t ServiceAdamSteps(const SplashService& svc) {
   ByteWriter w;
   svc.SerializePredictorState(&w);
