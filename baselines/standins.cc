@@ -47,9 +47,7 @@ TgnnStandin::TgnnStandin(const TgnnStandinOptions& opts)
       name_(std::string(FamilyName(opts.family)) +
             (opts.random_features ? "+RF" : "")),
       rng_(opts.seed),
-      memory_(opts.k_recent == 0 ? 1 : opts.k_recent) {
-  mix_scratch_.resize(opts_.feature_dim);
-}
+      memory_(opts.k_recent == 0 ? 1 : opts.k_recent) {}
 
 Status TgnnStandin::Prepare(const Dataset& ds, const ChronoSplit& split) {
   (void)split;
@@ -141,54 +139,15 @@ void TgnnStandin::ObserveEdge(const TemporalEdge& e, size_t edge_index) {
   }
 }
 
-void TgnnStandin::AssembleBatch(const std::vector<PropertyQuery>& queries) {
-  const size_t b = queries.size();
-  const size_t k = memory_.k();
-  const size_t dv = opts_.feature_dim;
-  batch_.node_feats.Resize(b, dv);
-  batch_.neighbor_feats.Resize(b * k, dv);
-  batch_.time_deltas.resize(b * k);
-  batch_.mask.Resize(b, k);
-  batch_.edge_weights.resize(b * k);
-
-  if (nbr_ids_.size() < k) {
-    nbr_ids_.resize(k);
-    nbr_times_.resize(k);
-  }
-  NodeId* nbr_ids = nbr_ids_.data();
-  double* nbr_times = nbr_times_.data();
-  const bool attention = IsAttentionFamily();
-  for (size_t bi = 0; bi < b; ++bi) {
-    const PropertyQuery& q = queries[bi];
-    WriteInput(q.node, batch_.node_feats.Row(bi));
-    const size_t count = memory_.GatherRecent(q.node, nbr_ids, nbr_times);
-    float* mask_row = batch_.mask.Row(bi);
-    for (size_t j = 0; j < k; ++j) {
-      const size_t idx = bi * k + j;
-      if (j < count) {
-        WriteInput(nbr_ids[j], batch_.neighbor_feats.Row(idx));
-        const double dt = q.time - nbr_times[j];
-        batch_.time_deltas[idx] = dt;
-        // Attention families favor recent partners; others average evenly.
-        batch_.edge_weights[idx] =
-            attention ? 1.0f / (1.0f + static_cast<float>(std::log1p(
-                                           dt < 0.0 ? 0.0 : dt)))
-                      : 1.0f;
-        mask_row[j] = 1.0f;
-      } else {
-        std::memset(batch_.neighbor_feats.Row(idx), 0, dv * sizeof(float));
-        batch_.time_deltas[idx] = 0.0;
-        batch_.edge_weights[idx] = 0.0f;
-        mask_row[j] = 0.0f;
-      }
-    }
-  }
-}
-
 void TgnnStandin::StageBatch(const std::vector<PropertyQuery>& queries) {
   staged_rows_ = queries.size();
   if (!backbone_ || queries.empty()) return;
-  AssembleBatch(queries);
+  // Attention families weigh recent partners up; others average evenly.
+  AssembleSlimBatch(
+      backbone_->options(), IsAttentionFamily(), memory_, queries.data(),
+      queries.size(),
+      [this](NodeId node, float* row) { WriteInput(node, row); }, &nbr_ids_,
+      &nbr_times_, &batch_);
   // Labels are staged unconditionally (a B-int clamp, noise next to the
   // feature gathers) so TrainStaged is valid after ANY StageBatch — a
   // mode-gated skip would leave stale labels for callers that train
@@ -202,14 +161,14 @@ void TgnnStandin::StageBatch(const std::vector<PropertyQuery>& queries) {
 
 double TgnnStandin::TrainStaged() {
   if (!backbone_ || staged_rows_ == 0) return 0.0;
-  return backbone_->TrainStep(batch_, labels_, backbone_train_.get());
+  return backbone_->TrainStep(&batch_, labels_, backbone_train_.get());
 }
 
 Matrix TgnnStandin::PredictStaged() {
   if (!backbone_ || staged_rows_ == 0) {
     return Matrix(staged_rows_, backbone_ ? backbone_->options().out_dim : 2);
   }
-  return backbone_->Forward(batch_);
+  return backbone_->Forward(&batch_);
 }
 
 void TgnnStandin::SetTraining(bool training) {

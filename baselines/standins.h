@@ -74,7 +74,6 @@ class TgnnStandin : public TemporalPredictor {
   }
   /// Current input embedding of `node` (feature_dim floats).
   void WriteInput(NodeId node, float* out) const;
-  void AssembleBatch(const std::vector<PropertyQuery>& queries);
 
   TgnnStandinOptions opts_;
   std::string name_;
@@ -93,7 +92,6 @@ class TgnnStandin : public TemporalPredictor {
   // k-sized neighbor gather scratch (grow-only).
   std::vector<NodeId> nbr_ids_;
   std::vector<double> nbr_times_;
-  std::vector<float> mix_scratch_;
 };
 
 struct SladeStandinOptions {

@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -272,6 +273,39 @@ void BM_MatMulTransA(benchmark::State& state) {
 // The w3 gradient shape: cat2^T (256x128) x d_h (256x64).
 BENCHMARK(BM_MatMulTransA)->Args({256, 128, 64});
 
+/// A SLIM batch with the time deltas of its slots. The SLIM rows call
+/// WriteTimeCodes in their timed loop: a real read or train step pays the
+/// assemblers' per-slot log1p as well as the model's work, and the rows
+/// time both.
+struct SlimBenchBatch {
+  SlimBatchInput input;
+  std::vector<double> dt;  // B*K, 0 at an empty slot
+
+  void WriteTimeCodes() {
+    for (size_t i = 0; i < dt.size(); ++i) {
+      input.time_x[i] = std::log1p(static_cast<float>(dt[i]));
+    }
+  }
+};
+
+/// A `b`-row SLIM batch at `opts`' shape: Gaussian node features, then
+/// Gaussian neighbor features (the draws of two Matrix::Gaussian calls),
+/// every slot valid at dt = 1, unit weights.
+SlimBenchBatch DenseSlimBatch(const SlimOptions& opts, size_t b, Rng* rng) {
+  SlimBenchBatch batch;
+  SlimBatchInput& in = batch.input;
+  in.Resize(opts, b, /*weighted=*/false);
+  rng->FillGaussian(in.node_feats.data(), b * opts.feature_dim, 1.0f);
+  for (size_t r = 0; r < b * opts.k_recent; ++r) {
+    rng->FillGaussian(in.cat1.Row(r), opts.feature_dim, 1.0f);
+  }
+  std::fill(in.valid.begin(), in.valid.end(),
+            static_cast<uint32_t>(opts.k_recent));
+  batch.dt.assign(b * opts.k_recent, 1.0);
+  batch.WriteTimeCodes();
+  return batch;
+}
+
 // The fused forward path the serving layer reads through: PredictConst
 // (GEMM + bias + ReLU in one tile pass) on caller scratch.
 void BM_SlimForwardFused(benchmark::State& state) {
@@ -287,16 +321,12 @@ void BM_SlimForwardFused(benchmark::State& state) {
   SlimModel slim(opts, &rng);
   slim.SetTraining(false);
 
-  SlimBatchInput input;
-  input.node_feats = Matrix::Gaussian(batch, 32, &rng);
-  input.neighbor_feats = Matrix::Gaussian(batch * 10, 32, &rng);
-  input.time_deltas.assign(batch * 10, 1.0);
-  input.mask = Matrix::Ones(batch, 10);
-  input.edge_weights.assign(batch * 10, 1.0f);
+  SlimBenchBatch batch_in = DenseSlimBatch(opts, batch, &rng);
 
   SlimForwardScratch scratch;
   for (auto _ : state) {
-    const Matrix& out = slim.PredictConst(input, &scratch);
+    batch_in.WriteTimeCodes();
+    const Matrix& out = slim.PredictConst(&batch_in.input, &scratch);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * batch);
@@ -321,16 +351,12 @@ void BM_SlimForwardFusedWideB1(benchmark::State& state) {
   SlimModel slim(opts, &rng);
   slim.SetTraining(false);
 
-  SlimBatchInput input;
-  input.node_feats = Matrix::Gaussian(1, 64, &rng);
-  input.neighbor_feats = Matrix::Gaussian(10, 64, &rng);
-  input.time_deltas.assign(10, 1.0);
-  input.mask = Matrix::Ones(1, 10);
-  input.edge_weights.assign(10, 1.0f);
+  SlimBenchBatch batch_in = DenseSlimBatch(opts, 1, &rng);
 
   SlimForwardScratch scratch;
   for (auto _ : state) {
-    const Matrix& out = slim.PredictConst(input, &scratch);
+    batch_in.WriteTimeCodes();
+    const Matrix& out = slim.PredictConst(&batch_in.input, &scratch);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations());
@@ -375,11 +401,7 @@ void BM_PredictB1Wide(benchmark::State& state, B1Read kind) {
   for (NodeId v = 0; v < sopts.num_nodes && !found; ++v) {
     query[0].node = v;
     (void)model.PredictBatchConst(query, &scratch);
-    size_t valid = 0;
-    for (size_t j = 0; j < opts.slim.k_recent; ++j) {
-      valid += scratch.batch.mask(0, j) != 0.0f;
-    }
-    found = valid == want;
+    found = scratch.batch.valid[0] == want;
   }
   if (!found) {
     state.SkipWithError("no node with the wanted history");
@@ -419,15 +441,11 @@ void BM_SlimForward(benchmark::State& state) {
   SlimModel slim(opts, &rng);
   slim.SetTraining(false);
 
-  SlimBatchInput input;
-  input.node_feats = Matrix::Gaussian(batch, 32, &rng);
-  input.neighbor_feats = Matrix::Gaussian(batch * 10, 32, &rng);
-  input.time_deltas.assign(batch * 10, 1.0);
-  input.mask = Matrix::Ones(batch, 10);
-  input.edge_weights.assign(batch * 10, 1.0f);
+  SlimBenchBatch batch_in = DenseSlimBatch(opts, batch, &rng);
 
   for (auto _ : state) {
-    Matrix out = slim.Forward(input);
+    batch_in.WriteTimeCodes();
+    Matrix out = slim.Forward(&batch_in.input);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * batch);
@@ -435,8 +453,10 @@ void BM_SlimForward(benchmark::State& state) {
 BENCHMARK(BM_SlimForward)->Arg(1)->Arg(32)->Arg(256);
 
 // One-thread SLIM train step at paper dims (fd32, td16, h64, k10), dropout
-// 0.1 and a third of the neighbor slots masked. Arg = batch rows: 25 is the
-// ingest workload's train batch, 200 the replay workload's Fit batch.
+// 0.1, and valid prefixes of 6-10 slots (about 80% of the slots; the
+// assemblers fill valid slots as a prefix) whose time deltas are drawn
+// like BM_TimeEncode's, exp(20 u). Arg = batch rows: 25 is the ingest
+// workload's train batch, 200 the replay workload's Fit batch.
 void BM_SlimTrainStep(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));
   SlimOptions opts;
@@ -451,22 +471,27 @@ void BM_SlimTrainStep(benchmark::State& state) {
   SlimTrainState train(opts);
   slim.SetTraining(true);
 
-  SlimBatchInput input;
-  input.node_feats = Matrix::Gaussian(batch, 32, &rng);
-  input.neighbor_feats = Matrix::Gaussian(batch * 10, 32, &rng);
-  input.time_deltas.assign(batch * 10, 1.0);
-  input.mask = Matrix::Ones(batch, 10);
+  SlimBenchBatch batch_in = DenseSlimBatch(opts, batch, &rng);
+  SlimBatchInput& input = batch_in.input;
   for (size_t i = 0; i < batch; ++i) {
+    input.valid[i] = static_cast<uint32_t>(6 + i % 5);
     for (size_t j = 0; j < 10; ++j) {
-      if ((i + j) % 3 == 0) input.mask(i, j) = 0.0f;
+      double& dt = batch_in.dt[i * 10 + j];
+      if (j < input.valid[i]) {
+        dt = std::exp(20.0 * rng.Uniform());
+      } else {  // an empty slot, as the assemblers leave it
+        float* slot = input.cat1.Row(i * 10 + j);
+        std::fill(slot, slot + 32, 0.0f);
+        dt = 0.0;
+      }
     }
   }
-  input.edge_weights.assign(batch * 10, 1.0f);
   std::vector<int> labels(batch);
   for (size_t i = 0; i < batch; ++i) labels[i] = static_cast<int>(i % 2);
 
   for (auto _ : state) {
-    benchmark::DoNotOptimize(slim.TrainStep(input, labels, &train));
+    batch_in.WriteTimeCodes();
+    benchmark::DoNotOptimize(slim.TrainStep(&input, labels, &train));
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
@@ -524,17 +549,14 @@ void BM_SlimTrainStepThreads(benchmark::State& state) {
   SlimTrainState train(opts);
   slim.SetTraining(true);
 
-  SlimBatchInput input;
-  input.node_feats = Matrix::Gaussian(batch, 32, &rng);
-  input.neighbor_feats = Matrix::Gaussian(batch * 10, 32, &rng);
-  input.time_deltas.assign(batch * 10, 1.0);
-  input.mask = Matrix::Ones(batch, 10);
-  input.edge_weights.assign(batch * 10, 1.0f);
+  SlimBenchBatch batch_in = DenseSlimBatch(opts, batch, &rng);
   std::vector<int> labels(batch);
   for (size_t i = 0; i < batch; ++i) labels[i] = static_cast<int>(i % 2);
 
   for (auto _ : state) {
-    benchmark::DoNotOptimize(slim.TrainStep(input, labels, &train));
+    batch_in.WriteTimeCodes();
+    benchmark::DoNotOptimize(
+        slim.TrainStep(&batch_in.input, labels, &train));
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }

@@ -43,28 +43,33 @@ std::array<ParamShape, SlimTrainState::kNumParams> ParamShapes(
 
 }  // namespace
 
-void SlimForwardScratch::Resize(size_t b, size_t k_recent, size_t feature_dim,
-                                size_t time_dim, size_t hidden_dim,
-                                size_t out_dim, bool dropout) {
-  const size_t bk = b * k_recent;
+void SlimForwardScratch::Resize(const SlimOptions& o, size_t b,
+                                bool dropout) {
+  const size_t h = o.hidden_dim;
   // Activations use the padded layout (64B-aligned rows) so the SIMD
   // backends run whole-vector steady loops; `out` stays contiguous because
   // external consumers (eval/trainer score gather) flat-copy it.
-  cat1.ResizePadded(bk, feature_dim + time_dim);
-  msg_pre.ResizePadded(bk, hidden_dim);
-  agg.ResizePadded(b, hidden_dim);
-  self_pre.ResizePadded(b, hidden_dim);
-  cat2.ResizePadded(b, 2 * hidden_dim);
-  h_pre.ResizePadded(b, hidden_dim);
-  out.Resize(b, out_dim);
+  msg_pre.ResizePadded(b * o.k_recent, h);
+  cat2.ResizePadded(b, 2 * h);
+  h_pre.ResizePadded(b, h);
+  out.Resize(b, o.out_dim);
   inv_weight.resize(b);
-  time_x.resize(bk);
-  if (dropout) drop_mask.resize(b * hidden_dim);
+  if (dropout) drop_mask.resize(b * h);
   // For the widest layer input (w1's or w3's), so one-row reads never
   // grow it.
-  const size_t scratch = RowIndexScratchSize(
-      std::max(feature_dim + time_dim, 2 * hidden_dim));
+  const size_t scratch =
+      RowIndexScratchSize(std::max(o.feature_dim + o.time_dim, 2 * h));
   if (nz_index.size() < scratch) nz_index.resize(scratch);
+}
+
+void SlimBatchInput::Resize(const SlimOptions& opts, size_t b,
+                            bool weighted) {
+  const size_t bk = b * opts.k_recent;
+  node_feats.Resize(b, opts.feature_dim);
+  cat1.ResizePadded(bk, opts.feature_dim + opts.time_dim);
+  time_x.resize(bk);
+  valid.resize(b);
+  edge_weights.resize(weighted ? bk : 0);
 }
 
 SlimTrainState::SlimTrainState(const SlimOptions& opts) {
@@ -168,26 +173,22 @@ bool SlimModel::CopyLearnedStateFrom(const SlimModel& src) {
   return true;
 }
 
-void SlimModel::EncodeTime(const std::vector<double>& deltas, size_t n,
-                           SlimForwardScratch* s) const {
+void SlimModel::EncodeTime(SlimBatchInput* input, size_t n) const {
   // phi(dt)_j: sin/cos pairs of log-compressed dt at geometrically spaced
   // frequencies (fixed, not learned — same family as the degree encoding).
-  // One dispatched kernel call (tensor/simd.h) encodes every row: libm on
-  // the scalar reference backend, the polynomial sincos two rows to a
-  // vector on avx512 at dt = 16, one row per vector on avx2.
-  float* xs = s->time_x.data();
-  for (size_t i = 0; i < n; ++i) {
-    xs[i] = std::log1p(static_cast<float>(deltas[i] < 0.0 ? 0.0 : deltas[i]));
-  }
-  SincosEncodeRows(xs, n, 0.5f, s->cat1.Row(0) + opts_.feature_dim,
-                   s->cat1.stride(), opts_.time_dim);
+  // One dispatched kernel call (tensor/simd.h) encodes every row from the
+  // assembler's log1p(dt): libm on the scalar reference backend, the
+  // polynomial sincos two rows to a vector on avx512 at dt = 16, one row
+  // per vector on avx2.
+  SincosEncodeRows(input->time_x.data(), n, 0.5f,
+                   input->cat1.Row(0) + opts_.feature_dim,
+                   input->cat1.stride(), opts_.time_dim);
 }
 
 void SlimModel::ResizeScratch(size_t b, SlimTrainState* train) {
   const size_t k = opts_.k_recent, h = opts_.hidden_dim, o = opts_.out_dim;
   const size_t bk = b * k;
-  fwd_.Resize(b, k, opts_.feature_dim, opts_.time_dim, h, o,
-              training_ && opts_.dropout > 0.0f);
+  fwd_.Resize(opts_, b, training_ && opts_.dropout > 0.0f);
   if (train != nullptr) {
     const auto params = Params();
     for (size_t p = 0; p < kNumParams; ++p) {
@@ -202,125 +203,122 @@ void SlimModel::ResizeScratch(size_t b, SlimTrainState* train) {
 }
 
 void SlimModel::DenseLayer(const Matrix& in, const Matrix& w,
-                           const float* bias, Matrix* out, size_t r0,
-                           size_t r1, bool relu,
+                           const float* bias, Matrix* out, size_t col0,
+                           size_t r0, size_t r1, bool relu,
                            std::vector<uint32_t>* nz) const {
+  Matrix cols = Matrix::Columns(out, col0, w.cols());
   // The one-row kernel is bit-identical to the fused GEMM's row on the
   // same backend, and reads only the weight rows the row's nonzero inputs
   // reach.
   if (nz != nullptr && r1 - r0 == 1) {
-    MatMulRowBiasAct(in, r0, w, out, bias, relu, nz);
+    MatMulRowBiasAct(in, r0, w, &cols, bias, relu, nz);
     return;
   }
-  MatMulBiasActRange(in, w, out, r0, r1, bias, relu);
+  MatMulBiasActRange(in, w, &cols, r0, r1, bias, relu);
 }
 
-void SlimModel::ForwardInto(const SlimBatchInput& input, Rng* drop_rng,
+void SlimModel::ForwardInto(SlimBatchInput* input, Rng* drop_rng,
                             bool for_backward, SlimForwardScratch* s) const {
-  const size_t k = opts_.k_recent, dv = opts_.feature_dim,
-               h = opts_.hidden_dim;
-  const size_t b = input.node_feats.rows();
+  const size_t k = opts_.k_recent, h = opts_.hidden_dim;
+  const size_t b = input->node_feats.rows();
   size_t nk = b * k;  // neighbor rows computed
   // A batch of one row takes the one-row kernel in every layer.
   const bool one_row = b == 1;
   std::vector<uint32_t>* nz = one_row ? &s->nz_index : nullptr;
-  if (one_row && !for_backward) {
-    // The aggregation reads no masked message, so a read stops the
-    // neighbor rows after the last valid slot (AssembleRows fills valid
-    // slots as a prefix): a node with no history skips the neighbor
-    // GEMM. The backward pass reads every slot's row, so training keeps
-    // them all.
-    const float* mrow = input.mask.Row(0);
-    size_t slots = k;
-    while (slots > 0 && mrow[slots - 1] == 0.0f) --slots;
-    nk = slots;
-  }
+  // The aggregation reads no empty slot's message, so a read stops the
+  // neighbor rows after the valid prefix: a node with no history skips
+  // the neighbor GEMM. The backward pass reads every slot's row, so
+  // training keeps them all.
+  if (one_row && !for_backward) nk = input->valid[0];
 
   // --- neighbor branch -----------------------------------------------------
-  for (size_t i = 0; i < nk; ++i) {
-    std::memcpy(s->cat1.Row(i), input.neighbor_feats.Row(i),
-                dv * sizeof(float));
-  }
-  EncodeTime(input.time_deltas, nk, s);
+  // The assembler wrote the feature columns of the operand; the time
+  // columns are encoded here, for the rows this pass computes.
+  EncodeTime(input, nk);
 
   // Bias add + ReLU ride the GEMM tile store (fused epilogue): one pass
   // over each activation matrix instead of three. The scalar backend
   // computes the identical arithmetic to the historical separate passes.
-  DenseLayer(s->cat1, w1_, b1_.data(), &s->msg_pre, 0, nk, /*relu=*/true,
-             nz);
+  DenseLayer(input->cat1, w1_, b1_.data(), &s->msg_pre, 0, 0, nk,
+             /*relu=*/true, nz);
 
+  // agg (cat2's left half): the weighted mean of the valid messages, each
+  // Axpy'd from +0 in slot order; no weights means unit weights.
+  const float* weights = input->weights();
   for (size_t bi = 0; bi < b; ++bi) {
-    float wsum = 0.0f;
-    float* arow = s->agg.Row(bi);
+    float* arow = s->cat2.Row(bi);
+    const size_t first = bi * k, valid = input->valid[bi];
     std::memset(arow, 0, h * sizeof(float));
-    const float* mrow = input.mask.Row(bi);
-    for (size_t j = 0; j < k; ++j) {
-      if (mrow[j] == 0.0f) continue;
-      const float w = input.edge_weights[bi * k + j];
+    float wsum = 0.0f;
+    for (size_t j = first; j < first + valid; ++j) {
+      const float w = weights != nullptr ? weights[j] : 1.0f;
       wsum += w;
-      Axpy(w, s->msg_pre.Row(bi * k + j), arow, h);
+      Axpy(w, s->msg_pre.Row(j), arow, h);
     }
     const float inv = wsum > 1e-12f ? 1.0f / wsum : 0.0f;
     s->inv_weight[bi] = inv;
-    for (size_t j = 0; j < h; ++j) arow[j] *= inv;
+    for (size_t c = 0; c < h; ++c) arow[c] *= inv;
   }
 
-  // --- self branch ---------------------------------------------------------
-  DenseLayer(input.node_feats, w2_, b2_.data(), &s->self_pre, 0, b,
+  // --- self branch (cat2's right half) -------------------------------------
+  DenseLayer(input->node_feats, w2_, b2_.data(), &s->cat2, h, 0, b,
              /*relu=*/true, nz);
 
   // --- head ----------------------------------------------------------------
-  for (size_t bi = 0; bi < b; ++bi) {
-    std::memcpy(s->cat2.Row(bi), s->agg.Row(bi), h * sizeof(float));
-    std::memcpy(s->cat2.Row(bi) + h, s->self_pre.Row(bi), h * sizeof(float));
-  }
-  DenseLayer(s->cat2, w3_, b3_.data(), &s->h_pre, 0, b, /*relu=*/true,
+  DenseLayer(s->cat2, w3_, b3_.data(), &s->h_pre, 0, 0, b, /*relu=*/true,
              nz);
 
   if (drop_rng != nullptr && training_ && opts_.dropout > 0.0f) {
+    // Keep iff Uniform() = u * 2^-53 < keep, one draw per unit in row
+    // order, for u = Next() >> 11: in integers, u < ceil(keep * 2^53) (the
+    // scale is exact). A local Rng copy keeps the state in registers; the
+    // mask's byte stores could alias the caller's.
     const float keep = 1.0f - opts_.dropout;
     const float scale = 1.0f / keep;
+    const uint64_t threshold = static_cast<uint64_t>(
+        std::ceil(static_cast<double>(keep) * 0x1.0p53));
+    Rng rng = *drop_rng;
     for (size_t bi = 0; bi < b; ++bi) {
       float* row = s->h_pre.Row(bi);
       uint8_t* mask = s->drop_mask.data() + bi * h;
       for (size_t j = 0; j < h; ++j) {
-        const bool kept = drop_rng->Uniform() < keep;
+        const bool kept = (rng.Next() >> 11) < threshold;
         mask[j] = kept;
-        row[j] = kept ? row[j] * scale : 0.0f;
+        row[j] = KeepOrZero(kept, row[j] * scale);
       }
     }
+    *drop_rng = rng;
   }
 
-  DenseLayer(s->h_pre, w4_, b4_.data(), &s->out, 0, b, /*relu=*/false,
+  DenseLayer(s->h_pre, w4_, b4_.data(), &s->out, 0, 0, b, /*relu=*/false,
              nz);
 }
 
-void SlimModel::ForwardAll(const SlimBatchInput& input) {
-  const size_t b = input.node_feats.rows();
-  const size_t k = opts_.k_recent, dv = opts_.feature_dim;
-  assert(input.neighbor_feats.rows() == b * k);
-  assert(input.neighbor_feats.cols() == dv);
-  assert(input.time_deltas.size() == b * k);
-  assert(input.mask.rows() == b && input.mask.cols() == k);
-  assert(input.edge_weights.size() == b * k);
-  (void)k;
-  (void)dv;
+void SlimModel::ForwardAll(SlimBatchInput* input) {
+  const size_t b = input->node_feats.rows();
+  const size_t bk = b * opts_.k_recent;
+  assert(input->node_feats.cols() == opts_.feature_dim);
+  assert(input->cat1.rows() == bk &&
+         input->cat1.cols() == opts_.feature_dim + opts_.time_dim);
+  assert(input->time_x.size() == bk);
+  assert(input->valid.size() == b);
+  assert(input->edge_weights.empty() || input->edge_weights.size() == bk);
+  (void)bk;
   ResizeScratch(b, nullptr);
   const bool wants_dropout = training_ && opts_.dropout > 0.0f;
   ForwardInto(input, wants_dropout ? rng_ : nullptr, /*for_backward=*/false,
               &fwd_);
 }
 
-Matrix SlimModel::Forward(const SlimBatchInput& input) {
+Matrix SlimModel::Forward(SlimBatchInput* input) {
   ForwardAll(input);
   return fwd_.out;
 }
 
-const Matrix& SlimModel::PredictConst(const SlimBatchInput& input,
+const Matrix& SlimModel::PredictConst(SlimBatchInput* input,
                                       SlimForwardScratch* scratch) const {
-  const size_t b = input.node_feats.rows();
-  scratch->Resize(b, opts_.k_recent, opts_.feature_dim, opts_.time_dim,
-                  opts_.hidden_dim, opts_.out_dim, /*dropout=*/false);
+  const size_t b = input->node_feats.rows();
+  scratch->Resize(opts_, b, /*dropout=*/false);
   // Dropout-free: identical arithmetic to the eval-mode ForwardAll, so
   // snapshot reads are bit-identical to fused Forward on the same state.
   ForwardInto(input, nullptr, /*for_backward=*/false, scratch);
@@ -396,7 +394,7 @@ double SlimModel::Backward(const SlimBatchInput& input,
   // Self branch: d_self = d_cat2[:, h:] masked by ReLU.
   for (size_t bi = 0; bi < b; ++bi) {
     const float* src = d_cat2.Row(bi) + h;
-    const float* act = fwd_.self_pre.Row(bi);
+    const float* act = fwd_.cat2.Row(bi) + h;
     float* dst = d_self.Row(bi);
     for (size_t j = 0; j < h; ++j) dst[j] = KeepOrZero(act[j] > 0.0f, src[j]);
   }
@@ -404,35 +402,36 @@ double SlimModel::Backward(const SlimBatchInput& input,
   MatMulTransARange(input.node_feats, d_self, &g[2], 0, b);
   ColumnSumsRange(d_self, g[3].data(), 0, b, /*accumulate=*/false);
 
-  // Neighbor branch: distribute d_agg over messages with their mean
-  // weights, mask by ReLU.
+  // Neighbor branch: distribute d_agg over the valid messages with their
+  // mean weights, mask by ReLU; empty slots get zero rows.
+  const float* weights = input.weights();
   for (size_t bi = 0; bi < b; ++bi) {
     const float* dagg = d_cat2.Row(bi);  // first h columns
-    const float* mrow = input.mask.Row(bi);
     const float inv = fwd_.inv_weight[bi];
-    for (size_t j = 0; j < k; ++j) {
-      float* drow = d_msg.Row(bi * k + j);
-      if (mrow[j] == 0.0f || inv == 0.0f) {
-        std::memset(drow, 0, h * sizeof(float));
-        continue;
-      }
-      const float w = input.edge_weights[bi * k + j] * inv;
-      const float* act = fwd_.msg_pre.Row(bi * k + j);
+    const size_t valid = inv == 0.0f ? 0 : input.valid[bi];
+    for (size_t j = 0; j < valid; ++j) {
+      const size_t idx = bi * k + j;
+      const float w = weights == nullptr ? inv : weights[idx] * inv;
+      const float* act = fwd_.msg_pre.Row(idx);
+      float* drow = d_msg.Row(idx);
       for (size_t jj = 0; jj < h; ++jj) {
         drow[jj] = KeepOrZero(act[jj] > 0.0f, w * dagg[jj]);
       }
     }
+    for (size_t j = valid; j < k; ++j) {
+      std::memset(d_msg.Row(bi * k + j), 0, h * sizeof(float));
+    }
   }
   g[0].SetZero();
-  MatMulTransARange(fwd_.cat1, d_msg, &g[0], 0, bk);
+  MatMulTransARange(input.cat1, d_msg, &g[0], 0, bk);
   ColumnSumsRange(d_msg, g[1].data(), 0, bk, /*accumulate=*/false);
   return loss;
 }
 
-double SlimModel::TrainStep(const SlimBatchInput& input,
+double SlimModel::TrainStep(SlimBatchInput* input,
                             const std::vector<int>& labels,
                             SlimTrainState* train) {
-  const size_t b = input.node_feats.rows();
+  const size_t b = input->node_feats.rows();
   assert(labels.size() == b);
   assert(Fits(*train));
   if (b == 0) return 0.0;
@@ -442,7 +441,7 @@ double SlimModel::TrainStep(const SlimBatchInput& input,
   const bool wants_dropout = training_ && opts_.dropout > 0.0f;
   ForwardInto(input, wants_dropout ? rng_ : nullptr, /*for_backward=*/true,
               &fwd_);
-  const double loss = Backward(input, labels, train);
+  const double loss = Backward(*input, labels, train);
 
   // Adam. Params are contiguous (never padded), so the fused kernel runs
   // over each flat block; the scalar backend is the historical loop plus

@@ -8,23 +8,24 @@
 // through a two-branch MLP:
 //
 //   m_j  = relu([x_j || phi(dt_j)] W1 + b1)        per neighbor message
-//   agg  = masked weighted mean_j m_j              neighbor branch
+//   agg  = weighted mean of the valid m_j          neighbor branch
 //   self = relu(x W2 + b2)                         self branch
 //   h    = relu([agg || self] W3 + b3)
 //   out  = h W4 + b4                               class scores
 //
-// Forward() assembles everything in preallocated scratch matrices (they
-// grow once to the largest batch and then stop allocating; activations use
-// the padded 64B-aligned layout) and runs on the runtime-dispatched
-// kernels from tensor/matrix.h — each bias+ReLU rides its GEMM's tile
-// store as a fused epilogue, and the time encoding runs on the dispatched
-// sincos kernel. A batch of one row reads less: each layer takes the
-// one-row kernel (MatMulRowBiasAct), which reads only the weight rows its
-// nonzero inputs reach, and a read that no backward pass follows stops the
-// neighbor rows after the last valid slot, so a node with no history
-// skips the neighbor branch's GEMM. For finite weights both are
-// bit-identical to the batched row. TrainStep() backpropagates by hand
-// and applies the fused Adam kernel — no autograd, no graph, no
+// The assembler (AssembleSlimBatch) writes each neighbor slot's feature
+// straight into the layer-1 operand SlimBatchInput::cat1, and Forward()
+// runs in preallocated scratch (grow-once; padded 64B-aligned rows) on the
+// runtime-dispatched kernels from tensor/matrix.h — each bias+ReLU rides
+// its GEMM's tile store as a fused epilogue, the time codes come from the
+// dispatched sincos kernel, and the aggregation and self branch write the
+// two halves of the head's input in place. A batch of one row reads less:
+// each layer takes the one-row kernel (MatMulRowBiasAct), which reads only
+// the weight rows its nonzero inputs reach, and a read that no backward
+// pass follows stops the neighbor rows after the valid prefix, so a node
+// with no history skips the neighbor branch's GEMM. For finite weights
+// both are bit-identical to the batched row. TrainStep() backpropagates by
+// hand and applies the fused Adam kernel — no autograd, no graph, no
 // allocation after warm-up. The backward products through the head
 // (d_h = d_out W4^T, d_cat2 = d_h W3^T) are the forward GEMM tile over
 // transposed copies of W4 and W3, refreshed from the trained model at the
@@ -36,18 +37,25 @@
 // next step.
 //
 // Both run on the calling thread over the whole batch. Training dropout
-// draws from the model Rng in row order, so a step is a pure function of
-// the weights, the batch and the Rng state.
+// draws one Rng::Uniform() per hidden unit from the model Rng in row
+// order, so a step is a pure function of the weights, the batch and the
+// Rng state.
 
 #ifndef SPLASH_CORE_SLIM_H_
 #define SPLASH_CORE_SLIM_H_
 
+#include <algorithm>
 #include <array>
+#include <cassert>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "core/serialize.h"
+#include "core/types.h"
+#include "graph/neighbor_memory.h"
 #include "tensor/matrix.h"
 #include "tensor/rng.h"
 
@@ -68,16 +76,74 @@ struct SlimOptions {
 };
 
 /// One batch of assembled inputs. Row b of node_feats is the query node;
-/// rows [b*K, (b+1)*K) of neighbor_feats are its gathered neighbors
-/// (newest first), with time_deltas / edge_weights parallel to them and
-/// mask(b, j) = 1 iff neighbor slot j is valid.
+/// rows [b*K, (b+1)*K) of cat1, the layer-1 GEMM operand (padded rows of
+/// [neighbor feature || time code]), are its neighbor slots, newest
+/// first: the first valid[b] hold a neighbor, the rest are empty (zero
+/// features, dt = 0). The assembler writes the feature columns and time_x;
+/// the forward writes the time codes of the rows it computes, so it takes
+/// the batch by pointer (every owner is per-caller scratch).
 struct SlimBatchInput {
-  Matrix node_feats;                // B x Dv
-  Matrix neighbor_feats;            // B*K x Dv
-  std::vector<double> time_deltas;  // B*K
-  Matrix mask;                      // B x K
-  std::vector<float> edge_weights;  // B*K
+  Matrix node_feats;            // B x Dv
+  Matrix cat1;                  // B*K x (Dv + Dt), padded
+  std::vector<float> time_x;    // B*K: log1p(max(dt, 0)), phi's input
+  std::vector<uint32_t> valid;  // B: valid slots, a prefix of the K
+  /// B*K aggregation weights, or empty for unit weights (SPLASH; only the
+  /// stand-ins' attention families weigh neighbors, by recency).
+  std::vector<float> edge_weights;
+
+  /// Shapes every tensor for `b` rows of `opts` inputs (grow-only), with
+  /// B*K edge weights when `weighted`, else none.
+  void Resize(const SlimOptions& opts, size_t b, bool weighted);
+  /// Null (unit weights) or edge_weights' data.
+  const float* weights() const {
+    return edge_weights.empty() ? nullptr : edge_weights.data();
+  }
 };
+
+/// Assembles `b` queries into `out`, shaped for `opts` (Resize): per
+/// query, its feature (`write_feature(node, float* row)` writes Dv
+/// floats), then its ring's neighbors newest first as the valid prefix,
+/// each with its feature, log1p(max(dt, 0)) and, when `weighted`, the
+/// recency weight 1 / (1 + log1p(max(dt, 0))). `nbr_ids` / `nbr_times`
+/// are caller-owned gather scratch, grown to K. Reads `memory` only.
+template <class WriteFeature>
+void AssembleSlimBatch(const SlimOptions& opts, bool weighted,
+                       const NeighborMemory& memory,
+                       const PropertyQuery* queries, size_t b,
+                       const WriteFeature& write_feature,
+                       std::vector<NodeId>* nbr_ids,
+                       std::vector<double>* nbr_times, SlimBatchInput* out) {
+  const size_t k = opts.k_recent;
+  assert(memory.k() == k);
+  out->Resize(opts, b, weighted);
+  if (nbr_ids->size() < k) {
+    nbr_ids->resize(k);
+    nbr_times->resize(k);
+  }
+  for (size_t bi = 0; bi < b; ++bi) {
+    const PropertyQuery& q = queries[bi];
+    write_feature(q.node, out->node_feats.Row(bi));
+    const size_t count =
+        memory.GatherRecent(q.node, nbr_ids->data(), nbr_times->data());
+    out->valid[bi] = static_cast<uint32_t>(count);
+    for (size_t j = 0; j < k; ++j) {
+      const size_t idx = bi * k + j;
+      float* row = out->cat1.Row(idx);
+      if (j >= count) {
+        std::memset(row, 0, opts.feature_dim * sizeof(float));
+        out->time_x[idx] = 0.0f;
+        continue;
+      }
+      write_feature((*nbr_ids)[j], row);
+      const double dt = std::max(q.time - (*nbr_times)[j], 0.0);
+      out->time_x[idx] = std::log1p(static_cast<float>(dt));
+      if (weighted) {
+        out->edge_weights[idx] =
+            1.0f / (1.0f + static_cast<float>(std::log1p(dt)));
+      }
+    }
+  }
+}
 
 /// Forward-pass activations (grow-only). The model owns one for its fused
 /// Forward/TrainStep paths; snapshot readers (serve/) pass their own to the
@@ -85,21 +151,16 @@ struct SlimBatchInput {
 /// state — that is the const-correctness contract the serving layer's
 /// lock-free reads rely on.
 struct SlimForwardScratch {
-  Matrix cat1;      // B*K x (Dv + Dt): [neighbor feat || time enc]
-  Matrix msg_pre;   // B*K x H (pre-ReLU, reused as post-ReLU in place)
-  Matrix agg;       // B x H
-  Matrix self_pre;  // B x H
-  Matrix cat2;      // B x 2H
-  Matrix h_pre;     // B x H
-  Matrix out;       // B x O
+  Matrix msg_pre;  // B*K x H (pre-ReLU, reused as post-ReLU in place)
+  Matrix cat2;     // B x 2H: [agg || self]
+  Matrix h_pre;    // B x H
+  Matrix out;      // B x O
   std::vector<float> inv_weight;   // B: 1 / sum of valid edge weights
-  std::vector<float> time_x;       // B*K: log1p(dt), EncodeTime's input
   std::vector<uint8_t> drop_mask;  // B*H during training
   std::vector<uint32_t> nz_index;  // one-row layers' nonzero input indices
 
-  /// Grows every matrix for a B-row batch of `opts`-shaped inputs.
-  void Resize(size_t b, size_t k_recent, size_t feature_dim, size_t time_dim,
-              size_t hidden_dim, size_t out_dim, bool dropout);
+  /// Grows every matrix for a B-row batch of `o`-shaped inputs.
+  void Resize(const SlimOptions& o, size_t b, bool dropout);
 };
 
 /// SLIM's training state, kept apart from the model so that a read-only
@@ -163,8 +224,9 @@ class SlimModel {
 
   void SetTraining(bool training) { training_ = training; }
 
-  /// Batched forward pass; returns a B x out_dim score matrix.
-  Matrix Forward(const SlimBatchInput& input);
+  /// Batched forward pass; returns a B x out_dim score matrix. Writes
+  /// the time codes into `input`'s operand (as every entry below does).
+  Matrix Forward(SlimBatchInput* input);
 
   /// Inference against frozen weights using caller-owned scratch: serial,
   /// dropout-free, and const — safe to call from many reader threads at
@@ -172,15 +234,15 @@ class SlimModel {
   /// Bit-identical to Forward() in eval mode. Returns a reference into
   /// `scratch` (valid until its next use) so steady-state queries stay
   /// allocation-free — the serving read path's contract.
-  const Matrix& PredictConst(const SlimBatchInput& input,
+  const Matrix& PredictConst(SlimBatchInput* input,
                              SlimForwardScratch* scratch) const;
 
   /// Forward + cross-entropy backward + Adam update of this model's
   /// weights, with the moments, step counters and scratch of `train`
   /// (shaped for this architecture). labels[b] in [0, out_dim). Returns
   /// the mean batch loss.
-  double TrainStep(const SlimBatchInput& input,
-                   const std::vector<int>& labels, SlimTrainState* train);
+  double TrainStep(SlimBatchInput* input, const std::vector<int>& labels,
+                   SlimTrainState* train);
 
   size_t ParamCount() const;
   const SlimOptions& options() const { return opts_; }
@@ -196,7 +258,7 @@ class SlimModel {
   /// one Forward and TrainStep overwrite: an occasional read by the owner
   /// (SplashPredictor's cold-read memo) without scratch of its own. The
   /// result is valid until the next Forward, TrainStep or ReadOwnScratch.
-  const Matrix& ReadOwnScratch(const SlimBatchInput& input) {
+  const Matrix& ReadOwnScratch(SlimBatchInput* input) {
     return PredictConst(input, &fwd_);
   }
 
@@ -239,25 +301,25 @@ class SlimModel {
   /// the slots up to the last valid one. Const: every mutated activation
   /// lives in the scratch, so readers with private scratch can run this
   /// concurrently against frozen weights.
-  void ForwardInto(const SlimBatchInput& input, Rng* drop_rng,
-                   bool for_backward, SlimForwardScratch* s) const;
+  void ForwardInto(SlimBatchInput* input, Rng* drop_rng, bool for_backward,
+                   SlimForwardScratch* s) const;
   /// One fused dense layer (GEMM + bias + optional ReLU) on rows
-  /// [r0, r1). With index scratch `nz`, a one-row call takes the one-row
-  /// kernel, which skips the weight rows of zero inputs
-  /// (MatMulRowBiasAct); every other call the fused GEMM.
+  /// [r0, r1), into `out`'s columns [col0, col0 + w.cols()). With index
+  /// scratch `nz`, a one-row call takes the one-row kernel, which skips
+  /// the weight rows of zero inputs (MatMulRowBiasAct); every other call
+  /// the fused GEMM.
   void DenseLayer(const Matrix& in, const Matrix& w, const float* bias,
-                  Matrix* out, size_t r0, size_t r1, bool relu,
+                  Matrix* out, size_t col0, size_t r0, size_t r1, bool relu,
                   std::vector<uint32_t>* nz) const;
   /// ResizeScratch + ForwardInto into fwd_.
-  void ForwardAll(const SlimBatchInput& input);
+  void ForwardAll(SlimBatchInput* input);
   /// Softmax/CE + backprop from the forward activations in fwd_ into
   /// `train`'s gradients, through its backward scratch. Returns the
   /// batch's summed loss.
   double Backward(const SlimBatchInput& input, const std::vector<int>& labels,
                   SlimTrainState* train) const;
   /// phi(dt) of the first `n` neighbor rows into cat1's time columns.
-  void EncodeTime(const std::vector<double>& deltas, size_t n,
-                  SlimForwardScratch* s) const;
+  void EncodeTime(SlimBatchInput* input, size_t n) const;
   /// Whether `train`'s moments are shaped for this model's parameters.
   bool Fits(const SlimTrainState& train) const;
 

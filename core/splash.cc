@@ -145,9 +145,8 @@ void SplashPredictor::PrepareForPublish() {
   // The cold row is assembled exactly as a query for an untouched node
   // is; kInvalidNode has no ring, so the gather writes nothing.
   const PropertyQuery cold{kInvalidNode, 0.0, 0};
-  ResizeBatch(1, &cold_.input);
-  AssembleRows(&cold, 1, &cold_.input, nullptr, nullptr);
-  cold_.out = slim_->ReadOwnScratch(cold_.input);
+  AssembleRows(&cold, 1, &cold_.input, &nbr_ids_, &nbr_times_);
+  cold_.out = slim_->ReadOwnScratch(&cold_.input);
   cold_.version = slim_->weights_version();
 }
 
@@ -197,63 +196,19 @@ void SplashPredictor::WriteNodeFeature(NodeId node, float* out) const {
   }
 }
 
-void SplashPredictor::ResizeBatch(size_t b, SlimBatchInput* out) const {
-  const size_t k = memory_.k();
-  out->node_feats.Resize(b, input_dim_);
-  out->neighbor_feats.Resize(b * k, input_dim_);
-  out->time_deltas.resize(b * k);
-  out->mask.Resize(b, k);
-  out->edge_weights.resize(b * k);
-}
-
-void SplashPredictor::AssembleBatch(
-    const std::vector<PropertyQuery>& queries) {
-  const size_t b = queries.size();
-  const size_t k = memory_.k();
-  ResizeBatch(b, &batch_);
-
-  if (nbr_ids_.size() < k) {
-    nbr_ids_.resize(k);
-    nbr_times_.resize(k);
-  }
-  AssembleRows(queries.data(), b, &batch_, nbr_ids_.data(),
-               nbr_times_.data());
-}
-
 void SplashPredictor::AssembleRows(const PropertyQuery* queries, size_t b,
-                                   SlimBatchInput* out, NodeId* nbr_ids,
-                                   double* nbr_times) const {
-  const size_t k = memory_.k();
-  for (size_t bi = 0; bi < b; ++bi) {
-    const PropertyQuery& q = queries[bi];
-    WriteNodeFeature(q.node, out->node_feats.Row(bi));
-    const size_t count = memory_.GatherRecent(q.node, nbr_ids, nbr_times);
-    float* mask_row = out->mask.Row(bi);
-    for (size_t j = 0; j < k; ++j) {
-      const size_t idx = bi * k + j;
-      if (j < count) {
-        WriteNodeFeature(nbr_ids[j], out->neighbor_feats.Row(idx));
-        out->time_deltas[idx] = q.time - nbr_times[j];
-        out->edge_weights[idx] = 1.0f;
-        mask_row[j] = 1.0f;
-      } else {
-        std::memset(out->neighbor_feats.Row(idx), 0,
-                    input_dim_ * sizeof(float));
-        out->time_deltas[idx] = 0.0;
-        out->edge_weights[idx] = 0.0f;
-        mask_row[j] = 0.0f;
-      }
-    }
-  }
+                                   SlimBatchInput* out,
+                                   std::vector<NodeId>* nbr_ids,
+                                   std::vector<double>* nbr_times) const {
+  AssembleSlimBatch(
+      slim_->options(), /*weighted=*/false, memory_, queries, b,
+      [this](NodeId node, float* row) { WriteNodeFeature(node, row); },
+      nbr_ids, nbr_times, out);
 }
 
 bool SplashPredictor::IsColdRead(const SlimBatchInput& in) const {
-  if (cold_.version != slim_->weights_version()) return false;
-  const float* mask = in.mask.Row(0);
-  for (size_t j = 0; j < memory_.k(); ++j) {
-    if (mask[j] != 0.0f) return false;
-  }
-  return std::memcmp(in.node_feats.Row(0), cold_.input.node_feats.Row(0),
+  return cold_.version == slim_->weights_version() && in.valid[0] == 0 &&
+         std::memcmp(in.node_feats.Row(0), cold_.input.node_feats.Row(0),
                      input_dim_ * sizeof(float)) == 0;
 }
 
@@ -267,30 +222,25 @@ const Matrix& SplashPredictor::PredictBatchConst(
     scratch->fwd.out.SetZero();
     return scratch->fwd.out;
   }
-  const size_t k = memory_.k();
   SlimBatchInput* batch = &scratch->batch;
-  ResizeBatch(b, batch);
-  if (scratch->nbr_ids.size() < k) {
-    scratch->nbr_ids.resize(k);
-    scratch->nbr_times.resize(k);
-  }
-  AssembleRows(queries.data(), b, batch, scratch->nbr_ids.data(),
-               scratch->nbr_times.data());
+  AssembleRows(queries.data(), b, batch, &scratch->nbr_ids,
+               &scratch->nbr_times);
   // With no valid slot a one-row read reads only its feature row
-  // (SlimModel::ForwardRange), so the memo's read of an equal row at the
+  // (SlimModel::ForwardInto), so the memo's read of an equal row at the
   // same weights is this read's answer.
   if (b == 1 && IsColdRead(*batch)) {
     scratch->cold_read = true;
     scratch->fwd.out = cold_.out;
     return scratch->fwd.out;
   }
-  return slim_->PredictConst(*batch, &scratch->fwd);
+  return slim_->PredictConst(batch, &scratch->fwd);
 }
 
 void SplashPredictor::StageBatch(const std::vector<PropertyQuery>& queries) {
   staged_rows_ = queries.size();
   if (!slim_ || queries.empty()) return;
-  AssembleBatch(queries);
+  AssembleRows(queries.data(), queries.size(), &batch_, &nbr_ids_,
+               &nbr_times_);
   const int max_label = static_cast<int>(slim_->options().out_dim) - 1;
   labels_.resize(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -302,14 +252,14 @@ double SplashPredictor::TrainStaged() { return TrainStaged(train_.get()); }
 
 double SplashPredictor::TrainStaged(SlimTrainState* train) {
   if (!slim_ || staged_rows_ == 0) return 0.0;
-  return slim_->TrainStep(batch_, labels_, train);
+  return slim_->TrainStep(&batch_, labels_, train);
 }
 
 Matrix SplashPredictor::PredictStaged() {
   if (!slim_ || staged_rows_ == 0) {
     return Matrix(staged_rows_, slim_ ? slim_->options().out_dim : 2);
   }
-  return slim_->Forward(batch_);
+  return slim_->Forward(&batch_);
 }
 
 namespace {

@@ -76,8 +76,8 @@ class SplashPredictor : public TemporalPredictor {
   /// ingest (NeighborMemory::ObserveBulk), each in stream order.
   void ObserveBulk(const EdgeStream& stream, size_t begin,
                    size_t end) override;
-  /// Staged batches (core/predictor.h): AssembleBatch reads streaming
-  /// state once in StageBatch; TrainStaged / PredictStaged touch only the
+  /// Staged batches (core/predictor.h): StageBatch reads streaming
+  /// state once (AssembleRows); TrainStaged / PredictStaged touch only the
   /// staged tensors and SLIM weights.
   void StageBatch(const std::vector<PropertyQuery>& queries) override;
   /// Trains the staged batch with this predictor's own train state.
@@ -136,7 +136,7 @@ class SplashPredictor : public TemporalPredictor {
   /// which copies the memo with the weights. When the version moved (a
   /// TrainStep, a restore), the memo is recomputed: one one-row read of
   /// the cold row (the feature row of a node no edge has touched, i.e. of
-  /// kInvalidNode) with every neighbor slot masked, in SLIM's own forward
+  /// kInvalidNode) with no valid neighbor slot, in SLIM's own forward
   /// scratch. The serving layer calls this on every publish and catch-up,
   /// with the kernel backend it serves on; the memo holds that backend's
   /// bits.
@@ -187,18 +187,15 @@ class SplashPredictor : public TemporalPredictor {
   void RetainReadableProcesses(bool selecting);
   /// Writes the mode's SLIM input feature of `node` (input_dim_ floats).
   void WriteNodeFeature(NodeId node, float* out) const;
-  /// Shapes `out` for a `b`-row batch (grow-only).
-  void ResizeBatch(size_t b, SlimBatchInput* out) const;
-  /// Assembles the `b` queries into `out` (pre-sized). `nbr_ids` /
-  /// `nbr_times` are k-sized gather scratch owned by the caller. Reads
-  /// streaming state only — shared by AssembleBatch, the const snapshot
-  /// path and the cold-read memo.
+  /// Assembles the `b` queries into the unit-weight batch `out` with
+  /// AssembleSlimBatch; `nbr_ids` / `nbr_times` are the caller's gather
+  /// scratch. Reads streaming state only — shared by StageBatch, the
+  /// const snapshot path and the cold-read memo.
   void AssembleRows(const PropertyQuery* queries, size_t b,
-                    SlimBatchInput* out, NodeId* nbr_ids,
-                    double* nbr_times) const;
-  void AssembleBatch(const std::vector<PropertyQuery>& queries);
-  /// Whether the one-row batch `in` is the memo's: no valid neighbor
-  /// slot, the memo's feature row, and a memo at the current weights.
+                    SlimBatchInput* out, std::vector<NodeId>* nbr_ids,
+                    std::vector<double>* nbr_times) const;
+  /// Whether the one-row batch `in` is the memo's: a memo at the current
+  /// weights, no valid neighbor slot and the memo's feature row.
   bool IsColdRead(const SlimBatchInput& in) const;
 
   SplashOptions opts_;
@@ -221,7 +218,7 @@ class SplashPredictor : public TemporalPredictor {
   std::vector<double> nbr_times_;
 
   /// The cold-read memo: `out` is SLIM's one-row read of `input` (the
-  /// cold row, every neighbor slot masked) at SLIM weights version
+  /// cold row, no valid neighbor slot) at SLIM weights version
   /// `version`; 0 is none, and the version restarts with every new
   /// SlimModel, so Prepare and DeserializeState reset it. Derived read
   /// state: copied with the weights, never serialized.

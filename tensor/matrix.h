@@ -115,6 +115,15 @@ class AlignedBuffer {
   const float* data() const { return data_; }
   size_t size() const { return size_; }
 
+  /// A non-owning view of `n` floats at `p`, alignment not promised
+  /// (Matrix::Columns). Growing or copying it allocates an owned buffer.
+  static AlignedBuffer Borrow(float* p, size_t n) {
+    AlignedBuffer b;
+    b.data_ = p;
+    b.size_ = b.cap_ = n;
+    return b;
+  }
+
  private:
   void CopyFrom(const AlignedBuffer& other) {
     Resize(other.size_);
@@ -164,6 +173,20 @@ class Matrix {
 
   float* data() { return data_.data(); }
   const float* data() const { return data_.data(); }
+
+  /// A non-owning view of columns [col0, col0 + cols) of `m` at m's
+  /// stride, valid while m neither grows nor dies. Its rows need not be
+  /// aligned: every kernel loads and stores unaligned.
+  static Matrix Columns(Matrix* m, size_t col0, size_t cols) {
+    assert(col0 + cols <= m->cols_);
+    Matrix v;
+    v.rows_ = m->rows_;
+    v.cols_ = cols;
+    v.stride_ = m->stride_;
+    v.data_ = AlignedBuffer::Borrow(m->data() + col0,
+                                    m->rows_ * m->stride_ - col0);
+    return v;
+  }
 
   float* Row(size_t r) {
     assert(r < rows_);

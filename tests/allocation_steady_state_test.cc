@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -121,22 +122,24 @@ TEST(AllocationSteadyStateTest, SlimTrainStepIsAllocationFree) {
 
   const size_t b = 192;
   SlimBatchInput input;
-  input.node_feats = Matrix::Gaussian(b, 32, &rng);
-  input.neighbor_feats = Matrix::Gaussian(b * 10, 32, &rng);
-  input.time_deltas.assign(b * 10, 1.0);
-  input.mask = Matrix::Ones(b, 10);
-  input.edge_weights.assign(b * 10, 1.0f);
+  input.Resize(opts, b, /*weighted=*/false);
+  rng.FillGaussian(input.node_feats.data(), b * 32, 1.0f);
+  for (size_t r = 0; r < b * 10; ++r) {
+    rng.FillGaussian(input.cat1.Row(r), 32, 1.0f);
+  }
+  input.time_x.assign(b * 10, std::log1p(1.0f));
+  input.valid.assign(b, 10);
   std::vector<int> labels(b);
   for (size_t i = 0; i < b; ++i) labels[i] = static_cast<int>(i % 2);
 
   // Warm-up: grows the activation scratch and the gradients to this batch
   // size.
-  model.TrainStep(input, labels, &train);
-  model.TrainStep(input, labels, &train);
+  model.TrainStep(&input, labels, &train);
+  model.TrainStep(&input, labels, &train);
 
   const size_t allocs = CountAllocations([&] {
     for (int step = 0; step < 10; ++step) {
-      model.TrainStep(input, labels, &train);
+      model.TrainStep(&input, labels, &train);
     }
   });
   EXPECT_EQ(allocs, 0u);

@@ -1,7 +1,10 @@
 // Copyright 2026 The SPLASH Reproduction Authors.
 //
-// Finite-difference oracle for SLIM's hand-written backward pass
-// (core/slim.cc). A test-local double-precision copy of SLIM's forward pass
+// Oracles for SLIM's train step (core/slim.cc): its hand-written backward
+// pass against finite differences, and its dropout draws against a
+// reference Rng.
+//
+// Backward. A test-local double-precision copy of SLIM's forward pass
 // and mean cross-entropy loss, with dropout off, gives central differences
 // of the loss with respect to parameter entries of every block (w1 b1 w2
 // b2 w3 b3 w4 b4). The model's analytic gradient is read back with no
@@ -20,6 +23,14 @@
 // O(scale).
 //
 // It runs on every kernel backend this host can execute.
+//
+// Dropout. One training forward draws exactly one Rng::Uniform() per
+// hidden unit, row by row, and keeps a unit iff its draw is < 1 - dropout.
+// A model whose hidden layer reads 1 on every unit and whose head is the
+// identity outputs the dropout mask itself (scaled), so the mask and the
+// Rng's final state are compared against a reference Rng. The first draw
+// is steered to land exactly on the keep threshold, where `<` and `<=`
+// disagree.
 
 #include <gtest/gtest.h>
 
@@ -105,14 +116,13 @@ double Loss(const SlimOptions& o, const Params& w, const SlimBatchInput& in,
   for (size_t bi = 0; bi < b; ++bi) {
     std::vector<double> agg(h, 0.0);
     double wsum = 0.0;
-    for (size_t j = 0; j < k; ++j) {
+    for (size_t j = 0; j < in.valid[bi]; ++j) {
       const size_t row = bi * k + j;
-      if (in.mask(bi, j) == 0.0f) continue;
-      for (size_t c = 0; c < dv; ++c) cat1[c] = in.neighbor_feats(row, c);
-      // phi(dt): sin/cos pairs at frequencies 0.5^p of log1p(max(dt, 0)),
-      // and 0.1 x in the last column of an odd width.
-      const double x = std::log1p(static_cast<double>(static_cast<float>(
-          in.time_deltas[row] < 0.0 ? 0.0 : in.time_deltas[row])));
+      for (size_t c = 0; c < dv; ++c) cat1[c] = in.cat1(row, c);
+      // phi(dt): sin/cos pairs at frequencies 0.5^p of the batch's
+      // x = log1p(max(dt, 0)), and 0.1 x in the last column of an odd
+      // width.
+      const double x = in.time_x[row];
       double freq = 1.0;
       for (size_t c = 0; c + 1 < dt; c += 2) {
         cat1[dv + c] = std::sin(x * freq);
@@ -121,7 +131,7 @@ double Loss(const SlimOptions& o, const Params& w, const SlimBatchInput& in,
       }
       if (dt % 2 == 1) cat1[dv + dt - 1] = 0.1 * x;
       DenseRow(cat1, w1, b1, /*relu=*/true, &msg);
-      const double ew = in.edge_weights[row];
+      const double ew = in.edge_weights.empty() ? 1.0 : in.edge_weights[row];
       wsum += ew;
       for (size_t c = 0; c < h; ++c) agg[c] += ew * msg[c];
     }
@@ -147,25 +157,32 @@ struct Shape {
   const char* name;
   size_t feature_dim, time_dim, hidden_dim, out_dim, k_recent, batch;
   size_t samples;  // FD entries per block; 0 = every entry
+  bool weighted;   // per-slot edge weights, else unit weights
 };
 
-/// A batch with every mask pattern SLIM's aggregation distinguishes: all
-/// slots valid, a valid prefix, and no valid slot (inv_weight 0).
-SlimBatchInput MakeBatch(const Shape& s, Rng* rng, std::vector<int>* labels) {
+/// A batch with every valid-slot pattern SLIM's aggregation
+/// distinguishes: all slots valid, a valid prefix, and no valid slot
+/// (inv_weight 0). Every slot, valid or not, holds Gaussian features and
+/// a time code of dt in [-5, 45).
+SlimBatchInput MakeBatch(const Shape& s, const SlimOptions& opts, Rng* rng,
+                         std::vector<int>* labels) {
   const size_t b = s.batch, k = s.k_recent;
   SlimBatchInput in;
-  in.node_feats = Matrix::Gaussian(b, s.feature_dim, rng);
-  in.neighbor_feats = Matrix::Gaussian(b * k, s.feature_dim, rng);
-  in.mask = Matrix(b, k);
-  in.time_deltas.resize(b * k);
-  in.edge_weights.resize(b * k);
+  in.Resize(opts, b, s.weighted);
+  rng->FillGaussian(in.node_feats.data(), b * s.feature_dim, 1.0f);
+  for (size_t r = 0; r < b * k; ++r) {
+    rng->FillGaussian(in.cat1.Row(r), s.feature_dim, 1.0f);
+  }
   labels->resize(b);
   for (size_t bi = 0; bi < b; ++bi) {
-    const size_t valid = bi == 0 ? k : (bi % 4 == 3 ? 0 : 1 + bi % k);
+    in.valid[bi] = static_cast<uint32_t>(
+        bi == 0 ? k : (bi % 4 == 3 ? 0 : 1 + bi % k));
     for (size_t j = 0; j < k; ++j) {
-      in.mask(bi, j) = j < valid ? 1.0f : 0.0f;
-      in.time_deltas[bi * k + j] = 50.0 * rng->Uniform() - 5.0;
-      in.edge_weights[bi * k + j] = 0.5f + static_cast<float>(rng->Uniform());
+      const double dt = 50.0 * rng->Uniform() - 5.0;
+      in.time_x[bi * k + j] =
+          std::log1p(static_cast<float>(dt < 0.0 ? 0.0 : dt));
+      const float w = 0.5f + static_cast<float>(rng->Uniform());
+      if (s.weighted) in.edge_weights[bi * k + j] = w;
     }
     (*labels)[bi] = static_cast<int>(rng->UniformInt(s.out_dim));
   }
@@ -187,11 +204,11 @@ void CheckShape(const Shape& s) {
   model.SetTraining(true);
   SlimTrainState train(opts);
   std::vector<int> labels;
-  const SlimBatchInput in = MakeBatch(s, &rng, &labels);
+  SlimBatchInput in = MakeBatch(s, opts, &rng, &labels);
 
   ByteWriter before, after;
   model.Serialize(&before, train);
-  model.TrainStep(in, labels, &train);
+  model.TrainStep(&in, labels, &train);
   model.Serialize(&after, train);
   Params w = ReadSerialized(before, /*moments=*/false);
   const Params m = ReadSerialized(after, /*moments=*/true);
@@ -236,14 +253,110 @@ void CheckShape(const Shape& s) {
   }
 }
 
+/// A SlimModel::Serialize stream of `opts`'s shape whose weights are all
+/// zero except b3 = 1 and w4 = the identity (out_dim == hidden_dim), with
+/// zero moments: every hidden unit reads relu(0 + 1) = 1 before dropout,
+/// and the output row is the hidden row.
+ByteWriter IdentityHeadStream(const SlimOptions& opts) {
+  const size_t dv = opts.feature_dim, dt = opts.time_dim, h = opts.hidden_dim;
+  const size_t shapes[kNumParams][2] = {{dv + dt, h}, {1, h}, {dv, h},
+                                        {1, h},       {2 * h, h}, {1, h},
+                                        {h, h},       {1, h}};
+  ByteWriter w;
+  w.U64(0);  // Adam step
+  w.U64(0);  // train calls
+  for (size_t p = 0; p < kNumParams; ++p) {
+    Matrix param(shapes[p][0], shapes[p][1]);
+    if (p == 5) param.Fill(1.0f);
+    if (p == 6) {
+      for (size_t i = 0; i < h; ++i) param(i, i) = 1.0f;
+    }
+    const Matrix zero(shapes[p][0], shapes[p][1]);
+    WriteMatrix(&w, param);
+    WriteMatrix(&w, zero);
+    WriteMatrix(&w, zero);
+  }
+  return w;
+}
+
+bool SameState(const Rng& a, const Rng& b) {
+  const Rng::State x = a.SaveState(), y = b.SaveState();
+  return std::equal(x.s, x.s + 4, y.s) && x.has_cached == y.has_cached;
+}
+
+TEST(SlimDropoutTest, DrawsOneUniformPerUnitInRowOrder) {
+  SlimOptions opts;
+  opts.feature_dim = 4;
+  opts.time_dim = 4;
+  opts.hidden_dim = 24;
+  opts.out_dim = 24;
+  opts.k_recent = 3;
+  opts.dropout = 0.3f;
+  Rng rng(41);
+  SlimModel model(opts, &rng);
+  SlimTrainState train(opts);
+  const ByteWriter stream = IdentityHeadStream(opts);
+  model.SetTraining(true);
+
+  const size_t b = 9, h = opts.hidden_dim;
+  SlimBatchInput in;
+  in.Resize(opts, b, /*weighted=*/false);
+  for (size_t bi = 0; bi < b; ++bi) in.valid[bi] = bi % 4;
+  const std::vector<int> labels(b, 1);
+
+  const float keep = 1.0f - opts.dropout;
+  const float scale = 1.0f / keep;
+  // xoshiro256++ returns rotl(s0 + s3, 23) + s0: with s0 = 0 and
+  // s3 = rotr(v, 23) the next draw is v. Its top 53 bits are keep * 2^53,
+  // so the first Uniform() is exactly keep: dropped under `<`.
+  const uint64_t v = static_cast<uint64_t>(static_cast<double>(keep) *
+                                           0x1.0p53) << 11;
+  Rng::State st = rng.SaveState();
+  st.s[0] = 0;
+  st.s[3] = (v >> 23) | (v << 41);
+  rng.LoadState(st);
+
+  for (const char* backend : {"scalar", "avx2", "avx512"}) {
+    if (!SetKernelBackendForTesting(backend)) continue;  // not on this CPU
+    SCOPED_TRACE(backend);
+    ByteReader reader(stream.buffer());
+    ASSERT_TRUE(model.Deserialize(&reader, &train));
+    rng.LoadState(st);
+    // Forward in training mode applies the train step's dropout.
+    Rng ref = rng;
+    const Matrix out = model.Forward(&in);
+    size_t dropped = 0;
+    for (size_t bi = 0; bi < b; ++bi) {
+      for (size_t j = 0; j < h; ++j) {
+        const bool kept = ref.Uniform() < keep;
+        dropped += !kept;
+        ASSERT_EQ(out(bi, j), kept ? scale : 0.0f)
+            << "row " << bi << " unit " << j;
+      }
+    }
+    EXPECT_GT(dropped, 1u);  // the steered first draw and at least one more
+    EXPECT_TRUE(SameState(rng, ref)) << "forward drew other than b*H";
+
+    // A train step draws the same b*H uniforms, and nothing else.
+    ref = rng;
+    for (size_t i = 0; i < b * h; ++i) ref.Uniform();
+    model.TrainStep(&in, labels, &train);
+    EXPECT_TRUE(SameState(rng, ref)) << "train step drew other than b*H";
+  }
+  ASSERT_TRUE(SetKernelBackendForTesting("auto"));
+}
+
 TEST(SlimGradientTest, BackwardMatchesFiniteDifferencesOnEveryBackend) {
   const Shape shapes[] = {
       // Odd widths: every kernel's masked tails, and phi's odd 0.1 x column.
-      {"small", 5, 5, 12, 3, 4, 7, 0},
-      // The replay/ingest architecture at the ingest train-batch size.
-      {"paper_b25", 32, 16, 64, 2, 10, 25, 24},
+      // Weighted, as the attention stand-ins aggregate.
+      {"small", 5, 5, 12, 3, 4, 7, 0, true},
+      // The replay/ingest architecture at the ingest train-batch size,
+      // weighted and then with SPLASH's unit weights.
+      {"paper_b25", 32, 16, 64, 2, 10, 25, 24, true},
+      {"paper_b25_unit", 32, 16, 64, 2, 10, 25, 24, false},
       // One row: the forward takes the one-row kernel in every layer.
-      {"paper_b1", 32, 16, 64, 2, 10, 1, 24},
+      {"paper_b1", 32, 16, 64, 2, 10, 1, 24, true},
   };
   int backends = 0;
   for (const char* backend : {"scalar", "avx2", "avx512"}) {

@@ -5,17 +5,22 @@
 // ring-buffer substrate and trainer replay hold up under a full pipeline;
 // copying a trained model (CopyModelFrom, the copy constructor) gives the
 // bytes training would; every mode's checkpoint restores bit-exactly; a
-// cold read served from the memo is the read computed.
+// cold read served from the memo is the read computed; the shared SLIM
+// batch assembler reads unit weights as explicit ones and still hands the
+// attention stand-ins their recency weights.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "baselines/standins.h"
 #include "core/serialize.h"
+#include "core/slim.h"
 #include "core/splash.h"
 #include "datasets/shift_intensity.h"
 #include "datasets/synthetic.h"
@@ -203,8 +208,7 @@ void CheckOneRowReadsMatchBatchedRows(size_t feature_dim, size_t hidden_dim) {
     SplashQueryScratch batched, single;
     const Matrix& all = model.PredictBatchConst(batch, &batched);
     for (size_t q = 0; q < batch.size(); ++q) {
-      size_t valid = 0;
-      for (size_t j = 0; j < k; ++j) valid += batched.batch.mask(q, j) != 0;
+      const size_t valid = batched.batch.valid[q];
       ASSERT_EQ(valid, std::min(history[q], k)) << "query " << q;
       const Matrix& one = model.PredictBatchConst({batch[q]}, &single);
       ASSERT_EQ(one.rows(), 1u);
@@ -224,6 +228,140 @@ TEST(SplashSmokeTest, OneRowReadsMatchBatchedRowsAtPaperDims) {
 
 TEST(SplashSmokeTest, OneRowReadsMatchBatchedRowsWide) {
   CheckOneRowReadsMatchBatchedRows(64, 1024);
+}
+
+// Unit weights are the empty weight vector, which SLIM reads as a null
+// pointer and aggregates without a multiply. A batch with an explicit
+// all-ones vector takes the weighted path (Axpy, d_msg's weight product);
+// both must give the same bits: the scores of PredictConst (batched and
+// one-row, valid prefixes 0..k) and the state bytes after a train step,
+// on every backend.
+TEST(SplashSmokeTest, UnitWeightsEqualExplicitOnes) {
+  SlimOptions opts;
+  opts.feature_dim = 32;
+  opts.time_dim = 16;
+  opts.hidden_dim = 64;
+  opts.k_recent = 10;
+  const size_t k = opts.k_recent;
+  for (const size_t b : {size_t{13}, size_t{1}}) {
+    Rng data(17);
+    SlimBatchInput unit, ones;
+    unit.Resize(opts, b, /*weighted=*/false);
+    data.FillGaussian(unit.node_feats.data(), b * opts.feature_dim, 1.0f);
+    for (size_t bi = 0; bi < b; ++bi) {
+      unit.valid[bi] = static_cast<uint32_t>(b == 1 ? k / 2 : bi % (k + 1));
+      for (size_t j = 0; j < k; ++j) {
+        float* row = unit.cat1.Row(bi * k + j);
+        const bool valid = j < unit.valid[bi];
+        for (size_t c = 0; c < opts.feature_dim; ++c) {
+          row[c] = valid ? data.Gaussian() : 0.0f;
+        }
+        unit.time_x[bi * k + j] =
+            valid ? std::log1p(static_cast<float>(1e4 * data.Uniform()))
+                  : 0.0f;
+      }
+    }
+    ones.Resize(opts, b, /*weighted=*/true);
+    ones.node_feats = unit.node_feats;
+    ones.cat1 = unit.cat1;
+    ones.time_x = unit.time_x;
+    ones.valid = unit.valid;
+    std::fill(ones.edge_weights.begin(), ones.edge_weights.end(), 1.0f);
+    for (const char* backend : {"scalar", "avx2", "avx512"}) {
+      if (!SetKernelBackendForTesting(backend)) continue;  // not on this CPU
+      SCOPED_TRACE(std::string(backend) + " b" + std::to_string(b));
+      Rng rng_a(3), rng_b(3);
+      SlimModel a(opts, &rng_a), m(opts, &rng_b);
+      SlimForwardScratch sa, sb;
+      const Matrix& out_a = a.PredictConst(&unit, &sa);
+      const Matrix& out_b = m.PredictConst(&ones, &sb);
+      ASSERT_EQ(std::memcmp(out_a.data(), out_b.data(),
+                            out_a.size() * sizeof(float)),
+                0);
+      SlimTrainState ta(opts), tb(opts);
+      a.SetTraining(true);
+      m.SetTraining(true);
+      const std::vector<int> labels(b, 1);
+      a.TrainStep(&unit, labels, &ta);
+      m.TrainStep(&ones, labels, &tb);
+      ByteWriter wa, wb;
+      a.Serialize(&wa, ta);
+      m.Serialize(&wb, tb);
+      EXPECT_EQ(wa.buffer(), wb.buffer());
+    }
+  }
+  ASSERT_TRUE(SetKernelBackendForTesting("auto"));
+}
+
+// The attention stand-ins weigh each neighbor by recency,
+// 1 / (1 + log1p(dt)), through the shared assembler. A TGAT stand-in's
+// scores must equal its backbone's (same seed, same shape) over a batch
+// whose weights this test computes from its own ring, and differ from the
+// same batch at unit weights.
+TEST(SplashSmokeTest, AttentionStandinGetsRecencyWeights) {
+  const Dataset ds = SmallClassification();
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.1, 0.1);
+  TgnnStandinOptions sopts;
+  sopts.family = TgnnFamily::kTgat;
+  sopts.feature_dim = 8;
+  sopts.hidden_dim = 12;
+  sopts.time_dim = 6;
+  sopts.k_recent = 4;
+  sopts.seed = 31;
+  TgnnStandin standin(sopts);
+  ASSERT_TRUE(standin.Prepare(ds, split).ok());
+  standin.SetTraining(false);
+  NeighborMemory memory(sopts.k_recent);
+  const size_t n = ds.stream.size() / 3;
+  for (size_t i = 0; i < n; ++i) {
+    standin.ObserveEdge(ds.stream[i], i);
+    memory.Observe(ds.stream[i], i);
+  }
+  const double now = ds.stream.time_data()[n - 1] + 5.0;
+  std::vector<PropertyQuery> queries;
+  for (NodeId v = 0; v < 40; ++v) queries.push_back(PropertyQuery{v, now, 0});
+  const Matrix scores = standin.PredictBatch(queries);
+
+  SlimOptions bopts;
+  bopts.feature_dim = sopts.feature_dim;
+  bopts.time_dim = sopts.time_dim;
+  bopts.hidden_dim = 2 * sopts.hidden_dim;  // TGAT's width multiplier
+  bopts.out_dim = std::max<size_t>(2, ds.num_classes);
+  bopts.k_recent = sopts.k_recent;
+  Rng rng(sopts.seed);
+  SlimModel backbone(bopts, &rng);
+  SlimBatchInput batch;
+  std::vector<NodeId> ids;
+  std::vector<double> times;
+  // Plain TGAT inputs are all zero.
+  AssembleSlimBatch(
+      bopts, /*weighted=*/false, memory, queries.data(), queries.size(),
+      [&](NodeId, float* row) {
+        std::fill(row, row + bopts.feature_dim, 0.0f);
+      },
+      &ids, &times, &batch);
+  const Matrix unit = backbone.Forward(&batch);
+  batch.edge_weights.assign(queries.size() * sopts.k_recent, 0.0f);
+  size_t weighted = 0;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const size_t count = memory.GatherRecent(queries[q].node, ids.data(),
+                                             times.data());
+    ASSERT_EQ(count, batch.valid[q]);
+    weighted += count;
+    for (size_t j = 0; j < count; ++j) {
+      batch.edge_weights[q * sopts.k_recent + j] =
+          1.0f / (1.0f + static_cast<float>(std::log1p(now - times[j])));
+    }
+  }
+  ASSERT_GT(weighted, 0u);
+  const Matrix expected = backbone.Forward(&batch);
+  ASSERT_EQ(scores.rows(), expected.rows());
+  EXPECT_EQ(std::memcmp(scores.data(), expected.data(),
+                        scores.size() * sizeof(float)),
+            0);
+  EXPECT_NE(std::memcmp(scores.data(), unit.data(),
+                        scores.size() * sizeof(float)),
+            0);
 }
 
 // The cold-read memo's oracle. A one-row read of a node no edge has
