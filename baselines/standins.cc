@@ -100,8 +100,8 @@ void TgnnStandin::WriteInput(NodeId node, float* out) const {
   std::memset(out, 0, dv * sizeof(float));
 }
 
-void TgnnStandin::ObserveEdge(const TemporalEdge& e, size_t edge_index) {
-  memory_.Observe(e, edge_index);
+void TgnnStandin::ObserveEdge(const TemporalEdge& e, size_t /*edge_index*/) {
+  memory_.Observe(e);
   if (!IsMemoryFamily()) return;
 
   const size_t hi = static_cast<size_t>(std::max(e.src, e.dst)) + 1;

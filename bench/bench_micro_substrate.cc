@@ -33,11 +33,10 @@ void BM_NeighborMemoryObserve(benchmark::State& state) {
   NeighborMemory memory(10, n);
   Rng rng(1);
   double t = 0.0;
-  size_t i = 0;
   for (auto _ : state) {
     TemporalEdge e(static_cast<NodeId>(rng.UniformInt(n)),
                    static_cast<NodeId>(rng.UniformInt(n)), t += 1.0);
-    memory.Observe(e, i++);
+    memory.Observe(e);
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -76,10 +76,8 @@ void FeatureAugmenter::Retain(bool random, bool positional) {
       *m = Matrix(seen_.size(), opts_.feature_dim);
     }
   };
-  size_rows(&random_seen_, kKeepRandom);
-  size_rows(&random_prop_, kKeepRandom);
+  size_rows(&random_, kKeepRandom);
   size_rows(&positional_, kKeepPositional);
-  size_rows(&positional_prop_, kKeepPositional);
   if (kept_ != 0) {
     prop_count_.resize(seen_.size(), 0);
     scratch_.resize(opts_.feature_dim);
@@ -100,8 +98,7 @@ bool FeatureAugmenter::keeps(AugmentationProcess process) const {
 }
 
 size_t FeatureAugmenter::feature_row_bytes() const {
-  return (random_seen_.size() + random_prop_.size() + positional_.size() +
-          positional_prop_.size()) * sizeof(float) +
+  return (random_.size() + positional_.size()) * sizeof(float) +
          prop_count_.size() * sizeof(uint32_t);
 }
 
@@ -122,10 +119,8 @@ void FeatureAugmenter::EnsureNodeCapacity(size_t n) {
     }
     *m = std::move(next);
   };
+  grow(&random_, kKeepRandom);
   grow(&positional_, kKeepPositional);
-  grow(&random_seen_, kKeepRandom);
-  grow(&random_prop_, kKeepRandom);
-  grow(&positional_prop_, kKeepPositional);
   degrees_.EnsureNodeCapacity(target);
 }
 
@@ -149,11 +144,8 @@ void FeatureAugmenter::FitSeen(const EdgeStream& stream, double fit_time) {
   if (kept_ & kKeepRandom) {
     const size_t dim = opts_.feature_dim;
     for (size_t v = 0; v < seen_.size(); ++v) {
-      float* row = random_seen_.Row(v);
-      if (!seen_[v]) {
-        std::memset(row, 0, dim * sizeof(float));
-        continue;
-      }
+      if (!seen_[v]) continue;  // Reset() zeroes the unseen rows
+      float* row = random_.Row(v);
       const uint64_t key = opts_.seed * 0x9e3779b97f4a7c15ULL + v;
       for (size_t j = 0; j < dim; ++j) {
         row[j] = HashGaussian((key << 8) ^ (kRandomSalt + j));
@@ -168,11 +160,8 @@ void FeatureAugmenter::FitSeen(const EdgeStream& stream, double fit_time) {
     const size_t dim = opts_.feature_dim;
     const float init_scale = 1.0f / std::sqrt(static_cast<float>(dim));
     for (size_t v = 0; v < seen_.size(); ++v) {
+      if (!seen_[v]) continue;
       float* row = positional_.Row(v);
-      if (!seen_[v]) {
-        std::memset(row, 0, dim * sizeof(float));
-        continue;
-      }
       const uint64_t key = opts_.seed * 0x9e3779b97f4a7c15ULL + v;
       for (size_t j = 0; j < dim; ++j) {
         row[j] = init_scale * HashGaussian((key << 8) ^ (kPositionalSalt + j));
@@ -226,20 +215,21 @@ void FeatureAugmenter::FitSeen(const EdgeStream& stream, double fit_time) {
 void FeatureAugmenter::Reset() {
   degrees_.Clear();
   std::fill(prop_count_.begin(), prop_count_.end(), 0u);
-  random_prop_.SetZero();
-  positional_prop_.SetZero();
+  // Unseen rows return to zero; seen rows keep their fitted features. A
+  // dropped process's table has no rows.
+  for (Matrix* rows : {&random_, &positional_}) {
+    for (size_t v = 0; v < rows->rows(); ++v) {
+      if (!seen_[v]) std::memset(rows->Row(v), 0, rows->cols() * sizeof(float));
+    }
+  }
 }
 
-void FeatureAugmenter::WriteCurrent(const Matrix& fitted, const Matrix& prop,
-                                    NodeId node, float* out) const {
+void FeatureAugmenter::WriteCurrent(const Matrix& rows, NodeId node,
+                                    float* out) const {
+  // A node past the table is unseen with no incident edge yet: zeros.
   const size_t dim = opts_.feature_dim;
-  if (node < seen_.size() && seen_[node]) {
-    std::memcpy(out, fitted.Row(node), dim * sizeof(float));
-    return;
-  }
-  // Unseen: current propagated estimate (zero until first incident edge).
-  if (node < prop.rows()) {
-    std::memcpy(out, prop.Row(node), dim * sizeof(float));
+  if (node < rows.rows()) {
+    std::memcpy(out, rows.Row(node), dim * sizeof(float));
   } else {
     std::memset(out, 0, dim * sizeof(float));
   }
@@ -260,12 +250,12 @@ void FeatureAugmenter::FoldInto(NodeId node, NodeId source) {
   // Propagate into unseen `node` from `source`'s *current* feature (fitted
   // if seen, propagated estimate otherwise).
   if (kept_ & kKeepRandom) {
-    WriteCurrent(random_seen_, random_prop_, source, scratch_.data());
-    PropagateInto(&random_prop_, node, scratch_.data());
+    WriteCurrent(random_, source, scratch_.data());
+    PropagateInto(&random_, node, scratch_.data());
   }
   if (kept_ & kKeepPositional) {
-    WriteCurrent(positional_, positional_prop_, source, scratch_.data());
-    PropagateInto(&positional_prop_, node, scratch_.data());
+    WriteCurrent(positional_, source, scratch_.data());
+    PropagateInto(&positional_, node, scratch_.data());
   }
 }
 
@@ -298,11 +288,11 @@ void FeatureAugmenter::WriteFeature(AugmentationProcess process, NodeId node,
   switch (process) {
     case AugmentationProcess::kRandom:
       if (!(kept_ & kKeepRandom)) break;
-      WriteCurrent(random_seen_, random_prop_, node, out);
+      WriteCurrent(random_, node, out);
       return;
     case AugmentationProcess::kPositional:
       if (!(kept_ & kKeepPositional)) break;
-      WriteCurrent(positional_, positional_prop_, node, out);
+      WriteCurrent(positional_, node, out);
       return;
     case AugmentationProcess::kStructural:
       EncodeDegree(degrees_.Degree(node), out);
@@ -342,14 +332,8 @@ void FeatureAugmenter::Serialize(ByteWriter* w) const {
   w->U8Vec(seen_);
   w->U32Vec(prop_count_);
   degrees_.Serialize(w);
-  if (kept_ & kKeepRandom) {
-    WriteMatrix(w, random_seen_);
-    WriteMatrix(w, random_prop_);
-  }
-  if (kept_ & kKeepPositional) {
-    WriteMatrix(w, positional_);
-    WriteMatrix(w, positional_prop_);
-  }
+  if (kept_ & kKeepRandom) WriteMatrix(w, random_);
+  if (kept_ & kKeepPositional) WriteMatrix(w, positional_);
 }
 
 bool FeatureAugmenter::Deserialize(ByteReader* r) {
@@ -368,14 +352,11 @@ bool FeatureAugmenter::Deserialize(ByteReader* r) {
   if (prop_count_.size() != rows || degrees_.capacity() < seen_.size()) {
     return false;
   }
-  if ((kept_ & kKeepRandom) &&
-      (!ReadMatrixExpect(r, &random_seen_, rows, dim) ||
-       !ReadMatrixExpect(r, &random_prop_, rows, dim))) {
+  if ((kept_ & kKeepRandom) && !ReadMatrixExpect(r, &random_, rows, dim)) {
     return false;
   }
   if ((kept_ & kKeepPositional) &&
-      (!ReadMatrixExpect(r, &positional_, rows, dim) ||
-       !ReadMatrixExpect(r, &positional_prop_, rows, dim))) {
+      !ReadMatrixExpect(r, &positional_, rows, dim)) {
     return false;
   }
   return r->ok();

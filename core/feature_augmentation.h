@@ -27,6 +27,10 @@
 //                         for S, which reads only the degree counter); a
 //                         dropped process is never grown, fitted, folded
 //                         or serialized, and reads as zeros.
+//
+// A kept process holds one row table: a seen node's row is its fitted
+// feature and an unseen node's row its running neighbor mean, so every
+// read, fold and checkpoint touches one row per node.
 
 #ifndef SPLASH_CORE_FEATURE_AUGMENTATION_H_
 #define SPLASH_CORE_FEATURE_AUGMENTATION_H_
@@ -67,8 +71,8 @@ class FeatureAugmenter {
   /// True if `process`'s rows are kept (never for kStructural, which has
   /// none).
   bool keeps(AugmentationProcess process) const;
-  /// Bytes held in the kept processes' fitted and propagated rows and
-  /// the Eq. (5) denominators; 0 when nothing is kept.
+  /// Bytes held in the kept processes' row tables and the Eq. (5)
+  /// denominators; 0 when nothing is kept.
   size_t feature_row_bytes() const;
 
   /// Fits static state on the train period (time <= fit_time) and resets
@@ -78,7 +82,7 @@ class FeatureAugmenter {
   void FitSeen(const EdgeStream& stream, double fit_time);
 
   /// Clears dynamic state (degree counts, propagated unseen-node rows) while
-  /// keeping the fitted seen set and positional embedding.
+  /// keeping the fitted seen set and the seen nodes' fitted rows.
   void Reset();
 
   /// Per-edge dynamic update; see file header. Call once per edge of a
@@ -116,14 +120,14 @@ class FeatureAugmenter {
   }
   const DegreeTracker& degrees() const { return degrees_; }
 
-  /// Checkpoint hooks: BOTH the fitted state (seen set, and for each kept
-  /// process its fitted rows) and the dynamic state (degree counts, kept
-  /// propagated rows, Eq. (5) denominators) — restore needs no FitSeen and
-  /// no replay. Deserialize validates the options fingerprint (dim / seed)
-  /// and requires the blob's kept set to equal this augmenter's (apply
-  /// Retain first) and every row table to match the seen-set size, so a
-  /// checkpoint can never be applied to a differently-configured augmenter
-  /// nor leave a row shorter than a read.
+  /// Checkpoint hooks: BOTH the fitted state (seen set, and each kept
+  /// process's row table, fitted and propagated rows alike) and the
+  /// dynamic state (degree counts, Eq. (5) denominators) — restore needs
+  /// no FitSeen and no replay. Deserialize validates the options
+  /// fingerprint (dim / seed) and requires the blob's kept set to equal
+  /// this augmenter's (apply Retain first) and every row table to match
+  /// the seen-set size, so a checkpoint can never be applied to a
+  /// differently-configured augmenter nor leave a row shorter than a read.
   void Serialize(ByteWriter* w) const;
   bool Deserialize(ByteReader* r);
 
@@ -141,9 +145,8 @@ class FeatureAugmenter {
 
   void EnsureNodeCapacity(size_t n);
   /// Writes `node`'s current feature of one kept process into out: its
-  /// `fitted` row if seen, else its `prop` (propagated) row.
-  void WriteCurrent(const Matrix& fitted, const Matrix& prop, NodeId node,
-                    float* out) const;
+  /// row of the process's table `rows`, or zeros past the table.
+  void WriteCurrent(const Matrix& rows, NodeId node, float* out) const;
   /// Eq. (4)-(5): fold `src_feat` into unseen `node`'s running-mean row of
   /// matrix `m`.
   void PropagateInto(Matrix* m, NodeId node, const float* src_feat);
@@ -158,12 +161,11 @@ class FeatureAugmenter {
   std::shared_ptr<const DegreeCodes> codes_;  // set at construction
 
   // Row tables of the kept processes have seen_.size() rows; a dropped
-  // process's are empty, and so is prop_count_ when nothing is kept.
+  // process's is empty, and so is prop_count_ when nothing is kept. A seen
+  // node's row is fitted (FitSeen), an unseen node's propagated (dynamic).
   std::vector<uint8_t> seen_;       // fitted: 1 if node has a train edge
-  Matrix positional_;               // fitted rows for seen nodes
-  Matrix random_seen_;              // fitted: cached hash rows, seen nodes
-  Matrix random_prop_;              // dynamic: propagated rows, unseen nodes
-  Matrix positional_prop_;          // dynamic: propagated rows, unseen nodes
+  Matrix random_;                   // hash rows / propagated rows
+  Matrix positional_;               // smoothed embedding / propagated rows
   std::vector<uint32_t> prop_count_;  // dynamic: Eq. (5) denominators
 
   // Preallocated per-edge scratch (feature_dim, empty when nothing is

@@ -174,7 +174,7 @@ FeatureSelectionResult SelectFeatureProcess(
     }
     if (i == n_edges || ds.stream[i].time > split.val_end_time) break;
     augmenter->ObserveEdge(ds.stream[i]);
-    memory.Observe(ds.stream[i], i);
+    memory.Observe(ds.stream[i]);
   }
 
   if (rows_tr == 0 || rows_val == 0) {

@@ -50,6 +50,10 @@ class ByteWriter {
   ByteWriter() = default;
 
   void Clear() { buf_.clear(); }
+  /// Frees the capacity past the bytes written, so a writer kept for
+  /// records of a steady size holds one record's bytes, not the up to
+  /// twice that its growth while writing left.
+  void ShrinkToFit() { buf_.shrink_to_fit(); }
   const std::vector<uint8_t>& buffer() const { return buf_; }
   size_t size() const { return buf_.size(); }
   /// For framing writers that reserve a header in-line and patch it after

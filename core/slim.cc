@@ -84,7 +84,6 @@ SlimTrainState::SlimTrainState(const SlimTrainState& src) { CopyFrom(src); }
 
 void SlimTrainState::CopyFrom(const SlimTrainState& src) {
   adam_t_ = src.adam_t_;
-  train_calls_ = src.train_calls_;
   for (size_t p = 0; p < kNumParams; ++p) {
     m_[p] = src.m_[p];
     v_[p] = src.v_[p];
@@ -111,9 +110,9 @@ SlimModel::SlimModel(const SlimModel& src, Rng* rng)
   CopyLearnedStateFrom(src);
 }
 
-size_t SlimModel::ParamCount() const {
+size_t SlimModel::ParamCount(const SlimOptions& opts) {
   size_t n = 0;
-  for (const Matrix* p : Params()) n += p->size();
+  for (const ParamShape& s : ParamShapes(opts)) n += s.rows * s.cols;
   return n;
 }
 
@@ -131,7 +130,6 @@ bool SlimModel::Fits(const SlimTrainState& train) const {
 void SlimModel::Serialize(ByteWriter* w, const SlimTrainState& train) const {
   assert(Fits(train));
   w->U64(train.adam_t_);
-  w->U64(train.train_calls_);
   const auto params = Params();
   for (size_t p = 0; p < kNumParams; ++p) {
     WriteMatrix(w, *params[p]);
@@ -145,7 +143,6 @@ bool SlimModel::Deserialize(ByteReader* r, SlimTrainState* train) {
   // weights, and state derived from them must never outlive them.
   ++weights_version_;
   train->adam_t_ = static_cast<size_t>(r->U64());
-  train->train_calls_ = r->U64();
   const auto params = Params();
   for (size_t p = 0; p < kNumParams; ++p) {
     const size_t rows = params[p]->rows(), cols = params[p]->cols();
@@ -436,7 +433,6 @@ double SlimModel::TrainStep(SlimBatchInput* input,
   assert(Fits(*train));
   if (b == 0) return 0.0;
   ResizeScratch(b, train);
-  ++train->train_calls_;
 
   const bool wants_dropout = training_ && opts_.dropout > 0.0f;
   ForwardInto(input, wants_dropout ? rng_ : nullptr, /*for_backward=*/true,

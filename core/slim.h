@@ -69,10 +69,6 @@ struct SlimOptions {
   size_t k_recent = 10;     // K: neighbors per query
   float dropout = 0.1f;     // on h during training
   float lr = 5e-3f;         // Adam step size
-  /// Used by no computation: dropout draws from the model Rng. It stays
-  /// only because the predictor state bytes (SplashPredictor::
-  /// SerializeState) carry it; the next state-format bump drops it.
-  uint64_t dropout_seed = 0xd50bd50bULL;
 };
 
 /// One batch of assembled inputs. Row b of node_feats is the query node;
@@ -165,9 +161,9 @@ struct SlimForwardScratch {
 
 /// SLIM's training state, kept apart from the model so that a read-only
 /// copy (a serve replica) carries its weights only. Two parts:
-///   - learned: the Adam moments m/v of every parameter and the step
-///     counters (the Adam step and the train-call count). Checkpoints
-///     write them with the model's weights (SlimModel::Serialize).
+///   - learned: the Adam moments m/v of every parameter and the Adam step
+///     count. Checkpoints write them with the model's weights
+///     (SlimModel::Serialize).
 ///   - per-step transients: the gradients, the backward scratch and the
 ///     transposed head weights. They start empty and grow at the first
 ///     TrainStep, then stop allocating.
@@ -179,7 +175,7 @@ class SlimTrainState {
   /// Parameter order everywhere: w1 b1 w2 b2 w3 b3 w4 b4.
   static constexpr size_t kNumParams = 8;
 
-  /// Zero moments shaped for `opts`'s architecture, step counters at 0.
+  /// Zero moments shaped for `opts`'s architecture, step count 0.
   explicit SlimTrainState(const SlimOptions& opts);
   /// A copy of `src`'s learned part; the transients start empty.
   SlimTrainState(const SlimTrainState& src);
@@ -195,8 +191,7 @@ class SlimTrainState {
 
   // Learned.
   Matrix m_[kNumParams], v_[kNumParams];  // Adam moments
-  size_t adam_t_ = 0;
-  uint64_t train_calls_ = 0;  // TrainStep calls; checkpointed, else unread
+  size_t adam_t_ = 0;  // optimizer steps taken
 
   // Per-step transients.
   Matrix grad_[kNumParams];
@@ -238,13 +233,16 @@ class SlimModel {
                              SlimForwardScratch* scratch) const;
 
   /// Forward + cross-entropy backward + Adam update of this model's
-  /// weights, with the moments, step counters and scratch of `train`
+  /// weights, with the moments, step count and scratch of `train`
   /// (shaped for this architecture). labels[b] in [0, out_dim). Returns
   /// the mean batch loss.
   double TrainStep(SlimBatchInput* input, const std::vector<int>& labels,
                    SlimTrainState* train);
 
-  size_t ParamCount() const;
+  size_t ParamCount() const { return ParamCount(opts_); }
+  /// The parameter count of an `opts`-shaped model, computed without
+  /// building one.
+  static size_t ParamCount(const SlimOptions& opts);
   const SlimOptions& options() const { return opts_; }
 
   /// The stamp of the current weights: every weight mutation moves it and
@@ -263,7 +261,7 @@ class SlimModel {
   }
 
   /// Checkpoint hooks: the learned state of this model and of `train` —
-  /// the train state's step counters, then every parameter matrix
+  /// the train state's Adam step count, then every parameter matrix
   /// followed by its two Adam moments. Gradients and activation scratch
   /// are per-step transients and are not serialized. Deserialize verifies
   /// each matrix against the architecture-derived shape, so a stream from

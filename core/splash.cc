@@ -84,8 +84,6 @@ Status SplashPredictor::Prepare(const Dataset& ds, const ChronoSplit& split) {
   slim_opts.feature_dim = input_dim_;
   slim_opts.k_recent = memory_.k();  // same clamp as the ring buffer
   slim_opts.out_dim = std::max<size_t>(2, ds.num_classes);
-  // Carried in the state bytes only (SlimOptions::dropout_seed).
-  slim_opts.dropout_seed = SplitMix64(opts_.seed ^ 0xd50bd50bULL);
   slim_ = std::make_unique<SlimModel>(slim_opts, &rng_);
   train_ = std::make_unique<SlimTrainState>(slim_opts);
   cold_.version = 0;
@@ -124,9 +122,10 @@ void SplashPredictor::ResetState() {
   memory_.Clear();
 }
 
-void SplashPredictor::ObserveEdge(const TemporalEdge& e, size_t edge_index) {
+void SplashPredictor::ObserveEdge(const TemporalEdge& e,
+                                  size_t /*edge_index*/) {
   augmenter_.ObserveEdge(e);
-  memory_.Observe(e, edge_index);
+  memory_.Observe(e);
 }
 
 void SplashPredictor::ObserveBulk(const EdgeStream& stream, size_t begin,
@@ -264,9 +263,11 @@ Matrix SplashPredictor::PredictStaged() {
 
 namespace {
 constexpr uint32_t kSplashStateMagic = 0x53504c53u;  // "SPLS"
-// Version 2: the augmenter writes its kept-set mask and only the kept
-// processes' rows (version 1 wrote all four row tables).
-constexpr uint32_t kSplashStateVersion = 2;
+// Version 3: one row table per kept augmenter process, the neighbor
+// rings as one four-array slab, no dropout seed and no train-call count
+// (version 2 wrote a fitted and a propagated table per kept process and
+// one four-array set per ring shard; version 1 wrote all four tables).
+constexpr uint32_t kSplashStateVersion = 3;
 }  // namespace
 
 void SplashPredictor::SerializeState(ByteWriter* w) const {
@@ -296,7 +297,6 @@ void SplashPredictor::SerializeState(ByteWriter* w,
     w->U64(so.k_recent);
     w->F32(so.dropout);
     w->F32(so.lr);
-    w->U64(so.dropout_seed);
   }
   const Rng::State rs = rng_.SaveState();
   for (int i = 0; i < 4; ++i) w->U64(rs.s[i]);
@@ -327,9 +327,17 @@ Status SplashPredictor::DeserializeState(ByteReader* r) {
   if (selected > static_cast<uint32_t>(AugmentationProcess::kStructural)) {
     return Status::Error("SplashPredictor: bad selected process");
   }
-  selected_ = static_cast<AugmentationProcess>(selected);
-  input_dim_ = static_cast<size_t>(r->U64());
+  const size_t input_dim = static_cast<size_t>(r->U64());
   const bool has_slim = r->U8() != 0;
+  // Prepare's input width; an unprepared predictor has none.
+  const size_t dv = augmenter_.feature_dim();
+  const size_t want_dim = opts_.mode == SplashMode::kJoint ? 3 * dv : dv;
+  if (input_dim != (has_slim ? want_dim : 0)) {
+    return Status::Error("SplashPredictor: checkpoint input_dim " +
+                         std::to_string(input_dim) + " does not fit the mode");
+  }
+  selected_ = static_cast<AugmentationProcess>(selected);
+  input_dim_ = input_dim;
   cold_.version = 0;  // the new model's versions restart
   if (has_slim) {
     SlimOptions so;
@@ -340,10 +348,38 @@ Status SplashPredictor::DeserializeState(ByteReader* r) {
     so.k_recent = static_cast<size_t>(r->U64());
     so.dropout = r->F32();
     so.lr = r->F32();
-    so.dropout_seed = r->U64();
-    if (!r->ok() || so.feature_dim != input_dim_ ||
-        so.k_recent != memory_.k()) {
-      return Status::Error("SplashPredictor: inconsistent SLIM architecture");
+    if (!r->ok()) {
+      return Status::Error("SplashPredictor: truncated SLIM architecture");
+    }
+    // Every width is checked before the model is allocated: a hostile
+    // width must be refused, not built. All but out_dim are configured;
+    // out_dim follows the dataset, so it is bounded by the blob's size.
+    const char* field = nullptr;
+    if (so.feature_dim != input_dim_) {
+      field = "feature_dim";
+    } else if (so.time_dim != opts_.slim.time_dim) {
+      field = "time_dim";
+    } else if (so.hidden_dim != opts_.slim.hidden_dim) {
+      field = "hidden_dim";
+    } else if (so.k_recent != memory_.k()) {
+      field = "k_recent";
+    } else if (so.dropout != opts_.slim.dropout) {
+      field = "dropout";
+    } else if (so.lr != opts_.slim.lr) {
+      field = "lr";
+    }
+    if (field != nullptr) {
+      return Status::Error(std::string("SplashPredictor: checkpoint SLIM ") +
+                           field + " differs from the configured value");
+    }
+    // Each parameter float is stored three times (value, m, v). The first
+    // bound on out_dim keeps ParamCount's products from overflowing.
+    const size_t blob_floats = r->remaining() / (3 * sizeof(float));
+    if (so.out_dim < 2 || so.out_dim > blob_floats / (so.hidden_dim + 1) ||
+        SlimModel::ParamCount(so) > blob_floats) {
+      return Status::Error("SplashPredictor: checkpoint SLIM out_dim " +
+                           std::to_string(so.out_dim) +
+                           " is below 2 or larger than the blob holds");
     }
     // Construction He-initializes from rng_ (consuming draws); the stream
     // position and every parameter are overwritten below.

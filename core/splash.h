@@ -120,7 +120,7 @@ class SplashPredictor : public TemporalPredictor {
   /// SLIM's class count (0 before Prepare): valid labels are [0, out_dim).
   size_t out_dim() const { return slim_ ? slim_->options().out_dim : 0; }
 
-  /// Hands SLIM's train state (Adam moments, step counters, gradient
+  /// Hands SLIM's train state (Adam moments, step count, gradient
   /// scratch) to the caller and leaves this predictor a read-only replica:
   /// it answers queries, observes edges and copies models, and trains and
   /// serializes only with a train state passed in. Null before Prepare or
@@ -146,7 +146,7 @@ class SplashPredictor : public TemporalPredictor {
   /// cold-read memo and the position of the predictor RNG, which the
   /// serial dropout path draws from. A read-only replica (the serve
   /// catch-up) copies only that. A predictor that owns a train state also
-  /// copies `src`'s moments and step counters, so an offline twin that
+  /// copies `src`'s moments and step count, so an offline twin that
   /// observed the same edges and then copies the model ends
   /// byte-identical in SerializeState to a twin that also trained.
   /// Streaming state (augmenter, neighbor rings) is untouched. Both
@@ -158,7 +158,7 @@ class SplashPredictor : public TemporalPredictor {
   /// Checkpoint hooks (serve/checkpoint): the complete post-Prepare state —
   /// RNG stream, selected process, augmenter (fitted + dynamic), neighbor
   /// rings, SLIM's params and its train state's learned part (Adam
-  /// moments + step counters). The one-argument form writes this
+  /// moments + step count). The one-argument form writes this
   /// predictor's own train state; a read-only replica serializes together
   /// with the train state its owner passes in (non-null once prepared),
   /// and the bytes are the same either way. DeserializeState restores a
@@ -169,12 +169,13 @@ class SplashPredictor : public TemporalPredictor {
   /// holds rows only for the processes the mode reads
   /// (RetainReadableProcesses), so DeserializeState applies the
   /// blob's kept set before reading it. It refuses any state version but
-  /// the current one (version 1 predates the kept set) with an error that
-  /// names the version, validates a config fingerprint (seed / mode /
-  /// feature_dim and the serialized SLIM architecture) and fails without
-  /// partial mutation visible to queries only if the very first header
-  /// check fails; callers treat any error as "replica unusable" and
-  /// abandon recovery.
+  /// the current one (3) with an error that names the version, validates
+  /// a config fingerprint (seed / mode / feature_dim) and checks every
+  /// serialized SLIM width against the configured one, and out_dim
+  /// against the blob's length, before allocating the model, naming the
+  /// field it refuses. It fails without partial mutation visible to
+  /// queries only if a header check fails; callers treat any error as
+  /// "replica unusable" and abandon recovery.
   void SerializeState(ByteWriter* w) const;
   void SerializeState(ByteWriter* w, const SlimTrainState* train) const;
   Status DeserializeState(ByteReader* r);

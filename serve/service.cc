@@ -311,6 +311,9 @@ void SplashService::WriteServiceCheckpoint() {
   ckpt_state_scratch_.Clear();
   replicas_[gate_.back()]->SerializeState(&ckpt_state_scratch_,
                                           train_state_.get());
+  // The blob's size changes only when the node capacity grows, so the
+  // next checkpoint fits in the trimmed scratch without growing it.
+  ckpt_state_scratch_.ShrinkToFit();
   Status st = WriteCheckpoint(opts_.data_dir, seq, wal_batch_index_, wm_time,
                               log_, node_seen_, ckpt_state_scratch_.buffer());
   if (!st.ok()) {

@@ -370,7 +370,7 @@ class SplashService {
   SplashServiceOptions opts_;
 
   // Read-only replicas: weights and streaming state. SLIM's one
-  // train state (Adam moments, step counters, gradient scratch) is the
+  // train state (Adam moments, step count, gradient scratch) is the
   // apply thread's: ApplyBatch trains the back replica with it, and
   // checkpoints serialize a replica together with it.
   std::unique_ptr<SplashPredictor> replicas_[2];

@@ -91,19 +91,17 @@ TEST(AllocationSteadyStateTest, NeighborMemoryObserveIsAllocationFree) {
   NeighborMemory memory(10, n);
   Rng rng(1);
   double t = 0.0;
-  // Warm-up inside capacity (the hint pre-sized every shard).
+  // Warm-up inside capacity (the hint pre-sized the slab).
   for (size_t i = 0; i < 1000; ++i) {
     memory.Observe(TemporalEdge(static_cast<NodeId>(rng.UniformInt(n)),
                                 static_cast<NodeId>(rng.UniformInt(n)),
-                                t += 1.0),
-                   i);
+                                t += 1.0));
   }
   const size_t allocs = CountAllocations([&] {
     for (size_t i = 0; i < 100000; ++i) {
       memory.Observe(TemporalEdge(static_cast<NodeId>(rng.UniformInt(n)),
                                   static_cast<NodeId>(rng.UniformInt(n)),
-                                  t += 1.0),
-                     i);
+                                  t += 1.0));
     }
   });
   EXPECT_EQ(allocs, 0u);

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -138,9 +139,13 @@ TEST(FeatureAugmenterTest, UnseenNodePropagationIsRunningNeighborMean) {
   const EdgeStream s = TrainStream();
   augmenter.FitSeen(s, 10.0);
 
-  std::vector<float> f0(8), f1(8), unseen(8), expect(8);
+  std::vector<float> f0(8), f1(8), p0(8), unseen(8), expect(8);
   augmenter.WriteFeature(AugmentationProcess::kRandom, 0, f0.data());
   augmenter.WriteFeature(AugmentationProcess::kRandom, 1, f1.data());
+  augmenter.WriteFeature(AugmentationProcess::kPositional, 0, p0.data());
+  auto nonzero = [](float x) { return x != 0.0f; };
+  ASSERT_TRUE(std::any_of(f0.begin(), f0.end(), nonzero));  // fitted rows
+  ASSERT_TRUE(std::any_of(p0.begin(), p0.end(), nonzero));
 
   // Unseen node 6 starts at zero...
   augmenter.WriteFeature(AugmentationProcess::kRandom, 6, unseen.data());
@@ -158,11 +163,19 @@ TEST(FeatureAugmenterTest, UnseenNodePropagationIsRunningNeighborMean) {
     EXPECT_NEAR(unseen[j], expect[j], 1e-5f);
   }
 
-  // Reset() forgets the propagation but keeps the seen set.
+  // Reset() forgets the propagation but keeps the seen set and the seen
+  // nodes' fitted R and P rows, bit for bit.
   augmenter.Reset();
   augmenter.WriteFeature(AugmentationProcess::kRandom, 6, unseen.data());
   for (float v : unseen) EXPECT_FLOAT_EQ(v, 0.0f);
+  augmenter.WriteFeature(AugmentationProcess::kPositional, 6, unseen.data());
+  for (float v : unseen) EXPECT_FLOAT_EQ(v, 0.0f);
   EXPECT_TRUE(augmenter.seen(0));
+  std::vector<float> row(8);
+  augmenter.WriteFeature(AugmentationProcess::kRandom, 0, row.data());
+  EXPECT_EQ(std::memcmp(row.data(), f0.data(), 8 * sizeof(float)), 0);
+  augmenter.WriteFeature(AugmentationProcess::kPositional, 0, row.data());
+  EXPECT_EQ(std::memcmp(row.data(), p0.data(), 8 * sizeof(float)), 0);
 }
 
 TEST(FeatureAugmenterTest, StructuralTracksLiveDegree) {
@@ -281,14 +294,18 @@ void ExpectKeptProcessMatchesFullAugmenter(bool bulk) {
     EXPECT_EQ(full.degrees().num_edges(), only.degrees().num_edges());
     EXPECT_EQ(only.keeps(AugmentationProcess::kRandom), c.random);
     EXPECT_EQ(only.keeps(AugmentationProcess::kPositional), c.positional);
+    // One rows x dim table per kept process plus the Eq. (5)
+    // denominators; the tables have the grown node capacity as rows.
+    const size_t rows = GrowCapacity(0, s.num_nodes());
+    const size_t table = rows * kDim * sizeof(float);
+    EXPECT_EQ(full.feature_row_bytes(), 2 * table + rows * sizeof(uint32_t));
     if (c.process == AugmentationProcess::kStructural) {
       EXPECT_EQ(only.feature_row_bytes(), 0u);
       // A dropped process reads as zeros.
       only.WriteFeature(AugmentationProcess::kRandom, 1, got.data());
       for (float x : got) EXPECT_EQ(x, 0.0f);
     } else {
-      EXPECT_GT(only.feature_row_bytes(), 0u);
-      EXPECT_LT(only.feature_row_bytes(), full.feature_row_bytes());
+      EXPECT_EQ(only.feature_row_bytes(), table + rows * sizeof(uint32_t));
     }
   }
 }
@@ -301,8 +318,8 @@ TEST(FeatureAugmenterTest, KeptProcessMatchesFullAugmenterInBulk) {
   ExpectKeptProcessMatchesFullAugmenter(/*bulk=*/true);
 }
 
-// An augmenter blob in Serialize's layout for an R-only augmenter (two
-// row tables), with every shape chosen by the caller.
+// An augmenter blob in Serialize's layout for an R-only augmenter (one
+// row table), with every shape chosen by the caller.
 struct BlobShape {
   uint8_t mask = 1;
   size_t seen = 10;
@@ -321,7 +338,6 @@ std::vector<uint8_t> CraftedBlob(const FeatureAugmenterOptions& opts,
   w.U8Vec(std::vector<uint8_t>(shape.seen, 1));
   w.U32Vec(std::vector<uint32_t>(shape.counts, 0));
   DegreeTracker(shape.seen).Serialize(&w);
-  WriteMatrix(&w, Matrix(shape.seen, opts.feature_dim));
   WriteMatrix(&w, Matrix(shape.rows, shape.cols));
   std::vector<uint8_t> blob = w.buffer();
   if (shape.truncate) blob.resize(blob.size() - sizeof(float));

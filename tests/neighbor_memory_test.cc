@@ -22,8 +22,8 @@ namespace {
 
 TEST(NeighborMemoryTest, GathersNewestFirst) {
   NeighborMemory memory(3, 8);
-  memory.Observe(TemporalEdge(0, 1, 1.0), 0);
-  memory.Observe(TemporalEdge(0, 2, 2.0), 1);
+  memory.Observe(TemporalEdge(0, 1, 1.0));
+  memory.Observe(TemporalEdge(0, 2, 2.0));
 
   std::vector<NodeId> ids(3);
   std::vector<double> times(3);
@@ -38,8 +38,7 @@ TEST(NeighborMemoryTest, EvictsOldestBeyondK) {
   NeighborMemory memory(3, 8);
   for (int i = 1; i <= 5; ++i) {
     memory.Observe(TemporalEdge(0, static_cast<NodeId>(i),
-                                static_cast<double>(i)),
-                   static_cast<size_t>(i));
+                                static_cast<double>(i)));
   }
   std::vector<NodeId> ids(3);
   std::vector<double> times(3);
@@ -53,7 +52,7 @@ TEST(NeighborMemoryTest, EvictsOldestBeyondK) {
 
 TEST(NeighborMemoryTest, ObserveIsSymmetric) {
   NeighborMemory memory(2, 4);
-  memory.Observe(TemporalEdge(1, 3, 7.0), 0);
+  memory.Observe(TemporalEdge(1, 3, 7.0));
   std::vector<NodeId> ids(2);
   std::vector<double> times(2);
   ASSERT_EQ(memory.GatherRecent(3, ids.data(), times.data()), 1u);
@@ -64,15 +63,15 @@ TEST(NeighborMemoryTest, ObserveIsSymmetric) {
 
 TEST(NeighborMemoryTest, GrowsForUnannouncedNodeIds) {
   NeighborMemory memory(2, 4);  // slab sized for 4 nodes
-  memory.Observe(TemporalEdge(100, 200, 1.0), 0);
+  memory.Observe(TemporalEdge(100, 200, 1.0));
   EXPECT_GE(memory.num_nodes(), 201u);
   std::vector<NodeId> ids(2);
   std::vector<double> times(2);
   ASSERT_EQ(memory.GatherRecent(200, ids.data(), times.data()), 1u);
   EXPECT_EQ(ids[0], 100u);
   // Earlier (small-id) state must survive growth triggered later.
-  memory.Observe(TemporalEdge(0, 1, 2.0), 1);
-  memory.Observe(TemporalEdge(0, 5000, 3.0), 2);
+  memory.Observe(TemporalEdge(0, 1, 2.0));
+  memory.Observe(TemporalEdge(0, 5000, 3.0));
   ASSERT_EQ(memory.GatherRecent(0, ids.data(), times.data()), 2u);
   EXPECT_EQ(ids[0], 5000u);
   EXPECT_EQ(ids[1], 1u);
@@ -80,7 +79,7 @@ TEST(NeighborMemoryTest, GrowsForUnannouncedNodeIds) {
 
 TEST(NeighborMemoryTest, ClearKeepsCapacityDropsContents) {
   NeighborMemory memory(2, 4);
-  memory.Observe(TemporalEdge(0, 1, 1.0), 0);
+  memory.Observe(TemporalEdge(0, 1, 1.0));
   memory.Clear();
   EXPECT_EQ(memory.CountOf(0), 0u);
   EXPECT_EQ(memory.CountOf(1), 0u);
@@ -91,7 +90,7 @@ TEST(NeighborMemoryTest, ClearKeepsCapacityDropsContents) {
 
 TEST(NeighborMemoryTest, SelfLoopRecordsBothSlots) {
   NeighborMemory memory(3, 4);
-  memory.Observe(TemporalEdge(2, 2, 1.0), 0);
+  memory.Observe(TemporalEdge(2, 2, 1.0));
   EXPECT_EQ(memory.CountOf(2), 2u);  // both endpoint pushes land on node 2
 }
 
@@ -109,7 +108,7 @@ TEST(NeighborMemoryTest, ObserveBulkMatchesSerialObserve) {
   }
 
   NeighborMemory serial(k, n);
-  for (size_t i = 0; i < edges; ++i) serial.Observe(stream[i], i);
+  for (size_t i = 0; i < edges; ++i) serial.Observe(stream[i]);
 
   NeighborMemory bulk(k, n);
   bulk.ObserveBulk(stream, 0, edges);
@@ -126,21 +125,13 @@ TEST(NeighborMemoryTest, ObserveBulkMatchesSerialObserve) {
   }
 }
 
-/// The ring as four typed arrays per shard (ids, times, heads, counts):
-/// the layout that defines NeighborMemory's checkpoint bytes, kept here
-/// as the reference its Serialize must reproduce byte for byte.
+/// The ring as four typed arrays (ids, times, heads, counts): the layout
+/// that defines NeighborMemory's checkpoint bytes, kept here as the
+/// reference its Serialize must reproduce byte for byte.
 class FourArrayRing {
  public:
-  FourArrayRing(size_t k, size_t num_nodes_hint, size_t num_shards) : k_(k) {
-    size_t s = 1;
-    while (s < num_shards) s *= 2;
-    mask_ = s - 1;
-    for (size_t v = s; v > 1; v >>= 1) ++shift_;
-    shards_.resize(s);
-    const size_t local = (num_nodes_hint + s - 1) >> shift_;
-    if (num_nodes_hint > 0) {
-      for (Shard& sh : shards_) Grow(&sh, local);
-    }
+  FourArrayRing(size_t k, size_t num_nodes_hint) : k_(k) {
+    if (num_nodes_hint > 0) Grow(num_nodes_hint);
   }
 
   void Observe(const TemporalEdge& e) {
@@ -149,55 +140,42 @@ class FourArrayRing {
   }
 
   void Clear() {
-    for (Shard& sh : shards_) {
-      std::fill(sh.heads.begin(), sh.heads.end(), 0u);
-      std::fill(sh.counts.begin(), sh.counts.end(), 0u);
-    }
+    std::fill(heads_.begin(), heads_.end(), 0u);
+    std::fill(counts_.begin(), counts_.end(), 0u);
   }
 
   void Serialize(ByteWriter* w) const {
     w->U64(k_);
-    w->U64(shards_.size());
-    for (const Shard& sh : shards_) {
-      w->U32Vec(sh.ids);
-      w->F64Vec(sh.times);
-      w->U32Vec(sh.heads);
-      w->U32Vec(sh.counts);
-    }
+    w->U32Vec(ids_);
+    w->F64Vec(times_);
+    w->U32Vec(heads_);
+    w->U32Vec(counts_);
   }
 
  private:
-  struct Shard {
-    std::vector<NodeId> ids;
-    std::vector<double> times;
-    std::vector<uint32_t> heads;
-    std::vector<uint32_t> counts;
-  };
-
-  void Grow(Shard* sh, size_t local_n) {
-    if (local_n <= sh->counts.size()) return;
-    const size_t target = GrowCapacity(sh->counts.size(), local_n);
-    sh->ids.resize(target * k_, kInvalidNode);
-    sh->times.resize(target * k_, 0.0);
-    sh->heads.resize(target, 0);
-    sh->counts.resize(target, 0);
+  void Grow(size_t n) {
+    if (n <= counts_.size()) return;
+    const size_t target = GrowCapacity(counts_.size(), n);
+    ids_.resize(target * k_, kInvalidNode);
+    times_.resize(target * k_, 0.0);
+    heads_.resize(target, 0);
+    counts_.resize(target, 0);
   }
 
   void Push(NodeId node, NodeId neighbor, double time) {
-    Shard& sh = shards_[node & mask_];
-    const size_t local = static_cast<size_t>(node) >> shift_;
-    Grow(&sh, local + 1);
-    const size_t slot = local * k_ + sh.heads[local];
-    sh.ids[slot] = neighbor;
-    sh.times[slot] = time;
-    sh.heads[local] = sh.heads[local] + 1 == k_ ? 0 : sh.heads[local] + 1;
-    if (sh.counts[local] < k_) ++sh.counts[local];
+    Grow(static_cast<size_t>(node) + 1);
+    const size_t slot = node * k_ + heads_[node];
+    ids_[slot] = neighbor;
+    times_[slot] = time;
+    heads_[node] = heads_[node] + 1 == k_ ? 0 : heads_[node] + 1;
+    if (counts_[node] < k_) ++counts_[node];
   }
 
   size_t k_;
-  size_t mask_ = 0;
-  size_t shift_ = 0;
-  std::vector<Shard> shards_;
+  std::vector<NodeId> ids_;
+  std::vector<double> times_;
+  std::vector<uint32_t> heads_;
+  std::vector<uint32_t> counts_;
 };
 
 std::vector<uint8_t> Bytes(const NeighborMemory& memory) {
@@ -232,19 +210,18 @@ EdgeStream SkewedStream(size_t edges, size_t n, uint64_t seed) {
 
 TEST(NeighborMemoryTest, SerializeBytesEqualFourArrayReference) {
   struct Shape {
-    size_t k, hint, shards;
+    size_t k, hint;
   };
-  for (const Shape shape : {Shape{1, 0, 1}, Shape{3, 40, 0},
-                            Shape{10, 16, 4}, Shape{4, 1000, 8}}) {
-    const size_t shards = shape.shards == 0 ? 8 : shape.shards;
-    NeighborMemory memory(shape.k, shape.hint, shape.shards);
-    FourArrayRing ring(shape.k, shape.hint, shards);
+  for (const Shape shape :
+       {Shape{1, 0}, Shape{3, 40}, Shape{10, 16}, Shape{4, 1000}}) {
+    NeighborMemory memory(shape.k, shape.hint);
+    FourArrayRing ring(shape.k, shape.hint);
     ASSERT_EQ(Bytes(memory), Bytes(ring)) << "fresh, k=" << shape.k;
 
     // Growth: ids far past the hint arrive unannounced, per-edge and bulk.
     const EdgeStream stream = SkewedStream(3000, 700, 5 + shape.k);
     for (size_t i = 0; i < 1000; ++i) {
-      memory.Observe(stream[i], i);
+      memory.Observe(stream[i]);
       ring.Observe(stream[i]);
     }
     memory.ObserveBulk(stream, 1000, 2000);
@@ -258,7 +235,7 @@ TEST(NeighborMemoryTest, SerializeBytesEqualFourArrayReference) {
     memory.ObserveBulk(stream, 2000, 2300);
     for (size_t i = 2000; i < 2300; ++i) ring.Observe(stream[i]);
     const TemporalEdge far(5000, 3, 1e9);
-    memory.Observe(far, 2300);
+    memory.Observe(far);
     ring.Observe(far);
     ASSERT_EQ(Bytes(memory), Bytes(ring)) << "after clear, k=" << shape.k;
   }
@@ -299,19 +276,18 @@ TEST(NeighborMemoryTest, DeserializeRoundTripsRingsAndBytes) {
 // Deserialize refuses them and leaves the memory usable.
 TEST(NeighborMemoryTest, DeserializeRejectsUnreachableCursors) {
   const size_t k = 4;
-  NeighborMemory memory(k, 8, /*num_shards=*/1);
-  memory.Observe(TemporalEdge(0, 1, 1.0), 0);
-  memory.Observe(TemporalEdge(0, 2, 2.0), 1);  // node 0: count 2, head 2
-  for (int i = 0; i < 6; ++i) {                // node 3: full, head 2
-    memory.Observe(TemporalEdge(3, 4, 3.0 + i), static_cast<size_t>(2 + i));
+  NeighborMemory memory(k, 8);
+  memory.Observe(TemporalEdge(0, 1, 1.0));
+  memory.Observe(TemporalEdge(0, 2, 2.0));  // node 0: count 2, head 2
+  for (int i = 0; i < 6; ++i) {             // node 3: full, head 2
+    memory.Observe(TemporalEdge(3, 4, 3.0 + i));
   }
   const std::vector<uint8_t> bytes = Bytes(memory);
-  // One shard: k, shards, then ids, times, heads, counts, each prefixed
-  // by its u64 length.
+  // k, then ids, times, heads, counts, each prefixed by its u64 length.
   uint64_t slots = 0;
-  std::memcpy(&slots, bytes.data() + 16, sizeof(slots));
+  std::memcpy(&slots, bytes.data() + 8, sizeof(slots));
   const size_t nodes = slots / k;
-  const size_t heads_at = 16 + 8 + slots * 4 + 8 + slots * 8 + 8;
+  const size_t heads_at = 8 + 8 + slots * 4 + 8 + slots * 8 + 8;
   const size_t counts_at = heads_at + nodes * 4 + 8;
   ASSERT_EQ(counts_at + nodes * 4, bytes.size());
 
@@ -319,11 +295,11 @@ TEST(NeighborMemoryTest, DeserializeRejectsUnreachableCursors) {
     std::vector<uint8_t> blob = bytes;
     std::memcpy(blob.data() + heads_at + node * 4, &head, 4);
     std::memcpy(blob.data() + counts_at + node * 4, &count, 4);
-    NeighborMemory target(k, 0, 1);
+    NeighborMemory target(k);
     ByteReader r(blob);
     const bool ok = target.Deserialize(&r);
     // Accepted or refused, the memory stays safe to push to and read.
-    for (NodeId v = 0; v < 6; ++v) target.Observe(TemporalEdge(v, 0, 9.0), 0);
+    for (NodeId v = 0; v < 6; ++v) target.Observe(TemporalEdge(v, 0, 9.0));
     std::vector<NodeId> ids(k);
     std::vector<double> times(k);
     for (NodeId v = 0; v < 6; ++v) {

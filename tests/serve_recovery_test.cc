@@ -376,7 +376,7 @@ TEST_F(ServeRecoveryTest, ContinueAfterRecoveryStaysBitExact) {
   // The strongest stream-position check: run A, recover, run B, and the
   // final state must match one uninterrupted replay of A+B's recorded
   // batches. Dropout > 0 makes this fail loudly if the RNG stream or the
-  // SLIM train-call counter came back wrong.
+  // SLIM Adam step count came back wrong.
   TempDir dir;
   const SplashOptions model = RecoveryModelOptions(/*dropout=*/0.15f);
   const Dataset ds = MakeWarmup();

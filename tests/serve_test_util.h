@@ -81,11 +81,11 @@ inline std::vector<WalRecord> WalHistory(const std::string& dir) {
 }
 
 /// SLIM's Adam step count in a SplashPredictor::SerializeState blob. The
-/// blob ends with SLIM's block (SlimModel::Serialize): the Adam step and
-/// train-call counters, then every parameter and its two Adam moments,
-/// each as rows, cols and the floats. The block's size follows from the
-/// architecture the blob's header records; w1's shape right after the
-/// counters checks the offset.
+/// blob ends with SLIM's block (SlimModel::Serialize): the Adam step
+/// count, then every parameter and its two Adam moments, each as rows,
+/// cols and the floats. The block's size follows from the architecture
+/// the blob's header records; w1's shape right after the count checks
+/// the offset.
 inline uint64_t ReadSlimAdamSteps(const std::vector<uint8_t>& blob) {
   ByteReader header(blob);
   header.U32();  // magic
@@ -102,10 +102,9 @@ inline uint64_t ReadSlimAdamSteps(const std::vector<uint8_t>& blob) {
   so.hidden_dim = header.U64();
   so.out_dim = header.U64();
   so.k_recent = header.U64();
-  Rng rng(1);
-  const size_t params = SlimModel(so, &rng).ParamCount();
+  const size_t params = SlimModel::ParamCount(so);
   const size_t matrices = 3 * SlimTrainState::kNumParams;
-  const size_t block = 2 * sizeof(uint64_t) +
+  const size_t block = sizeof(uint64_t) +
                        matrices * 2 * sizeof(uint64_t) +
                        3 * params * sizeof(float);
   if (blob.size() < block) {
@@ -114,7 +113,6 @@ inline uint64_t ReadSlimAdamSteps(const std::vector<uint8_t>& blob) {
   }
   ByteReader r(blob.data() + blob.size() - block, block);
   const uint64_t adam_steps = r.U64();
-  r.U64();  // train calls
   EXPECT_EQ(r.U64(), so.feature_dim + so.time_dim) << "w1 rows";
   EXPECT_EQ(r.U64(), so.hidden_dim) << "w1 cols";
   return adam_steps;

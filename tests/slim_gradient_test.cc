@@ -70,7 +70,6 @@ struct Params {
 Params ReadSerialized(const ByteWriter& w, bool moments) {
   ByteReader r(w.buffer());
   r.U64();  // Adam step
-  r.U64();  // train calls
   Params out;
   for (size_t p = 0; p < kNumParams; ++p) {
     Matrix weight, m, v;
@@ -264,7 +263,6 @@ ByteWriter IdentityHeadStream(const SlimOptions& opts) {
                                         {h, h},       {1, h}};
   ByteWriter w;
   w.U64(0);  // Adam step
-  w.U64(0);  // train calls
   for (size_t p = 0; p < kNumParams; ++p) {
     Matrix param(shapes[p][0], shapes[p][1]);
     if (p == 5) param.Fill(1.0f);

@@ -129,7 +129,7 @@ std::vector<PropertyQuery> TrainQueries(const Dataset& ds, size_t observed,
 
 // The catch-up copy's oracle: a twin that observes the same edges and
 // copies the model after each train step holds the trainer's exact state
-// bytes — weights, Adam moments, step counters and the dropout Rng.
+// bytes — weights, Adam moments, step count and the dropout Rng.
 // Both predictors own a train state here, so the copy takes the moments
 // too; the read-only replica case follows.
 TEST(SplashSmokeTest, CopyModelFromMatchesTrainingBytes) {
@@ -315,7 +315,7 @@ TEST(SplashSmokeTest, AttentionStandinGetsRecencyWeights) {
   const size_t n = ds.stream.size() / 3;
   for (size_t i = 0; i < n; ++i) {
     standin.ObserveEdge(ds.stream[i], i);
-    memory.Observe(ds.stream[i], i);
+    memory.Observe(ds.stream[i]);
   }
   const double now = ds.stream.time_data()[n - 1] + 5.0;
   std::vector<PropertyQuery> queries;
@@ -576,10 +576,10 @@ TEST(SplashSmokeTest, AutoModeRepreparesFromANarrowedKeptSet) {
   EXPECT_EQ(got.buffer(), want.buffer());
 }
 
-// State version 2 changed the augmenter's part; a version-1 blob is
-// refused by name, not misread. The selected process, from which the
-// kept set follows, must name a process.
-TEST(SplashSmokeTest, RefusesVersionOneStateAndUnknownProcess) {
+// State versions 2 and 3 each changed the blob's layout; a version-1 or
+// version-2 blob is refused by name, not misread. The selected process,
+// from which the kept set follows, must name a process.
+TEST(SplashSmokeTest, RefusesVersionOneAndTwoStateAndUnknownProcess) {
   const Dataset ds = SmallClassification();
   const ChronoSplit split = MakeChronoSplit(ds.stream, 0.1, 0.1);
   SplashPredictor model(SmallOptions(SplashMode::kForceStructural));
@@ -601,7 +601,43 @@ TEST(SplashSmokeTest, RefusesVersionOneStateAndUnknownProcess) {
   ASSERT_EQ(refusal(kSelectedAt, 2), "");  // kStructural: the control
   EXPECT_NE(refusal(kVersionAt, 1).find("version 1"), std::string::npos)
       << refusal(kVersionAt, 1);
+  EXPECT_NE(refusal(kVersionAt, 2).find("version 2"), std::string::npos)
+      << refusal(kVersionAt, 2);
   EXPECT_NE(refusal(kSelectedAt, 3), "");
+}
+
+// A blob's SLIM widths are checked before the model is built from them:
+// a hostile width is refused by name instead of allocating it (2^40
+// hidden units would abort the process with bad_alloc).
+TEST(SplashSmokeTest, RefusesHostileSlimWidthsBeforeAllocating) {
+  const Dataset ds = SmallClassification();
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.1, 0.1);
+  SplashPredictor model(SmallOptions(SplashMode::kForceStructural));
+  ASSERT_TRUE(model.Prepare(ds, split).ok());
+  const std::vector<uint8_t> bytes = StateBytes(model);
+  // Header: magic, version, seed, mode, feature_dim, selected process,
+  // input_dim, the has-SLIM byte, then SLIM's feature_dim, time_dim,
+  // hidden_dim, out_dim (u64 each).
+  constexpr size_t kHiddenDimAt = 57, kOutDimAt = 65;
+  auto refusal = [&](size_t offset, uint64_t value) {
+    std::vector<uint8_t> blob = bytes;
+    std::memcpy(blob.data() + offset, &value, sizeof(value));
+    SplashPredictor fresh(SmallOptions(SplashMode::kForceStructural));
+    ByteReader r(blob);
+    const Status st = fresh.DeserializeState(&r);
+    return st.ok() ? std::string() : st.message();
+  };
+  uint64_t out_dim = 0;
+  std::memcpy(&out_dim, bytes.data() + kOutDimAt, sizeof(out_dim));
+  ASSERT_GE(out_dim, 2u);
+  ASSERT_EQ(refusal(kOutDimAt, out_dim), "");  // the control
+  const uint64_t huge = uint64_t{1} << 40;
+  EXPECT_NE(refusal(kHiddenDimAt, huge).find("hidden_dim"), std::string::npos)
+      << refusal(kHiddenDimAt, huge);
+  EXPECT_NE(refusal(kOutDimAt, huge).find("out_dim"), std::string::npos)
+      << refusal(kOutDimAt, huge);
+  EXPECT_NE(refusal(kOutDimAt, 1).find("out_dim"), std::string::npos)
+      << refusal(kOutDimAt, 1);
 }
 
 // A state blob whose neighbor-memory part is well formed but holds a ring
@@ -620,11 +656,11 @@ TEST(SplashSmokeTest, RefusesUnreachableNeighborRingCursor) {
   const auto at = std::search(bytes.begin(), bytes.end(), mem.begin(),
                               mem.end());
   ASSERT_NE(at, bytes.end());
-  // Shard 0 leads the memory's part: k, shards, then its ids, times and
-  // heads arrays, each after its u64 length.
+  // The memory's part: k, then its ids, times and heads arrays, each
+  // after its u64 length.
   uint64_t slots = 0;
-  std::memcpy(&slots, mem.data() + 16, sizeof(slots));
-  const size_t head0 = static_cast<size_t>(at - bytes.begin()) + 16 + 8 +
+  std::memcpy(&slots, mem.data() + 8, sizeof(slots));
+  const size_t head0 = static_cast<size_t>(at - bytes.begin()) + 8 + 8 +
                        slots * 4 + 8 + slots * 8 + 8;
   auto load = [&](uint32_t head) {
     std::vector<uint8_t> blob = bytes;
