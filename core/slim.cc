@@ -6,6 +6,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <string>
 
 namespace splash {
 
@@ -28,9 +29,7 @@ inline float KeepOrZero(bool keep, float g) {
   return g;
 }
 
-struct ParamShape {
-  size_t rows, cols;
-};
+using ParamShape = SlimTrainState::Shape;
 
 /// The parameter shapes of `o`'s architecture, in parameter order.
 std::array<ParamShape, SlimTrainState::kNumParams> ParamShapes(
@@ -39,6 +38,31 @@ std::array<ParamShape, SlimTrainState::kNumParams> ParamShapes(
                out = o.out_dim;
   return {{{dv + dt, h}, {1, h}, {dv, h}, {1, h}, {2 * h, h}, {1, h},
            {h, out}, {1, out}}};
+}
+
+/// Parameter names, in parameter order, for refusals.
+constexpr const char* kParamNames[SlimTrainState::kNumParams] = {
+    "w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4"};
+
+/// A zero matrix of `s`'s shape in WriteMatrix's layout, from no matrix.
+void WriteZeroMatrix(ByteWriter* w, const ParamShape& s) {
+  w->U64(s.rows);
+  w->U64(s.cols);
+  const size_t n = s.rows * s.cols * sizeof(float);
+  std::memset(w->Span(n), 0, n);
+}
+
+/// What no run of TrainStep stores in `m`, or null: a non-finite value,
+/// or a negative one when `nonnegative` (Adam's second moment).
+const char* BadValue(const Matrix& m, bool nonnegative) {
+  for (size_t r = 0; r < m.rows(); ++r) {
+    const float* row = m.Row(r);
+    for (size_t c = 0; c < m.cols(); ++c) {
+      if (!std::isfinite(row[c])) return "a non-finite value";
+      if (nonnegative && row[c] < 0.0f) return "a negative value";
+    }
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -72,18 +96,34 @@ void SlimBatchInput::Resize(const SlimOptions& opts, size_t b,
   edge_weights.resize(weighted ? bk : 0);
 }
 
-SlimTrainState::SlimTrainState(const SlimOptions& opts) {
-  const auto shapes = ParamShapes(opts);
+SlimTrainState::SlimTrainState(const SlimOptions& opts)
+    : shapes_(ParamShapes(opts)) {}
+
+SlimTrainState::SlimTrainState(const SlimTrainState& src)
+    : shapes_(src.shapes_) {
+  CopyFrom(src);
+}
+
+void SlimTrainState::AllocateMoments() {
   for (size_t p = 0; p < kNumParams; ++p) {
-    m_[p] = Matrix(shapes[p].rows, shapes[p].cols);
-    v_[p] = Matrix(shapes[p].rows, shapes[p].cols);
+    m_[p] = Matrix(shapes_[p].rows, shapes_[p].cols);
+    v_[p] = Matrix(shapes_[p].rows, shapes_[p].cols);
   }
 }
 
-SlimTrainState::SlimTrainState(const SlimTrainState& src) { CopyFrom(src); }
+void SlimTrainState::ReleaseMoments() {
+  for (size_t p = 0; p < kNumParams; ++p) {
+    m_[p] = Matrix();
+    v_[p] = Matrix();
+  }
+}
 
 void SlimTrainState::CopyFrom(const SlimTrainState& src) {
   adam_t_ = src.adam_t_;
+  if (!src.has_moments()) {
+    ReleaseMoments();
+    return;
+  }
   for (size_t p = 0; p < kNumParams; ++p) {
     m_[p] = src.m_[p];
     v_[p] = src.v_[p];
@@ -91,9 +131,9 @@ void SlimTrainState::CopyFrom(const SlimTrainState& src) {
 }
 
 SlimModel::SlimModel(const SlimOptions& opts, Rng* rng)
-    : opts_(opts), rng_(rng) {
+    : opts_(opts), rng_(rng), weights_(std::make_shared<Weights>()) {
   const auto shapes = ParamShapes(opts_);
-  const auto params = Params();
+  const auto params = MutableParams();
   for (size_t p = 0; p < kNumParams; ++p) {
     *params[p] = Matrix(shapes[p].rows, shapes[p].cols);
     // He init for the ReLU branches (fan-in = rows); biases start at 0.
@@ -106,8 +146,16 @@ SlimModel::SlimModel(const SlimOptions& opts, Rng* rng)
 }
 
 SlimModel::SlimModel(const SlimModel& src, Rng* rng)
-    : opts_(src.opts_), rng_(rng), training_(src.training_) {
-  CopyLearnedStateFrom(src);
+    : opts_(src.opts_),
+      rng_(rng),
+      training_(src.training_),
+      weights_(src.weights_),
+      weights_version_(src.weights_version_) {}
+
+void SlimModel::OwnWeights() {
+  if (weights_.use_count() > 1) {
+    weights_ = std::make_shared<Weights>(*weights_);
+  }
 }
 
 size_t SlimModel::ParamCount(const SlimOptions& opts) {
@@ -119,8 +167,8 @@ size_t SlimModel::ParamCount(const SlimOptions& opts) {
 bool SlimModel::Fits(const SlimTrainState& train) const {
   const auto params = Params();
   for (size_t p = 0; p < kNumParams; ++p) {
-    if (train.m_[p].rows() != params[p]->rows() ||
-        train.m_[p].cols() != params[p]->cols()) {
+    if (train.shapes_[p].rows != params[p]->rows() ||
+        train.shapes_[p].cols != params[p]->cols()) {
       return false;
     }
   }
@@ -133,26 +181,65 @@ void SlimModel::Serialize(ByteWriter* w, const SlimTrainState& train) const {
   const auto params = Params();
   for (size_t p = 0; p < kNumParams; ++p) {
     WriteMatrix(w, *params[p]);
-    WriteMatrix(w, train.m_[p]);
-    WriteMatrix(w, train.v_[p]);
+    if (train.has_moments()) {
+      WriteMatrix(w, train.m_[p]);
+      WriteMatrix(w, train.v_[p]);
+    } else {
+      WriteZeroMatrix(w, train.shapes_[p]);
+      WriteZeroMatrix(w, train.shapes_[p]);
+    }
   }
 }
 
-bool SlimModel::Deserialize(ByteReader* r, SlimTrainState* train) {
+Status SlimModel::Deserialize(ByteReader* r, SlimTrainState* train) {
   // Stamped up front: even a stream rejected halfway has overwritten
   // weights, and state derived from them must never outlive them.
   ++weights_version_;
+  assert(Fits(*train));
   train->adam_t_ = static_cast<size_t>(r->U64());
-  const auto params = Params();
+  // A state that never stepped holds zero moments, unallocated.
+  const bool stepped = train->adam_t_ != 0;
+  if (!stepped) {
+    train->ReleaseMoments();
+  } else if (!train->has_moments()) {
+    train->AllocateMoments();
+  }
+  const auto params = MutableParams();
+  const auto shapes = ParamShapes(opts_);
+  const Status mismatch = Status::Error("SLIM state mismatch");
   for (size_t p = 0; p < kNumParams; ++p) {
-    const size_t rows = params[p]->rows(), cols = params[p]->cols();
-    if (!ReadMatrixExpect(r, params[p], rows, cols) ||
-        !ReadMatrixExpect(r, &train->m_[p], rows, cols) ||
+    const size_t rows = shapes[p].rows, cols = shapes[p].cols;
+    const std::string name = kParamNames[p];
+    if (!ReadMatrixExpect(r, params[p], rows, cols)) return mismatch;
+    if (const char* bad = BadValue(*params[p], /*nonnegative=*/false)) {
+      return Status::Error("SLIM " + name + " holds " + bad);
+    }
+    if (!stepped) {
+      // Checked in place: nothing is allocated for them.
+      for (const char* moment : {" Adam m", " Adam v"}) {
+        if (r->U64() != rows || r->U64() != cols) return mismatch;
+        const size_t n = rows * cols * sizeof(float);
+        const uint8_t* bytes = r->Span(n);
+        if (bytes == nullptr) return mismatch;
+        if (std::any_of(bytes, bytes + n, [](uint8_t b) { return b != 0; })) {
+          return Status::Error("SLIM " + name + moment +
+                               " is nonzero at Adam step 0");
+        }
+      }
+      continue;
+    }
+    if (!ReadMatrixExpect(r, &train->m_[p], rows, cols) ||
         !ReadMatrixExpect(r, &train->v_[p], rows, cols)) {
-      return false;
+      return mismatch;
+    }
+    if (const char* bad = BadValue(train->m_[p], /*nonnegative=*/false)) {
+      return Status::Error("SLIM " + name + " Adam m holds " + bad);
+    }
+    if (const char* bad = BadValue(train->v_[p], /*nonnegative=*/true)) {
+      return Status::Error("SLIM " + name + " Adam v holds " + bad);
     }
   }
-  return r->ok();
+  return r->ok() ? Status::Ok() : mismatch;
 }
 
 bool SlimModel::CopyLearnedStateFrom(const SlimModel& src) {
@@ -163,9 +250,12 @@ bool SlimModel::CopyLearnedStateFrom(const SlimModel& src) {
       src.opts_.k_recent != opts_.k_recent) {
     return false;
   }
-  const auto from = src.Params();
-  const auto to = Params();
-  for (size_t p = 0; p < kNumParams; ++p) *to[p] = *from[p];
+  // Models sharing one block already hold equal weights.
+  if (weights_ != src.weights_) {
+    const auto from = src.Params();
+    const auto to = MutableParams();
+    for (size_t p = 0; p < kNumParams; ++p) *to[p] = *from[p];
+  }
   weights_version_ = src.weights_version_;
   return true;
 }
@@ -187,9 +277,10 @@ void SlimModel::ResizeScratch(size_t b, SlimTrainState* train) {
   const size_t bk = b * k;
   fwd_.Resize(opts_, b, training_ && opts_.dropout > 0.0f);
   if (train != nullptr) {
-    const auto params = Params();
+    // The moments are allocated with the gradients, at the first step.
+    if (!train->has_moments()) train->AllocateMoments();
     for (size_t p = 0; p < kNumParams; ++p) {
-      train->grad_[p].Resize(params[p]->rows(), params[p]->cols());
+      train->grad_[p].Resize(train->shapes_[p].rows, train->shapes_[p].cols);
     }
     train->d_out_.ResizePadded(b, o);
     train->d_h_.ResizePadded(b, h);
@@ -227,6 +318,7 @@ void SlimModel::ForwardInto(SlimBatchInput* input, Rng* drop_rng,
   // the neighbor GEMM. The backward pass reads every slot's row, so
   // training keeps them all.
   if (one_row && !for_backward) nk = input->valid[0];
+  const Weights& wts = *weights_;
 
   // --- neighbor branch -----------------------------------------------------
   // The assembler wrote the feature columns of the operand; the time
@@ -236,7 +328,7 @@ void SlimModel::ForwardInto(SlimBatchInput* input, Rng* drop_rng,
   // Bias add + ReLU ride the GEMM tile store (fused epilogue): one pass
   // over each activation matrix instead of three. The scalar backend
   // computes the identical arithmetic to the historical separate passes.
-  DenseLayer(input->cat1, w1_, b1_.data(), &s->msg_pre, 0, 0, nk,
+  DenseLayer(input->cat1, wts.w1, wts.b1.data(), &s->msg_pre, 0, 0, nk,
              /*relu=*/true, nz);
 
   // agg (cat2's left half): the weighted mean of the valid messages, each
@@ -258,11 +350,11 @@ void SlimModel::ForwardInto(SlimBatchInput* input, Rng* drop_rng,
   }
 
   // --- self branch (cat2's right half) -------------------------------------
-  DenseLayer(input->node_feats, w2_, b2_.data(), &s->cat2, h, 0, b,
+  DenseLayer(input->node_feats, wts.w2, wts.b2.data(), &s->cat2, h, 0, b,
              /*relu=*/true, nz);
 
   // --- head ----------------------------------------------------------------
-  DenseLayer(s->cat2, w3_, b3_.data(), &s->h_pre, 0, 0, b, /*relu=*/true,
+  DenseLayer(s->cat2, wts.w3, wts.b3.data(), &s->h_pre, 0, 0, b, /*relu=*/true,
              nz);
 
   if (drop_rng != nullptr && training_ && opts_.dropout > 0.0f) {
@@ -287,7 +379,7 @@ void SlimModel::ForwardInto(SlimBatchInput* input, Rng* drop_rng,
     *drop_rng = rng;
   }
 
-  DenseLayer(s->h_pre, w4_, b4_.data(), &s->out, 0, 0, b, /*relu=*/false,
+  DenseLayer(s->h_pre, wts.w4, wts.b4.data(), &s->out, 0, 0, b, /*relu=*/false,
              nz);
 }
 
@@ -335,8 +427,8 @@ double SlimModel::Backward(const SlimBatchInput& input,
   Matrix& d_self = train->d_self_;
   Matrix& d_msg = train->d_msg_;
   // The products with W4^T and W3^T below run on the forward GEMM tile.
-  Transpose(w4_, &train->w4t_);
-  Transpose(w3_, &train->w3t_);
+  Transpose(weights_->w4, &train->w4t_);
+  Transpose(weights_->w3, &train->w3t_);
 
   // Softmax cross-entropy; d_out = (softmax - onehot) / B.
   double loss = 0.0;
@@ -447,7 +539,8 @@ double SlimModel::TrainStep(SlimBatchInput* input,
   const float bias1 = 1.0f - std::pow(kAdamBeta1, t);
   const float bias2 = 1.0f - std::pow(kAdamBeta2, t);
   const float step = opts_.lr * std::sqrt(bias2) / bias1;
-  const auto params = Params();
+  // The first write of a shared weight block makes it private.
+  const auto params = MutableParams();
   for (size_t p = 0; p < kNumParams; ++p) {
     Matrix* w = params[p];
     assert(w->IsContiguous());

@@ -51,9 +51,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "core/serialize.h"
+#include "core/status.h"
 #include "core/types.h"
 #include "graph/neighbor_memory.h"
 #include "tensor/matrix.h"
@@ -165,8 +167,12 @@ struct SlimForwardScratch {
 ///     count. Checkpoints write them with the model's weights
 ///     (SlimModel::Serialize).
 ///   - per-step transients: the gradients, the backward scratch and the
-///     transposed head weights. They start empty and grow at the first
-///     TrainStep, then stop allocating.
+///     transposed head weights.
+/// Everything but the parameter shapes and the step count is allocated at
+/// the first TrainStep and then stops allocating: a state that never
+/// stepped holds no moment bytes, and its moments read as zero (they are
+/// written as zero matrices, so the checkpoint bytes are the same). A
+/// service with training off thus holds no optimizer state at all.
 /// One train state trains one model's weights. TrainStep pairs them
 /// explicitly, so a service can keep a single train state for two
 /// alternating replicas of the same model.
@@ -174,23 +180,39 @@ class SlimTrainState {
  public:
   /// Parameter order everywhere: w1 b1 w2 b2 w3 b3 w4 b4.
   static constexpr size_t kNumParams = 8;
+  struct Shape {
+    size_t rows = 0, cols = 0;
+  };
 
-  /// Zero moments shaped for `opts`'s architecture, step count 0.
+  /// Step count 0 and (zero) moments shaped for `opts`'s architecture,
+  /// unallocated until the first step.
   explicit SlimTrainState(const SlimOptions& opts);
-  /// A copy of `src`'s learned part; the transients start empty.
+  /// A copy of `src`'s shapes and learned part; the transients start
+  /// empty.
   SlimTrainState(const SlimTrainState& src);
   SlimTrainState& operator=(const SlimTrainState&) = delete;
 
   /// Makes the learned part a copy of `src`'s, which must be shaped for
   /// the same architecture: copy-assignment at equal shape reuses the
-  /// buffers, so this allocates nothing.
+  /// buffers, so once both have stepped this allocates nothing. A `src`
+  /// that never stepped leaves this state's moments unallocated too.
   void CopyFrom(const SlimTrainState& src);
+
+  /// Whether the moments are allocated; they are from the first step on.
+  bool has_moments() const { return m_[0].rows() != 0; }
 
  private:
   friend class SlimModel;
 
+  /// Allocates the moments as zero matrices of the stored shapes.
+  void AllocateMoments();
+  /// Frees the moments: they read as zero again.
+  void ReleaseMoments();
+
+  std::array<Shape, kNumParams> shapes_;
+
   // Learned.
-  Matrix m_[kNumParams], v_[kNumParams];  // Adam moments
+  Matrix m_[kNumParams], v_[kNumParams];  // Adam moments, or unallocated
   size_t adam_t_ = 0;  // optimizer steps taken
 
   // Per-step transients.
@@ -208,10 +230,17 @@ class SlimTrainState {
 class SlimModel {
  public:
   SlimModel(const SlimOptions& opts, Rng* rng);
-  /// A read-only copy of `src`: its weights (CopyLearnedStateFrom) and
-  /// training flag, with serial dropout drawn from `rng`. It holds no
-  /// optimizer state (that is a SlimTrainState) and its activation
-  /// scratch starts empty.
+  /// A read-only copy of `src`: its weights, weights version and training
+  /// flag, with serial dropout drawn from `rng`. The copy shares `src`'s
+  /// weight block until either model first writes its weights (a
+  /// TrainStep, CopyLearnedStateFrom or Deserialize), which gives the
+  /// writer a private block first; so constructing it allocates nothing,
+  /// and two replicas that never train hold one set of weights. It holds
+  /// no optimizer state (that is a SlimTrainState) and its activation
+  /// scratch starts empty. Sharing is safe across threads as long as one
+  /// thread owns the writes of every model sharing the block (the serve
+  /// apply thread does): readers dereference the block but never copy the
+  /// pointer, so they never touch its reference count.
   SlimModel(const SlimModel& src, Rng* rng);
   // The Rng is borrowed from the owner: a plain copy would share it.
   SlimModel(const SlimModel&) = delete;
@@ -262,18 +291,25 @@ class SlimModel {
 
   /// Checkpoint hooks: the learned state of this model and of `train` —
   /// the train state's Adam step count, then every parameter matrix
-  /// followed by its two Adam moments. Gradients and activation scratch
-  /// are per-step transients and are not serialized. Deserialize verifies
-  /// each matrix against the architecture-derived shape, so a stream from
-  /// a differently-sized model is rejected, never reshaped.
+  /// followed by its two Adam moments (zero matrices for a state that
+  /// never stepped). Gradients and activation scratch are per-step
+  /// transients and are not serialized. Deserialize verifies each matrix
+  /// against the architecture-derived shape, so a stream from a
+  /// differently-sized model is rejected, never reshaped. It also refuses,
+  /// naming the parameter, what no run of TrainStep produces: a
+  /// non-finite weight or moment, a negative second moment, or a nonzero
+  /// moment at step 0. A step-0 stream leaves `train`'s moments
+  /// unallocated.
   void Serialize(ByteWriter* w, const SlimTrainState& train) const;
-  bool Deserialize(ByteReader* r, SlimTrainState* train);
+  Status Deserialize(ByteReader* r, SlimTrainState* train);
 
   /// Makes this model's read state a copy of `src`'s: the parameter
   /// values and their weights version. Optimizer state lives in a
   /// SlimTrainState and is not copied; activation scratch is left alone.
-  /// Copy-assignment at equal shape reuses the existing buffers, so this
-  /// allocates nothing. Returns false and changes nothing when `src` has
+  /// Copy-assignment at equal shape reuses the existing buffers, so with a
+  /// private weight block this allocates nothing (a block shared with
+  /// another model is made private first; one shared with `src` needs no
+  /// copy). Returns false and changes nothing when `src` has
   /// a different architecture. TrainStep is deterministic, so copying a
   /// trained twin gives the weights training this model on the same
   /// batch would.
@@ -282,13 +318,28 @@ class SlimModel {
  private:
   static constexpr size_t kNumParams = SlimTrainState::kNumParams;
 
-  /// The params in gradient order.
-  std::array<Matrix*, kNumParams> Params() {
-    return {&w1_, &b1_, &w2_, &b2_, &w3_, &b3_, &w4_, &b4_};
-  }
+  /// The parameter values, one block that read-only copies share.
+  struct Weights {
+    Matrix w1, b1, w2, b2, w3, b3, w4, b4;
+  };
+
+  /// The params in gradient order, for reading.
   std::array<const Matrix*, kNumParams> Params() const {
-    return {&w1_, &b1_, &w2_, &b2_, &w3_, &b3_, &w4_, &b4_};
+    const Weights& w = *weights_;
+    return {&w.w1, &w.b1, &w.w2, &w.b2, &w.w3, &w.b3, &w.w4, &w.b4};
   }
+  /// The params in gradient order, for writing: makes the weight block
+  /// private first (OwnWeights), so a write never reaches a sharer.
+  std::array<Matrix*, kNumParams> MutableParams() {
+    OwnWeights();
+    Weights& w = *weights_;
+    return {&w.w1, &w.b1, &w.w2, &w.b2, &w.w3, &w.b3, &w.w4, &w.b4};
+  }
+  /// Gives this model a private copy of its weight block if another model
+  /// shares it. The count is exact: every model sharing a block is written
+  /// (and copied and destroyed) by one thread, and readers never copy the
+  /// pointer.
+  void OwnWeights();
 
   /// Grows the forward scratch (and, for training, `train`'s gradients
   /// and backward scratch) for a B-row batch.
@@ -318,14 +369,15 @@ class SlimModel {
                   SlimTrainState* train) const;
   /// phi(dt) of the first `n` neighbor rows into cat1's time columns.
   void EncodeTime(SlimBatchInput* input, size_t n) const;
-  /// Whether `train`'s moments are shaped for this model's parameters.
+  /// Whether `train` is shaped for this model's parameters.
   bool Fits(const SlimTrainState& train) const;
 
   SlimOptions opts_;
   Rng* rng_;
   bool training_ = false;
 
-  Matrix w1_, b1_, w2_, b2_, w3_, b3_, w4_, b4_;
+  // Shared by read-only copies until the first write (OwnWeights).
+  std::shared_ptr<Weights> weights_;
   uint64_t weights_version_ = 1;  // bumped by every weight mutation
 
   // Forward scratch for the fused (non-const) paths, kept across calls

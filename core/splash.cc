@@ -263,12 +263,14 @@ Matrix SplashPredictor::PredictStaged() {
 
 namespace {
 constexpr uint32_t kSplashStateMagic = 0x53504c53u;  // "SPLS"
-// Version 3: one row table per kept augmenter process, the neighbor
-// rings as one four-array slab, no dropout seed and no train-call count
-// (version 2 wrote a fitted and a propagated table per kept process and
-// one four-array set per ring shard; version 1 wrote all four tables).
-constexpr uint32_t kSplashStateVersion = 3;
 }  // namespace
+
+uint32_t SplashPredictor::ReadStateVersion(const std::vector<uint8_t>& blob) {
+  ByteReader r(blob);
+  if (r.U32() != kSplashStateMagic) return 0;
+  const uint32_t version = r.U32();
+  return r.ok() ? version : 0;
+}
 
 void SplashPredictor::SerializeState(ByteWriter* w) const {
   SerializeState(w, train_.get());
@@ -277,7 +279,7 @@ void SplashPredictor::SerializeState(ByteWriter* w) const {
 void SplashPredictor::SerializeState(ByteWriter* w,
                                      const SlimTrainState* train) const {
   w->U32(kSplashStateMagic);
-  w->U32(kSplashStateVersion);
+  w->U32(kStateVersion);
   // Config fingerprint: a checkpoint only ever restores into a predictor
   // constructed with the same identity-defining options.
   w->U64(opts_.seed);
@@ -312,10 +314,10 @@ Status SplashPredictor::DeserializeState(ByteReader* r) {
     return Status::Error("SplashPredictor: bad state magic");
   }
   const uint32_t version = r->U32();
-  if (version != kSplashStateVersion) {
+  if (version != kStateVersion) {
     return Status::Error("SplashPredictor: unsupported state version " +
                          std::to_string(version) + " (expected " +
-                         std::to_string(kSplashStateVersion) + ")");
+                         std::to_string(kStateVersion) + ")");
   }
   if (r->U64() != opts_.seed ||
       r->U32() != static_cast<uint32_t>(opts_.mode) ||
@@ -403,8 +405,11 @@ Status SplashPredictor::DeserializeState(ByteReader* r) {
   if (!memory_.Deserialize(r)) {
     return Status::Error("SplashPredictor: neighbor memory state mismatch");
   }
-  if (has_slim && !slim_->Deserialize(r, train_.get())) {
-    return Status::Error("SplashPredictor: SLIM state mismatch");
+  if (has_slim) {
+    const Status slim = slim_->Deserialize(r, train_.get());
+    if (!slim.ok()) {
+      return Status::Error("SplashPredictor: checkpoint " + slim.message());
+    }
   }
   if (!r->ok()) {
     return Status::Error("SplashPredictor: truncated state stream");

@@ -62,10 +62,11 @@ class SplashPredictor : public TemporalPredictor {
   explicit SplashPredictor(const SplashOptions& opts);
   /// A copy of `src`'s state made in memory, with empty scratch: the
   /// streaming state, the RNG position, the SLIM weights, and
-  /// `src`'s SLIM train state if it still owns one. The serving layer
-  /// builds its second replica this way (from a replica whose train state
-  /// it took, so the copy is read-only) instead of preparing (and
-  /// fitting) twice.
+  /// `src`'s SLIM train state if it still owns one. The SLIM weights are
+  /// shared with `src` until either predictor first writes them
+  /// (SlimModel's read-only copy). The serving layer builds its second
+  /// replica this way (from a replica whose train state it took, so the
+  /// copy is read-only) instead of preparing (and fitting) twice.
   SplashPredictor(const SplashPredictor& src);
 
   std::string name() const override { return SplashModeName(opts_.mode); }
@@ -152,7 +153,10 @@ class SplashPredictor : public TemporalPredictor {
   /// Streaming state (augmenter, neighbor rings) is untouched. Both
   /// predictors must be prepared with the same SLIM architecture, and
   /// `src` must own a train state if this one does; otherwise this
-  /// returns an error and changes nothing. Allocation-free.
+  /// returns an error and changes nothing. Allocation-free once this
+  /// predictor's weights are private and both train states (if any) have
+  /// stepped: the first copy into weights shared with a third model
+  /// allocates one private weight block.
   Status CopyModelFrom(const SplashPredictor& src);
 
   /// Checkpoint hooks (serve/checkpoint): the complete post-Prepare state —
@@ -173,12 +177,26 @@ class SplashPredictor : public TemporalPredictor {
   /// a config fingerprint (seed / mode / feature_dim) and checks every
   /// serialized SLIM width against the configured one, and out_dim
   /// against the blob's length, before allocating the model, naming the
-  /// field it refuses. It fails without partial mutation visible to
+  /// field it refuses. It also refuses, by parameter name, SLIM state no
+  /// run of the code produces (SlimModel::Deserialize): a non-finite
+  /// weight or moment, a negative second moment, or nonzero moments at
+  /// Adam step 0; a step-0 blob restores a train state with no moments
+  /// allocated. It fails without partial mutation visible to
   /// queries only if a header check fails; callers treat any error as
   /// "replica unusable" and abandon recovery.
   void SerializeState(ByteWriter* w) const;
   void SerializeState(ByteWriter* w, const SlimTrainState* train) const;
   Status DeserializeState(ByteReader* r);
+
+  /// The state format SerializeState writes and DeserializeState reads.
+  /// Version 3: one row table per kept augmenter process, the neighbor
+  /// rings as one slab, no dropout seed and no train-call count (version
+  /// 2 wrote a fitted and a propagated table per kept process and one
+  /// array set per ring shard; version 1 wrote all four tables).
+  static constexpr uint32_t kStateVersion = 3;
+  /// The format version a state blob declares, or 0 when it is not a
+  /// state blob (DeserializeState refuses it for its magic).
+  static uint32_t ReadStateVersion(const std::vector<uint8_t>& blob);
 
  private:
   /// Keeps the augmenter's rows for the processes this mode can read: R

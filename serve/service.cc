@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <string>
 #include <utility>
 
 #include "serve/checkpoint.h"
@@ -135,6 +136,20 @@ Status SplashService::Boot(const Dataset& warmup, const ChronoSplit& split,
     if (!st.ok()) return st;
   }
   if (have_ckpt) {
+    // A checkpoint of another state format is refused before anything in
+    // the data dir changes: the operator moves the dir aside, and the
+    // restarted service rebuilds from its warm-up.
+    const uint32_t version =
+        SplashPredictor::ReadStateVersion(ckpt.predictor_state);
+    if (version != 0 && version != SplashPredictor::kStateVersion) {
+      return Status::Error(
+          who + ": data dir " + opts_.data_dir +
+          " holds predictor state version " + std::to_string(version) +
+          ", and this build reads version " +
+          std::to_string(SplashPredictor::kStateVersion) +
+          "; move the data dir aside and restart, and the service rebuilds "
+          "from its warm-up");
+    }
     replicas_[0] = std::make_unique<SplashPredictor>(model_opts_);
     ByteReader rd(ckpt.predictor_state);
     st = replicas_[0]->DeserializeState(&rd);
@@ -150,7 +165,9 @@ Status SplashService::Boot(const Dataset& warmup, const ChronoSplit& split,
   // The apply thread owns SLIM's one train state; replica 0 keeps its
   // read state. Replica 1 is then an in-memory, read-only copy of replica
   // 0 — the invariant the whole snapshot scheme rests on: two identical
-  // state machines one batch apart. The boot state is published like any
+  // state machines one batch apart. The copy shares replica 0's SLIM
+  // weights until the first training batch writes them, so a service
+  // that never trains holds one set. The boot state is published like any
   // other, before the copy: replica 1 copies replica 0's cold-read memo.
   train_state_ = replicas_[0]->ReleaseTrainState();
   replicas_[0]->PrepareForPublish();

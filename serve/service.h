@@ -19,7 +19,11 @@
 // readers read — and ONE SLIM train state (Adam moments, step
 // counters, gradient scratch), owned by the apply thread. At boot the
 // apply thread takes the train state from replica 0 and replica 1 is an
-// in-memory copy of replica 0. The apply thread applies each micro-batch
+// in-memory copy of replica 0 that shares its SLIM weights until the
+// first training batch writes them (SlimModel's read-only copy), so a
+// service that never trains holds one set of weights and, since a train
+// state allocates its moments at its first step, no optimizer state.
+// The apply thread applies each micro-batch
 // to the back replica (observe its edges, run its staged train step with
 // the service's train state), publishes it (one atomic store), then
 // catches the other replica up on the same thread once its readers have
@@ -245,7 +249,10 @@ class SplashService {
   /// advances (responses carry degraded=true until caught up), opens a
   /// fresh WAL segment at the recovered watermark, and starts the apply
   /// thread. With an empty data_dir this is exactly Start(): both run the
-  /// one boot sequence (Boot).
+  /// one boot sequence (Boot). A newest checkpoint of another predictor
+  /// state version is refused before anything in data_dir changes, with
+  /// an error naming the dir, both versions and the remedy (move the dir
+  /// aside and restart: the service rebuilds from its warm-up).
   Status RecoverOrStart(const Dataset& warmup, const ChronoSplit& split,
                         const TrainerOptions* fit = nullptr);
 
@@ -369,8 +376,10 @@ class SplashService {
   SplashOptions model_opts_;
   SplashServiceOptions opts_;
 
-  // Read-only replicas: weights and streaming state. SLIM's one
-  // train state (Adam moments, step count, gradient scratch) is the
+  // Read-only replicas: weights and streaming state. Their SLIM weights
+  // are one shared block until the first training batch; only the apply
+  // thread copies, writes or drops it. SLIM's one train state (Adam
+  // moments from its first step on, step count, gradient scratch) is the
   // apply thread's: ApplyBatch trains the back replica with it, and
   // checkpoints serialize a replica together with it.
   std::unique_ptr<SplashPredictor> replicas_[2];

@@ -41,10 +41,33 @@ void MatMulRowBiasAct(const Matrix& a, size_t row, const Matrix& b,
 }
 
 void Transpose(const Matrix& a, Matrix* t) {
-  t->Resize(a.cols(), a.rows());
-  for (size_t i = 0; i < a.rows(); ++i) {
-    const float* row = a.Row(i);
-    for (size_t j = 0; j < a.cols(); ++j) (*t)(j, i) = row[j];
+  const size_t rows = a.rows(), cols = a.cols(), lda = a.stride();
+  t->Resize(cols, rows);
+  float* out = t->data();  // contiguous: t's stride is `rows`
+  const float* in = a.data();
+  // Whole kTile x kTile tiles with constant trip counts: each tile reads
+  // kTile rows of `a` and writes kTile rows of `t`, one contiguous run of
+  // kTile floats per output row, all in L1. A whole-row sweep instead
+  // writes one output line per element. The edges take the element loop.
+  constexpr size_t kTile = 16;
+  const size_t full_rows = rows / kTile * kTile;
+  const size_t full_cols = cols / kTile * kTile;
+  for (size_t i0 = 0; i0 < full_rows; i0 += kTile) {
+    for (size_t j0 = 0; j0 < full_cols; j0 += kTile) {
+      for (size_t j = 0; j < kTile; ++j) {
+        float* dst = out + (j0 + j) * rows + i0;
+        const float* src = in + i0 * lda + j0 + j;
+        for (size_t i = 0; i < kTile; ++i) dst[i] = src[i * lda];
+      }
+    }
+    for (size_t i = i0; i < i0 + kTile; ++i) {
+      for (size_t j = full_cols; j < cols; ++j) {
+        out[j * rows + i] = in[i * lda + j];
+      }
+    }
+  }
+  for (size_t i = full_rows; i < rows; ++i) {
+    for (size_t j = 0; j < cols; ++j) out[j * rows + i] = in[i * lda + j];
   }
 }
 

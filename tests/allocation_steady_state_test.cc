@@ -144,11 +144,14 @@ TEST(AllocationSteadyStateTest, SlimTrainStepIsAllocationFree) {
 }
 
 TEST(AllocationSteadyStateTest, ReadOnlySlimCopyHoldsOnlyItsWeights) {
-  // A serve replica's SLIM is a read-only copy: its eight parameter
-  // matrices, each one allocation of whole 64 B lines plus one line of
-  // alignment slack, and nothing else. The Adam moments and gradients
-  // live in the one SlimTrainState its service owns. The shape is the
-  // wide serving model (fd64/h1024).
+  // A serve replica's SLIM is a read-only copy: it shares its source's
+  // eight parameter matrices until its first write, and allocates nothing
+  // (its activation scratch starts empty). The Adam moments and gradients
+  // live in the one SlimTrainState its service owns. The first write gives
+  // the copy one weight block of its own: each parameter one allocation
+  // of whole 64 B lines plus one line of alignment slack, and one more
+  // allocation for the block that holds them. The shape is the wide
+  // serving model (fd64/h1024).
   SlimOptions opts;
   opts.feature_dim = 64;
   opts.time_dim = 16;
@@ -167,16 +170,98 @@ TEST(AllocationSteadyStateTest, ReadOnlySlimCopyHoldsOnlyItsWeights) {
     params += n;
   }
   ASSERT_EQ(params, src.ParamCount());
+  const SlimTrainState train(opts);
+  auto bytes_of = [&](const SlimModel& m) {
+    ByteWriter w;
+    m.Serialize(&w, train);
+    return w.buffer();
+  };
+  const std::vector<uint8_t> src_bytes = bytes_of(src);
 
   // In place, so the count holds what the copy allocates, not the object.
   Rng copy_rng(9);
   std::optional<SlimModel> copy;
-  const size_t bytes =
-      AllocatedBytes([&] { copy.emplace(src, &copy_rng); });
+  EXPECT_EQ(AllocatedBytes([&] { copy.emplace(src, &copy_rng); }), 0u)
+      << "the read-only copy allocated instead of sharing the weights";
   ASSERT_EQ(copy->ParamCount(), src.ParamCount());
-  EXPECT_LE(bytes, weight_bytes)
-      << "read-only copy holds more than its weights' "
-      << weight_bytes << " bytes";
+  EXPECT_EQ(bytes_of(*copy), src_bytes);
+  // Copying from the model it shares with writes nothing.
+  EXPECT_EQ(AllocatedBytes([&] { copy->CopyLearnedStateFrom(src); }), 0u);
+
+  // The first write: a third model's weights.
+  Rng other_rng(10);
+  const SlimModel other(opts, &other_rng);
+  size_t allocations = 0;
+  const size_t bytes = AllocatedBytes(
+      [&] { copy->CopyLearnedStateFrom(other); }, &allocations);
+  EXPECT_EQ(allocations, SlimTrainState::kNumParams + 1);
+  EXPECT_GE(bytes, weight_bytes);
+  EXPECT_LE(bytes, weight_bytes + 1024)
+      << "the first write allocated more than one weight block";
+  EXPECT_EQ(bytes_of(*copy), bytes_of(other));
+  EXPECT_EQ(bytes_of(src), src_bytes) << "the write reached the source";
+  // The block is private now: the next write allocates nothing.
+  EXPECT_EQ(CountAllocations([&] { copy->CopyLearnedStateFrom(src); }), 0u);
+  EXPECT_EQ(bytes_of(*copy), src_bytes);
+}
+
+TEST(AllocationSteadyStateTest, NeverSteppedTrainStateHoldsNoMoments) {
+  // A train state allocates its Adam moments at its first step, so a
+  // service with training off holds no optimizer bytes; the moments it
+  // serializes until then are zero matrices, as the first step's are.
+  SlimOptions opts;
+  opts.feature_dim = 64;
+  opts.time_dim = 16;
+  opts.hidden_dim = 1024;
+  opts.k_recent = 10;
+  std::optional<SlimTrainState> train, copy;
+  EXPECT_EQ(AllocatedBytes([&] { train.emplace(opts); }), 0u);
+  EXPECT_EQ(AllocatedBytes([&] { copy.emplace(*train); }), 0u);
+  EXPECT_FALSE(train->has_moments());
+
+  // Small widths for the step itself.
+  opts.hidden_dim = 16;
+  Rng rng(11);
+  SlimModel model(opts, &rng);
+  SlimTrainState small(opts);
+  const SlimTrainState untouched(opts);
+  ByteWriter before;
+  model.Serialize(&before, small);
+  // The step-0 stream's moments are all zero bytes.
+  ByteReader r(before.buffer());
+  r.U64();
+  for (size_t p = 0; p < SlimTrainState::kNumParams; ++p) {
+    for (int matrix = 0; matrix < 3; ++matrix) {
+      const uint64_t rows = r.U64(), cols = r.U64();
+      const size_t n = static_cast<size_t>(rows * cols) * sizeof(float);
+      const uint8_t* bytes = r.Span(n);
+      ASSERT_NE(bytes, nullptr);
+      if (matrix > 0) {
+        EXPECT_TRUE(std::all_of(bytes, bytes + n,
+                                [](uint8_t b) { return b == 0; }))
+            << "param " << p << " moment " << matrix;
+      }
+    }
+  }
+  EXPECT_TRUE(r.AtEnd());
+
+  const size_t b = 4;
+  SlimBatchInput input;
+  input.Resize(opts, b, /*weighted=*/false);
+  rng.FillGaussian(input.node_feats.data(), b * opts.feature_dim, 1.0f);
+  input.time_x.assign(b * opts.k_recent, 0.0f);
+  input.valid.assign(b, 0);
+  const std::vector<int> labels = {0, 1, 0, 1};
+  model.SetTraining(true);
+  model.TrainStep(&input, labels, &small);
+  EXPECT_TRUE(small.has_moments());
+  EXPECT_FALSE(untouched.has_moments());
+  // A copy from a state that never stepped releases the moments again.
+  small.CopyFrom(untouched);
+  EXPECT_FALSE(small.has_moments());
+  ByteWriter after;
+  model.Serialize(&after, small);
+  EXPECT_EQ(after.size(), before.size());
 }
 
 TEST(AllocationSteadyStateTest, FirstAllocationHoldsWholeLinesNotPowersOfTwo) {

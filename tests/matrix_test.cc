@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "tensor/rng.h"
@@ -95,6 +96,41 @@ TEST(MatrixTest, TransposedVariantsMatchNaive) {
       float acc = 0.0f;
       for (size_t r = 0; r < 13; ++r) acc += at(r, i) * b(r, j);
       EXPECT_NEAR(c2(i, j), acc, 1e-3f);
+    }
+  }
+}
+
+// The tiled Transpose is a copy: every element lands bit for bit where the
+// element loop puts it, for shapes with and without whole tiles, from
+// padded and contiguous sources, into a reused (larger) destination.
+TEST(MatrixTest, TransposeEqualsElementLoop) {
+  Rng rng(17);
+  const size_t shapes[][2] = {{1, 1}, {3, 70}, {128, 64}, {65, 129}};
+  Matrix t;
+  for (const auto& shape : shapes) {
+    const size_t rows = shape[0], cols = shape[1];
+    for (const bool padded : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << rows << "x" << cols
+                                        << (padded ? " padded" : ""));
+      Matrix a;
+      if (padded) {
+        a.ResizePadded(rows, cols);
+      } else {
+        a.Resize(rows, cols);
+      }
+      for (size_t i = 0; i < rows; ++i) {
+        rng.FillGaussian(a.Row(i), cols, 1.0f);
+      }
+      Transpose(a, &t);
+      ASSERT_EQ(t.rows(), cols);
+      ASSERT_EQ(t.cols(), rows);
+      ASSERT_TRUE(t.IsContiguous());
+      for (size_t i = 0; i < rows; ++i) {
+        for (size_t j = 0; j < cols; ++j) {
+          ASSERT_EQ(std::memcmp(&t(j, i), &a(i, j), sizeof(float)), 0)
+              << "element (" << i << ", " << j << ")";
+        }
+      }
     }
   }
 }

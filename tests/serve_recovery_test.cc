@@ -28,10 +28,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/serialize.h"
@@ -476,6 +478,73 @@ class ServeCrashPointTest : public ::testing::TestWithParam<CrashCase> {
   FeedLive(&svc, live, 0, live.size());
   svc.Stop();
   _exit(0);  // crash point never fired
+}
+
+/// Every file of `dir` by name, with its bytes.
+std::vector<std::pair<std::string, std::vector<uint8_t>>> DirContents(
+    const std::string& dir) {
+  std::vector<std::pair<std::string, std::vector<uint8_t>>> files;
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) return files;
+  while (const struct dirent* ent = ::readdir(d)) {
+    const std::string name = ent->d_name;
+    if (name == "." || name == "..") continue;
+    files.emplace_back(name, ReadFile(dir + "/" + name));
+  }
+  ::closedir(d);
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+// A data dir whose newest checkpoint holds another predictor state version
+// is refused with a Status that names the dir, both versions and the
+// remedy, and recovery changes, collects and adds nothing in the dir
+// before it refuses.
+TEST_F(ServeRecoveryTest, RefusesCheckpointOfAnotherStateVersionByName) {
+  TempDir dir;
+  const SplashOptions model = RecoveryModelOptions();
+  const Dataset ds = MakeWarmup();
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
+  const std::vector<TemporalEdge> live = LiveEdges(ds, split);
+  {
+    SplashService svc(model, DurableOptions(dir.path()));
+    ASSERT_TRUE(svc.RecoverOrStart(ds, split).ok());
+    FeedLive(&svc, live, 0, 100);
+    svc.Stop();
+  }
+  // Rewrite the newest checkpoint with the state's version field (bytes
+  // 4-7, after the magic) set to the previous format's.
+  CheckpointData ckpt;
+  bool found = false;
+  ASSERT_TRUE(LoadLatestCheckpoint(dir.path(), &ckpt, &found).ok());
+  ASSERT_TRUE(found);
+  ASSERT_EQ(SplashPredictor::ReadStateVersion(ckpt.predictor_state),
+            SplashPredictor::kStateVersion);
+  const uint32_t old_version = SplashPredictor::kStateVersion - 1;
+  std::memcpy(ckpt.predictor_state.data() + 4, &old_version,
+              sizeof(old_version));
+  ASSERT_TRUE(WriteCheckpoint(dir.path(), ckpt.seq, ckpt.batches_applied,
+                              ckpt.wm_time, ckpt.log, ckpt.node_seen,
+                              ckpt.predictor_state)
+                  .ok());
+  const auto before = DirContents(dir.path());
+  ASSERT_FALSE(before.empty());
+
+  SplashService svc(model, DurableOptions(dir.path()));
+  const Status st = svc.RecoverOrStart(ds, split);
+  ASSERT_FALSE(st.ok());
+  const std::string& msg = st.message();
+  EXPECT_NE(msg.find(dir.path()), std::string::npos) << msg;
+  EXPECT_NE(msg.find("version " + std::to_string(old_version)),
+            std::string::npos)
+      << msg;
+  EXPECT_NE(msg.find("version " +
+                     std::to_string(SplashPredictor::kStateVersion)),
+            std::string::npos)
+      << msg;
+  EXPECT_NE(msg.find("move the data dir aside"), std::string::npos) << msg;
+  EXPECT_TRUE(DirContents(dir.path()) == before)
+      << "the refused recovery changed the data dir";
 }
 
 /// After a crash at kCheckpointMidWrite the one temp file holds the 20-byte

@@ -318,7 +318,7 @@ TEST(SlimDropoutTest, DrawsOneUniformPerUnitInRowOrder) {
     if (!SetKernelBackendForTesting(backend)) continue;  // not on this CPU
     SCOPED_TRACE(backend);
     ByteReader reader(stream.buffer());
-    ASSERT_TRUE(model.Deserialize(&reader, &train));
+    ASSERT_TRUE(model.Deserialize(&reader, &train).ok());
     rng.LoadState(st);
     // Forward in training mode applies the train step's dropout.
     Rng ref = rng;

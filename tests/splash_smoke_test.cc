@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -638,6 +639,97 @@ TEST(SplashSmokeTest, RefusesHostileSlimWidthsBeforeAllocating) {
       << refusal(kOutDimAt, huge);
   EXPECT_NE(refusal(kOutDimAt, 1).find("out_dim"), std::string::npos)
       << refusal(kOutDimAt, 1);
+}
+
+// SLIM state no run of the code produces is refused by parameter name
+// even inside a well-formed blob: a non-finite weight or moment (a NaN
+// weight would serve NaN scores), a negative second moment, or nonzero
+// moments at Adam step 0.
+TEST(SplashSmokeTest, RefusesSlimStateNoRunProduces) {
+  const Dataset ds = SmallClassification();
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.1, 0.1);
+  const SplashOptions opts = SmallOptions(SplashMode::kForceStructural);
+  SplashPredictor model(opts);
+  ASSERT_TRUE(model.Prepare(ds, split).ok());
+  const std::vector<uint8_t> fresh = StateBytes(model);
+  const size_t half = ds.stream.size() / 2;
+  model.ObserveBulk(ds.stream, 0, half);
+  model.SetTraining(true);
+  model.TrainBatch(TrainQueries(ds, half, 0));
+  const std::vector<uint8_t> trained = StateBytes(model);
+
+  // SLIM's widths sit at byte 41 of the header (after the has-SLIM byte);
+  // its block ends the blob: the Adam step, then per parameter the value,
+  // m and v matrices, each as rows, cols (u64) and its floats.
+  constexpr size_t kSlimWidthsAt = 41;
+  auto width = [&](size_t i) {
+    uint64_t v = 0;
+    std::memcpy(&v, fresh.data() + kSlimWidthsAt + 8 * i, sizeof(v));
+    return static_cast<size_t>(v);
+  };
+  SlimOptions so;
+  so.feature_dim = width(0);
+  so.time_dim = width(1);
+  so.hidden_dim = width(2);
+  so.out_dim = width(3);
+  const size_t dv = so.feature_dim, h = so.hidden_dim;
+  const size_t counts[] = {(dv + so.time_dim) * h, h, dv * h, h,
+                           2 * h * h, h, h * so.out_dim, so.out_dim};
+  const size_t block_bytes = 8 + 3 * SlimTrainState::kNumParams * 16 +
+                             3 * SlimModel::ParamCount(so) * sizeof(float);
+  // The first float of parameter `p`'s matrix `which` (0 value, 1 m, 2 v).
+  auto float_at = [&](const std::vector<uint8_t>& blob, size_t p,
+                      size_t which) {
+    size_t at = blob.size() - block_bytes + 8;
+    for (size_t q = 0; q < p; ++q) at += 3 * (16 + counts[q] * 4);
+    return at + which * (16 + counts[p] * 4) + 16;
+  };
+  auto refusal = [&](const std::vector<uint8_t>& bytes, size_t p,
+                     size_t which, float value) {
+    std::vector<uint8_t> blob = bytes;
+    std::memcpy(blob.data() + float_at(blob, p, which), &value,
+                sizeof(value));
+    SplashPredictor restored(opts);
+    ByteReader r(blob);
+    const Status st = restored.DeserializeState(&r);
+    return st.ok() ? std::string() : st.message();
+  };
+  auto refused_for = [](const std::string& msg, const std::string& field,
+                        const std::string& why) {
+    return msg.find(field) != std::string::npos &&
+           msg.find(why) != std::string::npos;
+  };
+  constexpr size_t kW1 = 0, kB2 = 3, kW3 = 4, kW4 = 6;
+  constexpr size_t kValue = 0, kM = 1, kV = 2;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+
+  // The controls: each blob as written, and a finite weight patched in.
+  float w3 = 0.0f;
+  std::memcpy(&w3, trained.data() + float_at(trained, kW3, kValue),
+              sizeof(w3));
+  ASSERT_TRUE(std::isfinite(w3));
+  ASSERT_EQ(refusal(trained, kW3, kValue, w3 + 0.5f), "");
+  ASSERT_EQ(refusal(fresh, kW3, kValue, 0.25f), "");
+
+  const std::string nan_weight = refusal(trained, kW3, kValue, nan);
+  EXPECT_TRUE(refused_for(nan_weight, "SLIM w3 ", "non-finite"))
+      << nan_weight;
+  const std::string inf_moment = refusal(trained, kB2, kM, inf);
+  EXPECT_TRUE(refused_for(inf_moment, "SLIM b2 Adam m", "non-finite"))
+      << inf_moment;
+  const std::string nan_moment = refusal(trained, kW1, kV, nan);
+  EXPECT_TRUE(refused_for(nan_moment, "SLIM w1 Adam v", "non-finite"))
+      << nan_moment;
+  const std::string negative = refusal(trained, kW4, kV, -1e-3f);
+  EXPECT_TRUE(refused_for(negative, "SLIM w4 Adam v", "negative"))
+      << negative;
+  const std::string step0_m = refusal(fresh, kW1, kM, 1e-3f);
+  EXPECT_TRUE(refused_for(step0_m, "SLIM w1 Adam m", "nonzero at Adam step 0"))
+      << step0_m;
+  const std::string step0_v = refusal(fresh, kB2, kV, 1e-3f);
+  EXPECT_TRUE(refused_for(step0_v, "SLIM b2 Adam v", "nonzero at Adam step 0"))
+      << step0_v;
 }
 
 // A state blob whose neighbor-memory part is well formed but holds a ring
