@@ -2,25 +2,24 @@
 
 #include "serve/checkpoint.h"
 
-#include <dirent.h>
 #include <fcntl.h>
-#include <sys/stat.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "core/serialize.h"
+#include "serve/data_dir.h"
 #include "serve/fault_injection.h"
+#include "serve/wal.h"
 
 namespace splash {
 namespace {
 
 constexpr char kCkptMagic[8] = {'S', 'P', 'L', 'C', 'K', 'P', '1', '\n'};
+constexpr char kCkptPrefix[] = "checkpoint-";
+constexpr char kCkptSuffix[] = ".ckpt";
 constexpr size_t kCkptHeaderBytes = 8 + 8 + 4;
 // Payload fields ahead of the edge columns: seq, batches_applied, wm_time,
 // edge count, num_nodes.
@@ -28,26 +27,6 @@ constexpr size_t kCkptMetaBytes = 5 * 8;
 // The file as written: header, meta, src, dst, time, then node_seen and the
 // predictor blob, each behind its u64 length.
 constexpr size_t kCkptPieces = 9;
-
-/// Writes every byte the `n` iovecs at `iov` describe, resuming after
-/// short writes; consumes the array.
-Status WriteAll(int fd, iovec* iov, size_t n) {
-  while (n > 0) {
-    const ssize_t w = ::writev(fd, iov, static_cast<int>(n));
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return Status::Error(std::string("checkpoint: write failed: ") +
-                           std::strerror(errno));
-    }
-    size_t done = static_cast<size_t>(w);
-    for (; n > 0 && done >= iov->iov_len; ++iov, --n) done -= iov->iov_len;
-    if (n > 0) {
-      iov->iov_base = static_cast<uint8_t*>(iov->iov_base) + done;
-      iov->iov_len -= done;
-    }
-  }
-  return Status::Ok();
-}
 
 /// Writes bytes [begin, end) of the file that `pieces` spell in order.
 Status WriteRange(int fd, const iovec* pieces, size_t n, size_t begin,
@@ -70,57 +49,58 @@ void StoreLE(uint8_t* p, uint64_t v, size_t bytes) {
   for (size_t i = 0; i < bytes; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
 }
 
-Status SyncDir(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) {
-    return Status::Error("checkpoint: cannot open dir " + dir);
-  }
-  const int rc = ::fsync(fd);
+/// The WAL cursor (batches_applied) in the header of checkpoint `path`,
+/// read without validating the file; 0, which keeps every segment, when
+/// the header is unreadable.
+uint64_t ReadCheckpointCursor(const std::string& path) {
+  uint8_t head[kCkptHeaderBytes + 16];
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return 0;
+  const ssize_t got = ::pread(fd, head, sizeof(head), 0);
   ::close(fd);
-  if (rc != 0) {
-    return Status::Error("checkpoint: dir fsync failed for " + dir);
+  if (got != static_cast<ssize_t>(sizeof(head)) ||
+      std::memcmp(head, kCkptMagic, sizeof(kCkptMagic)) != 0) {
+    return 0;
   }
-  return Status::Ok();
+  return ByteReader(head + kCkptHeaderBytes + 8, 8).U64();
 }
 
-/// Checkpoint files in `dir`, sorted newest (largest seq) first.
-std::vector<std::pair<uint64_t, std::string>> ListCheckpoints(
-    const std::string& dir) {
-  std::vector<std::pair<uint64_t, std::string>> out;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return out;
-  while (struct dirent* ent = ::readdir(d)) {
-    const char* name = ent->d_name;
-    const size_t len = std::strlen(name);
-    if (len <= 16 || std::strncmp(name, "checkpoint-", 11) != 0 ||
-        std::strcmp(name + len - 5, ".ckpt") != 0) {
-      continue;
-    }
-    char* end = nullptr;
-    const unsigned long long seq = std::strtoull(name + 11, &end, 10);
-    if (end == nullptr || std::strcmp(end, ".ckpt") != 0) continue;
-    out.emplace_back(static_cast<uint64_t>(seq), dir + "/" + name);
+/// The data dir's one retention step (see checkpoint.h), run once the
+/// checkpoint with WAL cursor `written_cursor` is durable.
+void RetainDataDir(const std::string& dir, uint64_t written_cursor,
+                   bool gc_wal) {
+  const std::vector<DataFile> ckpts =
+      ListDataFiles(dir, kCkptPrefix, kCkptSuffix);
+  const size_t first_kept = ckpts.size() > kCheckpointsToKeep
+                                ? ckpts.size() - kCheckpointsToKeep
+                                : 0;
+  for (size_t i = 0; i < first_kept; ++i) ::unlink(ckpts[i].path.c_str());
+  if (!gc_wal) return;
+  uint64_t cursor = written_cursor;
+  for (size_t i = first_kept; i < ckpts.size(); ++i) {
+    cursor = std::min(cursor, ReadCheckpointCursor(ckpts[i].path));
   }
-  ::closedir(d);
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  return out;
+  // A segment holds the batches up to the next one's start index: no
+  // retained checkpoint replays it once that is at or below every cursor.
+  const std::vector<DataFile> segs = ListWalSegments(dir);
+  for (size_t i = 0; i + 1 < segs.size() && segs[i + 1].index <= cursor;
+       ++i) {
+    ::unlink(segs[i].path.c_str());
+  }
 }
 
 }  // namespace
 
 std::string CheckpointPath(const std::string& dir, uint64_t seq) {
-  char name[64];
-  std::snprintf(name, sizeof(name), "checkpoint-%020llu.ckpt",
-                static_cast<unsigned long long>(seq));
-  return dir + "/" + name;
+  return DataFilePath(dir, kCkptPrefix, seq, kCkptSuffix);
 }
 
 Status WriteCheckpoint(const std::string& dir, uint64_t seq,
                        uint64_t batches_applied, double wm_time,
                        const EdgeStream& log,
                        const std::vector<uint8_t>& node_seen,
-                       const std::vector<uint8_t>& predictor_state) {
+                       const std::vector<uint8_t>& predictor_state,
+                       bool gc_wal) {
   // The payload is never assembled: each piece is written and checksummed
   // straight from where it lives, so a checkpoint costs no copy of the log.
   uint8_t header[kCkptHeaderBytes];
@@ -195,39 +175,21 @@ Status WriteCheckpoint(const std::string& dir, uint64_t seq,
   }
   st = SyncDir(dir);
   if (!st.ok()) return st;
-
-  // GC: keep the newest kCheckpointsToKeep (this one + fallback).
-  const auto ckpts = ListCheckpoints(dir);
-  for (size_t i = kCheckpointsToKeep; i < ckpts.size(); ++i) {
-    ::unlink(ckpts[i].second.c_str());
-  }
+  RetainDataDir(dir, batches_applied, gc_wal);
   return Status::Ok();
 }
 
 Status LoadLatestCheckpoint(const std::string& dir, CheckpointData* out,
                             bool* found) {
   *found = false;
-  for (const auto& [seq, path] : ListCheckpoints(dir)) {
-    (void)seq;
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) continue;
-    struct stat sb;
-    if (::fstat(fd, &sb) != 0 ||
-        static_cast<size_t>(sb.st_size) < kCkptHeaderBytes) {
-      ::close(fd);
+  const std::vector<DataFile> ckpts =
+      ListDataFiles(dir, kCkptPrefix, kCkptSuffix);
+  std::vector<uint8_t> buf;
+  for (auto it = ckpts.rbegin(); it != ckpts.rend(); ++it) {  // newest first
+    if (!ReadWholeFile(it->path, &buf).ok() ||
+        buf.size() < kCkptHeaderBytes) {
       continue;
     }
-    std::vector<uint8_t> buf(static_cast<size_t>(sb.st_size));
-    size_t got = 0;
-    while (got < buf.size()) {
-      const ssize_t r = ::read(fd, buf.data() + got, buf.size() - got);
-      if (r < 0 && errno == EINTR) continue;
-      if (r <= 0) break;
-      got += static_cast<size_t>(r);
-    }
-    ::close(fd);
-    if (got != buf.size()) continue;
-
     if (std::memcmp(buf.data(), kCkptMagic, sizeof(kCkptMagic)) != 0) {
       continue;
     }

@@ -9,12 +9,15 @@
 // exclusively-owned back replica.
 //
 // Atomicity: write checkpoint-<W>.ckpt.tmp, fsync, rename() into place,
-// fsync the directory. A crash at any point leaves either the previous
-// checkpoint or the new one fully intact — never a half checkpoint that
-// parses. The loader walks candidates newest-first and takes the first
-// one whose CRC validates, so a corrupt or torn latest falls back to its
-// predecessor. The newest kCheckpointsToKeep survive GC for exactly that
-// fallback.
+// fsync the directory (serve/data_dir.h). A crash at any point leaves
+// either the previous checkpoint or the new one fully intact — never a
+// half checkpoint that parses. The loader walks candidates newest-first
+// and takes the first one whose CRC validates, so a corrupt or torn latest
+// falls back to its predecessor. The data dir's one retention step then
+// keeps the newest kCheckpointsToKeep and every WAL segment the smallest
+// of their cursors replays (read from the files left, so a same-named
+// replacement is covered; capped by the cursor just written, so a corrupt
+// one only keeps more).
 //
 // File format: magic[8]="SPLCKP1\n"  u64 payload_len  u32 crc32c(payload)
 // payload, where payload = u64 seq, u64 batches_applied, f64 wm_time, edge
@@ -28,8 +31,8 @@
 // calls send the header and every piece straight from the caller's arrays:
 // the first ends exactly payload_len / 2 payload bytes in, where the
 // checkpoint-mid-write crash point sits. A write allocates only its paths
-// and the GC listing, whatever the log's length; it still costs O(history)
-// in write() and CRC bytes while the checkpoint carries the log. The loader
+// and listings, whatever the log's length; it still costs O(history) in
+// write() and CRC bytes while the checkpoint carries the log. The loader
 // decodes the edge columns from its read buffer straight into the log.
 
 #ifndef SPLASH_SERVE_CHECKPOINT_H_
@@ -44,7 +47,7 @@
 
 namespace splash {
 
-/// How many validated checkpoints GC retains (the live one + fallback).
+/// How many checkpoints retention keeps (the live one + fallback).
 constexpr size_t kCheckpointsToKeep = 2;
 
 struct CheckpointData {
@@ -58,14 +61,16 @@ struct CheckpointData {
 
 std::string CheckpointPath(const std::string& dir, uint64_t seq);
 
-/// Writes a checkpoint atomically (see file header) and garbage-collects
-/// all but the newest kCheckpointsToKeep. Hosts the checkpoint-mid-write /
-/// checkpoint-before-rename crash points.
+/// Writes a checkpoint atomically (see file header), then runs the
+/// retention step: deletes all but the newest kCheckpointsToKeep and, when
+/// `gc_wal`, the WAL segments no retained checkpoint replays. Hosts the
+/// checkpoint-mid-write / checkpoint-before-rename crash points.
 Status WriteCheckpoint(const std::string& dir, uint64_t seq,
                        uint64_t batches_applied, double wm_time,
                        const EdgeStream& log,
                        const std::vector<uint8_t>& node_seen,
-                       const std::vector<uint8_t>& predictor_state);
+                       const std::vector<uint8_t>& predictor_state,
+                       bool gc_wal = false);
 
 /// Loads the newest CRC-valid, self-consistent checkpoint: seq equal to
 /// the log size, wm_time equal to the last edge's time (0 for an empty

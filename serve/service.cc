@@ -3,7 +3,6 @@
 #include "serve/service.h"
 
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -314,14 +313,6 @@ void SplashService::NoteWalError() {
   wal_.Close();
 }
 
-void SplashService::MirrorWalFsyncs() {
-  const uint64_t fs = wal_.fsyncs();
-  if (fs > wal_fsyncs_base_) {
-    wal_fsyncs_.fetch_add(fs - wal_fsyncs_base_, std::memory_order_relaxed);
-    wal_fsyncs_base_ = fs;
-  }
-}
-
 void SplashService::WriteServiceCheckpoint() {
   const uint64_t seq = log_.size();
   const double wm_time = log_.empty() ? 0.0 : log_.max_time();
@@ -331,8 +322,11 @@ void SplashService::WriteServiceCheckpoint() {
   // The blob's size changes only when the node capacity grows, so the
   // next checkpoint fits in the trimmed scratch without growing it.
   ckpt_state_scratch_.ShrinkToFit();
+  // The checkpoint's retention step also collects the WAL segments that
+  // neither it nor its fallback replays.
   Status st = WriteCheckpoint(opts_.data_dir, seq, wal_batch_index_, wm_time,
-                              log_, node_seen_, ckpt_state_scratch_.buffer());
+                              log_, node_seen_, ckpt_state_scratch_.buffer(),
+                              opts_.gc_wal_on_checkpoint);
   if (!st.ok()) {
     // A failed checkpoint is a durability I/O error like any other: keep
     // serving, keep the WAL (if open) appending, flag degraded.
@@ -345,22 +339,12 @@ void SplashService::WriteServiceCheckpoint() {
   SPLASH_CRASH_POINT(CrashPoint::kCheckpointAfterRename);
 
   // Rotate: everything before wal_batch_index_ is inside the checkpoint,
-  // so the new active segment starts exactly at the cursor. Old segments
-  // are GC'd unless tests keep them for the full-history oracle.
+  // so the new active segment starts exactly at the cursor.
   wal_.Close();
-  MirrorWalFsyncs();
-  Status wst = wal_.Open(WalSegmentPath(opts_.data_dir, wal_batch_index_),
-                         seq, opts_.wal_fsync, opts_.wal_group_records);
-  wal_fsyncs_base_ = 0;
-  if (!wst.ok()) {
-    NoteWalError();
-    return;
-  }
-  if (opts_.gc_wal_on_checkpoint) {
-    for (const WalSegmentInfo& seg : ListWalSegments(opts_.data_dir)) {
-      if (seg.start_index != wal_batch_index_) ::unlink(seg.path.c_str());
-    }
-  }
+  const Status wst =
+      wal_.Open(WalSegmentPath(opts_.data_dir, wal_batch_index_), seq,
+                opts_.wal_fsync, opts_.wal_group_records);
+  if (!wst.ok()) NoteWalError();
 }
 
 void SplashService::SerializePredictorState(ByteWriter* w) const {
@@ -446,8 +430,6 @@ void SplashService::ApplyLoop() {
       const Status wst = wal_.Append(batch_rec_);
       if (wst.ok()) {
         ++wal_batch_index_;
-        wal_records_.fetch_add(1, std::memory_order_relaxed);
-        MirrorWalFsyncs();
       } else {
         NoteWalError();
       }
@@ -471,11 +453,8 @@ void SplashService::ApplyLoop() {
     }
   }
   if (durable_) {
-    if (opts_.checkpoint_on_stop && batches_since_checkpoint_ > 0) {
-      WriteServiceCheckpoint();
-    }
+    if (batches_since_checkpoint_ > 0) WriteServiceCheckpoint();
     wal_.Close();
-    MirrorWalFsyncs();
   }
   flush_cv_.notify_all();
 }
@@ -533,8 +512,8 @@ ServeCounters SplashService::Counters() const {
   c.time_regressions = time_regressions_.load(std::memory_order_relaxed);
   c.queue_depth = queue_.size();
   c.queue_high_watermark = queue_.high_watermark();
-  c.wal_records = wal_records_.load(std::memory_order_relaxed);
-  c.wal_fsyncs = wal_fsyncs_.load(std::memory_order_relaxed);
+  c.wal_records = wal_.records_appended();
+  c.wal_fsyncs = wal_.fsyncs();
   c.wal_io_errors = wal_io_errors_.load(std::memory_order_relaxed);
   c.checkpoints_written =
       checkpoints_written_.load(std::memory_order_relaxed);

@@ -205,13 +205,12 @@ struct SplashServiceOptions {
   WalFsyncPolicy wal_fsync = WalFsyncPolicy::kBatch;
   /// kBatch: fsync once per this many appended records.
   size_t wal_group_records = 8;
-  /// Take a checkpoint every N applied micro-batches (0 = only at Stop).
-  /// Checkpoints run on the apply thread at a quiesced watermark; queries
-  /// keep being served from the published snapshot throughout.
+  /// Take a checkpoint every N applied micro-batches (0 = only at boot
+  /// and Stop, which always writes one after new batches). Checkpoints
+  /// run on the apply thread at a quiesced watermark; queries keep being
+  /// served from the published snapshot throughout.
   uint64_t checkpoint_interval_batches = 256;
-  /// Checkpoint once more when Stop() drains (fast restart: empty WAL tail).
-  bool checkpoint_on_stop = true;
-  /// Delete WAL segments made redundant by a successful checkpoint. Tests
+  /// Delete the WAL segments neither retained checkpoint replays. Tests
   /// and the crash harness disable this to keep the full apply history
   /// available for the bit-exact recovery oracle.
   bool gc_wal_on_checkpoint = true;
@@ -371,7 +370,6 @@ class SplashService {
   /// path only; both replicas must be identical at the published W).
   void WriteServiceCheckpoint();
   void NoteWalError();
-  void MirrorWalFsyncs();
 
   SplashOptions model_opts_;
   SplashServiceOptions opts_;
@@ -444,14 +442,13 @@ class SplashService {
   WalWriter wal_;
   ByteWriter ckpt_state_scratch_;      // predictor blob for checkpoints
   uint64_t wal_batch_index_ = 0;       // next record's batch_index
-  uint64_t wal_fsyncs_base_ = 0;       // per-segment fsync count mirrored
   uint64_t batches_since_checkpoint_ = 0;
   uint64_t recovered_seq_ = 0;
   bool recovered_from_checkpoint_ = false;
   std::atomic<bool> degraded_{false};
   // Replay target during recovery: snapshots below it answer degraded.
   std::atomic<uint64_t> recovery_target_seq_{0};
-  std::atomic<uint64_t> wal_records_{0}, wal_fsyncs_{0}, wal_io_errors_{0};
+  std::atomic<uint64_t> wal_io_errors_{0};
   std::atomic<uint64_t> checkpoints_written_{0}, recovery_replayed_{0};
 };
 

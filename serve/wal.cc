@@ -2,16 +2,11 @@
 
 #include "serve/wal.h"
 
-#include <dirent.h>
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "serve/fault_injection.h"
@@ -26,18 +21,9 @@ constexpr size_t kFrameHeaderBytes = 8;        // payload_len + payload_crc
 // record (the largest real micro-batch is a few thousand 16-byte edges).
 constexpr uint32_t kMaxRecordBytes = 1u << 30;
 
-Status WriteFully(int fd, const uint8_t* p, size_t n) {
-  while (n > 0) {
-    const ssize_t w = ::write(fd, p, n);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return Status::Error(std::string("wal: write failed: ") +
-                           std::strerror(errno));
-    }
-    p += w;
-    n -= static_cast<size_t>(w);
-  }
-  return Status::Ok();
+Status WriteBytes(int fd, const uint8_t* p, size_t n) {
+  iovec iov{const_cast<uint8_t*>(p), n};
+  return WriteAll(fd, &iov, 1);
 }
 
 }  // namespace
@@ -112,16 +98,15 @@ Status WalWriter::Open(const std::string& path, uint64_t start_seq,
   policy_ = policy;
   group_records_ = group_records < 1 ? 1 : group_records;
   unsynced_ = 0;
-  appended_ = 0;
-  fsyncs_ = 0;
   scratch_.Clear();
   scratch_.Bytes(kWalMagic, sizeof(kWalMagic));
   scratch_.U64(start_seq);
   scratch_.U32(Crc32c(scratch_.buffer().data() + sizeof(kWalMagic), 8));
-  Status st = WriteFully(fd_, scratch_.buffer().data(), scratch_.size());
-  if (!st.ok()) return st;
-  if (policy_ != WalFsyncPolicy::kNone) return Sync();
-  return Status::Ok();
+  const Status st = WriteBytes(fd_, scratch_.buffer().data(), scratch_.size());
+  if (!st.ok() || policy_ == WalFsyncPolicy::kNone) return st;
+  // The segment's name must be as durable as the records synced into it.
+  const size_t slash = path.rfind('/');
+  return SyncDir(slash == std::string::npos ? "." : path.substr(0, slash));
 }
 
 Status WalWriter::Append(const WalRecord& rec) {
@@ -146,14 +131,15 @@ Status WalWriter::Append(const WalRecord& rec) {
     // Torn write: a strict prefix of the frame reaches the file, then the
     // process dies. Recovery must truncate this record, never apply it.
     const size_t cut = scratch_.size() / 2 > 0 ? scratch_.size() / 2 : 1;
-    WriteFully(fd_, frame, cut).ok();
+    WriteBytes(fd_, frame, cut).ok();
     CrashNow();
   }
 #endif
 
-  Status st = WriteFully(fd_, frame, scratch_.size());
+  Status st = WriteBytes(fd_, frame, scratch_.size());
   if (!st.ok()) return st;
-  ++appended_;
+  appended_.store(appended_.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
   ++unsynced_;
   SPLASH_CRASH_POINT(CrashPoint::kWalAfterAppend);
 
@@ -174,7 +160,8 @@ Status WalWriter::Sync() {
                          std::strerror(errno));
   }
   unsynced_ = 0;
-  ++fsyncs_;
+  fsyncs_.store(fsyncs_.load(std::memory_order_relaxed) + 1,
+                std::memory_order_relaxed);
   return Status::Ok();
 }
 
@@ -187,28 +174,9 @@ void WalWriter::Close() {
 
 Status ScanWalFile(const std::string& path, WalScan* out) {
   *out = WalScan();
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Status::Error("wal: cannot open " + path + ": " +
-                         std::strerror(errno));
-  }
-  struct stat sb;
-  if (::fstat(fd, &sb) != 0) {
-    ::close(fd);
-    return Status::Error("wal: cannot stat " + path);
-  }
-  std::vector<uint8_t> buf(static_cast<size_t>(sb.st_size));
-  size_t got = 0;
-  while (got < buf.size()) {
-    const ssize_t r = ::read(fd, buf.data() + got, buf.size() - got);
-    if (r < 0 && errno == EINTR) continue;
-    if (r <= 0) break;
-    got += static_cast<size_t>(r);
-  }
-  ::close(fd);
-  if (got != buf.size()) {
-    return Status::Error("wal: short read on " + path);
-  }
+  std::vector<uint8_t> buf;
+  const Status st = ReadWholeFile(path, &buf);
+  if (!st.ok()) return st;
 
   if (buf.size() < kWalHeaderBytes) {
     out->tail = WalTailStatus::kTorn;  // interrupted segment creation
@@ -269,34 +237,11 @@ Status ScanWalFile(const std::string& path, WalScan* out) {
 }
 
 std::string WalSegmentPath(const std::string& dir, uint64_t start_index) {
-  char name[64];
-  std::snprintf(name, sizeof(name), "wal-%020llu.log",
-                static_cast<unsigned long long>(start_index));
-  return dir + "/" + name;
+  return DataFilePath(dir, "wal-", start_index, ".log");
 }
 
-std::vector<WalSegmentInfo> ListWalSegments(const std::string& dir) {
-  std::vector<WalSegmentInfo> out;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return out;
-  while (struct dirent* ent = ::readdir(d)) {
-    const char* name = ent->d_name;
-    const size_t len = std::strlen(name);
-    if (len <= 8 || std::strncmp(name, "wal-", 4) != 0 ||
-        std::strcmp(name + len - 4, ".log") != 0) {
-      continue;
-    }
-    char* end = nullptr;
-    const unsigned long long seq = std::strtoull(name + 4, &end, 10);
-    if (end == nullptr || std::strcmp(end, ".log") != 0) continue;
-    out.push_back({dir + "/" + name, static_cast<uint64_t>(seq)});
-  }
-  ::closedir(d);
-  std::sort(out.begin(), out.end(),
-            [](const WalSegmentInfo& a, const WalSegmentInfo& b) {
-              return a.start_index < b.start_index;
-            });
-  return out;
+std::vector<DataFile> ListWalSegments(const std::string& dir) {
+  return ListDataFiles(dir, "wal-", ".log");
 }
 
 Status ReadWalHistory(const std::string& dir, uint64_t from_batch,
@@ -304,7 +249,13 @@ Status ReadWalHistory(const std::string& dir, uint64_t from_batch,
                       bool* gap) {
   out->clear();
   *gap = false;
-  for (const WalSegmentInfo& seg : ListWalSegments(dir)) {
+  for (const DataFile& seg : ListWalSegments(dir)) {
+    // The segment's name is the batch index of its first record: one that
+    // starts past the next batch needed shows lost history, records or not.
+    if (seg.index > from_batch) {
+      *gap = true;
+      return Status::Ok();
+    }
     WalScan scan;  // a segment with an unusable header holds no records
     const Status st = ScanWalFile(seg.path, &scan);
     if (!st.ok()) return st;

@@ -30,10 +30,10 @@
 // record no apply thread logs (a kInvalidNode endpoint or train node, a
 // non-finite time, edge times decreasing in the record). Either way the
 // valid prefix is the log; the tail is truncated, never applied. Segments
-// are named wal-<start_batch_index>.log; a new segment opens at every
-// checkpoint (and at recovery), so after a durable checkpoint covering B
-// batches every earlier segment only holds records < B and is
-// garbage-collectible.
+// are named wal-<start_batch_index>.log (serve/data_dir.h) and hold the
+// records up to the next segment's start; a new one opens at every
+// checkpoint (and at recovery). Retention (serve/checkpoint.h) keeps every
+// segment a retained checkpoint replays.
 //
 // Fsync policy is the classic group-commit trade-off:
 //   kNone   — never fsync; bounded loss on machine crash, none on process
@@ -41,10 +41,13 @@
 //   kBatch  — fsync every `group_records` appends and on rotate/close;
 //             bounded-by-group loss on machine crash.
 //   kAlways — fsync per append; zero loss, pays a sync per micro-batch.
+// Under kBatch/kAlways, Open also fsyncs the dir: a synced record keeps
+// its segment's name.
 
 #ifndef SPLASH_SERVE_WAL_H_
 #define SPLASH_SERVE_WAL_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -52,6 +55,7 @@
 #include "core/serialize.h"
 #include "core/status.h"
 #include "core/types.h"
+#include "serve/data_dir.h"
 
 namespace splash {
 
@@ -97,7 +101,8 @@ struct WalScan {
 
 /// Single-writer append handle (the apply thread). Append serializes into
 /// a reused scratch buffer — steady-state appends allocate nothing once
-/// the largest record has been seen.
+/// the largest record has been seen. Its counts are totals over every
+/// segment, readable from any thread.
 class WalWriter {
  public:
   WalWriter() = default;
@@ -106,7 +111,8 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Creates (truncating) `path` and writes the segment header.
+  /// Creates (truncating) `path`, writes the segment header, and under
+  /// kBatch/kAlways fsyncs its directory.
   Status Open(const std::string& path, uint64_t start_seq,
               WalFsyncPolicy policy, size_t group_records);
 
@@ -121,16 +127,15 @@ class WalWriter {
   void Close();
 
   bool is_open() const { return fd_ >= 0; }
-  uint64_t records_appended() const { return appended_; }
-  uint64_t fsyncs() const { return fsyncs_; }
+  uint64_t records_appended() const { return appended_.load(); }
+  uint64_t fsyncs() const { return fsyncs_.load(); }
 
  private:
   int fd_ = -1;
   WalFsyncPolicy policy_ = WalFsyncPolicy::kBatch;
   size_t group_records_ = 8;
   size_t unsynced_ = 0;
-  uint64_t appended_ = 0;
-  uint64_t fsyncs_ = 0;
+  std::atomic<uint64_t> appended_{0}, fsyncs_{0};  // Open keeps them
   ByteWriter scratch_;
 };
 
@@ -144,21 +149,16 @@ Status ScanWalFile(const std::string& path, WalScan* out);
 /// Segment path for a given start batch index: <dir>/wal-<index>.log.
 std::string WalSegmentPath(const std::string& dir, uint64_t start_index);
 
-struct WalSegmentInfo {
-  std::string path;
-  uint64_t start_index = 0;  // batch index parsed from the filename
-};
-
-/// Lists wal-*.log segments in `dir`, sorted by the start index parsed
-/// from the filename. Unparsable names are ignored.
-std::vector<WalSegmentInfo> ListWalSegments(const std::string& dir);
+/// The wal-<index>.log segments of `dir`, sorted by start batch index.
+std::vector<DataFile> ListWalSegments(const std::string& dir);
 
 /// The one walk of the WAL history: the contiguous records of `dir`'s
 /// segments, oldest first, starting at the cursor (from_batch, from_seq).
 /// Records below `from_batch` lie inside a checkpoint and are skipped; a
-/// torn or corrupt tail ends its segment (the normal crash shape). A record
-/// whose batch_index or seq_begin breaks contiguity means history was lost:
-/// the walk stops there and sets `*gap`. Recovery reads from its checkpoint
+/// torn or corrupt tail ends its segment (the normal crash shape). A
+/// segment starting past the next batch needed, or a record whose
+/// batch_index or seq_begin breaks contiguity, means history was lost: the
+/// walk stops there and sets `*gap`. Recovery reads from its checkpoint
 /// cursor; the crash harness and the tests read the full history from
 /// (0, 0). Returns the error of a segment that cannot be read at all.
 Status ReadWalHistory(const std::string& dir, uint64_t from_batch,

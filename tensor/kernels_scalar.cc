@@ -35,7 +35,7 @@ constexpr size_t kBlockK = 128;
 constexpr size_t kBlockJ = 128;
 
 /// The fused layers' epilogue on one output row: + bias, then ReLU — the
-/// arithmetic of the historical AddRowVector and ReluInPlace passes.
+/// arithmetic of a bias pass followed by a ReLU pass.
 void ScalarEpilogue(float* row, size_t n, const float* bias, bool relu) {
   if (bias != nullptr) {
     if (relu) {
@@ -139,28 +139,6 @@ void ScalarMatMulTransARange(const Matrix& a, const Matrix& b, Matrix* c,
   }
 }
 
-void ScalarAddRowVector(Matrix* m, const float* bias) {
-  const size_t rows = m->rows(), cols = m->cols();
-  for (size_t i = 0; i < rows; ++i) {
-    float* row = m->Row(i);
-    for (size_t j = 0; j < cols; ++j) row[j] += bias[j];
-  }
-}
-
-void ScalarReluInPlace(Matrix* m) {
-  if (m->IsContiguous()) {
-    float* p = m->data();
-    const size_t n = m->size();
-    for (size_t i = 0; i < n; ++i) p[i] = p[i] > 0.0f ? p[i] : 0.0f;
-    return;
-  }
-  const size_t rows = m->rows(), cols = m->cols();
-  for (size_t i = 0; i < rows; ++i) {
-    float* row = m->Row(i);
-    for (size_t j = 0; j < cols; ++j) row[j] = row[j] > 0.0f ? row[j] : 0.0f;
-  }
-}
-
 void ScalarAxpy(float alpha, const float* x, float* y, size_t n) {
   for (size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
@@ -213,8 +191,6 @@ const KernelTable kScalarTable = {
     ScalarMatMulRange,
     ScalarMatMulBiasActRange,
     ScalarMatMulTransARange,
-    ScalarAddRowVector,
-    ScalarReluInPlace,
     ScalarAxpy,
     ScalarColumnSumsRange,
     ScalarAdamUpdate,

@@ -467,26 +467,6 @@ void MatMulTransARange(const Matrix& a, const Matrix& b, Matrix* c,
 // ---------------------------------------------------------------------------
 
 template <class T>
-void AddRowVector(Matrix* m, const float* bias) {
-  for (size_t i = 0; i < m->rows(); ++i) {
-    float* row = m->Row(i);
-    ForEachVector<T>(m->cols(), [&](size_t j, auto lanes) {
-      lanes.Store(row + j, T::Add(lanes.Load(row + j), lanes.Load(bias + j)));
-    });
-  }
-}
-
-template <class T>
-void ReluInPlace(Matrix* m) {
-  for (size_t i = 0; i < m->rows(); ++i) {
-    float* row = m->Row(i);
-    ForEachVector<T>(m->cols(), [&](size_t j, auto lanes) {
-      lanes.Store(row + j, T::Max(lanes.Load(row + j), T::Zero()));
-    });
-  }
-}
-
-template <class T>
 void Axpy(float alpha, const float* x, float* y, size_t n) {
   const typename T::Vec a = T::Set1(alpha);
   ForEachVector<T>(n, [&](size_t i, auto lanes) {
@@ -642,8 +622,6 @@ constexpr KernelTable MakeKernelTable(const char* name) {
       MatMulRange<T>,
       MatMulBiasActRange<T>,
       MatMulTransARange<T>,
-      AddRowVector<T>,
-      ReluInPlace<T>,
       Axpy<T>,
       ColumnSumsRange<T>,
       AdamUpdate<T>,

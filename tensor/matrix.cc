@@ -89,18 +89,8 @@ void MatMulTransA(const Matrix& a, const Matrix& b, Matrix* c,
   Kernels().matmul_transa_range(a, b, c, 0, r);
 }
 
-void AddRowVector(Matrix* m, const float* bias) {
-  Kernels().add_row_vector(m, bias);
-}
-
-void ReluInPlace(Matrix* m) { Kernels().relu_inplace(m); }
-
 void Axpy(float alpha, const float* x, float* y, size_t n) {
   Kernels().axpy(alpha, x, y, n);
-}
-
-void ColumnSums(const Matrix& m, float* out) {
-  ColumnSumsRange(m, out, 0, m.rows(), /*accumulate=*/false);
 }
 
 void ColumnSumsRange(const Matrix& m, float* out, size_t row_begin,

@@ -270,9 +270,9 @@ void MatMulRange(const Matrix& a, const Matrix& b, Matrix* c,
 
 /// Fused GEMM epilogue: c rows [row_begin, row_end) = act(a * b + bias),
 /// where bias (b.cols() entries, may be null) is added into the tile store
-/// and act is ReLU when `relu` — one pass instead of GEMM + AddRowVector +
-/// ReluInPlace. The scalar backend computes the identical arithmetic to
-/// that three-pass sequence, so it stays the bit-exact reference.
+/// and act is ReLU when `relu` — one pass instead of a GEMM, a bias pass
+/// and a ReLU pass. The scalar backend computes the identical arithmetic
+/// to that three-pass sequence, so it stays the bit-exact reference.
 void MatMulBiasActRange(const Matrix& a, const Matrix& b, Matrix* c,
                         size_t row_begin, size_t row_end, const float* bias,
                         bool relu);
@@ -317,17 +317,8 @@ void MatMulTransA(const Matrix& a, const Matrix& b, Matrix* c,
 void MatMulTransARange(const Matrix& a, const Matrix& b, Matrix* c,
                        size_t r_begin, size_t r_end);
 
-/// m[r, :] += bias for every row r. bias has m->cols() entries.
-void AddRowVector(Matrix* m, const float* bias);
-
-/// In-place ReLU.
-void ReluInPlace(Matrix* m);
-
 /// y[i] += alpha * x[i] for i in [0, n).
 void Axpy(float alpha, const float* x, float* y, size_t n);
-
-/// out[j] = sum_r m(r, j): column sums, out has m.cols() entries.
-void ColumnSums(const Matrix& m, float* out);
 
 /// Column sums over rows [row_begin, row_end) only; adds into `out` when
 /// accumulate, overwrites otherwise.

@@ -65,8 +65,6 @@ struct KernelTable {
   /// (callers pre-zero; see MatMulTransARange in tensor/matrix.h).
   void (*matmul_transa_range)(const Matrix& a, const Matrix& b, Matrix* c,
                               size_t r0, size_t r1);
-  void (*add_row_vector)(Matrix* m, const float* bias);
-  void (*relu_inplace)(Matrix* m);
   void (*axpy)(float alpha, const float* x, float* y, size_t n);
   void (*column_sums_range)(const Matrix& m, float* out, size_t r0,
                             size_t r1, bool accumulate);

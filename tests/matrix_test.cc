@@ -135,23 +135,20 @@ TEST(MatrixTest, TransposeEqualsElementLoop) {
   }
 }
 
-TEST(MatrixTest, RowOpsAndRelu) {
-  Matrix m(2, 3);
+TEST(MatrixTest, ColumnSumsRangeSumsTheRowRange) {
+  Matrix m(3, 3);
   m(0, 0) = -1.0f;
   m(0, 1) = 2.0f;
   m(1, 2) = -5.0f;
-  const float bias[3] = {1.0f, 1.0f, 1.0f};
-  AddRowVector(&m, bias);
-  ReluInPlace(&m);
-  EXPECT_FLOAT_EQ(m(0, 0), 0.0f);
-  EXPECT_FLOAT_EQ(m(0, 1), 3.0f);
-  EXPECT_FLOAT_EQ(m(1, 2), 0.0f);
-  EXPECT_FLOAT_EQ(m(1, 0), 1.0f);
-
-  float sums[3];
-  ColumnSums(m, sums);
-  EXPECT_FLOAT_EQ(sums[0], m(0, 0) + m(1, 0));
-  EXPECT_FLOAT_EQ(sums[1], m(0, 1) + m(1, 1));
+  m(2, 0) = 4.0f;
+  float sums[3] = {9.0f, 9.0f, 9.0f};
+  ColumnSumsRange(m, sums, 0, 2);
+  EXPECT_FLOAT_EQ(sums[0], -1.0f);
+  EXPECT_FLOAT_EQ(sums[1], 2.0f);
+  EXPECT_FLOAT_EQ(sums[2], -5.0f);
+  ColumnSumsRange(m, sums, 2, 3, /*accumulate=*/true);
+  EXPECT_FLOAT_EQ(sums[0], 3.0f);
+  EXPECT_FLOAT_EQ(sums[1], 2.0f);
 }
 
 TEST(MatrixTest, ResizeIsGrowOnlyStorage) {

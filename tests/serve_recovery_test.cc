@@ -104,7 +104,6 @@ SplashServiceOptions DurableOptions(const std::string& data_dir) {
   opts.wal_fsync = WalFsyncPolicy::kAlways;  // reach the before-fsync point
   opts.wal_group_records = 4;
   opts.checkpoint_interval_batches = 4;
-  opts.checkpoint_on_stop = true;
   opts.gc_wal_on_checkpoint = false;  // keep full history for the oracle
   return opts;
 }
@@ -331,15 +330,15 @@ TEST_F(ServeRecoveryTest, RecoveryWithNoMidStreamCheckpointReplaysWholeWal) {
   {
     SplashServiceOptions opts = DurableOptions(dir.path());
     opts.checkpoint_interval_batches = 0;  // never mid-stream
-    opts.checkpoint_on_stop = false;       // never at stop: WAL only
     SplashService svc(model, opts);
     TrainerOptions fit = SmallFit();
     ASSERT_TRUE(svc.RecoverOrStart(ds, split, &fit).ok());
     FeedLive(&svc, live, 0, 200);
     svc.Stop();
   }
-  // The only checkpoint is the one recovery wrote at startup (seq 0);
-  // every streamed batch lives exclusively in the WAL tail.
+  // Drop the stop checkpoint: the only one left is the one recovery wrote
+  // at startup (seq 0), and every streamed batch lives in the WAL tail.
+  ASSERT_EQ(::unlink(CheckpointPath(dir.path(), 200).c_str()), 0);
   RecoverAndVerify(dir.path(), model, 200u);
 }
 
@@ -353,7 +352,6 @@ TEST_F(ServeRecoveryTest, EdgeOnlyWalReplayTrainsNothing) {
 
   SplashServiceOptions opts = DurableOptions(dir.path());
   opts.checkpoint_interval_batches = 0;  // every batch stays in the WAL
-  opts.checkpoint_on_stop = false;
   uint64_t fit_steps = 0;
   {
     SplashService svc(model, opts);
@@ -363,6 +361,8 @@ TEST_F(ServeRecoveryTest, EdgeOnlyWalReplayTrainsNothing) {
     for (size_t i = 0; i < 100; ++i) svc.IngestEdge(live[i]);  // no labels
     svc.Stop();
   }
+  // Without the stop checkpoint, recovery replays all 100 edges.
+  ASSERT_EQ(::unlink(CheckpointPath(dir.path(), 100).c_str()), 0);
   SplashService svc(model, opts);
   TrainerOptions fit = SmallFit();
   ASSERT_TRUE(svc.RecoverOrStart(ds, split, &fit).ok());
@@ -443,6 +443,101 @@ TEST_F(ServeRecoveryTest, WalHistoryGapRecoversDegraded) {
   EXPECT_EQ(resp.watermark_seq, svc.recovered_seq());
   const ServeStats stats = svc.Stats();
   EXPECT_TRUE(stats.counters.degraded);
+  svc.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// Fallback checkpoint: with the WAL collected on every checkpoint (the
+// service default), a corrupt newest checkpoint must fall back to its
+// predecessor and replay forward to the same watermark and state bytes.
+// ---------------------------------------------------------------------------
+
+/// Runs 300 labeled live edges through a service with the default WAL
+/// collection and a checkpoint every 4 batches, then Flush and Stop.
+/// Returns the predictor state bytes after the Flush.
+std::vector<uint8_t> RunCollectedHistory(const std::string& data_dir,
+                                         const SplashOptions& model) {
+  const Dataset ds = MakeWarmup();
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
+  const std::vector<TemporalEdge> live = LiveEdges(ds, split);
+  EXPECT_GT(live.size(), 300u);
+  SplashServiceOptions opts = DurableOptions(data_dir);
+  opts.gc_wal_on_checkpoint = true;
+  SplashService svc(model, opts);
+  TrainerOptions fit = SmallFit();
+  EXPECT_TRUE(svc.RecoverOrStart(ds, split, &fit).ok());
+  FeedLive(&svc, live, 0, 300);
+  svc.Flush();
+  ByteWriter state;
+  svc.SerializePredictorState(&state);
+  svc.Stop();
+  EXPECT_GT(svc.Stats().counters.checkpoints_written, 4u);
+  return state.buffer();
+}
+
+/// Flips one payload byte of the newest checkpoint (seq 300, the stop
+/// checkpoint), so its CRC fails and the loader takes its predecessor.
+/// Returns that predecessor.
+CheckpointData CorruptNewestCheckpoint(const std::string& data_dir) {
+  const std::string newest = CheckpointPath(data_dir, 300);
+  std::vector<uint8_t> buf = ReadFile(newest);
+  EXPECT_GT(buf.size(), 40u);
+  buf[buf.size() / 2] ^= 0x10;
+  FILE* f = std::fopen(newest.c_str(), "wb");
+  EXPECT_NE(f, nullptr);
+  if (f != nullptr) {
+    EXPECT_EQ(std::fwrite(buf.data(), 1, buf.size(), f), buf.size());
+    std::fclose(f);
+  }
+  CheckpointData fallback;
+  bool found = false;
+  EXPECT_TRUE(LoadLatestCheckpoint(data_dir, &fallback, &found).ok());
+  EXPECT_TRUE(found);
+  EXPECT_LT(fallback.seq, 300u);
+  return fallback;
+}
+
+TEST_F(ServeRecoveryTest, FallbackCheckpointReplaysCollectedWalToStopState) {
+  TempDir dir;
+  const SplashOptions model = RecoveryModelOptions();
+  const std::vector<uint8_t> want = RunCollectedHistory(dir.path(), model);
+  CorruptNewestCheckpoint(dir.path());
+
+  const Dataset ds = MakeWarmup();
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
+  SplashService svc(model, DurableOptions(dir.path()));
+  TrainerOptions fit = SmallFit();
+  ASSERT_TRUE(svc.RecoverOrStart(ds, split, &fit).ok());
+  EXPECT_TRUE(svc.recovered_from_checkpoint());
+  EXPECT_EQ(svc.recovered_seq(), 300u) << "the fallback lost its WAL";
+  EXPECT_FALSE(svc.degraded());
+  ByteWriter got;
+  svc.SerializePredictorState(&got);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(0, std::memcmp(got.buffer().data(), want.data(), want.size()))
+      << "fallback replay state vs the state before the stop";
+  svc.Stop();
+}
+
+TEST_F(ServeRecoveryTest, FallbackWithoutItsWalSegmentRecoversDegraded) {
+  TempDir dir;
+  const SplashOptions model = RecoveryModelOptions();
+  RunCollectedHistory(dir.path(), model);
+  const CheckpointData fallback = CorruptNewestCheckpoint(dir.path());
+  // The segment the fallback replays from is gone: recovery must say the
+  // history past the fallback was lost instead of serving it as current.
+  EXPECT_EQ(::unlink(WalSegmentPath(dir.path(), fallback.batches_applied)
+                         .c_str()),
+            0)
+      << "retention dropped the fallback's segment";
+
+  const Dataset ds = MakeWarmup();
+  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
+  SplashService svc(model, DurableOptions(dir.path()));
+  TrainerOptions fit = SmallFit();
+  ASSERT_TRUE(svc.RecoverOrStart(ds, split, &fit).ok());
+  EXPECT_EQ(svc.recovered_seq(), fallback.seq);
+  EXPECT_TRUE(svc.degraded());
   svc.Stop();
 }
 

@@ -10,14 +10,16 @@
 //     reports kCorrupt (bit rot is distinguished from a torn tail);
 //   - ReadWalHistory returns the contiguous history from any cursor across
 //     segments, truncates at a torn tail, stops and reports a batch or
-//     seq gap, and returns (never skips) an unreadable segment;
+//     seq gap or a segment that starts past the history, and returns
+//     (never skips) an unreadable segment;
 //   - a CRC-valid record that no writer could have logged (sentinel node,
 //     non-finite or decreasing time) is corrupt and truncates the scan;
 //   - checkpoint atomicity: a crash between temp-write and rename leaves
 //     the previous checkpoint loadable; a corrupt newest checkpoint falls
 //     back to its predecessor, and so does a CRC-valid one whose seq,
-//     watermark or node count contradicts its log; GC keeps
-//     kCheckpointsToKeep;
+//     watermark or node count contradicts its log; retention keeps
+//     kCheckpointsToKeep and every WAL segment a retained checkpoint
+//     replays, same-named replacements and bad cursor fields included;
 //   - the checkpoint writer streams its pieces, and the file stays
 //     byte-identical to the SPLCKP1 payload assembled in one buffer, with
 //     the mid-write crash point at exactly payload_len / 2 whichever
@@ -326,9 +328,9 @@ TEST(ServeWalTest, ListSegmentsSortsByStartIndex) {
   }
   const auto segs = ListWalSegments(dir.path());
   ASSERT_EQ(segs.size(), 3u);
-  EXPECT_EQ(segs[0].start_index, 0u);
-  EXPECT_EQ(segs[1].start_index, 12u);
-  EXPECT_EQ(segs[2].start_index, 30u);
+  EXPECT_EQ(segs[0].index, 0u);
+  EXPECT_EQ(segs[1].index, 12u);
+  EXPECT_EQ(segs[2].index, 30u);
 }
 
 // ---------------------------------------------------------------------------
@@ -406,6 +408,21 @@ TEST(ServeWalTest, ReadWalHistoryWalksTheContiguousHistory) {
   std::vector<WalRecord> out;
   bool gap = false;
   EXPECT_FALSE(ReadWalHistory(dir.path(), 0, 0, &out, &gap).ok());
+  ASSERT_EQ(::rmdir(unreadable.c_str()), 0);
+
+  // A segment names the batch index of its first record, so one that
+  // starts past the next batch the walk needs shows lost history even
+  // with no record to compare: the shape a fallback checkpoint meets when
+  // the segment it replays from is gone. An empty segment at exactly the
+  // cursor is the clean-stop shape and no gap.
+  write_segment(5, {});
+  expect_history(5, 10, 5, 0, false, "empty segment at the cursor");
+  expect_history(0, 0, 0, 5, false, "history up to an empty segment");
+  ASSERT_EQ(::unlink(WalSegmentPath(dir.path(), 5).c_str()), 0);
+  write_segment(7, {});
+  expect_history(5, 10, 5, 0, true, "empty segment past the cursor");
+  expect_history(0, 0, 0, 5, true, "empty segment past the history");
+  expect_history(2, 5, 2, 3, true, "empty segment past a cursor's tail");
 }
 
 // ---------------------------------------------------------------------------
@@ -521,6 +538,76 @@ TEST(ServeCheckpointTest, GcKeepsNewestTwo) {
   ASSERT_TRUE(LoadLatestCheckpoint(dir.path(), &data, &found).ok());
   ASSERT_TRUE(found);
   EXPECT_EQ(data.seq, 5u);
+}
+
+/// Every WAL segment in `dir`, by start index.
+std::vector<uint64_t> SegmentIndices(const std::string& dir) {
+  std::vector<uint64_t> out;
+  for (const DataFile& seg : ListWalSegments(dir)) out.push_back(seg.index);
+  return out;
+}
+
+// The one retention step: after each checkpoint, the newest two
+// checkpoints stay, and so does every WAL segment the older of them
+// replays forward from, read from the files left in the dir — also when a
+// checkpoint replaced an earlier one of the same edge count, and whatever
+// a retained file's cursor field says.
+TEST(ServeCheckpointTest, RetentionKeepsTheWalEveryRetainedCheckpointReplays) {
+  TempDir dir;
+  auto segment = [&dir](uint64_t start) {
+    WalWriter w;
+    ASSERT_TRUE(w.Open(WalSegmentPath(dir.path(), start), 0,
+                       WalFsyncPolicy::kNone, 8)
+                    .ok());
+  };
+  auto checkpoint = [&dir](uint64_t seq, uint64_t cursor, bool gc_wal) {
+    ASSERT_TRUE(WriteCheckpoint(dir.path(), seq, cursor,
+                                static_cast<double>(seq - 1), MakeLog(seq),
+                                {1}, {static_cast<uint8_t>(cursor)}, gc_wal)
+                    .ok());
+  };
+  auto set_cursor = [&dir](uint64_t seq, uint64_t cursor) {
+    const std::string path = CheckpointPath(dir.path(), seq);
+    std::vector<uint8_t> buf = ReadFile(path);
+    ASSERT_GE(buf.size(), 36u);
+    for (int i = 0; i < 8; ++i) {
+      buf[28 + i] = static_cast<uint8_t>(cursor >> (8 * i));  // payload 8
+    }
+    WriteFile(path, buf);
+  };
+  using Indices = std::vector<uint64_t>;
+
+  for (const uint64_t start : {0u, 4u, 8u}) segment(start);
+  checkpoint(3, 4, /*gc_wal=*/false);
+  EXPECT_EQ(SegmentIndices(dir.path()), (Indices{0, 4, 8}))
+      << "no WAL collected without gc_wal";
+  checkpoint(5, 4, true);
+  EXPECT_EQ(SegmentIndices(dir.path()), (Indices{4, 8}));
+  checkpoint(9, 8, true);
+  EXPECT_EQ(SegmentIndices(dir.path()), (Indices{4, 8}))
+      << "the fallback (cursor 4) replays from segment 4";
+  // Train-only batches: a checkpoint at the same edge count replaces 9.
+  // The fallback is still 5, and it still replays from segment 4.
+  segment(10);
+  checkpoint(9, 10, true);
+  EXPECT_EQ(SegmentIndices(dir.path()), (Indices{4, 8, 10}));
+  segment(12);
+  checkpoint(11, 12, true);
+  struct stat sb;
+  EXPECT_NE(::stat(CheckpointPath(dir.path(), 5).c_str(), &sb), 0);
+  EXPECT_EQ(SegmentIndices(dir.path()), (Indices{10, 12}));
+
+  // A retained cursor that reads too small keeps more WAL; one that reads
+  // too large cannot take the segment the newest checkpoint replays.
+  set_cursor(11, 0);
+  segment(14);
+  checkpoint(13, 14, true);
+  EXPECT_EQ(SegmentIndices(dir.path()), (Indices{10, 12, 14}));
+  set_cursor(13, ~uint64_t{0});
+  segment(16);
+  checkpoint(15, 14, true);
+  EXPECT_EQ(SegmentIndices(dir.path()), (Indices{14, 16}))
+      << "the newest checkpoint (cursor 14) replays from segment 14";
 }
 
 /// Rewrites a checkpoint's header CRC (bytes 16-19) over its payload with

@@ -92,7 +92,6 @@ SplashServiceOptions CrashServiceOptions(const std::string& data_dir) {
   opts.wal_fsync = WalFsyncPolicy::kBatch;  // kill -9: page cache survives
   opts.wal_group_records = 8;
   opts.checkpoint_interval_batches = 16;
-  opts.checkpoint_on_stop = true;
   opts.gc_wal_on_checkpoint = false;  // verify replays the full history
   return opts;
 }
