@@ -127,7 +127,6 @@ RowResult RunScenario(const LoadConfig& cfg, const Dataset& warmup,
   sopts.microbatch_max_items = 256;
   sopts.microbatch_max_delay_s = 0.001;
   sopts.queue_capacity = 8192;
-  sopts.backpressure = BackpressurePolicy::kBlock;
   sopts.train_on_ingest_labels = false;
   std::string wal_dir;
   if (!cfg.wal.empty()) {
@@ -141,7 +140,6 @@ RowResult RunScenario(const LoadConfig& cfg, const Dataset& warmup,
     sopts.wal_fsync = cfg.wal == "always"  ? WalFsyncPolicy::kAlways
                       : cfg.wal == "none" ? WalFsyncPolicy::kNone
                                           : WalFsyncPolicy::kBatch;
-    sopts.wal_group_records = 8;
     sopts.checkpoint_interval_batches = 256;
   }
   TrainerOptions fit;

@@ -20,6 +20,11 @@ constexpr uint64_t kPositionalSalt = 0x504f5349ULL;  // "POSI"
 // Frequency ratio of the degree code's sincos ladder.
 constexpr float kDegreeFreqDecay = 0.6f;
 
+// The positional fit's Laplacian smoothing: passes over the train edges,
+// and the share of the gap to its neighbor each endpoint closes per edge.
+constexpr size_t kPositionalRounds = 3;
+constexpr float kPositionalStep = 0.35f;
+
 using SincosFn = decltype(KernelTable::sincos_encode_rows);
 
 }  // namespace
@@ -167,8 +172,8 @@ void FeatureAugmenter::FitSeen(const EdgeStream& stream, double fit_time) {
         row[j] = init_scale * HashGaussian((key << 8) ^ (kPositionalSalt + j));
       }
     }
-    const float step = opts_.positional_step;
-    for (size_t round = 0; round < opts_.positional_rounds; ++round) {
+    const float step = kPositionalStep;
+    for (size_t round = 0; round < kPositionalRounds; ++round) {
       for (size_t i = 0; i < fit_end; ++i) {
         float* a = positional_.Row(src[i]);
         float* b = positional_.Row(dst[i]);

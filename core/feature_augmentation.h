@@ -50,9 +50,6 @@ namespace splash {
 
 struct FeatureAugmenterOptions {
   size_t feature_dim = 32;
-  /// Laplacian smoothing passes for the positional fit.
-  size_t positional_rounds = 3;
-  float positional_step = 0.35f;
   uint64_t seed = 1234;
 };
 

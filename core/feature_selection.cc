@@ -20,6 +20,26 @@ constexpr AugmentationProcess kProcesses[3] = {
     AugmentationProcess::kRandom, AugmentationProcess::kPositional,
     AugmentationProcess::kStructural};
 
+constexpr float kRidgeLambda = 0.1f;
+/// Probe rows are subsampled to at most this many per split, so selection
+/// cost stays bounded on large streams.
+constexpr size_t kMaxRowsPerSplit = 4000;
+/// Fraction of the validation rows (latest first) the probes are scored
+/// on. Shift grows with time, so scoring the late-val window punishes
+/// processes whose features go stale (the P-over-R mispick).
+constexpr double kLateValFrac = 0.5;
+/// Processes whose probe metric is within this margin of the best are
+/// tied; ties are broken by the val-period silhouette of the process's
+/// node features under the query labels. The probe is a ridge fit on a
+/// few hundred subsampled val rows, so ~0.1 of metric is inside its noise
+/// band — and the silhouette catches failure modes the probe overrates
+/// (e.g. a positional embedding fit on too few train edges probes well on
+/// near-train val rows but has collapsed cluster structure: the old
+/// P-over-R mispick on gdelt-s at small scale).
+constexpr double kTieEpsilon = 0.1;
+/// Row cap for the O(n^2) tiebreak silhouette.
+constexpr size_t kSilhouetteMaxRows = 512;
+
 /// Standardizes both matrices column-wise with means/stds computed on
 /// `train` only. The three processes emit features at wildly different
 /// scales (degree encodings are bounded, propagated random rows are not),
@@ -103,10 +123,8 @@ FeatureSelectionResult SelectFeatureProcess(
     result.seconds = timer.Seconds();
     return result;  // structural fallback: computable for any node
   }
-  const size_t train_stride =
-      std::max<size_t>(1, n_train / opts.max_rows_per_split);
-  const size_t val_stride =
-      std::max<size_t>(1, n_val / opts.max_rows_per_split);
+  const size_t train_stride = std::max<size_t>(1, n_train / kMaxRowsPerSplit);
+  const size_t val_stride = std::max<size_t>(1, n_val / kMaxRowsPerSplit);
 
   const size_t dv = augmenter->feature_dim();
   const size_t probe_dim = 2 * dv;  // [node feature || mean neighbor feature]
@@ -119,7 +137,6 @@ FeatureSelectionResult SelectFeatureProcess(
     zval[p] = Matrix(n_val / val_stride + 1, probe_dim);
   }
   std::vector<int> ytr, yval;
-  std::vector<uint8_t> val_unseen;  // per val row: node had no train edge
 
   augmenter->Reset();
   NeighborMemory memory(k, ds.stream.num_nodes());
@@ -152,7 +169,6 @@ FeatureSelectionResult SelectFeatureProcess(
       ++rows_tr;
     } else {
       yval.push_back(q.class_label);
-      val_unseen.push_back(!augmenter->seen(q.node));
       ++rows_val;
     }
   };
@@ -189,22 +205,12 @@ FeatureSelectionResult SelectFeatureProcess(
     targets(i, label) = 1.0f;
   }
 
-  // Scoring windows: the late-val slice (shift grows with time) plus the
-  // unseen-node rows (where the processes actually differ, Fig. 9).
-  const double late_frac =
-      opts.late_val_frac <= 0.0
-          ? 1.0
-          : std::min(1.0, std::max(0.0, opts.late_val_frac));
-  size_t lo = rows_val -
-              static_cast<size_t>(late_frac * static_cast<double>(rows_val));
+  // Scoring window: the late-val slice (shift grows with time).
+  size_t lo = rows_val - static_cast<size_t>(
+                             kLateValFrac * static_cast<double>(rows_val));
   if (lo >= rows_val) lo = 0;
-  std::vector<size_t> late_rows, unseen_rows;
+  std::vector<size_t> late_rows;
   for (size_t i = lo; i < rows_val; ++i) late_rows.push_back(i);
-  for (size_t i = 0; i < rows_val; ++i) {
-    if (val_unseen[i]) unseen_rows.push_back(i);
-  }
-  // Too few unseen rows make that metric pure noise.
-  const bool use_unseen = opts.unseen_weight > 0.0 && unseen_rows.size() >= 16;
 
   double best = -1.0;
   bool probe_ok[3] = {false, false, false};
@@ -213,27 +219,10 @@ FeatureSelectionResult SelectFeatureProcess(
     zval[p].Resize(rows_val, probe_dim);
     StandardizeColumns(&ztr[p], &zval[p]);
     Matrix w;
-    if (!SolveRidge(ztr[p], targets, opts.ridge_lambda, &w)) continue;
+    if (!SolveRidge(ztr[p], targets, kRidgeLambda, &w)) continue;
     Matrix scores(rows_val, classes);
     MatMul(zval[p], w, &scores);
-    double metric = ScoreRows(ds.task, scores, yval, late_rows);
-    if (use_unseen) {
-      metric = (metric + opts.unseen_weight *
-                             ScoreRows(ds.task, scores, yval, unseen_rows)) /
-               (1.0 + opts.unseen_weight);
-    }
-    // Train->late-val drift: columns are train-standardized, so any
-    // nonzero late-val column mean is distributional movement.
-    {
-      double drift = 0.0;
-      for (size_t j = 0; j < probe_dim; ++j) {
-        double mean = 0.0;
-        for (size_t i : late_rows) mean += zval[p](i, j);
-        drift += std::fabs(mean / static_cast<double>(late_rows.size()));
-      }
-      result.drift[p] = drift / static_cast<double>(probe_dim);
-      metric -= opts.drift_penalty * result.drift[p];
-    }
+    const double metric = ScoreRows(ds.task, scores, yval, late_rows);
     probe_ok[p] = true;
     result.val_score[p] = metric;
     if (metric > best) {
@@ -246,16 +235,14 @@ FeatureSelectionResult SelectFeatureProcess(
   // the val-period cluster structure of the node features decide instead.
   int num_tied = 0;
   for (int p = 0; p < 3; ++p) {
-    num_tied += probe_ok[p] && best - result.val_score[p] <= opts.tie_epsilon;
+    num_tied += probe_ok[p] && best - result.val_score[p] <= kTieEpsilon;
   }
   if (num_tied > 1) {
     double best_sil = -2.0;
     for (int p = 0; p < 3; ++p) {
-      if (!probe_ok[p] || best - result.val_score[p] > opts.tie_epsilon) {
-        continue;
-      }
+      if (!probe_ok[p] || best - result.val_score[p] > kTieEpsilon) continue;
       result.silhouette[p] =
-          ValSilhouette(zval[p], yval, dv, opts.silhouette_max_rows);
+          ValSilhouette(zval[p], yval, dv, kSilhouetteMaxRows);
       if (result.silhouette[p] > best_sil) {
         best_sil = result.silhouette[p];
         result.selected = kProcesses[p];

@@ -4,8 +4,12 @@
 // instead of training a full SLIM model per candidate process, fit a
 // closed-form ridge/linear probe on cheap per-query summaries ([node
 // feature || mean of k-recent neighbor features]) for each process, score
-// each probe on the validation period, and keep the winner. One stream
-// replay covers all three processes.
+// each probe on the late half of the validation period, and keep the
+// winner. One stream replay covers all three processes.
+//
+// The probe's settings (ridge lambda, row caps, the late-val share, the
+// tie band) are constants of feature_selection.cc; only the neighbor
+// count follows the model.
 
 #ifndef SPLASH_CORE_FEATURE_SELECTION_H_
 #define SPLASH_CORE_FEATURE_SELECTION_H_
@@ -19,35 +23,8 @@
 namespace splash {
 
 struct FeatureSelectionOptions {
+  /// Neighbors averaged into each probe row (the model's k_recent).
   size_t k_recent = 10;
-  float ridge_lambda = 0.1f;
-  /// Probe rows are subsampled to at most this many per split so selection
-  /// cost stays bounded on large streams.
-  size_t max_rows_per_split = 4000;
-  /// Fraction of the validation period (latest-first) the probes are
-  /// scored on. Shift grows with time, so scoring the late-val window
-  /// punishes processes whose features go stale (the P-over-R mispick).
-  double late_val_frac = 0.5;
-  /// Extra weight on val queries whose node has no train-period edge:
-  /// unseen nodes are where the augmentation processes actually differ
-  /// under shift (paper Fig. 9). 0 scores all rows equally.
-  double unseen_weight = 0.0;
-  /// Penalty per unit of train->late-val feature drift subtracted from a
-  /// probe's metric. A process whose features are already moving away
-  /// from their train distribution during val will have moved further by
-  /// test time; its val metric overstates its test metric.
-  double drift_penalty = 0.0;
-  /// Processes whose probe metric is within this margin of the best are
-  /// considered tied; ties are broken by the val-period silhouette of the
-  /// process's node features under the query labels. The probe is a ridge
-  /// fit on a few hundred subsampled val rows, so ~0.1 of metric is inside
-  /// its noise band — and the silhouette catches failure modes the probe
-  /// overrates (e.g. a positional embedding fit on too few train edges
-  /// probes well on near-train val rows but has collapsed cluster
-  /// structure: the old P-over-R mispick on gdelt-s at small scale).
-  double tie_epsilon = 0.1;
-  /// Row cap for the O(n^2) tiebreak silhouette.
-  size_t silhouette_max_rows = 512;
 };
 
 struct FeatureSelectionResult {
@@ -58,9 +35,6 @@ struct FeatureSelectionResult {
   /// Val-period node-feature silhouette per process; computed only when
   /// the probe metrics tied (0 otherwise).
   double silhouette[3] = {0.0, 0.0, 0.0};
-  /// Train->late-val feature drift per process (mean |column mean| of the
-  /// train-standardized late-val probe rows; 0 = stationary).
-  double drift[3] = {0.0, 0.0, 0.0};
   /// True when the silhouette tiebreak decided the pick.
   bool tie_broken = false;
 };

@@ -100,10 +100,6 @@ class ByteWriter {
     U64(v.size());
     Bytes(v.data(), v.size() * sizeof(uint32_t));
   }
-  void U64Vec(const std::vector<uint64_t>& v) {
-    U64(v.size());
-    Bytes(v.data(), v.size() * sizeof(uint64_t));
-  }
   void F64Vec(const std::vector<double>& v) {
     U64(v.size());
     Bytes(v.data(), v.size() * sizeof(double));
@@ -204,10 +200,6 @@ class ByteReader {
   bool U32Vec(std::vector<uint32_t>* v) {
     return ReadVec(v, sizeof(uint32_t));
   }
-  bool U64Vec(std::vector<uint64_t>* v) {
-    return ReadVec(v, sizeof(uint64_t));
-  }
-  bool F64Vec(std::vector<double>* v) { return ReadVec(v, sizeof(double)); }
 
  private:
   template <typename T>

@@ -81,10 +81,6 @@ class LatencyHistogram {
     if (ns > max_ns_) max_ns_ = ns;
   }
 
-  void RecordSeconds(double seconds) {
-    RecordNs(seconds <= 0.0 ? 0 : static_cast<uint64_t>(seconds * 1e9));
-  }
-
   /// Adds `other`'s samples to this histogram (bucket-wise, exact).
   void Merge(const LatencyHistogram& other) {
     for (size_t i = 0; i < kNumBuckets; ++i) counts_[i] += other.counts_[i];

@@ -14,6 +14,9 @@ namespace splash {
 
 namespace {
 
+/// Epochs without a val improvement before early stopping ends a Fit.
+constexpr size_t kPatience = 3;
+
 /// Boundary time for "the first `frac` of the edges": the later period
 /// starts at the first index whose time reaches the cut edge's time, and
 /// the boundary snaps to the timestamp just before it. For distinct
@@ -95,7 +98,7 @@ FitResult StreamTrainer::Fit(TemporalPredictor* model, const Dataset& ds,
     if (epoch == 0 || val_metric > result.best_val_metric) {
       result.best_val_metric = val_metric;
       epochs_since_best = 0;
-    } else if (++epochs_since_best >= opts_.patience &&
+    } else if (++epochs_since_best >= kPatience &&
                opts_.early_stopping) {
       break;
     }

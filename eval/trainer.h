@@ -31,8 +31,8 @@ ChronoSplit MakeChronoSplit(const EdgeStream& stream, double val_frac,
 struct TrainerOptions {
   size_t epochs = 8;
   size_t batch_size = 200;
+  /// Stop once 3 epochs in a row bring no val improvement.
   bool early_stopping = true;
-  size_t patience = 3;  // epochs without val improvement before stopping
   /// Read by nothing: the executor runs one loop on the caller's thread
   /// (eval/stream_executor.h). Left for the system benchmark, which
   /// assigns it (benchmark/replay_workload.cc). Remove it together with

@@ -5,12 +5,11 @@
 // thread drains them in arrival order as micro-batches (size watermark =
 // `max_items`, time watermark = `max_wait_s` — whichever fires first).
 //
-// Backpressure (see DESIGN.md §5): when the ring is full, kBlock parks the
-// producer on a condvar until the apply thread frees a slot (lossless,
-// latency bleeds upstream), kDropNewest rejects the item immediately
-// (lossy, bounded producer latency; the service counts drops). The ring
-// buffer is sized once at construction — steady-state Push/PopBatch do not
-// allocate.
+// Backpressure (see DESIGN.md §5): when the ring is full, Push parks the
+// producer on a condvar until the apply thread frees a slot. Nothing
+// accepted is lost; the wait bleeds upstream into the producer's latency.
+// The ring buffer is sized once at construction — steady-state
+// Push/PopBatch do not allocate.
 //
 // Wakeups go only to a waiter that can proceed. The parked consumer
 // records the depth it waits for (1 while the queue is empty, `max_items`
@@ -32,11 +31,6 @@
 
 namespace splash {
 
-enum class BackpressurePolicy {
-  kBlock,       // producers wait for queue space (lossless)
-  kDropNewest,  // reject when full (lossy; caller sees `false`)
-};
-
 /// One ingest event: a stream edge or a labeled training query applied at
 /// the next micro-batch boundary.
 struct IngestItem {
@@ -48,22 +42,21 @@ struct IngestItem {
 
 class IngestQueue {
  public:
-  IngestQueue(size_t capacity, BackpressurePolicy policy)
-      : ring_(capacity < 1 ? 1 : capacity), policy_(policy) {}
+  explicit IngestQueue(size_t capacity)
+      : ring_(capacity < 1 ? 1 : capacity) {}
 
-  /// Enqueues `item`. Returns false when the item was dropped (kDropNewest
-  /// on a full ring, or the queue was stopped). With kBlock a full ring
-  /// parks the caller until space frees; the service times the whole call
-  /// from outside, so block time shows up in the ingest latency histogram.
+  /// Enqueues `item`. Returns false only when the queue was stopped. A
+  /// full ring parks the caller until space frees; the service times the
+  /// whole call from outside, so block time shows up in the ingest
+  /// latency histogram.
   bool Push(const IngestItem& item) {
     std::unique_lock<std::mutex> lk(mu_);
-    if (policy_ == BackpressurePolicy::kBlock && size_ == ring_.size() &&
-        !stopped_) {
+    if (size_ == ring_.size() && !stopped_) {
       ++parked_producers_;
       not_full_.wait(lk, [&] { return size_ < ring_.size() || stopped_; });
       --parked_producers_;
     }
-    if (stopped_ || size_ == ring_.size()) return false;
+    if (stopped_) return false;
     ring_[(head_ + size_) % ring_.size()] = item;
     ++size_;
     if (size_ > high_watermark_) high_watermark_ = size_;
@@ -115,19 +108,13 @@ class IngestQueue {
     not_full_.notify_all();
   }
 
-  bool stopped() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return stopped_;
-  }
-
   size_t size() const {
     std::lock_guard<std::mutex> lk(mu_);
     return size_;
   }
 
   /// Maximum depth ever observed (monotone). A high-watermark at capacity
-  /// means producers saturated the ring at least once — the early-warning
-  /// signal before drops (kDropNewest) or producer stalls (kBlock).
+  /// means producers saturated the ring at least once and parked.
   size_t high_watermark() const {
     std::lock_guard<std::mutex> lk(mu_);
     return high_watermark_;
@@ -148,7 +135,6 @@ class IngestQueue {
   size_t consumer_wake_at_ = kNotWaiting;
   size_t parked_producers_ = 0;
   bool stopped_ = false;
-  BackpressurePolicy policy_;
 };
 
 }  // namespace splash

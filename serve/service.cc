@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -19,6 +18,9 @@
 namespace splash {
 
 namespace {
+
+/// WAL appends per group-commit fsync under WalFsyncPolicy::kBatch.
+constexpr size_t kWalGroupRecords = 8;
 
 bool FiniteNonNegative(double v) { return std::isfinite(v) && v >= 0.0; }
 
@@ -48,12 +50,6 @@ Status SplashServiceOptions::Validate() const {
         "queue_capacity (a batch larger than the queue never fills, so "
         "every micro-batch would wait out microbatch_max_delay_s)");
   }
-  if (!data_dir.empty() && wal_fsync == WalFsyncPolicy::kBatch &&
-      wal_group_records < 1) {
-    return Status::Error(
-        "SplashServiceOptions.wal_group_records: must be >= 1 under "
-        "WalFsyncPolicy::kBatch");
-  }
   return Status::Ok();
 }
 
@@ -61,7 +57,7 @@ SplashService::SplashService(const SplashOptions& model_opts,
                              const SplashServiceOptions& opts)
     : model_opts_(model_opts),
       opts_(opts),
-      queue_(opts.queue_capacity, opts.backpressure) {}
+      queue_(opts.queue_capacity) {}
 
 SplashService::~SplashService() { Stop(); }
 
@@ -225,19 +221,15 @@ void SplashService::RecordIngestNs(uint64_t ns) {
 }
 
 IngestResult SplashService::Enqueue(const IngestItem& item,
-                                    std::atomic<uint64_t>* accepted,
-                                    std::atomic<uint64_t>* dropped) {
+                                    std::atomic<uint64_t>* accepted) {
   WallTimer timer;
   const bool ok = queue_.Push(item);
-  const uint64_t ns = timer.Nanos();
-  (ok ? accepted : dropped)->fetch_add(1, std::memory_order_relaxed);
-  if (ok) accepted_items_.fetch_add(1, std::memory_order_relaxed);
-  RecordIngestNs(ns);
-  if (ok) return IngestResult::kAccepted;
-  // Push fails either because Stop() raced us or the kDropNewest ring was
-  // full; only the latter is retryable.
-  return queue_.stopped() ? IngestResult::kStopped
-                          : IngestResult::kBacklogDropped;
+  RecordIngestNs(timer.Nanos());
+  // Push fails only when Stop() raced the call: not running, uncounted.
+  if (!ok) return IngestResult::kStopped;
+  accepted->fetch_add(1, std::memory_order_relaxed);
+  accepted_items_.fetch_add(1, std::memory_order_relaxed);
+  return IngestResult::kAccepted;
 }
 
 IngestResult SplashService::IngestEdge(const TemporalEdge& e) {
@@ -256,17 +248,16 @@ IngestResult SplashService::IngestEdge(const TemporalEdge& e) {
   IngestItem item;
   item.kind = IngestItem::Kind::kEdge;
   item.edge = e;
-  return Enqueue(item, &ingest_accepted_, &ingest_dropped_);
+  return Enqueue(item, &ingest_accepted_);
 }
 
 IngestResult SplashService::SubmitTrain(const PropertyQuery& q) {
   if (!opts_.train_on_ingest_labels) {
     // Feedback is administratively off: not counted as a drop (nothing
-    // was promised), and never retryable.
+    // was promised).
     return IngestResult::kInvalid;
   }
   if (!running_.load(std::memory_order_acquire)) {
-    train_dropped_.fetch_add(1, std::memory_order_relaxed);
     return IngestResult::kStopped;
   }
   // Boundary validation, as IngestEdge does for edges: an invalid node, a
@@ -282,7 +273,7 @@ IngestResult SplashService::SubmitTrain(const PropertyQuery& q) {
   IngestItem item;
   item.kind = IngestItem::Kind::kTrain;
   item.train = q;
-  return Enqueue(item, &train_accepted_, &train_dropped_);
+  return Enqueue(item, &train_accepted_);
 }
 
 TemporalEdge SplashService::AppendEdgeToLog(TemporalEdge e) {
@@ -343,7 +334,7 @@ void SplashService::WriteServiceCheckpoint() {
   wal_.Close();
   const Status wst =
       wal_.Open(WalSegmentPath(opts_.data_dir, wal_batch_index_), seq,
-                opts_.wal_fsync, opts_.wal_group_records);
+                opts_.wal_fsync, kWalGroupRecords);
   if (!wst.ok()) NoteWalError();
 }
 
@@ -572,8 +563,8 @@ void SplashService::UnregisterClient(ClientHistogram* client) {
 // ---------------------------------------------------------------------------
 // Read path (DESIGN.md §5). Every ServeClient::Predict* call funnels into
 // ScoreQueries. The snapshot critical section holds only replica reads —
-// the score copy-out happens after Unpin, and the client's deadline/
-// latency epilogue runs after ScoreQueries returns.
+// the score copy-out happens after Unpin, and the client's latency
+// epilogue runs after ScoreQueries returns.
 // ---------------------------------------------------------------------------
 
 void SplashService::ScoreQueries(const std::vector<PropertyQuery>& queries,
@@ -615,12 +606,11 @@ void SplashService::ScoreQueries(const std::vector<PropertyQuery>& queries,
   resp->degraded =
       degraded_.load(std::memory_order_relaxed) ||
       wm_seq < recovery_target_seq_.load(std::memory_order_relaxed);
-  resp->deadline_exceeded = false;
 }
 
 // ---------------------------------------------------------------------------
-// ServeClient: every call goes through ScoreQueries. The timer/deadline/
-// histogram epilogue lives here, outside any snapshot pin.
+// ServeClient: every call goes through ScoreQueries. The timer/histogram
+// epilogue lives here, outside any snapshot pin.
 // ---------------------------------------------------------------------------
 
 ServeClient::ServeClient(SplashService* service) : service_(service) {
@@ -630,58 +620,25 @@ ServeClient::ServeClient(SplashService* service) : service_(service) {
 ServeClient::~ServeClient() { service_->UnregisterClient(&hist_); }
 
 void ServeClient::Predict(const std::vector<PropertyQuery>& queries,
-                          ServeResponse* resp, double timeout_s) {
+                          ServeResponse* resp) {
   WallTimer timer;
   service_->ScoreQueries(queries, &scratch_, resp);
-  // Per-caller epilogue, outside any pin: a call that overran its
-  // deadline is answered late-but-flagged, never dropped, and the latency
-  // sample covers the whole call.
+  // Per-caller epilogue, outside any pin: the latency sample covers the
+  // whole call.
   const uint64_t ns = timer.Nanos();
-  if (timeout_s > 0.0 && static_cast<double>(ns) > timeout_s * 1e9) {
-    resp->deadline_exceeded = true;
-  }
   {
     std::lock_guard<std::mutex> lk(hist_.mu);
     hist_.hist.RecordNs(ns);
   }
 }
 
-void ServeClient::PredictNode(NodeId node, double time, ServeResponse* resp,
-                              double timeout_s) {
+void ServeClient::PredictNode(NodeId node, double time, ServeResponse* resp) {
   query_scratch_.resize(1);
   query_scratch_[0] = PropertyQuery{node, time, 0};
-  Predict(query_scratch_, resp, timeout_s);
+  Predict(query_scratch_, resp);
   if (resp->scores.rows() == 1 && resp->scores.cols() >= 2) {
     resp->score = Margin(resp->scores, 0);
   }
-}
-
-void ServeClient::ScoreEdge(NodeId src, NodeId dst, double time,
-                            ServeResponse* resp, double timeout_s) {
-  query_scratch_.resize(2);
-  query_scratch_[0] = PropertyQuery{src, time, 0};
-  query_scratch_[1] = PropertyQuery{dst, time, 0};
-  Predict(query_scratch_, resp, timeout_s);
-  if (resp->scores.rows() == 2 && resp->scores.cols() >= 2) {
-    const double ms = Margin(resp->scores, 0);
-    const double md = Margin(resp->scores, 1);
-    resp->score = ms > md ? ms : md;
-  }
-}
-
-bool ServeClient::IngestEdgeWithRetry(const TemporalEdge& e, int max_attempts,
-                                      double initial_backoff_s) {
-  double backoff = initial_backoff_s > 0.0 ? initial_backoff_s : 0.0005;
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    const IngestResult r = service_->IngestEdge(e);
-    if (r.accepted()) return true;
-    if (!r.retryable()) return false;  // kInvalid / kStopped cannot succeed
-    if (attempt + 1 == max_attempts) break;
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(std::min(backoff, 0.1)));
-    backoff *= 2.0;
-  }
-  return false;
 }
 
 }  // namespace splash

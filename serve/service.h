@@ -83,28 +83,23 @@
 
 namespace splash {
 
-/// Admission result of IngestEdge/SubmitTrain. Distinguishes retryable
-/// rejection (backlog under kDropNewest — the item was valid, the queue
-/// was full *now*) from permanent rejection (invalid at the boundary, or
-/// the service stopped), so retry loops need not consult counters to
-/// decide.
+/// Admission result of IngestEdge/SubmitTrain. A full queue parks the
+/// producer instead of refusing it, so the only rejections are permanent:
+/// invalid at the boundary, or the service not running. Neither succeeds
+/// on retry.
 class IngestResult {
  public:
   enum Code : uint8_t {
-    kAccepted = 0,        // enqueued; will be applied and published
-    kInvalid = 1,         // boundary rejection (bad id / non-finite time
-                          //  / label out of range / labels disabled) —
-                          //  retrying cannot help
-    kBacklogDropped = 2,  // kDropNewest backlog drop — retryable
-    kStopped = 3,         // service not running — permanent for this handle
+    kAccepted = 0,  // enqueued; will be applied and published
+    kInvalid = 1,   // boundary rejection (bad id / non-finite time / label
+                    //  out of range / labels disabled)
+    kStopped = 2,   // service not running — permanent for this handle
   };
 
   constexpr IngestResult(Code code) : code_(code) {}  // NOLINT(runtime/explicit)
 
   constexpr Code code() const { return code_; }
   constexpr bool accepted() const { return code_ == kAccepted; }
-  /// True when the same call may succeed later (backlog pressure).
-  constexpr bool retryable() const { return code_ == kBacklogDropped; }
 
   constexpr bool operator==(IngestResult o) const { return code_ == o.code_; }
   constexpr bool operator!=(IngestResult o) const { return code_ != o.code_; }
@@ -118,20 +113,19 @@ class IngestResult {
 /// is the timestamp of the last reflected edge (0 when none).
 struct ServeResponse {
   Matrix scores;               // B x out_dim class scores
-  double score = 0.0;          // convenience margin (see PredictNode/ScoreEdge)
+  double score = 0.0;          // class-1 margin of a PredictNode answer
   uint64_t watermark_seq = 0;
   double watermark_time = 0.0;
   /// True while the snapshot trails what recovery knows is durable (WAL
   /// replay still catching up) or after a durability I/O error put the
   /// service into degraded (serving-but-not-logging) mode.
   bool degraded = false;
-  /// Set when the caller passed a deadline to PredictNode/ScoreEdge/Predict
-  /// and the call overran it (the answer is still returned — the flag lets
-  /// the caller decide whether a late answer is a useful answer).
-  bool deadline_exceeded = false;
 };
 
 /// Monotone counters of the service boundary (drift/quality signals).
+/// `ingest_dropped` and `train_dropped` count only the items the boundary
+/// refused as kInvalid; a call on a service that is not running (kStopped)
+/// and SubmitTrain with labels disabled are not counted.
 struct ServeCounters {
   uint64_t ingest_accepted = 0;
   uint64_t ingest_dropped = 0;
@@ -189,9 +183,9 @@ struct SplashServiceOptions {
   /// Micro-batch time watermark: once one item is pending, how long the
   /// apply thread waits for the batch to fill before applying anyway.
   double microbatch_max_delay_s = 0.002;
-  /// Ingest queue capacity (items) and what happens when it is full.
+  /// Ingest queue capacity (items). A producer that finds it full waits
+  /// for the apply thread to free a slot.
   size_t queue_capacity = 8192;
-  BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   /// Apply SubmitTrain feedback as staged train steps at micro-batch
   /// boundaries (online continual learning). Off = feedback is dropped.
   bool train_on_ingest_labels = true;
@@ -201,10 +195,9 @@ struct SplashServiceOptions {
   /// Directory for WAL segments and checkpoints. Non-empty enables the
   /// durability layer; use RecoverOrStart() instead of Start().
   std::string data_dir;
-  /// Group-commit fsync policy for WAL appends.
+  /// Group-commit fsync policy for WAL appends. kBatch fsyncs once per 8
+  /// appended records.
   WalFsyncPolicy wal_fsync = WalFsyncPolicy::kBatch;
-  /// kBatch: fsync once per this many appended records.
-  size_t wal_group_records = 8;
   /// Take a checkpoint every N applied micro-batches (0 = only at boot
   /// and Stop, which always writes one after new batches). Checkpoints
   /// run on the apply thread at a quiesced watermark; queries keep being
@@ -255,18 +248,19 @@ class SplashService {
   Status RecoverOrStart(const Dataset& warmup, const ChronoSplit& split,
                         const TrainerOptions* fit = nullptr);
 
-  /// Enqueues one edge. kInvalid on boundary rejection (invalid endpoint /
-  /// non-finite timestamp — counted as ingest_dropped), kBacklogDropped on
-  /// a kDropNewest backlog drop, kStopped when not running. Out-of-order
-  /// timestamps are clamped to the log's max at apply time (counted as
-  /// time_regressions).
+  /// Enqueues one edge, waiting while the queue is full. kInvalid on
+  /// boundary rejection (invalid endpoint / non-finite timestamp — counted
+  /// as ingest_dropped), kStopped when not running (uncounted).
+  /// Out-of-order timestamps are clamped to the log's max at apply time
+  /// (counted as time_regressions).
   IngestResult IngestEdge(const TemporalEdge& e);
 
   /// Enqueues one labeled training query, applied as part of a staged
   /// train step at the next micro-batch boundary (after that batch's
   /// edges). kInvalid on boundary rejection (invalid node, non-finite
   /// time, class_label outside [0, num_classes) — counted as
-  /// train_dropped) and, uncounted, when train_on_ingest_labels is off.
+  /// train_dropped) and, uncounted, when train_on_ingest_labels is off;
+  /// kStopped when not running (uncounted).
   IngestResult SubmitTrain(const PropertyQuery& q);
 
   /// Blocks until everything accepted before the call is applied,
@@ -355,8 +349,7 @@ class SplashService {
   void ApplyBatch(const WalRecord& rec);
   /// Admission tail shared by IngestEdge/SubmitTrain: push, time, count.
   IngestResult Enqueue(const IngestItem& item,
-                       std::atomic<uint64_t>* accepted,
-                       std::atomic<uint64_t>* dropped);
+                       std::atomic<uint64_t>* accepted);
   /// Deterministic prep (+fit) of replica 0 and warmup-derived
   /// log/seen-set initialization: the base state when no checkpoint
   /// exists. Boot takes replica 0's train state and copies replica 0
@@ -468,33 +461,16 @@ class ServeClient {
   /// matrix is grow-only, so reusing one response across calls keeps the
   /// steady-state read path allocation-free (the counting-allocator gate
   /// in tests/allocation_steady_state_test.cc pins this).
-  /// `timeout_s` > 0 sets a per-call deadline: the answer is always
-  /// computed (queries never block on ingest, so there is nothing to
-  /// cancel), but `deadline_exceeded` is set when the call overran it.
-  void Predict(const std::vector<PropertyQuery>& queries, ServeResponse* resp,
-               double timeout_s = 0.0);
+  void Predict(const std::vector<PropertyQuery>& queries,
+               ServeResponse* resp);
 
   /// Scores one node; `score` = class-1 margin (scores(0,1) - scores(0,0)).
-  void PredictNode(NodeId node, double time, ServeResponse* resp,
-                   double timeout_s = 0.0);
-
-  /// Scores an edge as max of its endpoints' class-1 margins (the
-  /// service-level anomaly score); both endpoints share one snapshot.
-  void ScoreEdge(NodeId src, NodeId dst, double time, ServeResponse* resp,
-                 double timeout_s = 0.0);
-
-  /// Bounded retry-with-backoff around IngestEdge for kDropNewest-mode
-  /// bursts: retries a RETRYABLE rejection (IngestResult::kBacklogDropped)
-  /// up to `max_attempts` times, sleeping `initial_backoff_s` doubled per
-  /// attempt (capped at 100ms). Permanent rejections (kInvalid, kStopped)
-  /// return false immediately — they cannot succeed.
-  bool IngestEdgeWithRetry(const TemporalEdge& e, int max_attempts = 4,
-                           double initial_backoff_s = 0.0005);
+  void PredictNode(NodeId node, double time, ServeResponse* resp);
 
  private:
   SplashService* service_;
   SplashQueryScratch scratch_;
-  std::vector<PropertyQuery> query_scratch_;  // for the 1-2 row endpoints
+  std::vector<PropertyQuery> query_scratch_;  // PredictNode's one row
   ClientHistogram hist_;
 };
 

@@ -147,8 +147,6 @@ class Matrix {
     data_.Resize(rows * cols);
   }
 
-  static Matrix Zeros(size_t rows, size_t cols) { return Matrix(rows, cols); }
-
   static Matrix Ones(size_t rows, size_t cols) {
     Matrix m(rows, cols);
     m.Fill(1.0f);

@@ -498,8 +498,8 @@ TEST(AllocationSteadyStateTest, SlimAndServePathsAllocationFreeUnderAvx512) {
 TEST(AllocationSteadyStateTest, ServeClientReadsAreAllocationFree) {
   // Every ServeClient endpoint on a started service, with reused
   // responses (their score matrices are grow-only): a batched Predict, a
-  // one-row read of a node with history, a cold read the memo answers,
-  // and a two-row ScoreEdge, with and without a deadline.
+  // one-row read of a node with history and a cold read the memo
+  // answers.
   SyntheticConfig cfg;
   cfg.task = TaskType::kNodeClassification;
   cfg.num_nodes = 150;
@@ -541,8 +541,6 @@ TEST(AllocationSteadyStateTest, ServeClientReadsAreAllocationFree) {
   client.Predict(probe, &resp);
   client.PredictNode(live[0].src, t_end, &node_resp);
   client.PredictNode(untouched, t_end, &cold_resp);
-  client.ScoreEdge(live[0].src, live[0].dst, t_end, &node_resp);
-  client.Predict(probe, &resp, /*timeout_s=*/30.0);
 
   constexpr int kRounds = 200;
   const uint64_t cold_before = service.Counters().cold_reads;
@@ -550,9 +548,7 @@ TEST(AllocationSteadyStateTest, ServeClientReadsAreAllocationFree) {
     for (int i = 0; i < kRounds; ++i) {
       client.Predict(probe, &resp);
       client.PredictNode(live[i % 100].src, t_end, &node_resp);
-      client.PredictNode(untouched, t_end, &cold_resp, /*timeout_s=*/30.0);
-      client.ScoreEdge(live[i % 100].src, live[i % 100].dst, t_end,
-                       &node_resp, /*timeout_s=*/30.0);
+      client.PredictNode(untouched, t_end, &cold_resp);
     }
   });
   const ServeCounters c = service.Counters();

@@ -37,7 +37,7 @@ double SecondsSince(Clock::time_point t0) {
 }
 
 TEST(IngestQueueTest, PopBatchReturnsOnceMaxItemsAreQueued) {
-  IngestQueue q(64, BackpressurePolicy::kBlock);
+  IngestQueue q(64);
   constexpr size_t kBatch = 8;
   constexpr double kMaxWait = 60.0;
   std::vector<IngestItem> out;
@@ -60,14 +60,14 @@ TEST(IngestQueueTest, PopBatchReturnsOnceMaxItemsAreQueued) {
 }
 
 TEST(IngestQueueTest, PopBatchReturnsPartialBatchAfterMaxWait) {
-  IngestQueue q(64, BackpressurePolicy::kBlock);
+  IngestQueue q(64);
   ASSERT_TRUE(q.Push(Item(0, 0)));
   std::vector<IngestItem> out;
   EXPECT_EQ(q.PopBatch(&out, 8, 0.01), 1u);
 }
 
 TEST(IngestQueueTest, BlockedProducerResumesAfterPop) {
-  IngestQueue q(2, BackpressurePolicy::kBlock);
+  IngestQueue q(2);
   ASSERT_TRUE(q.Push(Item(0, 0)));
   ASSERT_TRUE(q.Push(Item(0, 1)));
   std::future<bool> pushed = std::async(std::launch::async, [&] {
@@ -88,7 +88,7 @@ TEST(IngestQueueTest, BlockedProducerResumesAfterPop) {
 }
 
 TEST(IngestQueueTest, StopWakesParkedConsumer) {
-  IngestQueue q(4, BackpressurePolicy::kBlock);
+  IngestQueue q(4);
   std::vector<IngestItem> out;
   std::future<size_t> popped = std::async(std::launch::async, [&] {
     return q.PopBatch(&out, 4, 60.0);
@@ -101,7 +101,7 @@ TEST(IngestQueueTest, StopWakesParkedConsumer) {
 }
 
 TEST(IngestQueueTest, StopWakesParkedConsumerFillingABatch) {
-  IngestQueue q(4, BackpressurePolicy::kBlock);
+  IngestQueue q(4);
   ASSERT_TRUE(q.Push(Item(0, 0)));
   std::vector<IngestItem> out;
   std::future<size_t> popped = std::async(std::launch::async, [&] {
@@ -115,7 +115,7 @@ TEST(IngestQueueTest, StopWakesParkedConsumerFillingABatch) {
 }
 
 TEST(IngestQueueTest, StopWakesParkedProducers) {
-  IngestQueue q(1, BackpressurePolicy::kBlock);
+  IngestQueue q(1);
   ASSERT_TRUE(q.Push(Item(0, 0)));
   std::vector<std::future<bool>> pushed;
   for (size_t p = 1; p <= 3; ++p) {
@@ -146,7 +146,7 @@ TEST(IngestQueueTest, ProducersAndConsumerAtTinyCapacityLoseNothing) {
       const double max_wait = max_items <= capacity ? 60.0 : 1e-5;
       const std::string what = "capacity " + std::to_string(capacity) +
                                 " max_items " + std::to_string(max_items);
-      IngestQueue q(capacity, BackpressurePolicy::kBlock);
+      IngestQueue q(capacity);
       std::vector<std::future<size_t>> producers;
       for (size_t p = 0; p < kProducers; ++p) {
         producers.push_back(std::async(std::launch::async, [&q, p] {

@@ -99,10 +99,8 @@ SplashServiceOptions DurableOptions(const std::string& data_dir) {
   opts.microbatch_max_items = 24;
   opts.microbatch_max_delay_s = 0.0;  // apply as soon as anything is queued
   opts.queue_capacity = 256;
-  opts.backpressure = BackpressurePolicy::kBlock;  // lossless
   opts.data_dir = data_dir;
   opts.wal_fsync = WalFsyncPolicy::kAlways;  // reach the before-fsync point
-  opts.wal_group_records = 4;
   opts.checkpoint_interval_batches = 4;
   opts.gc_wal_on_checkpoint = false;  // keep full history for the oracle
   return opts;
@@ -124,7 +122,8 @@ std::vector<TemporalEdge> LiveEdges(const Dataset& ds,
 }
 
 /// Feeds `edges[begin, end)` with a labeled train submission every 7th
-/// item (the online-learning traffic shape). kBlock means nothing drops.
+/// item (the online-learning traffic shape). A full queue blocks, so
+/// nothing drops.
 void FeedLive(SplashService* svc, const std::vector<TemporalEdge>& edges,
               size_t begin, size_t end) {
   for (size_t i = begin; i < end && i < edges.size(); ++i) {

@@ -7,15 +7,13 @@
 //     edge, no partial batch);
 //   - the same holds with online training feedback, replaying the
 //     (edge range, train batch) apply sequence the WAL recorded;
-//   - backpressure: kDropNewest rejects beyond the queue bound and the
-//     published state reflects exactly the accepted items;
 //   - watermarks are monotone, Flush publishes everything accepted, and
 //     the drift counters (unseen-node queries, novel ingest ids) move;
 //   - cold_reads counts the untouched-node reads the memo answered, every
 //     row of a multi-row read equals that node's one-row read at the same
 //     watermark, and Validate refuses a micro-batch larger than the queue;
-//   - IngestResult classifies every rejection, Validate names the
-//     offending field, ScoreEdge scores the larger endpoint margin, and a
+//   - IngestResult classifies every rejection, the drop counters count
+//     only boundary refusals, Validate names the offending field, and a
 //     departed client's latency samples stay in Stats().
 
 #include <gtest/gtest.h>
@@ -444,89 +442,21 @@ TEST_F(ServeServiceTest, FlushReturnsWithBothReplicasCaughtUp) {
          "Stop(): the catch-up was still running";
 }
 
-TEST_F(ServeServiceTest, DropNewestBackpressureCountsAndStaysConsistent) {
-  const Dataset ds = MakeWarmup(1200);
-  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
-  const std::vector<TemporalEdge> live = LiveEdges(ds, split);
-  ASSERT_GT(live.size(), 100u);
-
-  SplashServiceOptions sopts;
-  sopts.queue_capacity = 2;
-  sopts.backpressure = BackpressurePolicy::kDropNewest;
-  // A batch of the whole queue: the apply thread waits until the queue is
-  // full, and the burst keeps pushing while it wakes and applies.
-  sopts.microbatch_max_items = 2;
-  sopts.microbatch_max_delay_s = 0.2;
-  sopts.train_on_ingest_labels = false;
-  SplashService service(SmallModelOptions(), sopts);
-  ASSERT_TRUE(service.Start(ds, split, nullptr).ok());
-
-  size_t accepted = 0;
-  for (size_t i = 0; i < 100; ++i) {
-    if (service.IngestEdge(live[i]).accepted()) ++accepted;
-  }
-  service.Flush();
-  service.Stop();
-
-  const ServeStats st = service.Stats();
-  EXPECT_GT(st.counters.ingest_dropped, 0u) << "queue of 2 never overflowed?";
-  EXPECT_EQ(st.counters.ingest_accepted, accepted);
-  EXPECT_EQ(st.counters.ingest_accepted + st.counters.ingest_dropped, 100u);
-  // Published state reflects exactly the accepted prefix.
-  EXPECT_EQ(st.counters.published_seq, accepted);
-  EXPECT_EQ(service.ingest_log().size(), accepted);
-  // The burst must have filled the queue to its bound — the high
-  // watermark proves the drops were backpressure, not a bug.
-  EXPECT_EQ(st.counters.queue_high_watermark, 2u);
-}
-
-TEST_F(ServeServiceTest, DeadlineFlagRetryHelperAndNonDurableDefaults) {
+TEST_F(ServeServiceTest, NonDurableServiceIsNeverDegraded) {
   const Dataset ds = MakeWarmup(1200);
   const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
   SplashServiceOptions sopts;
   SplashService service(SmallModelOptions(), sopts);
   ASSERT_TRUE(service.Start(ds, split, nullptr).ok());
   ServeClient client(&service);
-  const double t = ds.stream.max_time();
-
-  // A zero timeout means "no deadline"; an impossible one must flag the
-  // overrun while still returning the (computed) answer.
-  ServeResponse none;
-  client.PredictNode(1, t, &none);
-  EXPECT_FALSE(none.deadline_exceeded);
-  ServeResponse generous;
-  client.PredictNode(1, t, &generous, /*timeout_s=*/30.0);
-  EXPECT_FALSE(generous.deadline_exceeded);
-  ServeResponse tight;
-  client.ScoreEdge(1, 2, t, &tight, /*timeout_s=*/1e-12);
-  EXPECT_TRUE(tight.deadline_exceeded);
-  EXPECT_EQ(tight.scores.rows(), 2u) << "late answer must still be returned";
-  ServeResponse on_time;
-  client.ScoreEdge(1, 2, t, &on_time);
-  EXPECT_FALSE(on_time.deadline_exceeded);
-  ExpectBitEqual(on_time.scores, tight.scores, "late answer");
-  EXPECT_EQ(tight.score, on_time.score);
+  ServeResponse resp;
+  client.PredictNode(1, ds.stream.max_time(), &resp);
+  service.Stop();
 
   // Non-durable service: the degraded flag can never be set.
   EXPECT_FALSE(service.degraded());
-  EXPECT_FALSE(none.degraded);
+  EXPECT_FALSE(resp.degraded);
   EXPECT_FALSE(service.Stats().counters.degraded);
-
-  // Retry helper: boundary-invalid edges are rejected without retrying
-  // (they can never succeed); valid edges pass through.
-  EXPECT_FALSE(client.IngestEdgeWithRetry(
-      TemporalEdge(1, 2, std::numeric_limits<double>::quiet_NaN())));
-  EXPECT_TRUE(client.IngestEdgeWithRetry(TemporalEdge(1, 2, t)));
-  service.Flush();
-  EXPECT_EQ(service.published_seq(), 1u);
-  service.Stop();
-
-  // Stopped service: attempts are bounded — this returns, it never spins.
-  EXPECT_FALSE(client.IngestEdgeWithRetry(TemporalEdge(1, 2, t),
-                                          /*max_attempts=*/3,
-                                          /*initial_backoff_s=*/1e-4));
-  const ServeStats st = service.Stats();
-  EXPECT_EQ(st.counters.ingest_accepted, 1u);
 }
 
 // A micro-batch larger than the ingest queue can never fill, so the
@@ -683,14 +613,17 @@ TEST_F(ServeServiceTest, DriftCountersAndLatencyHistogramsMove) {
   EXPECT_EQ(r1.watermark_seq, 2u);
   EXPECT_EQ(r1.watermark_time, t_end);  // straggler clamped to t_end
   ServeResponse r2;
-  client.ScoreEdge(live[0].src, live[0].dst, t_end + 1.0, &r2);
+  const std::vector<PropertyQuery> pair = {
+      PropertyQuery{live[0].src, t_end + 1.0, 0},
+      PropertyQuery{live[0].dst, t_end + 1.0, 0}};
+  client.Predict(pair, &r2);
   service.Stop();
 
   const ServeStats st = service.Stats();
   EXPECT_GE(st.counters.novel_ingest_nodes, 1u);
   EXPECT_GE(st.counters.unseen_node_queries, 1u);
   EXPECT_EQ(st.counters.time_regressions, 1u);
-  EXPECT_EQ(st.counters.queries, 3u);  // 1 + 2 endpoint rows
+  EXPECT_EQ(st.counters.queries, 3u);  // 1 + 2 rows
   EXPECT_EQ(st.predict.count, 2u);     // two Predict calls
   EXPECT_GT(st.predict.p99_ns, 0.0);
   EXPECT_GE(st.ingest.count, 2u);
@@ -703,46 +636,6 @@ TEST_F(ServeServiceTest, DriftCountersAndLatencyHistogramsMove) {
     departed.PredictNode(novel, t_end + 1.0, &r1);
   }
   EXPECT_EQ(service.Stats().predict.count, 3u);
-}
-
-// ScoreEdge answers both endpoints from one snapshot: its rows are the
-// endpoints' PredictNode rows bit for bit, and its score is the larger of
-// their class-1 margins.
-TEST_F(ServeServiceTest, ScoreEdgeIsTheMaxOfItsEndpointMargins) {
-  const Dataset ds = MakeWarmup();
-  const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
-  const std::vector<TemporalEdge> live = LiveEdges(ds, split);
-  SplashServiceOptions sopts;
-  sopts.train_on_ingest_labels = false;
-  SplashService service(SmallModelOptions(), sopts);
-  TrainerOptions fit = SmallFit();
-  ASSERT_TRUE(service.Start(ds, split, &fit).ok());
-  const size_t n = std::min<size_t>(live.size(), 300);
-  for (size_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(service.IngestEdge(live[i]).accepted());
-  }
-  service.Flush();
-
-  ServeClient client(&service);
-  const double t = live[n - 1].time;
-  const NodeId a = live[n - 1].src, b = live[n - 1].dst;
-  ASSERT_NE(a, b);
-  ServeResponse edge, ma, mb;
-  client.ScoreEdge(a, b, t, &edge);
-  client.PredictNode(a, t, &ma);
-  client.PredictNode(b, t, &mb);
-  service.Stop();
-
-  // Quiesced, so the snapshot cannot move between the calls.
-  ASSERT_EQ(edge.scores.rows(), 2u);
-  ASSERT_EQ(ma.scores.cols(), edge.scores.cols());
-  for (size_t c = 0; c < edge.scores.cols(); ++c) {
-    EXPECT_EQ(edge.scores(0, c), ma.scores(0, c)) << "src row col " << c;
-    EXPECT_EQ(edge.scores(1, c), mb.scores(0, c)) << "dst row col " << c;
-  }
-  EXPECT_NE(ma.score, mb.score) << "equal margins cannot tell max from min";
-  EXPECT_EQ(edge.score, std::max(ma.score, mb.score));
-  EXPECT_EQ(edge.watermark_seq, n);
 }
 
 TEST_F(ServeServiceTest, InvalidEdgesRejectedAtTheBoundary) {
@@ -848,8 +741,9 @@ TEST_F(ServeServiceTest, WatermarkMonotonePerClientAcrossUnflushedIngest) {
   EXPECT_EQ(service.published_seq(), n);
 }
 
-// IngestResult classifies every admission outcome, so a retry loop can
-// tell retryable backlog from permanent rejection without counters.
+// IngestResult classifies every admission outcome: a call on a service
+// that is not running is kStopped, a boundary refusal kInvalid. The drop
+// counters count only the boundary refusals.
 TEST_F(ServeServiceTest, IngestResultClassifiesRejections) {
   const Dataset ds = MakeWarmup(800);
   const ChronoSplit split = MakeChronoSplit(ds.stream, 0.15, 0.3);
@@ -857,59 +751,57 @@ TEST_F(ServeServiceTest, IngestResultClassifiesRejections) {
   ASSERT_FALSE(live.empty());
 
   SplashServiceOptions sopts;
-  sopts.queue_capacity = 4;
-  sopts.backpressure = BackpressurePolicy::kDropNewest;
-  sopts.microbatch_max_items = 4;  // apply waits for a full queue
-  sopts.microbatch_max_delay_s = 0.05;
-  sopts.train_on_ingest_labels = false;
+  sopts.train_on_ingest_labels = true;
   SplashService service(SmallModelOptions(), sopts);
-
-  // Before Start: permanently rejected, not retryable.
-  EXPECT_EQ(service.IngestEdge(live[0]).code(), IngestResult::kStopped);
-  EXPECT_FALSE(service.IngestEdge(live[0]).retryable());
-
-  ASSERT_TRUE(service.Start(ds, split, nullptr).ok());
-
-  // Boundary rejection: kInvalid, never retryable, counted as a drop.
-  const IngestResult bad =
-      service.IngestEdge(TemporalEdge{kInvalidNode, 3, 1.0});
-  EXPECT_EQ(bad.code(), IngestResult::kInvalid);
-  EXPECT_FALSE(bad.accepted());
-  EXPECT_FALSE(bad.retryable());
-  static_assert(!std::is_constructible<bool, IngestResult>::value,
-                "callers read .accepted(); there is no bool conversion");
-
-  // Backlog pressure: a tiny kDropNewest ring under a burst classifies
-  // every non-accepted push as retryable backlog — nothing else.
-  size_t accepted = 0, backlog = 0;
-  for (size_t i = 0; i < 2000; ++i) {
-    const IngestResult r = service.IngestEdge(live[i % live.size()]);
-    if (r.accepted()) {
-      ++accepted;
-    } else {
-      ASSERT_EQ(r.code(), IngestResult::kBacklogDropped);
-      ASSERT_TRUE(r.retryable());
-      ++backlog;
-    }
-  }
-  EXPECT_GT(accepted, 0u);
-  EXPECT_GT(backlog, 0u);
-  const ServeCounters c = service.Counters();
-  EXPECT_EQ(c.ingest_accepted, accepted);
-  EXPECT_EQ(c.ingest_dropped, backlog + 1);  // + the kInvalid probe
-
-  // SubmitTrain with feedback disabled: administrative rejection, not a
-  // counted drop, never retryable.
   PropertyQuery q;
   q.node = live[0].dst;
   q.time = live[0].time;
   q.class_label = 1;
-  const IngestResult off = service.SubmitTrain(q);
-  EXPECT_EQ(off.code(), IngestResult::kInvalid);
-  EXPECT_EQ(service.Counters().train_dropped, 0u);
 
+  // Before Start: kStopped, and no drop counted.
+  EXPECT_EQ(service.IngestEdge(live[0]).code(), IngestResult::kStopped);
+  EXPECT_EQ(service.SubmitTrain(q).code(), IngestResult::kStopped);
+  ServeCounters c = service.Counters();
+  EXPECT_EQ(c.ingest_dropped, 0u);
+  EXPECT_EQ(c.train_dropped, 0u);
+
+  ASSERT_TRUE(service.Start(ds, split, nullptr).ok());
+
+  // Boundary rejection: kInvalid, counted as a drop.
+  const IngestResult bad =
+      service.IngestEdge(TemporalEdge{kInvalidNode, 3, 1.0});
+  EXPECT_EQ(bad.code(), IngestResult::kInvalid);
+  EXPECT_FALSE(bad.accepted());
+  static_assert(!std::is_constructible<bool, IngestResult>::value,
+                "callers read .accepted(); there is no bool conversion");
+  PropertyQuery bad_label = q;
+  bad_label.class_label = -1;
+  EXPECT_EQ(service.SubmitTrain(bad_label).code(), IngestResult::kInvalid);
+  EXPECT_TRUE(service.IngestEdge(live[0]).accepted());
+  EXPECT_TRUE(service.SubmitTrain(q).accepted());
+  service.Flush();
+  c = service.Counters();
+  EXPECT_EQ(c.ingest_accepted, 1u);
+  EXPECT_EQ(c.ingest_dropped, 1u);
+  EXPECT_EQ(c.train_accepted, 1u);
+  EXPECT_EQ(c.train_dropped, 1u);
+
+  // After Stop: kStopped again, and the drop counters do not move.
   service.Stop();
   EXPECT_EQ(service.IngestEdge(live[0]).code(), IngestResult::kStopped);
+  EXPECT_EQ(service.SubmitTrain(q).code(), IngestResult::kStopped);
+  c = service.Counters();
+  EXPECT_EQ(c.ingest_dropped, 1u);
+  EXPECT_EQ(c.train_dropped, 1u)
+      << "SubmitTrain on a stopped service counted a drop";
+
+  // SubmitTrain with feedback disabled: administrative rejection, not a
+  // counted drop.
+  SplashServiceOptions off_opts;
+  off_opts.train_on_ingest_labels = false;
+  SplashService off(SmallModelOptions(), off_opts);
+  EXPECT_EQ(off.SubmitTrain(q).code(), IngestResult::kInvalid);
+  EXPECT_EQ(off.Counters().train_dropped, 0u);
 }
 
 TEST_F(ServeServiceTest, ValidateNamesTheOffendingField) {

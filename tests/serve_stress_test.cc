@@ -8,10 +8,9 @@
 //     real log prefix — a reader overlapping a half-applied batch would
 //     report a seq/time pair the final log contradicts — and its seq must
 //     be a boundary the apply thread published (one the WAL recorded);
-//   - readers mix batched, one-row (some with an already-expired
-//     deadline) and edge reads: every call returns its rows, a one-row
-//     margin is the double difference of its scores, and `queries` counts
-//     exactly the rows issued;
+//   - readers mix batched and one-row reads: every call returns its rows,
+//     a one-row margin is the double difference of its scores, and
+//     `queries` counts exactly the rows issued;
 //   - after Stop(), the published snapshot must be bit-identical to
 //     re-applying the micro-batch sequence the WAL recorded to a fresh
 //     replica — a lost or doubled batch cannot hide;
@@ -68,7 +67,6 @@ TEST_F(ServeStressTest, ConcurrentIngestAndQueriesNeverObserveTornState) {
   sopts.microbatch_max_items = 64;
   sopts.microbatch_max_delay_s = 0.0002;
   sopts.queue_capacity = 1024;
-  sopts.backpressure = BackpressurePolicy::kBlock;
   sopts.train_on_ingest_labels = true;
   KeepWalHistory(dir.path(), &sopts);
   SplashService service(StressModelOptions(), sopts);
@@ -87,7 +85,7 @@ TEST_F(ServeStressTest, ConcurrentIngestAndQueriesNeverObserveTornState) {
       // the edge the instant Push returns, so the invariant readers check
       // is watermark <= edges *offered*, not edges already acknowledged.
       fed.store(i + 1, std::memory_order_release);
-      EXPECT_TRUE(service.IngestEdge(live[i]).accepted());  // kBlock: lossless
+      EXPECT_TRUE(service.IngestEdge(live[i]).accepted());  // lossless
       if (i % 16 == 15) {
         PropertyQuery q;
         q.node = live[i].dst;
@@ -116,26 +114,15 @@ TEST_F(ServeStressTest, ConcurrentIngestAndQueriesNeverObserveTornState) {
       size_t i = 0;
       while (!done.load(std::memory_order_acquire)) {
         const TemporalEdge& e = live[(r * 97 + i * 13) % live.size()];
-        switch ((i + r) % 3) {
-          case 0:
-            client.Predict(batch, &resp);
-            ASSERT_EQ(resp.scores.rows(), batch.size());
-            break;
-          case 1:
-            // Every fifth one-row read carries a deadline it cannot meet:
-            // it is answered all the same, and flagged.
-            client.PredictNode(e.src, e.time, &resp,
-                               /*timeout_s=*/i % 5 == 1 ? 1e-12 : 0.0);
-            ASSERT_EQ(resp.scores.rows(), 1u);
-            ASSERT_EQ(resp.deadline_exceeded, i % 5 == 1);
-            // The service computes the margin in double precision.
-            ASSERT_EQ(resp.score, static_cast<double>(resp.scores(0, 1)) -
-                                      resp.scores(0, 0));
-            break;
-          default:
-            client.ScoreEdge(e.src, e.dst, e.time, &resp);
-            ASSERT_EQ(resp.scores.rows(), 2u);
-            break;
+        if ((i + r) % 2 == 0) {
+          client.Predict(batch, &resp);
+          ASSERT_EQ(resp.scores.rows(), batch.size());
+        } else {
+          client.PredictNode(e.src, e.time, &resp);
+          ASSERT_EQ(resp.scores.rows(), 1u);
+          // The service computes the margin in double precision.
+          ASSERT_EQ(resp.score, static_cast<double>(resp.scores(0, 1)) -
+                                    resp.scores(0, 0));
         }
         rows_issued.fetch_add(resp.scores.rows(), std::memory_order_relaxed);
         // A snapshot can never be ahead of the producer, nor regress.
@@ -222,7 +209,7 @@ TEST_F(ServeStressTest, ConcurrentIngestAndQueriesNeverObserveTornState) {
   }
 
   const ServeStats st = service.Stats();
-  EXPECT_EQ(st.counters.ingest_dropped, 0u);  // kBlock is lossless
+  EXPECT_EQ(st.counters.ingest_dropped, 0u);  // a full queue blocks
   EXPECT_EQ(st.counters.ingest_accepted, live.size());
   // Every row any call scored is counted once: the readers' rows plus
   // the final probe.
@@ -231,7 +218,7 @@ TEST_F(ServeStressTest, ConcurrentIngestAndQueriesNeverObserveTornState) {
 }
 
 TEST_F(ServeStressTest, StopMidBurstDrainsAcceptedAndNeverDeadlocks) {
-  // Producers saturate a tiny kBlock queue while the main thread calls
+  // Producers saturate a tiny queue while the main thread calls
   // Stop() mid-burst. The lifecycle contract: Stop never deadlocks against
   // blocked producers, everything accepted before the stop is applied, and
   // the final snapshot is valid (published == log size, queryable).
@@ -255,7 +242,6 @@ TEST_F(ServeStressTest, StopMidBurstDrainsAcceptedAndNeverDeadlocks) {
   sopts.microbatch_max_items = 8;  // at most the queue: a batch can fill
   sopts.microbatch_max_delay_s = 0.0002;
   sopts.queue_capacity = 8;  // small: producers block constantly
-  sopts.backpressure = BackpressurePolicy::kBlock;
   sopts.train_on_ingest_labels = true;
   SplashService service(StressModelOptions(), sopts);
   ASSERT_TRUE(service.Start(ds, split, nullptr).ok());

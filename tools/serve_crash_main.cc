@@ -8,7 +8,7 @@
 //
 //   --mode=run     RecoverOrStart on --data-dir, then resume feeding the
 //                  live corpus from the recovered watermark (the ingest
-//                  log is a corpus prefix: kBlock loses nothing, so the
+//                  log is a corpus prefix: a full queue blocks, so the
 //                  recovered edge count IS the resume index). Exits 0
 //                  when the corpus is exhausted; the harness kill -9s it
 //                  anywhere before that. --pace-us throttles ingest so a
@@ -87,10 +87,8 @@ SplashServiceOptions CrashServiceOptions(const std::string& data_dir) {
   opts.microbatch_max_items = 24;
   opts.microbatch_max_delay_s = 0.0;
   opts.queue_capacity = 256;
-  opts.backpressure = BackpressurePolicy::kBlock;
   opts.data_dir = data_dir;
   opts.wal_fsync = WalFsyncPolicy::kBatch;  // kill -9: page cache survives
-  opts.wal_group_records = 8;
   opts.checkpoint_interval_batches = 16;
   opts.gc_wal_on_checkpoint = false;  // verify replays the full history
   return opts;
